@@ -51,7 +51,7 @@ fn main() {
         println!(
             "  agent w_area={w:.2}: {} designs, cache hit rate {:.0}%",
             result.designs.len(),
-            100.0 * evaluator.hit_rate()
+            100.0 * evaluator.store().hit_rate()
         );
         for (k, (_, g)) in support::spread_front(&result.front(), 12)
             .iter()

@@ -7,9 +7,9 @@ use prefix_graph::{Action, Node, PrefixGraph};
 use prefixrl_bench as support;
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::cache::CachedEvaluator;
-use prefixrl_core::evalsvc::EvalService;
 use prefixrl_core::evaluator::Evaluator;
 use prefixrl_core::experiment::AsyncRunner;
+use prefixrl_core::parallel::evaluate_batch;
 use prefixrl_core::task::{Adder, TaskEvaluator};
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,9 +50,8 @@ fn main() {
         if threads > max_threads * 2 {
             break;
         }
-        let service = EvalService::new(Arc::clone(&evaluator), threads);
         let t = Instant::now();
-        let _ = service.evaluate_many(&graphs);
+        let _ = evaluate_batch(&graphs, &*evaluator, threads);
         let ms = t.elapsed().as_secs_f64() * 1000.0;
         if threads == 1 {
             base_ms = ms;
@@ -77,9 +76,9 @@ fn main() {
         let _ = TrainLoop::run(&cfg, ev.clone());
         println!(
             "  {width:>2}b: {:>5.1}% hits over {} evaluations ({} unique states)",
-            100.0 * ev.hit_rate(),
-            ev.hits() + ev.misses(),
-            ev.unique_states()
+            100.0 * ev.store().hit_rate(),
+            ev.store().hits() + ev.store().misses(),
+            ev.store().unique_states()
         );
     }
 
@@ -110,7 +109,7 @@ fn main() {
                  ({} designs, hit rate {:.0}%)",
                 if broker { "on" } else { "off" },
                 result.designs.len(),
-                100.0 * ev.hit_rate(),
+                100.0 * ev.store().hit_rate(),
             );
             rows.push(support::ScalingRow {
                 actors,
@@ -118,7 +117,7 @@ fn main() {
                 envs_per_actor: cfg.envs_per_actor,
                 steps,
                 steps_per_sec,
-                cache_hit_rate: ev.hit_rate(),
+                cache_hit_rate: ev.store().hit_rate(),
                 designs: result.designs.len(),
             });
         }

@@ -1,5 +1,5 @@
 //! Experiment-session scaling: multi-weight sweeps fanned out over the
-//! shared EvalService/cache stack (the Section IV-D ensemble shape behind
+//! shared evaluation cache (the Section IV-D ensemble shape behind
 //! the new `Experiment` API). Measures total steps/sec and shared-cache
 //! hit rate as the number of concurrently training agents grows, and dumps
 //! `BENCH_sweep.json` at the workspace root.

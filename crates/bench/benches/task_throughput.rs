@@ -98,7 +98,9 @@ fn main() {
             let cold_rounds = if analytical { 200 } else { 1 };
             let (evals, cold) = measure(&ev, &graphs, cold_rounds);
             let cached = CachedEvaluator::new(ev);
-            cached.evaluate_many(&graphs); // prime
+            for g in &graphs {
+                cached.evaluate(g); // prime
+            }
             let warm_rounds = if analytical { 500 } else { 50 };
             let (_, warm) = measure(&cached, &graphs, warm_rounds);
             println!(

@@ -100,7 +100,7 @@ pub fn write_bench_scaling(widths: u16, rows: &[ScalingRow]) {
 pub struct SweepRow {
     /// Agents trained (one per scalarization weight).
     pub agents: usize,
-    /// Concurrent agent threads (the EvalService budget).
+    /// Concurrent agent threads (`ExperimentBuilder::eval_threads`).
     pub concurrency: usize,
     /// Environment steps per agent.
     pub steps_per_agent: u64,

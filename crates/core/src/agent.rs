@@ -11,10 +11,8 @@
 //! [`crate::experiment::Event`]s to a [`crate::experiment::RunObserver`],
 //! and can snapshot its complete state into a
 //! [`crate::checkpoint::Checkpoint`] (and be rebuilt from one) such that a
-//! resumed run is bit-identical to an uninterrupted one. The historical
-//! free functions [`train`] / [`train_with_agent`] / [`greedy_rollout`]
-//! remain as thin deprecated wrappers; new code should go through
-//! [`crate::experiment::Experiment`].
+//! resumed run is bit-identical to an uninterrupted one. Sessions of one
+//! or more agents go through [`crate::experiment::Experiment`].
 
 use crate::checkpoint::Checkpoint;
 use crate::env::{EnvConfig, PrefixEnv};
@@ -337,9 +335,8 @@ impl TrainLoop {
         }
     }
 
-    /// Convenience: trains a fresh agent to completion unobserved — the
-    /// one-shot equivalent of the old `train` free function. Sweeps and
-    /// observed runs should go through [`crate::experiment::Experiment`].
+    /// Convenience: trains a fresh agent to completion unobserved. Sweeps
+    /// and observed runs should go through [`crate::experiment::Experiment`].
     pub fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> TrainResult {
         let mut lp = TrainLoop::new(cfg, evaluator);
         lp.run_to_completion(0, &mut NullObserver);
@@ -497,42 +494,6 @@ impl TrainLoop {
     }
 }
 
-/// Trains one PrefixRL agent, returning the trainer and the run record.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `experiment::Experiment::builder()` (or `TrainLoop` directly) instead"
-)]
-pub fn train_with_agent(
-    cfg: &AgentConfig,
-    evaluator: Arc<dyn Evaluator>,
-) -> (DoubleDqn<PrefixQNet>, TrainResult) {
-    let mut lp = TrainLoop::new(cfg, evaluator);
-    lp.run_to_completion(0, &mut NullObserver);
-    lp.into_parts()
-}
-
-/// Trains one PrefixRL agent and returns the run record.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `experiment::Experiment::builder()` (or `TrainLoop` directly) instead"
-)]
-pub fn train(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> TrainResult {
-    TrainLoop::run(cfg, evaluator)
-}
-
-/// Rolls out the greedy policy (ε = 0) from each starting state, returning
-/// the designs visited — how trained agents emit their final adders.
-#[deprecated(since = "0.2.0", note = "use `experiment::greedy_designs` instead")]
-pub fn greedy_rollout(
-    dqn: &mut DoubleDqn<PrefixQNet>,
-    cfg: &EnvConfig,
-    evaluator: Arc<dyn Evaluator>,
-    episodes: usize,
-    seed: u64,
-) -> Vec<(PrefixGraph, ObjectivePoint)> {
-    crate::experiment::greedy_designs(dqn, cfg, evaluator, episodes, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +517,7 @@ mod tests {
         );
         assert!(!result.losses.is_empty(), "training never started");
         // The cache must have seen repeated states (start states recur).
-        assert!(eval.hits() > 0);
+        assert!(eval.store().hits() > 0);
         // All harvested designs are legal.
         for (g, p) in &result.designs {
             g.verify_legal().unwrap();
@@ -590,17 +551,6 @@ mod tests {
             assert_eq!(ga.canonical_key(), gb.canonical_key());
             assert_eq!(pa, pb);
         }
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_train() {
-        #[allow(deprecated)]
-        let result = train(
-            &AgentConfig::tiny(8, 0.5),
-            Arc::new(TaskEvaluator::analytical(Adder)),
-        );
-        assert_eq!(result.steps, 300);
-        assert!(!result.losses.is_empty());
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! backends) can never alias an entry or a shard, even when they share one
 //! cache.
 //!
-//! Since the serve daemon (DESIGN.md §13), the sharded store itself is a
-//! standalone type, [`EvalCache`]: a [`CachedEvaluator`] is one evaluator
-//! *bound* to a store, and several bindings — one per `(task, backend)`
-//! pair a resident server is optimizing — can share a single
-//! `Arc<EvalCache>` so all jobs draw from one memory budget and one
-//! statistics surface while the discriminant prefix keeps their entries
-//! apart.
+//! The module has two pieces. [`EvalCache`] is the sharded store and owns
+//! every statistic. [`CachedEvaluator`] is a bare binding of one evaluator
+//! to one `Arc<EvalCache>`: it exposes only [`CachedEvaluator::inner`] and
+//! [`CachedEvaluator::store`]. Several bindings — one per experiment, or
+//! per `(task, backend)` pair a resident server is optimizing — can share
+//! a single store (see
+//! [`crate::experiment::ExperimentBuilder::eval_cache`]), so all of them
+//! draw from one memory budget and one statistics surface while the
+//! discriminant prefix keeps their entries apart.
 //!
 //! The store is **N-way sharded** by canonical-key hash so concurrent
 //! actors contend only on the shard their state maps to, not on one global
@@ -26,7 +28,8 @@
 //!
 //! - a bounded map with FIFO eviction (`capacity_per_shard`), so a long
 //!   training run cannot grow the cache without bound;
-//! - its own hit/miss/eviction counters (aggregated by the accessors);
+//! - its own hit/miss/eviction counters (aggregated by the store's
+//!   accessors);
 //! - an **in-flight set** deduplicating concurrent misses: when several
 //!   actors miss on the same state simultaneously, exactly one runs the
 //!   evaluator and the rest block on the shard's condvar and reuse the
@@ -39,7 +42,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Sizing of a [`CachedEvaluator`].
+/// Sizing of an [`EvalCache`] store.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Number of independent shards (≥ 1; default 16).
@@ -99,7 +102,7 @@ impl Shard {
     }
 }
 
-/// Per-shard statistics snapshot (see [`CachedEvaluator::shard_stats`]).
+/// Per-shard statistics snapshot (see [`EvalCache::shard_stats`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardStats {
     /// Cache hits on this shard (including coalesced in-flight waits).
@@ -299,51 +302,15 @@ impl<E: Evaluator> CachedEvaluator<E> {
     }
 
     /// Binds an evaluator to an existing (possibly shared) store. Entries
-    /// from co-tenant evaluators are isolated by the discriminant prefix;
-    /// the statistics accessors report the *store's* aggregate counters.
+    /// from co-tenant evaluators are isolated by the discriminant prefix.
     pub fn with_store(inner: E, store: std::sync::Arc<EvalCache>) -> Self {
         CachedEvaluator { inner, store }
     }
 
-    /// The backing store (hand a clone to another binding to share it).
+    /// The backing store: its statistics are the aggregate over every
+    /// binding sharing it (hand a clone to another binding to share it).
     pub fn store(&self) -> &std::sync::Arc<EvalCache> {
         &self.store
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.store.shards()
-    }
-
-    /// Cache hits so far (a wait on another thread's in-flight evaluation
-    /// counts as a hit: the evaluator did not run again).
-    pub fn hits(&self) -> u64 {
-        self.store.hits()
-    }
-
-    /// Cache misses (inner evaluations) so far.
-    pub fn misses(&self) -> u64 {
-        self.store.misses()
-    }
-
-    /// Entries evicted by the per-shard capacity bound so far.
-    pub fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
-    /// Hit rate in `[0, 1]` (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        self.store.hit_rate()
-    }
-
-    /// Number of distinct states currently cached.
-    pub fn unique_states(&self) -> usize {
-        self.store.unique_states()
-    }
-
-    /// Per-shard statistics, for load-balance diagnostics.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.store.shard_stats()
     }
 
     /// Access to the wrapped evaluator.
@@ -417,10 +384,10 @@ mod tests {
         let a = ev.evaluate(&g);
         let b = ev.evaluate(&g);
         assert_eq!(a, b);
-        assert_eq!(ev.hits(), 1);
-        assert_eq!(ev.misses(), 1);
-        assert_eq!(ev.unique_states(), 1);
-        assert!((ev.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(ev.store().hits(), 1);
+        assert_eq!(ev.store().misses(), 1);
+        assert_eq!(ev.store().unique_states(), 1);
+        assert!((ev.store().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -430,8 +397,8 @@ mod tests {
         ev.evaluate(&g);
         let g2 = g.with_action(Action::Add(Node::new(5, 2))).unwrap();
         ev.evaluate(&g2);
-        assert_eq!(ev.misses(), 2);
-        assert_eq!(ev.hits(), 0);
+        assert_eq!(ev.store().misses(), 2);
+        assert_eq!(ev.store().hits(), 0);
     }
 
     #[test]
@@ -442,7 +409,11 @@ mod tests {
         let b = prefix_graph::PrefixGraph::from_min_nodes(8, [Node::new(6, 3)]);
         ev.evaluate(&a);
         ev.evaluate(&b);
-        assert_eq!(ev.hits(), 1, "canonical key must unify equal graphs");
+        assert_eq!(
+            ev.store().hits(),
+            1,
+            "canonical key must unify equal graphs"
+        );
     }
 
     #[test]
@@ -466,8 +437,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ev.unique_states(), 4);
-        assert_eq!(ev.hits() + ev.misses(), 16);
+        assert_eq!(ev.store().unique_states(), 4);
+        assert_eq!(ev.store().hits() + ev.store().misses(), 16);
     }
 
     /// An evaluator that counts invocations and is slow enough that
@@ -509,8 +480,8 @@ mod tests {
             1,
             "in-flight dedup must run the evaluator once"
         );
-        assert_eq!(ev.misses(), 1);
-        assert_eq!(ev.hits(), 3, "waiters count as hits");
+        assert_eq!(ev.store().misses(), 1);
+        assert_eq!(ev.store().hits(), 3, "waiters count as hits");
     }
 
     #[test]
@@ -554,7 +525,7 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("retry hung: panicking evaluator leaked its in-flight key");
         assert_eq!(point.area, g.size() as f64);
-        assert_eq!(ev.misses(), 1, "only the successful retry counts");
+        assert_eq!(ev.store().misses(), 1, "only the successful retry counts");
     }
 
     #[test]
@@ -570,29 +541,32 @@ mod tests {
         let g2 = structures::sklansky(8);
         ev.evaluate(&g1);
         ev.evaluate(&g2); // evicts g1
-        assert_eq!(ev.unique_states(), 1);
-        assert_eq!(ev.evictions(), 1);
+        assert_eq!(ev.store().unique_states(), 1);
+        assert_eq!(ev.store().evictions(), 1);
         ev.evaluate(&g1); // miss again
-        assert_eq!(ev.misses(), 3);
-        assert_eq!(ev.hits(), 0);
+        assert_eq!(ev.store().misses(), 3);
+        assert_eq!(ev.store().hits(), 0);
     }
 
     #[test]
     fn shard_stats_cover_all_queries() {
         let ev = CachedEvaluator::with_config(adder_analytical(), CacheConfig::with_shards(8));
-        assert_eq!(ev.shards(), 8);
+        assert_eq!(ev.store().shards(), 8);
         let mut g = prefix_graph::PrefixGraph::ripple(12);
         for m in 2..12u16 {
             g.apply(Action::Add(Node::new(m, 1))).ok();
             ev.evaluate(&g);
             ev.evaluate(&g);
         }
-        let stats = ev.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), ev.hits());
-        assert_eq!(stats.iter().map(|s| s.misses).sum::<u64>(), ev.misses());
+        let stats = ev.store().shard_stats();
+        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), ev.store().hits());
+        assert_eq!(
+            stats.iter().map(|s| s.misses).sum::<u64>(),
+            ev.store().misses()
+        );
         assert_eq!(
             stats.iter().map(|s| s.entries).sum::<usize>(),
-            ev.unique_states()
+            ev.store().unique_states()
         );
         assert!(stats.iter().any(|s| s.entries > 0));
     }
@@ -641,13 +615,17 @@ mod tests {
             g.size() as f64 * 100.0,
             "cache served a stale point across discriminants"
         );
-        assert_eq!(ev.misses(), 2, "same graph, different discriminant: miss");
-        assert_eq!(ev.hits(), 0);
-        assert_eq!(ev.unique_states(), 2, "both keys live side by side");
+        assert_eq!(
+            ev.store().misses(),
+            2,
+            "same graph, different discriminant: miss"
+        );
+        assert_eq!(ev.store().hits(), 0);
+        assert_eq!(ev.store().unique_states(), 2, "both keys live side by side");
         // Flipping back hits the original entry.
         ev.inner().mode_b.store(false, Ordering::SeqCst);
         assert_eq!(ev.evaluate(&g), a);
-        assert_eq!(ev.hits(), 1);
+        assert_eq!(ev.store().hits(), 1);
     }
 
     #[test]
@@ -683,7 +661,10 @@ mod tests {
         assert_eq!(adder.evaluate(&g), a);
         let _ = or.evaluate(&g);
         assert_eq!(store.hits(), 2);
-        assert_eq!(adder.hits(), store.hits(), "bindings report store stats");
+        assert!(
+            Arc::ptr_eq(adder.store(), &store),
+            "bindings share one store"
+        );
     }
 
     #[test]

@@ -1,26 +1,20 @@
 //! The evaluator interface and the objective-point currency.
 //!
 //! The environment asks an [`Evaluator`] for the `(area, delay)` of a
-//! prefix graph. Since the task/backend redesign (DESIGN.md §12), concrete
-//! oracles live in [`crate::task`]: a [`crate::task::CircuitTask`] bound to
-//! an [`crate::task::ObjectiveBackend`] through
-//! [`crate::task::TaskEvaluator`]. This module keeps:
+//! prefix graph. Concrete oracles live in [`crate::task`]: a
+//! [`crate::task::CircuitTask`] bound to an
+//! [`crate::task::ObjectiveBackend`] through
+//! [`crate::task::TaskEvaluator`] (DESIGN.md §12). This module keeps:
 //!
 //! - [`ObjectivePoint`] — the minimized `(area, delay)` pair with the one
 //!   tested strict/weak dominance definition every Pareto structure uses;
-//! - [`Evaluator`] — the engine-facing oracle trait consumed by the cache,
-//!   the evaluation service, and the environment, including the
+//! - [`Evaluator`] — the engine-facing oracle trait consumed by the cache
+//!   and the environment (and implemented by test fakes), including the
 //!   [`Evaluator::cache_discriminant`] that keeps distinct `(task,
-//!   backend)` pairs from aliasing cached points;
-//! - the historical [`AnalyticalEvaluator`] / [`SynthesisEvaluator`] pair,
-//!   now `#[deprecated]` wrappers over the adder task.
+//!   backend)` pairs from aliasing cached points.
 
-use crate::task::{Adder, AnalyticalBackend, ObjectiveBackend, SynthesisBackend};
-use netlist::Library;
 use prefix_graph::PrefixGraph;
 use serde::{Deserialize, Serialize};
-use synth::sweep::SweepConfig;
-use synth::AreaDelayCurve;
 
 /// A point in the (area, delay) objective space; both minimized.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -56,16 +50,6 @@ pub trait Evaluator: Send + Sync {
     /// Evaluates the graph's objectives.
     fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint;
 
-    /// Evaluates a batch of graphs, preserving order.
-    ///
-    /// The default maps [`Evaluator::evaluate`] serially; implementations
-    /// with their own concurrency (notably [`crate::evalsvc::EvalService`])
-    /// override it with a parallel version. Callers holding many states
-    /// should prefer this entry point so such overrides take effect.
-    fn evaluate_many(&self, graphs: &[PrefixGraph]) -> Vec<ObjectivePoint> {
-        graphs.iter().map(|g| self.evaluate(g)).collect()
-    }
-
     /// A short name for reports.
     fn name(&self) -> &str;
 
@@ -87,119 +71,13 @@ pub trait Evaluator: Send + Sync {
     }
 }
 
-impl Evaluator for Box<dyn Evaluator> {
-    fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
-        (**self).evaluate(graph)
-    }
-
-    fn evaluate_many(&self, graphs: &[PrefixGraph]) -> Vec<ObjectivePoint> {
-        (**self).evaluate_many(graphs)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn cache_discriminant(&self) -> u64 {
-        (**self).cache_discriminant()
-    }
-
-    fn bound_task_id(&self) -> Option<&str> {
-        (**self).bound_task_id()
-    }
-}
-
-/// The analytical model of ref. \[14\] over the adder task.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `task::TaskEvaluator::analytical(task::Adder)` (or any other `CircuitTask`)"
-)]
-#[derive(Clone, Debug, Default)]
-pub struct AnalyticalEvaluator;
-
-#[allow(deprecated)]
-impl Evaluator for AnalyticalEvaluator {
-    fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
-        AnalyticalBackend.score(&Adder, graph)
-    }
-
-    fn name(&self) -> &str {
-        "analytical"
-    }
-
-    fn cache_discriminant(&self) -> u64 {
-        crate::task::discriminant_of("adder", "analytical")
-    }
-}
-
-/// Synthesis-in-the-loop evaluation of the adder task (the paper's Fig. 3
-/// pipeline).
-#[deprecated(
-    since = "0.4.0",
-    note = "adder-specific; use `task::SynthesisBackend` with a `CircuitTask` \
-            via `task::TaskEvaluator` instead"
-)]
-#[derive(Clone, Debug)]
-pub struct SynthesisEvaluator {
-    backend: SynthesisBackend,
-}
-
-#[allow(deprecated)]
-impl SynthesisEvaluator {
-    /// Creates an evaluator for scalarization weight `w_area`
-    /// (`w_delay = 1 - w_area`) over the given library.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ w_area ≤ 1`.
-    pub fn new(lib: Library, sweep: SweepConfig, w_area: f64) -> Self {
-        SynthesisEvaluator {
-            backend: SynthesisBackend::new(lib, sweep, w_area),
-        }
-    }
-
-    /// Overrides the paper's unit-scaling constants.
-    pub fn with_scaling(mut self, c_area: f64, c_delay: f64) -> Self {
-        self.backend = self.backend.with_scaling(c_area, c_delay);
-        self
-    }
-
-    /// The full interpolated area-delay curve of a graph (used by the
-    /// figure harnesses, which bin syntheses at many delay targets).
-    pub fn curve(&self, graph: &PrefixGraph) -> AreaDelayCurve {
-        self.backend.curve(&Adder, graph)
-    }
-
-    /// The library this evaluator synthesizes with.
-    pub fn library(&self) -> &Library {
-        self.backend.library()
-    }
-}
-
-#[allow(deprecated)]
-impl Evaluator for SynthesisEvaluator {
-    fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
-        self.backend.score(&Adder, graph)
-    }
-
-    fn name(&self) -> &str {
-        "synthesis"
-    }
-
-    fn cache_discriminant(&self) -> u64 {
-        crate::task::discriminant_of("adder", self.backend.backend_id())
-    }
-
-    fn bound_task_id(&self) -> Option<&str> {
-        Some("adder")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskEvaluator;
+    use crate::task::{Adder, TaskEvaluator};
+    use netlist::Library;
     use prefix_graph::structures;
+    use synth::sweep::SweepConfig;
 
     #[test]
     fn dominance_relation() {
@@ -265,25 +143,5 @@ mod tests {
         let ev = TaskEvaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.5);
         let g = structures::brent_kung(8);
         assert_eq!(ev.evaluate(&g), ev.evaluate(&g));
-    }
-
-    /// The deprecated pair must stay exact wrappers over the adder task.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_evaluators_match_task_api() {
-        let g = structures::brent_kung(16);
-        assert_eq!(
-            AnalyticalEvaluator.evaluate(&g),
-            TaskEvaluator::analytical(Adder).evaluate(&g)
-        );
-        assert_eq!(
-            AnalyticalEvaluator.cache_discriminant(),
-            TaskEvaluator::analytical(Adder).cache_discriminant()
-        );
-        let lib = Library::nangate45();
-        let old = SynthesisEvaluator::new(lib.clone(), SweepConfig::fast(), 0.4);
-        let new = TaskEvaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.4);
-        assert_eq!(old.evaluate(&g), new.evaluate(&g));
-        assert_eq!(old.cache_discriminant(), new.cache_discriminant());
     }
 }

@@ -6,15 +6,16 @@
 //! fronts, all sharing the Section IV-D evaluation cache. This module is
 //! the session layer that makes that shape first-class:
 //!
-//! - [`Experiment`] — built with [`Experiment::builder`], owns the shared
-//!   [`CachedEvaluator`]/[`EvalService`] stack and a [`Run`] handle per
-//!   scalarization weight; running it fans agents out over the service's
-//!   thread budget so the cross-agent cache sharing actually happens
-//!   in-process.
+//! - [`Experiment`] — built with [`Experiment::builder`], owns one
+//!   [`CachedEvaluator`] binding the [`TaskEvaluator`] of its own
+//!   `.task(..)`/`.backend(..)` to a sharded store (private, or shared via
+//!   [`ExperimentBuilder::eval_cache`]) and a [`Run`] handle per
+//!   scalarization weight; running it fans agents out over
+//!   `eval_threads` concurrent runs so the cross-agent cache sharing
+//!   actually happens in-process.
 //! - [`Runner`] — the one training-loop abstraction. [`SerialRunner`]
 //!   (deterministic, checkpointable) and [`AsyncRunner`] (actor/learner
-//!   threads, see [`crate::parallel`]) both implement it; the historical
-//!   `train*` free functions are thin deprecated wrappers over it.
+//!   threads, see [`crate::parallel`]) both implement it.
 //! - [`RunObserver`] + [`Event`] — a streaming event interface replacing
 //!   the return-everything-at-the-end result blob: per-step, per-gradient,
 //!   per-episode, per-design, and per-checkpoint events, with
@@ -29,14 +30,13 @@
 //! uninterrupted run.
 
 use crate::agent::{AgentConfig, TrainLoop};
-use crate::cache::{CacheConfig, CachedEvaluator};
+use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
 use crate::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
 use crate::env::{EnvConfig, PrefixEnv};
-use crate::evalsvc::EvalService;
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::pareto::ParetoFront;
 use crate::qnet::PrefixQNet;
-use crate::task::{self, Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, TaskEvaluator};
+use crate::task::{Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, TaskEvaluator};
 use parking_lot::Mutex;
 use prefix_graph::PrefixGraph;
 use rand::prelude::*;
@@ -581,49 +581,6 @@ pub struct Run {
     pub cfg: AgentConfig,
 }
 
-impl Run {
-    /// Executes this run alone with an explicit runner and evaluator —
-    /// the escape hatch under [`Experiment::run`]'s orchestration. The
-    /// task is resolved from `cfg.env.task` through the built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unregistered task id and propagates runner failures
-    /// (e.g. an invalid resume checkpoint).
-    pub fn execute(
-        &self,
-        runner: &dyn Runner,
-        evaluator: Arc<dyn Evaluator>,
-        observer: &mut dyn RunObserver,
-    ) -> Result<RunOutcome, String> {
-        let task = task::by_name(&self.cfg.env.task).ok_or_else(|| {
-            format!(
-                "unknown task `{}` (registered: {:?})",
-                self.cfg.env.task,
-                task::TASK_NAMES
-            )
-        })?;
-        runner.run(RunContext {
-            run_id: self.id,
-            cfg: &self.cfg,
-            task,
-            evaluator,
-            observer,
-            checkpoint_every: None,
-            on_checkpoint: None,
-            resume: None,
-            halt_at: None,
-            cancel: CancelToken::new(),
-        })
-    }
-}
-
-/// An externally owned evaluation stack: an evaluator binding (typically
-/// over a shared [`crate::cache::EvalCache`] store) plus the
-/// [`EvalService`] wrapping it — what [`ExperimentBuilder::eval_stack`]
-/// accepts.
-pub type EvalStack = (Arc<CachedEvaluator<Box<dyn Evaluator>>>, Arc<EvalService>);
-
 /// Builder for [`Experiment`] — see the module docs for the full shape.
 pub struct ExperimentBuilder {
     n: u16,
@@ -633,8 +590,7 @@ pub struct ExperimentBuilder {
     base: Option<AgentConfig>,
     task: Arc<dyn CircuitTask>,
     backend: Arc<dyn ObjectiveBackend>,
-    evaluator: Option<Box<dyn Evaluator>>,
-    stack: Option<EvalStack>,
+    store: Option<Arc<EvalCache>>,
     eval_threads: usize,
     cache_shards: usize,
     actors: usize,
@@ -656,8 +612,7 @@ impl ExperimentBuilder {
             base: None,
             task: Arc::new(Adder),
             backend: Arc::new(AnalyticalBackend),
-            evaluator: None,
-            stack: None,
+            store: None,
             eval_threads: 4,
             cache_shards: 16,
             actors: 1,
@@ -677,7 +632,7 @@ impl ExperimentBuilder {
     }
 
     /// The circuit task to optimize (defaults to the [`Adder`]). Built-in
-    /// tasks come from [`task::by_name`]; custom implementations of
+    /// tasks come from [`crate::task::by_name`]; custom implementations of
     /// [`CircuitTask`] plug in the same way.
     pub fn task(mut self, task: Arc<dyn CircuitTask>) -> Self {
         self.task = task;
@@ -685,8 +640,7 @@ impl ExperimentBuilder {
     }
 
     /// The objective backend scoring the task (defaults to
-    /// [`AnalyticalBackend`]). Ignored when the deprecated
-    /// [`ExperimentBuilder::evaluator`] override is set.
+    /// [`AnalyticalBackend`]).
     pub fn backend(mut self, backend: Arc<dyn ObjectiveBackend>) -> Self {
         self.backend = backend;
         self
@@ -717,21 +671,7 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Overrides the reward oracle with a raw [`Evaluator`], bypassing the
-    /// task/backend pair. The experiment still wraps it in the shared
-    /// sharded cache and [`EvalService`], and the configured task still
-    /// drives start states and checkpoints.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `.task(...)` / `.backend(...)`; custom oracles implement `ObjectiveBackend`"
-    )]
-    pub fn evaluator(mut self, evaluator: Box<dyn Evaluator>) -> Self {
-        self.evaluator = Some(evaluator);
-        self
-    }
-
-    /// The [`EvalService`] thread budget; agents also fan out over this
-    /// many concurrent runs.
+    /// How many agents of the sweep run concurrently.
     ///
     /// # Panics
     ///
@@ -822,70 +762,28 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Run over an externally owned evaluation stack instead of building a
-    /// private one: `cache` is an evaluator binding (typically a
-    /// [`crate::task::TaskEvaluator`] for this experiment's task/backend
-    /// bound to a shared [`crate::cache::EvalCache`] store) and `service`
-    /// the [`EvalService`] wrapping it. This is the multi-job server path:
-    /// every concurrent experiment evaluates through one store and one
-    /// thread-budget discipline, and [`Experiment::cache_stats`] reports
-    /// the *shared* store's aggregate counters. The caller must bind an
-    /// evaluator matching `.task(...)`/`.backend(...)` — the discriminant
-    /// keying assumes it. Takes precedence over the deprecated
-    /// `.evaluator(...)` override.
-    pub fn eval_stack(
-        mut self,
-        cache: Arc<CachedEvaluator<Box<dyn Evaluator>>>,
-        service: Arc<EvalService>,
-    ) -> Self {
-        self.stack = Some((cache, service));
+    /// Evaluate through an externally owned (typically shared) store
+    /// instead of a private one with [`ExperimentBuilder::cache_shards`]
+    /// shards. This is the multi-job server path: every concurrent
+    /// experiment binds its own task/backend evaluator to one store, the
+    /// discriminant prefix keeps their entries apart, and
+    /// [`Experiment::cache_stats`] reports the *shared* store's aggregate
+    /// counters.
+    pub fn eval_cache(mut self, store: Arc<EvalCache>) -> Self {
+        self.store = Some(store);
         self
     }
 
-    /// Assembles the experiment: per-run agent configs plus the shared
-    /// cache/service evaluation stack over the configured task/backend
-    /// (or the externally owned stack from
-    /// [`ExperimentBuilder::eval_stack`]).
+    /// Assembles the experiment: per-run agent configs plus one cache
+    /// binding of the configured task/backend pair to the store.
     pub fn build(self) -> Experiment {
-        let (cache, service, backend_label, oracle_overridden) = match self.stack {
-            Some((cache, service)) => {
-                // Externally owned stack: the caller bound the evaluator,
-                // the configured backend is only used for labels and
-                // off-reward-path annotations.
-                (cache, service, self.backend.backend_id().to_string(), false)
-            }
-            None => {
-                // With the deprecated raw-oracle override, `self.backend`
-                // never scores anything: stamp reports with the override's
-                // own name and skip backend annotations rather than report
-                // the unused default.
-                let (inner, backend_label, oracle_overridden): (Box<dyn Evaluator>, String, bool) =
-                    match self.evaluator {
-                        Some(ev) => {
-                            let label = ev.name().to_string();
-                            (ev, label, true)
-                        }
-                        None => (
-                            Box::new(TaskEvaluator::new(
-                                Arc::clone(&self.task),
-                                Arc::clone(&self.backend),
-                            )),
-                            self.backend.backend_id().to_string(),
-                            false,
-                        ),
-                    };
-                let cache = Arc::new(CachedEvaluator::with_config(
-                    inner,
-                    CacheConfig::with_shards(self.cache_shards),
-                ));
-                let service = Arc::new(EvalService::new(
-                    Arc::clone(&cache) as Arc<dyn Evaluator>,
-                    self.eval_threads,
-                ));
-                (cache, service, backend_label, oracle_overridden)
-            }
-        };
-        let evaluator_name = cache.name().to_string();
+        let store = self.store.unwrap_or_else(|| {
+            Arc::new(EvalCache::new(CacheConfig::with_shards(self.cache_shards)))
+        });
+        let cache = Arc::new(CachedEvaluator::with_store(
+            TaskEvaluator::new(Arc::clone(&self.task), Arc::clone(&self.backend)),
+            store,
+        ));
         let runs = self
             .weights
             .values()
@@ -905,13 +803,7 @@ impl ExperimentBuilder {
             .collect();
         Experiment {
             runs,
-            task: self.task,
-            backend: self.backend,
-            backend_label,
-            oracle_overridden,
             cache,
-            service,
-            evaluator_name,
             parallelism: self.eval_threads,
             actors: self.actors,
             batched_inference: self.batched_inference,
@@ -942,20 +834,13 @@ pub struct CacheStats {
 }
 
 /// A configured multi-agent training session over one shared evaluation
-/// stack.
+/// cache.
 pub struct Experiment {
     runs: Vec<Run>,
-    task: Arc<dyn CircuitTask>,
-    backend: Arc<dyn ObjectiveBackend>,
-    /// What reports stamp as the backend: the backend id, or the
-    /// deprecated oracle override's name when one is set.
-    backend_label: String,
-    /// True when the deprecated raw-oracle override replaced the backend
-    /// (annotations are skipped — the backend never scored anything).
-    oracle_overridden: bool,
-    cache: Arc<CachedEvaluator<Box<dyn Evaluator>>>,
-    service: Arc<EvalService>,
-    evaluator_name: String,
+    /// The one evaluator of the session: the task/backend pair bound to
+    /// the (private or shared) store. It is also where the experiment's
+    /// task and backend live.
+    cache: Arc<CachedEvaluator<TaskEvaluator>>,
     parallelism: usize,
     actors: usize,
     batched_inference: bool,
@@ -979,40 +864,35 @@ impl Experiment {
 
     /// The circuit task this experiment optimizes.
     pub fn task(&self) -> &Arc<dyn CircuitTask> {
-        &self.task
+        self.cache.inner().task()
     }
 
     /// The objective backend scoring the task.
     pub fn backend(&self) -> &Arc<dyn ObjectiveBackend> {
-        &self.backend
-    }
-
-    /// The shared evaluation service (hand this to anything else that
-    /// should hit the same cache).
-    pub fn service(&self) -> Arc<EvalService> {
-        Arc::clone(&self.service)
+        self.cache.inner().backend()
     }
 
     /// Current statistics of the shared cache.
     pub fn cache_stats(&self) -> CacheStats {
+        let store = self.cache.store();
         CacheStats {
-            shards: self.cache.shards(),
-            hits: self.cache.hits(),
-            misses: self.cache.misses(),
-            evictions: self.cache.evictions(),
-            hit_rate: self.cache.hit_rate(),
-            unique_states: self.cache.unique_states(),
+            shards: store.shards(),
+            hits: store.hits(),
+            misses: store.misses(),
+            evictions: store.evictions(),
+            hit_rate: store.hit_rate(),
+            unique_states: store.unique_states(),
         }
     }
 
-    /// Runs every agent, fanning out over the service's thread budget.
+    /// Runs every agent, `eval_threads` at a time.
     ///
     /// # Errors
     ///
     /// Fails if any run fails (first error wins; remaining runs finish).
     pub fn run(&self, observer: &mut dyn RunObserver) -> Result<ExperimentResult, String> {
         self.run_from(
-            SweepCheckpoint::fresh(self.task.task_id(), self.runs.len()),
+            SweepCheckpoint::fresh(self.task().task_id(), self.runs.len()),
             observer,
         )
     }
@@ -1040,12 +920,12 @@ impl Experiment {
         sweep: SweepCheckpoint,
         observer: &mut dyn RunObserver,
     ) -> Result<ExperimentResult, String> {
-        if sweep.task != self.task.task_id() {
+        if sweep.task != self.task().task_id() {
             return Err(format!(
                 "cannot resume: checkpoint was recorded for task `{}`, experiment \
                  is configured for task `{}`",
                 sweep.task,
-                self.task.task_id()
+                self.task().task_id()
             ));
         }
         if sweep.runs.len() != self.runs.len() {
@@ -1057,13 +937,13 @@ impl Experiment {
         }
         for (run, state) in self.runs.iter().zip(&sweep.runs) {
             if let RunState::InProgress(c) = state {
-                if c.cfg.env.task != self.task.task_id() {
+                if c.cfg.env.task != self.task().task_id() {
                     return Err(format!(
                         "run {}: checkpoint task mismatch: trained on `{}`, \
                          experiment task is `{}`",
                         run.id,
                         c.cfg.env.task,
-                        self.task.task_id()
+                        self.task().task_id()
                     ));
                 }
             }
@@ -1140,8 +1020,8 @@ impl Experiment {
                     let ctx = RunContext {
                         run_id: i,
                         cfg: &self.runs[i].cfg,
-                        task: Arc::clone(&self.task),
-                        evaluator: Arc::clone(&self.service) as Arc<dyn Evaluator>,
+                        task: Arc::clone(self.task()),
+                        evaluator: Arc::clone(&self.cache) as Arc<dyn Evaluator>,
                         observer: &mut local_observer,
                         checkpoint_every: self.checkpoint_every,
                         on_checkpoint: Some(&mut on_checkpoint),
@@ -1212,23 +1092,19 @@ impl Experiment {
         // merged frontier, when the backend produces them. Indexed in the
         // frontier's (deterministic, strictly-delay-increasing) iteration
         // order, which `merged_front()` reproduces from the same records.
-        let frontier_power: Option<Vec<f64>> = if self.oracle_overridden {
-            None
-        } else {
-            let merged: ParetoFront<PrefixGraph> = records
-                .iter()
-                .flat_map(|r| r.designs.iter().map(|(g, p)| (*p, g.clone())))
-                .collect();
-            merged
-                .iter()
-                .map(|(_, g)| self.backend.annotate(self.task.as_ref(), g))
-                .collect()
-        };
+        let merged: ParetoFront<PrefixGraph> = records
+            .iter()
+            .flat_map(|r| r.designs.iter().map(|(g, p)| (*p, g.clone())))
+            .collect();
+        let frontier_power: Option<Vec<f64>> = merged
+            .iter()
+            .map(|(_, g)| self.cache.inner().annotate(g))
+            .collect();
         Ok(ExperimentResult {
             n: self.runs[0].cfg.env.n,
-            task: self.task.task_id().to_string(),
-            backend: self.backend_label.clone(),
-            evaluator: self.evaluator_name.clone(),
+            task: self.task().task_id().to_string(),
+            backend: self.backend().backend_id().to_string(),
+            evaluator: self.cache.name().to_string(),
             steps_per_agent: self.runs[0].cfg.total_steps,
             actors_per_agent: self.actors,
             completed,
@@ -1257,7 +1133,7 @@ impl Experiment {
             .collect();
         let sweep = serde::Value::Object(vec![
             ("version".to_string(), Checkpoint::FORMAT_VERSION.to_value()),
-            ("task".to_string(), self.task.task_id().to_value()),
+            ("task".to_string(), self.task().task_id().to_value()),
             ("runs".to_string(), serde::Value::Array(runs)),
         ]);
         let json = serde_json::to_string_pretty(&sweep).expect("infallible");
@@ -1289,7 +1165,7 @@ pub struct ExperimentResult {
     pub task: String,
     /// The objective backend's stable id (e.g. `"analytical"`).
     pub backend: String,
-    /// Inner evaluator name (`task/backend` unless overridden).
+    /// Inner evaluator name (`task/backend`).
     pub evaluator: String,
     /// Step budget per agent.
     pub steps_per_agent: u64,
@@ -1426,6 +1302,7 @@ pub use crate::parallel::AsyncRunner;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task;
 
     #[test]
     fn weights_linspace_matches_paper_shape() {
@@ -1683,31 +1560,25 @@ mod tests {
     }
 
     #[test]
-    fn external_eval_stack_is_shared_across_experiments() {
-        use crate::cache::EvalCache;
+    fn external_eval_cache_is_shared_across_experiments() {
         let store = Arc::new(EvalCache::new(CacheConfig::with_shards(4)));
-        let make = || {
-            let inner: Box<dyn Evaluator> = Box::new(TaskEvaluator::analytical(Adder));
-            let cache = Arc::new(CachedEvaluator::with_store(inner, Arc::clone(&store)));
-            let service = Arc::new(EvalService::new(
-                Arc::clone(&cache) as Arc<dyn Evaluator>,
-                2,
-            ));
+        let make = |task: Arc<dyn CircuitTask>| {
             Experiment::builder()
                 .n(8)
+                .task(task)
                 .weights(Weights::single(0.5))
                 .base_config(AgentConfig::tiny(8, 0.5))
-                .eval_stack(cache, service)
+                .eval_cache(Arc::clone(&store))
                 .build()
         };
-        let first = make().run_quiet().unwrap();
+        let first = make(Arc::new(Adder)).run_quiet().unwrap();
         assert!(first.completed);
         let misses_after_first = store.misses();
         assert!(misses_after_first > 0);
-        // A second, identical experiment over the same external stack
+        // A second, identical experiment over the same external store
         // replays the same deterministic states: the shared store must
         // serve it entirely from cache.
-        let second = make().run_quiet().unwrap();
+        let second = make(Arc::new(Adder)).run_quiet().unwrap();
         assert!(second.completed);
         assert_eq!(
             store.misses(),
@@ -1715,6 +1586,34 @@ mod tests {
             "second run must be all hits through the shared store"
         );
         assert_eq!(second.cache.misses, store.misses());
+        // A different task over the same store binds its own evaluator:
+        // it shares states with the adder run (at least the start
+        // states) but must miss on every one of them.
+        let or = make(task::by_name("prefix-or").unwrap())
+            .run_quiet()
+            .unwrap();
+        assert!(or.completed);
+        assert_eq!(or.evaluator, "prefix-or/analytical");
+        assert_eq!(or.task, "prefix-or");
+        let adder_states: std::collections::HashSet<Vec<u64>> = first.records[0]
+            .designs
+            .iter()
+            .map(|(g, _)| g.canonical_key())
+            .collect();
+        let or_states = &or.records[0].designs;
+        assert!(
+            or_states
+                .iter()
+                .any(|(g, _)| adder_states.contains(&g.canonical_key())),
+            "the two runs must visit common states for the check to bite"
+        );
+        assert!(
+            store.misses() - misses_after_first >= or_states.len() as u64,
+            "prefix-or hit an adder entry: {} misses for {} distinct states",
+            store.misses() - misses_after_first,
+            or_states.len()
+        );
+        assert_eq!(or.cache.misses, store.misses());
     }
 
     #[test]

@@ -8,14 +8,11 @@
 //!   bound to an [`task::ObjectiveBackend`] (analytical, synthesis,
 //!   synthesis with power annotation) through [`task::TaskEvaluator`];
 //! - [`evaluator`]: the oracle interface and the `(area, delay)`
-//!   objective-point currency with its strict/weak dominance definitions
-//!   (the historical adder-specific evaluators remain as deprecated
-//!   wrappers);
-//! - [`cache`]: the sharded, bounded synthesis result cache keyed by
-//!   canonical graph state, with in-flight dedup of concurrent misses
-//!   (Section IV-D reports 50%/10% hit rates at 32b/64b);
-//! - [`evalsvc`]: the evaluation service routing single-state and batch
-//!   evaluation through one front door (workers write disjoint chunks);
+//!   objective-point currency with its strict/weak dominance definitions;
+//! - [`cache`]: the sharded, bounded synthesis result cache
+//!   ([`cache::EvalCache`]) keyed by canonical graph state, with in-flight
+//!   dedup of concurrent misses (Section IV-D reports 50%/10% hit rates at
+//!   32b/64b), and [`cache::CachedEvaluator`], one evaluator bound to it;
 //! - [`mod@env`]: the PrefixRL MDP over legal prefix graphs (Section IV-A/B);
 //! - [`qnet`]: the convolutional residual Q-network (Fig. 2) implementing
 //!   [`rl::QNetwork`];
@@ -23,7 +20,7 @@
 //!   ([`agent::TrainLoop`]) producing area-delay-specialized adder
 //!   designers;
 //! - [`parallel`]: the asynchronous actor/learner training system and
-//!   parallel synthesis evaluation (Section IV-D);
+//!   parallel batch evaluation, [`parallel::evaluate_batch`] (Section IV-D);
 //! - [`experiment`]: the session layer — builder-configured multi-weight
 //!   sweeps over one shared cache, streaming run events, and the unified
 //!   [`experiment::Runner`] behind both training paths;
@@ -56,7 +53,6 @@ pub mod agent;
 pub mod cache;
 pub mod checkpoint;
 pub mod env;
-pub mod evalsvc;
 pub mod evaluator;
 pub mod experiment;
 pub mod frontier;
@@ -71,9 +67,6 @@ pub mod prelude {
     pub use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
     pub use crate::checkpoint::{Checkpoint, SweepCheckpoint};
     pub use crate::env::{EnvConfig, PrefixEnv};
-    pub use crate::evalsvc::{evaluate_batch, EvalService};
-    #[allow(deprecated)]
-    pub use crate::evaluator::{AnalyticalEvaluator, SynthesisEvaluator};
     pub use crate::evaluator::{Evaluator, ObjectivePoint};
     pub use crate::experiment::{
         greedy_designs, AsyncRunner, CallbackObserver, CancelToken, ChannelObserver, Event,
@@ -81,6 +74,7 @@ pub mod prelude {
         Weights,
     };
     pub use crate::frontier::{sweep_front, sweep_task_front};
+    pub use crate::parallel::evaluate_batch;
     pub use crate::pareto::ParetoFront;
     pub use crate::qnet::{PrefixQNet, QNetConfig};
     pub use crate::task::{

@@ -6,9 +6,11 @@
 //! reproduces that architecture at thread scale behind the
 //! [`crate::experiment::Runner`] interface:
 //!
-//! - [`evaluate_batch`] — batch evaluation on a worker pool, provided by
-//!   [`crate::evalsvc`] (re-exported here for the figure harnesses and the
-//!   scaling benchmark);
+//! - [`evaluate_batch`] — batch evaluation on a worker pool: scoped
+//!   threads pull indices from a shared counter (dynamic load balancing
+//!   for variable-cost synthesis jobs) into worker-local buffers, so there
+//!   is no per-slot locking (used by the figure harnesses and the scaling
+//!   benchmark);
 //! - [`AsyncRunner`] — actor threads run `envs_per_actor` environments in
 //!   lockstep, select actions through the shared [`ScalarizedPolicy`] with
 //!   **one batched Q-network forward per decision round** (not batch-of-1),
@@ -72,10 +74,60 @@ use prefix_graph::PrefixGraph;
 use rand::prelude::*;
 use rl::{DoubleDqn, EpsilonSchedule, QInfer, ReplayBuffer, ScalarizedPolicy, Transition};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-pub use crate::evalsvc::evaluate_batch;
+/// Evaluates `graphs` on up to `threads` workers, preserving order.
+///
+/// Workers pull indices from a shared atomic counter (so variable-cost
+/// jobs — synthesis times differ per graph, and cache hits are near-free
+/// next to misses — stay load-balanced) and accumulate into worker-local
+/// buffers; there are no per-slot locks. An empty batch returns
+/// immediately without spawning anything.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
+pub fn evaluate_batch(
+    graphs: &[PrefixGraph],
+    evaluator: &dyn Evaluator,
+    threads: usize,
+) -> Vec<ObjectivePoint> {
+    assert!(threads > 0, "need at least one worker");
+    if graphs.is_empty() {
+        return Vec::new();
+    }
+    if threads == 1 || graphs.len() == 1 {
+        return graphs.iter().map(|g| evaluator.evaluate(g)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(graph) = graphs.get(i) else {
+                return local;
+            };
+            local.push((i, evaluator.evaluate(graph)));
+        }
+    };
+    let placeholder = ObjectivePoint {
+        area: f64::NAN,
+        delay: f64::NAN,
+    };
+    let mut results = vec![placeholder; graphs.len()];
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.min(graphs.len()))
+            .map(|_| s.spawn(worker))
+            .collect();
+        for handle in handles {
+            for (i, point) in handle.join().expect("evaluation worker panicked") {
+                results[i] = point;
+            }
+        }
+    });
+    results
+}
 
 /// The frozen policy snapshot published by the learner.
 ///
@@ -208,10 +260,8 @@ impl AsyncRunner {
         }
     }
 
-    /// Convenience: trains one agent to completion unobserved — the
-    /// one-shot equivalent of the old `train_async` free function. Sweeps
-    /// and observed runs should go through
-    /// [`crate::experiment::Experiment`].
+    /// Convenience: trains one agent to completion unobserved. Sweeps and
+    /// observed runs should go through [`crate::experiment::Experiment`].
     ///
     /// # Panics
     ///
@@ -591,37 +641,6 @@ fn run_async(
     }
 }
 
-/// Trains with `num_actors` parallel experience generators and one learner.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `experiment::Experiment::builder().actors(n)` (or `AsyncRunner` directly) instead"
-)]
-pub fn train_async(
-    cfg: &AgentConfig,
-    evaluator: Arc<dyn Evaluator>,
-    num_actors: usize,
-) -> TrainResult {
-    assert!(num_actors > 0, "need at least one actor");
-    let task =
-        task::by_name(&cfg.env.task).unwrap_or_else(|| panic!("unknown task `{}`", cfg.env.task));
-    let record = run_async(
-        0,
-        cfg,
-        task,
-        evaluator,
-        num_actors,
-        true,
-        &mut NullObserver,
-        &CancelToken::new(),
-    );
-    TrainResult {
-        designs: record.designs,
-        losses: record.losses,
-        episode_returns: record.episode_returns,
-        steps: record.steps,
-    }
-}
-
 fn record_design(
     run_id: usize,
     designs: &DesignPool,
@@ -682,7 +701,7 @@ mod tests {
             g.verify_legal().unwrap();
         }
         // Actors share the cache: repeated start states must hit.
-        assert!(eval.hits() > 0);
+        assert!(eval.store().hits() > 0);
         // Async now reports per-environment episode returns too.
         assert!(!result.episode_returns.is_empty());
     }
@@ -1036,5 +1055,95 @@ mod tests {
         token.resume();
         let record = handle.join().expect("run completes after resume");
         assert_eq!(record.steps, 200);
+    }
+
+    fn mixed_graphs(n: u16) -> Vec<PrefixGraph> {
+        vec![
+            PrefixGraph::ripple(n),
+            prefix_graph::structures::sklansky(n),
+            prefix_graph::structures::kogge_stone(n),
+            prefix_graph::structures::brent_kung(n),
+            prefix_graph::structures::han_carlson(n),
+        ]
+    }
+
+    #[test]
+    fn evaluate_batch_matches_serial() {
+        let graphs = mixed_graphs(8);
+        let ev = TaskEvaluator::analytical(Adder);
+        let parallel = evaluate_batch(&graphs, &ev, 4);
+        let serial: Vec<ObjectivePoint> = graphs.iter().map(|g| ev.evaluate(g)).collect();
+        assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn evaluate_batch_single_thread_ok() {
+        let graphs = vec![PrefixGraph::ripple(8)];
+        let out = evaluate_batch(&graphs, &TaskEvaluator::analytical(Adder), 1);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn evaluate_batch_empty_spawns_nothing() {
+        let out = evaluate_batch(&[], &TaskEvaluator::analytical(Adder), 8);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn evaluate_batch_more_threads_than_graphs() {
+        let graphs = mixed_graphs(8);
+        let out = evaluate_batch(&graphs, &TaskEvaluator::analytical(Adder), 64);
+        assert_eq!(out.len(), graphs.len());
+        assert!(out.iter().all(|p| p.area.is_finite()));
+    }
+
+    /// Serve-shutdown audit (DESIGN.md §13): dropping an evaluator handle
+    /// while a clone still has a batch in flight must neither hang nor
+    /// lose results. `evaluate_batch` holds no threads or queues of its
+    /// own — its workers are scoped to the call — so the in-flight batch
+    /// completes on the clone and the drop is inert.
+    #[test]
+    fn drop_with_inflight_batch_completes() {
+        struct Slow;
+        impl Evaluator for Slow {
+            fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                ObjectivePoint {
+                    area: graph.size() as f64,
+                    delay: graph.depth() as f64,
+                }
+            }
+            fn name(&self) -> &str {
+                "slow"
+            }
+        }
+        let evaluator = Arc::new(CachedEvaluator::new(Slow));
+        let clone = Arc::clone(&evaluator);
+        let graphs = mixed_graphs(8);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn({
+            let graphs = graphs.clone();
+            move || {
+                let _ = tx.send(evaluate_batch(&graphs, &*clone, 4));
+            }
+        });
+        drop(evaluator); // the original handle dies mid-batch
+        let results = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("in-flight batch lost after handle drop");
+        worker.join().unwrap();
+        assert_eq!(results.len(), graphs.len());
+        assert!(results.iter().all(|p| p.area.is_finite()));
+    }
+
+    #[test]
+    fn evaluate_batch_shares_cache_across_calls() {
+        let cache = CachedEvaluator::new(TaskEvaluator::analytical(Adder));
+        let graphs = mixed_graphs(8);
+        let first = evaluate_batch(&graphs, &cache, 4);
+        let second = evaluate_batch(&graphs, &cache, 4);
+        assert_eq!(first, second);
+        assert_eq!(cache.store().misses(), graphs.len() as u64);
+        assert!(cache.store().hits() >= graphs.len() as u64);
     }
 }

@@ -21,16 +21,14 @@
 //!   static switching-power annotation off the reward path.
 //!
 //! [`TaskEvaluator`] binds a task to a backend as a concrete
-//! [`Evaluator`], which is what the whole evaluation stack
-//! ([`crate::cache::CachedEvaluator`], [`crate::evalsvc::EvalService`],
-//! [`crate::env::PrefixEnv`]) consumes. Its
+//! [`Evaluator`]. It is the only oracle an
+//! [`crate::experiment::Experiment`] binds: the builder constructs it from
+//! its own `.task(..)`/`.backend(..)` and wraps it in a
+//! [`crate::cache::CachedEvaluator`], so the pair that scores a run is
+//! always the pair its report names. Its
 //! [`Evaluator::cache_discriminant`] is derived from `(task_id,
 //! backend_id)`, so evaluation caches never alias points across tasks or
 //! backends even when shared.
-//!
-//! The historical [`crate::evaluator::AnalyticalEvaluator`] /
-//! [`crate::evaluator::SynthesisEvaluator`] pair remains as deprecated
-//! wrappers over the adder task.
 
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use netlist::{Library, Netlist};

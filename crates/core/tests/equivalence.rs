@@ -1,15 +1,14 @@
 //! Cross-path equivalence: the serial trainer, the async actor/learner
-//! system, and the batch evaluation service must agree — same shared
-//! policy, same evaluator semantics, same cache accounting — no matter
-//! which path a design took to evaluation.
+//! system, and batch evaluation must agree — same shared policy, same
+//! evaluator semantics, same cache accounting — no matter which path a
+//! design took to evaluation.
 
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::cache::{CacheConfig, CachedEvaluator};
-use prefixrl_core::evalsvc::EvalService;
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::experiment::{AsyncRunner, Experiment, Weights};
-use prefixrl_core::pareto::ParetoFront;
+use prefixrl_core::parallel::evaluate_batch;
 use prefixrl_core::task::{Adder, TaskEvaluator};
 use std::sync::Arc;
 
@@ -53,7 +52,7 @@ fn serial_and_async_frontiers_comparable() {
     }
 }
 
-/// The acceptance workload: `train_async` at 4 actors over the sharded
+/// The acceptance workload: async training at 4 actors over the sharded
 /// cache on the N=8 analytical setting shows a nonzero cache hit rate
 /// (start states recur on every episode reset).
 #[test]
@@ -66,21 +65,22 @@ fn four_actor_training_hits_shared_cache() {
     ));
     let result = AsyncRunner::new(4).train(&cfg, cache.clone());
     assert!(!result.designs.is_empty());
-    assert!(cache.shards() >= 8, "default shard count must be ≥ 8");
+    let store = cache.store();
+    assert!(store.shards() >= 8, "default shard count must be ≥ 8");
     assert!(
-        cache.hit_rate() > 0.0,
+        store.hit_rate() > 0.0,
         "4-actor N=8 analytical training must reuse cached states \
          (hits {} / misses {})",
-        cache.hits(),
-        cache.misses()
+        store.hits(),
+        store.misses()
     );
 }
 
-/// `evaluate_many` must equal per-graph `evaluate` through every stack
-/// depth: bare evaluator, sharded cache, and EvalService with various
+/// `evaluate_batch` must equal per-graph `evaluate` through every stack
+/// depth — bare evaluator and sharded cache, cold and warm — at various
 /// thread budgets.
 #[test]
-fn evaluate_many_equivalent_to_evaluate() {
+fn evaluate_batch_equivalent_to_evaluate() {
     let graphs: Vec<PrefixGraph> = vec![
         PrefixGraph::ripple(16),
         structures::sklansky(16),
@@ -92,19 +92,17 @@ fn evaluate_many_equivalent_to_evaluate() {
     ];
     let eval = TaskEvaluator::analytical(Adder);
     let reference: Vec<ObjectivePoint> = graphs.iter().map(|g| eval.evaluate(g)).collect();
-
-    // Default trait implementation.
-    assert_eq!(eval.evaluate_many(&graphs), reference);
-    // Through the sharded cache.
-    let cache = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
-    assert_eq!(cache.evaluate_many(&graphs), reference);
-    // Through the service at several widths, cold and warm.
+    let cache = CachedEvaluator::new(TaskEvaluator::analytical(Adder));
     for threads in [1usize, 2, 5, 16] {
-        let service = EvalService::new(cache.clone(), threads);
         assert_eq!(
-            service.evaluate_many(&graphs),
+            evaluate_batch(&graphs, &eval, threads),
             reference,
-            "threads={threads}"
+            "bare, threads={threads}"
+        );
+        assert_eq!(
+            evaluate_batch(&graphs, &cache, threads),
+            reference,
+            "cached, threads={threads}"
         );
     }
 }
@@ -142,33 +140,17 @@ fn sharded_cache_accounting_under_concurrency() {
         }
     });
     let total = (threads * rounds * graphs.len()) as u64;
-    assert_eq!(cache.hits() + cache.misses(), total, "no query lost");
-    assert_eq!(cache.unique_states(), graphs.len());
+    assert_eq!(
+        cache.store().hits() + cache.store().misses(),
+        total,
+        "no query lost"
+    );
+    assert_eq!(cache.store().unique_states(), graphs.len());
     // With in-flight dedup, each distinct state is evaluated exactly once.
-    assert_eq!(cache.misses(), graphs.len() as u64);
-    let stats = cache.shard_stats();
+    assert_eq!(cache.store().misses(), graphs.len() as u64);
+    let stats = cache.store().shard_stats();
     assert_eq!(stats.len(), 8);
     assert_eq!(stats.iter().map(|s| s.hits + s.misses).sum::<u64>(), total);
-}
-
-/// The service front door composes with training end to end: a tiny run
-/// through `EvalService` over the sharded cache produces the same design
-/// pool as the cache alone (the service adds routing, not semantics).
-#[test]
-fn training_through_service_matches_cache_only() {
-    let cfg = AgentConfig::tiny(8, 0.5);
-    let direct = TrainLoop::run(
-        &cfg,
-        Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder))),
-    );
-    let cache = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
-    let service = Arc::new(EvalService::new(cache.clone() as Arc<dyn Evaluator>, 2));
-    let routed = TrainLoop::run(&cfg, service);
-    assert_eq!(direct.designs.len(), routed.designs.len());
-    let df: ParetoFront<PrefixGraph> = direct.front();
-    let rf: ParetoFront<PrefixGraph> = routed.front();
-    assert_eq!(df.points(), rf.points());
-    assert!(cache.hits() > 0);
 }
 
 /// The session layer adds orchestration, not semantics: a single-weight

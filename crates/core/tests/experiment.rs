@@ -302,20 +302,3 @@ fn power_annotation_surfaces_in_result_and_json() {
         }
     }
 }
-
-/// The deprecated raw-oracle override must stamp reports with the
-/// override's own name — never the unused default backend — and must not
-/// produce backend annotations.
-#[test]
-#[allow(deprecated)]
-fn deprecated_oracle_override_stamps_its_own_name() {
-    let exp = Experiment::builder()
-        .n(8)
-        .base_config(AgentConfig::tiny(8, 0.5))
-        .evaluator(Box::new(TaskEvaluator::analytical(task::Adder)))
-        .build();
-    let result = exp.run_quiet().unwrap();
-    assert_eq!(result.backend, "adder/analytical");
-    assert_eq!(result.task, "adder");
-    assert!(result.frontier_power.is_none());
-}

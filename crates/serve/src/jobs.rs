@@ -1,6 +1,6 @@
 //! Job management for the resident optimization service: a bounded FIFO
 //! queue of sweep jobs, worker threads running them as [`Experiment`]
-//! sessions over one shared evaluation stack, per-job cancel tokens and
+//! sessions over one shared evaluation cache, per-job cancel tokens and
 //! event tails, and a persisted queue (`jobs.json`) so a killed server
 //! resumes where it stopped.
 
@@ -8,11 +8,10 @@ use crate::cluster::{ReplPeerStatus, Topology};
 use crate::store::{key_of, FrontierStore};
 use prefix_graph::PrefixGraph;
 use prefixrl_core::agent::AgentConfig;
-use prefixrl_core::cache::{CacheConfig, CachedEvaluator, EvalCache};
+use prefixrl_core::cache::{CacheConfig, EvalCache};
 use prefixrl_core::checkpoint::write_atomic;
 use prefixrl_core::env::EnvConfig;
-use prefixrl_core::evalsvc::EvalService;
-use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
+use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::experiment::{
     CallbackObserver, CancelToken, Event, Experiment, ExperimentResult, Weights,
 };
@@ -33,8 +32,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum queued-or-running jobs before `submit` is refused.
     pub queue_capacity: usize,
-    /// Per-job [`EvalService`] thread budget (also caps how many agents of
-    /// one job run concurrently).
+    /// How many agents of one job run concurrently.
     pub eval_threads: usize,
     /// Shard count of the server-wide shared [`EvalCache`] store.
     pub cache_shards: usize,
@@ -188,37 +186,34 @@ struct ManagerState {
     next_id: u64,
 }
 
-/// One `(task, backend)` binding over the server-wide shared store: the
-/// task/backend pair the job trains on, plus its cache/service handles.
+/// One `(task, backend)` binding: the task/backend pair a job trains on.
+/// Each job's [`Experiment`] binds its own evaluator from this pair to the
+/// server-wide store.
 #[derive(Clone)]
 struct Binding {
     task: Arc<dyn CircuitTask>,
     backend: Arc<dyn ObjectiveBackend>,
     synthesis_env: bool,
-    cache: Arc<CachedEvaluator<Box<dyn Evaluator>>>,
-    service: Arc<EvalService>,
 }
 
 /// The server-wide evaluation stack: one shared [`EvalCache`] store every
 /// job evaluates through (entries isolated by the task/backend
 /// discriminant), with one lazily-created binding per `(task, backend)`
-/// key so concurrent jobs on the same key share the identical
-/// `CachedEvaluator`/`EvalService` objects. Synthesis bindings pick their
-/// curve point at the *first* job's median weight and keep it — the same
-/// shared-evaluator caveat as DESIGN.md §10, required for cache soundness.
-struct SharedEvalStack {
+/// key so concurrent jobs on the same key score with the identical
+/// backend. Synthesis bindings pick their curve point at the *first*
+/// job's median weight and keep it — the same shared-evaluator caveat as
+/// DESIGN.md §10, required for cache soundness.
+struct SharedBindings {
     store: Arc<EvalCache>,
-    eval_threads: usize,
     bindings: Mutex<HashMap<(String, String), Binding>>,
 }
 
-impl SharedEvalStack {
-    fn new(cache_shards: usize, eval_threads: usize) -> SharedEvalStack {
-        SharedEvalStack {
+impl SharedBindings {
+    fn new(cache_shards: usize) -> SharedBindings {
+        SharedBindings {
             store: Arc::new(EvalCache::new(CacheConfig::with_shards(
                 cache_shards.max(1),
             ))),
-            eval_threads: eval_threads.max(1),
             bindings: Mutex::new(HashMap::new()),
         }
     }
@@ -267,21 +262,10 @@ impl SharedEvalStack {
                 ))
             }
         };
-        let inner: Box<dyn Evaluator> = Box::new(task::TaskEvaluator::new(
-            Arc::clone(&task),
-            Arc::clone(&backend),
-        ));
-        let cache = Arc::new(CachedEvaluator::with_store(inner, Arc::clone(&self.store)));
-        let service = Arc::new(EvalService::new(
-            Arc::clone(&cache) as Arc<dyn Evaluator>,
-            self.eval_threads,
-        ));
         let binding = Binding {
             task,
             backend,
             synthesis_env,
-            cache,
-            service,
         };
         bindings.insert(
             (task_name.to_string(), backend_name.to_string()),
@@ -298,7 +282,7 @@ pub const JOBS_SCHEMA: &str = "prefixrl.serve.jobs.v1";
 /// threads over one shared evaluation stack and one frontier store.
 pub struct JobManager {
     cfg: ServeConfig,
-    stack: SharedEvalStack,
+    stack: SharedBindings,
     store: Arc<FrontierStore>,
     state: Mutex<ManagerState>,
     work: Condvar,
@@ -350,7 +334,7 @@ impl JobManager {
             load_jobs(&dir.join("jobs.json"), &mut state)?;
         }
         let manager = Arc::new(JobManager {
-            stack: SharedEvalStack::new(cfg.cache_shards, cfg.eval_threads),
+            stack: SharedBindings::new(cfg.cache_shards),
             store,
             state: Mutex::new(state),
             work: Condvar::new(),
@@ -617,7 +601,7 @@ impl JobManager {
             .base_config(base)
             .task(Arc::clone(&binding.task))
             .backend(Arc::clone(&binding.backend))
-            .eval_stack(Arc::clone(&binding.cache), Arc::clone(&binding.service))
+            .eval_cache(Arc::clone(&self.stack.store))
             .eval_threads(self.cfg.eval_threads.min(spec.weights.len()).max(1))
             .cancel_token(token)
             .build();

@@ -14,7 +14,7 @@ fn main() {
     let steps = 1_500u64;
 
     // Five agents across the weight range, all sharing one cached
-    // analytical evaluator behind the experiment's EvalService.
+    // analytical evaluator, five agents training at once.
     let experiment = Experiment::builder()
         .n(n)
         .weights(Weights::list(vec![0.15, 0.35, 0.55, 0.75, 0.92]))

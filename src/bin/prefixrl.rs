@@ -32,6 +32,9 @@ fn main() {
         return;
     };
     let opts = parse_opts(rest);
+    if let Some(flags) = flags_of(cmd) {
+        reject_unknown_flags(cmd, &opts, flags);
+    }
     match cmd.as_str() {
         "structures" => cmd_structures(&opts),
         "train" => cmd_train(&opts),
@@ -78,6 +81,56 @@ fn usage() {
          \x20              against the server's lock-free read snapshot\n\
          \x20 shutdown     ask the server to stop gracefully"
     );
+}
+
+/// Flags shared by `train` and `sweep` (see [`session_options_help`]).
+const SESSION_FLAGS: &str = "steps seed task backend lib actors no-broker eval-threads \
+     nn-threads cache-shards checkpoint checkpoint-every resume halt-at progress json out";
+/// Flags of the sweep weight schedule (see [`parse_weights`]).
+const WEIGHT_FLAGS: &str = "weights w-min w-max w-list";
+/// Flags of client commands that may route through a cluster (see
+/// [`cluster_router`]).
+const CLIENT_FLAGS: &str = "addr peers replicas task backend n";
+
+/// Every flag a subcommand documents in its `--help`, as space-separated
+/// groups; `None` for an unknown command.
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "structures" => &["n lib"],
+        "train" => &["n w", SESSION_FLAGS],
+        "sweep" => &["n", WEIGHT_FLAGS, SESSION_FLAGS],
+        "eval" => &["structure n targets lib"],
+        "render" => &["structure n dot"],
+        "verilog" => &["structure n target lib"],
+        "serve" => &[
+            "addr workers queue-capacity eval-threads cache-shards event-tail state-dir \
+             compact-every shard-id peers replicas",
+        ],
+        "submit" => &[CLIENT_FLAGS, WEIGHT_FLAGS, "steps seed"],
+        "status" => &["addr id tail"],
+        "cancel" => &["addr id"],
+        "frontier" => &[CLIENT_FLAGS],
+        "query" => &[CLIENT_FLAGS, "at-delay at-weight range include-graph"],
+        "shutdown" => &["addr"],
+        _ => return None,
+    })
+}
+
+/// Exits 2 on a flag `cmd` does not document: a typo such as `--stepz`
+/// would otherwise be ignored and the run would silently use a default.
+fn reject_unknown_flags(cmd: &str, opts: &HashMap<String, String>, groups: &[&str]) {
+    let valid: Vec<&str> = groups.iter().flat_map(|g| g.split_whitespace()).collect();
+    let unknown = opts
+        .keys()
+        .filter(|k| !valid.contains(&k.as_str()) && !["help", "h", "-h"].contains(&k.as_str()))
+        .min();
+    if let Some(first) = unknown {
+        eprintln!(
+            "error: unknown option `--{first}` for `prefixrl {cmd}` (valid: --{})",
+            valid.join(", --")
+        );
+        std::process::exit(2);
+    }
 }
 
 fn wants_help(opts: &HashMap<String, String>) -> bool {
@@ -228,7 +281,6 @@ fn session_options_help() -> &'static str {
      \x20                          (default synthesis; synthesis-power also\n\
      \x20                          annotates frontier points with estimated\n\
      \x20                          switching power, off the reward path)\n\
-     \x20 --evaluator <name>       deprecated alias for --backend\n\
      \x20 --lib nangate45|tech8    cell library for synthesis rewards\n\
      \x20 --actors <A>             async actor threads per agent (default 1 =\n\
      \x20                          deterministic serial runner; >1 disables\n\
@@ -237,8 +289,7 @@ fn session_options_help() -> &'static str {
      \x20                          per-actor instead of batching them through\n\
      \x20                          the cross-actor inference broker (same\n\
      \x20                          trajectories, lower decision throughput)\n\
-     \x20 --eval-threads <T>       EvalService thread budget; sweeps also fan\n\
-     \x20                          agents out over this many threads\n\
+     \x20 --eval-threads <T>       how many agents of a sweep train at once\n\
      \x20 --nn-threads <T>         Q-network compute threads (GEMM panels;\n\
      \x20                          default 1; results are bit-identical at\n\
      \x20                          every setting)\n\
@@ -363,20 +414,16 @@ fn circuit_task(opts: &HashMap<String, String>) -> Arc<dyn CircuitTask> {
     })
 }
 
-/// Resolves `--backend` (with `--evaluator` as a deprecated alias),
-/// erroring loudly with the valid names on an unknown value.
+/// Resolves `--backend`, erroring loudly with the valid names on an
+/// unknown value.
 fn objective_backend(
     opts: &HashMap<String, String>,
     median_w: f64,
 ) -> (Arc<dyn ObjectiveBackend>, bool) {
-    let name = match (opts.get("backend"), opts.get("evaluator")) {
-        (Some(b), _) => b.as_str(),
-        (None, Some(e)) => {
-            eprintln!("warning: --evaluator is deprecated; use --backend {e}");
-            e.as_str()
-        }
-        (None, None) => "synthesis",
-    };
+    let name = opts
+        .get("backend")
+        .map(String::as_str)
+        .unwrap_or("synthesis");
     // One backend instance is shared by every agent so the IV-D cache
     // sharing happens; the synthesis curve point is picked at the sweep's
     // median weight (see DESIGN.md §10).
@@ -741,7 +788,7 @@ fn cmd_serve(opts: &HashMap<String, String>) {
              \x20                        port 0 picks an ephemeral port)\n\
              \x20 --workers <W>          concurrent job workers (default 2)\n\
              \x20 --queue-capacity <Q>   max queued-or-running jobs (default 256)\n\
-             \x20 --eval-threads <T>     per-job EvalService thread budget (default 2)\n\
+             \x20 --eval-threads <T>     agents of one job run at once (default 2)\n\
              \x20 --cache-shards <S>     shared evaluation store shards (default 16)\n\
              \x20 --event-tail <K>       events retained per job for status (default 64)\n\
              \x20 --state-dir <dir>      persist frontier.json + frontier.wal +\n\

@@ -29,7 +29,7 @@
 //! // CircuitTask (Adder, PrefixOr, Incrementer, or your own) and an
 //! // ObjectiveBackend (AnalyticalBackend, or SynthesisBackend for the
 //! // paper's synthesis-in-the-loop reward). All agents share one cached
-//! // evaluation service; their fronts merge into the result.
+//! // evaluation cache; their fronts merge into the result.
 //! let experiment = Experiment::builder()
 //!     .n(8)
 //!     .task(Arc::new(PrefixOr))

@@ -154,7 +154,7 @@ fn async_training_integrates_with_synthesis_cache() {
     cfg.env = prefixrl_core::env::EnvConfig::synthesis(8);
     let result = AsyncRunner::new(2).train(&cfg, eval.clone());
     assert!(!result.designs.is_empty());
-    assert!(eval.hits() + eval.misses() > 0);
+    assert!(eval.store().hits() + eval.store().misses() > 0);
     for (g, p) in result.designs.iter().take(5) {
         g.verify_legal().unwrap();
         assert!(p.area > 0.0 && p.delay > 0.0);
@@ -209,4 +209,45 @@ fn nonuniform_arrival_extension() {
     let du = synth::sta::analyze(&nl, &lib, &uniform, 1.0).critical_delay;
     let ds = synth::sta::analyze(&nl, &lib, &skewed, 1.0).critical_delay;
     assert!(ds > du, "late MSBs must lengthen the critical path");
+}
+
+/// The CLI rejects a flag its subcommand does not document, naming the
+/// flag and the valid set, instead of silently running on a default: a
+/// `--stepz` typo would otherwise train for the default 2000 steps, and the
+/// removed `--evaluator` alias would train on the default backend.
+#[test]
+fn cli_rejects_unknown_flags() {
+    for (args, flag) in [
+        (
+            &[
+                "train",
+                "--n",
+                "6",
+                "--stepz",
+                "40",
+                "--backend",
+                "analytical",
+                "--json",
+            ][..],
+            "--stepz",
+        ),
+        (&["train", "--evaluator", "analytical"][..], "--evaluator"),
+        (
+            &["sweep", "--weights", "2", "--evaluator", "analytical"][..],
+            "--evaluator",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+            .args(args)
+            .output()
+            .expect("run the prefixrl binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        assert!(stderr.contains(&format!("`{flag}`")), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--steps") && stderr.contains("--backend"),
+            "{stderr}"
+        );
+    }
 }
