@@ -1,10 +1,10 @@
 //! Tensor-compute-engine throughput: Q-network forward/backward/inference
 //! samples/sec across `nn::compute` thread counts, against the pre-PR
 //! naive single-thread conv path (preserved in `nn::compute::reference`),
-//! plus raw-GEMM GFLOP/s for the SIMD lane tier vs the blocked scalar
-//! engine vs the naive reference (with a bitwise SIMD/scalar identity
-//! check at every thread count). Dumps `BENCH_nn.json` at the workspace
-//! root.
+//! plus raw-GEMM GFLOP/s of all three kernels (`gemm`, `gemm_at_b`,
+//! `gemm_a_bt`) for the SIMD lane tier vs the blocked scalar engine vs the
+//! naive reference (with a bitwise SIMD/scalar identity check on every
+//! row). Dumps `BENCH_nn.json` at the workspace root.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench nn_throughput
@@ -119,14 +119,47 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize, min_secs: f64) -
     batch as f64 / secs
 }
 
+/// One GEMM orientation as the bench times it: the engine entry point
+/// (taking the worker pool, which only `gemm` splits across rows) and the
+/// naive reference twin. Operands are `m·k` and `k·n` floats in every
+/// orientation.
+struct Kernel {
+    name: &'static str,
+    engine: PooledGemmFn,
+    reference: GemmFn,
+}
+
+/// A serial GEMM entry point: `(m, k, n, a, b, c)`.
+type GemmFn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// A GEMM entry point given a worker pool: `(pool, m, k, n, a, b, c)`.
+type PooledGemmFn = fn(&ThreadPool, usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+const GEMM: Kernel = Kernel {
+    name: "gemm",
+    engine: compute::gemm_rows_parallel,
+    reference: reference::gemm,
+};
+
+const GEMM_AT_B: Kernel = Kernel {
+    name: "gemm_at_b",
+    engine: |_, m, k, n, a, b, c| compute::gemm_at_b(m, k, n, a, b, c),
+    reference: reference::gemm_at_b,
+};
+
+const GEMM_A_BT: Kernel = Kernel {
+    name: "gemm_a_bt",
+    engine: |_, m, k, n, a, b, c| compute::gemm_a_bt(m, k, n, a, b, c),
+    reference: reference::gemm_a_bt,
+};
+
 /// Raw-GEMM GFLOP/s of the SIMD lane tier vs the scalar engine vs the
-/// naive reference at one shape, across thread counts, verifying bitwise
-/// SIMD/scalar identity at each. The reference kernel (single-threaded by
-/// construction) is measured once per shape.
+/// naive reference for one kernel at one shape, across thread counts,
+/// verifying bitwise SIMD/scalar identity at each. The reference kernel
+/// (single-threaded by construction) is measured once per shape.
 fn gemm_rows(
-    m: usize,
-    k: usize,
-    n: usize,
+    kernel: &Kernel,
+    (m, k, n): (usize, usize, usize),
     threads_list: &[usize],
     min_secs: f64,
 ) -> Vec<support::GemmRow> {
@@ -138,7 +171,7 @@ fn gemm_rows(
     let reference_secs = time_per_call(
         || {
             c.fill(0.0);
-            reference::gemm(m, k, n, &a, &b, &mut c);
+            (kernel.reference)(m, k, n, &a, &b, &mut c);
             std::hint::black_box(&c);
         },
         min_secs,
@@ -152,7 +185,7 @@ fn gemm_rows(
             let secs = time_per_call(
                 || {
                     c.fill(0.0);
-                    compute::gemm_rows_parallel(&pool, m, k, n, &a, &b, &mut c);
+                    (kernel.engine)(&pool, m, k, n, &a, &b, &mut c);
                     std::hint::black_box(&c);
                 },
                 min_secs,
@@ -162,6 +195,7 @@ fn gemm_rows(
         let (scalar_gflops, scalar_c) = measure(false);
         let (simd_gflops, simd_c) = measure(true);
         rows.push(support::GemmRow {
+            kernel: kernel.name,
             m,
             k,
             n,
@@ -200,18 +234,33 @@ fn main() {
 
     // Raw GEMM kernels first: the paper-scale im2col product (one 5×5
     // residual convolution at C=256 on the 32×32 grid packs to
-    // m=256, k=6400, n=1024) and the small(16) training shape.
+    // m=256, k=6400, n=1024) and the small(16) training shapes — its 5×5
+    // forward, then the backward products of one sample: column gradients
+    // (`gemm_at_b`) of the 5×5 block and 3×3 stem convolutions, weight
+    // gradients (`gemm_a_bt`) of the 5×5 block and the 1×1 head and output
+    // convolutions. Only `gemm` has a row-parallel entry point, so the
+    // backward kernels are timed on one thread.
     println!(
-        "{:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "m", "k", "n", "threads", "ref", "scalar", "simd", "simd/ref", "bitexact"
+        "{:>10} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
+        "kernel", "m", "k", "n", "threads", "ref", "scalar", "simd", "simd/ref", "bitexact"
     );
     let mut gemm_table = Vec::new();
-    for &(m, k, n) in &[(256usize, 6400usize, 1024usize), (12, 300, 256)] {
-        let rows = gemm_rows(m, k, n, &threads_list, min_secs);
+    let serial = [1usize];
+    for (kernel, shape, threads) in [
+        (&GEMM, (256, 6400, 1024), &threads_list[..]),
+        (&GEMM, (12, 300, 256), &threads_list[..]),
+        (&GEMM_AT_B, (300, 12, 256), &serial[..]),
+        (&GEMM_AT_B, (36, 12, 256), &serial[..]),
+        (&GEMM_A_BT, (12, 256, 300), &serial[..]),
+        (&GEMM_A_BT, (12, 256, 12), &serial[..]),
+        (&GEMM_A_BT, (4, 256, 12), &serial[..]),
+    ] {
+        let rows = gemm_rows(kernel, shape, threads, min_secs);
         let reference = rows[0].reference_gflops;
         for r in &rows {
             println!(
-                "{:>6} {:>6} {:>6} {:>8} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
+                "{:>10} {:>6} {:>6} {:>6} {:>8} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
+                r.kernel,
                 r.m,
                 r.k,
                 r.n,

@@ -161,10 +161,13 @@ pub struct NnRow {
 }
 
 /// One measured point of the raw-GEMM kernel benchmark: the SIMD lane
-/// tier against the scalar engine and the naive reference at one shape
-/// and thread count.
+/// tier against the scalar engine and the naive reference for one kernel
+/// at one shape and thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct GemmRow {
+    /// Which product: `gemm` (`C += A·B`), `gemm_at_b` (`C += Aᵀ·B`) or
+    /// `gemm_a_bt` (`C += A·Bᵀ`).
+    pub kernel: &'static str,
     /// Output rows (the im2col row-block height).
     pub m: usize,
     /// Reduction depth.
@@ -189,14 +192,15 @@ pub struct GemmRow {
 /// Dumps `BENCH_nn.json` at the workspace root: compute-engine throughput
 /// (forward / backward / inference / fused inference) per config and
 /// thread count, against the pre-PR naive single-thread baseline, plus
-/// raw-GEMM GFLOP/s rows for the SIMD lane tier vs the scalar engine vs
-/// the naive reference.
+/// raw-GEMM GFLOP/s rows per kernel for the SIMD lane tier vs the scalar
+/// engine vs the naive reference.
 pub fn write_bench_nn(batch: usize, rows: &[NnRow], gemm_rows: &[GemmRow]) {
     let value = serde_json::json!({
         "benchmark": "nn_throughput",
         "batch": batch,
         "simd_compiled": nn::simd::compiled(),
         "gemm_rows": gemm_rows.iter().map(|r| serde_json::json!({
+            "kernel": r.kernel,
             "m": r.m,
             "k": r.k,
             "n": r.n,

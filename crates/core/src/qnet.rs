@@ -190,6 +190,38 @@ impl QBody {
             out: Conv2d::new(c, 4, 1, s + 7001),
         }
     }
+
+    /// Backpropagates `grad_out` through every layer above the stem
+    /// convolution, returning the gradient at the stem's output.
+    fn backward_to_stem(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let ha = self.out.backward_with(grad_out, scratch);
+        let hb = self.head_act.backward_with(&ha, scratch);
+        scratch.recycle(ha);
+        let h = self.head_bn.backward_with(&hb, scratch);
+        scratch.recycle(hb);
+        let mut cur = self.head.backward_with(&h, scratch);
+        scratch.recycle(h);
+        for block in self.blocks.iter_mut().rev() {
+            let next = block.backward_with(&cur, scratch);
+            scratch.recycle(cur);
+            cur = next;
+        }
+        let b = self.stem_act.backward_with(&cur, scratch);
+        scratch.recycle(cur);
+        let a = self.stem_bn.backward_with(&b, scratch);
+        scratch.recycle(b);
+        a
+    }
+
+    /// Accumulates every parameter gradient for `grad_out`. Unlike
+    /// [`Layer::backward_with`] it never forms the gradient of the input
+    /// features, which nothing reads: the stem computes its weight
+    /// gradient only.
+    fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) {
+        let a = self.backward_to_stem(grad_out, scratch);
+        self.stem.backward_params(&a, scratch);
+        scratch.recycle(a);
+    }
 }
 
 impl Layer for QBody {
@@ -216,22 +248,7 @@ impl Layer for QBody {
     }
 
     fn backward_with(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let ha = self.out.backward_with(grad_out, scratch);
-        let hb = self.head_act.backward_with(&ha, scratch);
-        scratch.recycle(ha);
-        let h = self.head_bn.backward_with(&hb, scratch);
-        scratch.recycle(hb);
-        let mut cur = self.head.backward_with(&h, scratch);
-        scratch.recycle(h);
-        for block in self.blocks.iter_mut().rev() {
-            let next = block.backward_with(&cur, scratch);
-            scratch.recycle(cur);
-            cur = next;
-        }
-        let b = self.stem_act.backward_with(&cur, scratch);
-        scratch.recycle(cur);
-        let a = self.stem_bn.backward_with(&b, scratch);
-        scratch.recycle(b);
+        let a = self.backward_to_stem(grad_out, scratch);
         let grad_in = self.stem.backward_with(&a, scratch);
         scratch.recycle(a);
         grad_in
@@ -463,8 +480,7 @@ impl QNetwork for PrefixQNet {
             }
         }
         self.net.zero_grad();
-        let grad_in = self.net.backward_with(&g, &mut self.scratch);
-        self.scratch.recycle(grad_in);
+        self.net.backward_params(&g, &mut self.scratch);
         self.scratch.recycle(g);
         self.opt.step(&mut self.net);
     }
@@ -698,6 +714,48 @@ mod tests {
         }
         let after = q.forward(&[&f], false)[0][action];
         assert!(after[0] < before[0], "{} !< {}", after[0], before[0]);
+    }
+
+    /// The gradient step skips the stem's input gradient; every parameter
+    /// gradient must still be bitwise what the full backward produces.
+    #[test]
+    fn parameter_only_backward_matches_full_backward() {
+        let cfg = QNetConfig::tiny(8);
+        let (mut full, mut params_only) = (PrefixQNet::new(&cfg), PrefixQNet::new(&cfg));
+        let mut env = PrefixEnv::new(
+            EnvConfig::analytical(8),
+            Arc::new(TaskEvaluator::analytical(Adder)),
+        );
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        env.reset(&mut rng);
+        let a = env.features();
+        let legal = env.action_mask();
+        let _ = env.step_flat((0..legal.len()).find(|&a| legal[a]).unwrap());
+        let b = env.features();
+        let g = Tensor::from_vec(
+            [2, 4, 8, 8],
+            (0..512)
+                .map(|i| ((i * 29) % 31) as f32 * 0.01 - 0.15)
+                .collect(),
+        );
+        let mut scratch = Scratch::new();
+        let mut param_grads = |q: &mut PrefixQNet, params_only: bool| {
+            let _ = q.forward(&[&a, &b], true);
+            q.net.zero_grad();
+            if params_only {
+                q.net.backward_params(&g, &mut scratch);
+            } else {
+                let gin = q.net.backward_with(&g, &mut scratch);
+                scratch.recycle(gin);
+            }
+            let mut out = Vec::new();
+            q.net.visit_params(&mut |p| out.push(p.grad.clone()));
+            out
+        };
+        let expect = param_grads(&mut full, false);
+        assert!(expect[0].iter().any(|&v| v != 0.0), "stem got no gradient");
+        assert_eq!(param_grads(&mut params_only, true), expect);
     }
 
     #[test]

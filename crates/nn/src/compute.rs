@@ -3,10 +3,11 @@
 //! (DESIGN.md §11).
 //!
 //! Every matrix product in this crate routes through the three kernels
-//! here. They are register-tiled (`MR`×`NR` accumulator tiles) and
-//! cache-blocked (`KC`/`NC` panels), with explicit [`crate::simd`] lanes
-//! in the hot tiles when the (default-on) `simd` feature is active and the
-//! CPU has AVX — but keep one hard invariant: **every output element
+//! here. They are register-tiled (`MR`-row accumulator tiles) and
+//! cache-blocked (`KC`/`NC` panels); when the (default-on) `simd` feature
+//! is active and the CPU has AVX, every tile runs on one shared
+//! [`crate::simd`] microkernel (the `avx` submodule) — but all keep one
+//! hard invariant: **every output element
 //! accumulates its products in ascending-`k` order, one product at a
 //! time** — exactly the order of the scalar reference kernels in
 //! [`reference`]. Floating-point addition is not associative, so this
@@ -130,6 +131,25 @@ pub fn partition(tasks: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Splits `0..rows` into at most `parts` contiguous row panels for the
+/// GEMM kernels: each boundary is the even split rounded to the nearest
+/// multiple of the tile height, so every panel starts on a tile boundary
+/// and only the panel that reaches `rows` can end in a partial tile.
+fn partition_rows(rows: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    let boundary = |i: usize| ((i * rows / parts + MR / 2) / MR * MR).min(rows);
+    (0..parts)
+        .map(|i| {
+            boundary(i)..if i + 1 == parts {
+                rows
+            } else {
+                boundary(i + 1)
+            }
+        })
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
 /// Minimum useful work (in multiply-add flops) per extra worker thread.
 ///
 /// Spawning a scoped thread plus the partitioning bookkeeping costs on the
@@ -233,9 +253,15 @@ impl Scratch {
 
 // ---------------------------------------------------------------- kernels
 
-/// Rows per register tile.
-const MR: usize = 4;
-/// Columns per register tile.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx;
+
+/// Rows per register tile, in both tiers: the AVX microkernel keeps six
+/// rows of two [`crate::simd::F32x8`] accumulators (twelve of the sixteen
+/// vector registers, leaving room for two `B` vectors and the `A`
+/// broadcast). Row-parallel panels split on multiples of it.
+const MR: usize = 6;
+/// Columns per scalar register tile.
 const NR: usize = 8;
 /// k-panel (cache block) for kernels whose accumulators live in `c`.
 const KC: usize = 256;
@@ -245,130 +271,24 @@ const NC: usize = 1024;
 /// `C[m,n] += A[m,k] · B[k,n]`, all row-major.
 ///
 /// Bit-identical to [`reference::gemm`]: each `C[i,j]` receives its `k`
-/// products one at a time in ascending-`k` order. Full tiles take the
-/// [`crate::simd`] AVX path when it is enabled — lanes span the `NR`
-/// output columns, so the per-element order is untouched.
+/// products one at a time in ascending-`k` order. With [`crate::simd`]
+/// enabled every tile, ragged edges included, runs on the AVX
+/// microkernel — lanes span output columns, so the per-element order is
+/// untouched.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its `m`/`k`/`n` extent.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if crate::simd::enabled() {
-        B_PACK.with(|cell| {
-            let pack = &mut cell.borrow_mut();
-            // SAFETY: `simd::enabled()` requires AVX in CPUID.
-            unsafe { gemm_avx(m, k, n, a, b, c, pack) };
-        });
+        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
+        // were asserted above.
+        unsafe { avx::gemm(m, k, n, a, b, c) };
         return;
     }
     gemm_scalar(m, k, n, a, b, c)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-std::thread_local! {
-    /// Reusable packed-`B` buffer for [`gemm`]'s AVX path (`KC`×`NC`
-    /// worst case; thread-local so row-panel workers don't contend).
-    static B_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Columns per AVX register tile: two [`crate::simd::F32x8`] per row.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const NRV: usize = 16;
-
-/// AVX form of [`gemm`]: identical blocking to the scalar form, but each
-/// `B` block is first packed into contiguous `kc`×[`NRV`] panels (pure
-/// data movement — the reduction order cannot change) so the microkernel
-/// streams `B` sequentially instead of striding a cache line per `k`
-/// step. The register tile is `MR`×`NRV` (two [`crate::simd::F32x8`] per
-/// row — eight independent accumulator chains, one broadcast of `A` per
-/// row per `k` step feeding both halves); per lane the recurrence is
-/// exactly the scalar tile's `acc += a[i,p] * b[p,j]` in ascending `p`,
-/// with separate multiply and add instructions (no FMA contraction). The
-/// inner loop runs on raw pointers: bounds are established once per tile
-/// by the packing layout, so the hot path carries no checks.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn gemm_avx(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    pack: &mut Vec<f32>,
-) {
-    use crate::simd::F32x8;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let full_panels = nc / NRV;
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // Pack the full NRV-wide panels of this B block: panel `t`
-            // holds columns jc+t*NRV.. as kc rows of NRV contiguous floats.
-            pack.clear();
-            pack.resize(full_panels * kc * NRV, 0.0);
-            for t in 0..full_panels {
-                let dst = &mut pack[t * kc * NRV..(t + 1) * kc * NRV];
-                let j0 = jc + t * NRV;
-                for (off, p) in (pc..pc + kc).enumerate() {
-                    dst[off * NRV..off * NRV + NRV]
-                        .copy_from_slice(&b[p * n + j0..p * n + j0 + NRV]);
-                }
-            }
-            for i0 in (0..m).step_by(MR) {
-                let mr = MR.min(m - i0);
-                if mr == MR {
-                    let ap = a.as_ptr();
-                    let cp = c.as_mut_ptr();
-                    for t in 0..full_panels {
-                        let j0 = jc + t * NRV;
-                        let mut acc = [[F32x8::zero(); 2]; MR];
-                        let mut arows = [std::ptr::null::<f32>(); MR];
-                        for ir in 0..MR {
-                            let crow = cp.add((i0 + ir) * n + j0);
-                            acc[ir][0] = F32x8::load_ptr(crow);
-                            acc[ir][1] = F32x8::load_ptr(crow.add(F32x8::LANES));
-                            arows[ir] = ap.add((i0 + ir) * k + pc);
-                        }
-                        let mut pp = pack.as_ptr().add(t * kc * NRV);
-                        for off in 0..kc {
-                            let b0 = F32x8::load_ptr(pp);
-                            let b1 = F32x8::load_ptr(pp.add(F32x8::LANES));
-                            for ir in 0..MR {
-                                let av = F32x8::splat(*arows[ir].add(off));
-                                acc[ir][0] = acc[ir][0].add(av.mul(b0));
-                                acc[ir][1] = acc[ir][1].add(av.mul(b1));
-                            }
-                            pp = pp.add(NRV);
-                        }
-                        for (ir, a) in acc.iter().enumerate() {
-                            let crow = cp.add((i0 + ir) * n + j0);
-                            a[0].store_ptr(crow);
-                            a[1].store_ptr(crow.add(F32x8::LANES));
-                        }
-                    }
-                }
-                // Remainder columns (nc % NRV) — and remainder rows over
-                // the whole block — use the scalar per-element loop (same
-                // ascending-k order).
-                let (rem_lo, rem_hi) = if mr == MR {
-                    (jc + full_panels * NRV, jc + nc)
-                } else {
-                    (jc, jc + nc)
-                };
-                for i in i0..i0 + mr {
-                    if rem_lo >= rem_hi {
-                        break;
-                    }
-                    for j in rem_lo..rem_hi {
-                        let mut acc = c[i * n + j];
-                        for p in pc..pc + kc {
-                            acc += a[i * k + p] * b[p * n + j];
-                        }
-                        c[i * n + j] = acc;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Scalar form of [`gemm`].
@@ -443,126 +363,23 @@ fn tile_ab(
 /// Bit-identical to [`reference::gemm_a_bt`]: each element's dot product
 /// accumulates from zero in ascending-`k` order and is then added to `C`
 /// once — so the full `k` extent stays in the register tile (no k-panel
-/// blocking, which would split that single add).
+/// blocking, which would split that single add). The AVX path transposes
+/// sixteen `B` rows at a time into a `k`×16 panel and runs the same
+/// microkernel as [`gemm`] in its dot-then-add mode.
 ///
-/// The AVX path transposes sixteen `B` rows at a time into a `k`×16
-/// panel (a thread-local buffer, so parallel conv-backward workers do
-/// not contend) and keeps sixteen dot products per `A` row in two
-/// registers: per lane that is still one dot from zero in ascending `k`,
-/// then one add into `C` — the same element order as the scalar tile.
+/// # Panics
+///
+/// Panics if a slice is shorter than its `m`/`k`/`n` extent.
 pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
+    assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if crate::simd::enabled() {
-        BT_PANEL.with(|cell| {
-            let panel = &mut cell.borrow_mut();
-            // SAFETY: `simd::enabled()` requires AVX in CPUID.
-            unsafe { gemm_a_bt_avx(m, k, n, a, b, c, panel) };
-        });
+        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
+        // were asserted above.
+        unsafe { avx::gemm_a_bt(m, k, n, a, b, c) };
         return;
     }
     gemm_a_bt_scalar(m, k, n, a, b, c)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-std::thread_local! {
-    /// Reusable `k`×16 transposed-`B` panel for [`gemm_a_bt`]'s AVX path.
-    static BT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// AVX form of [`gemm_a_bt`]: full [`NRV`]-column panels vectorized with
-/// the same `MR`×`NRV` raw-pointer microkernel shape as [`gemm_avx`]
-/// (here each accumulator is a dot from zero — the panel must span the
-/// full `k` extent so that single add into `C` is never split), remainder
-/// columns via the scalar dot loop.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_a_bt_avx(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    panel: &mut Vec<f32>,
-) {
-    use crate::simd::F32x8;
-    panel.clear();
-    panel.resize(k * NRV, 0.0);
-    let mut j0 = 0;
-    while j0 + NRV <= n {
-        // Transpose the sixteen B rows into k×16 so each `p` step streams
-        // one contiguous lane row.
-        for jr in 0..NRV {
-            let brow = &b[(j0 + jr) * k..][..k];
-            for (p, &bv) in brow.iter().enumerate() {
-                panel[p * NRV + jr] = bv;
-            }
-        }
-        // Four A rows per pass: the panel row loaded once per `p` feeds
-        // eight independent accumulator chains (each still its own dot
-        // from zero in ascending `p`).
-        let ap = a.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            let mut arows = [std::ptr::null::<f32>(); MR];
-            for (ir, arow) in arows.iter_mut().enumerate() {
-                *arow = ap.add((i0 + ir) * k);
-            }
-            let mut acc = [[F32x8::zero(); 2]; MR];
-            let mut pp = panel.as_ptr();
-            for off in 0..k {
-                let b0 = F32x8::load_ptr(pp);
-                let b1 = F32x8::load_ptr(pp.add(F32x8::LANES));
-                for ir in 0..MR {
-                    let av = F32x8::splat(*arows[ir].add(off));
-                    acc[ir][0] = acc[ir][0].add(av.mul(b0));
-                    acc[ir][1] = acc[ir][1].add(av.mul(b1));
-                }
-                pp = pp.add(NRV);
-            }
-            for (ir, a) in acc.iter().enumerate() {
-                let crow = cp.add((i0 + ir) * n + j0);
-                F32x8::load_ptr(crow).add(a[0]).store_ptr(crow);
-                F32x8::load_ptr(crow.add(F32x8::LANES))
-                    .add(a[1])
-                    .store_ptr(crow.add(F32x8::LANES));
-            }
-            i0 += MR;
-        }
-        for i in i0..m {
-            let arow = &a[i * k..][..k];
-            let mut acc0 = F32x8::zero();
-            let mut acc1 = F32x8::zero();
-            for (p, &av) in arow.iter().enumerate() {
-                let avs = F32x8::splat(av);
-                acc0 = acc0.add(avs.mul(F32x8::load(&panel[p * NRV..])));
-                acc1 = acc1.add(avs.mul(F32x8::load(&panel[p * NRV + F32x8::LANES..])));
-            }
-            let crow = &mut c[i * n + j0..][..NRV];
-            F32x8::load(crow).add(acc0).store(crow);
-            F32x8::load(&crow[F32x8::LANES..])
-                .add(acc1)
-                .store(&mut crow[F32x8::LANES..]);
-        }
-        j0 += NRV;
-    }
-    // Remainder columns (n % 16): the scalar dot, element order unchanged.
-    if j0 < n {
-        for i in 0..m {
-            let arow = &a[i * k..][..k];
-            for j in j0..n {
-                let brow = &b[j * k..][..k];
-                let mut acc = 0.0f32;
-                for (p, &av) in arow.iter().enumerate() {
-                    acc += av * brow[p];
-                }
-                c[i * n + j] += acc;
-            }
-        }
-    }
 }
 
 /// Scalar form of [`gemm_a_bt`]: both operands stream contiguously in
@@ -616,46 +433,25 @@ fn gemm_a_bt_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
 
 /// `C[m,n] += Aᵀ · B` where `A` is `[k,m]` and `B` is `[k,n]`, row-major.
 ///
-/// Bit-identical to [`reference::gemm_at_b`]: `k` ascending in the outer
-/// loop, each product added directly into its `C` element. The axpy shape
-/// is kept deliberately — the `C` row is a contiguous run of independent
-/// lanes, which the AVX form vectorizes eight at a time (same per-element
-/// order); a register tile would serialize strided loads instead. Row
-/// slices are hoisted so the inner loop is bounds-check-free.
+/// Bit-identical to [`reference::gemm_at_b`]: each product is added
+/// directly into its `C` element in ascending-`k` order. The AVX path is
+/// [`gemm`]'s register tile reading `A` k-major (row stride 1, k stride
+/// `m`), so each `C` tile is loaded and stored once per k-block instead of
+/// once per `k` as in the axpy form of the scalar twin.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its `m`/`k`/`n` extent.
 pub fn gemm_at_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(a.len() >= k * m && b.len() >= k * n && c.len() >= m * n);
+    assert!(a.len() >= k * m && b.len() >= k * n && c.len() >= m * n);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if crate::simd::enabled() {
-        // SAFETY: `simd::enabled()` requires AVX in CPUID.
-        unsafe { gemm_at_b_avx(m, k, n, a, b, c) };
+        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
+        // were asserted above.
+        unsafe { avx::gemm_at_b(m, k, n, a, b, c) };
         return;
     }
     gemm_at_b_scalar(m, k, n, a, b, c)
-}
-
-/// AVX form of [`gemm_at_b`]: each `C` row is an axpy of independent
-/// lanes.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn gemm_at_b_avx(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    use crate::simd::F32x8;
-    let nv = n / F32x8::LANES * F32x8::LANES;
-    for p in 0..k {
-        let arow = &a[p * m..(p + 1) * m];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let crow = &mut c[i * n..(i + 1) * n];
-            let avs = F32x8::splat(av);
-            for j in (0..nv).step_by(F32x8::LANES) {
-                F32x8::load(&crow[j..])
-                    .add(avs.mul(F32x8::load(&brow[j..])))
-                    .store(&mut crow[j..]);
-            }
-            for (cv, &bv) in crow[nv..].iter_mut().zip(&brow[nv..]) {
-                *cv += av * bv;
-            }
-        }
-    }
 }
 
 /// Scalar form of [`gemm_at_b`].
@@ -677,7 +473,9 @@ fn gemm_at_b_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
 /// Each worker runs the serial kernel on a disjoint row range, so results
 /// are bit-identical for every pool width — including when the
 /// [`plan_workers`] floor shrinks the effective width (small products run
-/// serial rather than paying thread-spawn overhead).
+/// serial rather than paying thread-spawn overhead). Panels split on
+/// multiples of the register-tile height ([`partition_rows`]), so only the
+/// last panel can hold a partial tile.
 pub fn gemm_rows_parallel(
     pool: &ThreadPool,
     m: usize,
@@ -692,7 +490,7 @@ pub fn gemm_rows_parallel(
         gemm(m, k, n, a, b, c);
         return;
     }
-    let ranges = partition(m, workers);
+    let ranges = partition_rows(m, workers);
     let sizes: Vec<usize> = ranges.iter().map(|r| r.len() * n).collect();
     let panels = split_by_sizes(&mut c[..m * n], &sizes);
     let jobs: Vec<_> = ranges
@@ -1021,6 +819,32 @@ mod tests {
                 assert!(ranges.len() <= parts);
             }
         }
+    }
+
+    #[test]
+    fn row_partitions_split_on_tile_boundaries() {
+        for rows in 0..40 {
+            for parts in 1..9 {
+                let ranges = partition_rows(rows, parts);
+                let mut expect = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, expect);
+                    assert!(!r.is_empty());
+                    assert_eq!(r.start % MR, 0, "{rows} rows / {parts}: {ranges:?}");
+                    expect = r.end;
+                }
+                assert_eq!(expect, rows);
+                assert!(ranges.len() <= parts);
+                // Only the panel that reaches `rows` may be ragged.
+                for r in ranges.iter().filter(|r| r.end < rows) {
+                    assert_eq!(r.len() % MR, 0, "{rows} rows / {parts}: {ranges:?}");
+                }
+            }
+        }
+        // The Q-network's 12 output channels split into two full tiles;
+        // the paper-scale 256 rows into 21 tiles and 21⅔.
+        assert_eq!(partition_rows(12, 2), vec![0..6, 6..12]);
+        assert_eq!(partition_rows(256, 2), vec![0..126, 126..256]);
     }
 
     #[test]

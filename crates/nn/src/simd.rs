@@ -4,8 +4,8 @@
 //! `compat`-style [`F32x8`] wrapper over the x86-64 AVX registers, the
 //! runtime dispatch switch ([`enabled`]/[`set_enabled`]), and the
 //! vectorized elementwise hot paths shared by the layers (LReLU, BN
-//! normalize, bias add, residual add, axpy). The GEMM register tiles in
-//! [`crate::compute`] build on [`F32x8`] directly.
+//! normalize, bias add, residual add). The GEMM microkernel in
+//! [`crate::compute`] builds on [`F32x8`] directly.
 //!
 //! # The bit-identity contract
 //!
@@ -234,6 +234,45 @@ impl F32x8 {
         use core::arch::x86_64::*;
         let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(self.0, _mm256_setzero_ps());
         F32x8(_mm256_blendv_ps(b.0, a.0, mask))
+    }
+
+    /// Transposes an 8×8 block held as eight row registers: lane `j` of
+    /// output `i` is lane `i` of input `j`. Pure data movement (unpack,
+    /// shuffle, lane permute), so values pass through bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX.
+    #[inline(always)]
+    pub unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8] {
+        use core::arch::x86_64::*;
+        let r = rows.map(|v| v.0);
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            F32x8(_mm256_permute2f128_ps::<0x20>(s0, s4)),
+            F32x8(_mm256_permute2f128_ps::<0x20>(s1, s5)),
+            F32x8(_mm256_permute2f128_ps::<0x20>(s2, s6)),
+            F32x8(_mm256_permute2f128_ps::<0x20>(s3, s7)),
+            F32x8(_mm256_permute2f128_ps::<0x31>(s0, s4)),
+            F32x8(_mm256_permute2f128_ps::<0x31>(s1, s5)),
+            F32x8(_mm256_permute2f128_ps::<0x31>(s2, s6)),
+            F32x8(_mm256_permute2f128_ps::<0x31>(s3, s7)),
+        ]
     }
 }
 
@@ -499,37 +538,6 @@ unsafe fn bn_normalize_cache_avx(
     bn_normalize_cache_scalar(&x[n..], &mut out[n..], &mut xhat[n..], mean, inv, g, b);
 }
 
-/// `acc += a * x` over a contiguous row (the axpy inner loop of
-/// `gemm`/`gemm_at_b`-shaped kernels). Each `acc` element is an
-/// independent lane; reduction order per element is unchanged.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    dispatch!(axpy_avx(acc, a, x), axpy_scalar)
-}
-
-fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
-    for (cv, &bv) in acc.iter_mut().zip(x) {
-        *cv += a * bv;
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_avx(acc: &mut [f32], a: f32, x: &[f32]) {
-    let av = F32x8::splat(a);
-    let n = acc.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        F32x8::load(&acc[i..])
-            .add(av.mul(F32x8::load(&x[i..])))
-            .store(&mut acc[i..]);
-    }
-    axpy_scalar(&mut acc[n..], a, &x[n..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,14 +619,6 @@ mod tests {
             assert_eq!(oa, ob, "bn_normalize out len {len}");
             assert_eq!(sa, sb, "bn_normalize xhat len {len}");
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            set_enabled(true);
-            axpy(&mut a, 0.77, &x);
-            set_enabled(false);
-            axpy(&mut b, 0.77, &x);
-            assert_eq!(a, b, "axpy len {len}");
-
             set_enabled(true);
         }
 
@@ -635,6 +635,28 @@ mod tests {
         set_enabled(true);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b), "NaN lrelu_apply parity");
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn transpose8_swaps_rows_and_columns() {
+        if !std::arch::is_x86_feature_detected!("avx") {
+            return;
+        }
+        let m: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let mut out = vec![0.0f32; 64];
+        // SAFETY: AVX was detected above; every row slice holds 8 floats.
+        unsafe {
+            let rows = std::array::from_fn(|r| F32x8::load(&m[r * 8..]));
+            for (i, col) in F32x8::transpose8(rows).iter().enumerate() {
+                col.store(&mut out[i * 8..]);
+            }
+        }
+        for i in 0..8 {
+            for j in 0..8 {
+                assert_eq!(out[i * 8 + j], m[j * 8 + i], "({i}, {j})");
+            }
+        }
     }
 
     /// The multiplicative LReLU form is bitwise equal to the historical

@@ -7,8 +7,8 @@
 //! no FMA contraction is emitted. These tests pin that contract across
 //! the places it could break:
 //!
-//! - lane-remainder shapes (`n % 8`, `n % 16`, `m % 4`, tiny `k`) where the
-//!   vector path hands the tail to scalar code;
+//! - lane-remainder shapes (`n % 8`, `n % 16`, `m % 6`, tiny `k`) where the
+//!   vector path runs partial tiles;
 //! - cache-blocking boundaries (`k > KC`, `n > NC`) where packed panels
 //!   are stitched back together;
 //! - unaligned operands (subslices offset by one element — the kernels
@@ -137,9 +137,10 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
         simd::set_enabled(force_on);
         let mut rng = StdRng::seed_from_u64(0x51_3D ^ force_on as u64);
         // Degenerate and lane-remainder shapes: every combination of a
-        // full/partial 4-row block, full/partial 8- and 16-column tiles,
-        // and k values that start, straddle, or fill a KC panel.
-        for &m in &[1usize, 3, 4, 5, 9] {
+        // full/partial 6-row tile (one, two, and ragged multiples), full/
+        // partial 8- and 16-column tiles, and k values that start,
+        // straddle, or fill a KC panel.
+        for &m in &[1usize, 3, 4, 5, 6, 7, 9, 12, 13] {
             for &k in &[1usize, 7, 16, 17] {
                 for &n in &[1usize, 7, 8, 15, 16, 17, 31, 33] {
                     check_gemm_family(&mut rng, m, k, n);
@@ -154,6 +155,19 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
         // convolution row-block at C=256 on the 32×32 grid has k=6400,
         // n=1024; this keeps the same ragged geometry at test-budget size.
         check_gemm_family(&mut rng, 12, 403, 260);
+        // The small(16) Q-network's exact backward products (batch 1):
+        // column gradients `gemm_at_b` of the 5×5 block and 3×3 stem
+        // convolutions, weight gradients `gemm_a_bt` of the 5×5 block and
+        // the 1×1 head and output convolutions.
+        for &(m, k, n) in &[
+            (300usize, 12usize, 256usize),
+            (36, 12, 256),
+            (12, 256, 300),
+            (12, 256, 12),
+            (4, 256, 12),
+        ] {
+            check_gemm_family(&mut rng, m, k, n);
+        }
         // 1×1 convs reduce to plain GEMM with k = in_c.
         for &(in_c, out_c, kk, h, batch) in &[
             (4usize, 8usize, 3usize, 8usize, 2usize),
@@ -161,6 +175,7 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
             (8, 4, 1, 8, 3),
             (12, 12, 5, 16, 2),
             (3, 5, 1, 7, 1), // odd everything
+            (2, 3, 5, 2, 2), // a plane smaller than the kernel: padding-only taps
         ] {
             check_conv(&mut rng, in_c, out_c, kk, h, batch);
         }
