@@ -90,13 +90,16 @@ fn main() {
     // env-steps/s is decisions/s. The analytical evaluator keeps this
     // section *inference-bound* — it isolates the decision path the
     // broker batches, where the synthesis sections above already measure
-    // the oracle-bound path.
+    // the oracle-bound path. The learner stays idle (`train_every` 0): it
+    // keeps the serial runner's schedule, and at the default one gradient
+    // step per decision it, not the decision path, would bound the rows.
     println!("\nasync actor/learner (paper Sec. IV-D architecture):");
     let mut rows = Vec::new();
     for actors in [1usize, 2, 4, 8] {
         for broker in [false, true] {
             let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
-            let cfg = AgentConfig::small(16, 0.5, steps);
+            let mut cfg = AgentConfig::small(16, 0.5, steps);
+            cfg.train_every = 0;
             let runner = AsyncRunner {
                 actors,
                 batched_inference: broker,

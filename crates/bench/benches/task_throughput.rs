@@ -95,7 +95,12 @@ fn main() {
         for backend in &backends {
             let ev = TaskEvaluator::new(Arc::clone(&task), Arc::clone(backend));
             let analytical = backend.backend_id() == "analytical";
-            let cold_rounds = if analytical { 200 } else { 1 };
+            // Enough cold rounds for at least 200 timed evaluations per row.
+            let cold_rounds = if analytical {
+                200
+            } else {
+                200usize.div_ceil(graphs.len())
+            };
             let (evals, cold) = measure(&ev, &graphs, cold_rounds);
             let cached = CachedEvaluator::new(ev);
             for g in &graphs {

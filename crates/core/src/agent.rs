@@ -47,7 +47,9 @@ pub struct AgentConfig {
     pub eps_end: f64,
     /// Steps over which ε anneals.
     pub eps_decay_steps: u64,
-    /// Gradient steps per environment step.
+    /// Environment steps per gradient step (0: never train). Both
+    /// runners follow it: the serial loop on its step index, the async
+    /// learner on the transitions it has received.
     pub train_every: u64,
     /// Environments each async actor steps in lockstep, batching its
     /// Q-network forwards (the serial path always uses one).

@@ -15,14 +15,16 @@
 //!   lockstep, select actions through the shared [`ScalarizedPolicy`] with
 //!   **one batched Q-network forward per decision round** (not batch-of-1),
 //!   and stream transitions over a channel to a learner thread that trains
-//!   and publishes its policy. Publication is a **snapshot swap**: on each
-//!   target-sync the learner freezes the online network into a fused
-//!   [`FrozenQNet`] (batch-norms folded into their convolutions) behind an
-//!   `Arc`; actors notice the version bump and clone the `Arc` — a pointer
-//!   copy. Per decision, actors perform **zero weight copies and take no
-//!   locks**: acting is `&FrozenQNet` through the immutable
-//!   [`rl::QInfer`] path. Events stream to the run's observer from both
-//!   sides.
+//!   on the serial runner's schedule (one gradient step per `train_every`
+//!   transitions, so its work does not depend on how fast experience
+//!   arrives) and publishes its policy. Publication is a **snapshot
+//!   swap**: on each target-sync the learner freezes the online network
+//!   into a fused [`FrozenQNet`] (batch-norms folded into their
+//!   convolutions) behind an `Arc`; actors notice the version bump and
+//!   clone the `Arc` — a pointer copy. Per decision, actors perform
+//!   **zero weight copies and take no locks**: acting is `&FrozenQNet`
+//!   through the immutable [`rl::QInfer`] path. Events stream to the
+//!   run's observer from both sides.
 //!
 //! # The cross-actor inference broker
 //!
@@ -233,12 +235,13 @@ impl BrokerMemo {
 /// The asynchronous actor/learner runner: `actors` parallel experience
 /// generators feed one learner thread.
 ///
-/// Semantics match the serial runner (same config fields), but experience
-/// arrives asynchronously, so per-step pairing of acting and learning is
-/// not bit-identical to the serial path and checkpoint/resume is not
-/// supported. Each actor steps `envs_per_actor` environments per decision
-/// round; total environment steps across all actors equal
-/// `cfg.total_steps`.
+/// Semantics match the serial runner (same config fields, and the same
+/// number of gradient steps: one per `train_every` transitions once the
+/// replay holds `min_replay`), but experience arrives asynchronously, so
+/// per-step pairing of acting and learning is not bit-identical to the
+/// serial path and checkpoint/resume is not supported. Each actor steps
+/// `envs_per_actor` environments per decision round; total environment
+/// steps across all actors equal `cfg.total_steps`.
 pub struct AsyncRunner {
     /// Number of actor threads (≥ 1).
     pub actors: usize,
@@ -594,11 +597,22 @@ fn run_async(
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xdead);
         let mut losses = Vec::new();
         let mut since_publish = 0u64;
+        // The serial runner's schedule: one gradient step per
+        // `train_every` transitions, counted in arrival order, once the
+        // replay holds `min_replay`. The learner's work is then a function
+        // of the step budget, not of how fast experience arrives; when it
+        // falls behind, transitions queue (actors block only on a full
+        // channel) and it catches up. After a cancel it only drains.
+        let mut received = 0u64;
         while let Ok(t) = rx.recv() {
             replay.push(t);
-            // Drain whatever else is queued to keep actors unblocked.
-            while let Ok(t) = rx.try_recv() {
-                replay.push(t);
+            let index = received;
+            received += 1;
+            if cfg.train_every == 0
+                || !index.is_multiple_of(cfg.train_every)
+                || cancel.is_cancelled()
+            {
+                continue;
             }
             if let Some(loss) = dqn.train_step(&replay, &mut rng) {
                 losses.push(loss);
@@ -717,6 +731,31 @@ mod tests {
         // Same step budget → same order of magnitude of distinct designs.
         let (a, b) = (serial.designs.len() as f64, parallel.designs.len() as f64);
         assert!(a / b < 4.0 && b / a < 4.0, "serial {a} vs async {b}");
+    }
+
+    /// The learner keeps the serial runner's schedule whatever the actors'
+    /// pace: one gradient step per `train_every` transitions once the
+    /// replay holds `min_replay` (none at 0), so for one step budget both
+    /// runners take the same number of gradient steps.
+    #[test]
+    fn async_learner_takes_the_serial_number_of_gradient_steps() {
+        for train_every in [0u64, 1, 4, 16] {
+            let mut cfg = AgentConfig::tiny(8, 0.5);
+            cfg.total_steps = 300;
+            cfg.train_every = train_every;
+            let mut lp =
+                crate::agent::TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+            lp.run_to_completion(0, &mut NullObserver);
+            let serial = lp.into_parts().1.losses.len();
+            for actors in [1, 3] {
+                let parallel = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), actors);
+                assert_eq!(
+                    parallel.losses.len(),
+                    serial,
+                    "train_every {train_every}, {actors} actor(s)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,35 @@ pub enum Sink {
     Output(u32),
 }
 
+/// Every net's sinks in one flat list (compressed sparse rows), built by
+/// [`Netlist::fanout`].
+///
+/// A net's sinks are the gate input pins it feeds, gates by index and pins
+/// in order, followed by the primary outputs it drives. The view is a
+/// snapshot: any edit to the netlist invalidates it.
+#[derive(Clone, Debug)]
+pub struct Fanout {
+    /// `offsets[net]..offsets[net + 1]` indexes `net`'s sinks.
+    offsets: Vec<u32>,
+    sinks: Vec<Sink>,
+}
+
+impl Fanout {
+    /// The sinks of `net`.
+    #[inline]
+    pub fn sinks(&self, net: NetId) -> &[Sink] {
+        let i = net.index();
+        &self.sinks[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Every net's sinks, in net order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Sink]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.sinks[w[0] as usize..w[1] as usize])
+    }
+}
+
 /// A mutable gate-level netlist.
 ///
 /// # Example
@@ -278,21 +307,44 @@ impl Netlist {
         buf_out
     }
 
-    /// Computes the sink list of every net.
-    pub fn sink_map(&self) -> Vec<Vec<Sink>> {
-        let mut sinks = vec![Vec::new(); self.num_nets()];
+    /// The fanout view: every net's sinks, built in one pass.
+    pub fn fanout(&self) -> Fanout {
+        let n = self.num_nets();
+        // Counting sort into CSR rows: count each net's sinks into
+        // `offsets[net + 1]`, prefix-sum, then fill while advancing
+        // `offsets[net]` as the row cursor and shift it back afterwards.
+        let mut offsets = vec![0u32; n + 1];
+        let pins = self.gates.iter().flat_map(|g| g.inputs());
+        for net in pins.chain(&self.outputs) {
+            offsets[net.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let placeholder = Sink::Output(u32::MAX);
+        let mut sinks = vec![placeholder; offsets[n] as usize];
+        let mut place = |net: NetId, sink: Sink| {
+            let cursor = &mut offsets[net.index()];
+            sinks[*cursor as usize] = sink;
+            *cursor += 1;
+        };
         for (id, gate) in self.gates() {
             for (pin, &net) in gate.inputs().iter().enumerate() {
-                sinks[net.index()].push(Sink::Pin {
-                    gate: id,
-                    pin: pin as u8,
-                });
+                place(
+                    net,
+                    Sink::Pin {
+                        gate: id,
+                        pin: pin as u8,
+                    },
+                );
             }
         }
         for (idx, &net) in self.outputs.iter().enumerate() {
-            sinks[net.index()].push(Sink::Output(idx as u32));
+            place(net, Sink::Output(idx as u32));
         }
-        sinks
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Fanout { offsets, sinks }
     }
 
     /// Gates in topological order (every gate after its input drivers).
@@ -302,6 +354,15 @@ impl Netlist {
     /// Panics if the netlist contains a combinational cycle (cannot be
     /// constructed through this API, but guards against corrupted data).
     pub fn topo_order(&self) -> Vec<GateId> {
+        self.topo_order_with(&self.fanout())
+    }
+
+    /// [`Netlist::topo_order`] over an already built [`Netlist::fanout`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Netlist::topo_order`].
+    pub fn topo_order_with(&self, fanout: &Fanout) -> Vec<GateId> {
         let mut indegree: Vec<u32> = self
             .gates
             .iter()
@@ -312,20 +373,18 @@ impl Netlist {
                     .count() as u32
             })
             .collect();
-        let sinks = self.sink_map();
         let mut queue: Vec<GateId> = indegree
             .iter()
             .enumerate()
             .filter(|(_, &d)| d == 0)
             .map(|(i, _)| GateId(i as u32))
             .collect();
-        let mut order = Vec::with_capacity(self.gates.len());
+        queue.reserve(self.gates.len() - queue.len());
         let mut head = 0;
         while head < queue.len() {
             let id = queue[head];
             head += 1;
-            order.push(id);
-            for &s in &sinks[self.gates[id.index()].out.index()] {
+            for &s in fanout.sinks(self.gates[id.index()].out) {
                 if let Sink::Pin { gate, .. } = s {
                     indegree[gate.index()] -= 1;
                     if indegree[gate.index()] == 0 {
@@ -334,8 +393,8 @@ impl Netlist {
                 }
             }
         }
-        assert_eq!(order.len(), self.gates.len(), "combinational cycle");
-        order
+        assert_eq!(queue.len(), self.gates.len(), "combinational cycle");
+        queue
     }
 
     /// Total cell area under `lib`, µm².
@@ -514,8 +573,7 @@ mod tests {
         assert_eq!(nl.gate(GateId(2)).inputs()[0], buf_net);
         assert_eq!(nl.gate(GateId(3)).inputs()[0], buf_net);
         assert_eq!(nl.gate(GateId(1)).inputs()[0], x, "unbuffered sink kept");
-        let sm = nl.sink_map();
-        assert_eq!(sm[x.index()].len(), 2, "gate 1 and buffer");
+        assert_eq!(nl.fanout().sinks(x).len(), 2, "gate 1 and buffer");
     }
 
     #[test]
@@ -549,11 +607,26 @@ mod tests {
     }
 
     #[test]
-    fn sink_map_includes_outputs() {
-        let (nl, ..) = toy();
-        let sm = nl.sink_map();
-        let z = nl.outputs()[0];
-        assert_eq!(sm[z.index()], vec![Sink::Output(0)]);
+    fn fanout_lists_pins_in_gate_order_then_outputs() {
+        let mut nl = Netlist::new("fan");
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let x = nl.add_gate(CellType::Nand2, &[b, a]);
+        nl.mark_output(a);
+        let y = nl.add_gate(CellType::Aoi21, &[a, x, a]);
+        nl.mark_output(y);
+        let fanout = nl.fanout();
+        let pin = |g: u32, pin: u8| Sink::Pin {
+            gate: GateId(g),
+            pin,
+        };
+        assert_eq!(
+            fanout.sinks(a),
+            &[pin(0, 1), pin(1, 0), pin(1, 2), Sink::Output(0)]
+        );
+        assert_eq!(fanout.sinks(b), &[pin(0, 0)]);
+        assert_eq!(fanout.sinks(x), &[pin(1, 1)]);
+        assert_eq!(fanout.sinks(y), &[Sink::Output(1)]);
     }
 
     #[test]

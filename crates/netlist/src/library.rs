@@ -21,10 +21,9 @@
 //! buys delay with area — is.
 
 use crate::cell::{CellType, Drive};
-use serde::{Deserialize, Serialize};
 
 /// Timing/area parameters for one cell type at drive X1.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CellParams {
     /// Cell area at X1, µm².
     pub area: f64,
@@ -36,8 +35,24 @@ pub struct CellParams {
     pub resistance: f64,
 }
 
+/// Drive strengths X1–X32, indexed by `log2(x)`.
+const DRIVES: usize = 6;
+
+/// Every accessor's value for one (cell type, drive), precomputed with the
+/// accessors' own expressions so lookups are O(1) and bit-identical.
+#[derive(Clone, Copy, Debug, Default)]
+struct CellEntry {
+    area: f64,
+    input_cap: f64,
+    intrinsic: f64,
+    resistance: f64,
+    pin_offset: [f64; 3],
+    /// `intrinsic + pin_offset[pin]`, the load-independent part of an arc.
+    arc_base: [f64; 3],
+}
+
 /// A technology library: per-cell-type parameters plus global scaling rules.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Library {
     name: String,
     params: Vec<(CellType, CellParams)>,
@@ -53,6 +68,9 @@ pub struct Library {
     /// Intrinsic delay growth per drive step (larger cells are slightly
     /// slower unloaded).
     intrinsic_slope: f64,
+    /// Dense `[cell type][drive]` table derived from the fields above by
+    /// [`Library::tabulate`]; every accessor reads it.
+    table: Vec<CellEntry>,
 }
 
 impl Library {
@@ -84,7 +102,9 @@ impl Library {
             output_load: 3.2,
             area_slope: 0.75,
             intrinsic_slope: 0.04,
+            table: Vec::new(),
         }
+        .tabulate()
     }
 
     /// The scaled 8 nm-class calibration standing in for the paper's
@@ -104,7 +124,48 @@ impl Library {
         lib.wire_cap_per_fanout /= 8.0;
         lib.output_load /= 8.0;
         lib.area_slope = 0.85;
-        lib
+        lib.tabulate()
+    }
+
+    /// Builds the per-(cell type, drive) table from the X1 parameters and
+    /// scaling rules.
+    fn tabulate(mut self) -> Library {
+        let mut table = vec![CellEntry::default(); CellType::all().len() * DRIVES];
+        for &(ct, p) in &self.params {
+            // Per-pin extra delay: first pin slowest, last pin fastest
+            // (later pins are closer to the output stack), scaled with the
+            // intrinsic delay — what pin swapping exploits.
+            let arity = ct.arity();
+            let step = p.intrinsic * 0.18;
+            let mut pin_offset = [0.0; 3];
+            for (pin, off) in pin_offset.iter_mut().enumerate().take(arity) {
+                *off = (arity - 1 - pin) as f64 * step;
+            }
+            for d in 0..DRIVES {
+                let x = (1u32 << d) as f64;
+                let intrinsic = p.intrinsic * (1.0 + self.intrinsic_slope * (x - 1.0).ln_1p());
+                table[Self::slot(ct, d)] = CellEntry {
+                    area: p.area * (1.0 + self.area_slope * (x - 1.0)),
+                    input_cap: p.input_cap * x,
+                    intrinsic,
+                    resistance: p.resistance / x,
+                    pin_offset,
+                    arc_base: pin_offset.map(|off| intrinsic + off),
+                };
+            }
+        }
+        self.table = table;
+        self
+    }
+
+    #[inline]
+    fn slot(ct: CellType, drive_log2: usize) -> usize {
+        ct as usize * DRIVES + drive_log2
+    }
+
+    #[inline]
+    fn entry(&self, ct: CellType, drive: Drive) -> &CellEntry {
+        &self.table[Self::slot(ct, drive.x().trailing_zeros() as usize)]
     }
 
     /// The library's name.
@@ -127,51 +188,46 @@ impl Library {
         self.output_load
     }
 
-    fn x1(&self, ct: CellType) -> &CellParams {
-        &self
-            .params
-            .iter()
-            .find(|(t, _)| *t == ct)
-            .expect("all cell types present")
-            .1
-    }
-
     /// Cell area at the given drive, µm².
+    #[inline]
     pub fn area(&self, ct: CellType, drive: Drive) -> f64 {
-        let base = self.x1(ct).area;
-        base * (1.0 + self.area_slope * (drive.x() as f64 - 1.0))
+        self.entry(ct, drive).area
     }
 
     /// Input pin capacitance at the given drive, fF.
     ///
     /// Scales linearly with drive (larger input transistors).
+    #[inline]
     pub fn input_cap(&self, ct: CellType, drive: Drive) -> f64 {
-        self.x1(ct).input_cap * drive.x() as f64
+        self.entry(ct, drive).input_cap
     }
 
     /// Intrinsic delay at the given drive, ns.
+    #[inline]
     pub fn intrinsic(&self, ct: CellType, drive: Drive) -> f64 {
-        self.x1(ct).intrinsic * (1.0 + self.intrinsic_slope * (drive.x() as f64 - 1.0).ln_1p())
+        self.entry(ct, drive).intrinsic
     }
 
     /// Per-pin extra delay, ns — later pins are closer to the output stack
     /// and faster, which is what pin swapping exploits.
+    #[inline]
     pub fn pin_offset(&self, ct: CellType, pin: usize) -> f64 {
-        let arity = ct.arity();
-        debug_assert!(pin < arity);
-        // First pin slowest; last pin fastest. Scale with intrinsic.
-        let step = self.x1(ct).intrinsic * 0.18;
-        (arity - 1 - pin) as f64 * step
+        debug_assert!(pin < ct.arity());
+        self.entry(ct, Drive::X1).pin_offset[pin]
     }
 
     /// Output drive resistance at the given drive, ns/fF.
+    #[inline]
     pub fn resistance(&self, ct: CellType, drive: Drive) -> f64 {
-        self.x1(ct).resistance / drive.x() as f64
+        self.entry(ct, drive).resistance
     }
 
-    /// Arc delay through `pin` of a cell driving `load` fF, ns.
+    /// Arc delay through `pin` of a cell driving `load` fF, ns:
+    /// `intrinsic + pin_offset + R · load`, summed left to right.
+    #[inline]
     pub fn arc_delay(&self, ct: CellType, drive: Drive, pin: usize, load: f64) -> f64 {
-        self.intrinsic(ct, drive) + self.pin_offset(ct, pin) + self.resistance(ct, drive) * load
+        let e = self.entry(ct, drive);
+        e.arc_base[pin] + e.resistance * load
     }
 }
 
@@ -226,6 +282,33 @@ mod tests {
             assert!(lib.area(ct, Drive::X1) > 0.0);
             assert!(lib.input_cap(ct, Drive::X1) > 0.0);
             assert!(lib.resistance(ct, Drive::X1) > 0.0);
+        }
+    }
+
+    #[test]
+    fn table_matches_closed_form_bitwise() {
+        for lib in [Library::nangate45(), Library::tech8()] {
+            for &(ct, p) in &lib.params {
+                for x in [1u8, 2, 4, 8, 16, 32] {
+                    let d = Drive::new(x);
+                    let xf = x as f64;
+                    let area = p.area * (1.0 + lib.area_slope * (xf - 1.0));
+                    let intrinsic = p.intrinsic * (1.0 + lib.intrinsic_slope * (xf - 1.0).ln_1p());
+                    let resistance = p.resistance / xf;
+                    assert_eq!(lib.area(ct, d).to_bits(), area.to_bits());
+                    assert_eq!(lib.input_cap(ct, d).to_bits(), (p.input_cap * xf).to_bits());
+                    assert_eq!(lib.intrinsic(ct, d).to_bits(), intrinsic.to_bits());
+                    assert_eq!(lib.resistance(ct, d).to_bits(), resistance.to_bits());
+                    for pin in 0..ct.arity() {
+                        let offset = (ct.arity() - 1 - pin) as f64 * (p.intrinsic * 0.18);
+                        assert_eq!(lib.pin_offset(ct, pin).to_bits(), offset.to_bits());
+                        for load in [0.0, 1.7, 23.9] {
+                            let arc = intrinsic + offset + resistance * load;
+                            assert_eq!(lib.arc_delay(ct, d, pin, load).to_bits(), arc.to_bits());
+                        }
+                    }
+                }
+            }
         }
     }
 

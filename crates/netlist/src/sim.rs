@@ -96,7 +96,7 @@ mod tests {
         let inv = nl.add_gate(CellType::Inv, &[a]);
         let out = nl.add_gate(CellType::Inv, &[inv]);
         nl.mark_output(out);
-        let sinks = nl.sink_map()[inv.index()].clone();
+        let sinks = nl.fanout().sinks(inv).to_vec();
         nl.insert_buffer(inv, crate::cell::Drive::X1, &sinks);
         nl.validate().unwrap();
         assert_eq!(eval(&nl, &[true]), vec![true]);

@@ -10,15 +10,21 @@
 //! reason analytical prefix-graph metrics do not predict synthesized
 //! quality (Section V-D): fanout costs load, load costs delay, and fixing it
 //! (sizing/buffering) costs area.
+//!
+//! A pass builds the netlist's CSR fanout view once, derives loads and a
+//! topological order from it, and reads delays from the library's dense
+//! table (DESIGN.md §5 gives the bit-identity argument).
 
-use netlist::{ir::Driver, Library, NetId, Netlist};
+use netlist::ir::{Driver, Fanout};
+use netlist::{Library, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 
 /// Timing constraints for analysis and optimization.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TimingConstraints {
     /// Arrival time at each primary input, ns. Either one value for all
-    /// inputs (uniform, the paper's training setting) or one per input.
+    /// inputs (uniform, the paper's training setting) or one per input;
+    /// [`analyze`] panics on any other length.
     pub input_arrivals: Vec<f64>,
     /// Drive resistance of whatever feeds the primary inputs (ns/fF) —
     /// models the launching flip-flops of the paper's Fig. 5 setup.
@@ -35,7 +41,8 @@ impl TimingConstraints {
         }
     }
 
-    /// Nonuniform per-input arrival times (paper future-work extension).
+    /// Nonuniform per-input arrival times (paper future-work extension):
+    /// one value per primary input, in declaration order.
     pub fn with_arrivals(lib: &Library, arrivals: Vec<f64>) -> Self {
         TimingConstraints {
             input_arrivals: arrivals,
@@ -86,20 +93,25 @@ impl TimingReport {
 
 /// Computes every net's capacitive load.
 pub fn net_loads(nl: &Netlist, lib: &Library) -> Vec<f64> {
-    let mut load = vec![0.0f64; nl.num_nets()];
-    let sinks = nl.sink_map();
-    for (net_idx, net_sinks) in sinks.iter().enumerate() {
-        let mut c = lib.wire_cap(net_sinks.len());
-        for sink in net_sinks {
-            match *sink {
-                netlist::ir::Sink::Pin { gate, .. } => {
-                    let k = nl.gate(gate).kind;
-                    c += lib.input_cap(k.cell_type, k.drive);
-                }
-                netlist::ir::Sink::Output(_) => c += lib.output_load(),
-            }
+    loads(nl, lib, &nl.fanout())
+}
+
+/// Each net's load: wire capacitance for its fanout, then its sinks' pin
+/// capacitances (and the output load per primary output) added in fanout
+/// order — gates by index, pins in order, then primary outputs.
+fn loads(nl: &Netlist, lib: &Library, fanout: &Fanout) -> Vec<f64> {
+    let mut load: Vec<f64> = fanout
+        .rows()
+        .map(|sinks| lib.wire_cap(sinks.len()))
+        .collect();
+    for (_, gate) in nl.gates() {
+        let cap = lib.input_cap(gate.kind.cell_type, gate.kind.drive);
+        for &net in gate.inputs() {
+            load[net.index()] += cap;
         }
-        load[net_idx] = c;
+    }
+    for &po in nl.outputs() {
+        load[po.index()] += lib.output_load();
     }
     load
 }
@@ -108,15 +120,28 @@ pub fn net_loads(nl: &Netlist, lib: &Library) -> Vec<f64> {
 ///
 /// The target only affects required times (and hence slacks); arrival times
 /// and the critical delay are target-independent.
+///
+/// # Panics
+///
+/// Panics unless `cons.input_arrivals` holds one value or one per primary
+/// input.
 pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f64) -> TimingReport {
-    let load = net_loads(nl, lib);
+    let arrivals = cons.input_arrivals.len();
+    assert!(
+        arrivals == 1 || arrivals == nl.inputs().len(),
+        "input_arrivals has {arrivals} entries; the netlist has {} primary inputs \
+         (give 1 or one per input)",
+        nl.inputs().len()
+    );
+    let fanout = nl.fanout();
+    let load = loads(nl, lib, &fanout);
+    let order = nl.topo_order_with(&fanout);
     let mut arrival = vec![0.0f64; nl.num_nets()];
     // Primary inputs: constraint arrival plus the input driver charging the
     // net's load.
     for (idx, &net) in nl.inputs().iter().enumerate() {
         arrival[net.index()] = cons.arrival_of(idx) + cons.input_resistance * load[net.index()];
     }
-    let order = nl.topo_order();
     for &gid in &order {
         let gate = nl.gate(gid);
         let k = gate.kind;
@@ -141,10 +166,10 @@ pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f6
     for &gid in order.iter().rev() {
         let gate = nl.gate(gid);
         let k = gate.kind;
-        let out_req = required[gate.output().index()];
+        let out = gate.output();
+        let out_req = required[out.index()];
         for (pin, &in_net) in gate.inputs().iter().enumerate() {
-            let d = lib.arc_delay(k.cell_type, k.drive, pin, load[gate.output().index()]);
-            let r = out_req - d;
+            let r = out_req - lib.arc_delay(k.cell_type, k.drive, pin, load[out.index()]);
             if r < required[in_net.index()] {
                 required[in_net.index()] = r;
             }
@@ -306,6 +331,24 @@ mod tests {
         let dr = analyze(&ripple, &lib, &cons, 1.0).critical_delay;
         let ds = analyze(&sk, &lib, &cons, 1.0).critical_delay;
         assert!(dr > ds, "ripple {dr} should be slower than sklansky {ds}");
+    }
+
+    #[test]
+    #[should_panic(expected = "input_arrivals has 3 entries; the netlist has 16 primary inputs")]
+    fn too_few_arrivals_are_rejected() {
+        let lib = lib();
+        let nl = adder::generate(&structures::kogge_stone(8));
+        let cons = TimingConstraints::with_arrivals(&lib, vec![0.0; 3]);
+        analyze(&nl, &lib, &cons, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "input_arrivals has 17 entries; the netlist has 16 primary inputs")]
+    fn too_many_arrivals_are_rejected() {
+        let lib = lib();
+        let nl = adder::generate(&structures::kogge_stone(8));
+        let cons = TimingConstraints::with_arrivals(&lib, vec![0.0; 17]);
+        analyze(&nl, &lib, &cons, 1.0);
     }
 
     #[test]

@@ -3,35 +3,17 @@
 //! optimizer transform must preserve logic while respecting the area-delay
 //! trade-off.
 
+mod common;
+
 use netlist::{adder, sim, Library};
-use prefix_graph::{Action, Node, PrefixGraph};
+use prefix_graph::PrefixGraph;
 use proptest::prelude::*;
 use synth::optimizer::{optimize, OptimizerConfig};
 use synth::sta::{self, TimingConstraints};
 use synth::sweep::{sweep_graph, SweepConfig};
 
-/// Random legal graph via a toggle walk from ripple.
 fn graph_strategy() -> impl Strategy<Value = PrefixGraph> {
-    (6u16..=14)
-        .prop_flat_map(|n| {
-            let pos = (2u16..n).prop_flat_map(move |m| (Just(m), 1u16..m));
-            (Just(n), proptest::collection::vec(pos, 0..30))
-        })
-        .prop_map(|(n, walk)| {
-            let mut g = PrefixGraph::ripple(n);
-            for (m, l) in walk {
-                let node = Node::new(m, l);
-                let action = if g.can_add(node) {
-                    Action::Add(node)
-                } else if g.is_deletable(node) {
-                    Action::Delete(node)
-                } else {
-                    continue;
-                };
-                g.apply(action).expect("legal");
-            }
-            g
-        })
+    common::graph_strategy(6..=14)
 }
 
 proptest! {
