@@ -2,9 +2,10 @@
 //! samples/sec across `nn::compute` thread counts, against the pre-PR
 //! naive single-thread conv path (preserved in `nn::compute::reference`),
 //! plus raw-GEMM GFLOP/s of all three kernels (`gemm`, `gemm_at_b`,
-//! `gemm_a_bt`) for the SIMD lane tier vs the blocked scalar engine vs the
-//! naive reference (with a bitwise SIMD/scalar identity check on every
-//! row). Dumps `BENCH_nn.json` at the workspace root.
+//! `gemm_a_bt`) at each vector width the CPU has vs the blocked scalar
+//! engine vs the naive reference (with a bitwise vector/scalar identity
+//! check on every row), and the small(16) gradient step at every kernel
+//! tier. Dumps `BENCH_nn.json` at the workspace root.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench nn_throughput
@@ -12,7 +13,7 @@
 //! ```
 
 use nn::compute::{self, reference, ThreadPool};
-use nn::simd;
+use nn::simd::{self, Tier};
 use prefixrl_bench as support;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use rand::prelude::*;
@@ -153,9 +154,42 @@ const GEMM_A_BT: Kernel = Kernel {
     reference: reference::gemm_a_bt,
 };
 
-/// Raw-GEMM GFLOP/s of the SIMD lane tier vs the scalar engine vs the
+/// Every tier this CPU runs, scalar first, with its GEMM lane width (0
+/// for scalar).
+fn tiers() -> Vec<(Tier, usize)> {
+    [(Tier::Scalar, 0), (Tier::Avx, 8), (Tier::Avx512, 16)]
+        .into_iter()
+        .filter(|&(tier, _)| simd::cpu_tier() >= tier)
+        .collect()
+}
+
+/// Rounds a comparison across tiers is split into, the tiers alternating
+/// within each, so a swing in a shared host's speed reaches every tier
+/// alike; each tier reports its fastest round. (Timed back to back, one
+/// tier per block, the 8- and 16-lane rows of one product swapped order
+/// between runs on a 2-vCPU VM.)
+const ROUNDS: usize = 5;
+
+/// Seconds per call of `run` at each tier: the fastest of [`ROUNDS`]
+/// alternating rounds of `min_secs / ROUNDS` each. `run` receives the tier
+/// index and is called with that tier set; the cap is restored after.
+fn time_tiers(tiers: &[(Tier, usize)], min_secs: f64, mut run: impl FnMut(usize)) -> Vec<f64> {
+    let saved_tier = simd::max_tier();
+    let mut best = vec![f64::MAX; tiers.len()];
+    for _ in 0..ROUNDS {
+        for (i, &(tier, _)) in tiers.iter().enumerate() {
+            simd::set_max_tier(tier);
+            best[i] = best[i].min(time_per_call(|| run(i), min_secs / ROUNDS as f64));
+        }
+    }
+    simd::set_max_tier(saved_tier);
+    best
+}
+
+/// Raw-GEMM GFLOP/s of each vector width vs the scalar engine vs the
 /// naive reference for one kernel at one shape, across thread counts,
-/// verifying bitwise SIMD/scalar identity at each. The reference kernel
+/// verifying bitwise vector/scalar identity at each: one row per width
+/// the CPU has. The reference kernel
 /// (single-threaded by construction) is measured once per shape.
 fn gemm_rows(
     kernel: &Kernel,
@@ -176,44 +210,93 @@ fn gemm_rows(
         },
         min_secs,
     );
-    let simd_was_on = simd::enabled();
+    let tiers = tiers();
     let mut rows = Vec::new();
     for (ti, &threads) in threads_list.iter().enumerate() {
         let pool = ThreadPool::new(threads);
-        let mut measure = |vectors: bool| {
-            simd::set_enabled(vectors);
-            let secs = time_per_call(
-                || {
-                    c.fill(0.0);
-                    (kernel.engine)(&pool, m, k, n, &a, &b, &mut c);
-                    std::hint::black_box(&c);
-                },
-                min_secs,
-            );
-            (flops / secs / 1e9, c.clone())
-        };
-        let (scalar_gflops, scalar_c) = measure(false);
-        let (simd_gflops, simd_c) = measure(true);
-        rows.push(support::GemmRow {
-            kernel: kernel.name,
-            m,
-            k,
-            n,
-            threads,
-            // The reference kernel has no threading axis; report it on
-            // the first row of the shape only.
-            reference_gflops: if ti == 0 {
-                flops / reference_secs / 1e9
-            } else {
-                0.0
-            },
-            scalar_gflops,
-            simd_gflops,
-            bit_identical: scalar_c == simd_c,
+        let mut outputs = vec![Vec::new(); tiers.len()];
+        let secs = time_tiers(&tiers, min_secs, |i| {
+            c.fill(0.0);
+            (kernel.engine)(&pool, m, k, n, &a, &b, &mut c);
+            std::hint::black_box(&c);
+            outputs[i].clone_from(&c);
         });
+        for (i, &(_, lanes)) in tiers.iter().enumerate().skip(1) {
+            rows.push(support::GemmRow {
+                kernel: kernel.name,
+                m,
+                k,
+                n,
+                threads,
+                lanes,
+                // The reference kernel has no threading axis; report it on
+                // the first thread count of the shape only.
+                reference_gflops: if ti == 0 {
+                    flops / reference_secs / 1e9
+                } else {
+                    0.0
+                },
+                scalar_gflops: flops / secs[0] / 1e9,
+                simd_gflops: flops / secs[i] / 1e9,
+                bit_identical: outputs[0] == outputs[i],
+            });
+        }
     }
-    simd::set_enabled(simd_was_on);
     rows
+}
+
+/// One small(16) gradient step — training forward, backward and Adam at
+/// batch 16, one thread — at every tier the CPU has. Each tier also takes
+/// one step from a fresh network, whose parameters must match the scalar
+/// tier's bit for bit.
+fn grad_step_rows(min_secs: f64) -> Vec<support::GradStepRow> {
+    let cfg = QNetConfig::small(16);
+    let batch = 16;
+    let feat = 4 * cfg.n as usize * cfg.n as usize;
+    let mut rng = StdRng::seed_from_u64(31);
+    let states: Vec<Vec<f32>> = (0..batch)
+        .map(|_| (0..feat).map(|_| f32::from(rng.random::<bool>())).collect())
+        .collect();
+    let refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
+    let saved_threads = compute::threads();
+    compute::set_threads(1);
+    let tiers = tiers();
+    let mut grad = vec![vec![[0.0f32; 2]; PrefixQNet::new(&cfg).num_actions()]; batch];
+    for row in &mut grad {
+        row[3] = [0.01, -0.01];
+    }
+    // One network per tier, each checked after one step from the same
+    // initialization, then timed on.
+    let saved_tier = simd::max_tier();
+    let mut nets: Vec<PrefixQNet> = tiers
+        .iter()
+        .map(|&(tier, _)| {
+            simd::set_max_tier(tier);
+            let mut q = PrefixQNet::new(&cfg);
+            q.forward(&refs, true);
+            q.apply_gradient(&grad);
+            q
+        })
+        .collect();
+    simd::set_max_tier(saved_tier);
+    let params: Vec<_> = nets.iter_mut().map(|q| q.state()).collect();
+    let secs = time_tiers(&tiers, min_secs, |i| {
+        std::hint::black_box(nets[i].forward(&refs, true));
+        nets[i].apply_gradient(&grad);
+    });
+    compute::set_threads(saved_threads);
+    tiers
+        .iter()
+        .zip(secs)
+        .zip(&params)
+        .map(|((&(tier, lanes), secs), p)| support::GradStepRow {
+            tier: format!("{tier:?}"),
+            lanes,
+            batch,
+            step_us: secs * 1e6,
+            bit_identical: *p == params[0],
+        })
+        .collect()
 }
 
 fn main() {
@@ -226,10 +309,11 @@ fn main() {
         ("small(16)", QNetConfig::small(16)),
     ];
     println!(
-        "nn_throughput (batch {batch}, host cpus {}, simd compiled: {}, enabled: {})\n",
+        "nn_throughput (batch {batch}, host cpus {}, simd compiled: {}, cpu tier: {:?}, tier: {:?})\n",
         std::thread::available_parallelism().map_or(1, |p| p.get()),
         simd::compiled(),
-        simd::enabled(),
+        simd::cpu_tier(),
+        simd::tier(),
     );
 
     // Raw GEMM kernels first: the paper-scale im2col product (one 5×5
@@ -241,8 +325,18 @@ fn main() {
     // convolutions. Only `gemm` has a row-parallel entry point, so the
     // backward kernels are timed on one thread.
     println!(
-        "{:>10} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "kernel", "m", "k", "n", "threads", "ref", "scalar", "simd", "simd/ref", "bitexact"
+        "{:>10} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9}",
+        "kernel",
+        "m",
+        "k",
+        "n",
+        "threads",
+        "lanes",
+        "ref",
+        "scalar",
+        "simd",
+        "simd/ref",
+        "bitexact"
     );
     let mut gemm_table = Vec::new();
     let serial = [1usize];
@@ -259,12 +353,13 @@ fn main() {
         let reference = rows[0].reference_gflops;
         for r in &rows {
             println!(
-                "{:>10} {:>6} {:>6} {:>6} {:>8} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
+                "{:>10} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
                 r.kernel,
                 r.m,
                 r.k,
                 r.n,
                 r.threads,
+                r.lanes,
                 reference,
                 r.scalar_gflops,
                 r.simd_gflops,
@@ -274,6 +369,23 @@ fn main() {
             assert!(r.bit_identical, "SIMD diverged from scalar at {r:?}");
         }
         gemm_table.extend(rows);
+    }
+    println!();
+
+    println!(
+        "{:>8} {:>6} {:>6} {:>12} {:>9}",
+        "tier", "lanes", "batch", "step us", "bitexact"
+    );
+    let grad_steps = grad_step_rows(min_secs);
+    for r in &grad_steps {
+        println!(
+            "{:>8} {:>6} {:>6} {:>12.1} {:>9}",
+            r.tier, r.lanes, r.batch, r.step_us, r.bit_identical
+        );
+        assert!(
+            r.bit_identical,
+            "gradient step diverged from scalar at {r:?}"
+        );
     }
     println!();
 
@@ -357,5 +469,5 @@ fn main() {
         }
     }
     compute::set_threads(saved_threads);
-    support::write_bench_nn(batch, &rows, &gemm_table);
+    support::write_bench_nn(batch, &rows, &gemm_table, &grad_steps);
 }

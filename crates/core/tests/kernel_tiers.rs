@@ -4,12 +4,15 @@
 //! scalar twin; this checks what those guarantees add up to. A training
 //! run long enough to take gradient steps (past `min_replay`) must produce
 //! the same losses, the same design pool and the same network, bit for
-//! bit, with the AVX tier on and off. One test in its own binary, because
-//! `nn::simd::set_enabled` is process-wide.
+//! bit, at every tier the CPU has: sixteen lanes, eight lanes and scalar.
+//! One test in its own binary, because `nn::simd::set_max_tier` is
+//! process-wide.
 
+use nn::simd::{self, Tier};
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::experiment::NullObserver;
 use prefixrl_core::task::{Adder, TaskEvaluator};
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// What one training run leaves behind, as bits.
@@ -21,8 +24,13 @@ struct Run {
     net_digest: u64,
 }
 
-fn train(simd_on: bool, steps: u64) -> Run {
-    nn::simd::set_enabled(simd_on);
+fn train(tier: Tier, steps: u64) -> Run {
+    simd::set_max_tier(tier);
+    assert_eq!(
+        simd::tier(),
+        tier,
+        "the CPU must support the tier trained at"
+    );
     let cfg = AgentConfig::small(16, 0.5, steps);
     let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
     lp.run_to_completion(0, &mut NullObserver);
@@ -44,11 +52,29 @@ fn training_is_bit_identical_with_vector_kernels_on_and_off() {
     let steps = 260;
     let min_replay = AgentConfig::small(16, 0.5, steps).dqn.min_replay as u64;
     assert!(steps > min_replay, "the run must reach gradient steps");
-    let vector = train(true, steps);
-    let scalar = train(false, steps);
-    nn::simd::set_enabled(true);
-    assert!(!vector.losses.is_empty(), "no gradient step was taken");
-    assert_eq!(vector.losses, scalar.losses, "losses diverged");
-    assert_eq!(vector.designs, scalar.designs, "design pools diverged");
-    assert_eq!(vector.net_digest, scalar.net_digest, "networks diverged");
+    let saved = simd::max_tier();
+    let scalar = train(Tier::Scalar, steps);
+    assert!(!scalar.losses.is_empty(), "no gradient step was taken");
+    for tier in [Tier::Avx, Tier::Avx512] {
+        if simd::cpu_tier() < tier {
+            // Straight to the stream, past the harness's output capture:
+            // a skipped leg must show in every run's log.
+            let _ = writeln!(
+                std::io::stderr(),
+                "kernel_tiers: this CPU lacks {tier:?}; its leg was skipped"
+            );
+            continue;
+        }
+        let vector = train(tier, steps);
+        assert_eq!(vector.losses, scalar.losses, "losses diverged at {tier:?}");
+        assert_eq!(
+            vector.designs, scalar.designs,
+            "design pools diverged at {tier:?}"
+        );
+        assert_eq!(
+            vector.net_digest, scalar.net_digest,
+            "networks diverged at {tier:?}"
+        );
+    }
+    simd::set_max_tier(saved);
 }

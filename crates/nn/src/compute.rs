@@ -6,7 +6,8 @@
 //! here. They are register-tiled (`MR`-row accumulator tiles) and
 //! cache-blocked (`KC`/`NC` panels); when the (default-on) `simd` feature
 //! is active and the CPU has AVX, every tile runs on one shared
-//! [`crate::simd`] microkernel (the `avx` submodule) — but all keep one
+//! [`crate::simd`] microkernel (the `avx` submodule, at eight or sixteen
+//! lanes by [`crate::simd::tier`]) — but all keep one
 //! hard invariant: **every output element
 //! accumulates its products in ascending-`k` order, one product at a
 //! time** — exactly the order of the scalar reference kernels in
@@ -256,10 +257,12 @@ impl Scratch {
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx;
 
-/// Rows per register tile, in both tiers: the AVX microkernel keeps six
-/// rows of two [`crate::simd::F32x8`] accumulators (twelve of the sixteen
-/// vector registers, leaving room for two `B` vectors and the `A`
-/// broadcast). Row-parallel panels split on multiples of it.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use crate::simd::Tier;
+
+/// Rows per scalar register tile, and the multiple row-parallel panels
+/// split on (the 8-lane vector tile's height; the 16-lane tile is twice
+/// it, so panel boundaries fall on its half-tiles).
 const MR: usize = 6;
 /// Columns per scalar register tile.
 const NR: usize = 8;
@@ -271,10 +274,10 @@ const NC: usize = 1024;
 /// `C[m,n] += A[m,k] · B[k,n]`, all row-major.
 ///
 /// Bit-identical to [`reference::gemm`]: each `C[i,j]` receives its `k`
-/// products one at a time in ascending-`k` order. With [`crate::simd`]
-/// enabled every tile, ragged edges included, runs on the AVX
-/// microkernel — lanes span output columns, so the per-element order is
-/// untouched.
+/// products one at a time in ascending-`k` order. At a vector
+/// [`crate::simd::tier`] every tile, ragged edges included, runs on the
+/// vector microkernel at the widest width the tier allows — lanes span
+/// output columns, so the per-element order is untouched.
 ///
 /// # Panics
 ///
@@ -282,10 +285,10 @@ const NC: usize = 1024;
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::enabled() {
-        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
-        // were asserted above.
-        unsafe { avx::gemm(m, k, n, a, b, c) };
+    if let tier @ (Tier::Avx | Tier::Avx512) = crate::simd::tier() {
+        // SAFETY: `simd::tier()` reports only tiers CPUID supports; the
+        // lengths were asserted above.
+        unsafe { avx::gemm(tier, m, k, n, a, b, c) };
         return;
     }
     gemm_scalar(m, k, n, a, b, c)
@@ -363,9 +366,10 @@ fn tile_ab(
 /// Bit-identical to [`reference::gemm_a_bt`]: each element's dot product
 /// accumulates from zero in ascending-`k` order and is then added to `C`
 /// once — so the full `k` extent stays in the register tile (no k-panel
-/// blocking, which would split that single add). The AVX path transposes
-/// sixteen `B` rows at a time into a `k`×16 panel and runs the same
-/// microkernel as [`gemm`] in its dot-then-add mode.
+/// blocking, which would split that single add). The vector path
+/// transposes sixteen `B` rows at a time into a `k`×16 panel and runs the
+/// same microkernel as [`gemm`] in its dot-then-add mode: 6×16 tiles at
+/// eight lanes, 12×16 at sixteen (DESIGN.md §14).
 ///
 /// # Panics
 ///
@@ -373,10 +377,10 @@ fn tile_ab(
 pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::enabled() {
-        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
-        // were asserted above.
-        unsafe { avx::gemm_a_bt(m, k, n, a, b, c) };
+    if let tier @ (Tier::Avx | Tier::Avx512) = crate::simd::tier() {
+        // SAFETY: `simd::tier()` reports only tiers CPUID supports; the
+        // lengths were asserted above.
+        unsafe { avx::gemm_a_bt(tier, m, k, n, a, b, c) };
         return;
     }
     gemm_a_bt_scalar(m, k, n, a, b, c)
@@ -434,8 +438,8 @@ fn gemm_a_bt_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
 /// `C[m,n] += Aᵀ · B` where `A` is `[k,m]` and `B` is `[k,n]`, row-major.
 ///
 /// Bit-identical to [`reference::gemm_at_b`]: each product is added
-/// directly into its `C` element in ascending-`k` order. The AVX path is
-/// [`gemm`]'s register tile reading `A` k-major (row stride 1, k stride
+/// directly into its `C` element in ascending-`k` order. The vector path
+/// is [`gemm`]'s register tile reading `A` k-major (row stride 1, k stride
 /// `m`), so each `C` tile is loaded and stored once per k-block instead of
 /// once per `k` as in the axpy form of the scalar twin.
 ///
@@ -443,13 +447,47 @@ fn gemm_a_bt_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
 ///
 /// Panics if a slice is shorter than its `m`/`k`/`n` extent.
 pub fn gemm_at_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_at_b_impl(m, k, n, a, b, c, false);
+}
+
+/// `C[m,n] = Aᵀ · B`: [`gemm_at_b`] into a `C` whose old contents are
+/// ignored. Bitwise what [`gemm_at_b`] adds into a `+0.0`-filled `C` — the
+/// same `+0.0` starts the same sum — without a pass that fills it: the
+/// vector path starts its first k-block's tiles from zero instead of
+/// loading `C`.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its `m`/`k`/`n` extent.
+pub fn gemm_at_b_from_zero(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_at_b_impl(m, k, n, a, b, c, true);
+}
+
+/// [`gemm_at_b`], or with `zero_start` [`gemm_at_b_from_zero`].
+fn gemm_at_b_impl(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    zero_start: bool,
+) {
     assert!(a.len() >= k * m && b.len() >= k * n && c.len() >= m * n);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::enabled() {
-        // SAFETY: `simd::enabled()` requires AVX in CPUID; the lengths
-        // were asserted above.
-        unsafe { avx::gemm_at_b(m, k, n, a, b, c) };
+    if zero_start && k == 0 {
+        c[..m * n].fill(0.0);
         return;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let tier @ (Tier::Avx | Tier::Avx512) = crate::simd::tier() {
+        // SAFETY: `simd::tier()` reports only tiers CPUID supports; the
+        // lengths were asserted and `k > 0` under `zero_start` checked
+        // above.
+        unsafe { avx::gemm_at_b(tier, m, k, n, a, b, c, zero_start) };
+        return;
+    }
+    if zero_start {
+        c[..m * n].fill(0.0);
     }
     gemm_at_b_scalar(m, k, n, a, b, c)
 }

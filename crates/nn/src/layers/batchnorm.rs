@@ -25,6 +25,10 @@ pub struct BatchNorm2d {
     xhat: Vec<f32>,
     inv_std: Vec<f32>,
     cached_shape: [usize; 4],
+    // Per-channel f64 sums of the last pass (reused, so training allocates
+    // nothing): Σx and Σx² forward, Σdy and Σdy·x̂ backward.
+    sum_a: Vec<f64>,
+    sum_ab: Vec<f64>,
 }
 
 impl BatchNorm2d {
@@ -41,6 +45,8 @@ impl BatchNorm2d {
             xhat: Vec::new(),
             inv_std: Vec::new(),
             cached_shape: [0; 4],
+            sum_a: Vec::new(),
+            sum_ab: Vec::new(),
         }
     }
 
@@ -120,17 +126,21 @@ impl Layer for BatchNorm2d {
         self.xhat.resize(x.len(), 0.0);
         self.inv_std.resize(c, 0.0);
         self.cached_shape = x.shape();
+        self.sum_a.resize(c, 0.0);
+        self.sum_ab.resize(c, 0.0);
+        // Every channel's f64 statistics in one sequential chain over
+        // (sample, position) — the vector path runs channels side by side
+        // without reordering any of them.
+        simd::bn_channel_sums(
+            x.data(),
+            x.data(),
+            (n, c, plane),
+            &mut self.sum_a,
+            &mut self.sum_ab,
+        );
         for ci in 0..c {
             let (mean, var) = {
-                let mut sum = 0.0f64;
-                let mut sq = 0.0f64;
-                for s in 0..n {
-                    let base = (s * c + ci) * plane;
-                    for &v in &x.data()[base..base + plane] {
-                        sum += v as f64;
-                        sq += (v as f64) * (v as f64);
-                    }
-                }
+                let (sum, sq) = (self.sum_a[ci], self.sum_ab[ci]);
                 let mean = (sum / m as f64) as f32;
                 let var = ((sq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
                 self.running_mean[ci] =
@@ -145,8 +155,7 @@ impl Layer for BatchNorm2d {
             for s in 0..n {
                 let base = (s * c + ci) * plane;
                 // Vectorized normalize + xhat cache over the contiguous
-                // plane (the f64 statistics reductions above stay scalar:
-                // they are sequential sums whose order must not change).
+                // plane.
                 simd::bn_normalize_cache(
                     &x.data()[base..base + plane],
                     &mut out.data_mut()[base..base + plane],
@@ -175,17 +184,17 @@ impl Layer for BatchNorm2d {
         let plane = h * w;
         let m = (n * h * w) as f32;
         let mut grad_in = scratch.tensor(self.cached_shape);
+        self.sum_a.resize(c, 0.0);
+        self.sum_ab.resize(c, 0.0);
+        simd::bn_channel_sums(
+            grad_out.data(),
+            &self.xhat,
+            (n, c, plane),
+            &mut self.sum_a,
+            &mut self.sum_ab,
+        );
         for ci in 0..c {
-            let mut sum_dy = 0.0f64;
-            let mut sum_dy_xhat = 0.0f64;
-            for s in 0..n {
-                let base = (s * c + ci) * plane;
-                for i in base..base + plane {
-                    let dy = grad_out.data()[i] as f64;
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * self.xhat[i] as f64;
-                }
-            }
+            let (sum_dy, sum_dy_xhat) = (self.sum_a[ci], self.sum_ab[ci]);
             self.gamma.grad[ci] += sum_dy_xhat as f32;
             self.beta.grad[ci] += sum_dy as f32;
             let g = self.gamma.data[ci];
@@ -193,11 +202,13 @@ impl Layer for BatchNorm2d {
             let k = g * inv / m;
             for s in 0..n {
                 let base = (s * c + ci) * plane;
-                for i in base..base + plane {
-                    let dy = grad_out.data()[i];
-                    grad_in.data_mut()[i] =
-                        k * (m * dy - sum_dy as f32 - self.xhat[i] * sum_dy_xhat as f32);
-                }
+                simd::bn_backward_apply(
+                    &grad_out.data()[base..base + plane],
+                    &self.xhat[base..base + plane],
+                    &mut grad_in.data_mut()[base..base + plane],
+                    (k, m),
+                    (sum_dy as f32, sum_dy_xhat as f32),
+                );
             }
         }
         grad_in
@@ -293,6 +304,145 @@ mod tests {
         let bn = BatchNorm2d::new(3);
         let err = crate::gradcheck::check_layer(Box::new(bn), [2, 3, 3, 3], 5);
         assert!(err < 3e-2, "batchnorm gradient error {err}");
+    }
+
+    /// The pre-vectorization train-mode forward and backward loops, kept
+    /// verbatim as the oracle: one scalar f64 chain per channel and a
+    /// scalar elementwise backward. Returns `(out, xhat, running mean,
+    /// running var, γ grad, β grad, grad_in)`.
+    #[allow(clippy::type_complexity, clippy::needless_range_loop)]
+    fn reference_train_step(
+        x: &Tensor,
+        grad_out: &Tensor,
+        gamma: &[f32],
+        beta: &[f32],
+    ) -> (
+        Vec<f32>,
+        Vec<f32>,
+        Vec<f32>,
+        Vec<f32>,
+        Vec<f32>,
+        Vec<f32>,
+        Vec<f32>,
+    ) {
+        let [n, c, h, w] = x.shape();
+        let (momentum, eps) = (0.1f32, 1e-5f32);
+        let m = (n * h * w) as f32;
+        let plane = h * w;
+        let mut out = vec![0.0f32; x.len()];
+        let mut xhat = vec![0.0f32; x.len()];
+        let (mut running_mean, mut running_var) = (vec![0.0f32; c], vec![1.0f32; c]);
+        let mut inv_std = vec![0.0f32; c];
+        for ci in 0..c {
+            let (mean, var) = {
+                let mut sum = 0.0f64;
+                let mut sq = 0.0f64;
+                for s in 0..n {
+                    let base = (s * c + ci) * plane;
+                    for &v in &x.data()[base..base + plane] {
+                        sum += v as f64;
+                        sq += (v as f64) * (v as f64);
+                    }
+                }
+                let mean = (sum / m as f64) as f32;
+                let var = ((sq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
+                running_mean[ci] = (1.0 - momentum) * running_mean[ci] + momentum * mean;
+                running_var[ci] = (1.0 - momentum) * running_var[ci] + momentum * var;
+                (mean, var)
+            };
+            let inv = 1.0 / (var + eps).sqrt();
+            inv_std[ci] = inv;
+            for s in 0..n {
+                let base = (s * c + ci) * plane;
+                for i in base..base + plane {
+                    let h = (x.data()[i] - mean) * inv;
+                    xhat[i] = h;
+                    out[i] = gamma[ci] * h + beta[ci];
+                }
+            }
+        }
+        let (mut gamma_grad, mut beta_grad) = (vec![0.0f32; c], vec![0.0f32; c]);
+        let mut grad_in = vec![0.0f32; x.len()];
+        for ci in 0..c {
+            let mut sum_dy = 0.0f64;
+            let mut sum_dy_xhat = 0.0f64;
+            for s in 0..n {
+                let base = (s * c + ci) * plane;
+                for i in base..base + plane {
+                    let dy = grad_out.data()[i] as f64;
+                    sum_dy += dy;
+                    sum_dy_xhat += dy * xhat[i] as f64;
+                }
+            }
+            gamma_grad[ci] += sum_dy_xhat as f32;
+            beta_grad[ci] += sum_dy as f32;
+            let k = gamma[ci] * inv_std[ci] / m;
+            for s in 0..n {
+                let base = (s * c + ci) * plane;
+                for i in base..base + plane {
+                    let dy = grad_out.data()[i];
+                    grad_in[i] = k * (m * dy - sum_dy as f32 - xhat[i] * sum_dy_xhat as f32);
+                }
+            }
+        }
+        (
+            out,
+            xhat,
+            running_mean,
+            running_var,
+            gamma_grad,
+            beta_grad,
+            grad_in,
+        )
+    }
+
+    /// The channel-side-by-side reductions and the vectorized backward
+    /// reproduce the scalar loops bit for bit: one sample, planes that are
+    /// not a multiple of 4 or 8, channel counts that are not a multiple
+    /// of 4, and the Q-network's shape.
+    #[test]
+    fn train_step_matches_scalar_loops_bitwise() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(91);
+        for shape in [
+            [1, 1, 1, 1],
+            [1, 3, 3, 5],
+            [2, 5, 4, 4],
+            [3, 7, 2, 3],
+            [1, 8, 16, 16],
+            [4, 12, 5, 5],
+            [16, 12, 16, 16],
+        ] {
+            let len: usize = shape.iter().product();
+            // Magnitudes across 2^±20, so the f64 sums round and any
+            // change of summation order shows in their bits.
+            let mut rand_tensor = || {
+                let v = (0..len).map(|_| {
+                    (rng.random::<f32>() * 2.0 - 1.0) * 2f32.powi(rng.random_range(-20..20))
+                });
+                Tensor::from_vec(shape, v.collect())
+            };
+            let x = rand_tensor();
+            let grad_out = rand_tensor();
+            let mut bn = BatchNorm2d::new(shape[1]);
+            for (ci, (g, b)) in bn.gamma.data.iter_mut().zip(&mut bn.beta.data).enumerate() {
+                *g = 0.5 + ci as f32 * 0.25;
+                *b = ci as f32 * 0.1 - 0.3;
+            }
+            let (gamma, beta) = (bn.gamma.data.clone(), bn.beta.data.clone());
+            let (out, xhat, mean, var, gg, bg, gin) =
+                reference_train_step(&x, &grad_out, &gamma, &beta);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let y = bn.forward(&x, true);
+            let g = bn.backward(&grad_out);
+            assert_eq!(bits(y.data()), bits(&out), "out at {shape:?}");
+            assert_eq!(bits(&bn.xhat), bits(&xhat), "xhat at {shape:?}");
+            assert_eq!(bits(bn.running_mean()), bits(&mean), "mean at {shape:?}");
+            assert_eq!(bits(bn.running_var()), bits(&var), "var at {shape:?}");
+            assert_eq!(bits(&bn.gamma.grad), bits(&gg), "gamma grad at {shape:?}");
+            assert_eq!(bits(&bn.beta.grad), bits(&bg), "beta grad at {shape:?}");
+            assert_eq!(bits(g.data()), bits(&gin), "grad_in at {shape:?}");
+        }
     }
 
     #[test]

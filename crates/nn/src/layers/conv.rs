@@ -168,7 +168,8 @@ impl Conv2d {
         )
     }
 
-    /// ∂L/∂input, per sample (disjoint): dcol = Wᵀ·dY, dX = col2im(dcol).
+    /// ∂L/∂input, per sample (disjoint): dcol = Wᵀ·dY (overwriting the
+    /// previous sample's dcol), dX = col2im(dcol).
     fn input_grad(&self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
         let [n, oc, h, w] = grad_out.shape();
         let hw = h * w;
@@ -190,8 +191,7 @@ impl Conv2d {
                 let r = r.clone();
                 move || {
                     for (i, s) in r.clone().enumerate() {
-                        grad_col.fill(0.0);
-                        compute::gemm_at_b(
+                        compute::gemm_at_b_from_zero(
                             q,
                             oc,
                             hw,

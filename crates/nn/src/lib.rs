@@ -13,7 +13,7 @@
 //! parallelized over disjoint row/sample panels on scoped threads, with a
 //! fixed per-element reduction order so results are bit-identical with
 //! vectors on or off and at every thread count — see
-//! [`compute::set_threads`] and [`simd::set_enabled`]); transient buffers come
+//! [`compute::set_threads`] and [`simd::set_max_tier`]); transient buffers come
 //! from a reusable [`Scratch`] arena threaded through
 //! [`Layer::forward_with`]/[`Layer::backward_with`] so steady-state
 //! training allocates nothing; and inference has a dedicated fast path —

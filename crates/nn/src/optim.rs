@@ -71,9 +71,11 @@ impl Adam {
     ///
     /// # Errors
     ///
-    /// Fails if the moment tensor counts or any tensor length disagree
-    /// (state from a different architecture). An empty snapshot (optimizer
-    /// that never stepped) is always accepted.
+    /// Fails if the moment tensor counts or any tensor length disagree:
+    /// a second moment whose length differs from its first moment's, or
+    /// (state from a different architecture) first moments that do not fit
+    /// the tensors this optimizer tracks. An empty snapshot (optimizer that
+    /// never stepped) is always accepted.
     pub fn load_state(&mut self, state: &AdamState) -> Result<(), String> {
         if state.m.len() != state.v.len() {
             return Err(format!(
@@ -81,6 +83,16 @@ impl Adam {
                 state.m.len(),
                 state.v.len()
             ));
+        }
+        for (i, (m, v)) in state.m.iter().zip(&state.v).enumerate() {
+            if m.len() != v.len() {
+                return Err(format!(
+                    "inconsistent Adam state: moment {i} has {} first-moment values \
+                     but {} second-moment values",
+                    m.len(),
+                    v.len()
+                ));
+            }
         }
         if !self.m.is_empty() && !state.m.is_empty() {
             if self.m.len() != state.m.len() {
@@ -261,6 +273,40 @@ mod tests {
         assert!(adam.load_state(&bad).is_err());
         bad.v.pop();
         assert!(adam.load_state(&bad).is_err());
+    }
+
+    /// A stepped optimizer's state, for the validation tests.
+    fn stepped_adam() -> (Adam, AdamState) {
+        let mut lin = Linear::new(2, 2, 0);
+        let mut adam = Adam::new(0.05);
+        let y = lin.forward(&Tensor::ones([1, 2, 1, 1]), true);
+        let (_, g) = mse_loss_grad(&y, &Tensor::ones([1, 2, 1, 1]));
+        lin.backward(&g);
+        adam.step(&mut lin);
+        let state = adam.state();
+        (adam, state)
+    }
+
+    #[test]
+    fn adam_state_rejects_short_second_moment() {
+        let (mut adam, mut bad) = stepped_adam();
+        bad.v[1].pop();
+        let err = adam.load_state(&bad).unwrap_err();
+        assert!(err.contains("moment 1"), "{err}");
+        // Into a fresh optimizer too, which has no shapes of its own to
+        // compare against: the next `step` would index past the end.
+        let err = Adam::new(0.05).load_state(&bad).unwrap_err();
+        assert!(err.contains("moment 1"), "{err}");
+    }
+
+    #[test]
+    fn adam_state_rejects_missing_second_moment_tensor() {
+        let (mut adam, mut bad) = stepped_adam();
+        bad.v.pop();
+        let err = adam.load_state(&bad).unwrap_err();
+        assert!(err.contains("second moments"), "{err}");
+        let (_, good) = stepped_adam();
+        assert!(adam.load_state(&good).is_ok());
     }
 
     #[test]

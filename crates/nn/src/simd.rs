@@ -1,29 +1,30 @@
 //! Explicit f32 SIMD lanes for the compute engine (DESIGN.md §14).
 //!
-//! This module is the workspace's one home for vector intrinsics: a
-//! `compat`-style [`F32x8`] wrapper over the x86-64 AVX registers, the
-//! runtime dispatch switch ([`enabled`]/[`set_enabled`]), and the
-//! vectorized elementwise hot paths shared by the layers (LReLU, BN
-//! normalize, bias add, residual add). The GEMM microkernel in
-//! [`crate::compute`] builds on [`F32x8`] directly.
+//! This module is the workspace's one home for vector intrinsics: the
+//! `compat`-style lane wrappers [`F32x8`] (AVX `__m256`) and [`F32x16`]
+//! (AVX-512 `__m512`), the [`Lanes`] surface the GEMM microkernel in
+//! [`crate::compute`] is written against, the runtime dispatch ([`tier`],
+//! capped by [`set_max_tier`]), and the vectorized elementwise hot paths
+//! shared by the layers (LReLU, BN normalize and reductions, bias add,
+//! residual add), which run at eight lanes.
 //!
 //! # The bit-identity contract
 //!
 //! Every function here produces results **bit-identical** to its scalar
 //! fallback (and therefore to `compute::reference`), which is what lets
-//! the engine switch freely between vector and scalar paths — across
-//! machines, feature configurations, and the [`set_enabled`] override —
-//! without perturbing training trajectories or checkpoint resume. Three
-//! rules make that possible:
+//! the engine switch freely between tiers — across machines, feature
+//! configurations, and the [`set_max_tier`] cap — without perturbing
+//! training trajectories or checkpoint resume. Three rules make that
+//! possible:
 //!
 //! 1. **Lanes run across independent output elements, never across a
-//!    reduction.** A vectorized loop computes eight *separate* outputs per
-//!    instruction; per-element reduction order (ascending `k`, one product
-//!    at a time) is untouched.
+//!    reduction.** A vectorized loop computes eight (or sixteen)
+//!    *separate* outputs per instruction; per-element reduction order
+//!    (ascending `k`, one product at a time) is untouched.
 //! 2. **Multiply and add stay separate instructions.** FMA contracts
 //!    `a*b + c` into one rounding where the scalar code has two, which
-//!    changes low bits — so `_mm256_fmadd_ps` is banned from this
-//!    codebase even where the CPU offers it.
+//!    changes low bits — so `_mm256_fmadd_ps` and its 512-bit twin are
+//!    banned from this codebase even where the CPU offers them.
 //! 3. **Branch-free selects use exact multiplicative identities.** LReLU
 //!    becomes `x * s` with `s ∈ {1.0, α}`; `x * 1.0` is exact for every
 //!    finite and infinite `f32`, so the blend is bitwise equal to the
@@ -39,24 +40,24 @@
 //! # Dispatch
 //!
 //! The vector paths compile only under the (default-on) `simd` cargo
-//! feature on x86-64; at runtime they additionally require AVX in CPUID
-//! (cached on first query) and the process-wide [`set_enabled`] switch
-//! (default on, `PREFIXRL_NN_SIMD=0` clears it at startup — the same
-//! shape as the `PREFIXRL_NN_THREADS` budget). Everything falls back to
-//! the scalar forms otherwise, so non-x86 targets and `--no-default-
-//! features` builds are first-class, just slower.
+//! feature on x86-64. At runtime [`tier`] is the widest [`Tier`] the CPU
+//! supports (CPUID, cached on first query), capped process-wide by
+//! [`set_max_tier`]. The cap starts from `PREFIXRL_NN_SIMD`: `0` or `off`
+//! caps at [`Tier::Scalar`], `avx` at [`Tier::Avx`] (eight lanes even on
+//! an AVX-512 host) — the same shape as the `PREFIXRL_NN_THREADS` budget.
+//! Everything falls back to the scalar forms below AVX, so non-x86 targets
+//! and `--no-default-features` builds are first-class, just slower.
 //!
 //! # Adding a lane width
 //!
-//! Wider (or narrower) registers slot in as a sibling of [`F32x8`]: wrap
-//! the arch type, expose the same `splat`/`load`/`store`/`add`/`sub`/
-//! `mul`/`select_gt_zero` surface, keep multiply and add separate, and
-//! vectorize only across outputs. Any function obeying those rules is
-//! automatically bit-identical to the scalar fallback, so the parity
-//! suite (`tests/simd_parity.rs`) needs no new oracles — only new shape
-//! coverage for the added remainder widths.
+//! A width slots in as a sibling of [`F32x8`]: wrap the arch type,
+//! implement [`Lanes`] (no FMA), give it a [`Tier`], and vectorize only
+//! across outputs. Any function obeying those rules is automatically
+//! bit-identical to the scalar fallback, so the parity suite
+//! (`tests/simd_parity.rs`) needs no new oracles — only new shape coverage
+//! for the added remainder widths.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 // ------------------------------------------------------------- dispatch
@@ -64,42 +65,85 @@ use std::sync::OnceLock;
 /// Whether the vector paths were compiled in at all.
 const COMPILED: bool = cfg!(all(feature = "simd", target_arch = "x86_64"));
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn cpu_has_avx() -> bool {
-    static AVX: OnceLock<bool> = OnceLock::new();
-    *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+/// A kernel tier: the widest vectors the compute engine may use. Ordered
+/// from narrowest to widest, so a cap is a `min`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// No explicit vectors: the scalar fallbacks.
+    Scalar,
+    /// AVX, eight lanes ([`F32x8`]) everywhere.
+    Avx,
+    /// AVX-512F: sixteen lanes ([`F32x16`]) for the GEMM products that
+    /// measure faster at that width, eight for everything else.
+    Avx512,
 }
 
-fn force_scalar() -> &'static AtomicBool {
-    static FORCE: OnceLock<AtomicBool> = OnceLock::new();
-    FORCE.get_or_init(|| {
-        let off = std::env::var("PREFIXRL_NN_SIMD").is_ok_and(|v| v == "0" || v == "off");
-        AtomicBool::new(off)
-    })
+impl Tier {
+    fn from_u8(v: u8) -> Tier {
+        match v {
+            0 => Tier::Scalar,
+            1 => Tier::Avx,
+            _ => Tier::Avx512,
+        }
+    }
 }
 
-/// Whether the vector paths are active: compiled in (`simd` feature,
-/// x86-64), supported by the CPU (AVX), and not switched off via
-/// [`set_enabled`] or `PREFIXRL_NN_SIMD=0`.
-///
-/// Results are bit-identical either way; only throughput changes.
-pub fn enabled() -> bool {
+/// The widest tier this build and CPU support (CPUID, cached).
+pub fn cpu_tier() -> Tier {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        COMPILED && cpu_has_avx() && !force_scalar().load(Ordering::Relaxed)
+        static CPU: OnceLock<Tier> = OnceLock::new();
+        *CPU.get_or_init(|| {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                Tier::Avx512
+            } else if std::arch::is_x86_feature_detected!("avx") {
+                Tier::Avx
+            } else {
+                Tier::Scalar
+            }
+        })
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        false
+        Tier::Scalar
     }
 }
 
-/// Switches the vector paths on or off process-wide at runtime (used by
-/// the parity suite and the SIMD-vs-scalar benchmark rows to compare both
-/// engines in one process). A no-op when the paths are not compiled in or
-/// the CPU lacks AVX.
-pub fn set_enabled(on: bool) {
-    force_scalar().store(!on, Ordering::Relaxed);
+fn cap() -> &'static AtomicU8 {
+    static CAP: OnceLock<AtomicU8> = OnceLock::new();
+    CAP.get_or_init(|| {
+        let cap = match std::env::var("PREFIXRL_NN_SIMD").as_deref() {
+            Ok("0" | "off") => Tier::Scalar,
+            Ok("avx") => Tier::Avx,
+            _ => Tier::Avx512,
+        };
+        AtomicU8::new(cap as u8)
+    })
+}
+
+/// The tier the kernels run at: [`cpu_tier`] capped by [`max_tier`].
+///
+/// Results are bit-identical at every tier; only throughput changes.
+pub fn tier() -> Tier {
+    cpu_tier().min(max_tier())
+}
+
+/// The process-wide cap on [`tier`] (initially from `PREFIXRL_NN_SIMD`).
+pub fn max_tier() -> Tier {
+    Tier::from_u8(cap().load(Ordering::Relaxed))
+}
+
+/// Caps [`tier`] process-wide at runtime (used by the parity suites and
+/// the per-tier benchmark rows to compare every engine in one process).
+/// A cap above what the CPU supports leaves [`tier`] at [`cpu_tier`].
+pub fn set_max_tier(t: Tier) {
+    cap().store(t as u8, Ordering::Relaxed);
+}
+
+/// Whether the vector paths are active: [`tier`] is at least
+/// [`Tier::Avx`].
+pub fn enabled() -> bool {
+    tier() >= Tier::Avx
 }
 
 /// Whether the `simd` feature was compiled in for this target (reported
@@ -110,44 +154,109 @@ pub fn compiled() -> bool {
 
 // ------------------------------------------------------------ the lanes
 
-/// Eight f32 lanes over one AVX `__m256` register.
+/// The lane surface of the GEMM microkernel: the handful of operations it
+/// needs, implemented once per register width. Deliberately absent: any
+/// fused multiply-add (see the module docs).
 ///
 /// All methods are `unsafe` and `#[inline(always)]`: callers wrap their
-/// loops in an `#[target_feature(enable = "avx")]` function guarded by
-/// [`enabled`], and the methods inline into it so the compiler emits bare
-/// VEX instructions. Loads and stores are unaligned (`loadu`/`storeu`) —
-/// tensor rows have no alignment guarantee.
+/// loops in a `#[target_feature]` function for the implementing width, and
+/// the methods inline into it so the compiler emits bare vector
+/// instructions. Loads and stores are unaligned — tensor rows have no
+/// alignment guarantee.
 ///
-/// Deliberately absent: any fused multiply-add. See the module docs.
+/// # Safety
+///
+/// Every method requires the implementing width's CPU feature (AVX for
+/// [`F32x8`], AVX-512F for [`F32x16`]) and, for the pointer methods,
+/// [`Lanes::LANES`] readable or writable floats at the pointer.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub trait Lanes: Copy {
+    /// Lane count.
+    const LANES: usize;
+    /// All lanes `+0.0`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn zero() -> Self;
+    /// All lanes set to `v`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn splat(v: f32) -> Self;
+    /// Unaligned load of `LANES` floats at `src`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn load_ptr(src: *const f32) -> Self;
+    /// Unaligned store of `LANES` floats at `dst`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn store_ptr(self, dst: *mut f32);
+    /// Lanewise `self + rhs`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn add(self, rhs: Self) -> Self;
+    /// Lanewise `self * rhs` (a separate rounding from any following add —
+    /// never contracted to FMA).
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn mul(self, rhs: Self) -> Self;
+}
+
+/// Eight f32 lanes over one AVX `__m256` register: the [`Lanes`] surface
+/// plus the slice loads/stores, `sub`, select and transpose the
+/// elementwise paths use. Callers guard on [`enabled`] and run under
+/// `#[target_feature(enable = "avx")]`.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[derive(Clone, Copy, Debug)]
 pub struct F32x8(core::arch::x86_64::__m256);
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl F32x8 {
-    /// Lane count.
-    pub const LANES: usize = 8;
+impl Lanes for F32x8 {
+    const LANES: usize = 8;
 
-    /// All lanes set to `v`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX (call under `#[target_feature(enable = "avx")]`).
     #[inline(always)]
-    pub unsafe fn splat(v: f32) -> Self {
-        F32x8(core::arch::x86_64::_mm256_set1_ps(v))
-    }
-
-    /// All lanes zero.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[inline(always)]
-    pub unsafe fn zero() -> Self {
+    unsafe fn zero() -> Self {
         F32x8(core::arch::x86_64::_mm256_setzero_ps())
     }
 
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        F32x8(core::arch::x86_64::_mm256_set1_ps(v))
+    }
+
+    #[inline(always)]
+    unsafe fn load_ptr(src: *const f32) -> Self {
+        F32x8(core::arch::x86_64::_mm256_loadu_ps(src))
+    }
+
+    #[inline(always)]
+    unsafe fn store_ptr(self, dst: *mut f32) {
+        core::arch::x86_64::_mm256_storeu_ps(dst, self.0);
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        F32x8(core::arch::x86_64::_mm256_add_ps(self.0, rhs.0))
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        F32x8(core::arch::x86_64::_mm256_mul_ps(self.0, rhs.0))
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+impl F32x8 {
     /// Unaligned load of `src[0..8]`.
     ///
     /// # Safety
@@ -156,7 +265,7 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn load(src: &[f32]) -> Self {
         debug_assert!(src.len() >= Self::LANES);
-        F32x8(core::arch::x86_64::_mm256_loadu_ps(src.as_ptr()))
+        Self::load_ptr(src.as_ptr())
     }
 
     /// Unaligned store into `dst[0..8]`.
@@ -167,39 +276,7 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn store(self, dst: &mut [f32]) {
         debug_assert!(dst.len() >= Self::LANES);
-        core::arch::x86_64::_mm256_storeu_ps(dst.as_mut_ptr(), self.0);
-    }
-
-    /// Unaligned load of `src[0..8]` through a raw pointer — for the GEMM
-    /// microkernels, whose slice bounds are established once per tile so
-    /// the per-`k` loop carries no checks.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX and 8 readable floats at `src`.
-    #[inline(always)]
-    pub unsafe fn load_ptr(src: *const f32) -> Self {
-        F32x8(core::arch::x86_64::_mm256_loadu_ps(src))
-    }
-
-    /// Unaligned store of 8 lanes through a raw pointer.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX and 8 writable floats at `dst`.
-    #[inline(always)]
-    pub unsafe fn store_ptr(self, dst: *mut f32) {
-        core::arch::x86_64::_mm256_storeu_ps(dst, self.0);
-    }
-
-    /// Lanewise `self + rhs`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[inline(always)]
-    pub unsafe fn add(self, rhs: Self) -> Self {
-        F32x8(core::arch::x86_64::_mm256_add_ps(self.0, rhs.0))
+        self.store_ptr(dst.as_mut_ptr());
     }
 
     /// Lanewise `self - rhs`.
@@ -210,17 +287,6 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn sub(self, rhs: Self) -> Self {
         F32x8(core::arch::x86_64::_mm256_sub_ps(self.0, rhs.0))
-    }
-
-    /// Lanewise `self * rhs` (a separate rounding from any following add —
-    /// never contracted to FMA).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[inline(always)]
-    pub unsafe fn mul(self, rhs: Self) -> Self {
-        F32x8(core::arch::x86_64::_mm256_mul_ps(self.0, rhs.0))
     }
 
     /// Lanewise select: `if self > 0.0 { a } else { b }` (NaN lanes take
@@ -273,6 +339,49 @@ impl F32x8 {
             F32x8(_mm256_permute2f128_ps::<0x31>(s2, s6)),
             F32x8(_mm256_permute2f128_ps::<0x31>(s3, s7)),
         ]
+    }
+}
+
+/// Sixteen f32 lanes over one AVX-512 `__m512` register: the [`Lanes`]
+/// surface only, for the GEMM microkernel's wide tier. Callers guard on
+/// [`tier`] being [`Tier::Avx512`] and run under
+/// `#[target_feature(enable = "avx512f")]`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[derive(Clone, Copy, Debug)]
+pub struct F32x16(core::arch::x86_64::__m512);
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+impl Lanes for F32x16 {
+    const LANES: usize = 16;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        F32x16(core::arch::x86_64::_mm512_setzero_ps())
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        F32x16(core::arch::x86_64::_mm512_set1_ps(v))
+    }
+
+    #[inline(always)]
+    unsafe fn load_ptr(src: *const f32) -> Self {
+        F32x16(core::arch::x86_64::_mm512_loadu_ps(src))
+    }
+
+    #[inline(always)]
+    unsafe fn store_ptr(self, dst: *mut f32) {
+        core::arch::x86_64::_mm512_storeu_ps(dst, self.0);
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        F32x16(core::arch::x86_64::_mm512_add_ps(self.0, rhs.0))
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        F32x16(core::arch::x86_64::_mm512_mul_ps(self.0, rhs.0))
     }
 }
 
@@ -538,6 +647,195 @@ unsafe fn bn_normalize_cache_avx(
     bn_normalize_cache_scalar(&x[n..], &mut out[n..], &mut xhat[n..], mean, inv, g, b);
 }
 
+/// Per-channel f64 sums over an NCHW buffer of `n` samples, `c` channels
+/// and `plane` positions: `sum_a[ci] = Σ a` and `sum_ab[ci] = Σ a·b` (each
+/// factor widened to f64 first), over samples then positions in ascending
+/// order, from `+0.0` — one sequential chain per channel, exactly the
+/// batch-norm statistics loop. Pass `b = a` for `Σ a²`.
+///
+/// The vector path runs four channels side by side, one per f64 lane: it
+/// loads four positions of each channel, transposes the 4×4 block so each
+/// register holds the four channels at one position, and adds those
+/// registers in position order. Lanes span channels, never positions, so
+/// every channel keeps its scalar summation order.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its extent.
+pub fn bn_channel_sums(
+    a: &[f32],
+    b: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    sum_a: &mut [f64],
+    sum_ab: &mut [f64],
+) {
+    assert!(
+        a.len() >= n * c * plane
+            && b.len() >= n * c * plane
+            && sum_a.len() >= c
+            && sum_ab.len() >= c,
+        "length mismatch"
+    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if enabled() {
+        // SAFETY: `enabled()` is true only when CPUID reports AVX; the
+        // lengths were asserted above.
+        unsafe { bn_channel_sums_avx(a, b, (n, c, plane), sum_a, sum_ab) };
+        return;
+    }
+    bn_channel_sums_scalar(a, b, (n, c, plane), 0..c, sum_a, sum_ab)
+}
+
+fn bn_channel_sums_scalar(
+    a: &[f32],
+    b: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    channels: std::ops::Range<usize>,
+    sum_a: &mut [f64],
+    sum_ab: &mut [f64],
+) {
+    for ci in channels {
+        let (mut sa, mut sab) = (0.0f64, 0.0f64);
+        for s in 0..n {
+            let base = (s * c + ci) * plane;
+            for (&x, &y) in a[base..base + plane].iter().zip(&b[base..base + plane]) {
+                sa += x as f64;
+                sab += x as f64 * y as f64;
+            }
+        }
+        sum_a[ci] = sa;
+        sum_ab[ci] = sab;
+    }
+}
+
+/// Transposes a 4×4 f64 block held as four row registers (pure data
+/// movement): lane `j` of output `i` is lane `i` of input `j`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[inline(always)]
+unsafe fn transpose4_pd(r: [core::arch::x86_64::__m256d; 4]) -> [core::arch::x86_64::__m256d; 4] {
+    use core::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+    let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+    let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+    let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+    [
+        _mm256_permute2f128_pd::<0x20>(t0, t2),
+        _mm256_permute2f128_pd::<0x20>(t1, t3),
+        _mm256_permute2f128_pd::<0x31>(t0, t2),
+        _mm256_permute2f128_pd::<0x31>(t1, t3),
+    ]
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx")]
+unsafe fn bn_channel_sums_avx(
+    a: &[f32],
+    b: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    sum_a: &mut [f64],
+    sum_ab: &mut [f64],
+) {
+    use core::arch::x86_64::*;
+    // `b = a` (the forward's Σx²) needs no second load or transpose.
+    let square = std::ptr::eq(a.as_ptr(), b.as_ptr());
+    let p4 = plane / 4 * 4;
+    let groups = c / 4;
+    for c0 in (0..groups * 4).step_by(4) {
+        let (mut sa, mut sab) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for s in 0..n {
+            let base: [usize; 4] = std::array::from_fn(|j| (s * c + c0 + j) * plane);
+            let load = |src: &[f32], p: usize| -> [__m256d; 4] {
+                std::array::from_fn(|j| _mm256_cvtps_pd(_mm_loadu_ps(src[base[j] + p..].as_ptr())))
+            };
+            for p in (0..p4).step_by(4) {
+                let ta = transpose4_pd(load(a, p));
+                let tb = if square {
+                    ta
+                } else {
+                    transpose4_pd(load(b, p))
+                };
+                for (&va, &vb) in ta.iter().zip(&tb) {
+                    sa = _mm256_add_pd(sa, va);
+                    sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+                }
+            }
+            for p in p4..plane {
+                let at = |src: &[f32], j: usize| src[base[j] + p] as f64;
+                let va = _mm256_set_pd(at(a, 3), at(a, 2), at(a, 1), at(a, 0));
+                let vb = _mm256_set_pd(at(b, 3), at(b, 2), at(b, 1), at(b, 0));
+                sa = _mm256_add_pd(sa, va);
+                sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+            }
+        }
+        _mm256_storeu_pd(sum_a[c0..c0 + 4].as_mut_ptr(), sa);
+        _mm256_storeu_pd(sum_ab[c0..c0 + 4].as_mut_ptr(), sab);
+    }
+    bn_channel_sums_scalar(a, b, (n, c, plane), groups * 4..c, sum_a, sum_ab);
+}
+
+/// Batch-norm backward over one channel plane:
+/// `grad_in = k * ((m * dy - sum_dy) - xhat * sum_dy_xhat)` — the exact
+/// association of the scalar backward.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn bn_backward_apply(
+    dy: &[f32],
+    xhat: &[f32],
+    grad_in: &mut [f32],
+    (k, m): (f32, f32),
+    (sum_dy, sum_dy_xhat): (f32, f32),
+) {
+    assert!(
+        dy.len() == xhat.len() && dy.len() == grad_in.len(),
+        "length mismatch"
+    );
+    dispatch!(
+        bn_backward_apply_avx(dy, xhat, grad_in, (k, m), (sum_dy, sum_dy_xhat)),
+        bn_backward_apply_scalar
+    )
+}
+
+fn bn_backward_apply_scalar(
+    dy: &[f32],
+    xhat: &[f32],
+    grad_in: &mut [f32],
+    (k, m): (f32, f32),
+    (sum_dy, sum_dy_xhat): (f32, f32),
+) {
+    for ((&d, &h), g) in dy.iter().zip(xhat).zip(grad_in.iter_mut()) {
+        *g = k * (m * d - sum_dy - h * sum_dy_xhat);
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx")]
+unsafe fn bn_backward_apply_avx(
+    dy: &[f32],
+    xhat: &[f32],
+    grad_in: &mut [f32],
+    (k, m): (f32, f32),
+    (sum_dy, sum_dy_xhat): (f32, f32),
+) {
+    let (ks, ms) = (F32x8::splat(k), F32x8::splat(m));
+    let (sd, sdx) = (F32x8::splat(sum_dy), F32x8::splat(sum_dy_xhat));
+    let n = dy.len() / F32x8::LANES * F32x8::LANES;
+    for i in (0..n).step_by(F32x8::LANES) {
+        let (d, h) = (F32x8::load(&dy[i..]), F32x8::load(&xhat[i..]));
+        // Same association as the scalar form: k*(((m*dy)-sdy)-(xhat*sdx)).
+        ks.mul(ms.mul(d).sub(sd).sub(h.mul(sdx)))
+            .store(&mut grad_in[i..]);
+    }
+    bn_backward_apply_scalar(
+        &dy[n..],
+        &xhat[n..],
+        &mut grad_in[n..],
+        (k, m),
+        (sum_dy, sum_dy_xhat),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,17 +847,18 @@ mod tests {
 
     /// Every elementwise op, vector vs scalar path, across remainder
     /// lengths — bit-identical by contract. (One test body, because
-    /// [`set_enabled`] is process-global: splitting the toggling across
+    /// [`set_max_tier`] is process-global: splitting the toggling across
     /// concurrently-running `#[test]`s would race.)
     #[test]
     fn vector_paths_match_scalar_bitwise() {
         if !enabled() {
             return; // scalar-only build or CPU: nothing to compare
         }
-        set_enabled(false);
-        assert!(!enabled(), "set_enabled(false) must force the scalar path");
-        set_enabled(true);
-        assert!(enabled(), "set_enabled(true) must restore the vector path");
+        let saved = max_tier();
+        set_max_tier(Tier::Scalar);
+        assert!(!enabled(), "a Scalar cap must force the scalar path");
+        set_max_tier(Tier::Avx512);
+        assert!(enabled(), "lifting the cap must restore the vector path");
         let mut rng = StdRng::seed_from_u64(77);
         for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100] {
             let x = randv(&mut rng, len);
@@ -567,59 +866,59 @@ mod tests {
 
             let mut a = base.clone();
             let mut b = base.clone();
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             lrelu_apply(&mut a, 0.01);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             lrelu_apply(&mut b, 0.01);
             assert_eq!(a, b, "lrelu_apply len {len}");
 
             let (mut oa, mut ob) = (vec![0.0; len], vec![0.0; len]);
             let (mut sa, mut sb) = (vec![0.0; len], vec![0.0; len]);
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             lrelu_forward_scale(&x, &mut oa, &mut sa, 0.01);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             lrelu_forward_scale(&x, &mut ob, &mut sb, 0.01);
             assert_eq!(oa, ob, "lrelu fwd len {len}");
             assert_eq!(sa, sb, "lrelu scale len {len}");
 
             let mut a = base.clone();
             let mut b = base.clone();
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             mul_assign(&mut a, &x);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             mul_assign(&mut b, &x);
             assert_eq!(a, b, "mul_assign len {len}");
 
             let mut a = base.clone();
             let mut b = base.clone();
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             add_assign(&mut a, &x);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             add_assign(&mut b, &x);
             assert_eq!(a, b, "add_assign len {len}");
 
             let mut a = base.clone();
             let mut b = base.clone();
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             add_scalar(&mut a, 0.37);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             add_scalar(&mut b, 0.37);
             assert_eq!(a, b, "add_scalar len {len}");
 
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             bn_apply(&x, &mut oa, 0.1, 1.7, 0.9, -0.2);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             bn_apply(&x, &mut ob, 0.1, 1.7, 0.9, -0.2);
             assert_eq!(oa, ob, "bn_apply len {len}");
 
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
             bn_normalize_cache(&x, &mut oa, &mut sa, 0.1, 1.7, 0.9, -0.2);
-            set_enabled(false);
+            set_max_tier(Tier::Scalar);
             bn_normalize_cache(&x, &mut ob, &mut sb, 0.1, 1.7, 0.9, -0.2);
             assert_eq!(oa, ob, "bn_normalize out len {len}");
             assert_eq!(sa, sb, "bn_normalize xhat len {len}");
 
-            set_enabled(true);
+            set_max_tier(Tier::Avx512);
         }
 
         // NaN lanes (module docs, rule 3 caveat): both LReLU paths
@@ -628,13 +927,62 @@ mod tests {
         let mut a = vec![f32::NAN, -f32::NAN, -1.0, 2.0];
         a.resize(17, f32::NAN); // one full vector body plus a tail
         let mut b = a.clone();
-        set_enabled(true);
+        set_max_tier(Tier::Avx512);
         lrelu_apply(&mut a, 0.01);
-        set_enabled(false);
+        set_max_tier(Tier::Scalar);
         lrelu_apply(&mut b, 0.01);
-        set_enabled(true);
+        set_max_tier(saved);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b), "NaN lrelu_apply parity");
+    }
+
+    /// The batch-norm kernels against their scalar twins, called directly
+    /// (no global switch): channel counts on and off the 4-lane grouping,
+    /// planes with and without a tail, one sample and several.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn batchnorm_kernels_match_scalar_twins_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx") {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(79);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Magnitudes across 2^±20, so the f64 sums round and any change of
+        // summation order shows in their bits.
+        let mut wide = |len: usize| -> Vec<f32> {
+            let v = randv(&mut rng, len);
+            v.iter()
+                .map(|x| x * 2f32.powi(rng.random_range(-20..20)))
+                .collect()
+        };
+        for (n, c, plane) in [
+            (1, 1, 1),
+            (1, 4, 4),
+            (2, 5, 7),
+            (3, 8, 9),
+            (1, 12, 256),
+            (4, 13, 15),
+        ] {
+            let a = wide(n * c * plane);
+            let b = wide(n * c * plane);
+            for b in [&a, &b] {
+                let (mut sa, mut sab) = (vec![0.0; c], vec![0.0; c]);
+                let (mut ra, mut rab) = (vec![0.0; c], vec![0.0; c]);
+                // SAFETY: AVX was detected above; the slices hold n·c·plane
+                // floats and c sums.
+                unsafe { bn_channel_sums_avx(&a, b, (n, c, plane), &mut sa, &mut sab) };
+                bn_channel_sums_scalar(&a, b, (n, c, plane), 0..c, &mut ra, &mut rab);
+                assert_eq!(bits(&sa), bits(&ra), "Σa at {n}x{c}x{plane}");
+                assert_eq!(bits(&sab), bits(&rab), "Σab at {n}x{c}x{plane}");
+            }
+            let len = n * c * plane;
+            let (mut va, mut sc) = (vec![0.0; len], vec![0.0; len]);
+            let consts = ((0.37, len as f32), (-1.25, 0.625));
+            // SAFETY: as above; the three slices have equal lengths.
+            unsafe { bn_backward_apply_avx(&a, &b, &mut va, consts.0, consts.1) };
+            bn_backward_apply_scalar(&a, &b, &mut sc, consts.0, consts.1);
+            assert_eq!(va, sc, "bn backward at {n}x{c}x{plane}");
+        }
     }
 
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]

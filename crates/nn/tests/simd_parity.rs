@@ -1,27 +1,26 @@
 //! SIMD lane parity suite (DESIGN.md §14).
 //!
-//! The AVX kernel tier in `nn::simd`/`nn::compute` promises **bit-exact**
+//! The vector kernel tiers in `nn::simd`/`nn::compute` promise **bit-exact**
 //! agreement with the preserved naive kernels in `nn::compute::reference`
 //! at every lane width: lanes only span disjoint output elements, every
 //! element's `k`-reduction stays ascending and one-product-at-a-time, and
 //! no FMA contraction is emitted. These tests pin that contract across
 //! the places it could break:
 //!
-//! - lane-remainder shapes (`n % 8`, `n % 16`, `m % 6`, tiny `k`) where the
-//!   vector path runs partial tiles;
+//! - lane-remainder shapes (`n % 8`, `n % 16`, `n % 32`, `m % 6`,
+//!   `m % 12`, tiny `k`) where the vector path runs partial tiles;
 //! - cache-blocking boundaries (`k > KC`, `n > NC`) where packed panels
-//!   are stitched back together;
+//!   are stitched back together, and the zero-start product across them;
 //! - unaligned operands (subslices offset by one element — the kernels
-//!   must not assume 32-byte alignment);
+//!   must not assume 32- or 64-byte alignment);
 //! - full conv forward/backward through the layer stack;
 //! - thread-count invariance on top of lane invariance.
 //!
-//! Everything runs twice — vectors force-enabled and force-disabled via
-//! [`nn::simd::set_enabled`] — inside **one** test body: the switch is
-//! process-global, so concurrent `#[test]` threads toggling it would race.
-//! On builds without the `simd` feature (or without AVX) the toggle is a
-//! no-op and both passes exercise the scalar engine, so the suite is
-//! feature-portable by construction.
+//! Everything runs once per tier — sixteen lanes, eight lanes and scalar,
+//! capped via [`nn::simd::set_max_tier`] — inside **one** test body: the
+//! cap is process-global, so concurrent `#[test]` threads changing it
+//! would race. A tier the CPU (or build) lacks runs at the widest tier
+//! below it, so the suite is feature-portable by construction.
 
 use nn::compute::{self, reference, ThreadPool};
 use nn::{simd, Conv2d, Layer, Tensor};
@@ -35,7 +34,7 @@ fn filled(rng: &mut StdRng, len: usize) -> Vec<f32> {
 /// with operands deliberately offset one element from their allocation so
 /// nothing is 32-byte aligned.
 fn check_gemm_family(rng: &mut StdRng, m: usize, k: usize, n: usize) {
-    let ctx = format!("m={m} k={k} n={n} (simd enabled: {})", simd::enabled());
+    let ctx = format!("m={m} k={k} n={n} (tier {:?})", simd::tier());
     let a_buf = filled(rng, m * k + 1);
     let b_buf = filled(rng, k * n + 1);
     let (a, b) = (&a_buf[1..], &b_buf[1..]);
@@ -70,8 +69,8 @@ fn check_gemm_family(rng: &mut StdRng, m: usize, k: usize, n: usize) {
 /// preserved naive im2col path, bitwise.
 fn check_conv(rng: &mut StdRng, in_c: usize, out_c: usize, k: usize, h: usize, batch: usize) {
     let ctx = format!(
-        "conv {in_c}->{out_c} k{k} h{h} batch {batch} (simd enabled: {})",
-        simd::enabled()
+        "conv {in_c}->{out_c} k{k} h{h} batch {batch} (tier {:?})",
+        simd::tier()
     );
     let mut conv = Conv2d::new(in_c, out_c, k, 42);
     let mut p = Vec::new();
@@ -125,17 +124,55 @@ fn check_parallel(rng: &mut StdRng, m: usize, k: usize, n: usize) {
             c,
             serial,
             "parallel gemm diverged at m={m} k={k} n={n}, {threads} threads \
-             (simd enabled: {})",
-            simd::enabled()
+             (tier {:?})",
+            simd::tier()
         );
     }
 }
 
+/// `gemm_at_b_from_zero` over a `C` full of NaN must equal `gemm_at_b`
+/// into `+0.0`, bitwise: the zero start must overwrite every element in
+/// the first k-block and accumulate across the later ones.
+fn check_zero_start(rng: &mut StdRng, m: usize, k: usize, n: usize) {
+    let at = filled(rng, k * m);
+    let b = filled(rng, k * n);
+    let mut c = vec![f32::NAN; m * n];
+    let mut c_ref = vec![0.0f32; m * n];
+    compute::gemm_at_b_from_zero(m, k, n, &at, &b, &mut c);
+    reference::gemm_at_b(m, k, n, &at, &b, &mut c_ref);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&c),
+        bits(&c_ref),
+        "gemm_at_b_from_zero diverged at m={m} k={k} n={n} (tier {:?})",
+        simd::tier()
+    );
+}
+
 #[test]
 fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
-    for force_on in [true, false] {
-        simd::set_enabled(force_on);
-        let mut rng = StdRng::seed_from_u64(0x51_3D ^ force_on as u64);
+    let saved = simd::max_tier();
+    for tier in [simd::Tier::Avx512, simd::Tier::Avx, simd::Tier::Scalar] {
+        simd::set_max_tier(tier);
+        let mut rng = StdRng::seed_from_u64(0x51_3D ^ tier as u64);
+        // The 16-lane tile's edges: one, partial and ragged multiples of
+        // its 12 rows and 32 columns (and of the 8-lane tile's 6 and 16),
+        // with k starting, filling and crossing a KC=256 panel.
+        for &m in &[1usize, 6, 7, 11, 12, 13, 25, 300] {
+            for &k in &[12usize, 256, 257, 300] {
+                for &n in &[12usize, 16, 31, 32, 33, 300] {
+                    check_gemm_family(&mut rng, m, k, n);
+                }
+            }
+        }
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (13, 12, 33),
+            (300, 12, 256),
+            (25, 600, 31),
+        ] {
+            check_zero_start(&mut rng, m, k, n);
+        }
         // Degenerate and lane-remainder shapes: every combination of a
         // full/partial 6-row tile (one, two, and ragged multiples), full/
         // partial 8- and 16-column tiles, and k values that start,
@@ -181,7 +218,7 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
         }
         check_parallel(&mut rng, 23, 65, 130);
     }
-    simd::set_enabled(true);
+    simd::set_max_tier(saved);
 }
 
 #[test]
@@ -191,8 +228,9 @@ fn dispatch_reports_are_consistent() {
     if simd::enabled() {
         assert!(simd::compiled());
     }
+    assert!(simd::tier() <= simd::cpu_tier());
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     assert!(simd::compiled());
     #[cfg(not(feature = "simd"))]
-    assert!(!simd::compiled() && !simd::enabled());
+    assert!(!simd::compiled() && !simd::enabled() && simd::cpu_tier() == simd::Tier::Scalar);
 }
