@@ -83,47 +83,39 @@ fn main() {
     }
 
     // --- Async actor/learner throughput ----------------------------------
-    // Each actor count runs twice: greedy forwards routed through the
-    // cross-actor inference broker (one fused, memoized Q-network forward
-    // over the unique pending states per service cycle — the default) and
-    // per-actor. Each environment step is one policy decision, so
-    // env-steps/s is decisions/s. The analytical evaluator keeps this
-    // section *inference-bound* — it isolates the decision path the
-    // broker batches, where the synthesis sections above already measure
-    // the oracle-bound path. The learner stays idle (`train_every` 0): it
-    // keeps the serial runner's schedule, and at the default one gradient
-    // step per decision it, not the decision path, would bound the rows.
+    // Every actor's greedy forwards go through the cross-actor inference
+    // broker (one fused, memoized Q-network forward over the unique
+    // pending states per service cycle). Each environment step is one
+    // policy decision, so env-steps/s is decisions/s. The analytical
+    // evaluator keeps this section *inference-bound* — it isolates the
+    // decision path the broker batches, where the synthesis sections above
+    // already measure the oracle-bound path. The learner stays idle
+    // (`train_every` 0): it keeps the serial runner's schedule, and at the
+    // default one gradient step per decision it, not the decision path,
+    // would bound the rows.
     println!("\nasync actor/learner (paper Sec. IV-D architecture):");
     let mut rows = Vec::new();
     for actors in [1usize, 2, 4, 8] {
-        for broker in [false, true] {
-            let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
-            let mut cfg = AgentConfig::small(16, 0.5, steps);
-            cfg.train_every = 0;
-            let runner = AsyncRunner {
-                actors,
-                batched_inference: broker,
-            };
-            let t = Instant::now();
-            let result = runner.train(&cfg, ev.clone());
-            let steps_per_sec = steps as f64 / t.elapsed().as_secs_f64();
-            println!(
-                "  {actors} actors, broker {:>3}: {steps_per_sec:>6.1} decisions/s \
-                 ({} designs, hit rate {:.0}%)",
-                if broker { "on" } else { "off" },
-                result.designs.len(),
-                100.0 * ev.store().hit_rate(),
-            );
-            rows.push(support::ScalingRow {
-                actors,
-                broker,
-                envs_per_actor: cfg.envs_per_actor,
-                steps,
-                steps_per_sec,
-                cache_hit_rate: ev.store().hit_rate(),
-                designs: result.designs.len(),
-            });
-        }
+        let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
+        let mut cfg = AgentConfig::small(16, 0.5, steps);
+        cfg.train_every = 0;
+        let t = Instant::now();
+        let result = AsyncRunner::new(actors).train(&cfg, ev.clone());
+        let steps_per_sec = steps as f64 / t.elapsed().as_secs_f64();
+        println!(
+            "  {actors} actors: {steps_per_sec:>6.1} decisions/s \
+             ({} designs, hit rate {:.0}%)",
+            result.designs.len(),
+            100.0 * ev.store().hit_rate(),
+        );
+        rows.push(support::ScalingRow {
+            actors,
+            envs_per_actor: cfg.envs_per_actor,
+            steps,
+            steps_per_sec,
+            cache_hit_rate: ev.store().hit_rate(),
+            designs: result.designs.len(),
+        });
     }
     support::write_bench_scaling(16, &rows);
 }

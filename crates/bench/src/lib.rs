@@ -53,10 +53,6 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
 pub struct ScalingRow {
     /// Actor thread count.
     pub actors: usize,
-    /// Whether greedy forwards were batched through the cross-actor
-    /// inference broker (one fused forward per service cycle) or run
-    /// per-actor.
-    pub broker: bool,
     /// Environments stepped in lockstep per actor.
     pub envs_per_actor: usize,
     /// Environment steps executed.
@@ -79,7 +75,6 @@ pub fn write_bench_scaling(widths: u16, rows: &[ScalingRow]) {
         "n": widths,
         "rows": rows.iter().map(|r| serde_json::json!({
             "actors": r.actors,
-            "broker": r.broker,
             "envs_per_actor": r.envs_per_actor,
             "steps": r.steps,
             "steps_per_sec": r.steps_per_sec,

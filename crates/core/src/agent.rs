@@ -51,8 +51,9 @@ pub struct AgentConfig {
     /// runners follow it: the serial loop on its step index, the async
     /// learner on the transitions it has received.
     pub train_every: u64,
-    /// Environments each async actor steps in lockstep, batching its
-    /// Q-network forwards (the serial path always uses one).
+    /// Environments each async actor steps in lockstep; each decision
+    /// round sends their greedy states to the inference broker as one
+    /// request (the serial path always uses one environment).
     pub envs_per_actor: usize,
     /// Master seed.
     pub seed: u64,
@@ -434,27 +435,6 @@ impl TrainLoop {
         while self.step_once(run, observer) {}
     }
 
-    /// Runs until the step budget is exhausted or `cancel` fires, polling
-    /// the token between environment steps (a pause blocks right there
-    /// with no state lost). Returns `true` when the budget was exhausted,
-    /// `false` when stopped by cancellation — in which case the loop is
-    /// intact mid-run and [`TrainLoop::checkpoint`] captures it.
-    pub fn run_while(
-        &mut self,
-        run: usize,
-        observer: &mut dyn RunObserver,
-        cancel: &crate::experiment::CancelToken,
-    ) -> bool {
-        loop {
-            if cancel.wait_while_paused() {
-                return false;
-            }
-            if !self.step_once(run, observer) {
-                return true;
-            }
-        }
-    }
-
     /// Consumes the loop, yielding the trainer and the run record.
     pub fn into_parts(mut self) -> (DoubleDqn<PrefixQNet>, TrainResult) {
         if self.pending_initial_record {
@@ -593,26 +573,6 @@ mod tests {
         .expect("mismatch must fail");
         assert!(err.contains("task mismatch"), "{err}");
         assert!(err.contains("prefix-or") && err.contains("adder"), "{err}");
-    }
-
-    #[test]
-    fn run_while_polls_cancel_and_stays_checkpointable() {
-        use crate::experiment::CancelToken;
-        let cfg = AgentConfig::tiny(8, 0.5);
-        let eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(Adder));
-        let mut lp = TrainLoop::new(&cfg, Arc::clone(&eval));
-        // A pre-cancelled token stops before the first step.
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(!lp.run_while(0, &mut NullObserver, &token));
-        assert_eq!(lp.step(), 0);
-        // The stopped loop is intact: checkpoint + rebuild works mid-run.
-        let ckpt = lp.checkpoint();
-        let resumed = TrainLoop::from_checkpoint(&ckpt, Arc::clone(&eval)).unwrap();
-        assert_eq!(resumed.step(), 0);
-        // A live token lets the same loop run out its budget.
-        assert!(lp.run_while(0, &mut NullObserver, &CancelToken::new()));
-        assert!(lp.is_done());
     }
 
     #[test]

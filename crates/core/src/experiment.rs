@@ -473,47 +473,22 @@ impl Runner for SerialRunner {
             // Poll the token between steps: pause blocks right here (no
             // state is lost), cancel snapshots and stops exactly like a
             // halt, so a cancelled run resumes from its checkpoint.
-            if ctx.cancel.wait_while_paused() && !lp.is_done() {
-                let ckpt = lp.checkpoint();
-                let step = lp.step();
-                if let Some(cb) = ctx.on_checkpoint.as_mut() {
-                    cb(ctx.run_id, ckpt.clone());
-                }
-                ctx.observer
-                    .on_event(ctx.run_id, &Event::CheckpointSaved { step });
+            let stop =
+                ctx.cancel.wait_while_paused() || ctx.halt_at.is_some_and(|halt| lp.step() >= halt);
+            if stop && !lp.is_done() {
                 return Ok(RunOutcome {
-                    record: RunRecord::from_checkpoint(ctx.run_id, &ckpt),
+                    record: save_checkpoint(&mut lp, &mut ctx),
                     completed: false,
                 });
-            }
-            if let Some(halt) = ctx.halt_at {
-                if lp.step() >= halt && !lp.is_done() {
-                    let ckpt = lp.checkpoint();
-                    let step = lp.step();
-                    if let Some(cb) = ctx.on_checkpoint.as_mut() {
-                        cb(ctx.run_id, ckpt.clone());
-                    }
-                    ctx.observer
-                        .on_event(ctx.run_id, &Event::CheckpointSaved { step });
-                    return Ok(RunOutcome {
-                        record: RunRecord::from_checkpoint(ctx.run_id, &ckpt),
-                        completed: false,
-                    });
-                }
             }
             if !lp.step_once(ctx.run_id, ctx.observer) {
                 break;
             }
-            if let Some(every) = ctx.checkpoint_every {
-                if every > 0 && lp.step().is_multiple_of(every) && !lp.is_done() {
-                    let ckpt = lp.checkpoint();
-                    let step = lp.step();
-                    if let Some(cb) = ctx.on_checkpoint.as_mut() {
-                        cb(ctx.run_id, ckpt);
-                    }
-                    ctx.observer
-                        .on_event(ctx.run_id, &Event::CheckpointSaved { step });
-                }
+            let due = ctx
+                .checkpoint_every
+                .is_some_and(|every| every > 0 && lp.step().is_multiple_of(every));
+            if due && !lp.is_done() {
+                save_checkpoint(&mut lp, &mut ctx);
             }
         }
         let run = ctx.run_id;
@@ -531,6 +506,20 @@ impl Runner for SerialRunner {
             completed: true,
         })
     }
+}
+
+/// Snapshots `lp`, hands the checkpoint to `ctx.on_checkpoint` and reports
+/// it to the observer. Returns the partial record a run stopped here ends
+/// with.
+fn save_checkpoint(lp: &mut TrainLoop, ctx: &mut RunContext<'_>) -> RunRecord {
+    let ckpt = lp.checkpoint();
+    let record = RunRecord::from_checkpoint(ctx.run_id, &ckpt);
+    if let Some(cb) = ctx.on_checkpoint.as_mut() {
+        cb(ctx.run_id, ckpt);
+    }
+    ctx.observer
+        .on_event(ctx.run_id, &Event::CheckpointSaved { step: lp.step() });
+    record
 }
 
 /// Rolls out the greedy policy (ε = 0) from each starting state, returning
@@ -594,7 +583,6 @@ pub struct ExperimentBuilder {
     eval_threads: usize,
     cache_shards: usize,
     actors: usize,
-    batched_inference: bool,
     nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -616,7 +604,6 @@ impl ExperimentBuilder {
             eval_threads: 4,
             cache_shards: 16,
             actors: 1,
-            batched_inference: true,
             nn_threads: None,
             checkpoint_every: None,
             checkpoint_path: None,
@@ -706,15 +693,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Whether async runs route greedy forwards through the cross-actor
-    /// inference broker — one fused Q-network forward over every actor's
-    /// pending states per service cycle (see
-    /// [`AsyncRunner::batched_inference`]). Defaults to `true`; only
-    /// meaningful with [`ExperimentBuilder::actors`] `> 1`. Trajectories
-    /// are unaffected either way (the fused net is per-sample), only
-    /// decision throughput changes.
-    pub fn batched_inference(mut self, on: bool) -> Self {
-        self.batched_inference = on;
+    /// Inert: the argument is ignored. Async runs always take their
+    /// Q-values from the cross-actor inference broker, which changes no
+    /// trajectory (the fused net is per-sample). The method stays, with
+    /// its signature, only because the benchmark harness under
+    /// `perfbench/` calls `.batched_inference(true)`.
+    #[doc(hidden)]
+    pub fn batched_inference(self, _on: bool) -> Self {
         self
     }
 
@@ -806,7 +791,6 @@ impl ExperimentBuilder {
             cache,
             parallelism: self.eval_threads,
             actors: self.actors,
-            batched_inference: self.batched_inference,
             nn_threads: self.nn_threads,
             checkpoint_every: self.checkpoint_every,
             checkpoint_path: self.checkpoint_path,
@@ -843,7 +827,6 @@ pub struct Experiment {
     cache: Arc<CachedEvaluator<TaskEvaluator>>,
     parallelism: usize,
     actors: usize,
-    batched_inference: bool,
     nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -985,10 +968,7 @@ impl Experiment {
         let next = AtomicUsize::new(0);
         let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let runner: Box<dyn Runner> = if self.actors > 1 {
-            Box::new(AsyncRunner {
-                actors: self.actors,
-                batched_inference: self.batched_inference,
-            })
+            Box::new(AsyncRunner::new(self.actors))
         } else {
             Box::new(SerialRunner)
         };
@@ -1456,27 +1436,55 @@ mod tests {
 
     #[test]
     fn cancel_token_stops_serial_run_within_one_tick() {
-        let token = CancelToken::new();
-        let canceller = token.clone();
-        let exp = Experiment::builder()
-            .n(8)
-            .weights(Weights::single(0.5))
-            .base_config(AgentConfig::tiny(8, 0.5))
-            .cancel_token(token)
-            .build();
-        let mut obs = CallbackObserver::new(move |_, e| {
-            if let Event::Step { step, .. } = e {
-                if *step >= 50 {
-                    canceller.cancel();
-                }
+        let cfg = AgentConfig::tiny(8, 0.5);
+        let run =
+            |cancel: CancelToken, resume: Option<Checkpoint>, observer: &mut dyn RunObserver| {
+                let mut saved = None;
+                let mut keep = |_: usize, ckpt: Checkpoint| saved = Some(ckpt);
+                let outcome = SerialRunner
+                    .run(RunContext {
+                        run_id: 0,
+                        cfg: &cfg,
+                        task: Arc::new(Adder),
+                        evaluator: Arc::new(TaskEvaluator::analytical(Adder)),
+                        observer,
+                        checkpoint_every: None,
+                        on_checkpoint: Some(&mut keep),
+                        resume,
+                        halt_at: None,
+                        cancel,
+                    })
+                    .unwrap();
+                (outcome, saved)
+            };
+        // (step whose event fires the cancel, steps that must have run);
+        // `None` cancels before the first step.
+        for (cancel_at, expected) in [(Some(50u64), 51u64), (None, 0)] {
+            let token = CancelToken::new();
+            if cancel_at.is_none() {
+                token.cancel();
             }
-        });
-        let result = exp.run(&mut obs).unwrap();
-        assert!(!result.completed);
-        // The token fired during step 50; the runner polls before the
-        // next step, so exactly 51 steps ran.
-        assert_eq!(result.records[0].steps, 51, "cancel not within one tick");
-        assert!(!result.records[0].designs.is_empty());
+            let canceller = token.clone();
+            let mut obs = CallbackObserver::new(move |_, e| {
+                if let Event::Step { step, .. } = e {
+                    if cancel_at.is_some_and(|at| *step >= at) {
+                        canceller.cancel();
+                    }
+                }
+            });
+            let (outcome, saved) = run(token, None, &mut obs);
+            assert!(!outcome.completed);
+            // The runner polls before every step, so a token that fired
+            // during step 50 stops the run after exactly 51 steps.
+            assert_eq!(outcome.record.steps, expected, "cancel not within one tick");
+            assert!(!outcome.record.designs.is_empty());
+            // The stop saved a checkpoint the run resumes from to the end.
+            let ckpt = saved.expect("a cancelled run saves a checkpoint");
+            assert_eq!(ckpt.step, expected);
+            let (resumed, _) = run(CancelToken::new(), Some(ckpt), &mut NullObserver);
+            assert!(resumed.completed);
+            assert_eq!(resumed.record.steps, cfg.total_steps);
+        }
     }
 
     #[test]

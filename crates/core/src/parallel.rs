@@ -12,31 +12,28 @@
 //!   is no per-slot locking (used by the figure harnesses and the scaling
 //!   benchmark);
 //! - [`AsyncRunner`] — actor threads run `envs_per_actor` environments in
-//!   lockstep, select actions through the shared [`ScalarizedPolicy`] with
-//!   **one batched Q-network forward per decision round** (not batch-of-1),
-//!   and stream transitions over a channel to a learner thread that trains
-//!   on the serial runner's schedule (one gradient step per `train_every`
-//!   transitions, so its work does not depend on how fast experience
-//!   arrives) and publishes its policy. Publication is a **snapshot
-//!   swap**: on each target-sync the learner freezes the online network
-//!   into a fused [`FrozenQNet`] (batch-norms folded into their
-//!   convolutions) behind an `Arc`; actors notice the version bump and
-//!   clone the `Arc` — a pointer copy. Per decision, actors perform
-//!   **zero weight copies and take no locks**: acting is `&FrozenQNet`
-//!   through the immutable [`rl::QInfer`] path. Events stream to the
-//!   run's observer from both sides.
+//!   lockstep and pick actions through the shared [`ScalarizedPolicy`],
+//!   getting their Q-values from one **inference broker** thread (below);
+//!   they stream transitions over a channel to a learner thread that
+//!   trains on the serial runner's schedule (one gradient step per
+//!   `train_every` transitions, so its work does not depend on how fast
+//!   experience arrives) and publishes its policy. Publication is a
+//!   **snapshot swap**: on each target-sync the learner freezes the online
+//!   network into a fused [`FrozenQNet`] (batch-norms folded into their
+//!   convolutions) behind an `Arc`; the broker notices the version bump and
+//!   clones the `Arc` — a pointer copy, never a weight copy. Actors hold no
+//!   network at all. Events stream to the run's observer from both sides.
 //!
 //! # The cross-actor inference broker
 //!
-//! With [`AsyncRunner::batched_inference`] on (the default), actors do not
-//! run their greedy forwards locally. Each round an actor sends its
-//! greedy-state batch to a dedicated **broker thread** and blocks on a
-//! private reply channel; the broker drains every request currently
-//! queued, concatenates the states, runs **one fused forward over the
-//! combined batch**, splits the Q-rows back per request and replies. Many
-//! small per-actor batches become one large GEMM per service cycle — the
-//! thread-scale analogue of the paper's batched inference server in front
-//! of its 192 synthesis workers.
+//! Actors never run a forward themselves. Each round an actor draws its
+//! exploration coins, sends the states whose coins came up greedy to the
+//! broker thread and blocks on that request's reply channel; the broker
+//! drains every request currently queued, concatenates the states, runs
+//! **one fused forward over the combined batch**, splits the Q-rows back
+//! per request and replies. Many small per-actor batches become one large
+//! GEMM per service cycle — the thread-scale analogue of the paper's
+//! batched inference server in front of its 192 synthesis workers.
 //!
 //! Centralizing inference also lets the broker **memoize**: Q-values are a
 //! pure function of (snapshot, state), so each service cycle runs its
@@ -45,18 +42,17 @@
 //! table (cleared on every publish). Actors frequently pose identical
 //! states — shared reset states early in training, revisited prefixes
 //! under the greedy policy — and only a central service can deduplicate
-//! them across actors; per-actor inference recomputes every one.
+//! them across actors.
 //!
 //! Correctness rests on the fused net being **per-sample**: convolutions,
 //! folded batch-norms and LeakyReLU never mix rows, so a state's Q-values
 //! are bit-identical whatever batch they ride in (pinned by a test in
-//! `crate::qnet`). Exploration coins are drawn on the actor *before* the
-//! request is sent, so an actor consumes its RNG identically in broker and
-//! local mode. Shutdown is by disconnection in both directions: actors
+//! `crate::qnet`), and batch composition and memo hits change no
+//! trajectory. Shutdown is by disconnection in both directions: actors
 //! exiting drop their request senders (broker's `recv` errs → broker
-//! exits); a broker panic drops the request receiver and every in-flight
-//! reply sender, actors see the error as a cancelled decision and break,
-//! and the scope re-raises the panic.
+//! exits); a broker panic drops the request receiver and every pending
+//! request's reply sender, actors see the error as a cancelled decision
+//! and break, and the scope re-raises the panic.
 //!
 //! Because experience arrives asynchronously, the async path is not
 //! bit-identical run to run, and it does not support checkpoint/resume —
@@ -133,10 +129,9 @@ pub fn evaluate_batch(
 
 /// The frozen policy snapshot published by the learner.
 ///
-/// Actors poll `version` (one relaxed atomic load per decision round) and
-/// only touch the lock when it bumps — and even then they clone an `Arc`,
-/// never the weights. The decision path itself is lock-free: batched
-/// inference through `&FrozenQNet`.
+/// Only the broker reads it: one atomic load of `version` per service
+/// cycle, and the lock only when it bumps — and even then it clones an
+/// `Arc`, never the weights.
 struct PolicyBoard {
     version: AtomicU64,
     snapshot: RwLock<Arc<FrozenQNet>>,
@@ -145,9 +140,9 @@ struct PolicyBoard {
 /// The design pool shared by all actors: canonical key → (graph, metrics).
 type DesignPool = Mutex<HashMap<Vec<u64>, (PrefixGraph, ObjectivePoint)>>;
 
-/// One actor's greedy-state batch awaiting Q-values, plus the private
-/// reply channel the actor blocks on. The broker answers each request
-/// with exactly `states.len()` Q-rows.
+/// One actor's greedy-state batch awaiting Q-values, plus the reply
+/// channel the actor blocks on. The broker answers each request with
+/// exactly `states.len()` Q-rows.
 struct InferRequest {
     states: Vec<Vec<f32>>,
     reply: channel::Sender<Vec<Vec<[f32; 2]>>>,
@@ -232,6 +227,48 @@ impl BrokerMemo {
     }
 }
 
+/// One broker service cycle: answers every request in `pending` (and
+/// drains it), running `infer` at most once over the unique states `memo`
+/// does not already hold. Each request's reply channel receives exactly
+/// its own Q-rows, in its state order.
+fn serve_cycle(
+    pending: &mut Vec<InferRequest>,
+    memo: &mut BrokerMemo,
+    infer: impl FnOnce(&[&[f32]]) -> Vec<Vec<[f32; 2]>>,
+) {
+    // One bit-exact key per pending state, request order.
+    let keys: Vec<Vec<u32>> = pending
+        .iter()
+        .flat_map(|r| r.states.iter())
+        .map(|s| s.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    let states: Vec<&[f32]> = pending
+        .iter()
+        .flat_map(|r| r.states.iter().map(Vec::as_slice))
+        .collect();
+    let mut rows = memo.resolve(&keys, &states, infer).into_iter();
+    for req in pending.drain(..) {
+        let reply: Vec<Vec<[f32; 2]>> = rows.by_ref().take(req.states.len()).collect();
+        // A send error means the requesting actor already exited (cancel
+        // landed mid-request) — drop the rows.
+        let _ = req.reply.send(reply);
+    }
+}
+
+/// Asks the broker for `batch`'s Q-rows and blocks for the reply; `None`
+/// when the broker is gone. The reply sender lives only in the request, so
+/// a broker that dies before answering disconnects the receiver instead of
+/// leaving the actor blocked on it.
+fn request_rows(
+    broker: &channel::Sender<InferRequest>,
+    batch: &[&[f32]],
+) -> Option<Vec<Vec<[f32; 2]>>> {
+    let (reply, rows) = channel::bounded(1);
+    let states = batch.iter().map(|s| s.to_vec()).collect();
+    broker.send(InferRequest { states, reply }).ok()?;
+    rows.recv().ok()
+}
+
 /// The asynchronous actor/learner runner: `actors` parallel experience
 /// generators feed one learner thread.
 ///
@@ -245,22 +282,13 @@ impl BrokerMemo {
 pub struct AsyncRunner {
     /// Number of actor threads (≥ 1).
     pub actors: usize,
-    /// Route greedy forwards through the cross-actor inference broker
-    /// (one fused forward over all actors' pending states per service
-    /// cycle — see the module docs) instead of running them per-actor.
-    /// Defaults to `true`; trajectories are unaffected either way because
-    /// the fused net is per-sample.
-    pub batched_inference: bool,
 }
 
 impl AsyncRunner {
-    /// An async runner with `actors` actor threads and the cross-actor
-    /// inference broker enabled (the default configuration).
+    /// An async runner with `actors` actor threads, all served by one
+    /// inference broker.
     pub fn new(actors: usize) -> Self {
-        AsyncRunner {
-            actors,
-            batched_inference: true,
-        }
+        AsyncRunner { actors }
     }
 
     /// Convenience: trains one agent to completion unobserved. Sweeps and
@@ -279,7 +307,6 @@ impl AsyncRunner {
             task,
             evaluator,
             self.actors,
-            self.batched_inference,
             &mut NullObserver,
             &CancelToken::new(),
         );
@@ -318,7 +345,6 @@ impl Runner for AsyncRunner {
             ctx.task,
             ctx.evaluator,
             self.actors,
-            self.batched_inference,
             ctx.observer,
             &ctx.cancel,
         );
@@ -332,22 +358,20 @@ impl Runner for AsyncRunner {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_async(
     run_id: usize,
     cfg: &AgentConfig,
     circuit_task: Arc<dyn CircuitTask>,
     evaluator: Arc<dyn Evaluator>,
     num_actors: usize,
-    batched_inference: bool,
     observer: &mut dyn RunObserver,
     cancel: &CancelToken,
 ) -> RunRecord {
     let online = PrefixQNet::new(&cfg.qnet);
-    let board = Arc::new(PolicyBoard {
+    let board = PolicyBoard {
         version: AtomicU64::new(1),
         snapshot: RwLock::new(Arc::new(online.frozen())),
-    });
+    };
     let (tx, rx) = channel::bounded::<Transition>(4096);
     let steps_taken = Arc::new(AtomicU64::new(0));
     let designs: Arc<DesignPool> = Arc::new(Mutex::new(HashMap::new()));
@@ -360,74 +384,53 @@ fn run_async(
         // fused forward over the concatenation, scatters the Q-rows back.
         // Capacity `num_actors` means a round of actors never blocks on
         // the request send (each actor has at most one request in flight).
-        let broker_tx = if batched_inference {
-            let (btx, brx) = channel::bounded::<InferRequest>(num_actors);
-            let board = Arc::clone(&board);
-            s.spawn(move || {
-                let mut scratch = nn::Scratch::new();
-                let mut my_version = board.version.load(Ordering::Acquire);
-                let mut snapshot: Arc<FrozenQNet> = board.snapshot.read().clone();
-                let mut pending: Vec<InferRequest> = Vec::new();
-                // Q-rows already computed under the current snapshot,
-                // keyed by the state's exact f32 bit pattern. A memo hit
-                // returns precisely the bits a fresh forward would
-                // (inference is deterministic and per-sample), so this
-                // changes no actor's trajectory — it only skips forwards.
-                let mut memo = BrokerMemo::new(BROKER_MEMO_CAP);
-                // Blocking recv for the first request of a cycle, then a
-                // non-blocking drain of whatever else is already queued.
-                // No waiting for stragglers: the memo table makes batch
-                // size a minor factor (a state computed this cycle is a
-                // memo hit next cycle, whichever request it rides in), so
-                // serving immediately minimizes decision latency and
-                // context switches. Batch composition cannot change any
-                // Q-value, so drain depth is a throughput knob only.
-                // Exits when the last actor drops its sender.
-                while let Ok(first) = brx.recv() {
-                    pending.push(first);
-                    while let Ok(more) = brx.try_recv() {
-                        pending.push(more);
-                    }
-                    let published = board.version.load(Ordering::Acquire);
-                    if published != my_version {
-                        snapshot = board.snapshot.read().clone();
-                        my_version = published;
-                        memo.clear();
-                    }
-                    // One bit-exact key per pending state, request order.
-                    let keys: Vec<Vec<u32>> = pending
-                        .iter()
-                        .flat_map(|r| r.states.iter())
-                        .map(|s| s.iter().map(|v| v.to_bits()).collect())
-                        .collect();
-                    let states: Vec<&[f32]> = pending
-                        .iter()
-                        .flat_map(|r| r.states.iter().map(Vec::as_slice))
-                        .collect();
-                    // The fused forward covers only the unique states not
-                    // already memoized under this snapshot.
-                    let rows =
-                        memo.resolve(&keys, &states, |batch| snapshot.infer(batch, &mut scratch));
-                    let mut row_it = rows.into_iter();
-                    for req in pending.drain(..) {
-                        let reply: Vec<Vec<[f32; 2]>> =
-                            row_it.by_ref().take(req.states.len()).collect();
-                        // A send error means the requesting actor already
-                        // exited (cancel landed mid-request) — drop the rows.
-                        let _ = req.reply.send(reply);
-                    }
+        let (broker_tx, broker_rx) = channel::bounded::<InferRequest>(num_actors);
+        let board = &board;
+        s.spawn(move || {
+            let mut scratch = nn::Scratch::new();
+            // The version must be read *before* the snapshot: a publish
+            // landing between the two reads then makes the next cycle's
+            // check refresh, instead of pinning a stale snapshot for a
+            // whole sync interval.
+            let mut my_version = board.version.load(Ordering::Acquire);
+            let mut snapshot: Arc<FrozenQNet> = board.snapshot.read().clone();
+            let mut pending: Vec<InferRequest> = Vec::new();
+            // Q-rows already computed under the current snapshot, keyed
+            // by the state's exact f32 bit pattern. A memo hit returns
+            // precisely the bits a fresh forward would (inference is
+            // deterministic and per-sample), so this changes no actor's
+            // trajectory — it only skips forwards.
+            let mut memo = BrokerMemo::new(BROKER_MEMO_CAP);
+            // Blocking recv for the first request of a cycle, then a
+            // non-blocking drain of whatever else is already queued. No
+            // waiting for stragglers: the memo table makes batch size a
+            // minor factor (a state computed this cycle is a memo hit next
+            // cycle, whichever request it rides in), so serving
+            // immediately minimizes decision latency and context switches.
+            // Batch composition cannot change any Q-value, so drain depth
+            // is a throughput knob only. Exits when the last actor drops
+            // its sender.
+            while let Ok(first) = broker_rx.recv() {
+                pending.push(first);
+                while let Ok(more) = broker_rx.try_recv() {
+                    pending.push(more);
                 }
-            });
-            Some(btx)
-        } else {
-            None
-        };
+                let published = board.version.load(Ordering::Acquire);
+                if published != my_version {
+                    snapshot = board.snapshot.read().clone();
+                    my_version = published;
+                    memo.clear();
+                }
+                serve_cycle(&mut pending, &mut memo, |batch| {
+                    snapshot.infer(batch, &mut scratch)
+                });
+            }
+        });
 
         // Actors.
         for actor in 0..num_actors {
             let tx = tx.clone();
             let broker_tx = broker_tx.clone();
-            let board = Arc::clone(&board);
             let steps_taken = Arc::clone(&steps_taken);
             let designs = Arc::clone(&designs);
             let evaluator = Arc::clone(&evaluator);
@@ -438,22 +441,6 @@ fn run_async(
             let cancel = cancel.clone();
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((actor as u64 + 1) * 0x9e37));
-                let mut scratch = nn::Scratch::new();
-                // Broker mode: a private bounded(1) reply lane per actor.
-                // The reply sender is cloned into each request so the
-                // broker can answer; the receiver stays here.
-                let broker = broker_tx.map(|btx| {
-                    let (reply_tx, reply_rx) = channel::bounded::<Vec<Vec<[f32; 2]>>>(1);
-                    (btx, reply_tx, reply_rx)
-                });
-                // The actor's policy net is a shared pointer to the
-                // learner's latest frozen snapshot — never a copy. The
-                // version must be read *before* the snapshot: a publish
-                // landing between the two reads then makes the in-loop
-                // check refresh immediately, instead of pinning a stale
-                // snapshot for a whole sync interval.
-                let mut my_version = board.version.load(Ordering::Acquire);
-                let mut snapshot: Arc<FrozenQNet> = board.snapshot.read().clone();
                 let policy = ScalarizedPolicy::new(cfg.dqn.weight);
                 let num_envs = cfg.envs_per_actor.max(1);
                 let mut envs: Vec<PrefixEnv> = (0..num_envs)
@@ -483,54 +470,26 @@ fn run_async(
                         break;
                     }
                     let round = (num_envs as u64).min(cfg.total_steps - claimed) as usize;
-                    // Swap in the newer snapshot when the learner
-                    // published one (an Arc clone, not a weight copy).
-                    let published = board.version.load(Ordering::Acquire);
-                    if published != my_version {
-                        snapshot = board.snapshot.read().clone();
-                        my_version = published;
-                    }
                     let eps = schedule.value(claimed);
-                    // One batched forward for the whole environment round.
+                    // One broker request for the whole environment round.
                     let mut states: Vec<Vec<f32>> =
                         envs[..round].iter().map(PrefixEnv::features).collect();
                     let masks: Vec<Vec<bool>> =
                         envs[..round].iter().map(PrefixEnv::action_mask).collect();
                     let state_refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
                     let mask_refs: Vec<&[bool]> = masks.iter().map(Vec::as_slice).collect();
-                    let actions = match &broker {
-                        Some((btx, reply_tx, reply_rx)) => {
-                            let picked = policy.select_actions_with(
-                                &state_refs,
-                                &mask_refs,
-                                eps,
-                                &mut rng,
-                                |batch| {
-                                    let req = InferRequest {
-                                        states: batch.iter().map(|s| s.to_vec()).collect(),
-                                        reply: reply_tx.clone(),
-                                    };
-                                    btx.send(req).ok()?;
-                                    reply_rx.recv().ok()
-                                },
-                            );
-                            match picked {
-                                Some(actions) => actions,
-                                // Broker gone mid-decision (it panicked and
-                                // its unwind dropped our reply sender):
-                                // abandon the round so the scope can
-                                // re-raise the broker's panic.
-                                None => break 'acting,
-                            }
-                        }
-                        None => policy.select_actions(
-                            &*snapshot,
-                            &state_refs,
-                            &mask_refs,
-                            eps,
-                            &mut rng,
-                            &mut scratch,
-                        ),
+                    let picked = policy.select_actions_with(
+                        &state_refs,
+                        &mask_refs,
+                        eps,
+                        &mut rng,
+                        |batch| request_rows(&broker_tx, batch),
+                    );
+                    // Broker gone mid-decision (it panicked and its unwind
+                    // dropped our reply sender): abandon the round so the
+                    // scope can re-raise the broker's panic.
+                    let Some(actions) = picked else {
+                        break 'acting;
                     };
                     for (i, action) in actions.into_iter().enumerate() {
                         let action = action.expect("legal action always exists");
@@ -584,7 +543,7 @@ fn run_async(
         }
         drop(tx);
         // The actors hold the only remaining request senders: the broker
-        // (if any) exits exactly when the last actor does.
+        // exits exactly when the last actor does.
         drop(broker_tx);
 
         // Learner (runs on this thread).
@@ -693,7 +652,6 @@ mod tests {
             Arc::new(Adder),
             evaluator,
             actors,
-            true,
             &mut NullObserver,
             &CancelToken::new(),
         )
@@ -771,47 +729,120 @@ mod tests {
         );
     }
 
-    /// The broker must be a pure transport: routing greedy forwards
-    /// through it instead of running them on the actor may not perturb a
-    /// trajectory. With one actor the run is fully deterministic once the
-    /// learner never publishes (`target_sync_every` beyond the step
-    /// budget pins the initial snapshot), so broker-on and broker-off
-    /// must agree **bitwise** — same steps, same designs with the same
-    /// metrics, same episode returns in the same order. Exploration coins
-    /// are drawn before the request is sent, so RNG consumption matches
-    /// by construction; this test pins the rest of the plumbing (request
-    /// framing, reply scatter, state copies).
+    /// With one actor the async run is deterministic once the learner
+    /// never publishes (`target_sync_every` beyond the step budget pins
+    /// the initial snapshot): the actor's RNG, the analytical evaluator
+    /// and the learner's arrival order are all fixed, and the broker's
+    /// batching and memo change no Q-value. Two runs must then agree
+    /// **bitwise** — same steps, episode returns, losses and designs.
     #[test]
-    fn broker_and_local_inference_produce_identical_trajectories() {
+    fn frozen_policy_single_actor_run_repeats_bitwise() {
         let mut cfg = AgentConfig::tiny(8, 0.5);
         cfg.total_steps = 240;
         cfg.dqn.target_sync_every = u64::MAX; // never publish: frozen policy
-        let mut records = [true, false].map(|batched| {
-            run_async(
-                0,
-                &cfg,
-                Arc::new(Adder),
-                Arc::new(TaskEvaluator::analytical(Adder)),
-                1,
-                batched,
-                &mut NullObserver,
-                &CancelToken::new(),
-            )
-        });
-        let [with_broker, without] = &mut records;
-        assert_eq!(with_broker.steps, without.steps);
+        let [a, b] = [(); 2].map(|_| run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), 1));
+        assert_eq!(a.steps, 240);
+        assert_eq!(a.steps, b.steps);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            with_broker.episode_returns, without.episode_returns,
+            bits(&a.episode_returns),
+            bits(&b.episode_returns),
             "episode returns diverged"
         );
+        let loss_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            with_broker.designs.len(),
-            without.designs.len(),
-            "design pools diverged"
+            loss_bits(&a.losses),
+            loss_bits(&b.losses),
+            "losses diverged"
         );
-        for ((ga, pa), (gb, pb)) in with_broker.designs.iter().zip(&without.designs) {
+        assert_eq!(a.designs.len(), b.designs.len(), "design pools diverged");
+        for ((ga, pa), (gb, pb)) in a.designs.iter().zip(&b.designs) {
             assert_eq!(ga.canonical_key(), gb.canonical_key());
-            assert_eq!((pa.area, pa.delay), (pb.area, pb.delay));
+            assert_eq!(
+                (pa.area.to_bits(), pa.delay.to_bits()),
+                (pb.area.to_bits(), pb.delay.to_bits())
+            );
+        }
+    }
+
+    /// Q-rows as bit patterns, so equality is bitwise.
+    fn row_bits(rows: &[Vec<[f32; 2]>]) -> Vec<Vec<[u32; 2]>> {
+        rows.iter()
+            .map(|r| r.iter().map(|q| q.map(f32::to_bits)).collect())
+            .collect()
+    }
+
+    /// The broker's service cycle is a pure transport: across cycles with
+    /// duplicate states inside and across requests, memo hits from an
+    /// earlier cycle and a `clear()` standing in for a publish, each reply
+    /// channel gets exactly its own rows, bitwise equal to the current
+    /// snapshot's `infer` run on that request alone.
+    #[test]
+    fn broker_cycle_replies_match_direct_inference_per_request() {
+        let cfg = AgentConfig::tiny(8, 0.5);
+        // Real environment states: a reset state and a short walk from it.
+        let mut env = PrefixEnv::with_task(
+            cfg.env.clone(),
+            Arc::new(Adder),
+            Arc::new(TaskEvaluator::analytical(Adder)),
+        );
+        let mut rng = StdRng::seed_from_u64(7);
+        env.reset(&mut rng);
+        let mut walk = vec![env.features()];
+        for _ in 0..5 {
+            let mask = env.action_mask();
+            let legal: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+            env.step_flat(legal[rng.random_range(0..legal.len())]);
+            walk.push(env.features());
+        }
+        let republished = QNetConfig {
+            seed: cfg.qnet.seed ^ 0x5eed,
+            ..cfg.qnet.clone()
+        };
+        let nets = [
+            PrefixQNet::new(&cfg.qnet).frozen(),
+            PrefixQNet::new(&republished).frozen(),
+        ];
+        // Cycles as (snapshot, requests as indices into `walk`): cycle 1
+        // repeats cycle 0's states (memo hits), cycle 2 follows a publish.
+        let cycles: [(usize, Vec<Vec<usize>>); 3] = [
+            (0, vec![vec![0, 1, 0], vec![1, 2], vec![3]]),
+            (0, vec![vec![2, 4], vec![0], vec![5, 5, 1]]),
+            (1, vec![vec![0, 1], vec![4, 0, 2]]),
+        ];
+        let mut memo = BrokerMemo::new(BROKER_MEMO_CAP);
+        let mut scratch = nn::Scratch::new();
+        let mut published = 0;
+        let mut pending = Vec::new();
+        for (net, requests) in cycles {
+            if net != published {
+                memo.clear();
+                published = net;
+            }
+            let replies: Vec<_> = requests
+                .iter()
+                .map(|idx| {
+                    let (reply, rx) = channel::bounded(1);
+                    let states = idx.iter().map(|&i| walk[i].clone()).collect();
+                    pending.push(InferRequest { states, reply });
+                    rx
+                })
+                .collect();
+            let mut forwarded = 0;
+            serve_cycle(&mut pending, &mut memo, |batch| {
+                forwarded = batch.len();
+                nets[net].infer(batch, &mut nn::Scratch::new())
+            });
+            assert!(pending.is_empty(), "a cycle drains its requests");
+            let unique: HashSet<&usize> = requests.iter().flatten().collect();
+            assert!(forwarded <= unique.len(), "a duplicate reached the net");
+            for (idx, rx) in requests.iter().zip(&replies) {
+                let alone: Vec<&[f32]> = idx.iter().map(|&i| walk[i].as_slice()).collect();
+                let direct = nets[net].infer(&alone, &mut scratch);
+                let got = rx.recv().expect("every request gets a reply");
+                assert_eq!(row_bits(&got), row_bits(&direct), "request {idx:?}");
+                assert!(rx.try_recv().is_err(), "exactly one reply per request");
+            }
         }
     }
 
@@ -944,8 +975,8 @@ mod tests {
     /// sender is gone, surviving actors exit through the send-error break,
     /// and the scope re-raises the panic. Symmetrically, a learner panic
     /// drops the receiver during unwind, every blocked `tx.send` errors,
-    /// and all actors break — the `Arc<FrozenQNet>` snapshots they hold
-    /// keep the learner's published weights alive until they exit, so no
+    /// and all actors break — the broker's `Arc<FrozenQNet>` snapshot
+    /// keeps the learner's published weights alive until it exits, so no
     /// use-after-free window exists. This test pins the actor direction
     /// (the only one with an injection point) with a watchdog.
     #[test]
@@ -987,6 +1018,28 @@ mod tests {
         assert!(panicked, "the panic must propagate to the caller");
     }
 
+    /// A broker that panics while holding an actor's request must release
+    /// that actor: its unwind drops the request, and with it the only
+    /// sender of the reply channel, so the actor's wait ends with `None`
+    /// (the round is abandoned and the scope re-raises the panic).
+    #[test]
+    fn broker_panic_mid_request_releases_the_actor() {
+        let (broker_tx, broker_rx) = channel::bounded::<InferRequest>(1);
+        let broker = std::thread::spawn(move || {
+            let _held = broker_rx.recv().expect("one request arrives");
+            panic!("synthetic broker failure");
+        });
+        let (tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(request_rows(&broker_tx, &[&[1.0]]));
+        });
+        let rows = done
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("actor stayed blocked after the broker died");
+        assert!(rows.is_none());
+        assert!(broker.join().is_err(), "the broker panicked");
+    }
+
     /// Serve-shutdown audit (DESIGN.md §13): a `ChannelObserver` whose
     /// receiver is dropped mid-run must not stall training. The observer
     /// sends with `let _ =`, and the compat channel's `send` returns an
@@ -1008,7 +1061,6 @@ mod tests {
                 Arc::new(Adder),
                 Arc::new(TaskEvaluator::analytical(Adder)),
                 2,
-                true,
                 &mut observer,
                 &CancelToken::new(),
             );
@@ -1054,7 +1106,6 @@ mod tests {
             Arc::new(Adder),
             Arc::new(TaskEvaluator::analytical(Adder)),
             2,
-            true,
             &mut observer,
             &token,
         );
@@ -1082,7 +1133,6 @@ mod tests {
                     Arc::new(Adder),
                     Arc::new(TaskEvaluator::analytical(Adder)),
                     2,
-                    true,
                     &mut NullObserver,
                     &token,
                 )

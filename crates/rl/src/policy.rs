@@ -7,10 +7,11 @@
 //! serial agent, and the async actors); [`ScalarizedPolicy`] is now the
 //! single implementation every acting path routes through. All selection
 //! goes through the **immutable** [`QInfer`] half of the network, so a
-//! frozen snapshot shared behind an `Arc` serves any number of actor
-//! threads without copies or locks, and its batched entry points let
-//! actors evaluate one forward pass over many environments instead of a
-//! batch-of-1 per decision.
+//! frozen snapshot shared behind an `Arc` serves any thread without
+//! copies or locks, and its batched entry points
+//! ([`ScalarizedPolicy::greedy_actions`],
+//! [`ScalarizedPolicy::select_actions_with`]) evaluate one forward pass
+//! over many environments instead of a batch-of-1 per decision.
 
 use crate::qnetwork::QInfer;
 use nn::Scratch;
@@ -124,40 +125,17 @@ impl ScalarizedPolicy {
         }
     }
 
-    /// ε-greedy selection for a batch of states, drawing exploration coins
-    /// in state order and evaluating all greedy states in one forward pass
-    /// (how async actors avoid batch-of-1 Q-net calls).
+    /// ε-greedy selection for a batch of states, with the greedy forward
+    /// pass delegated to a caller-supplied evaluator — how async actors
+    /// route their decisions through the shared inference broker while the
+    /// coin draws and argmax logic stay here.
     ///
-    /// # Panics
-    ///
-    /// Panics if `states` and `masks` lengths differ.
-    pub fn select_actions<Q: QInfer + ?Sized>(
-        &self,
-        net: &Q,
-        states: &[&[f32]],
-        masks: &[&[bool]],
-        epsilon: f64,
-        rng: &mut StdRng,
-        scratch: &mut Scratch,
-    ) -> Vec<Option<usize>> {
-        self.select_actions_with(states, masks, epsilon, rng, |batch| {
-            Some(net.infer(batch, scratch))
-        })
-        .expect("local inference cannot be cancelled")
-    }
-
-    /// [`ScalarizedPolicy::select_actions`] with the greedy forward pass
-    /// delegated to a caller-supplied evaluator — how actors route their
-    /// decisions through a shared inference broker instead of a local
-    /// network while keeping coin draws and argmax logic (and therefore
-    /// trajectories) identical.
-    ///
-    /// The evaluator receives only the states whose coins came up greedy
-    /// (in state order) and must return one Q-row per state; it may return
-    /// `None` to signal the inference service is gone (shutdown), which
-    /// propagates as `None` here. Exploration coins are drawn in state
-    /// order *before* the evaluator runs, exactly as in `select_actions`,
-    /// so the two entry points consume the actor RNG identically.
+    /// Exploration coins are drawn in state order *before* the evaluator
+    /// runs. The evaluator receives only the states whose coins came up
+    /// greedy (in state order), all in one call, and must return one Q-row
+    /// per state; it may return `None` to signal the inference service is
+    /// gone (shutdown), which propagates as `None` here. A local network
+    /// serves as `|batch| Some(net.infer(batch, &mut scratch))`.
     ///
     /// # Panics
     ///
@@ -352,8 +330,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let (s0, s1) = (one_hot(0), one_hot(1));
         let masks: Vec<&[bool]> = vec![&[true; 3], &[true; 3]];
-        let actions = p.select_actions(&net, &[&s0, &s1], &masks, 0.0, &mut rng, &mut scratch);
-        assert_eq!(actions, vec![Some(0), Some(1)]);
+        let actions = p.select_actions_with(&[&s0, &s1], &masks, 0.0, &mut rng, |b| {
+            Some(net.infer(b, &mut scratch))
+        });
+        assert_eq!(actions, Some(vec![Some(0), Some(1)]));
     }
 
     #[test]

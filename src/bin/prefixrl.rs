@@ -84,8 +84,8 @@ fn usage() {
 }
 
 /// Flags shared by `train` and `sweep` (see [`session_options_help`]).
-const SESSION_FLAGS: &str = "steps seed task backend lib actors no-broker eval-threads \
-     nn-threads cache-shards checkpoint checkpoint-every resume halt-at progress json out";
+const SESSION_FLAGS: &str = "steps seed task backend lib actors eval-threads nn-threads \
+     cache-shards checkpoint checkpoint-every resume halt-at progress json out";
 /// Flags of the sweep weight schedule (see [`parse_weights`]).
 const WEIGHT_FLAGS: &str = "weights w-min w-max w-list";
 /// Flags of client commands that may route through a cluster (see
@@ -285,10 +285,6 @@ fn session_options_help() -> &'static str {
      \x20 --actors <A>             async actor threads per agent (default 1 =\n\
      \x20                          deterministic serial runner; >1 disables\n\
      \x20                          checkpointing)\n\
-     \x20 --no-broker              with --actors > 1: run greedy forwards\n\
-     \x20                          per-actor instead of batching them through\n\
-     \x20                          the cross-actor inference broker (same\n\
-     \x20                          trajectories, lower decision throughput)\n\
      \x20 --eval-threads <T>       how many agents of a sweep train at once\n\
      \x20 --nn-threads <T>         Q-network compute threads (GEMM panels;\n\
      \x20                          default 1; results are bit-identical at\n\
@@ -486,7 +482,6 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
         .task(Arc::clone(&task))
         .backend(Arc::clone(&backend))
         .actors(actors)
-        .batched_inference(!opts.contains_key("no-broker"))
         .eval_threads(eval_threads)
         .cache_shards(cache_shards);
     if let Some(t) = nn_threads {
