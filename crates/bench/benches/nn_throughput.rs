@@ -390,8 +390,8 @@ fn main() {
     println!();
 
     println!(
-        "{:>10} {:>8} {:>12} {:>12} {:>12} {:>12} {:>14} {:>9}",
-        "config", "threads", "fwd/s", "bwd/s", "infer/s", "fused/s", "baseline fwd/s", "speedup"
+        "{:>10} {:>8} {:>12} {:>12} {:>12} {:>14} {:>9}",
+        "config", "threads", "fwd/s", "bwd/s", "infer/s", "baseline fwd/s", "speedup"
     );
 
     let saved_threads = compute::threads();
@@ -430,18 +430,11 @@ fn main() {
                 min_secs,
             );
             let bwd_secs = (step_secs - fwd_secs).max(1e-9);
-            // Immutable inference and the fused frozen snapshot.
+            // Immutable inference.
             let mut scratch = nn::Scratch::new();
             let infer_secs = time_per_call(
                 || {
                     std::hint::black_box(q.infer(&refs, &mut scratch));
-                },
-                min_secs,
-            );
-            let frozen = q.frozen();
-            let fused_secs = time_per_call(
-                || {
-                    std::hint::black_box(frozen.infer(&refs, &mut scratch));
                 },
                 min_secs,
             );
@@ -451,17 +444,15 @@ fn main() {
                 fwd_samples_per_sec: batch as f64 / fwd_secs,
                 bwd_samples_per_sec: batch as f64 / bwd_secs,
                 infer_samples_per_sec: batch as f64 / infer_secs,
-                fused_infer_samples_per_sec: batch as f64 / fused_secs,
                 baseline_fwd_samples_per_sec: baseline,
             };
             println!(
-                "{:>10} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>14.1} {:>8.2}x",
+                "{:>10} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>14.1} {:>8.2}x",
                 row.config,
                 row.threads,
                 row.fwd_samples_per_sec,
                 row.bwd_samples_per_sec,
                 row.infer_samples_per_sec,
-                row.fused_infer_samples_per_sec,
                 row.baseline_fwd_samples_per_sec,
                 row.fwd_samples_per_sec / row.baseline_fwd_samples_per_sec.max(1e-9),
             );

@@ -8,7 +8,6 @@ use prefixrl_bench as support;
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::cache::CachedEvaluator;
 use prefixrl_core::evaluator::Evaluator;
-use prefixrl_core::experiment::AsyncRunner;
 use prefixrl_core::parallel::evaluate_batch;
 use prefixrl_core::task::{Adder, TaskEvaluator};
 use std::sync::Arc;
@@ -82,40 +81,54 @@ fn main() {
         );
     }
 
-    // --- Async actor/learner throughput ----------------------------------
-    // Every actor's greedy forwards go through the cross-actor inference
-    // broker (one fused, memoized Q-network forward over the unique
-    // pending states per service cycle). Each environment step is one
-    // policy decision, so env-steps/s is decisions/s. The analytical
-    // evaluator keeps this section *inference-bound* — it isolates the
-    // decision path the broker batches, where the synthesis sections above
-    // already measure the oracle-bound path. The learner stays idle
-    // (`train_every` 0): it keeps the serial runner's schedule, and at the
-    // default one gradient step per decision it, not the decision path,
-    // would bound the rows.
-    println!("\nasync actor/learner (paper Sec. IV-D architecture):");
+    // --- Actor scaling ----------------------------------------------------
+    // Each round the coordinator picks every actor's action (one batched
+    // Q-network forward over the greedy ones), the actors step their
+    // environments on their own threads, and the coordinator pushes the
+    // transitions and trains. Each environment step is one policy
+    // decision, so env-steps/s is decisions/s (wall clock). Analytical
+    // scoring keeps the rows inference-bound: actor threads only add hand
+    // offs. Synthesis scoring is what the actors parallelize. At
+    // `train_every` 0 the learner is idle and the rows measure the decision
+    // path alone; at 16 (the train-synthesis setting) they include the
+    // actors waiting while the coordinator trains between rounds.
+    println!("\nlockstep actors (paper Sec. IV-D architecture):");
     let mut rows = Vec::new();
-    for actors in [1usize, 2, 4, 8] {
-        let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
-        let mut cfg = AgentConfig::small(16, 0.5, steps);
-        cfg.train_every = 0;
-        let t = Instant::now();
-        let result = AsyncRunner::new(actors).train(&cfg, ev.clone());
-        let steps_per_sec = steps as f64 / t.elapsed().as_secs_f64();
-        println!(
-            "  {actors} actors: {steps_per_sec:>6.1} decisions/s \
-             ({} designs, hit rate {:.0}%)",
-            result.designs.len(),
-            100.0 * ev.store().hit_rate(),
-        );
-        rows.push(support::ScalingRow {
-            actors,
-            envs_per_actor: cfg.envs_per_actor,
-            steps,
-            steps_per_sec,
-            cache_hit_rate: ev.store().hit_rate(),
-            designs: result.designs.len(),
-        });
+    for (backend, train_every) in [("analytical", 0u64), ("analytical", 16), ("synthesis", 16)] {
+        for actors in [1usize, 2, 4, 8] {
+            let ev = Arc::new(CachedEvaluator::new(if backend == "synthesis" {
+                TaskEvaluator::synthesis(Adder, lib.clone(), SweepConfig::fast(), 0.5)
+            } else {
+                TaskEvaluator::analytical(Adder)
+            }));
+            let mut cfg = AgentConfig::small(16, 0.5, steps);
+            if backend == "synthesis" {
+                cfg.env = prefixrl_core::env::EnvConfig::synthesis(16);
+            }
+            cfg.train_every = train_every;
+            cfg.actors = actors;
+            let t = Instant::now();
+            let result = TrainLoop::run(&cfg, ev.clone());
+            let steps_per_sec = steps as f64 / t.elapsed().as_secs_f64();
+            println!(
+                "  {backend:>10}, train_every {train_every:>2}, {actors} actors: \
+                 {steps_per_sec:>8.1} decisions/s \
+                 ({} grad steps, {} designs, hit rate {:.0}%)",
+                result.losses.len(),
+                result.designs.len(),
+                100.0 * ev.store().hit_rate(),
+            );
+            rows.push(support::ScalingRow {
+                backend,
+                actors,
+                train_every,
+                steps,
+                steps_per_sec,
+                grad_steps: result.losses.len(),
+                cache_hit_rate: ev.store().hit_rate(),
+                designs: result.designs.len(),
+            });
+        }
     }
     support::write_bench_scaling(16, &rows);
 }

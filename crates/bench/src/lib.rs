@@ -51,32 +51,42 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
 /// One measured point of the actor-scaling benchmark.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalingRow {
+    /// Objective backend scoring the environment steps.
+    pub backend: &'static str,
     /// Actor thread count.
     pub actors: usize,
-    /// Environments stepped in lockstep per actor.
-    pub envs_per_actor: usize,
+    /// Environment steps per gradient step (0: no training).
+    pub train_every: u64,
     /// Environment steps executed.
     pub steps: u64,
     /// Training throughput (each environment step is one policy
     /// decision, so this is also decisions/sec).
     pub steps_per_sec: f64,
+    /// Gradient steps taken.
+    pub grad_steps: usize,
     /// Shared evaluation-cache hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
     /// Distinct designs harvested.
     pub designs: usize,
 }
 
-/// Dumps `BENCH_scaling.json` at the workspace root: steps/sec and cache
-/// hit rate vs actor count, machine-readable so future changes can track
-/// the performance trajectory against this file.
+/// Dumps `BENCH_scaling.json` at the workspace root: wall-clock steps/sec
+/// and cache hit rate vs actor count and training rate, with the host's
+/// CPU count, machine-readable so future changes can track the performance
+/// trajectory against this file.
 pub fn write_bench_scaling(widths: u16, rows: &[ScalingRow]) {
     let value = serde_json::json!({
-        "benchmark": "train_async_actor_scaling",
+        "benchmark": "train_actor_scaling",
         "n": widths,
+        "host": {
+            "cpus": std::thread::available_parallelism().map_or(1, |p| p.get()),
+        },
         "rows": rows.iter().map(|r| serde_json::json!({
+            "backend": r.backend,
             "actors": r.actors,
-            "envs_per_actor": r.envs_per_actor,
+            "train_every": r.train_every,
             "steps": r.steps,
+            "grad_steps": r.grad_steps,
             "steps_per_sec": r.steps_per_sec,
             "decisions_per_sec": r.steps_per_sec,
             "cache_hit_rate": r.cache_hit_rate,
@@ -147,8 +157,6 @@ pub struct NnRow {
     pub bwd_samples_per_sec: f64,
     /// Immutable-inference throughput through `QInfer` (samples/sec).
     pub infer_samples_per_sec: f64,
-    /// Fused frozen-snapshot inference throughput (samples/sec).
-    pub fused_infer_samples_per_sec: f64,
     /// Forward throughput of the pre-PR naive conv stack measured in the
     /// same process (samples/sec; thread-independent — the old path was
     /// single-threaded).
@@ -204,7 +212,7 @@ pub struct GradStepRow {
 }
 
 /// Dumps `BENCH_nn.json` at the workspace root: compute-engine throughput
-/// (forward / backward / inference / fused inference) per config and
+/// (forward / backward / inference) per config and
 /// thread count, against the pre-PR naive single-thread baseline, plus
 /// raw-GEMM GFLOP/s rows per kernel and vector width vs the scalar engine
 /// vs the naive reference, and the gradient step per kernel tier.
@@ -254,12 +262,9 @@ pub fn write_bench_nn(
             "fwd_samples_per_sec": r.fwd_samples_per_sec,
             "bwd_samples_per_sec": r.bwd_samples_per_sec,
             "infer_samples_per_sec": r.infer_samples_per_sec,
-            "fused_infer_samples_per_sec": r.fused_infer_samples_per_sec,
             "baseline_fwd_samples_per_sec": r.baseline_fwd_samples_per_sec,
             "fwd_speedup_vs_baseline":
                 r.fwd_samples_per_sec / r.baseline_fwd_samples_per_sec.max(1e-9),
-            "fused_speedup_vs_baseline":
-                r.fused_infer_samples_per_sec / r.baseline_fwd_samples_per_sec.max(1e-9),
         })).collect::<Vec<_>>(),
     });
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_nn.json");

@@ -1,4 +1,4 @@
-//! The PrefixRL serial training loop.
+//! The PrefixRL training loop.
 //!
 //! One agent is trained per scalarization weight `w`; the paper trains 15
 //! agents with `w_area ∈ [0.10, 0.99]` and assembles the Pareto frontier
@@ -6,21 +6,39 @@
 //! harvested into the design pool (with its evaluated objectives), which is
 //! what the figure harnesses bin into fronts.
 //!
-//! The loop itself lives in [`TrainLoop`], a resumable state machine: it
-//! steps one environment transition at a time, streams
-//! [`crate::experiment::Event`]s to a [`crate::experiment::RunObserver`],
-//! and can snapshot its complete state into a
-//! [`crate::checkpoint::Checkpoint`] (and be rebuilt from one) such that a
-//! resumed run is bit-identical to an uninterrupted one. Sessions of one
-//! or more agents go through [`crate::experiment::Experiment`].
+//! The loop itself lives in [`TrainLoop`], a resumable state machine that
+//! steps `cfg.actors` environments per round (paper Section IV-D: DQN is
+//! off-policy, so experience generation runs in parallel). Each round has
+//! four phases:
+//!
+//! 1. the coordinator (the calling thread) draws every exploration coin and
+//!    random action from the run's one RNG, in actor order, and picks the
+//!    greedy actions with one batched forward of the online network;
+//! 2. the actors step and score their environments at once, each on its
+//!    own thread (see `parallel::lockstep`), raising their own
+//!    [`Event::Step`]s;
+//! 3. the coordinator records the designs and pushes the transitions in
+//!    actor order, training one gradient step whenever the global step
+//!    index is a multiple of `train_every`;
+//! 4. the coordinator resets the truncated environments.
+//!
+//! With one actor this is the classic serial step (act, step, push,
+//! train, reset), run on the calling thread. At any actor count the run is
+//! deterministic — the actors touch neither the RNG nor the replay buffer
+//! nor the network — and it streams [`crate::experiment::Event`]s to a
+//! [`RunObserver`] and snapshots into a [`Checkpoint`] at round boundaries
+//! such that a resumed run is bit-identical to an uninterrupted one.
+//! Sessions of one or more agents go through
+//! [`crate::experiment::Experiment`].
 
-use crate::checkpoint::Checkpoint;
-use crate::env::{EnvConfig, PrefixEnv};
+use crate::checkpoint::{ActorState, Checkpoint};
+use crate::env::{EnvConfig, PrefixEnv, StepOutcome};
 use crate::evaluator::{Evaluator, ObjectivePoint};
-use crate::experiment::{Event, NullObserver, RunObserver};
-use crate::pareto::ParetoFront;
+use crate::experiment::{Event, NullObserver, RunObserver, RunRecord};
+use crate::parallel::{self, Lockstep};
 use crate::qnet::{PrefixQNet, QNetConfig};
 use crate::task::{self, CircuitTask};
+use parking_lot::Mutex;
 use prefix_graph::PrefixGraph;
 use rand::prelude::*;
 use rl::{DoubleDqn, DqnConfig, EpsilonSchedule, ReplayBuffer, Transition};
@@ -37,7 +55,7 @@ pub struct AgentConfig {
     pub qnet: QNetConfig,
     /// Double-DQN settings (includes the scalarization weight).
     pub dqn: DqnConfig,
-    /// Total environment steps.
+    /// Total environment steps, across all actors.
     pub total_steps: u64,
     /// Replay buffer capacity (paper: 4×10⁵).
     pub replay_capacity: usize,
@@ -47,14 +65,12 @@ pub struct AgentConfig {
     pub eps_end: f64,
     /// Steps over which ε anneals.
     pub eps_decay_steps: u64,
-    /// Environment steps per gradient step (0: never train). Both
-    /// runners follow it: the serial loop on its step index, the async
-    /// learner on the transitions it has received.
+    /// Environment steps per gradient step (0: never train), counted on
+    /// the global step index whatever the actor count.
     pub train_every: u64,
-    /// Environments each async actor steps in lockstep; each decision
-    /// round sends their greedy states to the inference broker as one
-    /// request (the serial path always uses one environment).
-    pub envs_per_actor: usize,
+    /// Actors, each stepping one environment on its own thread per round
+    /// (1: the calling thread steps the only environment).
+    pub actors: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -76,7 +92,7 @@ impl AgentConfig {
             eps_end: 0.05,
             eps_decay_steps: 200,
             train_every: 1,
-            envs_per_actor: 2,
+            actors: 1,
             seed: 0,
         }
     }
@@ -97,7 +113,7 @@ impl AgentConfig {
             eps_end: 0.02,
             eps_decay_steps: total_steps * 3 / 4,
             train_every: 1,
-            envs_per_actor: 2,
+            actors: 1,
             seed: 0,
         }
     }
@@ -115,57 +131,69 @@ impl AgentConfig {
             eps_end: 0.0,
             eps_decay_steps: 400_000,
             train_every: 1,
-            envs_per_actor: 4,
+            actors: 1,
             seed: 0,
         }
     }
 }
 
-/// Everything a training run produces.
-pub struct TrainResult {
-    /// Every distinct design visited, with its evaluated objectives, in
-    /// deterministic (canonical-key) order for the serial path.
-    pub designs: Vec<(PrefixGraph, ObjectivePoint)>,
-    /// Per-gradient-step losses.
-    pub losses: Vec<f32>,
-    /// Scalarized episode returns (training diagnostic).
-    pub episode_returns: Vec<f64>,
-    /// Environment steps executed.
-    pub steps: u64,
+/// One actor: its environment and the return of its running episode.
+struct Actor {
+    env: PrefixEnv,
+    episode_return: f64,
 }
 
-impl TrainResult {
-    /// The Pareto front over all visited designs.
-    pub fn front(&self) -> ParetoFront<PrefixGraph> {
-        self.designs.iter().map(|(g, p)| (*p, g.clone())).collect()
-    }
-
-    /// The design minimizing the scalarized objective.
-    pub fn best_scalarized(
-        &self,
-        w_area: f64,
-        c_area: f64,
-        c_delay: f64,
-    ) -> Option<&(PrefixGraph, ObjectivePoint)> {
-        self.designs.iter().min_by(|a, b| {
-            let cost =
-                |p: &ObjectivePoint| w_area * c_area * p.area + (1.0 - w_area) * c_delay * p.delay;
-            cost(&a.1).total_cmp(&cost(&b.1))
-        })
-    }
+/// An actor handed to its thread for one step.
+struct Move {
+    actor: Actor,
+    action: usize,
+    step: u64,
+    epsilon: f64,
 }
 
-/// The serial PrefixRL training loop as a resumable state machine.
+/// The actor threads of one [`TrainLoop::run_rounds`] call: moves in,
+/// actors with their step's outcome back.
+type ActorPool<'w> = Lockstep<'w, Move, (Actor, StepOutcome)>;
+
+/// Phase 2 of a round, on the actor's own thread: steps and scores its
+/// environment and raises the step's [`Event::Step`].
+fn step_actor(
+    run: usize,
+    weight: [f32; 2],
+    observer: &Mutex<&mut dyn RunObserver>,
+    m: Move,
+) -> (Actor, StepOutcome) {
+    let Move {
+        mut actor,
+        action,
+        step,
+        epsilon,
+    } = m;
+    let outcome = actor.env.step_flat(action);
+    actor.episode_return += (weight[0] * outcome.reward[0] + weight[1] * outcome.reward[1]) as f64;
+    observer.lock().on_event(
+        run,
+        &Event::Step {
+            step,
+            epsilon,
+            reward: outcome.reward,
+        },
+    );
+    (actor, outcome)
+}
+
+/// The PrefixRL training loop as a resumable state machine.
 ///
-/// Owns everything one agent's run needs — environment, Double-DQN, replay
-/// buffer, ε-schedule position, RNG, and the harvested design pool — and
-/// advances one environment step per [`TrainLoop::step_once`] call. The
-/// whole state snapshots into a [`Checkpoint`] between steps, and
-/// [`TrainLoop::from_checkpoint`] rebuilds it such that the continued run
-/// is bit-identical to one that never stopped.
+/// Owns everything one agent's run needs — the actors' environments,
+/// Double-DQN, replay buffer, ε-schedule position, RNG, and the harvested
+/// design pool — and advances one round of `cfg.actors` environment steps
+/// at a time (see the module docs). The whole state snapshots into a
+/// [`Checkpoint`] between rounds, and [`TrainLoop::from_checkpoint`]
+/// rebuilds it such that the continued run is bit-identical to one that
+/// never stopped.
 pub struct TrainLoop {
     cfg: AgentConfig,
-    env: PrefixEnv,
+    actors: Vec<Actor>,
     dqn: DoubleDqn<PrefixQNet>,
     replay: ReplayBuffer,
     schedule: EpsilonSchedule,
@@ -174,62 +202,87 @@ pub struct TrainLoop {
     designs: BTreeMap<Vec<u64>, (PrefixGraph, ObjectivePoint)>,
     losses: Vec<f32>,
     episode_returns: Vec<f64>,
-    episode_return: f64,
     step: u64,
-    /// Set until the start state has been announced to an observer (the
+    /// Set until the start states have been announced to an observer (the
     /// constructor has none to emit `DesignFound` to).
     pending_initial_record: bool,
 }
 
 impl TrainLoop {
     /// Initializes a fresh run: seeds the RNG, builds online/target
-    /// networks, resets the environment, and records the start state. The
-    /// circuit task is resolved from `cfg.env.task` through the built-in
-    /// registry (panics on an unknown id); custom tasks go through
-    /// [`TrainLoop::with_task`].
+    /// networks, resets every actor's environment, and records the start
+    /// states. The circuit task is resolved from `cfg.env.task` through
+    /// the built-in registry (panics on an unknown id); custom tasks go
+    /// through [`TrainLoop::with_task`].
     pub fn new(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> Self {
-        Self::with_env(cfg, PrefixEnv::new(cfg.env.clone(), evaluator))
+        let task = task::by_name(&cfg.env.task).unwrap_or_else(|| {
+            panic!(
+                "unknown task `{}` (registered: {:?})",
+                cfg.env.task,
+                task::TASK_NAMES
+            )
+        });
+        Self::with_task(cfg, task, evaluator)
     }
 
     /// Initializes a fresh run over an explicit (possibly custom) circuit
     /// task; `cfg.env.task` is overwritten with the task's id so
     /// checkpoints record it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.actors` is 0.
     pub fn with_task(
         cfg: &AgentConfig,
         task: Arc<dyn CircuitTask>,
         evaluator: Arc<dyn Evaluator>,
     ) -> Self {
-        Self::with_env(cfg, PrefixEnv::with_task(cfg.env.clone(), task, evaluator))
+        let mut lp = Self::build(cfg.clone(), task, evaluator);
+        for actor in &mut lp.actors {
+            actor.env.reset(&mut lp.rng);
+        }
+        lp
     }
 
-    fn with_env(cfg: &AgentConfig, mut env: PrefixEnv) -> Self {
-        let mut cfg = cfg.clone();
+    /// The loop of `cfg` before any reset: seeded RNG, fresh networks and
+    /// replay, and one environment per actor at the task's first start
+    /// state.
+    fn build(
+        mut cfg: AgentConfig,
+        task: Arc<dyn CircuitTask>,
+        evaluator: Arc<dyn Evaluator>,
+    ) -> Self {
+        assert!(cfg.actors > 0, "need at least one actor");
+        let actors: Vec<Actor> = (0..cfg.actors)
+            .map(|_| Actor {
+                env: PrefixEnv::with_task(
+                    cfg.env.clone(),
+                    Arc::clone(&task),
+                    Arc::clone(&evaluator),
+                ),
+                episode_return: 0.0,
+            })
+            .collect();
         // The environment resolved (and possibly rewrote) the task id;
         // keep the checkpointed config in sync with it.
-        cfg.env = env.config().clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        cfg.env = actors[0].env.config().clone();
         let online = PrefixQNet::new(&cfg.qnet);
         let target = PrefixQNet::new(&QNetConfig {
             seed: cfg.qnet.seed ^ 0x5eed,
             ..cfg.qnet.clone()
         });
-        let dqn = DoubleDqn::new(online, target, cfg.dqn.clone());
-        let replay = ReplayBuffer::new(cfg.replay_capacity);
-        let schedule = EpsilonSchedule::linear(cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps);
-        env.reset(&mut rng);
         TrainLoop {
-            cfg,
-            env,
-            dqn,
-            replay,
-            schedule,
-            rng,
+            dqn: DoubleDqn::new(online, target, cfg.dqn.clone()),
+            replay: ReplayBuffer::new(cfg.replay_capacity),
+            schedule: EpsilonSchedule::linear(cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            actors,
             designs: BTreeMap::new(),
             losses: Vec::new(),
             episode_returns: Vec::new(),
-            episode_return: 0.0,
             step: 0,
             pending_initial_record: true,
+            cfg,
         }
     }
 
@@ -278,44 +331,33 @@ impl TrainLoop {
                 task.task_id()
             ));
         }
-        let cfg = ckpt.cfg.clone();
-        let mut env = PrefixEnv::with_task(cfg.env.clone(), task, evaluator);
-        env.restore(ckpt.env_graph.clone(), ckpt.env_steps as usize);
-        let online = PrefixQNet::new(&cfg.qnet);
-        let target = PrefixQNet::new(&QNetConfig {
-            seed: cfg.qnet.seed ^ 0x5eed,
-            ..cfg.qnet.clone()
-        });
-        let mut dqn = DoubleDqn::new(online, target, cfg.dqn.clone());
-        dqn.load_state_snapshot(&ckpt.trainer)?;
-        dqn.online_mut().load_opt_state(&ckpt.opt)?;
-        let schedule = EpsilonSchedule::linear(cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps);
-        let mut designs = BTreeMap::new();
-        for (g, p) in &ckpt.designs {
-            designs.insert(g.canonical_key(), (g.clone(), *p));
+        let mut lp = Self::build(ckpt.cfg.clone(), task, evaluator);
+        for (actor, state) in lp.actors.iter_mut().zip(&ckpt.actors) {
+            actor.env.restore(state.graph.clone(), state.steps as usize);
+            actor.episode_return = state.episode_return;
         }
-        Ok(TrainLoop {
-            cfg,
-            env,
-            dqn,
-            replay: ckpt.replay.clone(),
-            schedule,
-            rng: StdRng::from_state(ckpt.rng),
-            designs,
-            losses: ckpt.losses.clone(),
-            episode_returns: ckpt.episode_returns.clone(),
-            episode_return: ckpt.episode_return,
-            step: ckpt.step,
-            pending_initial_record: false,
-        })
+        lp.dqn.load_state_snapshot(&ckpt.trainer)?;
+        lp.dqn.online_mut().load_opt_state(&ckpt.opt)?;
+        lp.replay = ckpt.replay.clone();
+        lp.rng = StdRng::from_state(ckpt.rng);
+        for (g, p) in &ckpt.designs {
+            lp.designs.insert(g.canonical_key(), (g.clone(), *p));
+        }
+        lp.losses = ckpt.losses.clone();
+        lp.episode_returns = ckpt.episode_returns.clone();
+        lp.step = ckpt.step;
+        lp.pending_initial_record = false;
+        Ok(lp)
     }
 
-    /// Snapshots the complete loop state between environment steps.
+    /// Snapshots the complete loop state between rounds.
     pub fn checkpoint(&mut self) -> Checkpoint {
         if self.pending_initial_record {
-            // Checkpointing before any step: fold the start state into the
-            // pool silently so the snapshot is self-contained.
-            Self::record(&mut self.designs, &self.env);
+            // Checkpointing before any round: fold the start states into
+            // the pool silently so the snapshot is self-contained.
+            for actor in &self.actors {
+                Self::record(&mut self.designs, &actor.env);
+            }
             self.pending_initial_record = false;
         }
         let trainer = self.dqn.save_state();
@@ -328,9 +370,15 @@ impl TrainLoop {
             opt: self.dqn.online_mut().opt_state(),
             replay: self.replay.clone(),
             rng: self.rng.state(),
-            env_graph: self.env.graph().clone(),
-            env_steps: self.env.steps() as u64,
-            episode_return: self.episode_return,
+            actors: self
+                .actors
+                .iter()
+                .map(|a| ActorState {
+                    graph: a.env.graph().clone(),
+                    steps: a.env.steps() as u64,
+                    episode_return: a.episode_return,
+                })
+                .collect(),
             designs: self.designs.values().cloned().collect(),
             losses: self.losses.clone(),
             episode_returns: self.episode_returns.clone(),
@@ -338,12 +386,13 @@ impl TrainLoop {
         }
     }
 
-    /// Convenience: trains a fresh agent to completion unobserved. Sweeps
-    /// and observed runs should go through [`crate::experiment::Experiment`].
-    pub fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> TrainResult {
+    /// Convenience: trains a fresh agent to completion unobserved, as run
+    /// 0. Sweeps and observed runs should go through
+    /// [`crate::experiment::Experiment`].
+    pub fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> RunRecord {
         let mut lp = TrainLoop::new(cfg, evaluator);
         lp.run_to_completion(0, &mut NullObserver);
-        lp.into_parts().1
+        lp.into_parts(0).1
     }
 
     /// Environment steps executed so far.
@@ -361,92 +410,160 @@ impl TrainLoop {
         &self.cfg
     }
 
-    /// Executes one environment step (action selection, transition,
-    /// harvesting, replay push, gradient step, episode bookkeeping),
-    /// streaming events to `observer` under run id `run`. Returns `false`
-    /// once the step budget is exhausted (no step executed).
-    pub fn step_once(&mut self, run: usize, observer: &mut dyn RunObserver) -> bool {
-        if self.is_done() {
-            return false;
-        }
-        if self.pending_initial_record {
-            self.record_observed(run, observer);
-            self.pending_initial_record = false;
-        }
-        let eps = self.schedule.value(self.step);
-        let state = self.env.features();
-        let mask = self.env.action_mask();
-        let action = self
-            .dqn
-            .act(&state, &mask, eps, &mut self.rng)
-            .expect("prefix env always has a legal action");
-        let outcome = self.env.step_flat(action);
-        self.record_observed(run, observer);
-        let w = self.cfg.dqn.weight;
-        let scalarized = (w[0] * outcome.reward[0] + w[1] * outcome.reward[1]) as f64;
-        self.episode_return += scalarized;
-        observer.on_event(
-            run,
-            &Event::Step {
-                step: self.step,
-                epsilon: eps,
-                reward: outcome.reward,
-            },
-        );
-        self.replay.push(Transition {
-            state,
-            action,
-            reward: outcome.reward,
-            next_state: self.env.features(),
-            next_mask: self.env.action_mask(),
-            done: false, // no terminal states; truncation bootstraps
-        });
-        if self.cfg.train_every > 0 && self.step.is_multiple_of(self.cfg.train_every) {
-            if let Some(loss) = self.dqn.train_step(&self.replay, &mut self.rng) {
-                self.losses.push(loss);
-                observer.on_event(
-                    run,
-                    &Event::GradStep {
-                        grad_step: self.losses.len() as u64,
-                        loss,
-                    },
-                );
+    /// Runs rounds under run id `run`, streaming events to `observer`,
+    /// until the step budget is exhausted or `proceed` returns `false`.
+    /// `proceed` is asked before every round, at a round boundary — where
+    /// the loop can be checkpointed and where cancel and pause are polled.
+    /// The actor threads live for the duration of this call.
+    pub fn run_rounds(
+        &mut self,
+        run: usize,
+        observer: &mut dyn RunObserver,
+        mut proceed: impl FnMut(&mut TrainLoop, &mut dyn RunObserver) -> bool,
+    ) {
+        let observer = Mutex::new(observer);
+        let weight = self.cfg.dqn.weight;
+        let work = |_: usize, m: Move| step_actor(run, weight, &observer, m);
+        parallel::lockstep(self.cfg.actors, work, |pool| {
+            while !self.is_done() {
+                let go = proceed(self, &mut **observer.lock());
+                if !go {
+                    break;
+                }
+                self.round(run, pool, &observer);
             }
-        }
-        if outcome.truncated {
-            self.episode_returns.push(self.episode_return);
-            observer.on_event(
-                run,
-                &Event::EpisodeEnd {
-                    episode: self.episode_returns.len(),
-                    scalarized_return: self.episode_return,
-                },
-            );
-            self.episode_return = 0.0;
-            self.env.reset(&mut self.rng);
-            self.record_observed(run, observer);
-        }
-        self.step += 1;
-        true
+        });
     }
 
     /// Runs until the step budget is exhausted.
     pub fn run_to_completion(&mut self, run: usize, observer: &mut dyn RunObserver) {
-        while self.step_once(run, observer) {}
+        self.run_rounds(run, observer, |_, _| true);
     }
 
-    /// Consumes the loop, yielding the trainer and the run record.
-    pub fn into_parts(mut self) -> (DoubleDqn<PrefixQNet>, TrainResult) {
+    /// Executes one round (see the module docs), streaming events to
+    /// `observer` under run id `run`. Returns `false` once the step budget
+    /// is exhausted (no step executed). With more than one actor each call
+    /// starts and joins the actor threads; drive whole runs through
+    /// [`TrainLoop::run_rounds`].
+    pub fn step_round(&mut self, run: usize, observer: &mut dyn RunObserver) -> bool {
+        let before = self.step;
+        let mut first = true;
+        self.run_rounds(run, observer, |_, _| std::mem::take(&mut first));
+        self.step > before
+    }
+
+    fn round(
+        &mut self,
+        run: usize,
+        pool: &mut ActorPool<'_>,
+        observer: &Mutex<&mut dyn RunObserver>,
+    ) {
+        let start = self.step;
+        let count = (self.cfg.total_steps - start).min(self.actors.len() as u64) as usize;
         if self.pending_initial_record {
-            Self::record(&mut self.designs, &self.env);
+            let mut observer = observer.lock();
+            for i in 0..self.actors.len() {
+                self.record_observed(i, start, run, &mut **observer);
+            }
+            self.pending_initial_record = false;
         }
-        let result = TrainResult {
+
+        // Phase 1: every random draw and the greedy forward, in actor order
+        // (one ε per round, at its first step index).
+        let epsilon = self.schedule.value(start);
+        let active = &self.actors[..count];
+        let states: Vec<Vec<f32>> = active.iter().map(|a| a.env.features()).collect();
+        let masks: Vec<Vec<bool>> = active.iter().map(|a| a.env.action_mask()).collect();
+        let state_refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
+        let mask_refs: Vec<&[bool]> = masks.iter().map(Vec::as_slice).collect();
+        let actions: Vec<usize> = self
+            .dqn
+            .act(&state_refs, &mask_refs, epsilon, &mut self.rng)
+            .into_iter()
+            .map(|a| a.expect("prefix env always has a legal action"))
+            .collect();
+
+        // Phase 2: the actors step their environments at once.
+        let idle = self.actors.split_off(count);
+        let moves = std::mem::take(&mut self.actors)
+            .into_iter()
+            .zip(&actions)
+            .enumerate()
+            .map(|(i, (actor, &action))| Move {
+                actor,
+                action,
+                step: start + i as u64,
+                epsilon,
+            })
+            .collect();
+        let stepped = pool.round(moves);
+
+        // Phase 3: designs, transitions and gradient steps, in actor order.
+        let mut observer = observer.lock();
+        let mut truncated = Vec::with_capacity(count);
+        let results = states.into_iter().zip(actions).zip(stepped);
+        for (i, ((state, action), (actor, outcome))) in results.enumerate() {
+            let step = start + i as u64;
+            self.replay.push(Transition {
+                state,
+                action,
+                reward: outcome.reward,
+                next_state: actor.env.features(),
+                next_mask: actor.env.action_mask(),
+                done: false, // no terminal states; truncation bootstraps
+            });
+            self.actors.push(actor);
+            self.record_observed(i, step, run, &mut **observer);
+            if self.cfg.train_every > 0 && step.is_multiple_of(self.cfg.train_every) {
+                if let Some(loss) = self.dqn.train_step(&self.replay, &mut self.rng) {
+                    self.losses.push(loss);
+                    observer.on_event(
+                        run,
+                        &Event::GradStep {
+                            grad_step: self.losses.len() as u64,
+                            loss,
+                        },
+                    );
+                }
+            }
+            truncated.push(outcome.truncated);
+        }
+        self.actors.extend(idle);
+
+        // Phase 4: resets of the truncated environments, in actor order.
+        for (i, _) in truncated.iter().enumerate().filter(|(_, &t)| t) {
+            let actor = &mut self.actors[i];
+            self.episode_returns.push(actor.episode_return);
+            observer.on_event(
+                run,
+                &Event::EpisodeEnd {
+                    episode: self.episode_returns.len(),
+                    scalarized_return: actor.episode_return,
+                },
+            );
+            actor.episode_return = 0.0;
+            actor.env.reset(&mut self.rng);
+            self.record_observed(i, start + i as u64, run, &mut **observer);
+        }
+        self.step = start + count as u64;
+    }
+
+    /// Consumes the loop, yielding the trainer and the record of run `run`.
+    pub fn into_parts(mut self, run: usize) -> (DoubleDqn<PrefixQNet>, RunRecord) {
+        if self.pending_initial_record {
+            for actor in &self.actors {
+                Self::record(&mut self.designs, &actor.env);
+            }
+        }
+        let record = RunRecord {
+            run,
+            w_area: self.cfg.dqn.weight[0] as f64,
+            steps: self.step,
             designs: self.designs.into_values().collect(),
             losses: self.losses,
             episode_returns: self.episode_returns,
-            steps: self.step,
         };
-        (self.dqn, result)
+        (self.dqn, record)
     }
 
     fn record(
@@ -461,15 +578,18 @@ impl TrainLoop {
         true
     }
 
-    fn record_observed(&mut self, run: usize, observer: &mut dyn RunObserver) {
-        if Self::record(&mut self.designs, &self.env) {
+    /// Records actor `i`'s current state, announcing it if new as found
+    /// at step index `step`.
+    fn record_observed(&mut self, i: usize, step: u64, run: usize, observer: &mut dyn RunObserver) {
+        let env = &self.actors[i].env;
+        if Self::record(&mut self.designs, env) {
             observer.on_event(
                 run,
                 &Event::DesignFound {
-                    step: self.step,
-                    point: self.env.metrics(),
-                    size: self.env.graph().size(),
-                    depth: self.env.graph().depth() as usize,
+                    step,
+                    point: env.metrics(),
+                    size: env.graph().size(),
+                    depth: env.graph().depth() as usize,
                 },
             );
         }
@@ -482,7 +602,7 @@ mod tests {
     use crate::cache::CachedEvaluator;
     use crate::task::{by_name, Adder, PrefixOr, TaskEvaluator};
 
-    fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> TrainResult {
+    fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> RunRecord {
         TrainLoop::run(cfg, evaluator)
     }
 
@@ -541,7 +661,7 @@ mod tests {
         let eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(Adder));
         let mut lp = TrainLoop::new(&cfg, Arc::clone(&eval));
         lp.run_to_completion(0, &mut NullObserver);
-        let (mut dqn, _) = lp.into_parts();
+        let (mut dqn, _) = lp.into_parts(0);
         let designs = crate::experiment::greedy_designs(&mut dqn, &cfg.env, eval, 2, 7);
         assert!(designs.len() > 2);
     }
@@ -552,7 +672,7 @@ mod tests {
         let or_eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(PrefixOr));
         let mut lp = TrainLoop::with_task(&cfg, by_name("prefix-or").unwrap(), or_eval.clone());
         for _ in 0..20 {
-            lp.step_once(0, &mut NullObserver);
+            lp.step_round(0, &mut NullObserver);
         }
         let ckpt = lp.checkpoint();
         assert_eq!(ckpt.cfg.env.task, "prefix-or");

@@ -1,10 +1,11 @@
 //! Checkpoint save/resume for training runs and weight sweeps.
 //!
-//! A [`Checkpoint`] captures *everything* the serial [`crate::agent::TrainLoop`]
-//! needs to continue bit-identically: both network parameter sets, the Adam
-//! moments, the replay buffer (storage, ring cursor, push counter), the raw
-//! RNG state, the ε-schedule position (the step counter), the mid-episode
-//! environment state, and the harvested design pool. A
+//! A [`Checkpoint`] captures *everything* [`crate::agent::TrainLoop`] needs
+//! to continue bit-identically from a round boundary: both network
+//! parameter sets, the Adam moments, the replay buffer (storage, ring
+//! cursor, push counter), the raw RNG state, the ε-schedule position (the
+//! step counter), every actor's mid-episode environment state, and the
+//! harvested design pool. A
 //! [`SweepCheckpoint`] aggregates per-agent states for a multi-weight
 //! [`crate::experiment::Experiment`], so a killed sweep restarts exactly
 //! where it stopped: finished agents are restored from their records,
@@ -24,8 +25,18 @@ use rl::{ReplayBuffer, TrainerState};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// A complete snapshot of one agent's training state between two
-/// environment steps.
+/// One actor's mid-episode state inside a [`Checkpoint`].
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ActorState {
+    /// The actor's current prefix graph.
+    pub graph: PrefixGraph,
+    /// Steps already taken in its current episode.
+    pub steps: u64,
+    /// Scalarized return accumulated in its current episode.
+    pub episode_return: f64,
+}
+
+/// A complete snapshot of one agent's training state between two rounds.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Format version ([`Checkpoint::FORMAT_VERSION`]); loads reject others.
@@ -42,12 +53,9 @@ pub struct Checkpoint {
     pub replay: ReplayBuffer,
     /// Raw RNG state (xoshiro256** words).
     pub rng: [u64; 4],
-    /// The mid-episode prefix graph.
-    pub env_graph: PrefixGraph,
-    /// Steps already taken in the current episode.
-    pub env_steps: u64,
-    /// Scalarized return accumulated in the current episode.
-    pub episode_return: f64,
+    /// Every actor's environment state, in actor order (`cfg.actors`
+    /// entries).
+    pub actors: Vec<ActorState>,
     /// The design pool harvested so far (canonical-key order).
     pub designs: Vec<(PrefixGraph, ObjectivePoint)>,
     /// Per-gradient-step losses so far.
@@ -59,16 +67,18 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The current checkpoint format version. v2 added the circuit-task
-    /// fields (`cfg.env.task`, `SweepCheckpoint::task`); v1 files predate
-    /// the task layer and fail to parse on the missing fields.
-    pub const FORMAT_VERSION: u32 = 2;
+    /// The current checkpoint format version. v3 holds one environment
+    /// state per actor (`actors`, with `cfg.actors`); v2 added the
+    /// circuit-task fields (`cfg.env.task`, `SweepCheckpoint::task`). Older
+    /// files are refused by version.
+    pub const FORMAT_VERSION: u32 = 3;
 
-    /// Validates version and online-parameter digest.
+    /// Validates version, online-parameter digest and the actor count.
     ///
     /// # Errors
     ///
-    /// Fails on a version mismatch or a digest mismatch (corruption).
+    /// Fails on a version mismatch, a digest mismatch, or a number of
+    /// actor states other than `cfg.actors` (corruption).
     pub fn validate(&self) -> Result<(), String> {
         if self.version != Self::FORMAT_VERSION {
             return Err(format!(
@@ -82,6 +92,13 @@ impl Checkpoint {
             return Err(format!(
                 "checkpoint digest mismatch: stored {:#x}, computed {digest:#x} (corrupt file?)",
                 self.net_digest
+            ));
+        }
+        if self.actors.len() != self.cfg.actors {
+            return Err(format!(
+                "checkpoint holds {} actor states for {} actors (corrupt file?)",
+                self.actors.len(),
+                self.cfg.actors
             ));
         }
         Ok(())
@@ -292,7 +309,7 @@ mod tests {
         let cfg = AgentConfig::tiny(8, 0.4);
         let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
         for _ in 0..120 {
-            lp.step_once(0, &mut NullObserver);
+            lp.step_round(0, &mut NullObserver);
         }
         lp.checkpoint()
     }
@@ -313,12 +330,12 @@ mod tests {
         assert_eq!(back.replay.len(), ckpt.replay.len());
         assert_eq!(back.replay.total_pushed(), ckpt.replay.total_pushed());
         assert_eq!(back.losses, ckpt.losses);
-        assert_eq!(back.episode_return, ckpt.episode_return);
         assert_eq!(back.designs.len(), ckpt.designs.len());
-        assert_eq!(
-            back.env_graph.canonical_key(),
-            ckpt.env_graph.canonical_key()
-        );
+        assert_eq!(back.actors.len(), ckpt.actors.len());
+        for (a, b) in back.actors.iter().zip(&ckpt.actors) {
+            assert_eq!(a.graph.canonical_key(), b.graph.canonical_key());
+            assert_eq!((a.steps, a.episode_return), (b.steps, b.episode_return));
+        }
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //!   [`ExperimentBuilder::eval_cache`]) and a [`Run`] handle per
 //!   scalarization weight; running it fans agents out over
 //!   `eval_threads` concurrent runs so the cross-agent cache sharing
-//!   actually happens in-process.
-//! - [`Runner`] — the one training-loop abstraction. [`SerialRunner`]
-//!   (deterministic, checkpointable) and [`AsyncRunner`] (actor/learner
-//!   threads, see [`crate::parallel`]) both implement it.
+//!   actually happens in-process. Every agent trains through the one
+//!   [`TrainLoop`], with `actors` environments per round.
 //! - [`RunObserver`] + [`Event`] — a streaming event interface replacing
 //!   the return-everything-at-the-end result blob: per-step, per-gradient,
 //!   per-episode, per-design, and per-checkpoint events, with
@@ -166,17 +164,17 @@ struct TokenInner {
     wake: std::sync::Condvar,
 }
 
-/// A cooperative cancel/pause handle threaded through every [`Runner`].
+/// A cooperative cancel/pause handle threaded through every run of an
+/// [`Experiment`].
 ///
 /// Cloning is cheap (clones share one state) and any clone may flip it.
-/// Runners poll the token between environment steps (serial) or decision
-/// rounds (async), so [`CancelToken::cancel`] stops a run within one event
-/// tick: the serial runner saves a checkpoint exactly as `halt_at` does
-/// (the run stays resumable), the async runner drains its actors and
-/// returns the partial record. [`CancelToken::pause`] blocks the training
-/// threads at the same poll points without losing any state until
-/// [`CancelToken::resume`]; cancelling also wakes paused runs so they can
-/// exit. Cancellation is permanent — a cancelled token never resumes.
+/// Runs poll the token at every round boundary, so
+/// [`CancelToken::cancel`] stops a run within one round: it saves a
+/// checkpoint exactly as `halt_at` does, and the run stays resumable.
+/// [`CancelToken::pause`] blocks the run at the same poll point without
+/// losing any state until [`CancelToken::resume`]; cancelling also wakes
+/// paused runs so they can exit. Cancellation is permanent — a cancelled
+/// token never resumes.
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -213,7 +211,7 @@ impl CancelToken {
         self.inner.wake.notify_all();
     }
 
-    /// Requests cancellation; observed within one step/decision round.
+    /// Requests cancellation; observed within one round.
     pub fn cancel(&self) {
         self.set(TokenState::Cancelled);
     }
@@ -238,7 +236,7 @@ impl CancelToken {
         self.state() == TokenState::Paused
     }
 
-    /// The runner-side poll: blocks while paused, then reports whether the
+    /// The run-side poll: blocks while paused, then reports whether the
     /// run should stop (`true` = cancelled).
     pub fn wait_while_paused(&self) -> bool {
         let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -363,8 +361,7 @@ impl Weights {
 
 // --------------------------------------------------------------- records
 
-/// What one agent's run produced (the serializable core of the old
-/// `TrainResult`, tagged with its sweep position).
+/// What one agent's run produced, tagged with its sweep position.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Run id (index into the sweep's weight list).
@@ -387,6 +384,21 @@ impl RunRecord {
         self.designs.iter().map(|(g, p)| (*p, g.clone())).collect()
     }
 
+    /// The design minimizing the scalarized objective
+    /// `w_area·c_area·area + (1 − w_area)·c_delay·delay`.
+    pub fn best_scalarized(
+        &self,
+        w_area: f64,
+        c_area: f64,
+        c_delay: f64,
+    ) -> Option<&(PrefixGraph, ObjectivePoint)> {
+        self.designs.iter().min_by(|a, b| {
+            let cost =
+                |p: &ObjectivePoint| w_area * c_area * p.area + (1.0 - w_area) * c_delay * p.delay;
+            cost(&a.1).total_cmp(&cost(&b.1))
+        })
+    }
+
     /// A partial record reflecting a mid-run checkpoint (used when a sweep
     /// halts before this run finishes).
     pub fn from_checkpoint(run: usize, ckpt: &Checkpoint) -> Self {
@@ -399,127 +411,6 @@ impl RunRecord {
             episode_returns: ckpt.episode_returns.clone(),
         }
     }
-}
-
-// ---------------------------------------------------------------- runner
-
-/// Everything a [`Runner`] needs for one agent's run.
-pub struct RunContext<'a> {
-    /// Run id (sweep position; 0 for single runs).
-    pub run_id: usize,
-    /// The agent configuration.
-    pub cfg: &'a AgentConfig,
-    /// The circuit task being optimized (see [`crate::task`]).
-    pub task: Arc<dyn CircuitTask>,
-    /// The (typically shared) evaluator stack.
-    pub evaluator: Arc<dyn Evaluator>,
-    /// Event sink.
-    pub observer: &'a mut dyn RunObserver,
-    /// Capture a checkpoint every this many environment steps.
-    pub checkpoint_every: Option<u64>,
-    /// Receives each captured checkpoint (the sweep persists it).
-    pub on_checkpoint: Option<&'a mut dyn FnMut(usize, Checkpoint)>,
-    /// Resume from this checkpoint instead of starting fresh.
-    pub resume: Option<Checkpoint>,
-    /// Stop after this many environment steps, saving a checkpoint — for
-    /// interrupt/resume testing and CI smoke runs.
-    pub halt_at: Option<u64>,
-    /// Cooperative cancel/pause handle, polled between steps (serial) or
-    /// decision rounds (async). A run stopped by it returns a partial
-    /// outcome with `completed == false`.
-    pub cancel: CancelToken,
-}
-
-/// The outcome of one agent's (possibly halted) run.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// The run record (partial if `completed` is false).
-    pub record: RunRecord,
-    /// Whether the step budget was exhausted (false after `halt_at`).
-    pub completed: bool,
-}
-
-/// The single training-loop abstraction: both the serial loop and the
-/// async actor/learner system run one agent to completion behind this
-/// interface, which is what lets [`Experiment`] treat them uniformly.
-pub trait Runner: Sync {
-    /// Runs one agent per `ctx`, streaming events to its observer.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an invalid resume checkpoint or an unsupported
-    /// context/runner combination.
-    fn run(&self, ctx: RunContext<'_>) -> Result<RunOutcome, String>;
-}
-
-/// The deterministic serial runner (one environment, exact
-/// checkpoint/resume) — [`crate::agent::TrainLoop`] behind the [`Runner`]
-/// interface.
-pub struct SerialRunner;
-
-impl Runner for SerialRunner {
-    fn run(&self, mut ctx: RunContext<'_>) -> Result<RunOutcome, String> {
-        let mut lp = match ctx.resume.take() {
-            Some(ckpt) => TrainLoop::from_checkpoint_with_task(
-                &ckpt,
-                Arc::clone(&ctx.task),
-                Arc::clone(&ctx.evaluator),
-            )?,
-            None => {
-                TrainLoop::with_task(ctx.cfg, Arc::clone(&ctx.task), Arc::clone(&ctx.evaluator))
-            }
-        };
-        loop {
-            // Poll the token between steps: pause blocks right here (no
-            // state is lost), cancel snapshots and stops exactly like a
-            // halt, so a cancelled run resumes from its checkpoint.
-            let stop =
-                ctx.cancel.wait_while_paused() || ctx.halt_at.is_some_and(|halt| lp.step() >= halt);
-            if stop && !lp.is_done() {
-                return Ok(RunOutcome {
-                    record: save_checkpoint(&mut lp, &mut ctx),
-                    completed: false,
-                });
-            }
-            if !lp.step_once(ctx.run_id, ctx.observer) {
-                break;
-            }
-            let due = ctx
-                .checkpoint_every
-                .is_some_and(|every| every > 0 && lp.step().is_multiple_of(every));
-            if due && !lp.is_done() {
-                save_checkpoint(&mut lp, &mut ctx);
-            }
-        }
-        let run = ctx.run_id;
-        let w_area = ctx.cfg.dqn.weight[0] as f64;
-        let (_, result) = lp.into_parts();
-        Ok(RunOutcome {
-            record: RunRecord {
-                run,
-                w_area,
-                steps: result.steps,
-                designs: result.designs,
-                losses: result.losses,
-                episode_returns: result.episode_returns,
-            },
-            completed: true,
-        })
-    }
-}
-
-/// Snapshots `lp`, hands the checkpoint to `ctx.on_checkpoint` and reports
-/// it to the observer. Returns the partial record a run stopped here ends
-/// with.
-fn save_checkpoint(lp: &mut TrainLoop, ctx: &mut RunContext<'_>) -> RunRecord {
-    let ckpt = lp.checkpoint();
-    let record = RunRecord::from_checkpoint(ctx.run_id, &ckpt);
-    if let Some(cb) = ctx.on_checkpoint.as_mut() {
-        cb(ctx.run_id, ckpt);
-    }
-    ctx.observer
-        .on_event(ctx.run_id, &Event::CheckpointSaved { step: lp.step() });
-    record
 }
 
 /// Rolls out the greedy policy (ε = 0) from each starting state, returning
@@ -582,7 +473,7 @@ pub struct ExperimentBuilder {
     store: Option<Arc<EvalCache>>,
     eval_threads: usize,
     cache_shards: usize,
-    actors: usize,
+    actors: Option<usize>,
     nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -603,7 +494,7 @@ impl ExperimentBuilder {
             store: None,
             eval_threads: 4,
             cache_shards: 16,
-            actors: 1,
+            actors: None,
             nn_threads: None,
             checkpoint_every: None,
             checkpoint_path: None,
@@ -680,24 +571,24 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Async actor threads *per agent*. `1` (default) selects the
-    /// deterministic, checkpointable [`SerialRunner`]; `> 1` selects
-    /// [`AsyncRunner`] (no checkpoint support).
+    /// Actors *per agent* ([`AgentConfig::actors`]): environments stepped
+    /// at once, each on its own thread, per round. Overrides the base
+    /// config's count; defaults to it (1 for the built-in configs). Runs
+    /// are deterministic and checkpointable at every count.
     ///
     /// # Panics
     ///
     /// Panics if `actors == 0`.
     pub fn actors(mut self, actors: usize) -> Self {
         assert!(actors > 0, "need at least one actor");
-        self.actors = actors;
+        self.actors = Some(actors);
         self
     }
 
-    /// Inert: the argument is ignored. Async runs always take their
-    /// Q-values from the cross-actor inference broker, which changes no
-    /// trajectory (the fused net is per-sample). The method stays, with
-    /// its signature, only because the benchmark harness under
-    /// `perfbench/` calls `.batched_inference(true)`.
+    /// Inert: the argument is ignored. Every run picks its greedy actions
+    /// with one batched forward per round. The method stays, with its
+    /// signature, only because the benchmark harness under `perfbench/`
+    /// calls `.batched_inference(true)`.
     #[doc(hidden)]
     pub fn batched_inference(self, _on: bool) -> Self {
         self
@@ -738,10 +629,10 @@ impl ExperimentBuilder {
     }
 
     /// Attach a [`CancelToken`] the caller keeps a clone of: cancelling it
-    /// stops every run within one event tick (serial runs checkpoint
-    /// first, so the sweep stays resumable), pausing it blocks them
-    /// between steps. This is how a resident server cancels a job without
-    /// tearing the process down.
+    /// stops every run within one round (runs checkpoint first, so the
+    /// sweep stays resumable), pausing it blocks them between rounds.
+    /// This is how a resident server cancels a job without tearing the
+    /// process down.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -783,6 +674,9 @@ impl ExperimentBuilder {
                 cfg.dqn.weight = [w as f32, 1.0 - w as f32];
                 cfg.seed = self.seed.wrapping_add(id as u64);
                 cfg.qnet.seed = cfg.qnet.seed.wrapping_add(id as u64);
+                if let Some(actors) = self.actors {
+                    cfg.actors = actors;
+                }
                 Run { id, w_area: w, cfg }
             })
             .collect();
@@ -790,7 +684,6 @@ impl ExperimentBuilder {
             runs,
             cache,
             parallelism: self.eval_threads,
-            actors: self.actors,
             nn_threads: self.nn_threads,
             checkpoint_every: self.checkpoint_every,
             checkpoint_path: self.checkpoint_path,
@@ -826,7 +719,6 @@ pub struct Experiment {
     /// task and backend live.
     cache: Arc<CachedEvaluator<TaskEvaluator>>,
     parallelism: usize,
-    actors: usize,
     nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -895,9 +787,10 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Fails if the checkpoint does not match this experiment's shape, or
-    /// was recorded for a different circuit task — continuing an adder
-    /// sweep as a prefix-OR sweep would silently mix oracles.
+    /// Fails if the checkpoint does not match this experiment's shape, was
+    /// recorded for a different circuit task — continuing an adder sweep
+    /// as a prefix-OR sweep would silently mix oracles — or holds a run
+    /// trained with another actor count.
     pub fn resume(
         &self,
         sweep: SweepCheckpoint,
@@ -927,6 +820,13 @@ impl Experiment {
                         run.id,
                         c.cfg.env.task,
                         self.task().task_id()
+                    ));
+                }
+                if c.cfg.actors != run.cfg.actors {
+                    return Err(format!(
+                        "run {}: checkpoint actor mismatch: trained with {} actors, \
+                         experiment has {} actors",
+                        run.id, c.cfg.actors, run.cfg.actors
                     ));
                 }
             }
@@ -959,19 +859,10 @@ impl Experiment {
             .into_iter()
             .map(|s| Mutex::new(Some(s)))
             .collect();
-        // Partial records of runs a cancel stopped without a checkpoint
-        // (the async runner cannot snapshot); indexed by run id.
-        let partials: Vec<Mutex<Option<RunRecord>>> =
-            (0..slots.len()).map(|_| Mutex::new(None)).collect();
         let shared_observer = Mutex::new(observer);
         let persist_lock = Mutex::new(());
         let next = AtomicUsize::new(0);
         let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let runner: Box<dyn Runner> = if self.actors > 1 {
-            Box::new(AsyncRunner::new(self.actors))
-        } else {
-            Box::new(SerialRunner)
-        };
         let workers = self.parallelism.min(self.runs.len()).max(1);
         std::thread::scope(|s| {
             for _ in 0..workers {
@@ -993,40 +884,18 @@ impl Experiment {
                     let mut local_observer = LockedObserver {
                         inner: &shared_observer,
                     };
-                    let mut on_checkpoint = |id: usize, ckpt: Checkpoint| {
-                        *slots[id].lock() = Some(RunState::InProgress(Box::new(ckpt)));
+                    let mut keep = |ckpt: Checkpoint| {
+                        *slots[i].lock() = Some(RunState::InProgress(Box::new(ckpt)));
                         self.persist(&slots, &persist_lock);
                     };
-                    let ctx = RunContext {
-                        run_id: i,
-                        cfg: &self.runs[i].cfg,
-                        task: Arc::clone(self.task()),
-                        evaluator: Arc::clone(&self.cache) as Arc<dyn Evaluator>,
-                        observer: &mut local_observer,
-                        checkpoint_every: self.checkpoint_every,
-                        on_checkpoint: Some(&mut on_checkpoint),
-                        resume,
-                        halt_at: self.halt_at,
-                        cancel: self.cancel.clone(),
-                    };
-                    match runner.run(ctx) {
-                        Ok(outcome) => {
-                            if outcome.completed {
-                                *slots[i].lock() = Some(RunState::Done(outcome.record));
-                                self.persist(&slots, &persist_lock);
-                            } else if matches!(
-                                slots[i].lock().as_ref().expect("slot populated"),
-                                RunState::Pending
-                            ) {
-                                // Stopped without ever checkpointing (an
-                                // async cancel): keep the partial record
-                                // so its designs still reach the report.
-                                *partials[i].lock() = Some(outcome.record);
-                            }
-                            // A halted/cancelled serial run already
-                            // persisted via on_checkpoint and stays
-                            // InProgress.
+                    match self.train_run(i, resume, &mut local_observer, &mut keep) {
+                        Ok(Some(record)) => {
+                            *slots[i].lock() = Some(RunState::Done(record));
+                            self.persist(&slots, &persist_lock);
                         }
+                        // Halted or cancelled: its checkpoint is already
+                        // in the slot.
+                        Ok(None) => {}
                         Err(e) => errors.lock().push(format!("run {i}: {e}")),
                     }
                 });
@@ -1056,15 +925,14 @@ impl Experiment {
                 }
                 RunState::Pending => {
                     completed = false;
-                    let partial = partials[i].lock().take();
-                    records.push(partial.unwrap_or(RunRecord {
+                    records.push(RunRecord {
                         run: i,
                         w_area: self.runs[i].w_area,
                         steps: 0,
                         designs: Vec::new(),
                         losses: Vec::new(),
                         episode_returns: Vec::new(),
-                    }));
+                    });
                 }
             }
         }
@@ -1086,13 +954,59 @@ impl Experiment {
             backend: self.backend().backend_id().to_string(),
             evaluator: self.cache.name().to_string(),
             steps_per_agent: self.runs[0].cfg.total_steps,
-            actors_per_agent: self.actors,
+            actors_per_agent: self.runs[0].cfg.actors,
             completed,
             records,
             frontier_power,
             cache: self.cache_stats(),
             elapsed_sec: t0.elapsed().as_secs_f64(),
         })
+    }
+
+    /// Trains run `id` — from `resume` when given — until its budget is
+    /// spent, `halt_at` is reached or the cancel token fires. Every
+    /// checkpoint it captures goes to `keep`: periodic ones at the first
+    /// round boundary past each multiple of `checkpoint_every`, and one at
+    /// the boundary where a halt or cancel stops it. Returns the record of
+    /// a finished run, `None` for a stopped one.
+    fn train_run(
+        &self,
+        id: usize,
+        resume: Option<Checkpoint>,
+        observer: &mut dyn RunObserver,
+        keep: &mut dyn FnMut(Checkpoint),
+    ) -> Result<Option<RunRecord>, String> {
+        let evaluator = Arc::clone(&self.cache) as Arc<dyn Evaluator>;
+        let mut lp = match resume {
+            Some(ckpt) => {
+                TrainLoop::from_checkpoint_with_task(&ckpt, Arc::clone(self.task()), evaluator)?
+            }
+            None => TrainLoop::with_task(&self.runs[id].cfg, Arc::clone(self.task()), evaluator),
+        };
+        let mut saved_at = lp.step();
+        let mut stopped = false;
+        lp.run_rounds(id, observer, |lp, observer| {
+            let mut save = |lp: &mut TrainLoop| {
+                keep(lp.checkpoint());
+                observer.on_event(id, &Event::CheckpointSaved { step: lp.step() });
+            };
+            let due = self
+                .checkpoint_every
+                .is_some_and(|every| every > 0 && lp.step() / every > saved_at / every);
+            if due {
+                save(lp);
+            }
+            saved_at = lp.step();
+            // Pause blocks right here (no state is lost); cancel stops and
+            // checkpoints exactly like a halt, so the run resumes.
+            stopped =
+                self.cancel.wait_while_paused() || self.halt_at.is_some_and(|h| lp.step() >= h);
+            if stopped {
+                save(lp);
+            }
+            !stopped
+        });
+        Ok((!stopped).then(|| lp.into_parts(id).1))
     }
 
     /// Atomically rewrites the sweep checkpoint file, if one is configured.
@@ -1149,7 +1063,7 @@ pub struct ExperimentResult {
     pub evaluator: String,
     /// Step budget per agent.
     pub steps_per_agent: u64,
-    /// Async actor threads per agent (1 = deterministic serial runner).
+    /// Actors per agent.
     pub actors_per_agent: usize,
     /// Whether every agent exhausted its budget (false after `halt_at`).
     pub completed: bool,
@@ -1229,12 +1143,12 @@ impl ExperimentResult {
             .iter()
             .map(|r| {
                 let front = r.front();
-                // The serial runner's evaluation count is exact: one per
-                // step, one per episode reset, one initial state. Async
-                // actors run several environments with step-claim
-                // overshoot, so no exact per-agent count exists there.
-                let eval_requests = (self.actors_per_agent == 1)
-                    .then(|| r.steps + r.episode_returns.len() as u64 + 1);
+                // The evaluations an uninterrupted run makes: each actor's
+                // environment scores its first start state when built and
+                // again at its first reset, then one per step and one per
+                // episode reset.
+                let eval_requests =
+                    r.steps + r.episode_returns.len() as u64 + 2 * self.actors_per_agent as u64;
                 serde_json::json!({
                     "run": r.run,
                     "w_area": r.w_area,
@@ -1274,10 +1188,6 @@ impl ExperimentResult {
         })
     }
 }
-
-// The async runner lives in `parallel.rs` (thread topology) but is part of
-// this module's public surface.
-pub use crate::parallel::AsyncRunner;
 
 #[cfg(test)]
 mod tests {
@@ -1436,30 +1346,22 @@ mod tests {
 
     #[test]
     fn cancel_token_stops_serial_run_within_one_tick() {
-        let cfg = AgentConfig::tiny(8, 0.5);
-        let run =
-            |cancel: CancelToken, resume: Option<Checkpoint>, observer: &mut dyn RunObserver| {
-                let mut saved = None;
-                let mut keep = |_: usize, ckpt: Checkpoint| saved = Some(ckpt);
-                let outcome = SerialRunner
-                    .run(RunContext {
-                        run_id: 0,
-                        cfg: &cfg,
-                        task: Arc::new(Adder),
-                        evaluator: Arc::new(TaskEvaluator::analytical(Adder)),
-                        observer,
-                        checkpoint_every: None,
-                        on_checkpoint: Some(&mut keep),
-                        resume,
-                        halt_at: None,
-                        cancel,
-                    })
-                    .unwrap();
-                (outcome, saved)
-            };
-        // (step whose event fires the cancel, steps that must have run);
-        // `None` cancels before the first step.
-        for (cancel_at, expected) in [(Some(50u64), 51u64), (None, 0)] {
+        let experiment = |actors: usize, cancel: CancelToken| {
+            Experiment::builder()
+                .base_config(AgentConfig::tiny(8, 0.5))
+                .actors(actors)
+                .cancel_token(cancel)
+                .build()
+        };
+        // (actors, step whose event fires the cancel, steps that must have
+        // run); `None` cancels before the first round. Three actors run
+        // rounds 0..3, 3..6, …: step 50 lies in round 48..51.
+        for (actors, cancel_at, expected) in [
+            (1, Some(50u64), 51u64),
+            (1, None, 0),
+            (3, Some(50), 51),
+            (3, None, 0),
+        ] {
             let token = CancelToken::new();
             if cancel_at.is_none() {
                 token.cancel();
@@ -1472,19 +1374,77 @@ mod tests {
                     }
                 }
             });
-            let (outcome, saved) = run(token, None, &mut obs);
-            assert!(!outcome.completed);
-            // The runner polls before every step, so a token that fired
-            // during step 50 stops the run after exactly 51 steps.
-            assert_eq!(outcome.record.steps, expected, "cancel not within one tick");
-            assert!(!outcome.record.designs.is_empty());
-            // The stop saved a checkpoint the run resumes from to the end.
+            // Driven through `train_run` directly: an `Experiment` never
+            // starts a run whose token is already cancelled.
+            let mut saved = None;
+            let record = experiment(actors, token)
+                .train_run(0, None, &mut obs, &mut |ckpt| saved = Some(ckpt))
+                .unwrap();
+            assert!(record.is_none(), "a cancelled run is not finished");
+            // The run polls before every round, so a token that fired
+            // during step 50 stops it at the end of that round.
             let ckpt = saved.expect("a cancelled run saves a checkpoint");
-            assert_eq!(ckpt.step, expected);
-            let (resumed, _) = run(CancelToken::new(), Some(ckpt), &mut NullObserver);
-            assert!(resumed.completed);
-            assert_eq!(resumed.record.steps, cfg.total_steps);
+            assert_eq!(
+                ckpt.step, expected,
+                "{actors} actor(s): cancel not within one round"
+            );
+            assert_eq!(ckpt.actors.len(), actors);
+            assert!(!ckpt.designs.is_empty());
+            // The stop saved a checkpoint the run resumes from to the end.
+            let resumed = experiment(actors, CancelToken::new())
+                .train_run(0, Some(ckpt), &mut NullObserver, &mut |_| {})
+                .unwrap()
+                .expect("the resumed run finishes");
+            assert_eq!(resumed.steps, 300);
         }
+    }
+
+    /// The report's `eval_requests` is the exact number of evaluations an
+    /// agent makes: a one-agent run over a private cache sends that many
+    /// requests to it, at one actor and at three.
+    #[test]
+    fn eval_requests_match_cache_requests() {
+        for actors in [1, 3] {
+            let result = Experiment::builder()
+                .base_config(AgentConfig::tiny(8, 0.5))
+                .actors(actors)
+                .build()
+                .run_quiet()
+                .unwrap();
+            let json = result.to_json(false);
+            let agent = &json.get("agents").unwrap().as_array().unwrap()[0];
+            let requests = json.get("cache").unwrap().get("requests").unwrap();
+            assert_eq!(
+                agent.get("eval_requests").unwrap(),
+                requests,
+                "{actors} actor(s)"
+            );
+            assert_eq!(result.actors_per_agent, actors);
+        }
+    }
+
+    #[test]
+    fn resume_rejects_actor_count_mismatch() {
+        let dir = std::env::temp_dir().join(format!("prefixrl-actors-{}", std::process::id()));
+        let path = dir.join("halted.sweep.json");
+        let experiment = |actors: usize| {
+            Experiment::builder()
+                .base_config(AgentConfig::tiny(8, 0.5))
+                .actors(actors)
+                .checkpoint_path(path.clone())
+                .halt_at(30)
+        };
+        assert!(!experiment(2).build().run_quiet().unwrap().completed);
+        let sweep = SweepCheckpoint::load(&path).unwrap();
+        let err = match experiment(1).build().resume(sweep, &mut NullObserver) {
+            Err(e) => e,
+            Ok(_) => panic!("actor-count mismatch must be rejected"),
+        };
+        assert!(
+            err.contains("2 actors") && err.contains("1 actors"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

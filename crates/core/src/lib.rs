@@ -16,16 +16,16 @@
 //! - [`mod@env`]: the PrefixRL MDP over legal prefix graphs (Section IV-A/B);
 //! - [`qnet`]: the convolutional residual Q-network (Fig. 2) implementing
 //!   [`rl::QNetwork`];
-//! - [`agent`]: the serial scalarized Double-DQN training loop
+//! - [`agent`]: the scalarized Double-DQN training loop
 //!   ([`agent::TrainLoop`]) producing area-delay-specialized adder
-//!   designers;
-//! - [`parallel`]: the asynchronous actor/learner training system and
-//!   parallel batch evaluation, [`parallel::evaluate_batch`] (Section IV-D);
+//!   designers, deterministic at every actor count;
+//! - [`parallel`]: the thread pools of Section IV-D — the lockstep actor
+//!   threads of a training run and parallel batch evaluation
+//!   ([`parallel::evaluate_batch`]);
 //! - [`experiment`]: the session layer — builder-configured multi-weight
-//!   sweeps over one shared cache, streaming run events, and the unified
-//!   [`experiment::Runner`] behind both training paths;
+//!   sweeps over one shared cache and streaming run events;
 //! - [`checkpoint`]: full-state save/resume with bit-identical
-//!   continuation for the serial runner;
+//!   continuation;
 //! - [`pareto`]: Pareto-front utilities used by every figure of the paper.
 //!
 //! # Example
@@ -63,15 +63,14 @@ pub mod task;
 
 /// Convenient re-exports for downstream users.
 pub mod prelude {
-    pub use crate::agent::{AgentConfig, TrainLoop, TrainResult};
+    pub use crate::agent::{AgentConfig, TrainLoop};
     pub use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
     pub use crate::checkpoint::{Checkpoint, SweepCheckpoint};
     pub use crate::env::{EnvConfig, PrefixEnv};
     pub use crate::evaluator::{Evaluator, ObjectivePoint};
     pub use crate::experiment::{
-        greedy_designs, AsyncRunner, CallbackObserver, CancelToken, ChannelObserver, Event,
-        Experiment, ExperimentResult, NullObserver, RunObserver, RunRecord, Runner, SerialRunner,
-        Weights,
+        greedy_designs, CallbackObserver, CancelToken, ChannelObserver, Event, Experiment,
+        ExperimentResult, NullObserver, RunObserver, RunRecord, Weights,
     };
     pub use crate::frontier::{sweep_front, sweep_task_front};
     pub use crate::parallel::evaluate_batch;

@@ -7,12 +7,9 @@
 //! `[Q_area(add), Q_area(del), Q_delay(add), Q_delay(del)]`.
 //!
 //! The network is stored as a *typed* layer tree (not a `Sequential` of
-//! boxed layers) so the conv→batch-norm pairs are visible to fusion:
-//! [`PrefixQNet::frozen`] folds every batch-norm into its preceding
-//! convolution ([`nn::Conv2d::fused`]) and returns a [`FrozenQNet`] — an
-//! immutable, `Send + Sync` inference network implementing [`rl::QInfer`]
-//! that async actors share behind an `Arc` with zero per-decision weight
-//! copies (see `parallel.rs`).
+//! boxed layers). Its immutable [`rl::QInfer`] forward is what the training
+//! loop's coordinator picks greedy actions with, one batch per round (see
+//! `agent.rs`); it writes no backward caches.
 //!
 //! The paper uses `B = 32, C = 256`; the defaults here are scaled for CPU
 //! training (see DESIGN.md §8) with the paper values available via
@@ -74,9 +71,7 @@ impl QNetConfig {
     }
 }
 
-/// One paper residual block: `LReLU(BN(conv5(LReLU(BN(conv5(x))))) + x)`,
-/// with the conv→BN pairs held as typed fields so they can be fused for
-/// inference.
+/// One paper residual block: `LReLU(BN(conv5(LReLU(BN(conv5(x))))) + x)`.
 struct PaperBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,
@@ -354,28 +349,6 @@ impl PrefixQNet {
         self.n
     }
 
-    /// Builds the fused, immutable inference snapshot of the current
-    /// parameters: every batch-norm is folded into its preceding
-    /// convolution (running-statistics semantics, matching evaluation-mode
-    /// forwards within float rounding), backward caching disappears
-    /// entirely, and the result is `Send + Sync` — async actors share one
-    /// snapshot behind an `Arc` instead of copying weights.
-    pub fn frozen(&self) -> FrozenQNet {
-        FrozenQNet {
-            stem: self.net.stem.fused(&self.net.stem_bn),
-            blocks: self
-                .net
-                .blocks
-                .iter()
-                .map(|b| (b.conv1.fused(&b.bn1), b.conv2.fused(&b.bn2)))
-                .collect(),
-            head: self.net.head.fused(&self.net.head_bn),
-            out: self.net.out.clone(),
-            act: LeakyReLU::default(),
-            n: self.n,
-        }
-    }
-
     /// Snapshots the Adam optimizer state (moments + step counter) —
     /// required alongside [`rl::QNetwork::state`] for bit-identical
     /// checkpoint resume.
@@ -494,53 +467,6 @@ impl QNetwork for PrefixQNet {
     }
 }
 
-/// The fused, immutable inference snapshot of a [`PrefixQNet`].
-///
-/// Holds only fused convolutions (batch-norms folded in, evaluation
-/// semantics) and implements [`rl::QInfer`] through `&self`: no caches, no
-/// mutation, `Send + Sync`. One snapshot behind an `Arc` serves every
-/// async actor; refreshing the policy is a pointer swap, not a weight
-/// copy.
-pub struct FrozenQNet {
-    stem: Conv2d,
-    blocks: Vec<(Conv2d, Conv2d)>,
-    head: Conv2d,
-    out: Conv2d,
-    act: LeakyReLU,
-    n: usize,
-}
-
-impl QInfer for FrozenQNet {
-    fn num_actions(&self) -> usize {
-        2 * self.n * self.n
-    }
-
-    fn infer(&self, states: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>> {
-        let x = pack_states(self.n, states, scratch);
-        let mut cur = self.stem.infer(&x, scratch);
-        scratch.recycle(x);
-        self.act.apply(&mut cur);
-        for (c1, c2) in &self.blocks {
-            let mut a = c1.infer(&cur, scratch);
-            self.act.apply(&mut a);
-            let mut b = c2.infer(&a, scratch);
-            scratch.recycle(a);
-            b.add_assign(&cur);
-            self.act.apply(&mut b);
-            scratch.recycle(cur);
-            cur = b;
-        }
-        let mut h = self.head.infer(&cur, scratch);
-        scratch.recycle(cur);
-        self.act.apply(&mut h);
-        let y = self.out.infer(&h, scratch);
-        scratch.recycle(h);
-        let out = extract_q(self.n, states.len(), &y);
-        scratch.recycle(y);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,66 +521,20 @@ mod tests {
         assert_eq!(fwd, inf, "QInfer::infer diverged from forward(…, false)");
     }
 
+    /// Inference is per-sample — convolutions, evaluation-mode batch-norms
+    /// and LeakyReLU never mix rows — so a state's Q-values are
+    /// *bit-identical* whatever batch they ride in: an actor's greedy
+    /// action does not depend on which other actors were greedy in its
+    /// round.
     #[test]
-    fn frozen_snapshot_matches_eval_forward() {
-        let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
-        let env = PrefixEnv::new(
-            EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
-        );
-        let f = env.features();
-        // Take some training steps so batch-norm statistics are nontrivial
-        // before fusing.
-        for _ in 0..5 {
-            let _ = q.forward(&[&f], true);
-            let mut grad = vec![vec![[0.0f32; 2]; q.num_actions()]; 1];
-            grad[0][7][1] = 0.5;
-            q.apply_gradient(&grad);
-        }
-        let frozen = q.frozen();
-        assert_eq!(frozen.num_actions(), q.num_actions());
-        let reference = q.forward(&[&f], false);
-        let mut scratch = Scratch::new();
-        let fused = frozen.infer(&[&f], &mut scratch);
-        for (r, u) in reference[0].iter().zip(&fused[0]) {
-            for obj in 0..2 {
-                assert!(
-                    (r[obj] - u[obj]).abs() <= 1e-5 + 1e-5 * r[obj].abs(),
-                    "fused {} vs eval {}",
-                    u[obj],
-                    r[obj]
-                );
-            }
-        }
-        // The snapshot is shareable: concurrent inference from plain refs.
-        let frozen = Arc::new(frozen);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let frozen = Arc::clone(&frozen);
-                let f = f.clone();
-                s.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    let out = frozen.infer(&[&f], &mut scratch);
-                    assert_eq!(out[0].len(), frozen.num_actions());
-                });
-            }
-        });
-    }
-
-    /// The inference-broker contract (see `parallel.rs`): the fused net is
-    /// per-sample — convolutions, folded batch-norms and LeakyReLU never
-    /// mix rows — so a state's Q-values are *bit-identical* whatever batch
-    /// they ride in. This is what lets the broker concatenate many actors'
-    /// states into one forward without perturbing any actor's trajectory.
-    #[test]
-    fn frozen_inference_is_independent_of_batch_composition() {
+    fn infer_is_independent_of_batch_composition() {
         let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
         let mut env = PrefixEnv::new(
             EnvConfig::analytical(8),
             Arc::new(TaskEvaluator::analytical(Adder)),
         );
-        // Distinct states along a trajectory, with nontrivial BN statistics
-        // folded into the snapshot.
+        // Distinct states along a trajectory, with nontrivial BN
+        // statistics.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let mut states: Vec<Vec<f32>> = Vec::new();
@@ -669,27 +549,22 @@ mod tests {
             grad[0][11][0] = 0.25;
             q.apply_gradient(&grad);
         }
-        let frozen = q.frozen();
         let mut scratch = Scratch::new();
         let refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
-        let combined = frozen.infer(&refs, &mut scratch);
+        let combined = q.infer(&refs, &mut scratch);
         // Batch of one, prefixes, suffixes, reversed order: every
         // composition must reproduce the combined rows exactly.
         for (i, s) in refs.iter().enumerate() {
-            assert_eq!(
-                frozen.infer(&[s], &mut scratch)[0],
-                combined[i],
-                "singleton {i}"
-            );
+            assert_eq!(q.infer(&[s], &mut scratch)[0], combined[i], "singleton {i}");
         }
         for split in 1..refs.len() {
-            let lo = frozen.infer(&refs[..split], &mut scratch);
-            let hi = frozen.infer(&refs[split..], &mut scratch);
+            let lo = q.infer(&refs[..split], &mut scratch);
+            let hi = q.infer(&refs[split..], &mut scratch);
             assert_eq!(lo, combined[..split], "prefix split {split}");
             assert_eq!(hi, combined[split..], "suffix split {split}");
         }
         let rev: Vec<&[f32]> = refs.iter().rev().copied().collect();
-        let reversed = frozen.infer(&rev, &mut scratch);
+        let reversed = q.infer(&rev, &mut scratch);
         for (i, row) in reversed.iter().enumerate() {
             assert_eq!(*row, combined[refs.len() - 1 - i], "reversed {i}");
         }

@@ -1,18 +1,18 @@
-//! Cross-path equivalence: the serial trainer, the async actor/learner
-//! system, and batch evaluation must agree — same shared policy, same
-//! evaluator semantics, same cache accounting — no matter which path a
-//! design took to evaluation.
+//! Cross-path equivalence: one-actor and multi-actor training and batch
+//! evaluation must agree — same shared policy, same evaluator semantics,
+//! same cache accounting — no matter which path a design took to
+//! evaluation.
 
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::cache::{CacheConfig, CachedEvaluator};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
-use prefixrl_core::experiment::{AsyncRunner, Experiment, Weights};
+use prefixrl_core::experiment::{Experiment, Weights};
 use prefixrl_core::parallel::evaluate_batch;
 use prefixrl_core::task::{Adder, TaskEvaluator};
 use std::sync::Arc;
 
-/// The serial and async runners harvest legal designs with comparable
+/// One-actor and four-actor runs harvest legal designs with comparable
 /// Pareto frontiers at N = 8 and N = 16: both fronts weakly improve on the
 /// two episode start states (which every reset records) and explore design
 /// pools of the same order of magnitude.
@@ -22,7 +22,8 @@ fn serial_and_async_frontiers_comparable() {
         let mut cfg = AgentConfig::tiny(n, 0.5);
         cfg.total_steps = if n == 8 { 400 } else { 300 };
         let serial = TrainLoop::run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
-        let parallel = AsyncRunner::new(4).train(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        cfg.actors = 4;
+        let parallel = TrainLoop::run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
 
         for result in [&serial, &parallel] {
             assert!(result.designs.len() > 10, "n={n}: too few designs");
@@ -31,13 +32,13 @@ fn serial_and_async_frontiers_comparable() {
             }
         }
         let serial_front = serial.front();
-        let async_front = parallel.front();
+        let parallel_front = parallel.front();
         let eval = TaskEvaluator::analytical(Adder);
         for start in [
             eval.evaluate(&PrefixGraph::ripple(n)),
             eval.evaluate(&structures::sklansky(n)),
         ] {
-            for (front, path) in [(&serial_front, "serial"), (&async_front, "async")] {
+            for (front, path) in [(&serial_front, "serial"), (&parallel_front, "4 actors")] {
                 let area = front
                     .area_at_delay(start.delay)
                     .unwrap_or_else(|| panic!("n={n} {path}: start delay unreachable"));
@@ -48,22 +49,26 @@ fn serial_and_async_frontiers_comparable() {
             }
         }
         let (a, b) = (serial.designs.len() as f64, parallel.designs.len() as f64);
-        assert!(a / b < 4.0 && b / a < 4.0, "n={n}: serial {a} vs async {b}");
+        assert!(
+            a / b < 4.0 && b / a < 4.0,
+            "n={n}: 1 actor {a} vs 4 actors {b}"
+        );
     }
 }
 
-/// The acceptance workload: async training at 4 actors over the sharded
+/// The acceptance workload: training at 4 actors over the sharded
 /// cache on the N=8 analytical setting shows a nonzero cache hit rate
 /// (start states recur on every episode reset).
 #[test]
 fn four_actor_training_hits_shared_cache() {
     let mut cfg = AgentConfig::tiny(8, 0.5);
     cfg.total_steps = 400;
+    cfg.actors = 4;
     let cache = Arc::new(CachedEvaluator::with_config(
         TaskEvaluator::analytical(Adder),
         CacheConfig::default(),
     ));
-    let result = AsyncRunner::new(4).train(&cfg, cache.clone());
+    let result = TrainLoop::run(&cfg, cache.clone());
     assert!(!result.designs.is_empty());
     let store = cache.store();
     assert!(store.shards() >= 8, "default shard count must be ≥ 8");

@@ -3,11 +3,11 @@
 
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
-use prefixrl_core::experiment::{Event, Experiment, NullObserver, RunObserver, Weights};
+use prefixrl_core::experiment::{Event, Experiment, NullObserver, RunObserver, RunRecord, Weights};
 use prefixrl_core::task::{self, AnalyticalBackend, SynthesisBackend, TaskEvaluator};
 use std::sync::Arc;
 
-fn losses_and_keys(result: &prefixrl_core::agent::TrainResult) -> (Vec<f32>, Vec<Vec<u64>>) {
+fn losses_and_keys(result: &RunRecord) -> (Vec<f32>, Vec<Vec<u64>>) {
     (
         result.losses.clone(),
         result
@@ -18,42 +18,55 @@ fn losses_and_keys(result: &prefixrl_core::agent::TrainResult) -> (Vec<f32>, Vec
     )
 }
 
-/// Save at step k, resume, and the continued run must emit bit-identical
-/// losses and an identical design pool to an uninterrupted run.
+/// Save at round boundary k, resume, and the continued run must emit
+/// bit-identical losses and an identical design pool to an uninterrupted
+/// run — at one actor and at three.
 #[test]
 fn resume_is_bit_identical_to_uninterrupted_run() {
-    let cfg = AgentConfig::tiny(8, 0.4);
+    for actors in [1, 3] {
+        let mut cfg = AgentConfig::tiny(8, 0.4);
+        cfg.actors = actors;
 
-    // Uninterrupted reference run.
-    let mut reference = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
-    reference.run_to_completion(0, &mut NullObserver);
-    let (_, reference) = reference.into_parts();
+        // Uninterrupted reference run.
+        let mut reference = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+        reference.run_to_completion(0, &mut NullObserver);
+        let (_, reference) = reference.into_parts(0);
 
-    // Interrupted run: stop at step 137, checkpoint through JSON (the
-    // full save format, not just the in-memory struct), resume, finish.
-    let mut interrupted = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
-    for _ in 0..137 {
-        assert!(interrupted.step_once(0, &mut NullObserver));
+        // Interrupted run: stop at the first round boundary at or past step
+        // 137, checkpoint through JSON (the full save format, not just the
+        // in-memory struct), resume, finish.
+        let mut interrupted =
+            TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+        while interrupted.step() < 137 {
+            assert!(interrupted.step_round(0, &mut NullObserver));
+        }
+        let json = interrupted.checkpoint().to_json();
+        drop(interrupted); // the "kill"
+        let ckpt = Checkpoint::from_json(&json).unwrap();
+        assert_eq!(ckpt.step, 137u64.div_ceil(actors as u64) * actors as u64);
+        assert_eq!(ckpt.actors.len(), actors);
+        let mut resumed =
+            TrainLoop::from_checkpoint(&ckpt, Arc::new(TaskEvaluator::analytical(task::Adder)))
+                .unwrap();
+        resumed.run_to_completion(0, &mut NullObserver);
+        let (_, resumed) = resumed.into_parts(0);
+
+        assert_eq!(reference.steps, resumed.steps);
+        let (ref_losses, ref_keys) = losses_and_keys(&reference);
+        let (res_losses, res_keys) = losses_and_keys(&resumed);
+        assert_eq!(
+            ref_losses, res_losses,
+            "{actors} actor(s): losses diverged after resume"
+        );
+        assert_eq!(
+            ref_keys, res_keys,
+            "{actors} actor(s): design pools diverged after resume"
+        );
+        for ((_, pa), (_, pb)) in reference.designs.iter().zip(&resumed.designs) {
+            assert_eq!(pa, pb, "design objectives diverged after resume");
+        }
+        assert_eq!(reference.episode_returns, resumed.episode_returns);
     }
-    let json = interrupted.checkpoint().to_json();
-    drop(interrupted); // the "kill"
-    let ckpt = Checkpoint::from_json(&json).unwrap();
-    assert_eq!(ckpt.step, 137);
-    let mut resumed =
-        TrainLoop::from_checkpoint(&ckpt, Arc::new(TaskEvaluator::analytical(task::Adder)))
-            .unwrap();
-    resumed.run_to_completion(0, &mut NullObserver);
-    let (_, resumed) = resumed.into_parts();
-
-    assert_eq!(reference.steps, resumed.steps);
-    let (ref_losses, ref_keys) = losses_and_keys(&reference);
-    let (res_losses, res_keys) = losses_and_keys(&resumed);
-    assert_eq!(ref_losses, res_losses, "losses diverged after resume");
-    assert_eq!(ref_keys, res_keys, "design pools diverged after resume");
-    for ((_, pa), (_, pb)) in reference.designs.iter().zip(&resumed.designs) {
-        assert_eq!(pa, pb, "design objectives diverged after resume");
-    }
-    assert_eq!(reference.episode_returns, resumed.episode_returns);
 }
 
 /// Resuming must also continue the event stream correctly: the resumed
@@ -69,7 +82,7 @@ fn resume_continues_event_stream() {
         }
     });
     for _ in 0..100 {
-        lp.step_once(0, &mut counter);
+        lp.step_round(0, &mut counter);
     }
     let _ = counter; // closure borrow of `first_half` ends here
     assert_eq!(first_half, 100);
@@ -117,10 +130,20 @@ fn merged_front_dominates_or_equals_every_agent_front() {
 
 /// A sweep interrupted via `halt_at` writes a sweep checkpoint from which
 /// `Experiment::resume` reproduces the uninterrupted sweep's designs and
-/// losses exactly (serial runner, shared cache does not affect values).
+/// losses exactly (the shared cache does not affect values), at one actor
+/// per agent and at three.
 #[test]
 fn sweep_resume_reproduces_uninterrupted_sweep() {
-    let dir = std::env::temp_dir().join(format!("prefixrl-sweep-resume-{}", std::process::id()));
+    for actors in [1, 3] {
+        sweep_resume_round_trip(actors);
+    }
+}
+
+fn sweep_resume_round_trip(actors: usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "prefixrl-sweep-resume-{}-{actors}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt_path = dir.join("sweep.ckpt.json");
 
@@ -129,6 +152,7 @@ fn sweep_resume_reproduces_uninterrupted_sweep() {
             .n(8)
             .weights(Weights::linspace(0.2, 0.8, 3))
             .base_config(AgentConfig::tiny(8, 0.5))
+            .actors(actors)
             .eval_threads(2)
             .checkpoint_path(ckpt_path.clone());
         if let Some(h) = halt {
@@ -141,12 +165,14 @@ fn sweep_resume_reproduces_uninterrupted_sweep() {
     let reference = build(None).run_quiet().unwrap();
     assert!(reference.completed);
 
-    // Interrupted sweep: halts every agent at step 100 (writing the sweep
-    // checkpoint), then a fresh experiment resumes from the file.
+    // Interrupted sweep: halts every agent at the first round boundary
+    // at or past step 100 (writing the sweep checkpoint), then a fresh
+    // experiment resumes from the file.
     let halted = build(Some(100)).run_quiet().unwrap();
     assert!(!halted.completed);
+    let halt_step = 100u64.div_ceil(actors as u64) * actors as u64;
     for r in &halted.records {
-        assert_eq!(r.steps, 100, "run {} halted at the wrong step", r.run);
+        assert_eq!(r.steps, halt_step, "run {} halted at the wrong step", r.run);
     }
     let sweep = SweepCheckpoint::load(&ckpt_path).unwrap();
     assert_eq!(sweep.completed_runs(), 0);
@@ -244,7 +270,7 @@ fn sweep_resume_refuses_task_mismatch() {
     let cfg = AgentConfig::tiny(8, 0.5);
     let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
     for _ in 0..10 {
-        lp.step_once(0, &mut NullObserver);
+        lp.step_round(0, &mut NullObserver);
     }
     let mut sweep = SweepCheckpoint::fresh("adder", 1);
     sweep.runs[0] = RunState::InProgress(Box::new(lp.checkpoint()));

@@ -35,7 +35,7 @@ fn train(tier: Tier, steps: u64) -> Run {
     let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
     lp.run_to_completion(0, &mut NullObserver);
     let net_digest = lp.checkpoint().net_digest;
-    let (_, result) = lp.into_parts();
+    let (_, result) = lp.into_parts(0);
     Run {
         losses: result.losses.iter().map(|l| l.to_bits()).collect(),
         designs: result

@@ -24,7 +24,7 @@
 //! [`ThreadPool::run`] executes one closure per panel on `std::thread`
 //! scoped threads. The default is one thread — deterministic by
 //! construction, and the right choice inside already-parallel callers
-//! (async actors, sweep workers).
+//! (actor threads, sweep workers).
 
 use crate::tensor::Tensor;
 use std::ops::Range;

@@ -34,8 +34,7 @@ impl LeakyReLU {
     }
 
     /// Applies the activation in place without caching — the inference
-    /// fast path (fused frozen networks rectify their conv outputs with
-    /// this, allocating nothing).
+    /// fast path, allocating nothing.
     pub fn apply(&self, t: &mut Tensor) {
         simd::lrelu_apply(t.data_mut(), self.alpha);
     }

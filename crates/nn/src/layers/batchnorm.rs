@@ -50,21 +50,6 @@ impl BatchNorm2d {
         }
     }
 
-    /// The per-channel scale γ (for [`super::Conv2d::fused`]).
-    pub fn gamma(&self) -> &[f32] {
-        &self.gamma.data
-    }
-
-    /// The per-channel shift β.
-    pub fn beta(&self) -> &[f32] {
-        &self.beta.data
-    }
-
-    /// The numerical-stability epsilon.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
     /// The running mean per channel (for serialization and tests).
     pub fn running_mean(&self) -> &[f32] {
         &self.running_mean

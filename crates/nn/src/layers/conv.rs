@@ -9,7 +9,7 @@
 //! each sample's panel; evaluation-mode forwards and [`Layer::infer`]
 //! leave no resident cache behind.
 
-use super::{he_normal, BatchNorm2d, Layer, Param};
+use super::{he_normal, Layer, Param};
 use crate::compute::{self, Scratch, ThreadPool};
 use crate::tensor::Tensor;
 use rand::SeedableRng;
@@ -67,33 +67,12 @@ impl Conv2d {
         let weight: Vec<f32> = (0..out_c * fan_in)
             .map(|_| he_normal(&mut rng, fan_in))
             .collect();
-        Self::from_parts(in_c, out_c, k, weight, bias.then(|| vec![0.0; out_c]))
-    }
-
-    /// Wraps explicit weights (`[out_c, in_c·k·k]` row-major) and an
-    /// optional bias — how fused inference convolutions are assembled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is even or a buffer length mismatches.
-    pub fn from_parts(
-        in_c: usize,
-        out_c: usize,
-        k: usize,
-        weight: Vec<f32>,
-        bias: Option<Vec<f32>>,
-    ) -> Self {
-        assert!(k % 2 == 1, "kernel size {k} must be odd for same padding");
-        assert_eq!(weight.len(), out_c * in_c * k * k, "weight length mismatch");
-        if let Some(b) = &bias {
-            assert_eq!(b.len(), out_c, "bias length mismatch");
-        }
         Conv2d {
             in_c,
             out_c,
             k,
             weight: Param::new(weight),
-            bias: bias.map(Param::new),
+            bias: bias.then(|| Param::new(vec![0.0; out_c])),
             cached_x: Vec::new(),
             cached_in_shape: [0; 4],
         }
@@ -102,37 +81,6 @@ impl Conv2d {
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_c
-    }
-
-    /// Folds a following [`BatchNorm2d`] (evaluation semantics: running
-    /// statistics) into this convolution, returning a bias-ful convolution
-    /// computing `bn(conv(x))` in one pass:
-    ///
-    /// `W'ₒ = γₒ/√(σ²ₒ+ε) · Wₒ` and `b'ₒ = βₒ + (bₒ − μₒ)·γₒ/√(σ²ₒ+ε)`.
-    ///
-    /// This is the inference fast path — a frozen snapshot built from fused
-    /// convolutions does half the passes of conv→BN and never touches
-    /// batch statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch-norm's channel count differs from `out_c`.
-    pub fn fused(&self, bn: &BatchNorm2d) -> Conv2d {
-        let (gamma, beta) = (bn.gamma(), bn.beta());
-        assert_eq!(gamma.len(), self.out_c, "fused: channel mismatch");
-        let (mean, var) = (bn.running_mean(), bn.running_var());
-        let fan_in = self.in_c * self.k * self.k;
-        let mut weight = self.weight.data.clone();
-        let mut bias = vec![0.0f32; self.out_c];
-        for o in 0..self.out_c {
-            let scale = gamma[o] / (var[o] + bn.eps()).sqrt();
-            for w in &mut weight[o * fan_in..(o + 1) * fan_in] {
-                *w *= scale;
-            }
-            let b0 = self.bias.as_ref().map_or(0.0, |b| b.data[o]);
-            bias[o] = beta[o] + (b0 - mean[o]) * scale;
-        }
-        Self::from_parts(self.in_c, self.out_c, self.k, weight, Some(bias))
     }
 
     /// Accumulates the weight (and bias) gradients for `grad_out` without
@@ -648,26 +596,5 @@ mod tests {
         let x = Tensor::ones([1, 1, 3, 3]);
         conv.forward(&x, false);
         conv.backward(&Tensor::ones([1, 1, 3, 3]));
-    }
-
-    #[test]
-    fn fused_matches_conv_then_bn_eval() {
-        let mut conv = Conv2d::new_no_bias(2, 4, 3, 5);
-        let mut bn = BatchNorm2d::new(4);
-        // Drive the running statistics away from the identity.
-        let x = Tensor::from_vec(
-            [2, 2, 3, 3],
-            (0..36).map(|i| ((i * 7) % 11) as f32 * 0.2 - 1.0).collect(),
-        );
-        for _ in 0..20 {
-            let y = conv.forward(&x, true);
-            bn.forward(&y, true);
-        }
-        let unfused = bn.forward(&conv.forward(&x, false), false);
-        let mut fused = conv.fused(&bn);
-        let fused_out = fused.forward(&x, false);
-        for (a, b) in unfused.data().iter().zip(fused_out.data()) {
-            assert!((a - b).abs() <= 1e-5 + 1e-5 * a.abs(), "{a} vs {b}");
-        }
     }
 }

@@ -45,8 +45,8 @@ impl Param {
 /// and consume it in [`Layer::backward`]; a backward call must follow the
 /// `train == true` forward call it differentiates. Evaluation-mode forwards
 /// (`train == false`) and [`Layer::infer`] skip all caching — they cannot
-/// be backpropagated through, and they keep inference-only holders (async
-/// actors, frozen snapshots) from accumulating resident cache memory.
+/// be backpropagated through, and they keep inference-only callers (action
+/// selection) from accumulating resident cache memory.
 ///
 /// The `*_with` entry points thread a [`Scratch`] arena through the pass so
 /// transient buffers (im2col panels, column gradients, outputs) are reused

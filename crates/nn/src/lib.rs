@@ -17,8 +17,7 @@
 //! from a reusable [`Scratch`] arena threaded through
 //! [`Layer::forward_with`]/[`Layer::backward_with`] so steady-state
 //! training allocates nothing; and inference has a dedicated fast path —
-//! immutable [`Layer::infer`] plus [`Conv2d::fused`] batch-norm folding —
-//! that skips backward caching entirely. Layers own their parameters and
+//! immutable [`Layer::infer`] — that skips backward caching entirely. Layers own their parameters and
 //! cached activations, a network is a [`Layer`] tree, and optimizers walk
 //! parameters through a visitor, so target-network synchronization and
 //! checkpointing are just state copies. (DESIGN.md §11.)

@@ -7,15 +7,15 @@
 //!   transitions with legality masks;
 //! - [`schedule::EpsilonSchedule`] — linearly annealed ε-greedy exploration;
 //! - [`qnetwork::QInfer`] / [`qnetwork::QNetwork`] — the two halves of a
-//!   Q-value approximator: an immutable, shareable inference interface
-//!   (one frozen snapshot serves many actor threads with zero weight
-//!   copies) and the mutable training interface on top (the paper's
+//!   Q-value approximator: an immutable inference interface (`&self`, so
+//!   acting never disturbs training state) and the mutable training
+//!   interface on top (the paper's
 //!   convolutional network lives in `prefixrl-core`; tests here use a
 //!   small linear network);
 //! - [`policy::ScalarizedPolicy`] — the one ε-greedy scalarized
 //!   action-selection implementation (`argmax w·Q` over legal actions,
-//!   Eq. 6), shared by the trainer, the serial agent, and async actors,
-//!   with batched variants for multi-environment acting;
+//!   Eq. 6), shared by the trainer and the training loop, with batched
+//!   variants for multi-environment acting;
 //! - [`trainer::DoubleDqn`] — scalarized Double-DQN: per-objective Q-values
 //!   `Q = [Q_area, Q_delay]`, acting through the shared policy, and targets
 //!   `y = r + γ·Q_target(s', argmax_a w·Q_online(s', a))` (Eq. 4).

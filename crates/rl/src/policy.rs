@@ -2,13 +2,10 @@
 //!
 //! PrefixRL selects actions by scalarizing the per-objective Q-values with
 //! the agent's weight vector and taking the masked argmax, with ε-greedy
-//! exploration during training. Before this module existed the workspace
-//! carried three near-identical copies of that logic (the trainer, the
-//! serial agent, and the async actors); [`ScalarizedPolicy`] is now the
-//! single implementation every acting path routes through. All selection
-//! goes through the **immutable** [`QInfer`] half of the network, so a
-//! frozen snapshot shared behind an `Arc` serves any thread without
-//! copies or locks, and its batched entry points
+//! exploration during training. [`ScalarizedPolicy`] is the single
+//! implementation every acting path routes through. All selection goes
+//! through the **immutable** [`QInfer`] half of the network, so acting
+//! never disturbs training state, and its batched entry points
 //! ([`ScalarizedPolicy::greedy_actions`],
 //! [`ScalarizedPolicy::select_actions_with`]) evaluate one forward pass
 //! over many environments instead of a batch-of-1 per decision.
@@ -105,37 +102,19 @@ impl ScalarizedPolicy {
             .collect()
     }
 
-    /// ε-greedy action selection for one state — **the** ε-greedy
-    /// implementation of the workspace (Eq. 6 plus exploration): with
-    /// probability `epsilon` a uniform legal action, otherwise the masked
-    /// scalarized argmax. `None` when no action is legal.
-    pub fn select_action<Q: QInfer + ?Sized>(
-        &self,
-        net: &Q,
-        state: &[f32],
-        mask: &[bool],
-        epsilon: f64,
-        rng: &mut StdRng,
-        scratch: &mut Scratch,
-    ) -> Option<usize> {
-        match self.explore(mask, epsilon, rng) {
-            Explore::Random(a) => Some(a),
-            Explore::NoLegalAction => None,
-            Explore::Greedy => self.greedy_action(net, state, mask, scratch),
-        }
-    }
-
-    /// ε-greedy selection for a batch of states, with the greedy forward
-    /// pass delegated to a caller-supplied evaluator — how async actors
-    /// route their decisions through the shared inference broker while the
-    /// coin draws and argmax logic stay here.
+    /// ε-greedy selection for a batch of states — **the** ε-greedy
+    /// implementation of the workspace (Eq. 6 plus exploration): per state,
+    /// with probability `epsilon` a uniform legal action, otherwise the
+    /// masked scalarized argmax; `None` when no action is legal. The greedy
+    /// forward pass is delegated to a caller-supplied evaluator — how the
+    /// training loop picks every actor's action of a round with one
+    /// forward while the coin draws and argmax logic stay here.
     ///
-    /// Exploration coins are drawn in state order *before* the evaluator
-    /// runs. The evaluator receives only the states whose coins came up
-    /// greedy (in state order), all in one call, and must return one Q-row
-    /// per state; it may return `None` to signal the inference service is
-    /// gone (shutdown), which propagates as `None` here. A local network
-    /// serves as `|batch| Some(net.infer(batch, &mut scratch))`.
+    /// Exploration coins (and random actions) are drawn in state order
+    /// *before* the evaluator runs. The evaluator receives only the states
+    /// whose coins came up greedy (in state order), all in one call, and
+    /// must return one Q-row per state; a network serves as
+    /// `|batch| net.infer(batch, &mut scratch)`.
     ///
     /// # Panics
     ///
@@ -147,9 +126,9 @@ impl ScalarizedPolicy {
         epsilon: f64,
         rng: &mut StdRng,
         infer: F,
-    ) -> Option<Vec<Option<usize>>>
+    ) -> Vec<Option<usize>>
     where
-        F: FnOnce(&[&[f32]]) -> Option<Vec<Vec<[f32; 2]>>>,
+        F: FnOnce(&[&[f32]]) -> Vec<Vec<[f32; 2]>>,
     {
         assert_eq!(states.len(), masks.len(), "states/masks length mismatch");
         let mut actions: Vec<Option<usize>> = Vec::with_capacity(states.len());
@@ -166,13 +145,13 @@ impl ScalarizedPolicy {
         }
         if !greedy_idx.is_empty() {
             let batch: Vec<&[f32]> = greedy_idx.iter().map(|&i| states[i]).collect();
-            let q = infer(&batch)?;
+            let q = infer(&batch);
             assert_eq!(q.len(), batch.len(), "evaluator returned a short batch");
             for (&i, q) in greedy_idx.iter().zip(&q) {
                 actions[i] = self.greedy_from_q(q, masks[i]);
             }
         }
-        Some(actions)
+        actions
     }
 
     /// Draws the exploration coin for one state.
@@ -313,8 +292,9 @@ mod tests {
         let mask = [true, false, true];
         let mut counts = [0usize; 3];
         for _ in 0..1000 {
-            let a = p
-                .select_action(&net, &one_hot(0), &mask, 1.0, &mut rng, &mut scratch)
+            let a = p.select_actions_with(&[&one_hot(0)], &[&mask], 1.0, &mut rng, |b| {
+                net.infer(b, &mut scratch)
+            })[0]
                 .unwrap();
             counts[a] += 1;
         }
@@ -331,9 +311,9 @@ mod tests {
         let (s0, s1) = (one_hot(0), one_hot(1));
         let masks: Vec<&[bool]> = vec![&[true; 3], &[true; 3]];
         let actions = p.select_actions_with(&[&s0, &s1], &masks, 0.0, &mut rng, |b| {
-            Some(net.infer(b, &mut scratch))
+            net.infer(b, &mut scratch)
         });
-        assert_eq!(actions, Some(vec![Some(0), Some(1)]));
+        assert_eq!(actions, vec![Some(0), Some(1)]);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub struct TrainerState {
 /// Scalarized Double-DQN over a [`QNetwork`] pair (online + target).
 ///
 /// All action selection delegates to the shared [`ScalarizedPolicy`], so
-/// the trainer, the serial agent, and detached async actors make identical
-/// decisions for identical Q-values.
+/// the trainer and the training loop's batched action selection make
+/// identical decisions for identical Q-values.
 pub struct DoubleDqn<Q: QNetwork> {
     online: Q,
     target: Q,
@@ -169,17 +169,22 @@ impl<Q: QNetwork> DoubleDqn<Q> {
             .greedy_action(&self.online, state, mask, &mut self.scratch)
     }
 
-    /// ε-greedy acting against the online network, via the shared
-    /// [`ScalarizedPolicy`] (Eq. 6 plus exploration).
+    /// ε-greedy acting for a batch of states against the online network,
+    /// via the shared [`ScalarizedPolicy`] (Eq. 6 plus exploration): one
+    /// forward over the states whose coins came up greedy (see
+    /// [`ScalarizedPolicy::select_actions_with`]).
     pub fn act(
         &mut self,
-        state: &[f32],
-        mask: &[bool],
+        states: &[&[f32]],
+        masks: &[&[bool]],
         epsilon: f64,
         rng: &mut StdRng,
-    ) -> Option<usize> {
+    ) -> Vec<Option<usize>> {
+        let (online, scratch) = (&self.online, &mut self.scratch);
         self.policy
-            .select_action(&self.online, state, mask, epsilon, rng, &mut self.scratch)
+            .select_actions_with(states, masks, epsilon, rng, |batch| {
+                online.infer(batch, scratch)
+            })
     }
 
     /// Copies the online parameters into the target network.
@@ -457,7 +462,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut counts = [0usize; 2];
         for _ in 0..1000 {
-            let a = dqn.act(&one_hot(2), &[true, true], 1.0, &mut rng).unwrap();
+            let a = dqn.act(&[&one_hot(2)], &[&[true, true]], 1.0, &mut rng)[0].unwrap();
             counts[a] += 1;
         }
         assert!(counts[0] > 350 && counts[1] > 350, "{counts:?}");

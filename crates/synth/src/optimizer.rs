@@ -129,10 +129,11 @@ pub fn optimize(
     let mut iterations = 0;
     for _ in 0..cfg.max_iterations {
         iterations += 1;
-        if cfg.pin_swap {
-            swap_pins_pass(&mut work, lib, cons, target);
-        }
-        let report = sta::analyze(&work, lib, cons, target);
+        let report = if cfg.pin_swap {
+            swap_pins_pass(&mut work, lib, cons, target)
+        } else {
+            sta::analyze(&work, lib, cons, target)
+        };
         let area = work.area(lib);
         if best
             .as_ref()
@@ -154,9 +155,8 @@ pub fn optimize(
     }
     let (mut delay, mut area, mut netlist) = best.expect("at least one iteration ran");
     if cfg.area_recovery {
-        let recovered = recover_area(netlist, lib, cons, target.max(delay));
-        let report = sta::analyze(&recovered, lib, cons, target);
-        delay = report.critical_delay;
+        let (recovered, recovered_delay) = recover_area(netlist, lib, cons, target.max(delay));
+        delay = recovered_delay;
         area = recovered.area(lib);
         netlist = recovered;
     }
@@ -190,8 +190,15 @@ fn commutative(ct: CellType) -> bool {
 }
 
 /// Greedy pin-swap pass: put later-arriving signals on faster pins.
-fn swap_pins_pass(nl: &mut Netlist, lib: &Library, cons: &TimingConstraints, target: f64) {
-    let report = sta::analyze(nl, lib, cons, target);
+/// Returns the timing of the swapped netlist.
+fn swap_pins_pass(
+    nl: &mut Netlist,
+    lib: &Library,
+    cons: &TimingConstraints,
+    target: f64,
+) -> TimingReport {
+    let topology = sta::Topology::of(nl, lib);
+    let arrival = sta::arrival_times(nl, lib, cons, &topology);
     let swaps: Vec<GateId> = nl
         .gates()
         .filter(|(_, g)| commutative(g.kind.cell_type))
@@ -199,13 +206,15 @@ fn swap_pins_pass(nl: &mut Netlist, lib: &Library, cons: &TimingConstraints, tar
             let ins = g.inputs();
             // Pin 0 has the larger pin offset (slower); the later arrival
             // should sit on pin 1.
-            report.arrival[ins[0].index()] > report.arrival[ins[1].index()] + 1e-12
+            arrival[ins[0].index()] > arrival[ins[1].index()] + 1e-12
         })
         .map(|(id, _)| id)
         .collect();
     for id in swaps {
         nl.swap_pins(id, 0, 1);
     }
+    // A pin swap keeps every net's load and the gate order.
+    sta::analyze_over(nl, lib, cons, target, topology)
 }
 
 /// Collects the best-estimated delay-improving moves on the critical region.
@@ -334,10 +343,21 @@ fn sink_cap(nl: &Netlist, lib: &Library, sink: &Sink) -> f64 {
 }
 
 /// Downsizes gates with positive slack while keeping the achieved delay.
-fn recover_area(mut nl: Netlist, lib: &Library, cons: &TimingConstraints, budget: f64) -> Netlist {
+/// Returns the netlist and its critical delay (which does not depend on
+/// the target STA runs against).
+fn recover_area(
+    mut nl: Netlist,
+    lib: &Library,
+    cons: &TimingConstraints,
+    budget: f64,
+) -> (Netlist, f64) {
     const MAX_ROUNDS: usize = 24;
+    // The timing of `nl` when a round leaves it exactly as analyzed.
+    let mut known = None;
     for _ in 0..MAX_ROUNDS {
-        let report = sta::analyze(&nl, lib, cons, budget);
+        let report = known
+            .take()
+            .unwrap_or_else(|| sta::analyze(&nl, lib, cons, budget));
         // Candidates: gates above X1 whose output slack comfortably exceeds
         // the estimated delay increase of one downsizing step.
         let mut batch: Vec<(GateId, Drive)> = Vec::new();
@@ -355,14 +375,16 @@ fn recover_area(mut nl: Netlist, lib: &Library, cons: &TimingConstraints, budget
             }
         }
         if batch.is_empty() {
-            return nl;
+            return (nl, report.critical_delay);
         }
         let snapshot = nl.clone();
         for &(gid, down) in &batch {
             nl.resize(gid, down);
         }
         let after = sta::analyze(&nl, lib, cons, budget);
-        if after.critical_delay > budget + 1e-9 {
+        if after.critical_delay <= budget + 1e-9 {
+            known = Some(after);
+        } else {
             // Batch overshot: revert and retry conservatively one by one.
             nl = snapshot;
             let mut applied = false;
@@ -377,11 +399,15 @@ fn recover_area(mut nl: Netlist, lib: &Library, cons: &TimingConstraints, budget
                 }
             }
             if !applied {
-                return nl;
+                return (nl, report.critical_delay);
             }
         }
     }
-    nl
+    let delay = match known {
+        Some(report) => report.critical_delay,
+        None => sta::analyze(&nl, lib, cons, budget).critical_delay,
+    };
+    (nl, delay)
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //! (sizing/buffering) costs area.
 //!
 //! A pass builds the netlist's CSR fanout view once, derives loads and a
-//! topological order from it, and reads delays from the library's dense
-//! table (DESIGN.md §5 gives the bit-identity argument).
+//! topological order from it ([`Topology`]), and reads delays from the
+//! library's dense table (DESIGN.md §5 gives the bit-identity argument).
+//! Pin swaps keep the topology, so the optimizer's swap pass times the
+//! swapped netlist over the topology it built before swapping.
 
 use netlist::ir::{Driver, Fanout};
 use netlist::{Library, NetId, Netlist};
@@ -116,6 +118,28 @@ fn loads(nl: &Netlist, lib: &Library, fanout: &Fanout) -> Vec<f64> {
     load
 }
 
+/// The part of a timing pass that depends only on which gates drive which
+/// nets and on the gates' cells: every net's load and a topological gate
+/// order. Swapping two input pins of a gate changes neither (both pins
+/// load their nets with the same cell input capacitance, and the gate
+/// keeps its input nets), so one topology serves the netlist before and
+/// after a pin swap.
+pub(crate) struct Topology {
+    load: Vec<f64>,
+    order: Vec<netlist::GateId>,
+}
+
+impl Topology {
+    /// Builds the topology of `nl` from one fanout view.
+    pub(crate) fn of(nl: &Netlist, lib: &Library) -> Self {
+        let fanout = nl.fanout();
+        Topology {
+            load: loads(nl, lib, &fanout),
+            order: nl.topo_order_with(&fanout),
+        }
+    }
+}
+
 /// Runs full static timing analysis against a delay `target`.
 ///
 /// The target only affects required times (and hence slacks); arrival times
@@ -126,33 +150,24 @@ fn loads(nl: &Netlist, lib: &Library, fanout: &Fanout) -> Vec<f64> {
 /// Panics unless `cons.input_arrivals` holds one value or one per primary
 /// input.
 pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f64) -> TimingReport {
-    let arrivals = cons.input_arrivals.len();
-    assert!(
-        arrivals == 1 || arrivals == nl.inputs().len(),
-        "input_arrivals has {arrivals} entries; the netlist has {} primary inputs \
-         (give 1 or one per input)",
-        nl.inputs().len()
-    );
-    let fanout = nl.fanout();
-    let load = loads(nl, lib, &fanout);
-    let order = nl.topo_order_with(&fanout);
-    let mut arrival = vec![0.0f64; nl.num_nets()];
-    // Primary inputs: constraint arrival plus the input driver charging the
-    // net's load.
-    for (idx, &net) in nl.inputs().iter().enumerate() {
-        arrival[net.index()] = cons.arrival_of(idx) + cons.input_resistance * load[net.index()];
-    }
-    for &gid in &order {
-        let gate = nl.gate(gid);
-        let k = gate.kind;
-        let out = gate.output();
-        let mut worst = f64::NEG_INFINITY;
-        for (pin, &in_net) in gate.inputs().iter().enumerate() {
-            let d = lib.arc_delay(k.cell_type, k.drive, pin, load[out.index()]);
-            worst = worst.max(arrival[in_net.index()] + d);
-        }
-        arrival[out.index()] = worst;
-    }
+    analyze_over(nl, lib, cons, target, Topology::of(nl, lib))
+}
+
+/// [`analyze`] over a [`Topology`] built from `nl` (or from `nl` before
+/// pin swaps only).
+///
+/// # Panics
+///
+/// As [`analyze`].
+pub(crate) fn analyze_over(
+    nl: &Netlist,
+    lib: &Library,
+    cons: &TimingConstraints,
+    target: f64,
+    topology: Topology,
+) -> TimingReport {
+    let arrival = arrival_times(nl, lib, cons, &topology);
+    let Topology { load, order } = topology;
     let critical_delay = nl
         .outputs()
         .iter()
@@ -188,6 +203,45 @@ pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f6
         critical_delay,
         target,
     }
+}
+
+/// The forward half of [`analyze_over`]: every net's arrival time.
+///
+/// # Panics
+///
+/// As [`analyze`].
+pub(crate) fn arrival_times(
+    nl: &Netlist,
+    lib: &Library,
+    cons: &TimingConstraints,
+    topology: &Topology,
+) -> Vec<f64> {
+    let arrivals = cons.input_arrivals.len();
+    assert!(
+        arrivals == 1 || arrivals == nl.inputs().len(),
+        "input_arrivals has {arrivals} entries; the netlist has {} primary inputs \
+         (give 1 or one per input)",
+        nl.inputs().len()
+    );
+    let Topology { load, order } = topology;
+    let mut arrival = vec![0.0f64; nl.num_nets()];
+    // Primary inputs: constraint arrival plus the input driver charging the
+    // net's load.
+    for (idx, &net) in nl.inputs().iter().enumerate() {
+        arrival[net.index()] = cons.arrival_of(idx) + cons.input_resistance * load[net.index()];
+    }
+    for &gid in order {
+        let gate = nl.gate(gid);
+        let k = gate.kind;
+        let out = gate.output();
+        let mut worst = f64::NEG_INFINITY;
+        for (pin, &in_net) in gate.inputs().iter().enumerate() {
+            let d = lib.arc_delay(k.cell_type, k.drive, pin, load[out.index()]);
+            worst = worst.max(arrival[in_net.index()] + d);
+        }
+        arrival[out.index()] = worst;
+    }
+    arrival
 }
 
 /// Traces one critical path from the worst primary output back to an input,

@@ -282,9 +282,8 @@ fn session_options_help() -> &'static str {
      \x20                          annotates frontier points with estimated\n\
      \x20                          switching power, off the reward path)\n\
      \x20 --lib nangate45|tech8    cell library for synthesis rewards\n\
-     \x20 --actors <A>             async actor threads per agent (default 1 =\n\
-     \x20                          deterministic serial runner; >1 disables\n\
-     \x20                          checkpointing)\n\
+     \x20 --actors <A>             actor threads per agent, each stepping one\n\
+     \x20                          environment per round (default 1)\n\
      \x20 --eval-threads <T>       how many agents of a sweep train at once\n\
      \x20 --nn-threads <T>         Q-network compute threads (GEMM panels;\n\
      \x20                          default 1; results are bit-identical at\n\
@@ -500,18 +499,6 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
         .or_else(|| opts.get("resume").map(PathBuf::from));
     if halt_at.is_some() && checkpoint_path.is_none() {
         eprintln!("error: --halt-at requires --checkpoint <path> (or --resume)");
-        std::process::exit(2);
-    }
-    if actors > 1
-        && (halt_at.is_some()
-            || checkpoint_path.is_some()
-            || opts.contains_key("checkpoint-every")
-            || opts.contains_key("resume"))
-    {
-        eprintln!(
-            "error: checkpointing (--checkpoint/--checkpoint-every/--resume/--halt-at) \
-             requires the deterministic serial runner; drop --actors or set it to 1"
-        );
         std::process::exit(2);
     }
     if let Some(path) = &checkpoint_path {

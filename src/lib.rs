@@ -14,7 +14,7 @@
 //! | [`synth`] | STA, timing-driven optimization (sizing/buffering/pin swap), PCHIP area-delay curves, power |
 //! | [`nn`] | pure-Rust conv/batchnorm/residual network stack with Adam and backprop |
 //! | [`rl`] | scalarized multi-objective Double-DQN, replay, schedules |
-//! | [`prefixrl_core`] | the PrefixRL environment, Q-network, experiment sessions (sweeps, run events, checkpoint/resume), caching, async training, Pareto tooling |
+//! | [`prefixrl_core`] | the PrefixRL environment, Q-network, experiment sessions (sweeps, run events, checkpoint/resume), caching, multi-actor training, Pareto tooling |
 //! | [`baselines`] | simulated annealing \[14\], pruned search \[15\], cross-layer ML \[10\], commercial chooser |
 //!
 //! # Quickstart

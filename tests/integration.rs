@@ -138,8 +138,8 @@ fn analytical_and_synthesis_rankings_diverge() {
     );
 }
 
-/// Serial and async training share the evaluator cache correctly and both
-/// produce legal, evaluable designs.
+/// Multi-actor training shares the evaluator cache correctly and produces
+/// legal, evaluable designs.
 #[test]
 fn async_training_integrates_with_synthesis_cache() {
     let lib = Library::nangate45();
@@ -152,7 +152,8 @@ fn async_training_integrates_with_synthesis_cache() {
     let mut cfg = AgentConfig::tiny(8, 0.5);
     cfg.total_steps = 120;
     cfg.env = prefixrl_core::env::EnvConfig::synthesis(8);
-    let result = AsyncRunner::new(2).train(&cfg, eval.clone());
+    cfg.actors = 2;
+    let result = TrainLoop::run(&cfg, eval.clone());
     assert!(!result.designs.is_empty());
     assert!(eval.store().hits() + eval.store().misses() > 0);
     for (g, p) in result.designs.iter().take(5) {
@@ -169,7 +170,7 @@ fn agent_checkpoint_roundtrip() {
     let eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(Adder));
     let mut lp = TrainLoop::new(&cfg, Arc::clone(&eval));
     lp.run_to_completion(0, &mut NullObserver);
-    let (mut dqn, _) = lp.into_parts();
+    let (mut dqn, _) = lp.into_parts(0);
     let bytes = dqn.online_mut().to_bytes();
     let mut restored = PrefixQNet::new(&cfg.qnet);
     restored.from_bytes(&bytes).unwrap();
