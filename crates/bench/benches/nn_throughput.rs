@@ -3,16 +3,17 @@
 //! naive single-thread conv path (preserved in `nn::compute::reference`),
 //! plus raw-GEMM GFLOP/s of all three kernels (`gemm`, `gemm_at_b`,
 //! `gemm_a_bt`) at each vector width the CPU has vs the blocked scalar
-//! engine vs the naive reference (with a bitwise vector/scalar identity
-//! check on every row), and the small(16) gradient step at every kernel
-//! tier. Dumps `BENCH_nn.json` at the workspace root.
+//! engine vs the naive reference, the small(16) gradient step at every
+//! kernel tier, and the small(16) 5×5 convolution's three implicit-GEMM
+//! passes at every kernel tier — every row with a bitwise identity check
+//! against the scalar tier. Dumps `BENCH_nn.json` at the workspace root.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench nn_throughput
 //! PREFIXRL_SCALE=paper cargo bench -p prefixrl-bench --bench nn_throughput
 //! ```
 
-use nn::compute::{self, reference, ThreadPool};
+use nn::compute::{self, reference, ConvShape};
 use nn::simd::{self, Tier};
 use prefixrl_bench as support;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
@@ -120,37 +121,33 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize, min_secs: f64) -
     batch as f64 / secs
 }
 
-/// One GEMM orientation as the bench times it: the engine entry point
-/// (taking the worker pool, which only `gemm` splits across rows) and the
-/// naive reference twin. Operands are `m·k` and `k·n` floats in every
+/// One GEMM orientation as the bench times it: the engine entry point and
+/// the naive reference twin. Operands are `m·k` and `k·n` floats in every
 /// orientation.
 struct Kernel {
     name: &'static str,
-    engine: PooledGemmFn,
+    engine: GemmFn,
     reference: GemmFn,
 }
 
 /// A serial GEMM entry point: `(m, k, n, a, b, c)`.
 type GemmFn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
 
-/// A GEMM entry point given a worker pool: `(pool, m, k, n, a, b, c)`.
-type PooledGemmFn = fn(&ThreadPool, usize, usize, usize, &[f32], &[f32], &mut [f32]);
-
 const GEMM: Kernel = Kernel {
     name: "gemm",
-    engine: compute::gemm_rows_parallel,
+    engine: compute::gemm,
     reference: reference::gemm,
 };
 
 const GEMM_AT_B: Kernel = Kernel {
     name: "gemm_at_b",
-    engine: |_, m, k, n, a, b, c| compute::gemm_at_b(m, k, n, a, b, c),
+    engine: compute::gemm_at_b,
     reference: reference::gemm_at_b,
 };
 
 const GEMM_A_BT: Kernel = Kernel {
     name: "gemm_a_bt",
-    engine: |_, m, k, n, a, b, c| compute::gemm_a_bt(m, k, n, a, b, c),
+    engine: compute::gemm_a_bt,
     reference: reference::gemm_a_bt,
 };
 
@@ -187,14 +184,11 @@ fn time_tiers(tiers: &[(Tier, usize)], min_secs: f64, mut run: impl FnMut(usize)
 }
 
 /// Raw-GEMM GFLOP/s of each vector width vs the scalar engine vs the
-/// naive reference for one kernel at one shape, across thread counts,
-/// verifying bitwise vector/scalar identity at each: one row per width
-/// the CPU has. The reference kernel
-/// (single-threaded by construction) is measured once per shape.
+/// naive reference for one kernel at one shape, on one thread, verifying
+/// bitwise vector/scalar identity: one row per width the CPU has.
 fn gemm_rows(
     kernel: &Kernel,
     (m, k, n): (usize, usize, usize),
-    threads_list: &[usize],
     min_secs: f64,
 ) -> Vec<support::GemmRow> {
     let mut rng = StdRng::seed_from_u64(29);
@@ -211,38 +205,30 @@ fn gemm_rows(
         min_secs,
     );
     let tiers = tiers();
-    let mut rows = Vec::new();
-    for (ti, &threads) in threads_list.iter().enumerate() {
-        let pool = ThreadPool::new(threads);
-        let mut outputs = vec![Vec::new(); tiers.len()];
-        let secs = time_tiers(&tiers, min_secs, |i| {
-            c.fill(0.0);
-            (kernel.engine)(&pool, m, k, n, &a, &b, &mut c);
-            std::hint::black_box(&c);
-            outputs[i].clone_from(&c);
-        });
-        for (i, &(_, lanes)) in tiers.iter().enumerate().skip(1) {
-            rows.push(support::GemmRow {
-                kernel: kernel.name,
-                m,
-                k,
-                n,
-                threads,
-                lanes,
-                // The reference kernel has no threading axis; report it on
-                // the first thread count of the shape only.
-                reference_gflops: if ti == 0 {
-                    flops / reference_secs / 1e9
-                } else {
-                    0.0
-                },
-                scalar_gflops: flops / secs[0] / 1e9,
-                simd_gflops: flops / secs[i] / 1e9,
-                bit_identical: outputs[0] == outputs[i],
-            });
-        }
-    }
-    rows
+    let mut outputs = vec![Vec::new(); tiers.len()];
+    let secs = time_tiers(&tiers, min_secs, |i| {
+        c.fill(0.0);
+        (kernel.engine)(m, k, n, &a, &b, &mut c);
+        std::hint::black_box(&c);
+        outputs[i].clone_from(&c);
+    });
+    tiers
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(i, &(_, lanes))| support::GemmRow {
+            kernel: kernel.name,
+            m,
+            k,
+            n,
+            threads: 1,
+            lanes,
+            reference_gflops: flops / reference_secs / 1e9,
+            scalar_gflops: flops / secs[0] / 1e9,
+            simd_gflops: flops / secs[i] / 1e9,
+            bit_identical: outputs[0] == outputs[i],
+        })
+        .collect()
 }
 
 /// One small(16) gradient step — training forward, backward and Adam at
@@ -299,6 +285,92 @@ fn grad_step_rows(min_secs: f64) -> Vec<support::GradStepRow> {
         .collect()
 }
 
+/// The small(16) 5×5 residual convolution's passes — forward at batch 1
+/// and 16, input gradient and weight gradient at batch 16 — on one thread
+/// at every tier the CPU has, each timed as the layer runs it on the
+/// `nn::compute` conv products and checked bitwise against the scalar
+/// tier. The forward pads each sample first; the input gradient starts
+/// each sample from a zeroed gradient plane and copies out its interior;
+/// the weight gradient reads the planes a training forward caches.
+fn conv_rows(min_secs: f64) -> Vec<support::ConvRow> {
+    let (c, k, n, batch) = (12usize, 5usize, 16usize, 16usize);
+    let hw = n * n;
+    let shape = ConvShape::new(c, k, n, n);
+    let plane_len = shape.plane_len();
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut filled =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.random::<f32>() - 0.5).collect() };
+    let (weight, x, go) = (
+        filled(c * c * k * k),
+        filled(batch * c * hw),
+        filled(batch * c * hw),
+    );
+    let mut planes = vec![0.0f32; batch * plane_len];
+    for (plane, xs) in planes
+        .chunks_exact_mut(plane_len)
+        .zip(x.chunks_exact(c * hw))
+    {
+        shape.pad(xs, plane);
+    }
+    let tiers = tiers();
+    let mut rows = Vec::new();
+    for (pass, samples) in [
+        ("forward", 1usize),
+        ("forward", batch),
+        ("input_grad", batch),
+        ("weight_grad", batch),
+    ] {
+        let mut outputs = vec![Vec::new(); tiers.len()];
+        let mut scratch_plane = vec![0.0f32; plane_len];
+        let mut out = vec![0.0f32; samples * c * hw];
+        let mut wg = vec![0.0f32; c * c * k * k];
+        let secs = time_tiers(&tiers, min_secs, |i| {
+            match pass {
+                "forward" => {
+                    out.fill(0.0);
+                    for (dst, xs) in out.chunks_exact_mut(c * hw).zip(x.chunks_exact(c * hw)) {
+                        shape.pad(xs, &mut scratch_plane);
+                        compute::conv_forward(&shape, c, &weight, &scratch_plane, dst);
+                    }
+                    outputs[i].clone_from(&out);
+                }
+                "input_grad" => {
+                    for (dst, gs) in out.chunks_exact_mut(c * hw).zip(go.chunks_exact(c * hw)) {
+                        scratch_plane.fill(0.0);
+                        compute::conv_input_grad(&shape, c, &weight, gs, &mut scratch_plane);
+                        shape.unpad(&scratch_plane, dst);
+                    }
+                    outputs[i].clone_from(&out);
+                }
+                _ => {
+                    wg.fill(0.0);
+                    for (plane, gs) in planes.chunks_exact(plane_len).zip(go.chunks_exact(c * hw)) {
+                        compute::conv_weight_grad(&shape, c, gs, plane, &mut wg);
+                    }
+                    outputs[i].clone_from(&wg);
+                }
+            }
+            std::hint::black_box(&outputs[i]);
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        rows.extend(
+            tiers
+                .iter()
+                .zip(secs)
+                .zip(&outputs)
+                .map(|((&(tier, lanes), secs), o)| support::ConvRow {
+                    tier: format!("{tier:?}"),
+                    lanes,
+                    pass,
+                    batch: samples,
+                    us: secs * 1e6,
+                    bit_identical: bits(o) == bits(&outputs[0]),
+                }),
+        );
+    }
+    rows
+}
+
 fn main() {
     let (batch, threads_list, min_secs) = match support::scale() {
         support::Scale::Quick => (32usize, vec![1usize, 2, 4], 0.4f64),
@@ -316,54 +388,41 @@ fn main() {
         simd::tier(),
     );
 
-    // Raw GEMM kernels first: the paper-scale im2col product (one 5×5
-    // residual convolution at C=256 on the 32×32 grid packs to
-    // m=256, k=6400, n=1024) and the small(16) training shapes — its 5×5
-    // forward, then the backward products of one sample: column gradients
-    // (`gemm_at_b`) of the 5×5 block and 3×3 stem convolutions, weight
-    // gradients (`gemm_a_bt`) of the 5×5 block and the 1×1 head and output
-    // convolutions. Only `gemm` has a row-parallel entry point, so the
-    // backward kernels are timed on one thread.
+    // Raw GEMM kernels first, on one thread: the paper-scale product of one
+    // 5×5 residual convolution in im2col form (C=256 on the 32×32 grid:
+    // m=256, k=6400, n=1024) and the small(16) convolutions' products in
+    // that form — its 5×5 forward, the column gradients (`gemm_at_b`) of
+    // the 5×5 block and 3×3 stem convolutions, the weight gradients
+    // (`gemm_a_bt`) of the 5×5 block and the 1×1 head and output
+    // convolutions. The convolutions themselves run as implicit GEMM (the
+    // conv rows below); `Linear` and these shapes keep the kernels honest.
     println!(
-        "{:>10} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "kernel",
-        "m",
-        "k",
-        "n",
-        "threads",
-        "lanes",
-        "ref",
-        "scalar",
-        "simd",
-        "simd/ref",
-        "bitexact"
+        "{:>10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9}",
+        "kernel", "m", "k", "n", "lanes", "ref", "scalar", "simd", "simd/ref", "bitexact"
     );
     let mut gemm_table = Vec::new();
-    let serial = [1usize];
-    for (kernel, shape, threads) in [
-        (&GEMM, (256, 6400, 1024), &threads_list[..]),
-        (&GEMM, (12, 300, 256), &threads_list[..]),
-        (&GEMM_AT_B, (300, 12, 256), &serial[..]),
-        (&GEMM_AT_B, (36, 12, 256), &serial[..]),
-        (&GEMM_A_BT, (12, 256, 300), &serial[..]),
-        (&GEMM_A_BT, (12, 256, 12), &serial[..]),
-        (&GEMM_A_BT, (4, 256, 12), &serial[..]),
+    for (kernel, shape) in [
+        (&GEMM, (256, 6400, 1024)),
+        (&GEMM, (12, 300, 256)),
+        (&GEMM_AT_B, (300, 12, 256)),
+        (&GEMM_AT_B, (36, 12, 256)),
+        (&GEMM_A_BT, (12, 256, 300)),
+        (&GEMM_A_BT, (12, 256, 12)),
+        (&GEMM_A_BT, (4, 256, 12)),
     ] {
-        let rows = gemm_rows(kernel, shape, threads, min_secs);
-        let reference = rows[0].reference_gflops;
+        let rows = gemm_rows(kernel, shape, min_secs);
         for r in &rows {
             println!(
-                "{:>10} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
+                "{:>10} {:>6} {:>6} {:>6} {:>6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
                 r.kernel,
                 r.m,
                 r.k,
                 r.n,
-                r.threads,
                 r.lanes,
-                reference,
+                r.reference_gflops,
                 r.scalar_gflops,
                 r.simd_gflops,
-                r.simd_gflops / reference.max(1e-9),
+                r.simd_gflops / r.reference_gflops.max(1e-9),
                 r.bit_identical,
             );
             assert!(r.bit_identical, "SIMD diverged from scalar at {r:?}");
@@ -386,6 +445,20 @@ fn main() {
             r.bit_identical,
             "gradient step diverged from scalar at {r:?}"
         );
+    }
+    println!();
+
+    println!(
+        "{:>8} {:>6} {:>12} {:>6} {:>10} {:>9}",
+        "tier", "lanes", "conv5 pass", "batch", "us", "bitexact"
+    );
+    let convs = conv_rows(min_secs);
+    for r in &convs {
+        println!(
+            "{:>8} {:>6} {:>12} {:>6} {:>10.1} {:>9}",
+            r.tier, r.lanes, r.pass, r.batch, r.us, r.bit_identical
+        );
+        assert!(r.bit_identical, "conv pass diverged from scalar at {r:?}");
     }
     println!();
 
@@ -460,5 +533,5 @@ fn main() {
         }
     }
     compute::set_threads(saved_threads);
-    support::write_bench_nn(batch, &rows, &gemm_table, &grad_steps);
+    support::write_bench_nn(batch, &rows, &gemm_table, &grad_steps, &convs);
 }

@@ -171,7 +171,7 @@ pub struct GemmRow {
     /// Which product: `gemm` (`C += A·B`), `gemm_at_b` (`C += Aᵀ·B`) or
     /// `gemm_a_bt` (`C += A·Bᵀ`).
     pub kernel: &'static str,
-    /// Output rows (the im2col row-block height).
+    /// Output rows.
     pub m: usize,
     /// Reduction depth.
     pub k: usize,
@@ -211,26 +211,53 @@ pub struct GradStepRow {
     pub bit_identical: bool,
 }
 
+/// One pass of the small(16) 5×5 residual convolution (12 → 12 channels
+/// on the 16×16 grid, one thread) at one kernel tier.
+#[derive(Clone, Debug)]
+pub struct ConvRow {
+    /// `nn::simd::Tier` name (`Scalar`, `Avx`, `Avx512`).
+    pub tier: String,
+    /// The tier's lane width (0 for scalar).
+    pub lanes: usize,
+    /// `forward` (padding included), `input_grad` (zeroed gradient plane
+    /// to unpadded gradient) or `weight_grad` (from the cached planes).
+    pub pass: &'static str,
+    /// Samples per call.
+    pub batch: usize,
+    /// Microseconds per call.
+    pub us: f64,
+    /// Whether the pass's output matched the scalar tier's bit for bit
+    /// (must always be true).
+    pub bit_identical: bool,
+}
+
+/// The host facts every `BENCH_nn.json` row is measured under.
+fn nn_host() -> serde_json::Value {
+    serde_json::json!({
+        "cpus": std::thread::available_parallelism().map_or(1, |p| p.get()),
+        "avx": nn::simd::cpu_tier() >= nn::simd::Tier::Avx,
+        "avx512": nn::simd::cpu_tier() >= nn::simd::Tier::Avx512,
+    })
+}
+
 /// Dumps `BENCH_nn.json` at the workspace root: compute-engine throughput
 /// (forward / backward / inference) per config and
 /// thread count, against the pre-PR naive single-thread baseline, plus
 /// raw-GEMM GFLOP/s rows per kernel and vector width vs the scalar engine
-/// vs the naive reference, and the gradient step per kernel tier.
+/// vs the naive reference, the gradient step per kernel tier, and the
+/// small(16) 5×5 convolution's passes per kernel tier.
 pub fn write_bench_nn(
     batch: usize,
     rows: &[NnRow],
     gemm_rows: &[GemmRow],
     grad_steps: &[GradStepRow],
+    conv_rows: &[ConvRow],
 ) {
     let value = serde_json::json!({
         "benchmark": "nn_throughput",
         "batch": batch,
         "simd_compiled": nn::simd::compiled(),
-        "host": {
-            "cpus": std::thread::available_parallelism().map_or(1, |p| p.get()),
-            "avx": nn::simd::cpu_tier() >= nn::simd::Tier::Avx,
-            "avx512": nn::simd::cpu_tier() >= nn::simd::Tier::Avx512,
-        },
+        "host": nn_host(),
         "gemm_rows": gemm_rows.iter().map(|r| serde_json::json!({
             "kernel": r.kernel,
             "m": r.m,
@@ -255,6 +282,15 @@ pub fn write_bench_nn(
             "batch": r.batch,
             "step_us": r.step_us,
             "bit_identical": r.bit_identical,
+        })).collect::<Vec<_>>(),
+        "conv_rows": conv_rows.iter().map(|r| serde_json::json!({
+            "tier": r.tier,
+            "lanes": r.lanes,
+            "pass": r.pass,
+            "batch": r.batch,
+            "us": r.us,
+            "bit_identical": r.bit_identical,
+            "host": nn_host(),
         })).collect::<Vec<_>>(),
         "rows": rows.iter().map(|r| serde_json::json!({
             "config": r.config,

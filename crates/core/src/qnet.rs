@@ -214,7 +214,7 @@ impl QBody {
     /// gradient only.
     fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) {
         let a = self.backward_to_stem(grad_out, scratch);
-        self.stem.backward_params(&a, scratch);
+        self.stem.backward_params(&a);
         scratch.recycle(a);
     }
 }

@@ -1,16 +1,17 @@
-//! 2-D convolution with "same" padding (stride 1), via im2col + GEMM.
+//! 2-D convolution with "same" padding (stride 1), as implicit GEMM.
 //!
-//! All matrix products route through the blocked kernels in
-//! [`crate::compute`]; batches parallelize over samples (and single samples
-//! over output-row panels) on the global thread budget, with bit-identical
-//! results at every width. Every forward expands one sample at a time into
-//! a transient im2col panel drawn from the [`Scratch`] arena. Training-mode
-//! forwards also keep a copy of their input, from which backward rebuilds
-//! each sample's panel; evaluation-mode forwards and [`Layer::infer`]
-//! leave no resident cache behind.
+//! Each sample's input is copied once into a zero-padded plane, and the
+//! three passes are the [`crate::compute`] conv products that read it
+//! through a tap offset table — no im2col panel is ever written. Batches
+//! parallelize over samples (a lone sample's forward over output-channel
+//! row panels, the weight gradient over output-channel rows) on the global
+//! thread budget, with bit-identical results at every width.
+//! Training-mode forwards keep their padded planes for the weight
+//! gradient; evaluation-mode forwards and [`Layer::infer`] pad into a
+//! transient [`Scratch`] buffer and leave no resident cache behind.
 
 use super::{he_normal, Layer, Param};
-use crate::compute::{self, Scratch, ThreadPool};
+use crate::compute::{self, ConvShape, Scratch, ThreadPool};
 use crate::tensor::Tensor;
 use rand::SeedableRng;
 
@@ -24,9 +25,9 @@ pub struct Conv2d {
     k: usize,
     weight: Param,
     bias: Option<Param>,
-    // The input of the last training-mode forward, for backward (which
-    // rebuilds each sample's im2col panel from it).
-    cached_x: Vec<f32>,
+    // The zero-padded input planes of the last training-mode forward, one
+    // `ConvShape::plane_len` block per sample, for the weight gradient.
+    cached_planes: Vec<f32>,
     cached_in_shape: [usize; 4],
 }
 
@@ -39,7 +40,7 @@ impl Clone for Conv2d {
             k: self.k,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            cached_x: Vec::new(),
+            cached_planes: Vec::new(),
             cached_in_shape: [0; 4],
         }
     }
@@ -73,7 +74,7 @@ impl Conv2d {
             k,
             weight: Param::new(weight),
             bias: bias.then(|| Param::new(vec![0.0; out_c])),
-            cached_x: Vec::new(),
+            cached_planes: Vec::new(),
             cached_in_shape: [0; 4],
         }
     }
@@ -83,6 +84,11 @@ impl Conv2d {
         self.out_c
     }
 
+    /// The geometry of one sample of an `h`×`w` input.
+    fn shape(&self, h: usize, w: usize) -> ConvShape {
+        ConvShape::new(self.in_c, self.k, h, w)
+    }
+
     /// Accumulates the weight (and bias) gradients for `grad_out` without
     /// forming ∂L/∂input — for a first layer, whose input gradient nobody
     /// reads. The gradients are bitwise those of [`Layer::backward_with`].
@@ -90,9 +96,9 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics unless a train-mode forward of the same batch preceded it.
-    pub fn backward_params(&mut self, grad_out: &Tensor, scratch: &mut Scratch) {
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         self.check_backward(grad_out);
-        self.param_grads(grad_out, scratch);
+        self.param_grads(grad_out);
     }
 
     /// Validates `grad_out` against the cached train-mode forward.
@@ -101,13 +107,13 @@ impl Conv2d {
         assert_eq!(oc, self.out_c, "Conv2d grad channel mismatch");
         assert!(
             self.cached_in_shape == [n, self.in_c, h, w]
-                && self.cached_x.len() == n * self.in_c * h * w,
+                && self.cached_planes.len() == n * self.shape(h, w).plane_len(),
             "Conv2d::backward requires a preceding train-mode forward"
         );
     }
 
-    /// Same work floor as forward: each backward phase is dominated by one
-    /// GEMM of n·q·oc·hw multiply-adds, so small batches run serial.
+    /// Same work floor as forward: each backward phase is one product of
+    /// n·q·oc·hw multiply-adds, so small batches run serial.
     fn backward_workers(&self, grad_out: &Tensor) -> usize {
         let [n, oc, h, w] = grad_out.shape();
         compute::plan_workers(
@@ -116,45 +122,39 @@ impl Conv2d {
         )
     }
 
-    /// ∂L/∂input, per sample (disjoint): dcol = Wᵀ·dY (overwriting the
-    /// previous sample's dcol), dX = col2im(dcol).
+    /// ∂L/∂input, per sample (disjoint): the input gradient accumulates
+    /// onto a zeroed padded gradient plane, whose interior is the sample's
+    /// ∂L/∂input.
     fn input_grad(&self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
         let [n, oc, h, w] = grad_out.shape();
         let hw = h * w;
-        let q = self.in_c * self.k * self.k;
+        let shape = self.shape(h, w);
         let threads = self.backward_workers(grad_out);
-        let (in_c, k) = (self.in_c, self.k);
+        let in_c = self.in_c;
         let weight = &self.weight.data;
         let go = grad_out.data();
         let mut grad_in = scratch.tensor(self.cached_in_shape);
         let ranges = compute::partition(n, threads);
         let gin_sizes: Vec<usize> = ranges.iter().map(|r| r.len() * in_c * hw).collect();
         let gin_panels = compute::split_by_sizes(grad_in.data_mut(), &gin_sizes);
-        let mut bufs: Vec<Vec<f32>> = ranges.iter().map(|_| scratch.take(q * hw)).collect();
+        let mut bufs: Vec<Vec<f32>> = ranges
+            .iter()
+            .map(|_| scratch.take(shape.plane_len()))
+            .collect();
         let jobs: Vec<_> = ranges
             .iter()
             .zip(gin_panels)
             .zip(bufs.iter_mut())
-            .map(|((r, panel), grad_col)| {
+            .map(|((r, panel), grad_plane)| {
                 let r = r.clone();
                 move || {
                     for (i, s) in r.clone().enumerate() {
-                        compute::gemm_at_b_from_zero(
-                            q,
-                            oc,
-                            hw,
-                            weight,
-                            &go[s * oc * hw..(s + 1) * oc * hw],
-                            grad_col,
-                        );
-                        col2im(
-                            in_c,
-                            k,
-                            h,
-                            w,
-                            grad_col,
-                            &mut panel[i * in_c * hw..(i + 1) * in_c * hw],
-                        );
+                        if i > 0 {
+                            grad_plane.fill(0.0);
+                        }
+                        let go_s = &go[s * oc * hw..(s + 1) * oc * hw];
+                        compute::conv_input_grad(&shape, oc, weight, go_s, grad_plane);
+                        shape.unpad(grad_plane, &mut panel[i * in_c * hw..(i + 1) * in_c * hw]);
                     }
                 }
             })
@@ -168,17 +168,15 @@ impl Conv2d {
 
     /// dW += dY·colᵀ and dbias += Σ dY, per output-channel row panel
     /// (disjoint). For each row, samples accumulate in ascending order, so
-    /// results are identical at every thread count. Each worker rebuilds
-    /// every sample's im2col panel from the cached input into one reused
-    /// buffer: a copy costs far less than its product, and nothing the
-    /// size of the whole batch's panels stays resident between passes.
-    fn param_grads(&mut self, grad_out: &Tensor, scratch: &mut Scratch) {
+    /// results are identical at every thread count. Each sample's product
+    /// reads its cached padded plane.
+    fn param_grads(&mut self, grad_out: &Tensor) {
         let [n, oc, h, w] = grad_out.shape();
         let hw = h * w;
-        let (in_c, k) = (self.in_c, self.k);
-        let q = in_c * k * k;
+        let shape = self.shape(h, w);
+        let (q, plane_len) = (self.in_c * self.k * self.k, shape.plane_len());
         let threads = self.backward_workers(grad_out);
-        let x = &self.cached_x;
+        let planes = &self.cached_planes;
         let go = grad_out.data();
         let ranges = compute::partition(oc, threads);
         let wg_sizes: Vec<usize> = ranges.iter().map(|r| r.len() * q).collect();
@@ -191,27 +189,19 @@ impl Conv2d {
                 .collect(),
             None => ranges.iter().map(|_| None).collect(),
         };
-        let mut bufs: Vec<Vec<f32>> = ranges.iter().map(|_| scratch.take(q * hw)).collect();
         let jobs: Vec<_> = ranges
             .iter()
             .zip(wg_panels)
             .zip(bias_panels.drain(..))
-            .zip(bufs.iter_mut())
-            .map(|(((r, wg), bias_grad), col)| {
+            .map(|((r, wg), bias_grad)| {
                 let r = r.clone();
                 move || {
                     let mut bias_grad = bias_grad;
                     for s in 0..n {
                         let go_s = &go[s * oc * hw..(s + 1) * oc * hw];
-                        im2col(in_c, k, h, w, &x[s * in_c * hw..(s + 1) * in_c * hw], col);
-                        compute::gemm_a_bt(
-                            r.len(),
-                            hw,
-                            q,
-                            &go_s[r.start * hw..r.end * hw],
-                            col,
-                            wg,
-                        );
+                        let plane = &planes[s * plane_len..(s + 1) * plane_len];
+                        let go_rows = &go_s[r.start * hw..r.end * hw];
+                        compute::conv_weight_grad(&shape, r.len(), go_rows, plane, wg);
                         if let Some(bg) = bias_grad.as_deref_mut() {
                             for (i, o) in r.clone().enumerate() {
                                 bg[i] += go_s[o * hw..(o + 1) * hw].iter().sum::<f32>();
@@ -222,250 +212,137 @@ impl Conv2d {
             })
             .collect();
         ThreadPool::new(threads).run(jobs);
-        for b in bufs {
-            scratch.give(b);
-        }
     }
 }
 
-/// Where one kernel tap `(kh, kw)` of a same-padded convolution reads on an
-/// `h`×`w` plane. Output position `t` (row-major) reads input position
-/// `t + shift` for every `t` in `lo..hi` except the gaps — the padding
-/// columns between one valid row and the next ([`TapSpan::zero_gaps`]).
-/// Every position outside `lo..hi` reads padding too.
-struct TapSpan {
-    lo: usize,
-    hi: usize,
-    shift: isize,
-    w: usize,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-}
-
-impl TapSpan {
-    /// The span of tap `(kh, kw)`, or `None` when it reads only padding.
-    fn new(k: usize, h: usize, w: usize, kh: usize, kw: usize) -> Option<Self> {
-        let pad = k / 2;
-        let rows = valid_range(h, kh, pad);
-        let cols = valid_range(w, kw, pad);
-        if rows.is_empty() || cols.is_empty() {
-            return None;
-        }
-        Some(TapSpan {
-            lo: rows.start * w + cols.start,
-            hi: (rows.end - 1) * w + cols.end,
-            shift: (kh as isize - pad as isize) * w as isize + kw as isize - pad as isize,
-            w,
-            rows,
-            cols,
-        })
-    }
-
-    /// The input positions `lo + shift..hi + shift`.
-    fn input(&self) -> std::ops::Range<usize> {
-        let at = |t: usize| {
-            t.checked_add_signed(self.shift)
-                .expect("tap inside the plane")
-        };
-        at(self.lo)..at(self.hi)
-    }
-
-    /// Zeroes the padding positions inside `lo..hi` of `buf`: the end of
-    /// each valid row joined to the start of the next. Column by column,
-    /// so each zero is a single store rather than a tiny `memset`.
-    fn zero_gaps(&self, buf: &mut [f32]) {
-        for j in 0..self.w - self.cols.len() {
-            for oh in self.rows.start..self.rows.end - 1 {
-                buf[oh * self.w + self.cols.end + j] = 0.0;
-            }
-        }
-    }
-}
-
-/// Expands one sample `[in_c, h, w]` into its im2col matrix
-/// `[in_c·k·k, h·w]`. Each tap row is one contiguous copy of the shifted
-/// input plane; only the padding positions are then written with zeros, so
-/// every element is written once or (in a gap) twice, never swept first.
-fn im2col(in_c: usize, k: usize, h: usize, w: usize, x: &[f32], col: &mut [f32]) {
-    let hw = h * w;
-    for ci in 0..in_c {
-        let plane = &x[ci * hw..(ci + 1) * hw];
-        for kh in 0..k {
-            for kw in 0..k {
-                let q = (ci * k + kh) * k + kw;
-                let dst = &mut col[q * hw..(q + 1) * hw];
-                let Some(span) = TapSpan::new(k, h, w, kh, kw) else {
-                    dst.fill(0.0);
-                    continue;
-                };
-                dst[..span.lo].fill(0.0);
-                dst[span.lo..span.hi].copy_from_slice(&plane[span.input()]);
-                dst[span.hi..].fill(0.0);
-                span.zero_gaps(dst);
-            }
-        }
-    }
-}
-
-/// Scatters a col-gradient back into one input-gradient sample
-/// `[in_c, h, w]`, which must start at `+0.0` (as arena buffers do).
+/// The one forward product behind every entry point (train-mode and
+/// eval-mode [`Layer::forward_with`], [`Layer::infer`]), over samples
+/// already padded into `planes` (one `plane_len` block each).
 ///
-/// Each tap row is added with one contiguous vector add after its gaps are
-/// zeroed in `col` (which the caller discards). Exact, and in the same
-/// per-element order as [`reference`](compute::reference)'s row-by-row
-/// scatter: a gap adds `+0.0` to an element that already sums from `+0.0`,
-/// and such a sum is never `-0.0`, the one value that `+ 0.0` changes.
-fn col2im(in_c: usize, k: usize, h: usize, w: usize, col: &mut [f32], gin: &mut [f32]) {
-    let hw = h * w;
-    for ci in 0..in_c {
-        let plane = &mut gin[ci * hw..(ci + 1) * hw];
-        for kh in 0..k {
-            for kw in 0..k {
-                let q = (ci * k + kh) * k + kw;
-                let Some(span) = TapSpan::new(k, h, w, kh, kw) else {
-                    continue;
-                };
-                let src = &mut col[q * hw..(q + 1) * hw];
-                span.zero_gaps(src);
-                crate::simd::add_assign(&mut plane[span.input()], &src[span.lo..span.hi]);
-            }
-        }
-    }
-}
-
-/// Output rows (or columns) `lo..hi` at which tap offset `kw` reads inside
-/// a `w`-wide input: `0 ≤ ow + kw - pad < w`.
-fn valid_range(w: usize, kw: usize, pad: usize) -> std::ops::Range<usize> {
-    pad.saturating_sub(kw)..(w + pad).saturating_sub(kw).min(w)
-}
-
-/// One sample of the forward product: `out_s += W·col_s` plus bias.
-#[allow(clippy::too_many_arguments)]
-fn forward_sample(
+/// Sample batches partition across workers; a lone sample splits its
+/// output-channel rows across them instead, on multiples of the tile
+/// height.
+fn forward_planes(
+    shape: &ConvShape,
     out_c: usize,
-    q: usize,
-    hw: usize,
     weight: &[f32],
     bias: Option<&[f32]>,
-    col: &[f32],
-    dst: &mut [f32],
-    pool: &ThreadPool,
-) {
-    compute::gemm_rows_parallel(pool, out_c, q, hw, weight, col, dst);
-    if let Some(bias) = bias {
-        for (o, &bv) in bias.iter().enumerate().take(out_c) {
-            crate::simd::add_scalar(&mut dst[o * hw..(o + 1) * hw], bv);
-        }
-    }
-}
-
-/// The one forward implementation behind every entry point (train-mode and
-/// eval-mode [`Layer::forward_with`], [`Layer::infer`]).
-///
-/// Each worker expands its samples one at a time into one reused scratch
-/// panel. Sample batches partition across workers; a lone sample splits
-/// its output rows across the pool instead.
-#[allow(clippy::too_many_arguments)]
-fn forward_impl(
-    in_c: usize,
-    out_c: usize,
-    k: usize,
-    weight: &[f32],
-    bias: Option<&[f32]>,
-    x: &Tensor,
+    planes: &[f32],
+    [n, h, w]: [usize; 3],
     scratch: &mut Scratch,
 ) -> Tensor {
-    let [n, _, h, w] = x.shape();
     let hw = h * w;
-    let q = in_c * k * k;
+    let q = weight.len() / out_c.max(1);
+    let plane_len = shape.plane_len();
     let mut out = scratch.tensor([n, out_c, h, w]);
-    // Cap the worker count so each gets a worthwhile amount of GEMM work —
+    // Cap the worker count so each gets a worthwhile amount of work —
     // small batches run serial instead of paying thread-spawn overhead
     // (results are identical either way; partitioning is over disjoint
-    // samples).
+    // outputs).
     let threads = compute::plan_workers(compute::threads(), n * out_c * q * hw);
-    let ranges = if threads == 1 || n == 1 {
-        compute::partition(n, 1)
+    let jobs: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = if n == 1 {
+        let rows = if out_c < 2 * compute::MR { 1 } else { threads };
+        compute::partition_rows(out_c, rows)
+            .into_iter()
+            .map(|rows| (0..1, rows))
+            .collect()
     } else {
         compute::partition(n, threads)
+            .into_iter()
+            .map(|samples| (samples, 0..out_c))
+            .collect()
     };
-    // With one worker and one sample, the row-panel pool picks up the
-    // parallelism instead (gemm_rows_parallel applies its own work floor).
-    let rows_pool = if ranges.len() == 1 && n == 1 {
-        ThreadPool::new(threads)
-    } else {
-        ThreadPool::serial()
-    };
-    let mut bufs: Vec<Vec<f32>> = ranges.iter().map(|_| scratch.take(q * hw)).collect();
-    let out_sizes: Vec<usize> = ranges.iter().map(|r| r.len() * out_c * hw).collect();
-    let out_panels = compute::split_by_sizes(out.data_mut(), &out_sizes);
-    let jobs: Vec<_> = ranges
-        .iter()
-        .zip(bufs.iter_mut())
-        .zip(out_panels)
-        .map(|((r, col), panel)| {
-            let r = r.clone();
-            let rows_pool = &rows_pool;
+    let sizes: Vec<usize> = jobs.iter().map(|(s, r)| s.len() * r.len() * hw).collect();
+    let panels = compute::split_by_sizes(out.data_mut(), &sizes);
+    let jobs: Vec<_> = jobs
+        .into_iter()
+        .zip(panels)
+        .map(|((samples, rows), panel)| {
             move || {
-                for (i, s) in r.clone().enumerate() {
-                    im2col(
-                        in_c,
-                        k,
-                        h,
-                        w,
-                        &x.data()[s * in_c * hw..(s + 1) * in_c * hw],
-                        col,
-                    );
-                    let dst = &mut panel[i * out_c * hw..(i + 1) * out_c * hw];
-                    forward_sample(out_c, q, hw, weight, bias, col, dst, rows_pool);
+                let m = rows.len();
+                let w_rows = &weight[rows.start * q..rows.end * q];
+                for (i, s) in samples.enumerate() {
+                    let plane = &planes[s * plane_len..(s + 1) * plane_len];
+                    let dst = &mut panel[i * m * hw..(i + 1) * m * hw];
+                    compute::conv_forward(shape, m, w_rows, plane, dst);
+                    if let Some(bias) = bias {
+                        for (o, &bv) in bias[rows.clone()].iter().enumerate() {
+                            crate::simd::add_scalar(&mut dst[o * hw..(o + 1) * hw], bv);
+                        }
+                    }
                 }
             }
         })
         .collect();
-    ThreadPool::new(jobs.len()).run(jobs);
-    for buf in bufs {
-        scratch.give(buf);
-    }
+    ThreadPool::new(threads).run(jobs);
     out
+}
+
+/// Pads every sample of `x` into consecutive `plane_len` blocks of
+/// `planes`.
+fn pad_all(shape: &ConvShape, x: &Tensor, planes: &mut [f32]) {
+    let [n, c, h, w] = x.shape();
+    let sample = c * h * w;
+    let plane_len = shape.plane_len();
+    for s in 0..n {
+        shape.pad(
+            &x.data()[s * sample..(s + 1) * sample],
+            &mut planes[s * plane_len..(s + 1) * plane_len],
+        );
+    }
 }
 
 impl Layer for Conv2d {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let [_, c, _, _] = x.shape();
+        let [n, c, h, w] = x.shape();
         assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
-        if train {
-            self.cached_in_shape = x.shape();
-            self.cached_x.clear();
-            self.cached_x.extend_from_slice(x.data());
-        } else {
+        if !train {
             // Evaluation-mode forwards must not leave a resident backward
             // cache behind (inference-only holders would pin a batch of
-            // inputs per convolution).
-            self.cached_x = Vec::new();
+            // planes per convolution).
+            self.cached_planes = Vec::new();
             self.cached_in_shape = [0; 4];
+            return self.infer(x, scratch);
         }
-        self.infer(x, scratch)
+        let shape = self.shape(h, w);
+        self.cached_in_shape = x.shape();
+        self.cached_planes.resize(n * shape.plane_len(), 0.0);
+        pad_all(&shape, x, &mut self.cached_planes);
+        forward_planes(
+            &shape,
+            self.out_c,
+            &self.weight.data,
+            self.bias.as_ref().map(|b| b.data.as_slice()),
+            &self.cached_planes,
+            [n, h, w],
+            scratch,
+        )
     }
 
     fn backward_with(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
         self.check_backward(grad_out);
         let grad_in = self.input_grad(grad_out, scratch);
-        self.param_grads(grad_out, scratch);
+        self.param_grads(grad_out);
         grad_in
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let [_, c, _, _] = x.shape();
+        let [n, c, h, w] = x.shape();
         assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
-        forward_impl(
-            self.in_c,
+        let shape = self.shape(h, w);
+        let mut planes = scratch.take(n * shape.plane_len());
+        pad_all(&shape, x, &mut planes);
+        let out = forward_planes(
+            &shape,
             self.out_c,
-            self.k,
             &self.weight.data,
             self.bias.as_ref().map(|b| b.data.as_slice()),
-            x,
+            &planes,
+            [n, h, w],
             scratch,
-        )
+        );
+        scratch.give(planes);
+        out
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -549,11 +426,11 @@ mod tests {
             (0..96).map(|i| (i as f32) * 0.03 - 1.0).collect(),
         );
         let y_train = conv.forward(&x, true);
-        assert!(!conv.cached_x.is_empty());
+        assert!(!conv.cached_planes.is_empty());
         let y_eval = conv.forward(&x, false);
         assert_eq!(y_train.data(), y_eval.data(), "conv output depends on mode");
         assert!(
-            conv.cached_x.is_empty(),
+            conv.cached_planes.is_empty(),
             "eval-mode forward retained the backward cache"
         );
         let mut scratch = Scratch::new();
@@ -585,7 +462,7 @@ mod tests {
         full.forward(&x, true);
         full.backward(&g);
         params_only.forward(&x, true);
-        params_only.backward_params(&g, &mut Scratch::new());
+        params_only.backward_params(&g);
         assert_eq!(grads(&mut full), grads(&mut params_only));
     }
 

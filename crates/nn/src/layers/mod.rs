@@ -49,7 +49,7 @@ impl Param {
 /// selection) from accumulating resident cache memory.
 ///
 /// The `*_with` entry points thread a [`Scratch`] arena through the pass so
-/// transient buffers (im2col panels, column gradients, outputs) are reused
+/// transient buffers (padded planes, gradient planes, outputs) are reused
 /// call over call; the plain [`Layer::forward`]/[`Layer::backward`]
 /// wrappers allocate a throwaway arena per call for convenience. Parameters
 /// are exposed through a visitor so optimizers, serialization and

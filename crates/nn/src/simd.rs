@@ -164,12 +164,16 @@ pub fn compiled() -> bool {
 /// instructions. Loads and stores are unaligned — tensor rows have no
 /// alignment guarantee.
 ///
+/// `[f32; 8]` implements it too, with plain lanewise loops and no CPU
+/// feature: the scalar tier's lanes, so the microkernel and the loop nests
+/// around it compile in every build and run at every tier.
+///
 /// # Safety
 ///
 /// Every method requires the implementing width's CPU feature (AVX for
-/// [`F32x8`], AVX-512F for [`F32x16`]) and, for the pointer methods,
-/// [`Lanes::LANES`] readable or writable floats at the pointer.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// [`F32x8`], AVX-512F for [`F32x16`], none for `[f32; 8]`) and, for the
+/// pointer methods, [`Lanes::LANES`] readable or writable floats at the
+/// pointer.
 pub trait Lanes: Copy {
     /// Lane count.
     const LANES: usize;
@@ -210,6 +214,40 @@ pub trait Lanes: Copy {
     ///
     /// See the trait docs.
     unsafe fn mul(self, rhs: Self) -> Self;
+}
+
+impl Lanes for [f32; 8] {
+    const LANES: usize = 8;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; 8]
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        [v; 8]
+    }
+
+    #[inline(always)]
+    unsafe fn load_ptr(src: *const f32) -> Self {
+        src.cast::<[f32; 8]>().read_unaligned()
+    }
+
+    #[inline(always)]
+    unsafe fn store_ptr(self, dst: *mut f32) {
+        dst.cast::<[f32; 8]>().write_unaligned(self);
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] + rhs[i])
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] * rhs[i])
+    }
 }
 
 /// Eight f32 lanes over one AVX `__m256` register: the [`Lanes`] surface

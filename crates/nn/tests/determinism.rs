@@ -81,8 +81,8 @@ fn multithreaded_passes_are_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn batch_one_row_panel_path_is_bit_identical() {
-    // A lone sample takes the gemm_rows_parallel path instead of the
-    // sample partition; it must agree with the serial result too.
+    // A lone sample splits its output-channel rows across workers instead
+    // of partitioning samples; it must agree with the serial result too.
     let mut rng = StdRng::seed_from_u64(15);
     let x = random_tensor(&mut rng, [1, 12, 16, 16]);
     let run = |threads: usize| {

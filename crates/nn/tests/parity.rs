@@ -21,7 +21,8 @@ use rand::prelude::*;
 /// Every `(in_c, out_c, k, h)` convolution shape instantiated by
 /// `QNetConfig::tiny(8)` (C=8 on 8×8 grids) and `QNetConfig::small(16)`
 /// (C=12 on 16×16 grids): stem 3×3, residual 5×5 pairs, head 1×1 and
-/// output 1×1.
+/// output 1×1; plus the stem and 5×5 shapes of the small net on the 32b
+/// adder's 32×32 grid, whose rows span two 16-lane segments.
 const QNET_SHAPES: &[(usize, usize, usize, usize)] = &[
     // tiny(8): C=8, N=8.
     (4, 8, 3, 8),
@@ -33,6 +34,9 @@ const QNET_SHAPES: &[(usize, usize, usize, usize)] = &[
     (12, 12, 5, 16),
     (12, 12, 1, 16),
     (12, 4, 1, 16),
+    // small(32): C=12, N=32.
+    (4, 12, 3, 32),
+    (12, 12, 5, 32),
 ];
 
 /// Batch sizes to sweep: single rollout states and a replay mini-batch.

@@ -10,11 +10,15 @@
 //! - lane-remainder shapes (`n % 8`, `n % 16`, `n % 32`, `m % 6`,
 //!   `m % 12`, tiny `k`) where the vector path runs partial tiles;
 //! - cache-blocking boundaries (`k > KC`, `n > NC`) where packed panels
-//!   are stitched back together, and the zero-start product across them;
+//!   are stitched back together;
 //! - unaligned operands (subslices offset by one element — the kernels
 //!   must not assume 32- or 64-byte alignment);
-//! - full conv forward/backward through the layer stack;
-//! - thread-count invariance on top of lane invariance.
+//! - full conv forward/backward through the layer stack, on square and
+//!   non-square planes whose widths straddle the 8- and 16-lane segments,
+//!   including planes smaller than the kernel;
+//! - padding as a product: a convolution whose infinite weights meet the
+//!   zero padding must turn NaN exactly where the im2col panel's `+0.0`
+//!   would make it NaN, at every tier.
 //!
 //! Everything runs once per tier — sixteen lanes, eight lanes and scalar,
 //! capped via [`nn::simd::set_max_tier`] — inside **one** test body: the
@@ -22,7 +26,7 @@
 //! would race. A tier the CPU (or build) lacks runs at the widest tier
 //! below it, so the suite is feature-portable by construction.
 
-use nn::compute::{self, reference, ThreadPool};
+use nn::compute::{self, reference};
 use nn::{simd, Conv2d, Layer, Tensor};
 use rand::prelude::*;
 
@@ -65,22 +69,29 @@ fn check_gemm_family(rng: &mut StdRng, m: usize, k: usize, n: usize) {
     assert_eq!(c, c_ref, "gemm_at_b diverged at {ctx}");
 }
 
-/// Conv forward and backward (input/weight/bias gradients) against the
-/// preserved naive im2col path, bitwise.
-fn check_conv(rng: &mut StdRng, in_c: usize, out_c: usize, k: usize, h: usize, batch: usize) {
+/// Conv forward and backward (input/weight/bias gradients) on an `h`×`w`
+/// plane against the preserved naive im2col path, bitwise.
+fn check_conv(
+    rng: &mut StdRng,
+    in_c: usize,
+    out_c: usize,
+    k: usize,
+    [h, w]: [usize; 2],
+    batch: usize,
+) {
     let ctx = format!(
-        "conv {in_c}->{out_c} k{k} h{h} batch {batch} (tier {:?})",
+        "conv {in_c}->{out_c} k{k} {h}x{w} batch {batch} (tier {:?})",
         simd::tier()
     );
     let mut conv = Conv2d::new(in_c, out_c, k, 42);
     let mut p = Vec::new();
     conv.visit_params(&mut |pr| p.push(pr.data.clone()));
-    let x = Tensor::from_vec([batch, in_c, h, h], filled(rng, batch * in_c * h * h));
+    let x = Tensor::from_vec([batch, in_c, h, w], filled(rng, batch * in_c * h * w));
     let naive_fwd = reference::conv2d_forward(in_c, out_c, k, &p[0], Some(&p[1]), &x);
     let y = conv.forward(&x, true);
     assert_eq!(naive_fwd.out.data(), y.data(), "forward diverged at {ctx}");
 
-    let grad_out = Tensor::from_vec([batch, out_c, h, h], filled(rng, batch * out_c * h * h));
+    let grad_out = Tensor::from_vec([batch, out_c, h, w], filled(rng, batch * out_c * h * w));
     let naive_bwd = reference::conv2d_backward(
         in_c,
         out_c,
@@ -108,45 +119,77 @@ fn check_conv(rng: &mut StdRng, in_c: usize, out_c: usize, k: usize, h: usize, b
     );
 }
 
-/// The row-parallel entry must agree with the serial engine bitwise at
-/// every worker count (lanes and threads both only split disjoint
-/// outputs).
-fn check_parallel(rng: &mut StdRng, m: usize, k: usize, n: usize) {
-    let a = filled(rng, m * k);
-    let b = filled(rng, k * n);
-    let mut serial = vec![0.0f32; m * n];
-    compute::gemm(m, k, n, &a, &b, &mut serial);
-    for threads in [1usize, 2, 4, 7] {
-        let pool = ThreadPool::new(threads);
-        let mut c = vec![0.0f32; m * n];
-        compute::gemm_rows_parallel(&pool, m, k, n, &a, &b, &mut c);
-        assert_eq!(
-            c,
-            serial,
-            "parallel gemm diverged at m={m} k={k} n={n}, {threads} threads \
-             (tier {:?})",
-            simd::tier()
-        );
-    }
+/// The forward output, input gradient and parameter gradients of one
+/// train-mode pass, at the current tier.
+fn conv_pass(conv: &Conv2d, x: &Tensor, grad_out: &Tensor) -> Vec<Vec<f32>> {
+    let mut conv = conv.clone();
+    let y = conv.forward(x, true);
+    conv.zero_grad();
+    let grad_in = conv.backward(grad_out);
+    let mut out = vec![y.data().to_vec(), grad_in.data().to_vec()];
+    conv.visit_params(&mut |pr| out.push(pr.grad.clone()));
+    out
 }
 
-/// `gemm_at_b_from_zero` over a `C` full of NaN must equal `gemm_at_b`
-/// into `+0.0`, bitwise: the zero start must overwrite every element in
-/// the first k-block and accumulate across the later ones.
-fn check_zero_start(rng: &mut StdRng, m: usize, k: usize, n: usize) {
-    let at = filled(rng, k * m);
-    let b = filled(rng, k * n);
-    let mut c = vec![f32::NAN; m * n];
-    let mut c_ref = vec![0.0f32; m * n];
-    compute::gemm_at_b_from_zero(m, k, n, &at, &b, &mut c);
-    reference::gemm_at_b(m, k, n, &at, &b, &mut c_ref);
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&c),
-        bits(&c_ref),
-        "gemm_at_b_from_zero diverged at m={m} k={k} n={n} (tier {:?})",
-        simd::tier()
+/// Padding is a product, not a skip: weights holding ±inf and NaN, an
+/// input holding −0.0 and a gradient holding +inf. An infinite operand
+/// times a `+0.0` padding operand is NaN, so an output or gradient that
+/// skipped a padding product would differ from one that took it: output
+/// channel 0's only non-finite weight is its first tap, which reads
+/// padding at the top-left output, and the gradient's +inf sits at that
+/// output too. Each vector tier must match the scalar tier with NaN at the
+/// same positions and every other element bitwise. (`compute::reference`
+/// cannot be the oracle: its GEMMs skip zero `A` elements.)
+fn check_padding_products(tiers: &[simd::Tier]) {
+    let (in_c, out_c, k, h, w, batch) = (3, 4, 3, 5, 7, 2);
+    let q = in_c * k * k;
+    let mut rng = StdRng::seed_from_u64(0x9AD0);
+    let mut conv = Conv2d::new(in_c, out_c, k, 9);
+    conv.visit_params(&mut |pr| {
+        if pr.data.len() == out_c * q {
+            pr.data[0] = f32::INFINITY;
+            pr.data[q + 4] = f32::NEG_INFINITY;
+            pr.data[2 * q + 8] = f32::NAN;
+            pr.data[out_c * q - 1] = f32::INFINITY;
+        }
+    });
+    let mut xs = filled(&mut rng, batch * in_c * h * w);
+    for v in xs.iter_mut().step_by(3) {
+        *v = -0.0;
+    }
+    let x = Tensor::from_vec([batch, in_c, h, w], xs);
+    let mut gs = filled(&mut rng, batch * out_c * h * w);
+    gs[0] = f32::INFINITY;
+    gs[w + 1] = -0.0;
+    let grad_out = Tensor::from_vec([batch, out_c, h, w], gs);
+
+    let saved = simd::max_tier();
+    simd::set_max_tier(simd::Tier::Scalar);
+    let scalar = conv_pass(&conv, &x, &grad_out);
+    let names = ["forward", "grad_in", "weight grad", "bias grad"];
+    assert!(
+        scalar[0][0].is_nan() && scalar[2][0].is_nan(),
+        "inf × padding must be NaN in the output and the weight gradient"
     );
+    for &tier in tiers {
+        simd::set_max_tier(tier);
+        let lanes = conv_pass(&conv, &x, &grad_out);
+        for ((name, got), want) in names.iter().zip(&lanes).zip(&scalar) {
+            assert_eq!(got.len(), want.len());
+            for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    if b.is_nan() {
+                        a.is_nan()
+                    } else {
+                        a.to_bits() == b.to_bits()
+                    },
+                    "{name}[{i}] at tier {:?}: {a:?} vs scalar {b:?}",
+                    simd::tier()
+                );
+            }
+        }
+    }
+    simd::set_max_tier(saved);
 }
 
 #[test]
@@ -164,14 +207,6 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
                     check_gemm_family(&mut rng, m, k, n);
                 }
             }
-        }
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (13, 12, 33),
-            (300, 12, 256),
-            (25, 600, 31),
-        ] {
-            check_zero_start(&mut rng, m, k, n);
         }
         // Degenerate and lane-remainder shapes: every combination of a
         // full/partial 6-row tile (one, two, and ragged multiples), full/
@@ -214,11 +249,32 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
             (3, 5, 1, 7, 1), // odd everything
             (2, 3, 5, 2, 2), // a plane smaller than the kernel: padding-only taps
         ] {
-            check_conv(&mut rng, in_c, out_c, kk, h, batch);
+            check_conv(&mut rng, in_c, out_c, kk, [h, h], batch);
         }
-        check_parallel(&mut rng, 23, 65, 130);
+        // Non-square planes, widths around the 8- and 16-lane segment
+        // edges (one, partial, full and ragged multiples), every kernel
+        // size — planes down to one row, smaller than the kernel — and
+        // channel counts of one, a partial tile, a full 12-row tile and
+        // one past it.
+        let heights = [1usize, 2, 3, 6];
+        let channels = [1usize, 4, 12, 13];
+        for (wi, &w) in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+            .iter()
+            .enumerate()
+        {
+            for &kk in &[1usize, 3, 5] {
+                for (ci, &in_c) in channels.iter().enumerate() {
+                    for (oi, &out_c) in channels.iter().enumerate() {
+                        let h = heights[(wi + ci + oi) % heights.len()];
+                        let batch = 1 + 2 * ((wi + kk + ci + oi) % 2);
+                        check_conv(&mut rng, in_c, out_c, kk, [h, w], batch);
+                    }
+                }
+            }
+        }
     }
     simd::set_max_tier(saved);
+    check_padding_products(&[simd::Tier::Avx512, simd::Tier::Avx]);
 }
 
 #[test]
