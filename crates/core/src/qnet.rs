@@ -6,10 +6,10 @@
 //! output channels holding, per grid position,
 //! `[Q_area(add), Q_area(del), Q_delay(add), Q_delay(del)]`.
 //!
-//! The network is stored as a *typed* layer tree (not a `Sequential` of
-//! boxed layers). Its immutable [`rl::QInfer`] forward is what the training
-//! loop's coordinator picks greedy actions with, one batch per round (see
-//! `agent.rs`); it writes no backward caches.
+//! The network is stored as a *typed* layer tree (concrete layer structs,
+//! not boxed trait objects). Its immutable [`rl::QInfer`] forward is what
+//! the training loop's coordinator picks greedy actions with, one batch per
+//! round (see `agent.rs`); it writes no backward caches.
 //!
 //! The paper uses `B = 32, C = 256`; the defaults here are scaled for CPU
 //! training (see DESIGN.md §8) with the paper values available via
@@ -519,6 +519,84 @@ mod tests {
         let mut scratch = Scratch::new();
         let inf = q.infer(&[&f], &mut scratch);
         assert_eq!(fwd, inf, "QInfer::infer diverged from forward(…, false)");
+    }
+
+    /// Repeated inference through one [`Scratch`] arena — buffers recycled
+    /// by one call and handed out again by the next — stays bit-identical
+    /// to the evaluation-mode forward.
+    #[test]
+    fn infer_matches_eval_forward_with_reused_scratch() {
+        let mut block = PaperBlock::new(3, 7);
+        let x = Tensor::from_vec(
+            [2, 3, 4, 4],
+            (0..96)
+                .map(|i| ((i * 37) % 29) as f32 * 0.07 - 0.9)
+                .collect(),
+        );
+        // One training forward gives the batch-norms nontrivial running
+        // statistics.
+        let _ = block.forward(&x, true);
+        let y = block.forward(&x, false);
+        let mut scratch = Scratch::new();
+        for _ in 0..3 {
+            let z = block.infer(&x, &mut scratch);
+            assert_eq!(y.data(), z.data());
+            scratch.recycle(z);
+        }
+    }
+
+    #[test]
+    fn paper_block_preserves_shape() {
+        let mut block = PaperBlock::new(4, 0);
+        let x = Tensor::ones([2, 4, 6, 6]);
+        let y = block.forward(&x, true);
+        assert_eq!(y.shape(), x.shape());
+        let g = block.backward(&Tensor::ones([2, 4, 6, 6]));
+        assert_eq!(g.shape(), x.shape());
+    }
+
+    /// With zero convolution weights the body outputs batch-norm's β = 0,
+    /// so the block reduces to LReLU(x), in value and in input gradient.
+    #[test]
+    fn paper_block_zero_body_is_identity_plus_activation() {
+        let mut block = PaperBlock::new(1, 0);
+        for conv in [&mut block.conv1, &mut block.conv2] {
+            conv.visit_params(&mut |p| p.data.iter_mut().for_each(|v| *v = 0.0));
+        }
+        let x = Tensor::from_vec([1, 1, 1, 2], vec![-1.0, 2.0]);
+        let y = block.forward(&x, true);
+        assert_eq!(y.data(), &[-0.01, 2.0]);
+        let g = block.backward(&Tensor::ones([1, 1, 1, 2]));
+        assert_eq!(g.data(), &[0.01, 1.0]);
+    }
+
+    /// Parameters are visited in forward order: conv1 weight (3·3·25),
+    /// bn1 γ and β, conv2 weight, bn2 γ and β — the order optimizer state
+    /// and checkpoints are laid out in.
+    #[test]
+    fn param_visit_order_is_stable() {
+        let mut block = PaperBlock::new(3, 0);
+        let mut sizes = Vec::new();
+        block.visit_params(&mut |p| sizes.push(p.data.len()));
+        assert_eq!(sizes, [225, 3, 3, 225, 3, 3]);
+    }
+
+    /// The paper block's full BN/conv/skip gradient against finite
+    /// differences. Its activations have slope 1 (identity): batch-norm
+    /// centres values at zero, so finite differences through the LeakyReLU
+    /// kink are meaningless, while with a smooth activation the block's
+    /// gradient math is checkable exactly. (LeakyReLU's own gradient is
+    /// covered by its unit tests.)
+    #[test]
+    fn paper_block_gradient_check_smooth() {
+        let seed = 8;
+        let block = PaperBlock {
+            act1: LeakyReLU::new(1.0),
+            act_out: LeakyReLU::new(1.0),
+            ..PaperBlock::new(2, seed)
+        };
+        let err = nn::gradcheck::check_layer(Box::new(block), [2, 2, 4, 4], 37);
+        assert!(err < 3e-2, "paper residual gradient error {err}");
     }
 
     /// Inference is per-sample — convolutions, evaluation-mode batch-norms

@@ -9,8 +9,8 @@
 //! register-tiled (`MR`-row accumulator tiles) and cache-blocked
 //! (`KC`/`NC` panels). Every product, at every tier, runs on one shared
 //! microkernel (the `tile` submodule), at eight or sixteen lanes by
-//! [`crate::simd::tier`] when the (default-on) `simd` feature is active
-//! and the CPU has AVX, and on portable eight-float lanes otherwise. All keep one hard invariant: **every output element
+//! [`crate::simd::tier`] on an x86-64 CPU with AVX, and on portable
+//! eight-float lanes otherwise. All keep one hard invariant: **every output element
 //! accumulates its products in ascending-`k` order, one product at a
 //! time** — exactly the order of the scalar reference kernels in
 //! [`reference`]. Floating-point addition is not associative, so this
@@ -256,7 +256,7 @@ impl Scratch {
 
 // ---------------------------------------------------------------- kernels
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx;
 mod implicit;
 mod tile;

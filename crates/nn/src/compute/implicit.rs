@@ -49,10 +49,10 @@ pub struct ConvShape {
 #[derive(Clone, Copy)]
 enum Width {
     /// AVX-512, 12×32 tiles.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Sixteen,
     /// AVX, 6×16 tiles.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Eight,
     /// The scalar tier's portable lanes, 6×8 tiles.
     Portable,
@@ -62,7 +62,7 @@ impl Width {
     /// Lanes per vector.
     fn lanes(self) -> usize {
         match self {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Width::Sixteen => 16,
             _ => 8,
         }
@@ -186,9 +186,9 @@ impl ConvShape {
     /// tile through the partial-tile path; eight otherwise.
     fn width(&self) -> Width {
         match crate::simd::tier() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             crate::simd::Tier::Avx512 if self.w.is_multiple_of(16) => Width::Sixteen,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             crate::simd::Tier::Avx512 | crate::simd::Tier::Avx => Width::Eight,
             _ => Width::Portable,
         }
@@ -253,9 +253,9 @@ pub fn conv_forward(shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], 
         // lengths were asserted above and `taps` matches `shape`.
         unsafe {
             match shape.width() {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 Width::Sixteen => super::avx::conv_forward16(shape, m, weight, plane, out, taps),
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 Width::Eight => super::avx::conv_forward8(shape, m, weight, plane, out, taps),
                 Width::Portable => forward::<Soft6x8>(shape, m, weight, plane, out, taps),
             }
@@ -302,9 +302,9 @@ pub fn conv_input_grad(
         // SAFETY: as in `conv_forward`.
         unsafe {
             match width {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 Width::Sixteen => super::avx::conv_input_grad16(shape, oc, weight, go, grad_plane),
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 Width::Eight => super::avx::conv_input_grad8(shape, oc, weight, go, grad_plane),
                 Width::Portable => input_grad::<Soft6x8>(shape, oc, weight, go, grad_plane),
             }

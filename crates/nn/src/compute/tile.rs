@@ -139,7 +139,7 @@ macro_rules! shape {
         }
     };
 }
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(super) use shape;
 
 shape!(
@@ -399,9 +399,9 @@ pub(super) unsafe fn accumulate_at(
     c: &mut [f32],
 ) {
     PANEL.with_borrow_mut(|panel| match crate::simd::tier() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         crate::simd::Tier::Avx512 => super::avx::accumulate16(m, k, n, a, b, c, panel),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         crate::simd::Tier::Avx => super::avx::accumulate8(m, k, n, a, b, c, panel),
         _ => accumulate::<Soft6x8>(m, k, n, a, b, c, panel),
     });
@@ -427,11 +427,11 @@ pub(super) unsafe fn dot_then_add_at(
     c_rs: usize,
 ) {
     PANEL.with_borrow_mut(|panel| match crate::simd::tier() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         crate::simd::Tier::Avx512 => {
             super::avx::dot_then_add16(m, n, a, src, row, runs, c, c_rs, panel)
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         crate::simd::Tier::Avx => {
             super::avx::dot_then_add8(m, n, a, src, row, runs, c, c_rs, panel)
         }

@@ -1,8 +1,8 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 //!
-//! Optimizers walk a network's parameters through [`Layer::visit_params`],
-//! keeping per-parameter state (Adam moments) indexed by visit order — which
-//! is deterministic for any fixed architecture.
+//! [`Adam`] walks a network's parameters through [`Layer::visit_params`],
+//! keeping its per-parameter moments indexed by visit order — which is
+//! deterministic for any fixed architecture.
 
 use crate::layers::Layer;
 use serde::{Deserialize, Serialize};
@@ -148,53 +148,23 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one SGD update.
-    pub fn step(&mut self, net: &mut dyn Layer) {
-        let (lr, mom) = (self.lr, self.momentum);
-        let vel = &mut self.velocity;
-        let mut idx = 0usize;
-        net.visit_params(&mut |p| {
-            if vel.len() <= idx {
-                vel.push(vec![0.0; p.data.len()]);
-            }
-            let v = &mut vel[idx];
-            for ((v, d), &g) in v.iter_mut().zip(p.data.iter_mut()).zip(&p.grad) {
-                *v = mom * *v + g;
-                *d -= lr * *v;
-            }
-            idx += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Layer, Linear};
-    use crate::loss::mse_loss_grad;
     use crate::tensor::Tensor;
+
+    /// Mean-squared error of `y` against `t`, and its gradient
+    /// `2 (y - t) / n`.
+    fn mse_loss_grad(y: &Tensor, t: &Tensor) -> (f32, Tensor) {
+        let n = y.len() as f32;
+        let d: Vec<f32> = y.data().iter().zip(t.data()).map(|(y, t)| y - t).collect();
+        let loss = d.iter().map(|d| d * d).sum::<f32>() / n;
+        (
+            loss,
+            Tensor::from_vec(y.shape(), d.iter().map(|d| 2.0 * d / n).collect()),
+        )
+    }
 
     fn train(optim: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
         // Fit y = 2x with a 1-parameter linear layer.
@@ -218,13 +188,6 @@ mod tests {
         let mut adam = Adam::new(0.05);
         let loss = train(&mut |l| adam.step(l), 1200);
         assert!(loss < 1e-3, "adam final loss {loss}");
-    }
-
-    #[test]
-    fn sgd_converges_on_regression() {
-        let mut sgd = Sgd::with_momentum(0.01, 0.9);
-        let loss = train(&mut |l| sgd.step(l), 400);
-        assert!(loss < 1e-2, "sgd final loss {loss}");
     }
 
     #[test]

@@ -127,30 +127,36 @@ pub fn digest(tensors: &[Vec<f32>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, LeakyReLU, Sequential};
+    use crate::layers::{BatchNorm2d, Conv2d};
     use crate::tensor::Tensor;
 
-    fn build() -> Sequential {
-        Sequential::new(vec![
-            Box::new(Conv2d::new(2, 4, 3, 1)),
-            Box::new(LeakyReLU::default()),
-            Box::new(Conv2d::new(4, 1, 1, 2)),
-        ])
+    fn build() -> Conv2d {
+        Conv2d::new(2, 4, 3, 1)
     }
 
     #[test]
     fn state_roundtrip_preserves_outputs() {
         let mut a = build();
-        let mut b = Sequential::new(vec![
-            Box::new(Conv2d::new(2, 4, 3, 99)),
-            Box::new(LeakyReLU::default()),
-            Box::new(Conv2d::new(4, 1, 1, 98)),
-        ]);
+        let mut b = Conv2d::new(2, 4, 3, 99);
         let x = Tensor::ones([1, 2, 4, 4]);
         assert_ne!(a.forward(&x, false).data(), b.forward(&x, false).data());
         let s = state(&mut a);
         load_state(&mut b, &s).unwrap();
         assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
+
+        // Buffers ride along after the parameters: batch-norm running
+        // statistics moved by a training forward.
+        let mut bn = BatchNorm2d::new(2);
+        let y = Tensor::from_vec([1, 2, 1, 2], vec![1.0, 3.0, -2.0, 5.0]);
+        bn.forward(&y, true);
+        let s = state(&mut bn);
+        assert_eq!(s.len(), 4, "gamma, beta, running mean, running var");
+        let mut fresh = BatchNorm2d::new(2);
+        load_state(&mut fresh, &s).unwrap();
+        assert_eq!(
+            bn.forward(&y, false).data(),
+            fresh.forward(&y, false).data()
+        );
     }
 
     #[test]
@@ -168,8 +174,10 @@ mod tests {
     fn mismatched_architecture_errors() {
         let mut a = build();
         let s = state(&mut a);
-        let mut tiny = Sequential::new(vec![Box::new(Conv2d::new(1, 1, 1, 0)) as Box<_>]);
+        let mut tiny = Conv2d::new(1, 1, 1, 0);
         assert!(load_state(&mut tiny, &s).is_err());
+        let mut no_bias = Conv2d::new_no_bias(2, 4, 3, 1);
+        assert!(load_state(&mut no_bias, &s).is_err(), "extra tensor");
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! This module is the workspace's one home for vector intrinsics: the
 //! `compat`-style lane wrappers [`F32x8`] (AVX `__m256`) and [`F32x16`]
-//! (AVX-512 `__m512`), the [`Lanes`] surface the GEMM microkernel in
-//! [`crate::compute`] is written against, the runtime dispatch ([`tier`],
-//! capped by [`set_max_tier`]), and the vectorized elementwise hot paths
-//! shared by the layers (LReLU, BN normalize and reductions, bias add,
-//! residual add), which run at eight lanes.
+//! (AVX-512 `__m512`), the [`Lanes`] surface that the GEMM microkernel in
+//! [`crate::compute`] and the elementwise kernels below are written
+//! against, the runtime dispatch ([`tier`], capped by [`set_max_tier`]),
+//! and the elementwise hot paths shared by the layers (LReLU, BN normalize
+//! and reductions, bias add, residual add), which run at eight lanes.
 //!
 //! # The bit-identity contract
 //!
-//! Every function here produces results **bit-identical** to its scalar
-//! fallback (and therefore to `compute::reference`), which is what lets
-//! the engine switch freely between tiers — across machines, feature
-//! configurations, and the [`set_max_tier`] cap — without perturbing
-//! training trajectories or checkpoint resume. Three rules make that
-//! possible:
+//! Every function here produces results **bit-identical** at every tier
+//! (and therefore to `compute::reference`), which is what lets the engine
+//! switch freely between tiers — across machines and the [`set_max_tier`]
+//! cap — without perturbing training trajectories or checkpoint resume.
+//! Three rules make that possible:
 //!
 //! 1. **Lanes run across independent output elements, never across a
 //!    reduction.** A vectorized loop computes eight (or sixteen)
@@ -32,44 +31,43 @@
 //!    (`if v <= 0 { v *= α }`) left NaN untouched, while the
 //!    multiplicative form scales NaN lanes (`NaN > 0` is false, so
 //!    `s = α`). The product is still NaN — only its payload/sign bits
-//!    are platform-defined — and the vector and scalar paths multiply
-//!    with the same operand order, so *they* stay bit-identical to each
-//!    other. What is lost is bit-equivalence with the pre-SIMD kernels
-//!    on NaN activations, i.e. only after training has already diverged.
+//!    are platform-defined — and every tier runs the one body with the
+//!    same operand order, so the tiers stay bit-identical to each other.
+//!    What is lost is bit-equivalence with the pre-SIMD kernels on NaN
+//!    activations, i.e. only after training has already diverged.
 //!
 //! # Dispatch
 //!
-//! The vector paths compile only under the (default-on) `simd` cargo
-//! feature on x86-64. At runtime [`tier`] is the widest [`Tier`] the CPU
-//! supports (CPUID, cached on first query), capped process-wide by
-//! [`set_max_tier`]. The cap starts from `PREFIXRL_NN_SIMD`: `0` or `off`
-//! caps at [`Tier::Scalar`], `avx` at [`Tier::Avx`] (eight lanes even on
-//! an AVX-512 host) — the same shape as the `PREFIXRL_NN_THREADS` budget.
-//! Everything falls back to the scalar forms below AVX, so non-x86 targets
-//! and `--no-default-features` builds are first-class, just slower.
+//! The vector tiers are compiled into every x86-64 build. At runtime
+//! [`tier`] is the widest [`Tier`] the CPU supports (CPUID, cached on
+//! first query), capped process-wide by [`set_max_tier`]. The cap starts
+//! from `PREFIXRL_NN_SIMD`: `0` or `off` caps at [`Tier::Scalar`], `avx`
+//! at [`Tier::Avx`] (eight lanes even on an AVX-512 host) — the same shape
+//! as the `PREFIXRL_NN_THREADS` budget. Below AVX, and on every other
+//! target, everything runs at the scalar tier: the same loop nests and
+//! kernel bodies on portable lanes, just slower.
 //!
 //! # Adding a lane width
 //!
 //! A width slots in as a sibling of [`F32x8`]: wrap the arch type,
-//! implement [`Lanes`] (no FMA), give it a [`Tier`], and vectorize only
-//! across outputs. Any function obeying those rules is automatically
-//! bit-identical to the scalar fallback, so the parity suite
-//! (`tests/simd_parity.rs`) needs no new oracles — only new shape coverage
-//! for the added remainder widths.
+//! implement [`Lanes`] (no FMA), give it a [`Tier`], and instantiate the
+//! generic loop nests at it under its `#[target_feature]`. Every kernel is
+//! one body over [`Lanes`] that vectorizes only across outputs, so the new
+//! width is bit-identical to the scalar tier by construction; the parity
+//! suite (`tests/simd_parity.rs`) and the scalar-loop oracle in this
+//! module's tests need no new oracles — only shape coverage for the added
+//! remainder widths.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 // ------------------------------------------------------------- dispatch
 
-/// Whether the vector paths were compiled in at all.
-const COMPILED: bool = cfg!(all(feature = "simd", target_arch = "x86_64"));
-
 /// A kernel tier: the widest vectors the compute engine may use. Ordered
 /// from narrowest to widest, so a cap is a `min`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// No explicit vectors: the scalar fallbacks.
+    /// No explicit vectors: the kernel bodies on portable lanes.
     Scalar,
     /// AVX, eight lanes ([`F32x8`]) everywhere.
     Avx,
@@ -90,7 +88,7 @@ impl Tier {
 
 /// The widest tier this build and CPU support (CPUID, cached).
 pub fn cpu_tier() -> Tier {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         static CPU: OnceLock<Tier> = OnceLock::new();
         *CPU.get_or_init(|| {
@@ -103,7 +101,7 @@ pub fn cpu_tier() -> Tier {
             }
         })
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         Tier::Scalar
     }
@@ -146,17 +144,19 @@ pub fn enabled() -> bool {
     tier() >= Tier::Avx
 }
 
-/// Whether the `simd` feature was compiled in for this target (reported
-/// by benchmarks so BENCH_nn.json records which engine produced it).
+/// Whether the vector tiers are compiled for this target, i.e. it is
+/// x86-64 (reported by benchmarks so BENCH_nn.json records which engine
+/// produced it).
 pub fn compiled() -> bool {
-    COMPILED
+    cfg!(target_arch = "x86_64")
 }
 
 // ------------------------------------------------------------ the lanes
 
-/// The lane surface of the GEMM microkernel: the handful of operations it
-/// needs, implemented once per register width. Deliberately absent: any
-/// fused multiply-add (see the module docs).
+/// The lane surface that the GEMM microkernel and the elementwise kernels
+/// are written against: the handful of operations they need, implemented
+/// once per register width. Deliberately absent: any fused multiply-add
+/// (see the module docs).
 ///
 /// All methods are `unsafe` and `#[inline(always)]`: callers wrap their
 /// loops in a `#[target_feature]` function for the implementing width, and
@@ -164,16 +164,17 @@ pub fn compiled() -> bool {
 /// instructions. Loads and stores are unaligned — tensor rows have no
 /// alignment guarantee.
 ///
-/// `[f32; 8]` implements it too, with plain lanewise loops and no CPU
-/// feature: the scalar tier's lanes, so the microkernel and the loop nests
-/// around it compile in every build and run at every tier.
+/// Two portable widths need no CPU feature: `[f32; 8]`, the scalar tier's
+/// lanes for the microkernel and the loop nests around it, and `f32`, one
+/// lane, which runs the elementwise kernels at the scalar tier and every
+/// kernel's tail at the vector tiers.
 ///
 /// # Safety
 ///
 /// Every method requires the implementing width's CPU feature (AVX for
-/// [`F32x8`], AVX-512F for [`F32x16`], none for `[f32; 8]`) and, for the
-/// pointer methods, [`Lanes::LANES`] readable or writable floats at the
-/// pointer.
+/// [`F32x8`], AVX-512F for [`F32x16`], none for `f32` and `[f32; 8]`)
+/// and, for the pointer methods, [`Lanes::LANES`] readable or writable
+/// floats at the pointer.
 pub trait Lanes: Copy {
     /// Lane count.
     const LANES: usize;
@@ -207,6 +208,12 @@ pub trait Lanes: Copy {
     ///
     /// See the trait docs.
     unsafe fn add(self, rhs: Self) -> Self;
+    /// Lanewise `self - rhs`.
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn sub(self, rhs: Self) -> Self;
     /// Lanewise `self * rhs` (a separate rounding from any following add —
     /// never contracted to FMA).
     ///
@@ -214,6 +221,61 @@ pub trait Lanes: Copy {
     ///
     /// See the trait docs.
     unsafe fn mul(self, rhs: Self) -> Self;
+    /// Lanewise select: `if self > 0.0 { a } else { b }` (NaN lanes take
+    /// `b`, as scalar `v > 0.0` is false for NaN).
+    ///
+    /// # Safety
+    ///
+    /// See the trait docs.
+    unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self;
+}
+
+impl Lanes for f32 {
+    const LANES: usize = 1;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        0.0
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        v
+    }
+
+    #[inline(always)]
+    unsafe fn load_ptr(src: *const f32) -> Self {
+        src.read()
+    }
+
+    #[inline(always)]
+    unsafe fn store_ptr(self, dst: *mut f32) {
+        dst.write(self);
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+
+    #[inline(always)]
+    unsafe fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+
+    #[inline(always)]
+    unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self {
+        if self > 0.0 {
+            a
+        } else {
+            b
+        }
+    }
 }
 
 impl Lanes for [f32; 8] {
@@ -245,20 +307,29 @@ impl Lanes for [f32; 8] {
     }
 
     #[inline(always)]
+    unsafe fn sub(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] - rhs[i])
+    }
+
+    #[inline(always)]
     unsafe fn mul(self, rhs: Self) -> Self {
         std::array::from_fn(|i| self[i] * rhs[i])
+    }
+
+    #[inline(always)]
+    unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self {
+        std::array::from_fn(|i| self[i].select_gt_zero(a[i], b[i]))
     }
 }
 
 /// Eight f32 lanes over one AVX `__m256` register: the [`Lanes`] surface
-/// plus the slice loads/stores, `sub`, select and transpose the
-/// elementwise paths use. Callers guard on [`enabled`] and run under
-/// `#[target_feature(enable = "avx")]`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// plus the 8×8 transpose the vector tiers' panel packing uses. Callers
+/// guard on [`enabled`] and run under `#[target_feature(enable = "avx")]`.
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug)]
 pub struct F32x8(core::arch::x86_64::__m256);
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl Lanes for F32x8 {
     const LANES: usize = 8;
 
@@ -288,58 +359,25 @@ impl Lanes for F32x8 {
     }
 
     #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        F32x8(core::arch::x86_64::_mm256_mul_ps(self.0, rhs.0))
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl F32x8 {
-    /// Unaligned load of `src[0..8]`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX and `src.len() >= 8`.
-    #[inline(always)]
-    pub unsafe fn load(src: &[f32]) -> Self {
-        debug_assert!(src.len() >= Self::LANES);
-        Self::load_ptr(src.as_ptr())
-    }
-
-    /// Unaligned store into `dst[0..8]`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX and `dst.len() >= 8`.
-    #[inline(always)]
-    pub unsafe fn store(self, dst: &mut [f32]) {
-        debug_assert!(dst.len() >= Self::LANES);
-        self.store_ptr(dst.as_mut_ptr());
-    }
-
-    /// Lanewise `self - rhs`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[inline(always)]
-    pub unsafe fn sub(self, rhs: Self) -> Self {
+    unsafe fn sub(self, rhs: Self) -> Self {
         F32x8(core::arch::x86_64::_mm256_sub_ps(self.0, rhs.0))
     }
 
-    /// Lanewise select: `if self > 0.0 { a } else { b }` (NaN lanes take
-    /// `b`, matching scalar `v > 0.0` being false for NaN).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX.
     #[inline(always)]
-    pub unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self {
+    unsafe fn mul(self, rhs: Self) -> Self {
+        F32x8(core::arch::x86_64::_mm256_mul_ps(self.0, rhs.0))
+    }
+
+    #[inline(always)]
+    unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self {
         use core::arch::x86_64::*;
         let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(self.0, _mm256_setzero_ps());
         F32x8(_mm256_blendv_ps(b.0, a.0, mask))
     }
+}
 
+#[cfg(target_arch = "x86_64")]
+impl F32x8 {
     /// Transposes an 8×8 block held as eight row registers: lane `j` of
     /// output `i` is lane `i` of input `j`. Pure data movement (unpack,
     /// shuffle, lane permute), so values pass through bit for bit.
@@ -384,11 +422,11 @@ impl F32x8 {
 /// surface only, for the GEMM microkernel's wide tier. Callers guard on
 /// [`tier`] being [`Tier::Avx512`] and run under
 /// `#[target_feature(enable = "avx512f")]`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug)]
 pub struct F32x16(core::arch::x86_64::__m512);
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl Lanes for F32x16 {
     const LANES: usize = 16;
 
@@ -418,55 +456,105 @@ impl Lanes for F32x16 {
     }
 
     #[inline(always)]
+    unsafe fn sub(self, rhs: Self) -> Self {
+        F32x16(core::arch::x86_64::_mm512_sub_ps(self.0, rhs.0))
+    }
+
+    #[inline(always)]
     unsafe fn mul(self, rhs: Self) -> Self {
         F32x16(core::arch::x86_64::_mm512_mul_ps(self.0, rhs.0))
+    }
+
+    #[inline(always)]
+    unsafe fn select_gt_zero(self, a: Self, b: Self) -> Self {
+        use core::arch::x86_64::*;
+        let mask = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, _mm512_setzero_ps());
+        F32x16(_mm512_mask_blend_ps(mask, b.0, a.0))
     }
 }
 
 // ----------------------------------------------------- elementwise ops
 //
-// Each operation has a scalar form and (under the feature) an AVX twin
-// whose vector body applies the identical per-element formula, with the
-// scalar form finishing the `len % 8` tail. The public function picks at
-// runtime. The scalar forms are written multiplicatively (rule 3 above)
-// so both paths are bit-identical by construction.
+// Each f32 operation is one body, an `Elementwise::step` written once over
+// `Lanes`. `run` steps it at eight lanes (`F32x8`, under AVX) at both
+// vector tiers and at one lane (`f32`) at the scalar tier, and finishes
+// the `len % 8` tail at one lane. A body applies the same per-element
+// formula in the same association at every width, so the tiers are
+// bit-identical by construction; the scalar-loop oracle in this module's
+// tests pins each formula. The selects are multiplicative (rule 3 above).
 
-macro_rules! dispatch {
-    ($avx:ident($($arg:expr),*), $scalar:ident) => {{
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if enabled() {
-            // SAFETY: `enabled()` is true only when CPUID reports AVX.
-            unsafe { $avx($($arg),*) };
-            return;
-        }
-        $scalar($($arg),*)
-    }};
+/// One elementwise kernel: its slices and constants, and the body.
+trait Elementwise {
+    /// Computes the `V::LANES` elements from `i`.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU feature, and `i + V::LANES` at most the length [`run`]
+    /// was given.
+    unsafe fn step<V: Lanes>(&mut self, i: usize);
+}
+
+/// Runs `kernel` over elements `0..len` at the width [`tier`] selects.
+///
+/// # Safety
+///
+/// Every slice the kernel touches holds at least `len` floats.
+unsafe fn run(len: usize, kernel: impl Elementwise) {
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: `enabled()` is true only when CPUID reports AVX.
+        sweep_avx(len, kernel);
+        return;
+    }
+    sweep::<f32>(len, kernel)
+}
+
+/// [`sweep`] at eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sweep_avx(len: usize, kernel: impl Elementwise) {
+    sweep::<F32x8>(len, kernel)
+}
+
+/// Steps `kernel` over `0..len`, `V::LANES` elements at a time, then the
+/// tail one lane at a time.
+#[inline(always)]
+unsafe fn sweep<V: Lanes>(len: usize, mut kernel: impl Elementwise) {
+    let body = len / V::LANES * V::LANES;
+    for i in (0..body).step_by(V::LANES) {
+        kernel.step::<V>(i);
+    }
+    for i in body..len {
+        kernel.step::<f32>(i);
+    }
+}
+
+/// `V::LANES` floats of `src` from `i`.
+#[inline(always)]
+unsafe fn load<V: Lanes>(src: &[f32], i: usize) -> V {
+    V::load_ptr(src.as_ptr().add(i))
+}
+
+/// Stores `v` into `dst` from `i`.
+#[inline(always)]
+unsafe fn store<V: Lanes>(v: V, dst: &mut [f32], i: usize) {
+    v.store_ptr(dst.as_mut_ptr().add(i));
 }
 
 /// In-place LReLU: `v = v * (v > 0 ? 1.0 : alpha)` — the cache-free
 /// inference rectifier ([`crate::LeakyReLU::apply`]).
 pub fn lrelu_apply(buf: &mut [f32], alpha: f32) {
-    dispatch!(lrelu_apply_avx(buf, alpha), lrelu_apply_scalar)
-}
-
-fn lrelu_apply_scalar(buf: &mut [f32], alpha: f32) {
-    for v in buf {
-        let s = if *v > 0.0 { 1.0 } else { alpha };
-        *v *= s;
+    struct K<'a>(&'a mut [f32], f32);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let v: V = load(self.0, i);
+            let s = v.select_gt_zero(V::splat(1.0), V::splat(self.1));
+            store(v.mul(s), self.0, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn lrelu_apply_avx(buf: &mut [f32], alpha: f32) {
-    let ones = F32x8::splat(1.0);
-    let alphas = F32x8::splat(alpha);
-    let mut chunks = buf.chunks_exact_mut(F32x8::LANES);
-    for c in &mut chunks {
-        let v = F32x8::load(c);
-        v.mul(v.select_gt_zero(ones, alphas)).store(c);
-    }
-    lrelu_apply_scalar(chunks.into_remainder(), alpha);
+    // SAFETY: the kernel touches `buf` only.
+    unsafe { run(buf.len(), K(buf, alpha)) }
 }
 
 /// Training-mode LReLU forward: `out = x * s`, recording the per-element
@@ -480,32 +568,18 @@ pub fn lrelu_forward_scale(x: &[f32], out: &mut [f32], scale: &mut [f32], alpha:
         x.len() == out.len() && x.len() == scale.len(),
         "length mismatch"
     );
-    dispatch!(
-        lrelu_forward_scale_avx(x, out, scale, alpha),
-        lrelu_forward_scale_scalar
-    )
-}
-
-fn lrelu_forward_scale_scalar(x: &[f32], out: &mut [f32], scale: &mut [f32], alpha: f32) {
-    for ((&v, o), s) in x.iter().zip(out.iter_mut()).zip(scale.iter_mut()) {
-        *s = if v > 0.0 { 1.0 } else { alpha };
-        *o = v * *s;
+    struct K<'a>(&'a [f32], &'a mut [f32], &'a mut [f32], f32);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let v: V = load(self.0, i);
+            let s = v.select_gt_zero(V::splat(1.0), V::splat(self.3));
+            store(s, self.2, i);
+            store(v.mul(s), self.1, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn lrelu_forward_scale_avx(x: &[f32], out: &mut [f32], scale: &mut [f32], alpha: f32) {
-    let ones = F32x8::splat(1.0);
-    let alphas = F32x8::splat(alpha);
-    let n = x.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        let v = F32x8::load(&x[i..]);
-        let s = v.select_gt_zero(ones, alphas);
-        s.store(&mut scale[i..]);
-        v.mul(s).store(&mut out[i..]);
-    }
-    lrelu_forward_scale_scalar(&x[n..], &mut out[n..], &mut scale[n..], alpha);
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(x.len(), K(x, out, scale, alpha)) }
 }
 
 /// Lanewise `dst *= src` (LReLU backward: grad times cached scale).
@@ -515,25 +589,16 @@ unsafe fn lrelu_forward_scale_avx(x: &[f32], out: &mut [f32], scale: &mut [f32],
 /// Panics if the slice lengths differ.
 pub fn mul_assign(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
-    dispatch!(mul_assign_avx(dst, src), mul_assign_scalar)
-}
-
-fn mul_assign_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d *= s;
+    struct K<'a>(&'a mut [f32], &'a [f32]);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let v = load::<V>(self.0, i).mul(load(self.1, i));
+            store(v, self.0, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn mul_assign_avx(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        F32x8::load(&dst[i..])
-            .mul(F32x8::load(&src[i..]))
-            .store(&mut dst[i..]);
-    }
-    mul_assign_scalar(&mut dst[n..], &src[n..]);
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(dst.len(), K(dst, src)) }
 }
 
 /// Lanewise `dst += src` (residual adds).
@@ -543,47 +608,30 @@ unsafe fn mul_assign_avx(dst: &mut [f32], src: &[f32]) {
 /// Panics if the slice lengths differ.
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
-    dispatch!(add_assign_avx(dst, src), add_assign_scalar)
-}
-
-fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
+    struct K<'a>(&'a mut [f32], &'a [f32]);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let v = load::<V>(self.0, i).add(load(self.1, i));
+            store(v, self.0, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn add_assign_avx(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        F32x8::load(&dst[i..])
-            .add(F32x8::load(&src[i..]))
-            .store(&mut dst[i..]);
-    }
-    add_assign_scalar(&mut dst[n..], &src[n..]);
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(dst.len(), K(dst, src)) }
 }
 
 /// `dst += v` over a contiguous run (conv bias over one output plane).
 pub fn add_scalar(dst: &mut [f32], v: f32) {
-    dispatch!(add_scalar_avx(dst, v), add_scalar_scalar)
-}
-
-fn add_scalar_scalar(dst: &mut [f32], v: f32) {
-    for d in dst {
-        *d += v;
+    struct K<'a>(&'a mut [f32], f32);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let v = load::<V>(self.0, i).add(V::splat(self.1));
+            store(v, self.0, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn add_scalar_avx(dst: &mut [f32], v: f32) {
-    let vs = F32x8::splat(v);
-    let mut chunks = dst.chunks_exact_mut(F32x8::LANES);
-    for c in &mut chunks {
-        F32x8::load(c).add(vs).store(c);
-    }
-    add_scalar_scalar(chunks.into_remainder(), v);
+    // SAFETY: the kernel touches `dst` only.
+    unsafe { run(dst.len(), K(dst, v)) }
 }
 
 /// Evaluation-mode BN normalize over one channel plane:
@@ -595,27 +643,17 @@ unsafe fn add_scalar_avx(dst: &mut [f32], v: f32) {
 /// Panics if the slice lengths differ.
 pub fn bn_apply(x: &[f32], out: &mut [f32], mean: f32, inv: f32, g: f32, b: f32) {
     assert_eq!(x.len(), out.len(), "length mismatch");
-    dispatch!(bn_apply_avx(x, out, mean, inv, g, b), bn_apply_scalar)
-}
-
-fn bn_apply_scalar(x: &[f32], out: &mut [f32], mean: f32, inv: f32, g: f32, b: f32) {
-    for (&v, o) in x.iter().zip(out.iter_mut()) {
-        *o = g * (v - mean) * inv + b;
+    struct K<'a>(&'a [f32], &'a mut [f32], [f32; 4]);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let [mean, inv, g, b] = self.2.map(|c| V::splat(c));
+            let v = g.mul(load::<V>(self.0, i).sub(mean)).mul(inv).add(b);
+            store(v, self.1, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn bn_apply_avx(x: &[f32], out: &mut [f32], mean: f32, inv: f32, g: f32, b: f32) {
-    let (means, invs) = (F32x8::splat(mean), F32x8::splat(inv));
-    let (gs, bs) = (F32x8::splat(g), F32x8::splat(b));
-    let n = x.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        let v = F32x8::load(&x[i..]);
-        // Same association as the scalar form: ((g*(x-mean))*inv)+b.
-        gs.mul(v.sub(means)).mul(invs).add(bs).store(&mut out[i..]);
-    }
-    bn_apply_scalar(&x[n..], &mut out[n..], mean, inv, g, b);
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(x.len(), K(x, out, [mean, inv, g, b])) }
 }
 
 /// Training-mode BN normalize over one channel plane: caches
@@ -639,50 +677,18 @@ pub fn bn_normalize_cache(
         x.len() == out.len() && x.len() == xhat.len(),
         "length mismatch"
     );
-    dispatch!(
-        bn_normalize_cache_avx(x, out, xhat, mean, inv, g, b),
-        bn_normalize_cache_scalar
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bn_normalize_cache_scalar(
-    x: &[f32],
-    out: &mut [f32],
-    xhat: &mut [f32],
-    mean: f32,
-    inv: f32,
-    g: f32,
-    b: f32,
-) {
-    for ((&v, o), xh) in x.iter().zip(out.iter_mut()).zip(xhat.iter_mut()) {
-        let h = (v - mean) * inv;
-        *xh = h;
-        *o = g * h + b;
+    struct K<'a>(&'a [f32], &'a mut [f32], &'a mut [f32], [f32; 4]);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let [mean, inv, g, b] = self.3.map(|c| V::splat(c));
+            let h = load::<V>(self.0, i).sub(mean).mul(inv);
+            store(h, self.2, i);
+            store(g.mul(h).add(b), self.1, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn bn_normalize_cache_avx(
-    x: &[f32],
-    out: &mut [f32],
-    xhat: &mut [f32],
-    mean: f32,
-    inv: f32,
-    g: f32,
-    b: f32,
-) {
-    let (means, invs) = (F32x8::splat(mean), F32x8::splat(inv));
-    let (gs, bs) = (F32x8::splat(g), F32x8::splat(b));
-    let n = x.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        let h = F32x8::load(&x[i..]).sub(means).mul(invs);
-        h.store(&mut xhat[i..]);
-        gs.mul(h).add(bs).store(&mut out[i..]);
-    }
-    bn_normalize_cache_scalar(&x[n..], &mut out[n..], &mut xhat[n..], mean, inv, g, b);
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(x.len(), K(x, out, xhat, [mean, inv, g, b])) }
 }
 
 /// Per-channel f64 sums over an NCHW buffer of `n` samples, `c` channels
@@ -695,7 +701,10 @@ unsafe fn bn_normalize_cache_avx(
 /// loads four positions of each channel, transposes the 4×4 block so each
 /// register holds the four channels at one position, and adds those
 /// registers in position order. Lanes span channels, never positions, so
-/// every channel keeps its scalar summation order.
+/// every channel keeps its scalar summation order. It is the one kernel
+/// here on f64 lanes, with channels rather than elements side by side, so
+/// it keeps an explicit AVX body beside its scalar form instead of one
+/// body over [`Lanes`].
 ///
 /// # Panics
 ///
@@ -714,7 +723,7 @@ pub fn bn_channel_sums(
             && sum_ab.len() >= c,
         "length mismatch"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` is true only when CPUID reports AVX; the
         // lengths were asserted above.
@@ -748,7 +757,7 @@ fn bn_channel_sums_scalar(
 
 /// Transposes a 4×4 f64 block held as four row registers (pure data
 /// movement): lane `j` of output `i` is lane `i` of input `j`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn transpose4_pd(r: [core::arch::x86_64::__m256d; 4]) -> [core::arch::x86_64::__m256d; 4] {
     use core::arch::x86_64::*;
@@ -764,7 +773,7 @@ unsafe fn transpose4_pd(r: [core::arch::x86_64::__m256d; 4]) -> [core::arch::x86
     ]
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn bn_channel_sums_avx(
     a: &[f32],
@@ -829,49 +838,17 @@ pub fn bn_backward_apply(
         dy.len() == xhat.len() && dy.len() == grad_in.len(),
         "length mismatch"
     );
-    dispatch!(
-        bn_backward_apply_avx(dy, xhat, grad_in, (k, m), (sum_dy, sum_dy_xhat)),
-        bn_backward_apply_scalar
-    )
-}
-
-fn bn_backward_apply_scalar(
-    dy: &[f32],
-    xhat: &[f32],
-    grad_in: &mut [f32],
-    (k, m): (f32, f32),
-    (sum_dy, sum_dy_xhat): (f32, f32),
-) {
-    for ((&d, &h), g) in dy.iter().zip(xhat).zip(grad_in.iter_mut()) {
-        *g = k * (m * d - sum_dy - h * sum_dy_xhat);
+    struct K<'a>(&'a [f32], &'a [f32], &'a mut [f32], [f32; 4]);
+    impl Elementwise for K<'_> {
+        #[inline(always)]
+        unsafe fn step<V: Lanes>(&mut self, i: usize) {
+            let [k, m, sd, sdx] = self.3.map(|c| V::splat(c));
+            let (d, h) = (load::<V>(self.0, i), load::<V>(self.1, i));
+            store(k.mul(m.mul(d).sub(sd).sub(h.mul(sdx))), self.2, i);
+        }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx")]
-unsafe fn bn_backward_apply_avx(
-    dy: &[f32],
-    xhat: &[f32],
-    grad_in: &mut [f32],
-    (k, m): (f32, f32),
-    (sum_dy, sum_dy_xhat): (f32, f32),
-) {
-    let (ks, ms) = (F32x8::splat(k), F32x8::splat(m));
-    let (sd, sdx) = (F32x8::splat(sum_dy), F32x8::splat(sum_dy_xhat));
-    let n = dy.len() / F32x8::LANES * F32x8::LANES;
-    for i in (0..n).step_by(F32x8::LANES) {
-        let (d, h) = (F32x8::load(&dy[i..]), F32x8::load(&xhat[i..]));
-        // Same association as the scalar form: k*(((m*dy)-sdy)-(xhat*sdx)).
-        ks.mul(ms.mul(d).sub(sd).sub(h.mul(sdx)))
-            .store(&mut grad_in[i..]);
-    }
-    bn_backward_apply_scalar(
-        &dy[n..],
-        &xhat[n..],
-        &mut grad_in[n..],
-        (k, m),
-        (sum_dy, sum_dy_xhat),
-    );
+    // SAFETY: the lengths were asserted equal above.
+    unsafe { run(dy.len(), K(dy, xhat, grad_in, [k, m, sum_dy, sum_dy_xhat])) }
 }
 
 #[cfg(test)]
@@ -883,116 +860,148 @@ mod tests {
         (0..len).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect()
     }
 
-    /// Every elementwise op, vector vs scalar path, across remainder
-    /// lengths — bit-identical by contract. (One test body, because
-    /// [`set_max_tier`] is process-global: splitting the toggling across
-    /// concurrently-running `#[test]`s would race.)
+    /// Values with magnitudes across 2^±20, so a changed association or
+    /// summation order shows in the low bits of the results.
+    fn wide(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * 2f32.powi(rng.random_range(-20..20)))
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every elementwise kernel, at every tier cap, against a verbatim
+    /// scalar loop of its formula, bit for bit: lengths on both sides of
+    /// the eight-lane body and its tail, and `bn_channel_sums` with and
+    /// without its `b = a` shortcut, on channel counts on and off its
+    /// four-lane grouping. (One test body, because [`set_max_tier`] is
+    /// process-global: splitting the caps across concurrently-running
+    /// `#[test]`s would race.)
     #[test]
     fn vector_paths_match_scalar_bitwise() {
-        if !enabled() {
-            return; // scalar-only build or CPU: nothing to compare
-        }
         let saved = max_tier();
-        set_max_tier(Tier::Scalar);
-        assert!(!enabled(), "a Scalar cap must force the scalar path");
-        set_max_tier(Tier::Avx512);
-        assert!(enabled(), "lifting the cap must restore the vector path");
         let mut rng = StdRng::seed_from_u64(77);
-        for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100] {
-            let x = randv(&mut rng, len);
-            let base = randv(&mut rng, len);
+        let alpha = 0.01;
+        let (mean, inv, g, b) = (0.1, 1.7, 0.9, -0.2);
+        let (km, sums) = ((0.37, 3.0), (-1.25, 0.625));
+        for tier in [Tier::Scalar, Tier::Avx, Tier::Avx512] {
+            set_max_tier(tier);
+            assert_eq!(enabled(), tier.min(cpu_tier()) >= Tier::Avx);
+            for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100] {
+                let (x, y) = (wide(&mut rng, len), wide(&mut rng, len));
+                let check = |what: &str, got: &[f32], want: Vec<f32>| {
+                    assert_eq!(bits(got), bits(&want), "{what} at {tier:?}, len {len}");
+                };
+                let scale = |v: f32| if v > 0.0 { 1.0 } else { alpha };
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            set_max_tier(Tier::Avx512);
-            lrelu_apply(&mut a, 0.01);
-            set_max_tier(Tier::Scalar);
-            lrelu_apply(&mut b, 0.01);
-            assert_eq!(a, b, "lrelu_apply len {len}");
+                let mut got = x.clone();
+                lrelu_apply(&mut got, alpha);
+                check(
+                    "lrelu_apply",
+                    &got,
+                    x.iter().map(|&v| v * scale(v)).collect(),
+                );
 
-            let (mut oa, mut ob) = (vec![0.0; len], vec![0.0; len]);
-            let (mut sa, mut sb) = (vec![0.0; len], vec![0.0; len]);
-            set_max_tier(Tier::Avx512);
-            lrelu_forward_scale(&x, &mut oa, &mut sa, 0.01);
-            set_max_tier(Tier::Scalar);
-            lrelu_forward_scale(&x, &mut ob, &mut sb, 0.01);
-            assert_eq!(oa, ob, "lrelu fwd len {len}");
-            assert_eq!(sa, sb, "lrelu scale len {len}");
+                let (mut out, mut s) = (vec![0.0; len], vec![0.0; len]);
+                lrelu_forward_scale(&x, &mut out, &mut s, alpha);
+                check("lrelu scale", &s, x.iter().map(|&v| scale(v)).collect());
+                check("lrelu out", &out, x.iter().map(|&v| v * scale(v)).collect());
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            set_max_tier(Tier::Avx512);
-            mul_assign(&mut a, &x);
-            set_max_tier(Tier::Scalar);
-            mul_assign(&mut b, &x);
-            assert_eq!(a, b, "mul_assign len {len}");
+                let mut got = y.clone();
+                mul_assign(&mut got, &x);
+                check(
+                    "mul_assign",
+                    &got,
+                    y.iter().zip(&x).map(|(d, s)| d * s).collect(),
+                );
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            set_max_tier(Tier::Avx512);
-            add_assign(&mut a, &x);
-            set_max_tier(Tier::Scalar);
-            add_assign(&mut b, &x);
-            assert_eq!(a, b, "add_assign len {len}");
+                let mut got = y.clone();
+                add_assign(&mut got, &x);
+                check(
+                    "add_assign",
+                    &got,
+                    y.iter().zip(&x).map(|(d, s)| d + s).collect(),
+                );
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            set_max_tier(Tier::Avx512);
-            add_scalar(&mut a, 0.37);
-            set_max_tier(Tier::Scalar);
-            add_scalar(&mut b, 0.37);
-            assert_eq!(a, b, "add_scalar len {len}");
+                let mut got = y.clone();
+                add_scalar(&mut got, 0.37);
+                check("add_scalar", &got, y.iter().map(|d| d + 0.37).collect());
 
-            set_max_tier(Tier::Avx512);
-            bn_apply(&x, &mut oa, 0.1, 1.7, 0.9, -0.2);
-            set_max_tier(Tier::Scalar);
-            bn_apply(&x, &mut ob, 0.1, 1.7, 0.9, -0.2);
-            assert_eq!(oa, ob, "bn_apply len {len}");
+                bn_apply(&x, &mut out, mean, inv, g, b);
+                check(
+                    "bn_apply",
+                    &out,
+                    x.iter().map(|&v| g * (v - mean) * inv + b).collect(),
+                );
 
-            set_max_tier(Tier::Avx512);
-            bn_normalize_cache(&x, &mut oa, &mut sa, 0.1, 1.7, 0.9, -0.2);
-            set_max_tier(Tier::Scalar);
-            bn_normalize_cache(&x, &mut ob, &mut sb, 0.1, 1.7, 0.9, -0.2);
-            assert_eq!(oa, ob, "bn_normalize out len {len}");
-            assert_eq!(sa, sb, "bn_normalize xhat len {len}");
+                let mut xhat = vec![0.0; len];
+                bn_normalize_cache(&x, &mut out, &mut xhat, mean, inv, g, b);
+                let hs: Vec<f32> = x.iter().map(|&v| (v - mean) * inv).collect();
+                check(
+                    "bn_normalize out",
+                    &out,
+                    hs.iter().map(|&h| g * h + b).collect(),
+                );
+                check("bn_normalize xhat", &xhat, hs);
 
-            set_max_tier(Tier::Avx512);
+                bn_backward_apply(&x, &y, &mut out, km, sums);
+                let ((k, m), (sd, sdx)) = (km, sums);
+                let want = x.iter().zip(&y).map(|(&d, &h)| k * (m * d - sd - h * sdx));
+                check("bn_backward_apply", &out, want.collect());
+
+                for (n, c) in [(1, 1), (2, 5), (3, 8)] {
+                    let (a, other) = (wide(&mut rng, n * c * len), wide(&mut rng, n * c * len));
+                    for bv in [&a, &other] {
+                        let (mut sa, mut sab) = (vec![0.0; c], vec![0.0; c]);
+                        bn_channel_sums(&a, bv, (n, c, len), &mut sa, &mut sab);
+                        for ci in 0..c {
+                            let (mut wa, mut wab) = (0.0f64, 0.0f64);
+                            for s in 0..n {
+                                for p in 0..len {
+                                    let at = (s * c + ci) * len + p;
+                                    wa += a[at] as f64;
+                                    wab += a[at] as f64 * bv[at] as f64;
+                                }
+                            }
+                            let at = format!("channel {ci} of {n}x{c}x{len} at {tier:?}");
+                            assert_eq!(sa[ci].to_bits(), wa.to_bits(), "Σa, {at}");
+                            assert_eq!(sab[ci].to_bits(), wab.to_bits(), "Σab, {at}");
+                        }
+                    }
+                }
+            }
         }
 
-        // NaN lanes (module docs, rule 3 caveat): both LReLU paths
-        // compute `NaN * alpha` with identical operand order, so even
-        // the NaN output bits must agree between vector and scalar.
+        // NaN lanes (module docs, rule 3 caveat): every tier computes
+        // `NaN * alpha` with identical operand order, so even the NaN
+        // output bits must agree between vector and scalar.
         let mut a = vec![f32::NAN, -f32::NAN, -1.0, 2.0];
-        a.resize(17, f32::NAN); // one full vector body plus a tail
+        a.resize(17, f32::NAN); // two full vector bodies plus a tail
         let mut b = a.clone();
         set_max_tier(Tier::Avx512);
         lrelu_apply(&mut a, 0.01);
         set_max_tier(Tier::Scalar);
         lrelu_apply(&mut b, 0.01);
         set_max_tier(saved);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b), "NaN lrelu_apply parity");
     }
 
-    /// The batch-norm kernels against their scalar twins, called directly
-    /// (no global switch): channel counts on and off the 4-lane grouping,
-    /// planes with and without a tail, one sample and several.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// `bn_channel_sums`' AVX body against its scalar form, called
+    /// directly (no global switch), and `bn_backward_apply` against a
+    /// verbatim scalar loop: channel counts on and off the 4-lane
+    /// grouping, planes with and without a tail, one sample and several.
+    /// `bn_backward_apply` runs at whatever cap is set (the tiers are
+    /// bit-identical, so a concurrent cap change cannot fail it).
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn batchnorm_kernels_match_scalar_twins_bitwise() {
         if !std::arch::is_x86_feature_detected!("avx") {
             return;
         }
         let mut rng = StdRng::seed_from_u64(79);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Magnitudes across 2^±20, so the f64 sums round and any change of
-        // summation order shows in their bits.
-        let mut wide = |len: usize| -> Vec<f32> {
-            let v = randv(&mut rng, len);
-            v.iter()
-                .map(|x| x * 2f32.powi(rng.random_range(-20..20)))
-                .collect()
-        };
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (n, c, plane) in [
             (1, 1, 1),
             (1, 4, 4),
@@ -1001,29 +1010,105 @@ mod tests {
             (1, 12, 256),
             (4, 13, 15),
         ] {
-            let a = wide(n * c * plane);
-            let b = wide(n * c * plane);
-            for b in [&a, &b] {
+            let len = n * c * plane;
+            let (a, other) = (wide(&mut rng, len), wide(&mut rng, len));
+            for b in [&a, &other] {
                 let (mut sa, mut sab) = (vec![0.0; c], vec![0.0; c]);
                 let (mut ra, mut rab) = (vec![0.0; c], vec![0.0; c]);
                 // SAFETY: AVX was detected above; the slices hold n·c·plane
                 // floats and c sums.
                 unsafe { bn_channel_sums_avx(&a, b, (n, c, plane), &mut sa, &mut sab) };
                 bn_channel_sums_scalar(&a, b, (n, c, plane), 0..c, &mut ra, &mut rab);
-                assert_eq!(bits(&sa), bits(&ra), "Σa at {n}x{c}x{plane}");
-                assert_eq!(bits(&sab), bits(&rab), "Σab at {n}x{c}x{plane}");
+                assert_eq!(bits64(&sa), bits64(&ra), "Σa at {n}x{c}x{plane}");
+                assert_eq!(bits64(&sab), bits64(&rab), "Σab at {n}x{c}x{plane}");
             }
-            let len = n * c * plane;
-            let (mut va, mut sc) = (vec![0.0; len], vec![0.0; len]);
-            let consts = ((0.37, len as f32), (-1.25, 0.625));
-            // SAFETY: as above; the three slices have equal lengths.
-            unsafe { bn_backward_apply_avx(&a, &b, &mut va, consts.0, consts.1) };
-            bn_backward_apply_scalar(&a, &b, &mut sc, consts.0, consts.1);
-            assert_eq!(va, sc, "bn backward at {n}x{c}x{plane}");
+            let mut out = vec![0.0; len];
+            let ((k, m), (sd, sdx)) = ((0.37, len as f32), (-1.25, 0.625));
+            bn_backward_apply(&a, &other, &mut out, (k, m), (sd, sdx));
+            let want: Vec<f32> = a
+                .iter()
+                .zip(&other)
+                .map(|(&d, &h)| k * (m * d - sd - h * sdx))
+                .collect();
+            assert_eq!(bits(&out), bits(&want), "bn backward at {n}x{c}x{plane}");
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// `sub` and the `> 0` select at one width over sixteen lanes.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU feature.
+    #[inline(always)]
+    unsafe fn sub_select<V: Lanes>(x: &[f32; 16], y: &[f32; 16]) -> [[f32; 16]; 2] {
+        let mut out = [[0.0; 16]; 2];
+        for i in (0..16).step_by(V::LANES) {
+            let (a, b) = (V::load_ptr(x[i..].as_ptr()), V::load_ptr(y[i..].as_ptr()));
+            a.sub(b).store_ptr(out[0][i..].as_mut_ptr());
+            a.select_gt_zero(a, b).store_ptr(out[1][i..].as_mut_ptr());
+        }
+        out
+    }
+
+    /// `sub` and the select agree lane for lane at every width, on signed
+    /// zeros, infinities, subnormals and NaN.
+    #[test]
+    fn lane_widths_agree_on_sub_and_select() {
+        let x = [
+            -0.0,
+            0.0,
+            1.5,
+            -1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-40,
+            -1e-40,
+            3e38,
+            -3e38,
+            2.0,
+            -7.25,
+            0.5,
+        ];
+        let mut y = x;
+        y.reverse();
+        // SAFETY: `f32` needs no CPU feature.
+        let want = unsafe { sub_select::<f32>(&x, &y) };
+        assert_eq!(want[1][0].to_bits(), y[0].to_bits(), "-0.0 > 0 is false");
+        assert_eq!(want[1][6].to_bits(), y[6].to_bits(), "NaN > 0 is false");
+        let same = |got: [[f32; 16]; 2], width: &str| {
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(bits(g), bits(w), "{width}");
+            }
+        };
+        // SAFETY: `[f32; 8]` needs no CPU feature.
+        same(unsafe { sub_select::<[f32; 8]>(&x, &y) }, "[f32; 8]");
+        #[cfg(target_arch = "x86_64")]
+        {
+            /// [`sub_select`] at eight lanes. Requires AVX.
+            #[target_feature(enable = "avx")]
+            unsafe fn at8(x: &[f32; 16], y: &[f32; 16]) -> [[f32; 16]; 2] {
+                sub_select::<F32x8>(x, y)
+            }
+            /// [`sub_select`] at sixteen lanes. Requires AVX-512F.
+            #[target_feature(enable = "avx512f")]
+            unsafe fn at16(x: &[f32; 16], y: &[f32; 16]) -> [[f32; 16]; 2] {
+                sub_select::<F32x16>(x, y)
+            }
+            if cpu_tier() >= Tier::Avx {
+                // SAFETY: CPUID reports AVX.
+                same(unsafe { at8(&x, &y) }, "F32x8");
+            }
+            if cpu_tier() >= Tier::Avx512 {
+                // SAFETY: CPUID reports AVX-512F.
+                same(unsafe { at16(&x, &y) }, "F32x16");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn transpose8_swaps_rows_and_columns() {
         if !std::arch::is_x86_feature_detected!("avx") {
@@ -1033,9 +1118,9 @@ mod tests {
         let mut out = vec![0.0f32; 64];
         // SAFETY: AVX was detected above; every row slice holds 8 floats.
         unsafe {
-            let rows = std::array::from_fn(|r| F32x8::load(&m[r * 8..]));
+            let rows = std::array::from_fn(|r| F32x8::load_ptr(m[r * 8..].as_ptr()));
             for (i, col) in F32x8::transpose8(rows).iter().enumerate() {
-                col.store(&mut out[i * 8..]);
+                col.store_ptr(out[i * 8..].as_mut_ptr());
             }
         }
         for i in 0..8 {

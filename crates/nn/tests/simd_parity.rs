@@ -23,8 +23,8 @@
 //! Everything runs once per tier — sixteen lanes, eight lanes and scalar,
 //! capped via [`nn::simd::set_max_tier`] — inside **one** test body: the
 //! cap is process-global, so concurrent `#[test]` threads changing it
-//! would race. A tier the CPU (or build) lacks runs at the widest tier
-//! below it, so the suite is feature-portable by construction.
+//! would race. A tier the CPU (or target) lacks runs at the widest tier
+//! below it, so the suite is portable by construction.
 
 use nn::compute::{self, reference};
 use nn::{simd, Conv2d, Layer, Tensor};
@@ -279,14 +279,14 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
 
 #[test]
 fn dispatch_reports_are_consistent() {
-    // `enabled()` may only be true when the lane code is compiled in; on
-    // x86-64 with the default feature it should actually engage.
+    // The vector tiers are compiled into every x86-64 build, and `enabled()`
+    // may only be true where they are.
+    assert_eq!(simd::compiled(), cfg!(target_arch = "x86_64"));
     if simd::enabled() {
         assert!(simd::compiled());
     }
     assert!(simd::tier() <= simd::cpu_tier());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    assert!(simd::compiled());
-    #[cfg(not(feature = "simd"))]
-    assert!(!simd::compiled() && !simd::enabled() && simd::cpu_tier() == simd::Tier::Scalar);
+    if !simd::compiled() {
+        assert_eq!(simd::cpu_tier(), simd::Tier::Scalar);
+    }
 }
