@@ -11,7 +11,7 @@ use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::pareto::ParetoFront;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use prefixrl_core::task::{Adder, TaskEvaluator};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rl::{QInfer, QNetwork};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -45,6 +45,20 @@ fn bench_graph_ops(c: &mut Criterion) {
     g.finish();
 }
 
+/// A walk of `steps` legal actions drawn uniformly from ripple by a seeded
+/// generator: the dense, high-fanout states an exploring agent visits.
+fn random_walk(n: u16, seed: u64, steps: usize) -> PrefixGraph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut graph = PrefixGraph::ripple(n);
+    for _ in 0..steps {
+        let actions = graph.legal_actions();
+        graph
+            .apply(actions[rng.random_range(0..actions.len())])
+            .expect("legal");
+    }
+    graph
+}
+
 fn bench_synthesis(c: &mut Criterion) {
     let lib = Library::nangate45();
     let mut g = c.benchmark_group("synthesis");
@@ -53,6 +67,21 @@ fn bench_synthesis(c: &mut Criterion) {
         let graph = structures::sklansky(n);
         g.bench_function(format!("sweep4_sklansky_{n}b"), |b| {
             b.iter(|| black_box(sweep_graph(&graph, &lib, &SweepConfig::paper())))
+        });
+    }
+    // What `train-synthesis` scores: random-walk adder states under the
+    // `fast()` effort it trains with. One iteration sweeps all `states`
+    // states, so ns/iter over `states` is the mean sweep of one.
+    for (n, steps, states) in [(16u16, 60usize, 16u64), (32, 120, 8), (64, 200, 4)] {
+        let graphs: Vec<PrefixGraph> = (0..states)
+            .map(|seed| random_walk(n, seed, steps))
+            .collect();
+        g.bench_function(format!("sweep4_fast_{states}walks_{n}b"), |b| {
+            b.iter(|| {
+                for graph in &graphs {
+                    black_box(sweep_graph(graph, &lib, &SweepConfig::fast()));
+                }
+            })
         });
     }
     g.finish();
@@ -112,7 +141,6 @@ fn bench_qnet(c: &mut Criterion) {
 }
 
 fn bench_replay_and_curve(c: &mut Criterion) {
-    use rand::SeedableRng;
     let mut g = c.benchmark_group("support");
     g.bench_function("replay_sample_64", |b| {
         let mut buf = rl::ReplayBuffer::new(10_000);

@@ -97,9 +97,11 @@ pub enum Sink {
 /// [`Netlist::fanout`].
 ///
 /// A net's sinks are the gate input pins it feeds, gates by index and pins
-/// in order, followed by the primary outputs it drives. The view is a
-/// snapshot: any edit to the netlist invalidates it.
-#[derive(Clone, Debug)]
+/// in order, followed by the primary outputs it drives. A pin swap or a
+/// buffer insertion leaves the view stale until it is told of the edit
+/// through [`Fanout::pins_swapped`] or [`Fanout::buffer_inserted`]; after
+/// that it equals a freshly built view. Resizing never changes it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fanout {
     /// `offsets[net]..offsets[net + 1]` indexes `net`'s sinks.
     offsets: Vec<u32>,
@@ -119,6 +121,80 @@ impl Fanout {
         self.offsets
             .windows(2)
             .map(|w| &self.sinks[w[0] as usize..w[1] as usize])
+    }
+
+    fn row_range(&self, net: NetId) -> std::ops::Range<usize> {
+        self.offsets[net.index()] as usize..self.offsets[net.index() + 1] as usize
+    }
+
+    /// Brings the view up to date after [`Netlist::swap_pins`] on `gate`
+    /// (`nl` is the netlist after the swap): in the row of each of the
+    /// gate's input nets, the gate's entries are relabelled with the pins
+    /// that now read that net, in pin order. No row changes length.
+    pub fn pins_swapped(&mut self, nl: &Netlist, gate: GateId) {
+        let inputs = nl.gate(gate).inputs();
+        for (i, &net) in inputs.iter().enumerate() {
+            if inputs[..i].contains(&net) {
+                continue; // row already rewritten
+            }
+            let row = self.row_range(net);
+            let first = row.start
+                + self.sinks[row]
+                    .iter()
+                    .position(|s| matches!(*s, Sink::Pin { gate: g, .. } if g == gate))
+                    .expect("gate's pin on its input net's row");
+            let pins = (0..inputs.len()).filter(|&p| inputs[p] == net);
+            for (slot, pin) in self.sinks[first..].iter_mut().zip(pins) {
+                *slot = Sink::Pin {
+                    gate,
+                    pin: pin as u8,
+                };
+            }
+        }
+    }
+
+    /// Brings the view up to date after [`Netlist::insert_buffer`] added
+    /// `buffer` (`nl` is the netlist after the insertion) and moved the
+    /// sinks `moved` behind it. The buffered net's row drops `moved` and
+    /// gains the buffer's pin after its other pins (the buffer has the
+    /// highest gate index); the buffer's output net gets a new last row
+    /// holding `moved` in sink order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buffer`'s output is the net after the view's last.
+    pub fn buffer_inserted(&mut self, nl: &Netlist, buffer: GateId, moved: &[Sink]) {
+        let g = nl.gate(buffer);
+        let (net, out) = (g.inputs()[0], g.output());
+        assert_eq!(
+            out.index() + 1,
+            self.offsets.len(),
+            "buffer output is not the next net"
+        );
+        let row = self.row_range(net);
+        let kept = self.sinks[row.clone()]
+            .iter()
+            .filter(|s| !moved.contains(s));
+        let (pins, outputs): (Vec<Sink>, Vec<Sink>) =
+            kept.partition(|s| matches!(s, Sink::Pin { .. }));
+        let buffer_pin = Sink::Pin {
+            gate: buffer,
+            pin: 0,
+        };
+        let (old_len, new_len) = (row.len() as u32, (pins.len() + 1 + outputs.len()) as u32);
+        self.sinks
+            .splice(row, pins.into_iter().chain([buffer_pin]).chain(outputs));
+        // Every later offset is at least the old row's length.
+        for offset in &mut self.offsets[net.index() + 1..] {
+            *offset = *offset + new_len - old_len;
+        }
+        let mut new_row = moved.to_vec();
+        new_row.sort_by_key(|s| match *s {
+            Sink::Pin { gate, pin } => (0, gate.index(), pin),
+            Sink::Output(idx) => (1, idx as usize, 0),
+        });
+        self.sinks.extend(new_row);
+        self.offsets.push(self.sinks.len() as u32);
     }
 }
 
@@ -574,6 +650,47 @@ mod tests {
         assert_eq!(nl.gate(GateId(3)).inputs()[0], buf_net);
         assert_eq!(nl.gate(GateId(1)).inputs()[0], x, "unbuffered sink kept");
         assert_eq!(nl.fanout().sinks(x).len(), 2, "gate 1 and buffer");
+    }
+
+    #[test]
+    fn fanout_edits_match_a_fresh_view() {
+        // Net `a` feeds two pins of the AOI21 and is an output; `x` feeds
+        // three gates and an output.
+        let mut nl = Netlist::new("edits");
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let x = nl.add_gate(CellType::Nand2, &[a, b]);
+        let y = nl.add_gate(CellType::Aoi21, &[a, x, a]);
+        let z1 = nl.add_gate(CellType::Inv, &[x]);
+        let z2 = nl.add_gate(CellType::Nand2, &[x, y]);
+        for net in [a, x, y, z1, z2] {
+            nl.mark_output(net);
+        }
+        let mut fanout = nl.fanout();
+        for (pin_a, pin_b) in [(0, 2), (0, 1), (1, 2), (2, 0)] {
+            nl.swap_pins(GateId(1), pin_a, pin_b);
+            fanout.pins_swapped(&nl, GateId(1));
+            assert_eq!(fanout, nl.fanout(), "swap {pin_a}/{pin_b}");
+        }
+        let pin = |g: u32, pin: u8| Sink::Pin {
+            gate: GateId(g),
+            pin,
+        };
+        // Out of sink order on purpose, an output among them; then a
+        // buffer on a primary input, and one that moves every sink.
+        for (net, moved) in [
+            (x, vec![Sink::Output(1), pin(3, 0)]),
+            (a, vec![pin(1, 1)]),
+            (y, vec![pin(3, 1), Sink::Output(2)]),
+        ] {
+            let buf_out = nl.insert_buffer(net, Drive::X1, &moved);
+            let Driver::Gate(buffer) = nl.driver(buf_out) else {
+                unreachable!("a buffer drives its output")
+            };
+            fanout.buffer_inserted(&nl, buffer, &moved);
+            assert_eq!(fanout, nl.fanout(), "buffer on {net:?}");
+        }
+        nl.validate().unwrap();
     }
 
     #[test]

@@ -216,17 +216,32 @@ impl Scratch {
     /// Borrows a zero-filled buffer of exactly `len` elements, reusing the
     /// smallest free buffer that fits (allocating only if none does).
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        let idx = self.free.partition_point(|b| b.capacity() < len);
-        let mut buf = if idx < self.free.len() {
-            self.free.remove(idx)
-        } else {
-            // No free buffer fits; recycle the largest (its allocation
-            // grows once and then serves all future takes of this size).
-            self.free.pop().unwrap_or_default()
-        };
+        let mut buf = self.best_fit(len);
         buf.clear();
         buf.resize(len, 0.0);
         buf
+    }
+
+    /// [`Scratch::take`] without the zero fill, for a caller that writes
+    /// every element before reading any: the reused buffer is only
+    /// truncated or extended to `len`, so its elements hold whatever its
+    /// last user left there.
+    pub fn take_for_overwrite(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.best_fit(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// The smallest free buffer of capacity at least `len`, or else the
+    /// largest (its allocation grows once and then serves all future
+    /// takes of this size), or else a new one.
+    fn best_fit(&mut self, len: usize) -> Vec<f32> {
+        let idx = self.free.partition_point(|b| b.capacity() < len);
+        if idx < self.free.len() {
+            self.free.remove(idx)
+        } else {
+            self.free.pop().unwrap_or_default()
+        }
     }
 
     /// Returns a buffer to the arena.
@@ -694,6 +709,26 @@ mod tests {
         assert_eq!(s.free_buffers(), 0);
         s.give(c);
         assert_eq!(s.free_buffers(), 1);
+    }
+
+    #[test]
+    fn scratch_take_for_overwrite_reuses_without_zeroing() {
+        let mut s = Scratch::new();
+        let mut a = s.take(100);
+        a.fill(7.0);
+        let cap = a.capacity();
+        s.give(a);
+        let b = s.take_for_overwrite(60);
+        assert_eq!(b.len(), 60);
+        assert_eq!(b.capacity(), cap, "buffer was not reused");
+        assert!(b.iter().all(|&v| v == 7.0), "contents were rewritten");
+        s.give(b);
+        // Extending keeps the old prefix and zero-fills only the growth.
+        let c = s.take_for_overwrite(100);
+        assert!(c[..60].iter().all(|&v| v == 7.0));
+        assert!(c[60..].iter().all(|&v| v == 0.0));
+        s.give(c);
+        assert!(s.take(100).iter().all(|&v| v == 0.0), "take still zeroes");
     }
 
     #[test]

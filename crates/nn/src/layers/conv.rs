@@ -330,7 +330,8 @@ impl Layer for Conv2d {
         let [n, c, h, w] = x.shape();
         assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
         let shape = self.shape(h, w);
-        let mut planes = scratch.take(n * shape.plane_len());
+        // `pad_all` writes every element of every sample's plane.
+        let mut planes = scratch.take_for_overwrite(n * shape.plane_len());
         pad_all(&shape, x, &mut planes);
         let out = forward_planes(
             &shape,

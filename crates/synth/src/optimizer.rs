@@ -8,13 +8,15 @@
 //! recovers area by downsizing gates with slack.
 //!
 //! Move selection uses slack-based analytical estimates and a single full
-//! STA per iteration. A 4-target `SweepConfig::fast()` sweep of a random
-//! 16-bit adder state (~175 gates) takes about 1 ms, and of a 64-bit one
-//! (~700 gates) about 5 ms, on one core of a 2-vCPU Xeon VM — the property
-//! that makes synthesis-in-the-loop RL training tractable on a workstation
-//! (the paper needed 192 CPU workers against real OpenPhySyn).
+//! STA per iteration, over one [`Topology`] that the moves keep up to date
+//! for the whole run. A 4-target `SweepConfig::fast()` sweep of a random
+//! 16-bit adder state takes a few hundred microseconds, and of a 64-bit
+//! one a few milliseconds, on one core of a 2-vCPU Xeon VM (DESIGN.md §5
+//! has the measured table) — the property that makes synthesis-in-the-loop
+//! RL training tractable on a workstation (the paper needed 192 CPU
+//! workers against real OpenPhySyn).
 
-use crate::sta::{self, TimingConstraints, TimingReport};
+use crate::sta::{TimingConstraints, TimingReport, Topology};
 use netlist::ir::{Driver, Sink};
 use netlist::{CellType, Drive, GateId, Library, Netlist};
 use serde::{Deserialize, Serialize};
@@ -124,17 +126,28 @@ pub fn optimize(
     target: f64,
     cfg: &OptimizerConfig,
 ) -> SynthesisOutcome {
-    let mut work = nl.clone();
-    let mut best: Option<(f64, f64, Netlist)> = None; // (delay, area, netlist)
+    optimize_from(Topology::new(nl.clone(), lib), cons, target, cfg)
+}
+
+/// [`optimize`] of the netlist `work` holds, keeping `work` up to date
+/// through every move.
+pub(crate) fn optimize_from(
+    mut work: Topology<'_>,
+    cons: &TimingConstraints,
+    target: f64,
+    cfg: &OptimizerConfig,
+) -> SynthesisOutcome {
+    let lib = work.library();
+    let mut best: Option<(f64, f64, Topology)> = None; // (delay, area, topology)
     let mut iterations = 0;
     for _ in 0..cfg.max_iterations {
         iterations += 1;
         let report = if cfg.pin_swap {
-            swap_pins_pass(&mut work, lib, cons, target)
+            swap_pins_pass(&mut work, cons, target)
         } else {
-            sta::analyze(&work, lib, cons, target)
+            work.analyze(cons, target)
         };
-        let area = work.area(lib);
+        let area = work.netlist().area(lib);
         if best
             .as_ref()
             .map(|(d, a, _)| better(report.critical_delay, area, *d, *a, target))
@@ -145,24 +158,29 @@ pub fn optimize(
         if report.critical_delay <= target {
             break;
         }
-        let moves = collect_moves(&work, lib, &report, cfg);
+        let moves = collect_moves(&work, &report, cfg);
         if moves.is_empty() {
             break;
         }
         for mv in moves {
-            apply_move(&mut work, lib, mv);
+            match mv {
+                Move::Upsize(gid, drive) => work.resize(gid, drive),
+                Move::Buffer { net, sinks } => {
+                    work.insert_buffer(net, Drive::new(2), &sinks);
+                }
+            }
         }
     }
-    let (mut delay, mut area, mut netlist) = best.expect("at least one iteration ran");
+    let (mut delay, mut area, mut best) = best.expect("at least one iteration ran");
     if cfg.area_recovery {
-        let (recovered, recovered_delay) = recover_area(netlist, lib, cons, target.max(delay));
+        let (recovered, recovered_delay) = recover_area(best, cons, target.max(delay));
         delay = recovered_delay;
-        area = recovered.area(lib);
-        netlist = recovered;
+        area = recovered.netlist().area(lib);
+        best = recovered;
     }
     SynthesisOutcome {
         met: delay <= target + 1e-9,
-        netlist,
+        netlist: best.into_netlist(),
         area,
         delay,
         target,
@@ -191,15 +209,10 @@ fn commutative(ct: CellType) -> bool {
 
 /// Greedy pin-swap pass: put later-arriving signals on faster pins.
 /// Returns the timing of the swapped netlist.
-fn swap_pins_pass(
-    nl: &mut Netlist,
-    lib: &Library,
-    cons: &TimingConstraints,
-    target: f64,
-) -> TimingReport {
-    let topology = sta::Topology::of(nl, lib);
-    let arrival = sta::arrival_times(nl, lib, cons, &topology);
-    let swaps: Vec<GateId> = nl
+fn swap_pins_pass(work: &mut Topology, cons: &TimingConstraints, target: f64) -> TimingReport {
+    let arrival = work.arrival_times(cons);
+    let swaps: Vec<GateId> = work
+        .netlist()
         .gates()
         .filter(|(_, g)| commutative(g.kind.cell_type))
         .filter(|(_, g)| {
@@ -211,21 +224,15 @@ fn swap_pins_pass(
         .map(|(id, _)| id)
         .collect();
     for id in swaps {
-        nl.swap_pins(id, 0, 1);
+        work.swap_pins(id, 0, 1);
     }
-    // A pin swap keeps every net's load and the gate order.
-    sta::analyze_over(nl, lib, cons, target, topology)
+    work.analyze(cons, target)
 }
 
 /// Collects the best-estimated delay-improving moves on the critical region.
-fn collect_moves(
-    nl: &Netlist,
-    lib: &Library,
-    report: &TimingReport,
-    cfg: &OptimizerConfig,
-) -> Vec<Move> {
+fn collect_moves(work: &Topology, report: &TimingReport, cfg: &OptimizerConfig) -> Vec<Move> {
     let worst = report.worst_slack();
-    let fanout = nl.fanout();
+    let (nl, lib) = (work.netlist(), work.library());
     let mut candidates: Vec<(f64, Move)> = Vec::new();
     for (gid, gate) in nl.gates() {
         let out = gate.output();
@@ -255,7 +262,7 @@ fn collect_moves(
             }
         }
         if cfg.buffering {
-            let net_sinks = fanout.sinks(out);
+            let net_sinks = work.sinks(out);
             if net_sinks.len() >= cfg.buffer_fanout_threshold {
                 // Move non-critical sinks behind a buffer, keeping critical
                 // ones directly driven.
@@ -299,15 +306,6 @@ fn collect_moves(
     chosen
 }
 
-fn apply_move(nl: &mut Netlist, _lib: &Library, mv: Move) {
-    match mv {
-        Move::Upsize(gid, drive) => nl.resize(gid, drive),
-        Move::Buffer { net, sinks } => {
-            nl.insert_buffer(net, Drive::new(2), &sinks);
-        }
-    }
-}
-
 /// Resistance of whatever drives `net` (input driver for PIs).
 fn driver_resistance(nl: &Netlist, lib: &Library, net: netlist::NetId) -> f64 {
     match nl.driver(net) {
@@ -345,23 +343,21 @@ fn sink_cap(nl: &Netlist, lib: &Library, sink: &Sink) -> f64 {
 /// Downsizes gates with positive slack while keeping the achieved delay.
 /// Returns the netlist and its critical delay (which does not depend on
 /// the target STA runs against).
-fn recover_area(
-    mut nl: Netlist,
-    lib: &Library,
+fn recover_area<'l>(
+    mut work: Topology<'l>,
     cons: &TimingConstraints,
     budget: f64,
-) -> (Netlist, f64) {
+) -> (Topology<'l>, f64) {
     const MAX_ROUNDS: usize = 24;
-    // The timing of `nl` when a round leaves it exactly as analyzed.
+    let lib = work.library();
+    // The timing of `work` when a round leaves it exactly as analyzed.
     let mut known = None;
     for _ in 0..MAX_ROUNDS {
-        let report = known
-            .take()
-            .unwrap_or_else(|| sta::analyze(&nl, lib, cons, budget));
+        let report = known.take().unwrap_or_else(|| work.analyze(cons, budget));
         // Candidates: gates above X1 whose output slack comfortably exceeds
         // the estimated delay increase of one downsizing step.
         let mut batch: Vec<(GateId, Drive)> = Vec::new();
-        for (gid, gate) in nl.gates() {
+        for (gid, gate) in work.netlist().gates() {
             let k = gate.kind;
             let Some(down) = k.drive.downsized() else {
                 continue;
@@ -375,44 +371,45 @@ fn recover_area(
             }
         }
         if batch.is_empty() {
-            return (nl, report.critical_delay);
+            return (work, report.critical_delay);
         }
-        let snapshot = nl.clone();
+        let snapshot = work.clone();
         for &(gid, down) in &batch {
-            nl.resize(gid, down);
+            work.resize(gid, down);
         }
-        let after = sta::analyze(&nl, lib, cons, budget);
+        let after = work.analyze(cons, budget);
         if after.critical_delay <= budget + 1e-9 {
             known = Some(after);
         } else {
             // Batch overshot: revert and retry conservatively one by one.
-            nl = snapshot;
+            work = snapshot;
             let mut applied = false;
             for &(gid, down) in batch.iter().take(8) {
-                let keep = nl.gate(gid).kind.drive;
-                nl.resize(gid, down);
-                let r = sta::analyze(&nl, lib, cons, budget);
+                let keep = work.netlist().gate(gid).kind.drive;
+                work.resize(gid, down);
+                let r = work.analyze(cons, budget);
                 if r.critical_delay > budget + 1e-9 {
-                    nl.resize(gid, keep);
+                    work.resize(gid, keep);
                 } else {
                     applied = true;
                 }
             }
             if !applied {
-                return (nl, report.critical_delay);
+                return (work, report.critical_delay);
             }
         }
     }
     let delay = match known {
         Some(report) => report.critical_delay,
-        None => sta::analyze(&nl, lib, cons, budget).critical_delay,
+        None => work.analyze(cons, budget).critical_delay,
     };
-    (nl, delay)
+    (work, delay)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sta;
     use netlist::{adder, sim};
     use prefix_graph::structures;
     use rand::prelude::*;

@@ -12,13 +12,14 @@
 //! (sizing/buffering) costs area.
 //!
 //! A pass builds the netlist's CSR fanout view once, derives loads and a
-//! topological order from it ([`Topology`]), and reads delays from the
-//! library's dense table (DESIGN.md §5 gives the bit-identity argument).
-//! Pin swaps keep the topology, so the optimizer's swap pass times the
-//! swapped netlist over the topology it built before swapping.
+//! topological order from it, and reads delays from the library's dense
+//! table (DESIGN.md §5 gives the bit-identity argument). The optimizer
+//! keeps one [`Topology`] — netlist, fanout view, loads and order — for a
+//! whole run and edits it only through its moves, which update it in
+//! place; a sweep builds it once and hands each target a clone.
 
-use netlist::ir::{Driver, Fanout};
-use netlist::{Library, NetId, Netlist};
+use netlist::ir::{Driver, Fanout, Sink};
+use netlist::{Drive, GateId, Library, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 
 /// Timing constraints for analysis and optimization.
@@ -98,45 +99,167 @@ pub fn net_loads(nl: &Netlist, lib: &Library) -> Vec<f64> {
     loads(nl, lib, &nl.fanout())
 }
 
-/// Each net's load: wire capacitance for its fanout, then its sinks' pin
-/// capacitances (and the output load per primary output) added in fanout
-/// order — gates by index, pins in order, then primary outputs.
+/// Every net's load, summed over its row of `fanout` by [`row_load`].
 fn loads(nl: &Netlist, lib: &Library, fanout: &Fanout) -> Vec<f64> {
-    let mut load: Vec<f64> = fanout
-        .rows()
-        .map(|sinks| lib.wire_cap(sinks.len()))
-        .collect();
-    for (_, gate) in nl.gates() {
-        let cap = lib.input_cap(gate.kind.cell_type, gate.kind.drive);
-        for &net in gate.inputs() {
-            load[net.index()] += cap;
-        }
-    }
-    for &po in nl.outputs() {
-        load[po.index()] += lib.output_load();
-    }
-    load
+    fanout.rows().map(|row| row_load(nl, lib, row)).collect()
 }
 
-/// The part of a timing pass that depends only on which gates drive which
-/// nets and on the gates' cells: every net's load and a topological gate
-/// order. Swapping two input pins of a gate changes neither (both pins
-/// load their nets with the same cell input capacitance, and the gate
-/// keeps its input nets), so one topology serves the netlist before and
-/// after a pin swap.
-pub(crate) struct Topology {
+/// A net's load from its fanout row: wire capacitance for the row's
+/// length, then each sink's pin capacitance (the output load for a primary
+/// output) added in row order — gates by index, pins in order, then
+/// primary outputs.
+fn row_load(nl: &Netlist, lib: &Library, row: &[Sink]) -> f64 {
+    row.iter().fold(lib.wire_cap(row.len()), |load, sink| {
+        load + match *sink {
+            Sink::Pin { gate, .. } => {
+                let k = nl.gate(gate).kind;
+                lib.input_cap(k.cell_type, k.drive)
+            }
+            Sink::Output(_) => lib.output_load(),
+        }
+    })
+}
+
+/// A netlist together with the part of a timing pass that depends only on
+/// which gates drive which nets and on the gates' cells: its fanout view,
+/// every net's load and a topological gate order.
+///
+/// The netlist is edited only through the optimizer's three moves, each of
+/// which updates the rest in place, so one topology lasts a whole
+/// optimizer run:
+///
+/// - [`Topology::swap_pins`] relabels the gate's entries in its input
+///   nets' fanout rows. Loads and order stay: both pins load their net
+///   with the same cell input capacitance.
+/// - [`Topology::resize`] re-sums the loads of the gate's input nets over
+///   their rows, in row order — the order [`net_loads`] sums in.
+/// - [`Topology::insert_buffer`] updates the two rows, re-sums the old
+///   net's load and sums the new one's, and places the buffer right after
+///   its input's driver in the order.
+///
+/// Timing over the topology is bit-identical to [`analyze`] of its
+/// netlist (DESIGN.md §5): every load is summed as a fresh build sums it,
+/// and arrivals (maxes) and required times (mins) do not depend on which
+/// topological order visits the gates.
+#[derive(Clone, Debug)]
+pub struct Topology<'l> {
+    lib: &'l Library,
+    nl: Netlist,
+    fanout: Fanout,
     load: Vec<f64>,
-    order: Vec<netlist::GateId>,
+    order: Vec<GateId>,
 }
 
-impl Topology {
-    /// Builds the topology of `nl` from one fanout view.
-    pub(crate) fn of(nl: &Netlist, lib: &Library) -> Self {
+impl<'l> Topology<'l> {
+    /// Builds the topology of `nl` under `lib` from one fanout view.
+    pub fn new(nl: Netlist, lib: &'l Library) -> Self {
         let fanout = nl.fanout();
+        let load = loads(&nl, lib, &fanout);
+        let order = nl.topo_order_with(&fanout);
         Topology {
-            load: loads(nl, lib, &fanout),
-            order: nl.topo_order_with(&fanout),
+            lib,
+            nl,
+            fanout,
+            load,
+            order,
         }
+    }
+
+    /// The library the loads are summed under.
+    pub(crate) fn library(&self) -> &'l Library {
+        self.lib
+    }
+
+    /// The netlist.
+    pub fn netlist(&self) -> &Netlist {
+        &self.nl
+    }
+
+    /// Gives up the topology, keeping the netlist.
+    pub(crate) fn into_netlist(self) -> Netlist {
+        self.nl
+    }
+
+    /// The sinks of `net`, as [`Netlist::fanout`] of the netlist lists them.
+    pub fn sinks(&self, net: NetId) -> &[Sink] {
+        self.fanout.sinks(net)
+    }
+
+    /// Changes a gate's drive strength ([`Netlist::resize`]).
+    pub fn resize(&mut self, gate: GateId, drive: Drive) {
+        self.nl.resize(gate, drive);
+        for pin in 0..self.nl.gate(gate).inputs().len() {
+            self.refresh_load(self.nl.gate(gate).inputs()[pin]);
+        }
+    }
+
+    /// Swaps two input pins of a gate ([`Netlist::swap_pins`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Netlist::swap_pins`].
+    pub fn swap_pins(&mut self, gate: GateId, pin_a: usize, pin_b: usize) {
+        self.nl.swap_pins(gate, pin_a, pin_b);
+        self.fanout.pins_swapped(&self.nl, gate);
+    }
+
+    /// Inserts a buffer on `net` and moves `sinks` behind it
+    /// ([`Netlist::insert_buffer`]). Returns the buffer's output net.
+    ///
+    /// # Panics
+    ///
+    /// As [`Netlist::insert_buffer`].
+    pub fn insert_buffer(&mut self, net: NetId, drive: Drive, sinks: &[Sink]) -> NetId {
+        let out = self.nl.insert_buffer(net, drive, sinks);
+        let Driver::Gate(buffer) = self.nl.driver(out) else {
+            unreachable!("a buffer drives its output net")
+        };
+        self.fanout.buffer_inserted(&self.nl, buffer, sinks);
+        self.refresh_load(net);
+        self.load
+            .push(row_load(&self.nl, self.lib, self.fanout.sinks(out)));
+        // Every sink moved behind the buffer came after `net`'s driver.
+        let at = match self.nl.driver(net) {
+            Driver::Gate(driver) => {
+                1 + self
+                    .order
+                    .iter()
+                    .position(|&g| g == driver)
+                    .expect("every gate is in the order")
+            }
+            Driver::Input(_) => 0,
+        };
+        self.order.insert(at, buffer);
+        out
+    }
+
+    fn refresh_load(&mut self, net: NetId) {
+        self.load[net.index()] = row_load(&self.nl, self.lib, self.fanout.sinks(net));
+    }
+
+    /// [`analyze`] of the netlist.
+    ///
+    /// # Panics
+    ///
+    /// As [`analyze`].
+    pub fn analyze(&self, cons: &TimingConstraints, target: f64) -> TimingReport {
+        timing(
+            &self.nl,
+            self.lib,
+            cons,
+            target,
+            self.load.clone(),
+            &self.order,
+        )
+    }
+
+    /// The forward half of [`Topology::analyze`]: every net's arrival time.
+    ///
+    /// # Panics
+    ///
+    /// As [`analyze`].
+    pub(crate) fn arrival_times(&self, cons: &TimingConstraints) -> Vec<f64> {
+        arrival_times(&self.nl, self.lib, cons, &self.load, &self.order)
     }
 }
 
@@ -150,24 +273,21 @@ impl Topology {
 /// Panics unless `cons.input_arrivals` holds one value or one per primary
 /// input.
 pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f64) -> TimingReport {
-    analyze_over(nl, lib, cons, target, Topology::of(nl, lib))
+    let fanout = nl.fanout();
+    let load = loads(nl, lib, &fanout);
+    timing(nl, lib, cons, target, load, &nl.topo_order_with(&fanout))
 }
 
-/// [`analyze`] over a [`Topology`] built from `nl` (or from `nl` before
-/// pin swaps only).
-///
-/// # Panics
-///
-/// As [`analyze`].
-pub(crate) fn analyze_over(
+/// [`analyze`] over `nl`'s loads and a topological gate order.
+fn timing(
     nl: &Netlist,
     lib: &Library,
     cons: &TimingConstraints,
     target: f64,
-    topology: Topology,
+    load: Vec<f64>,
+    order: &[GateId],
 ) -> TimingReport {
-    let arrival = arrival_times(nl, lib, cons, &topology);
-    let Topology { load, order } = topology;
+    let arrival = arrival_times(nl, lib, cons, &load, order);
     let critical_delay = nl
         .outputs()
         .iter()
@@ -205,16 +325,17 @@ pub(crate) fn analyze_over(
     }
 }
 
-/// The forward half of [`analyze_over`]: every net's arrival time.
+/// The forward half of [`timing`]: every net's arrival time.
 ///
 /// # Panics
 ///
 /// As [`analyze`].
-pub(crate) fn arrival_times(
+fn arrival_times(
     nl: &Netlist,
     lib: &Library,
     cons: &TimingConstraints,
-    topology: &Topology,
+    load: &[f64],
+    order: &[GateId],
 ) -> Vec<f64> {
     let arrivals = cons.input_arrivals.len();
     assert!(
@@ -223,7 +344,6 @@ pub(crate) fn arrival_times(
          (give 1 or one per input)",
         nl.inputs().len()
     );
-    let Topology { load, order } = topology;
     let mut arrival = vec![0.0f64; nl.num_nets()];
     // Primary inputs: constraint arrival plus the input driver charging the
     // net's load.
@@ -246,7 +366,7 @@ pub(crate) fn arrival_times(
 
 /// Traces one critical path from the worst primary output back to an input,
 /// returning the gate ids along it (output-side first).
-pub fn critical_path(nl: &Netlist, lib: &Library, report: &TimingReport) -> Vec<netlist::GateId> {
+pub fn critical_path(nl: &Netlist, lib: &Library, report: &TimingReport) -> Vec<GateId> {
     let mut path = Vec::new();
     let Some(&worst_po) = nl
         .outputs()

@@ -7,8 +7,8 @@
 //! unoptimized (all-X1) critical delay, so the sweep adapts to each graph.
 
 use crate::curve::AreaDelayCurve;
-use crate::optimizer::{optimize, OptimizerConfig};
-use crate::sta::{self, TimingConstraints};
+use crate::optimizer::{optimize_from, OptimizerConfig};
+use crate::sta::{TimingConstraints, Topology};
 use netlist::{adder, Library, Netlist};
 use prefix_graph::PrefixGraph;
 use serde::{Deserialize, Serialize};
@@ -55,15 +55,20 @@ impl SweepConfig {
 }
 
 /// Sweeps an existing netlist across the configured delay targets.
+///
+/// The netlist's [`Topology`] is built once: the relaxed analysis that
+/// sets the targets runs over it, and each target's optimizer run starts
+/// from a clone of it.
 pub fn sweep_netlist(nl: &Netlist, lib: &Library, cfg: &SweepConfig) -> AreaDelayCurve {
     let cons = cfg
         .constraints
         .clone()
         .unwrap_or_else(|| TimingConstraints::uniform(lib));
-    let relaxed = sta::analyze(nl, lib, &cons, f64::MAX / 4.0).critical_delay;
+    let topology = Topology::new(nl.clone(), lib);
+    let relaxed = topology.analyze(&cons, f64::MAX / 4.0).critical_delay;
     let mut samples = Vec::with_capacity(cfg.target_fractions.len());
     for &frac in &cfg.target_fractions {
-        let out = optimize(nl, lib, &cons, relaxed * frac, &cfg.optimizer);
+        let out = optimize_from(topology.clone(), &cons, relaxed * frac, &cfg.optimizer);
         samples.push((out.delay, out.area));
     }
     AreaDelayCurve::from_samples(&samples)

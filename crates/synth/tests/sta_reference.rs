@@ -3,10 +3,15 @@
 //! The reference is the straightforward analysis the table-driven pass
 //! replaced: a fresh `Vec<Vec<Sink>>` of sinks per call, loads summed over
 //! it, a Kahn order over it and per-arc library calls. Random sequences of
-//! the optimizer's edits (resize, buffer insertion, pin swap) run on random
-//! adders of 6–64 bits under both libraries, with uniform and per-input
-//! arrivals, and after every edit each arrival, required time, load and
-//! the critical delay must equal the reference bit for bit.
+//! the optimizer's edits (resize, buffer insertion — half of them on nets
+//! driven by primary inputs — and pin swap) run on random adders of 6–64
+//! bits under both libraries, with uniform and per-input arrivals. Each
+//! edit is made twice: on a plain netlist, timed by `sta::analyze`, and
+//! through the edit API of an `sta::Topology` kept up to date since the
+//! first analysis. After every edit both timings must equal the
+//! reference's arrivals, required times, loads and critical delay bit for
+//! bit, and the topology's netlist and every one of its fanout rows must
+//! equal the plain netlist and its reference sinks.
 
 mod common;
 
@@ -14,7 +19,7 @@ use netlist::ir::{Driver, Sink};
 use netlist::{adder, Drive, GateId, Library, NetId, Netlist};
 use proptest::prelude::*;
 use rand::prelude::*;
-use synth::sta::{self, TimingConstraints, TimingReport};
+use synth::sta::{self, TimingConstraints, TimingReport, Topology};
 
 /// Every net's sinks: gate pins by gate index and pin order, then primary
 /// outputs.
@@ -160,27 +165,60 @@ fn drives(lib: &Library) -> Vec<Drive> {
     d
 }
 
-/// One random optimizer edit: resize a gate, move a random non-empty
-/// subset of a multi-sink net's sinks behind a buffer, or swap two pins of
-/// a gate.
-fn random_edit(nl: &mut Netlist, lib: &Library, rng: &mut StdRng) {
+/// One of the optimizer's edits.
+#[derive(Debug)]
+enum Edit {
+    Resize(GateId, Drive),
+    Buffer(NetId, Drive, Vec<Sink>),
+    SwapPins(GateId, usize, usize),
+}
+
+impl Edit {
+    fn apply(&self, nl: &mut Netlist) {
+        match self {
+            Edit::Resize(gate, drive) => nl.resize(*gate, *drive),
+            Edit::Buffer(net, drive, sinks) => {
+                nl.insert_buffer(*net, *drive, sinks);
+            }
+            Edit::SwapPins(gate, a, b) => nl.swap_pins(*gate, *a, *b),
+        }
+    }
+
+    fn apply_to(&self, topology: &mut Topology) {
+        match self {
+            Edit::Resize(gate, drive) => topology.resize(*gate, *drive),
+            Edit::Buffer(net, drive, sinks) => {
+                topology.insert_buffer(*net, *drive, sinks);
+            }
+            Edit::SwapPins(gate, a, b) => topology.swap_pins(*gate, *a, *b),
+        }
+    }
+}
+
+/// One random optimizer edit of `nl`: resize a gate, move a random
+/// non-empty subset (perhaps all, in any order) of a multi-sink net's
+/// sinks behind a buffer, or swap two pins of a gate. Half the buffers go
+/// on nets driven by primary inputs.
+fn random_edit(nl: &Netlist, lib: &Library, rng: &mut StdRng) -> Option<Edit> {
     let drives = drives(lib);
     let pick_drive = |rng: &mut StdRng| drives[rng.random_range(0..drives.len())];
     let gates: Vec<GateId> = nl.gates().map(|(id, _)| id).collect();
     let gate = gates[rng.random_range(0..gates.len())];
     match rng.random_range(0..3) {
-        0 => nl.resize(gate, pick_drive(rng)),
+        0 => Some(Edit::Resize(gate, pick_drive(rng))),
         1 => {
             let sinks = reference_sinks(nl);
-            let nets: Vec<NetId> = nl
-                .inputs()
-                .iter()
-                .copied()
-                .chain(gates.iter().map(|&g| nl.gate(g).output()))
+            let candidates = if rng.random() {
+                nl.inputs().to_vec()
+            } else {
+                gates.iter().map(|&g| nl.gate(g).output()).collect()
+            };
+            let nets: Vec<NetId> = candidates
+                .into_iter()
                 .filter(|n| sinks[n.index()].len() >= 2)
                 .collect();
             if nets.is_empty() {
-                return;
+                return None;
             }
             let net = nets[rng.random_range(0..nets.len())];
             let all = &sinks[net.index()];
@@ -188,35 +226,77 @@ fn random_edit(nl: &mut Netlist, lib: &Library, rng: &mut StdRng) {
             if moved.is_empty() {
                 moved.push(all[rng.random_range(0..all.len())]);
             }
-            nl.insert_buffer(net, pick_drive(rng), &moved);
+            // In shuffled order: the buffer's new row must come out sorted.
+            for i in (1..moved.len()).rev() {
+                moved.swap(i, rng.random_range(0..i + 1));
+            }
+            Some(Edit::Buffer(net, pick_drive(rng), moved))
         }
         _ => {
             let arity = nl.gate(gate).inputs().len();
-            if arity >= 2 {
+            (arity >= 2).then(|| {
                 let a = rng.random_range(0..arity);
                 let b = (a + rng.random_range(1..arity)) % arity;
-                nl.swap_pins(gate, a, b);
-            }
+                Edit::SwapPins(gate, a, b)
+            })
         }
     }
 }
 
+fn assert_report_matches(
+    got: &TimingReport,
+    want: &TimingReport,
+    what: &str,
+) -> Result<(), String> {
+    prop_assert_eq!(bits(&got.load), bits(&want.load), "{} load", what);
+    prop_assert_eq!(bits(&got.arrival), bits(&want.arrival), "{} arrival", what);
+    prop_assert_eq!(
+        bits(&got.required),
+        bits(&want.required),
+        "{} required",
+        what
+    );
+    prop_assert_eq!(
+        got.critical_delay.to_bits(),
+        want.critical_delay.to_bits(),
+        "{} critical delay",
+        what
+    );
+    Ok(())
+}
+
+/// `sta::analyze` of `nl` and the timing of `topology` (its loads
+/// included) against the reference analysis of `nl`, and `topology`'s
+/// netlist and fanout rows against `nl`.
 fn assert_matches_reference(
     nl: &Netlist,
+    topology: &Topology,
     lib: &Library,
     cons: &TimingConstraints,
     target: f64,
 ) -> Result<(), String> {
-    let got = sta::analyze(nl, lib, cons, target);
     let want = analyze(nl, lib, cons, target);
-    prop_assert_eq!(bits(&got.load), bits(&want.load), "load");
-    prop_assert_eq!(bits(&got.arrival), bits(&want.arrival), "arrival");
-    prop_assert_eq!(bits(&got.required), bits(&want.required), "required");
+    assert_report_matches(&sta::analyze(nl, lib, cons, target), &want, "analyze")?;
     prop_assert_eq!(
-        got.critical_delay.to_bits(),
-        want.critical_delay.to_bits(),
-        "critical delay"
+        format!("{:?}", topology.netlist()),
+        format!("{nl:?}"),
+        "topology netlist"
     );
+    assert_report_matches(&topology.analyze(cons, target), &want, "topology")?;
+    let sinks = reference_sinks(nl);
+    let nets = nl
+        .inputs()
+        .iter()
+        .copied()
+        .chain(nl.gates().map(|(_, g)| g.output()));
+    for net in nets {
+        prop_assert_eq!(
+            topology.sinks(net),
+            &sinks[net.index()][..],
+            "row of {:?}",
+            net
+        );
+    }
     Ok(())
 }
 
@@ -233,6 +313,7 @@ proptest! {
         let lib = if tech8 { Library::tech8() } else { Library::nangate45() };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut nl = adder::generate(&g);
+        let mut topology = Topology::new(nl.clone(), &lib);
         let cons = if per_input {
             let arrivals = (0..nl.inputs().len()).map(|_| 0.2 * rng.random::<f64>()).collect();
             TimingConstraints::with_arrivals(&lib, arrivals)
@@ -240,10 +321,13 @@ proptest! {
             TimingConstraints::uniform(&lib)
         };
         let target = analyze(&nl, &lib, &cons, 1.0).critical_delay * (0.3 + 0.9 * rng.random::<f64>());
-        assert_matches_reference(&nl, &lib, &cons, target)?;
+        assert_matches_reference(&nl, &topology, &lib, &cons, target)?;
         for _ in 0..24 {
-            random_edit(&mut nl, &lib, &mut rng);
-            assert_matches_reference(&nl, &lib, &cons, target)?;
+            if let Some(edit) = random_edit(&nl, &lib, &mut rng) {
+                edit.apply(&mut nl);
+                edit.apply_to(&mut topology);
+            }
+            assert_matches_reference(&nl, &topology, &lib, &cons, target)?;
         }
     }
 }

@@ -3,15 +3,18 @@
 //! the optimizer's inner loop.
 //!
 //! Every expected value is an `f64::to_bits` literal recorded from the
-//! original (per-call library lookup, `Vec<Vec<Sink>>` fanout) code. A
-//! change that alters one rounding anywhere in a sweep fails here with the
-//! case's label and the position of the first differing value.
+//! original (per-call library lookup, `Vec<Vec<Sink>>` fanout) code; the
+//! random-walk scores were recorded from the per-iteration-topology
+//! optimizer that preceded the kept-up-to-date one. A change that alters
+//! one rounding anywhere in a sweep fails here with the case's label and
+//! the position of the first differing value.
 
 use netlist::Library;
-use prefix_graph::structures;
+use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::task::{
     Adder, CircuitTask, Incrementer, ObjectiveBackend, PrefixOr, SynthesisBackend,
 };
+use rand::prelude::*;
 use synth::sweep::{sweep_graph, SweepConfig};
 
 /// The bits of a curve's `min_delay`, `max_delay` and its area at five
@@ -68,6 +71,38 @@ fn backend_cases() -> Vec<(String, Vec<u64>)> {
     cases
 }
 
+/// A walk of `steps` legal actions drawn uniformly from ripple by a seeded
+/// generator: the dense, high-fanout states an exploring agent visits.
+fn random_walk(n: u16, seed: u64, steps: usize) -> PrefixGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = PrefixGraph::ripple(n);
+    for _ in 0..steps {
+        let actions = g.legal_actions();
+        g.apply(actions[rng.random_range(0..actions.len())])
+            .expect("legal");
+    }
+    g
+}
+
+/// `SynthesisBackend::score` (area, delay) under `fast()` for three
+/// random-walk adder states at each of 16, 32 and 64 bits. Unlike the
+/// classical structures, every one of them inserts buffers in the middle
+/// of its tighter targets' optimizer runs.
+fn random_walk_cases() -> Vec<(String, Vec<u64>)> {
+    let backend = SynthesisBackend::new(Library::nangate45(), SweepConfig::fast(), 0.5);
+    let mut cases = Vec::new();
+    for (n, steps) in [(16u16, 60usize), (32, 120), (64, 200)] {
+        for seed in 0..3u64 {
+            let point = backend.score(&Adder, &random_walk(n, seed, steps));
+            cases.push((
+                format!("adder/walk{seed}/{n}"),
+                vec![point.area.to_bits(), point.delay.to_bits()],
+            ));
+        }
+    }
+    cases
+}
+
 fn assert_pinned<const K: usize>(got: &[(String, Vec<u64>)], pinned: &[(&str, [u64; K])]) {
     assert_eq!(got.len(), pinned.len(), "case count");
     for ((label, bits), (want_label, want)) in got.iter().zip(pinned) {
@@ -92,6 +127,11 @@ fn sweep_curves_match_pinned_bits() {
 #[test]
 fn backend_scores_match_pinned_bits() {
     assert_pinned(&backend_cases(), BACKEND);
+}
+
+#[test]
+fn random_walk_scores_match_pinned_bits() {
+    assert_pinned(&random_walk_cases(), RANDOM_WALK);
 }
 
 // Expected: (case, [min_delay, max_delay, area_at × 5]).
@@ -192,4 +232,18 @@ const BACKEND: &[(&str, [u64; 3])] = &[
     ("incrementer/BrentKung/16", [0x40578ec083126e9e, 0x3fc769e81b69ab37, 0x4060da793d53367b]),
     ("incrementer/HanCarlson/16", [0x4058d676c8b43960, 0x3fc5965c5190eeba, 0x406189f1d3b716bb]),
     ("incrementer/LadnerFischer/16", [0x4054ae76c8b4395f, 0x3fc7599b07c16ceb, 0x4060b7505ae218c8]),
+];
+
+// Expected: (case, [area, delay]).
+#[rustfmt::skip]
+const RANDOM_WALK: &[(&str, [u64; 2])] = &[
+    ("adder/walk0/16", [0x406cafba5e353f77, 0x3fd8c9b9caed9fea]),
+    ("adder/walk1/16", [0x406fbcb43958105d, 0x3fd6f53b2e5fa03b]),
+    ("adder/walk2/16", [0x406bfcf9db22d0e6, 0x3fd6c29c3d98e85e]),
+    ("adder/walk0/32", [0x4080d0f1a9fbe780, 0x3fe041060adb439d]),
+    ("adder/walk1/32", [0x4081a8ef9db22d20, 0x3fdec58f9663f0f0]),
+    ("adder/walk2/32", [0x40819dc395810635, 0x3fdf0338205bfcf9]),
+    ("adder/walk0/64", [0x40939a5b22d0e56a, 0x3fe15625c1a11060]),
+    ("adder/walk1/64", [0x409513cf5c28f5e6, 0x3fe23c47b78ba5a9]),
+    ("adder/walk2/64", [0x40941f5b22d0e576, 0x3fe13842f0fa84ce]),
 ];

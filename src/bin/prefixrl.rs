@@ -649,7 +649,7 @@ fn cmd_eval(opts: &HashMap<String, String>) {
              \x20 --structure <name>     ripple|sklansky|kogge_stone|brent_kung|\n\
              \x20                        han_carlson|ladner_fischer|sparse_ks_<k>\n\
              \x20 --n <N>                input width (default 16)\n\
-             \x20 --targets <T>          delay targets to sweep (default 8)\n\
+             \x20 --targets <T>          delay targets to sweep, at least 2 (default 8)\n\
              \x20 --lib nangate45|tech8  cell library (default nangate45)"
         );
         return;
@@ -660,6 +660,10 @@ fn cmd_eval(opts: &HashMap<String, String>) {
         .cloned()
         .unwrap_or_else(|| "sklansky".into());
     let targets: usize = get(opts, "targets", 8);
+    if targets < 2 {
+        eprintln!("error: --targets must be at least 2 (a curve needs two points), got {targets}");
+        std::process::exit(2);
+    }
     let lib = library(opts);
     let g = structure(&name, n);
     let cfg = SweepConfig {

@@ -252,3 +252,26 @@ fn cli_rejects_unknown_flags() {
         );
     }
 }
+
+#[test]
+fn cli_rejects_too_few_eval_targets() {
+    for targets in ["0", "1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+            .args(["eval", "--n", "8", "--targets", targets])
+            .output()
+            .expect("run the prefixrl binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--targets {targets}: {stderr}");
+        assert!(out.stdout.is_empty(), "--targets {targets} must not run");
+        assert!(stderr.contains("--targets must be at least 2"), "{stderr}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+        .args(["eval", "--n", "8", "--targets", "2"])
+        .output()
+        .expect("run the prefixrl binary");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
