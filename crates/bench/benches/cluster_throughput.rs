@@ -2,37 +2,55 @@
 //! routed queries, and primary-kill failover latency (DESIGN.md §16).
 //!
 //! Three scenarios, all over real TCP against in-process shard servers:
-//! (a) aggregate merge throughput at 1 vs 3 shards — merge durability is
-//! fsync-bound, and the per-shard preallocated WALs turn each record's
-//! fsync into pure data writeback that the shards overlap, where a
-//! single node serializes every fsync behind one store mutex (the ≥1.7×
-//! @ 3 shards budget); (b) router scatter/gather `query_batch` across
-//! 3 shards vs the single-node wire query rate and the same batch
-//! against one single-node server — all three recorded, because on one
-//! core the scatter's extra round trips are pure overhead while real
-//! deployments parse and answer the sub-batches in parallel; (c) read
-//! failover: kill one primary and time reads of its keys served by the
-//! ring follower (the <1 s, zero-failure budget). Writes the
+//! (a) aggregate merge throughput at 1 vs 3 shards, replication off —
+//! merge durability is fsync-bound, and the per-shard preallocated WALs
+//! turn each record's fsync into pure data writeback that the shards
+//! overlap, where a single node serializes every fsync behind one store
+//! mutex, so the ratio is bounded by the host device's concurrent flush
+//! parallelism (~1.5× to ~2.0× on a shared single-disk VM); (b) router
+//! scatter/gather `query_batch` across 3 shards vs the single-node wire
+//! query rate and the same batch against one single-node server — all
+//! three recorded, because on one core the scatter's extra round trips
+//! are pure overhead while real deployments parse and answer the
+//! sub-batches in parallel; (c) read failover over the full replicated
+//! path: kill one primary and time reads of its keys served by the ring
+//! follower (the <1 s, zero-failure budget). Writes the
 //! `BENCH_cluster.json` artifact.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench cluster_throughput
-//! PREFIXRL_SCALE=paper cargo bench -p prefixrl-bench --bench cluster_throughput
 //! ```
 
 use prefix_graph::PrefixGraph;
-use prefixrl_bench::{scale, write_bench_cluster, ClusterRow, Scale};
+use prefixrl_bench::{latency, Report};
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_serve::cluster::shard_of;
 use prefixrl_serve::store::key_of;
 use prefixrl_serve::{Client, Router, ServeConfig, Server, ServerHandle, Topology};
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const TASK: &str = "adder";
 const BACKEND: &str = "analytical";
+/// Concurrent writer threads of the merge rows.
+const WRITERS: usize = 3;
+/// Merges each writer makes.
+const MERGES_PER_WRITER: u64 = 1000;
+/// Interleaved runs per shard count of the merge rows; each row is the
+/// median run.
+const MERGE_RUNS: usize = 5;
+/// Designs on each queried front.
+const POINTS: usize = 512;
+/// Queries per `query_batch` request.
+const BATCH_SIZE: usize = 96;
+/// `query_batch` requests per batch row.
+const BATCH_ROUNDS: u64 = 150;
+/// Requests of the unbatched wire row.
+const WIRE_ROUNDS: u64 = 3_000;
+/// Reads of the failover row.
+const FAILOVER_READS: u64 = 50;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -113,8 +131,9 @@ fn merge_front(handle: &ServerHandle, n: u16, points: usize) {
 /// lands on its key's owning shard and the per-shard WAL fsyncs — pure
 /// data writeback thanks to preallocation — overlap. The same widths
 /// (drawn from the 3-way split) are used at both shard counts so the
-/// workload is identical and only the partitioning varies.
-fn merge_scaling(shards: usize, writers: usize, merges_per_writer: u64, rep: usize) -> ClusterRow {
+/// workload is identical and only the partitioning varies. Returns merges
+/// per second.
+fn merge_scaling(shards: usize, rep: usize) -> f64 {
     let peers = reserve_ports(shards);
     let dirs: Vec<PathBuf> = (0..shards)
         .map(|s| temp_dir(&format!("merge-{shards}shard-s{s}-r{rep}")))
@@ -128,7 +147,7 @@ fn merge_scaling(shards: usize, writers: usize, merges_per_writer: u64, rep: usi
         wait_ready(addr);
     }
 
-    let widths: Vec<u16> = (0..writers).map(|w| width_owned_by(w % 3, 3)).collect();
+    let widths: Vec<u16> = (0..WRITERS).map(|w| width_owned_by(w % 3, 3)).collect();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for &n in &widths {
@@ -141,8 +160,8 @@ fn merge_scaling(shards: usize, writers: usize, merges_per_writer: u64, rep: usi
                 // holds at one point and per-merge CPU stays flat. The
                 // durability fsync dominates, which is exactly the term
                 // per-shard WAL files let the cluster overlap.
-                for m in 0..merges_per_writer {
-                    let remaining = (merges_per_writer - m) as f64;
+                for m in 0..MERGES_PER_WRITER {
+                    let remaining = (MERGES_PER_WRITER - m) as f64;
                     let point = ObjectivePoint {
                         area: remaining,
                         delay: remaining,
@@ -162,25 +181,17 @@ fn merge_scaling(shards: usize, writers: usize, merges_per_writer: u64, rep: usi
     for dir in dirs {
         std::fs::remove_dir_all(&dir).ok();
     }
-    let ops = merges_per_writer * writers as u64;
-    ClusterRow {
-        scenario: "merge_throughput".to_string(),
-        shards,
-        ops,
-        ops_per_sec: ops as f64 / elapsed.max(1e-9),
-        max_latency_us: 0.0,
-        failures: 0,
-    }
+    (MERGES_PER_WRITER * WRITERS as u64) as f64 / elapsed.max(1e-9)
 }
 
-/// One `query_batch` payload: `batch_size` best-at-delay queries cycling
+/// One `query_batch` payload: `BATCH_SIZE` best-at-delay queries cycling
 /// across the cluster's three keys and a spread of delay targets.
-fn batch(widths: &[u16], batch_size: usize, round: u64, points: usize) -> Vec<Value> {
-    (0..batch_size)
+fn batch(widths: &[u16], round: u64) -> Vec<Value> {
+    (0..BATCH_SIZE)
         .map(|j| {
             let n = widths[j % widths.len()];
-            let pick = (round as usize * batch_size + j) * 31 % 1024;
-            let delay = (points + 2) as f64 * (pick as f64 / 1023.0);
+            let pick = (round as usize * BATCH_SIZE + j) * 31 % 1024;
+            let delay = (POINTS + 2) as f64 * (pick as f64 / 1023.0);
             serde_json::json!({
                 "task": TASK, "backend": BACKEND, "n": n,
                 "mode": "best_at_delay", "delay": delay,
@@ -190,51 +201,38 @@ fn batch(widths: &[u16], batch_size: usize, round: u64, points: usize) -> Vec<Va
 }
 
 fn main() {
-    #[allow(clippy::type_complexity)]
-    let (writers, merges_per_writer, points, batch_size, batch_rounds, wire_rounds, failover_reads): (
-        usize,
-        u64,
-        usize,
-        usize,
-        u64,
-        u64,
-        u64,
-    ) = match scale() {
-        Scale::Quick => (3, 1000, 512, 96, 150, 3_000, 50),
-        Scale::Paper => (3, 2000, 2048, 96, 1000, 20_000, 200),
-    };
-    let mut rows = Vec::new();
-    println!(
-        "{:>24} {:>7} {:>10} {:>14} {:>18} {:>9}",
-        "scenario", "shards", "ops", "ops/s", "max latency (µs)", "failures"
+    let mut report = Report::new(
+        "cluster",
+        json!({
+            "writers": WRITERS,
+            "merges_per_writer": MERGES_PER_WRITER,
+            "merge_runs": MERGE_RUNS,
+            "points": POINTS,
+            "batch_size": BATCH_SIZE,
+            "batch_rounds": BATCH_ROUNDS,
+            "wire_rounds": WIRE_ROUNDS,
+            "failover_reads": FAILOVER_READS,
+        }),
     );
-    let mut push = |row: ClusterRow| {
-        println!(
-            "{:>24} {:>7} {:>10} {:>14.1} {:>18.1} {:>9}",
-            row.scenario, row.shards, row.ops, row.ops_per_sec, row.max_latency_us, row.failures
-        );
-        rows.push(row);
-    };
+    let throughput = |ops: u64, t0: Instant| json!({"ops": ops, "ops_per_sec": ops as f64 / t0.elapsed().as_secs_f64().max(1e-9)});
 
     // (a) Merge scaling: identical workload at 1 shard vs 3 shards. The
     // shared-host disk's flush latency wanders, so the two shard counts
-    // run interleaved five times and each reports its median — noise
-    // reduction, never selection between configurations.
-    let median = |mut runs: Vec<ClusterRow>| {
-        runs.sort_by(|a, b| {
-            a.ops_per_sec
-                .partial_cmp(&b.ops_per_sec)
-                .expect("finite rates")
-        });
-        runs.swap_remove(runs.len() / 2)
-    };
+    // run interleaved and each reports its median — noise reduction,
+    // never selection between configurations.
     let (mut single, mut sharded) = (Vec::new(), Vec::new());
-    for rep in 0..5 {
-        single.push(merge_scaling(1, writers, merges_per_writer, rep));
-        sharded.push(merge_scaling(3, writers, merges_per_writer, rep));
+    for rep in 0..MERGE_RUNS {
+        single.push(merge_scaling(1, rep));
+        sharded.push(merge_scaling(3, rep));
     }
-    push(median(single));
-    push(median(sharded));
+    for (shards, mut runs) in [(1usize, single), (3, sharded)] {
+        runs.sort_by(f64::total_cmp);
+        report.row(
+            "merge_throughput",
+            json!({"shards": shards}),
+            json!({"ops": MERGES_PER_WRITER * WRITERS as u64, "ops_per_sec": runs[runs.len() / 2]}),
+        );
+    }
 
     // (b) Routed scatter/gather queries over a live 3-shard cluster with
     // one follower per primary.
@@ -247,37 +245,30 @@ fn main() {
     }
     let widths: Vec<u16> = (0..3).map(|s| width_owned_by(s, 3)).collect();
     for (shard, &n) in widths.iter().enumerate() {
-        merge_front(&handles[shard], n, points);
+        merge_front(&handles[shard], n, POINTS);
     }
     let router = Router::new(Topology::new(0, peers.clone(), 1).expect("topology"))
         .expect("router")
         .with_retry(3, Duration::from_millis(10));
-    {
-        let t0 = Instant::now();
-        for round in 0..batch_rounds {
-            let gathered = router
-                .query_batch(batch(&widths, batch_size, round, points))
-                .expect("routed batch");
-            assert_eq!(
-                gathered
-                    .get("results")
-                    .and_then(Value::as_array)
-                    .map(<[Value]>::len),
-                Some(batch_size),
-                "routed batch dropped results"
-            );
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let ops = batch_rounds * batch_size as u64;
-        push(ClusterRow {
-            scenario: "router_query_batch".to_string(),
-            shards: 3,
-            ops,
-            ops_per_sec: ops as f64 / elapsed.max(1e-9),
-            max_latency_us: 0.0,
-            failures: 0,
-        });
+    let t0 = Instant::now();
+    for round in 0..BATCH_ROUNDS {
+        let gathered = router
+            .query_batch(batch(&widths, round))
+            .expect("routed batch");
+        assert_eq!(
+            gathered
+                .get("results")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(BATCH_SIZE),
+            "routed batch dropped results"
+        );
     }
+    report.row(
+        "router_query_batch",
+        json!({"shards": 3}),
+        throughput(BATCH_ROUNDS * BATCH_SIZE as u64, t0),
+    );
 
     // The single-node baseline: the same fronts and the same batches
     // against one classic (non-cluster) server over one persistent
@@ -290,55 +281,44 @@ fn main() {
         })
         .expect("single-node server");
         for &n in &widths {
-            merge_front(&single, n, points);
+            merge_front(&single, n, POINTS);
         }
         let client = Client::new(single.addr().to_string());
         client
             .wait_until_ready(Duration::from_secs(10))
             .expect("single node ready");
         let t0 = Instant::now();
-        for round in 0..batch_rounds {
-            let request = Value::Object(vec![
-                (
-                    "proto".to_string(),
-                    Value::String("prefixrl.serve.v1".to_string()),
-                ),
-                ("cmd".to_string(), Value::String("query_batch".to_string())),
-                (
-                    "queries".to_string(),
-                    Value::Array(batch(&widths, batch_size, round, points)),
-                ),
-            ]);
+        for round in 0..BATCH_ROUNDS {
+            let request = json!({
+                "proto": "prefixrl.serve.v1",
+                "cmd": "query_batch",
+                "queries": batch(&widths, round),
+            });
             let gathered = client.request(&request).expect("single-node batch");
             assert_eq!(
                 gathered
                     .get("results")
                     .and_then(Value::as_array)
                     .map(<[Value]>::len),
-                Some(batch_size),
+                Some(BATCH_SIZE),
                 "single-node batch dropped results"
             );
         }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let ops = batch_rounds * batch_size as u64;
-        push(ClusterRow {
-            scenario: "single_node_query_batch".to_string(),
-            shards: 1,
-            ops,
-            ops_per_sec: ops as f64 / elapsed.max(1e-9),
-            max_latency_us: 0.0,
-            failures: 0,
-        });
+        report.row(
+            "single_node_query_batch",
+            json!({"shards": 1}),
+            throughput(BATCH_ROUNDS * BATCH_SIZE as u64, t0),
+        );
 
         // The per-query wire rate on the same node and fronts: one
         // request/response round trip per query over the persistent
         // connection — the rate a client gets *without* batching, and
         // the bar the routed batch has to clear.
         let t0 = Instant::now();
-        for i in 0..wire_rounds {
+        for i in 0..WIRE_ROUNDS {
             let n = widths[i as usize % widths.len()];
             let pick = (i as usize * 31) % 1024;
-            let delay = (points + 2) as f64 * (pick as f64 / 1023.0);
+            let delay = (POINTS + 2) as f64 * (pick as f64 / 1023.0);
             let response = client
                 .query_best_at_delay(TASK, BACKEND, n, delay)
                 .expect("wire query");
@@ -348,16 +328,12 @@ fn main() {
                 "wire query missed"
             );
         }
-        let elapsed = t0.elapsed().as_secs_f64();
+        report.row(
+            "single_node_wire_query",
+            json!({"shards": 1}),
+            throughput(WIRE_ROUNDS, t0),
+        );
         single.shutdown().expect("shutdown");
-        push(ClusterRow {
-            scenario: "single_node_wire_query".to_string(),
-            shards: 1,
-            ops: wire_rounds,
-            ops_per_sec: wire_rounds as f64 / elapsed.max(1e-9),
-            max_latency_us: 0.0,
-            failures: 0,
-        });
     }
 
     // (c) Failover: kill shard 1 and read its key through the router —
@@ -391,9 +367,9 @@ fn main() {
     handles.remove(victim).shutdown().expect("kill victim");
 
     let mut failures = 0u64;
-    let mut max_latency_us: f64 = 0.0;
+    let mut samples_us = Vec::new();
     let t0 = Instant::now();
-    for i in 0..failover_reads {
+    for i in 0..FAILOVER_READS {
         let t1 = Instant::now();
         let response = router.query(
             TASK,
@@ -405,8 +381,7 @@ fn main() {
                 Value::Number(serde_json::Number::Float(1e9)),
             )],
         );
-        let us = t1.elapsed().as_secs_f64() * 1e6;
-        max_latency_us = max_latency_us.max(us);
+        samples_us.push(t1.elapsed().as_secs_f64() * 1e6);
         match response {
             Ok(v) if v.get("result").and_then(|r| r.get("found")) == Some(&Value::Bool(true)) => {}
             other => {
@@ -416,45 +391,26 @@ fn main() {
         }
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(failures, 0, "failover reads must never fail");
-    assert!(
-        max_latency_us < 1e6,
-        "slowest failover read took {max_latency_us}µs (must be < 1s)"
+    let summary = latency(&samples_us);
+    report.row(
+        "failover_read",
+        json!({"shards": 3}),
+        json!({
+            "ops": FAILOVER_READS,
+            "ops_per_sec": FAILOVER_READS as f64 / elapsed.max(1e-9),
+            "failures": failures,
+            "latency_us": summary,
+        }),
     );
-    push(ClusterRow {
-        scenario: "failover_read".to_string(),
-        shards: 3,
-        ops: failover_reads,
-        ops_per_sec: failover_reads as f64 / elapsed.max(1e-9),
-        max_latency_us,
-        failures,
-    });
+    assert_eq!(failures, 0, "failover reads must never fail");
+    let max_us = samples_us.iter().copied().fold(0.0, f64::max);
+    assert!(
+        max_us < 1e6,
+        "slowest failover read took {max_us}µs (must be < 1s)"
+    );
 
     for handle in handles {
         handle.shutdown().expect("shutdown");
     }
-
-    let merge_ratio = rows[1].ops_per_sec / rows[0].ops_per_sec;
-    write_bench_cluster(
-        *widths.iter().max().expect("widths"),
-        &rows,
-        &format!(
-            "merge_throughput rows (replication off; median of five interleaved \
-             runs per shard count, reducing shared-host disk noise) measure one \
-             preallocated-WAL record fsync per merge: a single node serializes \
-             every fsync behind one store mutex, per-shard WALs overlap them as \
-             pure data writeback. Merge scaling this run: {merge_ratio:.2}x at \
-             3 shards; the ratio is bounded by the host device's concurrent \
-             flush parallelism, which wandered between ~1.5x and ~2.0x across \
-             tuning sessions on this shared single-disk VM. \
-             router_query_batch pipelines per-shard sub-batches over \
-             persistent connections; single_node_wire_query is the unbatched \
-             per-query rate the routed batch must beat, and \
-             single_node_query_batch (one node parsing the whole batch in one \
-             request) is recorded for transparency — on this single-core host \
-             the scatter's extra round trips make exceeding it impossible, \
-             while multi-core deployments answer the sub-batches in parallel. \
-             failover_read runs the full replicated path.",
-        ),
-    );
+    report.write();
 }

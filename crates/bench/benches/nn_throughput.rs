@@ -10,32 +10,22 @@
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench nn_throughput
-//! PREFIXRL_SCALE=paper cargo bench -p prefixrl-bench --bench nn_throughput
 //! ```
 
 use nn::compute::{self, reference, ConvShape};
 use nn::simd::{self, Tier};
-use prefixrl_bench as support;
+use prefixrl_bench::{time_per_call, Report};
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use rand::prelude::*;
 use rl::{QInfer, QNetwork};
-use std::time::Instant;
+use serde_json::json;
 
-/// Times `f` until `min_secs` of wall clock have accumulated (at least two
-/// calls) and returns seconds per call.
-fn time_per_call(mut f: impl FnMut(), min_secs: f64) -> f64 {
-    f(); // warm-up (scratch arenas, caches)
-    let t0 = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        f();
-        iters += 1;
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed >= min_secs && iters >= 2 {
-            return elapsed / iters as f64;
-        }
-    }
-}
+/// States per Q-network batch.
+const BATCH: usize = 32;
+/// `nn::compute` thread budgets of the Q-network rows.
+const THREADS: [usize; 3] = [1, 2, 4];
+/// Wall clock each timing accumulates, seconds.
+const MIN_SECS: f64 = 0.4;
 
 /// The conv shapes a [`QNetConfig`] instantiates, in network order.
 fn conv_shapes(cfg: &QNetConfig) -> Vec<(usize, usize, usize)> {
@@ -55,7 +45,7 @@ fn conv_shapes(cfg: &QNetConfig) -> Vec<(usize, usize, usize)> {
 /// (`nn::compute::reference`), interleaved with the same batch-norm /
 /// LReLU / residual arithmetic the Fig. 2 body applies. This is the
 /// baseline every engine row is compared to.
-fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize, min_secs: f64) -> f64 {
+fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize) -> f64 {
     use nn::{BatchNorm2d, Layer, LeakyReLU};
     let n = cfg.n as usize;
     let mut rng = StdRng::seed_from_u64(7);
@@ -116,7 +106,7 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize, min_secs: f64) -
             cur = reference::conv2d_forward(*in_c, *out_c, *k, w, Some(&out_bias), &cur).out;
             std::hint::black_box(&cur);
         },
-        min_secs,
+        MIN_SECS,
     );
     batch as f64 / secs
 }
@@ -168,15 +158,15 @@ fn tiers() -> Vec<(Tier, usize)> {
 const ROUNDS: usize = 5;
 
 /// Seconds per call of `run` at each tier: the fastest of [`ROUNDS`]
-/// alternating rounds of `min_secs / ROUNDS` each. `run` receives the tier
+/// alternating rounds of `MIN_SECS / ROUNDS` each. `run` receives the tier
 /// index and is called with that tier set; the cap is restored after.
-fn time_tiers(tiers: &[(Tier, usize)], min_secs: f64, mut run: impl FnMut(usize)) -> Vec<f64> {
+fn time_tiers(tiers: &[(Tier, usize)], mut run: impl FnMut(usize)) -> Vec<f64> {
     let saved_tier = simd::max_tier();
     let mut best = vec![f64::MAX; tiers.len()];
     for _ in 0..ROUNDS {
         for (i, &(tier, _)) in tiers.iter().enumerate() {
             simd::set_max_tier(tier);
-            best[i] = best[i].min(time_per_call(|| run(i), min_secs / ROUNDS as f64));
+            best[i] = best[i].min(time_per_call(|| run(i), MIN_SECS / ROUNDS as f64));
         }
     }
     simd::set_max_tier(saved_tier);
@@ -185,12 +175,8 @@ fn time_tiers(tiers: &[(Tier, usize)], min_secs: f64, mut run: impl FnMut(usize)
 
 /// Raw-GEMM GFLOP/s of each vector width vs the scalar engine vs the
 /// naive reference for one kernel at one shape, on one thread, verifying
-/// bitwise vector/scalar identity: one row per width the CPU has.
-fn gemm_rows(
-    kernel: &Kernel,
-    (m, k, n): (usize, usize, usize),
-    min_secs: f64,
-) -> Vec<support::GemmRow> {
+/// bitwise vector/scalar identity: one `gemm` row per width the CPU has.
+fn gemm_rows(report: &mut Report, kernel: &Kernel, (m, k, n): (usize, usize, usize)) {
     let mut rng = StdRng::seed_from_u64(29);
     let a: Vec<f32> = (0..m * k).map(|_| rng.random::<f32>() - 0.5).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.random::<f32>() - 0.5).collect();
@@ -202,40 +188,41 @@ fn gemm_rows(
             (kernel.reference)(m, k, n, &a, &b, &mut c);
             std::hint::black_box(&c);
         },
-        min_secs,
+        MIN_SECS,
     );
     let tiers = tiers();
     let mut outputs = vec![Vec::new(); tiers.len()];
-    let secs = time_tiers(&tiers, min_secs, |i| {
+    let secs = time_tiers(&tiers, |i| {
         c.fill(0.0);
         (kernel.engine)(m, k, n, &a, &b, &mut c);
         std::hint::black_box(&c);
         outputs[i].clone_from(&c);
     });
-    tiers
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(i, &(_, lanes))| support::GemmRow {
-            kernel: kernel.name,
-            m,
-            k,
-            n,
-            threads: 1,
-            lanes,
-            reference_gflops: flops / reference_secs / 1e9,
-            scalar_gflops: flops / secs[0] / 1e9,
-            simd_gflops: flops / secs[i] / 1e9,
-            bit_identical: outputs[0] == outputs[i],
-        })
-        .collect()
+    for (i, &(_, lanes)) in tiers.iter().enumerate().skip(1) {
+        let bit_identical = outputs[0] == outputs[i];
+        report.row(
+            "gemm",
+            json!({"kernel": kernel.name, "m": m, "k": k, "n": n, "threads": 1, "lanes": lanes}),
+            json!({
+                "reference_gflops": flops / reference_secs / 1e9,
+                "scalar_gflops": flops / secs[0] / 1e9,
+                "simd_gflops": flops / secs[i] / 1e9,
+                "bit_identical": bit_identical,
+            }),
+        );
+        assert!(
+            bit_identical,
+            "{} {m}x{k}x{n} diverged from scalar at {lanes} lanes",
+            kernel.name
+        );
+    }
 }
 
 /// One small(16) gradient step — training forward, backward and Adam at
 /// batch 16, one thread — at every tier the CPU has. Each tier also takes
 /// one step from a fresh network, whose parameters must match the scalar
 /// tier's bit for bit.
-fn grad_step_rows(min_secs: f64) -> Vec<support::GradStepRow> {
+fn grad_step_rows(report: &mut Report) {
     let cfg = QNetConfig::small(16);
     let batch = 16;
     let feat = 4 * cfg.n as usize * cfg.n as usize;
@@ -266,23 +253,23 @@ fn grad_step_rows(min_secs: f64) -> Vec<support::GradStepRow> {
         .collect();
     simd::set_max_tier(saved_tier);
     let params: Vec<_> = nets.iter_mut().map(|q| q.state()).collect();
-    let secs = time_tiers(&tiers, min_secs, |i| {
+    let secs = time_tiers(&tiers, |i| {
         std::hint::black_box(nets[i].forward(&refs, true));
         nets[i].apply_gradient(&grad);
     });
     compute::set_threads(saved_threads);
-    tiers
-        .iter()
-        .zip(secs)
-        .zip(&params)
-        .map(|((&(tier, lanes), secs), p)| support::GradStepRow {
-            tier: format!("{tier:?}"),
-            lanes,
-            batch,
-            step_us: secs * 1e6,
-            bit_identical: *p == params[0],
-        })
-        .collect()
+    for ((&(tier, lanes), secs), p) in tiers.iter().zip(secs).zip(&params) {
+        let bit_identical = *p == params[0];
+        report.row(
+            "grad_step",
+            json!({"tier": format!("{tier:?}"), "lanes": lanes, "batch": batch}),
+            json!({"step_us": secs * 1e6, "bit_identical": bit_identical}),
+        );
+        assert!(
+            bit_identical,
+            "gradient step diverged from scalar at {tier:?}"
+        );
+    }
 }
 
 /// The small(16) 5×5 residual convolution's passes — forward at batch 1
@@ -292,7 +279,7 @@ fn grad_step_rows(min_secs: f64) -> Vec<support::GradStepRow> {
 /// tier. The forward pads each sample first; the input gradient starts
 /// each sample from a zeroed gradient plane and copies out its interior;
 /// the weight gradient reads the planes a training forward caches.
-fn conv_rows(min_secs: f64) -> Vec<support::ConvRow> {
+fn conv_rows(report: &mut Report) {
     let (c, k, n, batch) = (12usize, 5usize, 16usize, 16usize);
     let hw = n * n;
     let shape = ConvShape::new(c, k, n, n);
@@ -313,7 +300,6 @@ fn conv_rows(min_secs: f64) -> Vec<support::ConvRow> {
         shape.pad(xs, plane);
     }
     let tiers = tiers();
-    let mut rows = Vec::new();
     for (pass, samples) in [
         ("forward", 1usize),
         ("forward", batch),
@@ -324,7 +310,7 @@ fn conv_rows(min_secs: f64) -> Vec<support::ConvRow> {
         let mut scratch_plane = vec![0.0f32; plane_len];
         let mut out = vec![0.0f32; samples * c * hw];
         let mut wg = vec![0.0f32; c * c * k * k];
-        let secs = time_tiers(&tiers, min_secs, |i| {
+        let secs = time_tiers(&tiers, |i| {
             match pass {
                 "forward" => {
                     out.fill(0.0);
@@ -353,145 +339,78 @@ fn conv_rows(min_secs: f64) -> Vec<support::ConvRow> {
             std::hint::black_box(&outputs[i]);
         });
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        rows.extend(
-            tiers
-                .iter()
-                .zip(secs)
-                .zip(&outputs)
-                .map(|((&(tier, lanes), secs), o)| support::ConvRow {
-                    tier: format!("{tier:?}"),
-                    lanes,
-                    pass,
-                    batch: samples,
-                    us: secs * 1e6,
-                    bit_identical: bits(o) == bits(&outputs[0]),
-                }),
-        );
+        for ((&(tier, lanes), secs), o) in tiers.iter().zip(secs).zip(&outputs) {
+            let bit_identical = bits(o) == bits(&outputs[0]);
+            report.row(
+                "conv5",
+                json!({"tier": format!("{tier:?}"), "lanes": lanes, "pass": pass, "batch": samples}),
+                json!({"us": secs * 1e6, "bit_identical": bit_identical}),
+            );
+            assert!(
+                bit_identical,
+                "conv {pass} diverged from scalar at {tier:?}"
+            );
+        }
     }
-    rows
 }
 
 fn main() {
-    let (batch, threads_list, min_secs) = match support::scale() {
-        support::Scale::Quick => (32usize, vec![1usize, 2, 4], 0.4f64),
-        support::Scale::Paper => (96, vec![1, 2, 4, 8], 2.0),
-    };
-    let configs = [
-        ("tiny(8)", QNetConfig::tiny(8)),
-        ("small(16)", QNetConfig::small(16)),
-    ];
-    println!(
-        "nn_throughput (batch {batch}, host cpus {}, simd compiled: {}, cpu tier: {:?}, tier: {:?})\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-        simd::compiled(),
-        simd::cpu_tier(),
-        simd::tier(),
+    let mut report = Report::new(
+        "nn",
+        json!({"batch": BATCH, "threads": THREADS, "min_secs": MIN_SECS}),
     );
 
     // Raw GEMM kernels first, on one thread: the paper-scale product of one
     // 5×5 residual convolution in im2col form (C=256 on the 32×32 grid:
     // m=256, k=6400, n=1024) and the small(16) convolutions' products in
-    // that form — its 5×5 forward, the column gradients (`gemm_at_b`) of
-    // the 5×5 block and 3×3 stem convolutions, the weight gradients
-    // (`gemm_a_bt`) of the 5×5 block and the 1×1 head and output
-    // convolutions. The convolutions themselves run as implicit GEMM (the
-    // conv rows below); `Linear` and these shapes keep the kernels honest.
-    println!(
-        "{:>10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "kernel", "m", "k", "n", "lanes", "ref", "scalar", "simd", "simd/ref", "bitexact"
-    );
-    let mut gemm_table = Vec::new();
+    // that form — its 5×5 forward and 3×3 stem forward, the column
+    // gradients (`gemm_at_b`) of the 5×5 block and 3×3 stem convolutions,
+    // the weight gradients (`gemm_a_bt`) of the 5×5 block and the 1×1 head
+    // and output convolutions. The convolutions themselves run as implicit
+    // GEMM (the conv rows below); `Linear` and these shapes keep the
+    // kernels honest.
     for (kernel, shape) in [
         (&GEMM, (256, 6400, 1024)),
         (&GEMM, (12, 300, 256)),
+        (&GEMM, (12, 108, 256)),
         (&GEMM_AT_B, (300, 12, 256)),
         (&GEMM_AT_B, (36, 12, 256)),
         (&GEMM_A_BT, (12, 256, 300)),
         (&GEMM_A_BT, (12, 256, 12)),
         (&GEMM_A_BT, (4, 256, 12)),
     ] {
-        let rows = gemm_rows(kernel, shape, min_secs);
-        for r in &rows {
-            println!(
-                "{:>10} {:>6} {:>6} {:>6} {:>6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x {:>9}",
-                r.kernel,
-                r.m,
-                r.k,
-                r.n,
-                r.lanes,
-                r.reference_gflops,
-                r.scalar_gflops,
-                r.simd_gflops,
-                r.simd_gflops / r.reference_gflops.max(1e-9),
-                r.bit_identical,
-            );
-            assert!(r.bit_identical, "SIMD diverged from scalar at {r:?}");
-        }
-        gemm_table.extend(rows);
+        gemm_rows(&mut report, kernel, shape);
     }
-    println!();
-
-    println!(
-        "{:>8} {:>6} {:>6} {:>12} {:>9}",
-        "tier", "lanes", "batch", "step us", "bitexact"
-    );
-    let grad_steps = grad_step_rows(min_secs);
-    for r in &grad_steps {
-        println!(
-            "{:>8} {:>6} {:>6} {:>12.1} {:>9}",
-            r.tier, r.lanes, r.batch, r.step_us, r.bit_identical
-        );
-        assert!(
-            r.bit_identical,
-            "gradient step diverged from scalar at {r:?}"
-        );
-    }
-    println!();
-
-    println!(
-        "{:>8} {:>6} {:>12} {:>6} {:>10} {:>9}",
-        "tier", "lanes", "conv5 pass", "batch", "us", "bitexact"
-    );
-    let convs = conv_rows(min_secs);
-    for r in &convs {
-        println!(
-            "{:>8} {:>6} {:>12} {:>6} {:>10.1} {:>9}",
-            r.tier, r.lanes, r.pass, r.batch, r.us, r.bit_identical
-        );
-        assert!(r.bit_identical, "conv pass diverged from scalar at {r:?}");
-    }
-    println!();
-
-    println!(
-        "{:>10} {:>8} {:>12} {:>12} {:>12} {:>14} {:>9}",
-        "config", "threads", "fwd/s", "bwd/s", "infer/s", "baseline fwd/s", "speedup"
-    );
+    grad_step_rows(&mut report);
+    conv_rows(&mut report);
 
     let saved_threads = compute::threads();
-    let mut rows = Vec::new();
-    for (label, cfg) in &configs {
+    for (label, cfg) in [
+        ("tiny(8)", QNetConfig::tiny(8)),
+        ("small(16)", QNetConfig::small(16)),
+    ] {
         let n = cfg.n as usize;
         let feat = 4 * n * n;
         let mut rng = StdRng::seed_from_u64(17);
-        let states: Vec<Vec<f32>> = (0..batch)
+        let states: Vec<Vec<f32>> = (0..BATCH)
             .map(|_| (0..feat).map(|_| f32::from(rng.random::<bool>())).collect())
             .collect();
         let refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
-        let baseline = baseline_fwd_samples_per_sec(cfg, batch, min_secs);
-        for &threads in &threads_list {
+        let baseline = baseline_fwd_samples_per_sec(&cfg, BATCH);
+        for threads in THREADS {
             compute::set_threads(threads);
-            let mut q = PrefixQNet::new(cfg);
+            let mut q = PrefixQNet::new(&cfg);
             let num_actions = q.num_actions();
             // Training-mode forward.
             let fwd_secs = time_per_call(
                 || {
                     std::hint::black_box(q.forward(&refs, true));
                 },
-                min_secs,
+                MIN_SECS,
             );
             // Full gradient step (forward + backward + Adam), from which
             // the backward-only share is derived.
-            let mut grad = vec![vec![[0.0f32; 2]; num_actions]; batch];
+            let mut grad = vec![vec![[0.0f32; 2]; num_actions]; BATCH];
             for row in &mut grad {
                 row[3] = [0.01, -0.01];
             }
@@ -500,7 +419,7 @@ fn main() {
                     std::hint::black_box(q.forward(&refs, true));
                     q.apply_gradient(&grad);
                 },
-                min_secs,
+                MIN_SECS,
             );
             let bwd_secs = (step_secs - fwd_secs).max(1e-9);
             // Immutable inference.
@@ -509,29 +428,21 @@ fn main() {
                 || {
                     std::hint::black_box(q.infer(&refs, &mut scratch));
                 },
-                min_secs,
+                MIN_SECS,
             );
-            let row = support::NnRow {
-                config: label.to_string(),
-                threads,
-                fwd_samples_per_sec: batch as f64 / fwd_secs,
-                bwd_samples_per_sec: batch as f64 / bwd_secs,
-                infer_samples_per_sec: batch as f64 / infer_secs,
-                baseline_fwd_samples_per_sec: baseline,
-            };
-            println!(
-                "{:>10} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>14.1} {:>8.2}x",
-                row.config,
-                row.threads,
-                row.fwd_samples_per_sec,
-                row.bwd_samples_per_sec,
-                row.infer_samples_per_sec,
-                row.baseline_fwd_samples_per_sec,
-                row.fwd_samples_per_sec / row.baseline_fwd_samples_per_sec.max(1e-9),
+            let batch = BATCH as f64;
+            report.row(
+                "qnet",
+                json!({"config": label, "threads": threads}),
+                json!({
+                    "fwd_samples_per_sec": batch / fwd_secs,
+                    "bwd_samples_per_sec": batch / bwd_secs,
+                    "infer_samples_per_sec": batch / infer_secs,
+                    "baseline_fwd_samples_per_sec": baseline,
+                }),
             );
-            rows.push(row);
         }
     }
     compute::set_threads(saved_threads);
-    support::write_bench_nn(batch, &rows, &gemm_table, &grad_steps, &convs);
+    report.write();
 }

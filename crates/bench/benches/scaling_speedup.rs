@@ -1,34 +1,47 @@
 //! Section V-C / IV-D systems claims: parallel synthesis speedup (the paper
-//! reports 8× from its asynchronous infrastructure) and synthesis-cache hit
-//! rates during training (50% at 32b, 10% at 64b in the paper).
+//! reports 8× from its asynchronous infrastructure), synthesis-cache hit
+//! rates during training (50% at 32b, 10% at 64b in the paper) and the
+//! lockstep actors' decisions/sec. Dumps `BENCH_scaling.json` at the
+//! workspace root.
+//!
+//! ```sh
+//! cargo bench -p prefixrl-bench --bench scaling_speedup
+//! ```
 
 use netlist::Library;
 use prefix_graph::{Action, Node, PrefixGraph};
-use prefixrl_bench as support;
+use prefixrl_bench::Report;
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::cache::CachedEvaluator;
 use prefixrl_core::evaluator::Evaluator;
 use prefixrl_core::parallel::evaluate_batch;
 use prefixrl_core::task::{Adder, TaskEvaluator};
+use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
 use synth::sweep::SweepConfig;
 
+/// Adder width of the parallel-synthesis batch and the actor rows.
+const N: u16 = 16;
+/// Distinct states in the parallel-synthesis batch.
+const JOBS: usize = 32;
+/// Environment steps per training run.
+const STEPS: u64 = 600;
+
 fn main() {
     let lib = Library::nangate45();
-    let (n, jobs, steps) = match support::scale() {
-        support::Scale::Quick => (16u16, 32usize, 600u64),
-        support::Scale::Paper => (32u16, 192, 20_000),
-    };
-    println!("Scaling reproduction (n={n})\n");
+    let mut report = Report::new(
+        "scaling",
+        json!({"n": N, "jobs": JOBS, "steps": STEPS, "library": "nangate45", "sweep": "fast"}),
+    );
 
     // --- Parallel synthesis speedup --------------------------------------
     // A batch of distinct graphs (ripple + random shortcut patterns).
-    let graphs: Vec<PrefixGraph> = (0..jobs)
+    let graphs: Vec<PrefixGraph> = (0..JOBS)
         .map(|i| {
-            let mut g = PrefixGraph::ripple(n);
-            let m = 2 + (i as u16 * 3) % (n - 2);
-            let l = 1 + (i as u16) % m.max(2).min(n - 2).max(1);
+            let mut g = PrefixGraph::ripple(N);
+            let m = 2 + (i as u16 * 3) % (N - 2);
+            let l = 1 + (i as u16) % m.clamp(2, N - 2);
             let node = Node::new(m.max(l + 1), l.min(m.max(l + 1) - 1));
             let _ = g.apply(Action::Add(node));
             g
@@ -41,7 +54,6 @@ fn main() {
         0.5,
     ));
     let mut base_ms = 0.0;
-    println!("parallel synthesis of {jobs} states:");
     let max_threads = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(8);
@@ -55,14 +67,14 @@ fn main() {
         if threads == 1 {
             base_ms = ms;
         }
-        println!(
-            "  {threads:>2} workers: {ms:>8.1} ms  speedup {:.2}x",
-            base_ms / ms
+        report.row(
+            "parallel_synthesis",
+            json!({"workers": threads}),
+            json!({"wall_ms": ms, "speedup": base_ms / ms}),
         );
     }
 
     // --- Cache hit rate during training -----------------------------------
-    println!("\ncache hit rate during synthesis-in-loop training:");
     for width in [8u16, 12, 16] {
         let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::synthesis(
             Adder,
@@ -70,14 +82,18 @@ fn main() {
             SweepConfig::fast(),
             0.5,
         )));
-        let mut cfg = AgentConfig::small(width, 0.5, steps);
+        let mut cfg = AgentConfig::small(width, 0.5, STEPS);
         cfg.env = prefixrl_core::env::EnvConfig::synthesis(width);
         let _ = TrainLoop::run(&cfg, ev.clone());
-        println!(
-            "  {width:>2}b: {:>5.1}% hits over {} evaluations ({} unique states)",
-            100.0 * ev.store().hit_rate(),
-            ev.store().hits() + ev.store().misses(),
-            ev.store().unique_states()
+        let store = ev.store();
+        report.row(
+            "train_cache_hit_rate",
+            json!({"n": width}),
+            json!({
+                "hit_rate": store.hit_rate(),
+                "evaluations": store.hits() + store.misses(),
+                "unique_states": store.unique_states(),
+            }),
         );
     }
 
@@ -92,8 +108,6 @@ fn main() {
     // `train_every` 0 the learner is idle and the rows measure the decision
     // path alone; at 16 (the train-synthesis setting) they include the
     // actors waiting while the coordinator trains between rounds.
-    println!("\nlockstep actors (paper Sec. IV-D architecture):");
-    let mut rows = Vec::new();
     for (backend, train_every) in [("analytical", 0u64), ("analytical", 16), ("synthesis", 16)] {
         for actors in [1usize, 2, 4, 8] {
             let ev = Arc::new(CachedEvaluator::new(if backend == "synthesis" {
@@ -101,34 +115,26 @@ fn main() {
             } else {
                 TaskEvaluator::analytical(Adder)
             }));
-            let mut cfg = AgentConfig::small(16, 0.5, steps);
+            let mut cfg = AgentConfig::small(N, 0.5, STEPS);
             if backend == "synthesis" {
-                cfg.env = prefixrl_core::env::EnvConfig::synthesis(16);
+                cfg.env = prefixrl_core::env::EnvConfig::synthesis(N);
             }
             cfg.train_every = train_every;
             cfg.actors = actors;
             let t = Instant::now();
             let result = TrainLoop::run(&cfg, ev.clone());
-            let steps_per_sec = steps as f64 / t.elapsed().as_secs_f64();
-            println!(
-                "  {backend:>10}, train_every {train_every:>2}, {actors} actors: \
-                 {steps_per_sec:>8.1} decisions/s \
-                 ({} grad steps, {} designs, hit rate {:.0}%)",
-                result.losses.len(),
-                result.designs.len(),
-                100.0 * ev.store().hit_rate(),
+            let steps_per_sec = STEPS as f64 / t.elapsed().as_secs_f64();
+            report.row(
+                "lockstep_actors",
+                json!({"backend": backend, "actors": actors, "train_every": train_every}),
+                json!({
+                    "steps_per_sec": steps_per_sec,
+                    "grad_steps": result.losses.len(),
+                    "cache_hit_rate": ev.store().hit_rate(),
+                    "designs": result.designs.len(),
+                }),
             );
-            rows.push(support::ScalingRow {
-                backend,
-                actors,
-                train_every,
-                steps,
-                steps_per_sec,
-                grad_steps: result.losses.len(),
-                cache_hit_rate: ev.store().hit_rate(),
-                designs: result.designs.len(),
-            });
         }
     }
-    support::write_bench_scaling(16, &rows);
+    report.write();
 }

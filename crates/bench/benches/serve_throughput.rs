@@ -10,13 +10,23 @@
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench serve_throughput
-//! PREFIXRL_SCALE=paper cargo bench -p prefixrl-bench --bench serve_throughput
 //! ```
 
-use prefixrl_bench::{scale, write_bench_serve, Scale, ServeRow};
+use prefixrl_bench::{latency, Report};
 use prefixrl_serve::{Client, JobSpec, ServeConfig, Server};
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::time::{Duration, Instant};
+
+/// Adder width of every job.
+const N: u16 = 8;
+/// Jobs per burst.
+const JOBS: usize = 6;
+/// Environment steps per agent.
+const STEPS: u64 = 120;
+/// Scalarization weights (agents) per job.
+const WEIGHTS: [f64; 2] = [0.3, 0.7];
+/// Tasks the burst's jobs cycle through.
+const TASKS: [&str; 3] = ["adder", "prefix-or", "incrementer"];
 
 fn num(v: &Value) -> f64 {
     match v {
@@ -26,17 +36,16 @@ fn num(v: &Value) -> f64 {
 }
 
 fn main() {
-    let (n, jobs, steps): (u16, usize, u64) = match scale() {
-        Scale::Quick => (8, 6, 120),
-        Scale::Paper => (16, 12, 1000),
-    };
-    let weights = vec![0.3, 0.7];
-    let tasks = ["adder", "prefix-or", "incrementer"];
-
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} {:>6} {:>12} {:>22} {:>22} {:>10}",
-        "workers", "jobs", "jobs/s", "first-event mean (s)", "first-event max (s)", "hit rate"
+    let mut report = Report::new(
+        "serve",
+        json!({
+            "n": N,
+            "jobs": JOBS,
+            "steps_per_agent": STEPS,
+            "weights": WEIGHTS,
+            "tasks": TASKS,
+            "backend": "analytical",
+        }),
     );
     for workers in [1usize, 2, 4] {
         let handle = Server::spawn(ServeConfig {
@@ -58,19 +67,19 @@ fn main() {
         let misses0 = num(ping0.get("cache").unwrap().get("misses").unwrap());
 
         let t0 = Instant::now();
-        let ids: Vec<u64> = (0..jobs)
+        let ids: Vec<u64> = (0..JOBS)
             .map(|i| {
                 client
                     .submit(&JobSpec {
-                        task: tasks[i % tasks.len()].to_string(),
+                        task: TASKS[i % TASKS.len()].to_string(),
                         backend: "analytical".to_string(),
-                        n,
-                        weights: weights.clone(),
-                        steps,
+                        n: N,
+                        weights: WEIGHTS.to_vec(),
+                        steps: STEPS,
                         // Row-distinct seed block, so each configuration's
                         // burst is an independently seeded workload and the
                         // per-row hit rate is genuinely per-row.
-                        seed: (workers * jobs + i) as u64,
+                        seed: (workers * JOBS + i) as u64,
                     })
                     .expect("submit accepted")
             })
@@ -93,30 +102,17 @@ fn main() {
         let misses = num(ping.get("cache").unwrap().get("misses").unwrap()) - misses0;
         handle.shutdown().expect("graceful shutdown");
 
-        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        let max = latencies.iter().copied().fold(0.0, f64::max);
-        let row = ServeRow {
-            workers,
-            jobs,
-            weights_per_job: weights.len(),
-            steps_per_agent: steps,
-            jobs_per_sec: jobs as f64 / elapsed.max(1e-9),
-            submit_to_first_event_sec_mean: mean,
-            submit_to_first_event_sec_max: max,
-            cache_hit_rate: hits / (hits + misses).max(1.0),
-            cache_hits: hits as u64,
-            cache_misses: misses as u64,
-        };
-        println!(
-            "{:>8} {:>6} {:>12.2} {:>22.4} {:>22.4} {:>9.0}%",
-            row.workers,
-            row.jobs,
-            row.jobs_per_sec,
-            row.submit_to_first_event_sec_mean,
-            row.submit_to_first_event_sec_max,
-            100.0 * row.cache_hit_rate
+        report.row(
+            "job_burst",
+            json!({"workers": workers}),
+            json!({
+                "jobs_per_sec": JOBS as f64 / elapsed.max(1e-9),
+                "first_event_s": latency(&latencies),
+                "cache_hit_rate": hits / (hits + misses).max(1.0),
+                "cache_hits": hits as u64,
+                "cache_misses": misses as u64,
+            }),
         );
-        rows.push(row);
     }
-    write_bench_serve(n, &rows);
+    report.write();
 }

@@ -3,27 +3,31 @@
 //!
 //! For every registered [`CircuitTask`] × objective backend, a mixed pool
 //! of graphs is evaluated cold (straight through the `TaskEvaluator`) and
-//! warm (through the sharded cache, after a priming round), yielding the
-//! `BENCH_tasks.json` artifact. Analytical backends run thousands of times
+//! warm (through the sharded cache, which the timer's warm-up round
+//! primes), yielding the `BENCH_tasks.json` artifact. Analytical backends run thousands of times
 //! faster than synthesis ones — the same gap that motivates the paper's
 //! Section IV-D caching — and the non-adder tasks synthesize faster than
 //! the adder because their netlists are a fraction of the size.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench task_throughput
-//! PREFIXRL_SCALE=paper cargo bench -p prefixrl-bench --bench task_throughput
 //! ```
 
 use netlist::Library;
 use prefix_graph::{structures, PrefixGraph};
-use prefixrl_bench::{scale, write_bench_tasks, Scale, TaskRow};
+use prefixrl_bench::{time_per_call, Report};
 use prefixrl_core::cache::CachedEvaluator;
 use prefixrl_core::evaluator::Evaluator;
 use prefixrl_core::task::{
     self, AnalyticalBackend, ObjectiveBackend, SynthesisBackend, TaskEvaluator,
 };
+use serde_json::json;
 use std::sync::Arc;
-use std::time::Instant;
+
+/// Adder width of every pool graph.
+const N: u16 = 16;
+/// Wall clock each throughput figure accumulates, seconds.
+const MIN_SECS: f64 = 0.2;
 
 fn pool(n: u16) -> Vec<PrefixGraph> {
     let mut graphs = vec![
@@ -53,24 +57,25 @@ fn pool(n: u16) -> Vec<PrefixGraph> {
     graphs
 }
 
-fn measure(evaluator: &dyn Evaluator, graphs: &[PrefixGraph], rounds: usize) -> (u64, f64) {
-    let t0 = Instant::now();
-    let mut evals = 0u64;
-    for _ in 0..rounds {
-        for g in graphs {
-            std::hint::black_box(evaluator.evaluate(g));
-            evals += 1;
-        }
-    }
-    (evals, evals as f64 / t0.elapsed().as_secs_f64().max(1e-9))
+/// Evaluations per second over whole rounds of the pool.
+fn measure(evaluator: &dyn Evaluator, graphs: &[PrefixGraph]) -> f64 {
+    let secs = time_per_call(
+        || {
+            for g in graphs {
+                std::hint::black_box(evaluator.evaluate(g));
+            }
+        },
+        MIN_SECS,
+    );
+    graphs.len() as f64 / secs
 }
 
 fn main() {
-    let n: u16 = match scale() {
-        Scale::Quick => 16,
-        Scale::Paper => 32,
-    };
-    let graphs = pool(n);
+    let graphs = pool(N);
+    let mut report = Report::new(
+        "tasks",
+        json!({"n": N, "graphs": graphs.len(), "library": "nangate45", "sweep": "fast", "min_secs": MIN_SECS}),
+    );
     let lib = Library::nangate45();
     let backends: Vec<Arc<dyn ObjectiveBackend>> = vec![
         Arc::new(AnalyticalBackend),
@@ -85,46 +90,18 @@ fn main() {
         ),
     ];
 
-    let mut rows = Vec::new();
-    println!(
-        "{:<12} {:<16} {:>8} {:>14} {:>18}",
-        "task", "backend", "graphs", "evals/s", "cached evals/s"
-    );
     for name in task::TASK_NAMES {
         let task = task::by_name(name).expect("registered");
         for backend in &backends {
             let ev = TaskEvaluator::new(Arc::clone(&task), Arc::clone(backend));
-            let analytical = backend.backend_id() == "analytical";
-            // Enough cold rounds for at least 200 timed evaluations per row.
-            let cold_rounds = if analytical {
-                200
-            } else {
-                200usize.div_ceil(graphs.len())
-            };
-            let (evals, cold) = measure(&ev, &graphs, cold_rounds);
-            let cached = CachedEvaluator::new(ev);
-            for g in &graphs {
-                cached.evaluate(g); // prime
-            }
-            let warm_rounds = if analytical { 500 } else { 50 };
-            let (_, warm) = measure(&cached, &graphs, warm_rounds);
-            println!(
-                "{:<12} {:<16} {:>8} {:>14.1} {:>18.1}",
-                name,
-                backend.backend_id(),
-                graphs.len(),
-                cold,
-                warm
+            let cold = measure(&ev, &graphs);
+            let warm = measure(&CachedEvaluator::new(ev), &graphs);
+            report.row(
+                "eval_throughput",
+                json!({"task": name, "backend": backend.backend_id()}),
+                json!({"evals_per_sec": cold, "cached_evals_per_sec": warm}),
             );
-            rows.push(TaskRow {
-                task: name.to_string(),
-                backend: backend.backend_id().to_string(),
-                graphs: graphs.len(),
-                evals,
-                evals_per_sec: cold,
-                cached_evals_per_sec: warm,
-            });
         }
     }
-    write_bench_tasks(n, &rows);
+    report.write();
 }

@@ -10,8 +10,8 @@
 //! - [`evaluate_batch`] — batch evaluation on a worker pool: scoped
 //!   threads pull indices from a shared counter (dynamic load balancing
 //!   for variable-cost synthesis jobs) into worker-local buffers, so there
-//!   is no per-slot locking (used by the figure harnesses and the scaling
-//!   benchmark);
+//!   is no per-slot locking (used by the `scaling_speedup` bench and the
+//!   `equivalence` tests);
 //! - `lockstep` — the actor threads of one training run.
 //!   [`crate::agent::TrainLoop`] hands every actor one environment step
 //!   per round and waits for all of them; between rounds its coordinator
