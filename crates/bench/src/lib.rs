@@ -1,66 +1,22 @@
 //! Shared support for the harnesses in `benches/`.
 //!
-//! The artifact harnesses (`nn_throughput`, `task_throughput`,
+//! The artifact harnesses (`claims`, `nn_throughput`, `task_throughput`,
 //! `serve_throughput`, `query_throughput`, `cluster_throughput`,
 //! `scaling_speedup`, `sweep_scaling`) each write one `BENCH_<bench>.json`
 //! at the workspace root through [`Report`], in the `prefixrl.bench.v1`
 //! schema (DESIGN.md §7), timing with [`time_per_call`] and summarising
-//! per-operation samples with [`latency`].
-//!
-//! The figure/table harnesses (`fig*`, `table1_scaling`) honour
-//! `PREFIXRL_SCALE`:
-//!
-//! - `quick` (default): CPU-sized widths and training budgets that finish in
-//!   minutes and preserve the qualitative shape of each figure;
-//! - `paper`: the paper's widths (32b/64b) and budgets — sized for a long
-//!   unattended run.
-//!
-//! Their results print as aligned tables and are also written as JSON under
-//! `target/prefixrl-results/`.
+//! per-operation samples with [`latency`]. `claims` reproduces the paper's
+//! figures and Table I; [`front_json`] and [`spread_front`] serve it.
 
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::pareto::ParetoFront;
 use serde_json::{json, Value};
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Experiment scale selected by `PREFIXRL_SCALE`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Minutes-scale reproduction preserving qualitative shape.
-    Quick,
-    /// The paper's full problem sizes and budgets.
-    Paper,
-}
-
-/// Reads the scale from the environment.
-pub fn scale() -> Scale {
-    match std::env::var("PREFIXRL_SCALE").as_deref() {
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Quick,
-    }
-}
 
 /// The workspace root, where `BENCH_*.json` artifacts live.
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Where the figure harnesses' JSON artifacts are written.
-pub fn results_dir() -> PathBuf {
-    let dir = workspace_root().join("target/prefixrl-results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Writes a figure harness's JSON artifact.
-pub fn write_json(name: &str, value: &Value) {
-    let path = results_dir().join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create artifact");
-    f.write_all(serde_json::to_string_pretty(value).unwrap().as_bytes())
-        .expect("write artifact");
-    println!("[artifact] {}", path.display());
 }
 
 /// One `BENCH_<bench>.json` artifact in the `prefixrl.bench.v1` schema:
@@ -164,15 +120,6 @@ pub fn latency(samples: &[f64]) -> Value {
     json!({"p50": rank(50), "p99": rank(99), "max": sorted[sorted.len() - 1]})
 }
 
-/// Prints a Pareto front with labels.
-pub fn print_front<T: std::fmt::Display>(name: &str, front: &ParetoFront<T>) {
-    println!("\n== {name} (Pareto front, {} points) ==", front.len());
-    println!("{:>12} {:>12}  design", "area", "delay");
-    for (p, label) in front.iter() {
-        println!("{:>12.2} {:>12.4}  {label}", p.area, p.delay);
-    }
-}
-
 /// Serializes a front for artifacts.
 pub fn front_json<T: std::fmt::Display>(front: &ParetoFront<T>) -> Value {
     Value::Array(
@@ -189,34 +136,17 @@ pub fn front_json<T: std::fmt::Display>(front: &ParetoFront<T>) -> Value {
     )
 }
 
-/// Compares two fronts with the paper's headline metric.
-pub fn report_saving<A: std::fmt::Display, B: std::fmt::Display>(
-    ours_name: &str,
-    ours: &ParetoFront<A>,
-    base_name: &str,
-    base: &ParetoFront<B>,
-) {
-    match ours.max_area_saving_vs(base) {
-        Some((saving, delay)) => println!(
-            "{ours_name} vs {base_name}: max area saving {saving:.1}% at delay {delay:.4}; dominates = {}",
-            ours.pareto_dominates(base)
-        ),
-        None => println!("{ours_name} vs {base_name}: no overlapping delay range"),
-    }
-}
-
 /// Selects up to `limit` front members spread evenly across the delay range
-/// (taking only the fastest members would drop the small-area end).
+/// (taking only the fastest members would drop the small-area end), always
+/// starting with the fastest; a limit of 1 keeps only it.
 pub fn spread_front<T: Clone>(front: &ParetoFront<T>, limit: usize) -> Vec<(ObjectivePoint, T)> {
     let all: Vec<(ObjectivePoint, T)> = front.iter().map(|(p, t)| (*p, t.clone())).collect();
     if all.len() <= limit {
         return all;
     }
+    let last = all.len() - 1;
     (0..limit)
-        .map(|i| {
-            let idx = i * (all.len() - 1) / (limit - 1);
-            all[idx].clone()
-        })
+        .map(|i| all[i * last / (limit - 1).max(1)].clone())
         .collect()
 }
 
@@ -238,6 +168,25 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn latency_rejects_no_samples() {
         latency(&[]);
+    }
+
+    #[test]
+    fn spread_front_starts_fastest_at_every_limit() {
+        let front: ParetoFront<char> = [(1.0, 30.0, 'a'), (2.0, 20.0, 'b'), (3.0, 10.0, 'c')]
+            .into_iter()
+            .map(|(delay, area, label)| (ObjectivePoint { area, delay }, label))
+            .collect();
+        let labels = |limit| -> Vec<char> {
+            spread_front(&front, limit)
+                .into_iter()
+                .map(|(_, l)| l)
+                .collect()
+        };
+        assert_eq!(labels(0), []);
+        assert_eq!(labels(1), ['a']);
+        assert_eq!(labels(2), ['a', 'c']);
+        assert_eq!(labels(3), ['a', 'b', 'c']);
+        assert_eq!(labels(7), ['a', 'b', 'c']);
     }
 
     #[test]

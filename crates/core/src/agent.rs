@@ -4,7 +4,7 @@
 //! agents with `w_area ∈ [0.10, 0.99]` and assembles the Pareto frontier
 //! from the designs they discover. Every state visited during training is
 //! harvested into the design pool (with its evaluated objectives), which is
-//! what the figure harnesses bin into fronts.
+//! what experiment reports and the `claims` bench bin into fronts.
 //!
 //! The loop itself lives in [`TrainLoop`], a resumable state machine that
 //! steps `cfg.actors` environments per round (paper Section IV-D: DQN is

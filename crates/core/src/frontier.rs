@@ -5,15 +5,14 @@
 //!
 //! Sweeps are generalized over the circuit task: [`sweep_task_front`]
 //! synthesizes whatever netlist the [`CircuitTask`] emits (adder,
-//! OR-prefix, incrementer, …); [`sweep_front`] is the adder shorthand the
-//! figure harnesses use.
+//! OR-prefix, incrementer, …); the `claims` bench bins every figure's
+//! fronts with it.
 
 use crate::evaluator::ObjectivePoint;
 use crate::pareto::ParetoFront;
-use crate::task::{Adder, CircuitTask};
+use crate::task::CircuitTask;
 use netlist::Library;
 use prefix_graph::PrefixGraph;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use synth::sweep::{sweep_netlist, SweepConfig};
 
 /// Evenly spaced target fractions of the unoptimized delay, for dense
@@ -40,51 +39,22 @@ pub fn sweep_task_front(
         target_fractions: target_fractions(targets),
         ..base.clone()
     };
-    let next = AtomicUsize::new(0);
-    let results: Vec<parking_lot::Mutex<Vec<(ObjectivePoint, String)>>> = (0..designs.len())
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1).min(designs.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= designs.len() {
-                    break;
-                }
-                let (label, graph) = &designs[i];
-                let curve = sweep_netlist(&task.emit_netlist(graph), lib, &cfg);
-                let points: Vec<(ObjectivePoint, String)> = curve
-                    .knots()
-                    .map(|(delay, area)| (ObjectivePoint { area, delay }, label.clone()))
-                    .collect();
-                *results[i].lock() = points;
-            });
-        }
+    let curves = crate::parallel::map_ordered(designs, threads.max(1), |(_, graph)| {
+        sweep_netlist(&task.emit_netlist(graph), lib, &cfg)
     });
     let mut front = ParetoFront::new();
-    for cell in results {
-        for (p, label) in cell.into_inner() {
-            front.insert(p, label);
+    for ((label, _), curve) in designs.iter().zip(curves) {
+        for (delay, area) in curve.knots() {
+            front.insert(ObjectivePoint { area, delay }, label.clone());
         }
     }
     front
 }
 
-/// [`sweep_task_front`] for the adder task (the paper's figures).
-pub fn sweep_front(
-    designs: &[(String, PrefixGraph)],
-    lib: &Library,
-    base: &SweepConfig,
-    targets: usize,
-    threads: usize,
-) -> ParetoFront<String> {
-    sweep_task_front(&Adder, designs, lib, base, targets, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::PrefixOr;
+    use crate::task::{Adder, PrefixOr};
     use prefix_graph::structures;
 
     #[test]
@@ -103,8 +73,16 @@ mod tests {
             ("brent_kung".to_string(), structures::brent_kung(8)),
             ("ripple".to_string(), prefix_graph::PrefixGraph::ripple(8)),
         ];
-        let front = sweep_front(&designs, &lib, &SweepConfig::fast(), 4, 3);
+        let front = sweep_task_front(&Adder, &designs, &lib, &SweepConfig::fast(), 4, 3);
         assert!(!front.is_empty());
+        // The worker count changes neither the points nor their labels.
+        let serial = sweep_task_front(&Adder, &designs, &lib, &SweepConfig::fast(), 4, 1);
+        let entries = |f: &ParetoFront<String>| {
+            f.iter()
+                .map(|(p, l)| (p.area.to_bits(), p.delay.to_bits(), l.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(&front), entries(&serial));
         // The front must mix architectures: ripple owns the slow/small end
         // and a log-depth tree the fast end.
         let labels: std::collections::HashSet<&String> = front.iter().map(|(_, l)| l).collect();

@@ -72,7 +72,7 @@ pub mod prelude {
         greedy_designs, CallbackObserver, CancelToken, ChannelObserver, Event, Experiment,
         ExperimentResult, NullObserver, RunObserver, RunRecord, Weights,
     };
-    pub use crate::frontier::{sweep_front, sweep_task_front};
+    pub use crate::frontier::sweep_task_front;
     pub use crate::parallel::evaluate_batch;
     pub use crate::pareto::ParetoFront;
     pub use crate::qnet::{PrefixQNet, QNetConfig};

@@ -7,11 +7,12 @@
 //! This module holds the two thread pools that reproduce it at thread
 //! scale:
 //!
-//! - [`evaluate_batch`] — batch evaluation on a worker pool: scoped
+//! - `map_ordered` — an order-preserving map on a worker pool: scoped
 //!   threads pull indices from a shared counter (dynamic load balancing
 //!   for variable-cost synthesis jobs) into worker-local buffers, so there
-//!   is no per-slot locking (used by the `scaling_speedup` bench and the
-//!   `equivalence` tests);
+//!   is no per-slot locking. [`evaluate_batch`] (the `scaling_speedup`
+//!   bench and the `equivalence` tests) and
+//!   [`crate::frontier::sweep_task_front`] both run on it;
 //! - `lockstep` — the actor threads of one training run.
 //!   [`crate::agent::TrainLoop`] hands every actor one environment step
 //!   per round and waits for all of them; between rounds its coordinator
@@ -27,13 +28,8 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Evaluates `graphs` on up to `threads` workers, preserving order.
-///
-/// Workers pull indices from a shared atomic counter (so variable-cost
-/// jobs — synthesis times differ per graph, and cache hits are near-free
-/// next to misses — stay load-balanced) and accumulate into worker-local
-/// buffers; there are no per-slot locks. An empty batch returns
-/// immediately without spawning anything.
+/// Evaluates `graphs` on up to `threads` workers, preserving order (see
+/// `map_ordered`).
 ///
 /// # Panics
 ///
@@ -43,40 +39,57 @@ pub fn evaluate_batch(
     evaluator: &dyn Evaluator,
     threads: usize,
 ) -> Vec<ObjectivePoint> {
+    map_ordered(graphs, threads, |g| evaluator.evaluate(g))
+}
+
+/// Applies `f` to every item on up to `threads` scoped workers and returns
+/// the results in item order.
+///
+/// Workers pull indices from a shared atomic counter (so variable-cost
+/// jobs — synthesis times differ per graph, and cache hits are near-free
+/// next to misses — stay load-balanced) and accumulate into worker-local
+/// buffers; there are no per-slot locks. An empty slice returns
+/// immediately without spawning anything, and one worker (or one item)
+/// runs inline on the caller's thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a worker panics.
+pub(crate) fn map_ordered<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     assert!(threads > 0, "need at least one worker");
-    if graphs.is_empty() {
-        return Vec::new();
-    }
-    if threads == 1 || graphs.len() == 1 {
-        return graphs.iter().map(|g| evaluator.evaluate(g)).collect();
+    if threads == 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let worker = || {
         let mut local = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(graph) = graphs.get(i) else {
+            let Some(item) = items.get(i) else {
                 return local;
             };
-            local.push((i, evaluator.evaluate(graph)));
+            local.push((i, f(item)));
         }
     };
-    let placeholder = ObjectivePoint {
-        area: f64::NAN,
-        delay: f64::NAN,
-    };
-    let mut results = vec![placeholder; graphs.len()];
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(graphs.len()))
+        let handles: Vec<_> = (0..threads.min(items.len()))
             .map(|_| s.spawn(worker))
             .collect();
         for handle in handles {
-            for (i, point) in handle.join().expect("evaluation worker panicked") {
-                results[i] = point;
+            for (i, r) in handle.join().expect("parallel worker panicked") {
+                results[i] = Some(r);
             }
         }
     });
     results
+        .into_iter()
+        .map(|r| r.expect("every item is mapped"))
+        .collect()
 }
 
 /// A pool of `workers` threads that run one job each per round, in

@@ -35,7 +35,6 @@ use netlist::{Library, Netlist};
 use prefix_graph::{analytical, structures, PrefixGraph};
 use std::sync::Arc;
 use synth::sweep::{sweep_netlist, SweepConfig};
-use synth::AreaDelayCurve;
 
 // ------------------------------------------------------------------ tasks
 
@@ -299,12 +298,6 @@ impl SynthesisBackend {
         self
     }
 
-    /// The full interpolated area-delay curve of `graph`'s task netlist
-    /// (used by figure harnesses, which bin many delay targets).
-    pub fn curve(&self, task: &dyn CircuitTask, graph: &PrefixGraph) -> AreaDelayCurve {
-        sweep_netlist(&task.emit_netlist(graph), &self.lib, &self.sweep)
-    }
-
     /// The cell library this backend synthesizes with.
     pub fn library(&self) -> &Library {
         &self.lib
@@ -321,7 +314,7 @@ impl ObjectiveBackend for SynthesisBackend {
     }
 
     fn score(&self, task: &dyn CircuitTask, graph: &PrefixGraph) -> ObjectivePoint {
-        let curve = self.curve(task, graph);
+        let curve = sweep_netlist(&task.emit_netlist(graph), &self.lib, &self.sweep);
         let (area, delay) =
             curve.scalarized_optimum(self.w_area, self.w_delay, self.c_area, self.c_delay);
         ObjectivePoint { area, delay }
