@@ -1,12 +1,10 @@
-//! Tensor-compute-engine throughput: Q-network forward/backward/inference
-//! samples/sec across `nn::compute` thread counts, against the pre-PR
-//! naive single-thread conv path (preserved in `nn::compute::reference`),
-//! plus raw-GEMM GFLOP/s of all three kernels (`gemm`, `gemm_at_b`,
-//! `gemm_a_bt`) at each vector width the CPU has vs the blocked scalar
-//! engine vs the naive reference, the small(16) gradient step at every
-//! kernel tier, and the small(16) 5×5 convolution's three implicit-GEMM
-//! passes at every kernel tier — every row with a bitwise identity check
-//! against the scalar tier. Dumps `BENCH_nn.json` at the workspace root.
+//! Tensor-compute-engine throughput: the small(16) gradient step and the
+//! small(16) 5×5 convolution's three implicit-GEMM passes at every kernel
+//! tier the CPU has, each row with a bitwise identity check against the
+//! scalar tier, and Q-network forward/backward/inference samples/sec
+//! against the naive im2col conv path (preserved in
+//! `nn::compute::reference`). Dumps `BENCH_nn.json` at the workspace
+//! root.
 //!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench nn_throughput
@@ -22,8 +20,6 @@ use serde_json::json;
 
 /// States per Q-network batch.
 const BATCH: usize = 32;
-/// `nn::compute` thread budgets of the Q-network rows.
-const THREADS: [usize; 3] = [1, 2, 4];
 /// Wall clock each timing accumulates, seconds.
 const MIN_SECS: f64 = 0.4;
 
@@ -40,7 +36,7 @@ fn conv_shapes(cfg: &QNetConfig) -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-/// Forward throughput of the pre-PR network path, single-threaded: every
+/// Forward throughput of the naive network path: every
 /// convolution through the preserved naive im2col + scalar-GEMM oracle
 /// (`nn::compute::reference`), interleaved with the same batch-norm /
 /// LReLU / residual arithmetic the Fig. 2 body applies. This is the
@@ -111,37 +107,7 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize) -> f64 {
     batch as f64 / secs
 }
 
-/// One GEMM orientation as the bench times it: the engine entry point and
-/// the naive reference twin. Operands are `m·k` and `k·n` floats in every
-/// orientation.
-struct Kernel {
-    name: &'static str,
-    engine: GemmFn,
-    reference: GemmFn,
-}
-
-/// A serial GEMM entry point: `(m, k, n, a, b, c)`.
-type GemmFn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
-
-const GEMM: Kernel = Kernel {
-    name: "gemm",
-    engine: compute::gemm,
-    reference: reference::gemm,
-};
-
-const GEMM_AT_B: Kernel = Kernel {
-    name: "gemm_at_b",
-    engine: compute::gemm_at_b,
-    reference: reference::gemm_at_b,
-};
-
-const GEMM_A_BT: Kernel = Kernel {
-    name: "gemm_a_bt",
-    engine: compute::gemm_a_bt,
-    reference: reference::gemm_a_bt,
-};
-
-/// Every tier this CPU runs, scalar first, with its GEMM lane width (0
+/// Every tier this CPU runs, scalar first, with its conv lane width (0
 /// for scalar).
 fn tiers() -> Vec<(Tier, usize)> {
     [(Tier::Scalar, 0), (Tier::Avx, 8), (Tier::Avx512, 16)]
@@ -173,53 +139,8 @@ fn time_tiers(tiers: &[(Tier, usize)], mut run: impl FnMut(usize)) -> Vec<f64> {
     best
 }
 
-/// Raw-GEMM GFLOP/s of each vector width vs the scalar engine vs the
-/// naive reference for one kernel at one shape, on one thread, verifying
-/// bitwise vector/scalar identity: one `gemm` row per width the CPU has.
-fn gemm_rows(report: &mut Report, kernel: &Kernel, (m, k, n): (usize, usize, usize)) {
-    let mut rng = StdRng::seed_from_u64(29);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.random::<f32>() - 0.5).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.random::<f32>() - 0.5).collect();
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let mut c = vec![0.0f32; m * n];
-    let reference_secs = time_per_call(
-        || {
-            c.fill(0.0);
-            (kernel.reference)(m, k, n, &a, &b, &mut c);
-            std::hint::black_box(&c);
-        },
-        MIN_SECS,
-    );
-    let tiers = tiers();
-    let mut outputs = vec![Vec::new(); tiers.len()];
-    let secs = time_tiers(&tiers, |i| {
-        c.fill(0.0);
-        (kernel.engine)(m, k, n, &a, &b, &mut c);
-        std::hint::black_box(&c);
-        outputs[i].clone_from(&c);
-    });
-    for (i, &(_, lanes)) in tiers.iter().enumerate().skip(1) {
-        let bit_identical = outputs[0] == outputs[i];
-        report.row(
-            "gemm",
-            json!({"kernel": kernel.name, "m": m, "k": k, "n": n, "threads": 1, "lanes": lanes}),
-            json!({
-                "reference_gflops": flops / reference_secs / 1e9,
-                "scalar_gflops": flops / secs[0] / 1e9,
-                "simd_gflops": flops / secs[i] / 1e9,
-                "bit_identical": bit_identical,
-            }),
-        );
-        assert!(
-            bit_identical,
-            "{} {m}x{k}x{n} diverged from scalar at {lanes} lanes",
-            kernel.name
-        );
-    }
-}
-
 /// One small(16) gradient step — training forward, backward and Adam at
-/// batch 16, one thread — at every tier the CPU has. Each tier also takes
+/// batch 16 — at every tier the CPU has. Each tier also takes
 /// one step from a fresh network, whose parameters must match the scalar
 /// tier's bit for bit.
 fn grad_step_rows(report: &mut Report) {
@@ -231,8 +152,6 @@ fn grad_step_rows(report: &mut Report) {
         .map(|_| (0..feat).map(|_| f32::from(rng.random::<bool>())).collect())
         .collect();
     let refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
-    let saved_threads = compute::threads();
-    compute::set_threads(1);
     let tiers = tiers();
     let mut grad = vec![vec![[0.0f32; 2]; PrefixQNet::new(&cfg).num_actions()]; batch];
     for row in &mut grad {
@@ -257,7 +176,6 @@ fn grad_step_rows(report: &mut Report) {
         std::hint::black_box(nets[i].forward(&refs, true));
         nets[i].apply_gradient(&grad);
     });
-    compute::set_threads(saved_threads);
     for ((&(tier, lanes), secs), p) in tiers.iter().zip(secs).zip(&params) {
         let bit_identical = *p == params[0];
         report.row(
@@ -273,8 +191,8 @@ fn grad_step_rows(report: &mut Report) {
 }
 
 /// The small(16) 5×5 residual convolution's passes — forward at batch 1
-/// and 16, input gradient and weight gradient at batch 16 — on one thread
-/// at every tier the CPU has, each timed as the layer runs it on the
+/// and 16, input gradient and weight gradient at batch 16 — at every tier
+/// the CPU has, each timed as the layer runs it on the
 /// `nn::compute` conv products and checked bitwise against the scalar
 /// tier. The forward pads each sample first; the input gradient starts
 /// each sample from a zeroed gradient plane and copies out its interior;
@@ -355,36 +273,10 @@ fn conv_rows(report: &mut Report) {
 }
 
 fn main() {
-    let mut report = Report::new(
-        "nn",
-        json!({"batch": BATCH, "threads": THREADS, "min_secs": MIN_SECS}),
-    );
-
-    // Raw GEMM kernels first, on one thread: the paper-scale product of one
-    // 5×5 residual convolution in im2col form (C=256 on the 32×32 grid:
-    // m=256, k=6400, n=1024) and the small(16) convolutions' products in
-    // that form — its 5×5 forward and 3×3 stem forward, the column
-    // gradients (`gemm_at_b`) of the 5×5 block and 3×3 stem convolutions,
-    // the weight gradients (`gemm_a_bt`) of the 5×5 block and the 1×1 head
-    // and output convolutions. The convolutions themselves run as implicit
-    // GEMM (the conv rows below); `Linear` and these shapes keep the
-    // kernels honest.
-    for (kernel, shape) in [
-        (&GEMM, (256, 6400, 1024)),
-        (&GEMM, (12, 300, 256)),
-        (&GEMM, (12, 108, 256)),
-        (&GEMM_AT_B, (300, 12, 256)),
-        (&GEMM_AT_B, (36, 12, 256)),
-        (&GEMM_A_BT, (12, 256, 300)),
-        (&GEMM_A_BT, (12, 256, 12)),
-        (&GEMM_A_BT, (4, 256, 12)),
-    ] {
-        gemm_rows(&mut report, kernel, shape);
-    }
+    let mut report = Report::new("nn", json!({"batch": BATCH, "min_secs": MIN_SECS}));
     grad_step_rows(&mut report);
     conv_rows(&mut report);
 
-    let saved_threads = compute::threads();
     for (label, cfg) in [
         ("tiny(8)", QNetConfig::tiny(8)),
         ("small(16)", QNetConfig::small(16)),
@@ -397,52 +289,48 @@ fn main() {
             .collect();
         let refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
         let baseline = baseline_fwd_samples_per_sec(&cfg, BATCH);
-        for threads in THREADS {
-            compute::set_threads(threads);
-            let mut q = PrefixQNet::new(&cfg);
-            let num_actions = q.num_actions();
-            // Training-mode forward.
-            let fwd_secs = time_per_call(
-                || {
-                    std::hint::black_box(q.forward(&refs, true));
-                },
-                MIN_SECS,
-            );
-            // Full gradient step (forward + backward + Adam), from which
-            // the backward-only share is derived.
-            let mut grad = vec![vec![[0.0f32; 2]; num_actions]; BATCH];
-            for row in &mut grad {
-                row[3] = [0.01, -0.01];
-            }
-            let step_secs = time_per_call(
-                || {
-                    std::hint::black_box(q.forward(&refs, true));
-                    q.apply_gradient(&grad);
-                },
-                MIN_SECS,
-            );
-            let bwd_secs = (step_secs - fwd_secs).max(1e-9);
-            // Immutable inference.
-            let mut scratch = nn::Scratch::new();
-            let infer_secs = time_per_call(
-                || {
-                    std::hint::black_box(q.infer(&refs, &mut scratch));
-                },
-                MIN_SECS,
-            );
-            let batch = BATCH as f64;
-            report.row(
-                "qnet",
-                json!({"config": label, "threads": threads}),
-                json!({
-                    "fwd_samples_per_sec": batch / fwd_secs,
-                    "bwd_samples_per_sec": batch / bwd_secs,
-                    "infer_samples_per_sec": batch / infer_secs,
-                    "baseline_fwd_samples_per_sec": baseline,
-                }),
-            );
+        let mut q = PrefixQNet::new(&cfg);
+        let num_actions = q.num_actions();
+        // Training-mode forward.
+        let fwd_secs = time_per_call(
+            || {
+                std::hint::black_box(q.forward(&refs, true));
+            },
+            MIN_SECS,
+        );
+        // Full gradient step (forward + backward + Adam), from which the
+        // backward-only share is derived.
+        let mut grad = vec![vec![[0.0f32; 2]; num_actions]; BATCH];
+        for row in &mut grad {
+            row[3] = [0.01, -0.01];
         }
+        let step_secs = time_per_call(
+            || {
+                std::hint::black_box(q.forward(&refs, true));
+                q.apply_gradient(&grad);
+            },
+            MIN_SECS,
+        );
+        let bwd_secs = (step_secs - fwd_secs).max(1e-9);
+        // Immutable inference.
+        let mut scratch = nn::Scratch::new();
+        let infer_secs = time_per_call(
+            || {
+                std::hint::black_box(q.infer(&refs, &mut scratch));
+            },
+            MIN_SECS,
+        );
+        let batch = BATCH as f64;
+        report.row(
+            "qnet",
+            json!({"config": label}),
+            json!({
+                "fwd_samples_per_sec": batch / fwd_secs,
+                "bwd_samples_per_sec": batch / bwd_secs,
+                "infer_samples_per_sec": batch / infer_secs,
+                "baseline_fwd_samples_per_sec": baseline,
+            }),
+        );
     }
-    compute::set_threads(saved_threads);
     report.write();
 }

@@ -472,9 +472,7 @@ pub struct ExperimentBuilder {
     backend: Arc<dyn ObjectiveBackend>,
     store: Option<Arc<EvalCache>>,
     eval_threads: usize,
-    cache_shards: usize,
     actors: Option<usize>,
-    nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
     halt_at: Option<u64>,
@@ -493,9 +491,7 @@ impl ExperimentBuilder {
             backend: Arc::new(AnalyticalBackend),
             store: None,
             eval_threads: 4,
-            cache_shards: 16,
             actors: None,
-            nn_threads: None,
             checkpoint_every: None,
             checkpoint_path: None,
             halt_at: None,
@@ -560,17 +556,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Shard count of the shared evaluation cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one cache shard");
-        self.cache_shards = shards;
-        self
-    }
-
     /// Actors *per agent* ([`AgentConfig::actors`]): environments stepped
     /// at once, each on its own thread, per round. Overrides the base
     /// config's count; defaults to it (1 for the built-in configs). Runs
@@ -591,21 +576,6 @@ impl ExperimentBuilder {
     /// calls `.batched_inference(true)`.
     #[doc(hidden)]
     pub fn batched_inference(self, _on: bool) -> Self {
-        self
-    }
-
-    /// The `nn` compute thread budget (conv GEMM panels; see
-    /// `nn::compute::set_threads`). Applied globally when the experiment
-    /// runs. Results are bit-identical at every setting — only wall-clock
-    /// changes — so checkpoint/resume determinism is unaffected. Defaults
-    /// to leaving the global setting (1, or `PREFIXRL_NN_THREADS`) alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn nn_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one nn compute thread");
-        self.nn_threads = Some(threads);
         self
     }
 
@@ -639,12 +609,11 @@ impl ExperimentBuilder {
     }
 
     /// Evaluate through an externally owned (typically shared) store
-    /// instead of a private one with [`ExperimentBuilder::cache_shards`]
-    /// shards. This is the multi-job server path: every concurrent
-    /// experiment binds its own task/backend evaluator to one store, the
-    /// discriminant prefix keeps their entries apart, and
-    /// [`Experiment::cache_stats`] reports the *shared* store's aggregate
-    /// counters.
+    /// instead of a private one with the default [`CacheConfig`]. This is
+    /// the multi-job server path: every concurrent experiment binds its own
+    /// task/backend evaluator to one store, the discriminant prefix keeps
+    /// their entries apart, and [`Experiment::cache_stats`] reports the
+    /// *shared* store's aggregate counters.
     pub fn eval_cache(mut self, store: Arc<EvalCache>) -> Self {
         self.store = Some(store);
         self
@@ -653,9 +622,9 @@ impl ExperimentBuilder {
     /// Assembles the experiment: per-run agent configs plus one cache
     /// binding of the configured task/backend pair to the store.
     pub fn build(self) -> Experiment {
-        let store = self.store.unwrap_or_else(|| {
-            Arc::new(EvalCache::new(CacheConfig::with_shards(self.cache_shards)))
-        });
+        let store = self
+            .store
+            .unwrap_or_else(|| Arc::new(EvalCache::new(CacheConfig::default())));
         let cache = Arc::new(CachedEvaluator::with_store(
             TaskEvaluator::new(Arc::clone(&self.task), Arc::clone(&self.backend)),
             store,
@@ -684,7 +653,6 @@ impl ExperimentBuilder {
             runs,
             cache,
             parallelism: self.eval_threads,
-            nn_threads: self.nn_threads,
             checkpoint_every: self.checkpoint_every,
             checkpoint_path: self.checkpoint_path,
             halt_at: self.halt_at,
@@ -719,7 +687,6 @@ pub struct Experiment {
     /// task and backend live.
     cache: Arc<CachedEvaluator<TaskEvaluator>>,
     parallelism: usize,
-    nn_threads: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
     halt_at: Option<u64>,
@@ -851,9 +818,6 @@ impl Experiment {
         observer: &mut dyn RunObserver,
     ) -> Result<ExperimentResult, String> {
         let t0 = std::time::Instant::now();
-        if let Some(t) = self.nn_threads {
-            nn::compute::set_threads(t);
-        }
         let slots: Vec<Mutex<Option<RunState>>> = sweep
             .runs
             .into_iter()

@@ -13,8 +13,8 @@
 //!
 //! The paper uses `B = 32, C = 256`; the defaults here are scaled for CPU
 //! training (see DESIGN.md §8) with the paper values available via
-//! [`QNetConfig::paper`]. Compute threading follows the global
-//! `nn::compute` budget (`--nn-threads`).
+//! [`QNetConfig::paper`]. Each network computes on its caller's thread;
+//! parallelism comes from actors and sweep agents (DESIGN.md §10).
 
 use nn::{Adam, BatchNorm2d, Conv2d, Layer, LeakyReLU, Param, Scratch, Tensor};
 use rl::{QInfer, QNetwork};

@@ -1,17 +1,17 @@
-//! The vector tiers of the GEMMs and the implicit-GEMM convolutions
-//! (DESIGN.md §14): the x86 tile shapes of the one microkernel in
-//! [`super::tile`] and the `#[target_feature]` entry points that
-//! instantiate every loop nest at a width.
+//! The vector tiers of the implicit-GEMM convolutions (DESIGN.md §14):
+//! the x86 tile shapes of the one microkernel in [`super::tile`] and the
+//! `#[target_feature]` entry points that instantiate every conv pass's
+//! loop nest at a width.
 //!
 //! Three shapes: 6×16 at eight lanes under `#[target_feature(enable =
 //! "avx")]`, and 12×32 and 12×16 at sixteen lanes under `"avx512f"`.
-//! `Tier::Avx` runs every product on 6×16 tiles; `Tier::Avx512` runs
-//! `gemm`, `gemm_at_b` and the conv forward and input gradient on 12×32
-//! tiles, and `gemm_a_bt` and the conv weight gradient, whose panels are
-//! transposed sixteen rows at a time, on 12×16 tiles.
+//! `Tier::Avx` runs every pass on 6×16 tiles; `Tier::Avx512` runs the
+//! conv forward and input gradient on 12×32 tiles, and the conv weight
+//! gradient, whose panels are transposed sixteen rows at a time, on 12×16
+//! tiles.
 
 use super::implicit::{self, ConvShape};
-use super::tile::{accumulate, dot_then_add, shape, Runs, Strided, Walk};
+use super::tile::{dot_then_add, shape, Runs, Strided, Walk};
 use crate::simd::{F32x16, F32x8, Lanes};
 
 shape!(
@@ -54,12 +54,6 @@ macro_rules! at_width {
 }
 
 at_width! {
-    /// [`accumulate`] at eight lanes.
-    "avx" fn accumulate8 = accumulate [Ymm6x16]
-        (m: usize, k: usize, n: usize, a: Strided, b: &[f32], c: &mut [f32], panel: &mut Vec<f32>);
-    /// [`accumulate`] at sixteen lanes.
-    "avx512f" fn accumulate16 = accumulate [Zmm12x32]
-        (m: usize, k: usize, n: usize, a: Strided, b: &[f32], c: &mut [f32], panel: &mut Vec<f32>);
     /// The implicit-GEMM conv forward at eight lanes.
     "avx" fn conv_forward8 = implicit::forward [Ymm6x16]
         (shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32], taps: &[usize]);
@@ -72,8 +66,7 @@ at_width! {
     /// The implicit-GEMM conv input gradient at sixteen lanes.
     "avx512f" fn conv_input_grad16 = implicit::input_grad [Zmm12x32]
         (shape: &ConvShape, oc: usize, weight: &[f32], go: &[f32], grad_plane: &mut [f32]);
-    /// [`dot_then_add`] at eight lanes: `gemm_a_bt` and the conv weight
-    /// gradient.
+    /// [`dot_then_add`] at eight lanes: the conv weight gradient.
     "avx" fn dot_then_add8 = dot_then_add [Ymm6x16]
         (m: usize, n: usize, a: Strided, src: *const f32, row: impl Walk, runs: Runs, c: *mut f32, c_rs: usize, panel: &mut Vec<f32>);
     /// [`dot_then_add`] at sixteen lanes, on the 12×16 tile.

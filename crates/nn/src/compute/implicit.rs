@@ -235,7 +235,8 @@ impl ConvShape {
 /// One sample's conv forward over `m` output channels:
 /// `out[m, h·w] += weight[m, in_c·k·k] · B`, where `B`'s row for tap `q`
 /// is tap `q`'s shifted view of the padded `plane` ([`ConvShape::pad`]).
-/// Bitwise [`super::gemm`] of `weight` with the sample's im2col panel.
+/// Each element sums its products in the order of
+/// [`super::reference::gemm`] of `weight` with the sample's im2col panel.
 ///
 /// # Panics
 ///
@@ -316,8 +317,9 @@ pub fn conv_input_grad(
 /// `wg[m, in_c·k·k] += go[m, h·w] · Bᵀ`, each element's dot over the
 /// output positions from zero, added once, where `B`'s row for tap `q` is
 /// tap `q`'s shifted view of the padded `plane`. The transposed panels
-/// that feed the tiles are read straight from the plane. Bitwise
-/// [`super::gemm_a_bt`] of `go` with the sample's im2col panel.
+/// that feed the tiles are read straight from the plane. Each element's
+/// dot runs in the order of [`super::reference::gemm_a_bt`] of `go` with
+/// the sample's im2col panel.
 ///
 /// # Panics
 ///
@@ -344,8 +346,7 @@ pub fn conv_weight_grad(shape: &ConvShape, m: usize, go: &[f32], plane: &[f32], 
     });
 }
 
-/// The loop nest of [`conv_forward`]: k-blocked in `KC` taps like `gemm`
-/// (storing and reloading a `C` tile between blocks is exact), then every
+/// The loop nest of [`conv_forward`]: k-blocked in `KC` taps (storing and reloading a `C` tile between blocks is exact), then every
 /// column group of segments, then every row tile of output channels.
 ///
 /// # Safety

@@ -1,4 +1,4 @@
-//! The one register-tiled microkernel behind every vector product
+//! The one register-tiled microkernel behind every convolution pass
 //! (DESIGN.md §14), written once against [`Lanes`] and compiled in every
 //! build.
 //!
@@ -6,26 +6,24 @@
 //! accumulators — from `A` elements addressed through a row and a k stride
 //! ([`Strided`]) and `NV` vectors of `B` per k step ([`Grid`]). `B`'s k
 //! steps and `C`'s rows are each reached through a [`Walk`]: a fixed
-//! stride for the plain GEMMs, an offset table for the implicit-GEMM
-//! convolutions (a conv tap's shifted view of a padded plane). Its
-//! [`Init`] modes serve the accumulate-into-`C` products and the dot from
-//! zero, added to `C` once. Per lane the recurrence is exactly the scalar
-//! kernels': products added one at a time in ascending k, with multiply
-//! and add as separate instructions (no FMA). So every product here is
-//! bit-identical to the scalar order of `compute::reference`, at every
-//! width.
+//! stride for dense operands, an offset table for a conv tap's shifted
+//! view of a padded plane. Its [`Init`] modes serve the accumulate-into-`C`
+//! products and the dot from zero, added to `C` once. Per lane the
+//! recurrence is exactly the scalar kernels': products added one at a
+//! time in ascending k, with multiply and add as separate instructions (no
+//! FMA). So every product here is bit-identical to the scalar order of
+//! `compute::reference`, at every width.
 //!
 //! The generic bodies are instantiated for the tile [`Shape`]s declared
 //! with [`shape!`]: [`Soft6x8`] here, on the portable `[f32; 8]` lanes of
 //! the scalar tier, and the eight- and sixteen-lane shapes of the `avx`
-//! module under their target features. [`accumulate_at`] and
-//! [`dot_then_add_at`] pick the shape for [`crate::simd::tier`].
+//! module under their target features. [`dot_then_add_at`] and the conv
+//! passes pick the shape for [`crate::simd::tier`].
 //!
 //! Ragged edges stay in the lanes: a partial row count selects a shorter
 //! `R` instantiation, and a tile with a partial vector runs on a temporary
 //! `C` tile whose valid lanes are copied (or added) back ([`run_tile`]).
 
-use super::{KC, NC};
 use crate::simd::Lanes;
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
@@ -38,8 +36,8 @@ pub(super) const MAX_NV: usize = 2;
 pub(super) const TMP_LEN: usize = 12 * 32;
 
 std::thread_local! {
-    /// Reusable `B` panel (packed or transposed) or slack copy of an
-    /// operand; thread-local so row-panel and conv workers do not contend.
+    /// Reusable transposed `B` panel or slack copy of an operand;
+    /// thread-local so concurrent networks do not contend.
     pub(super) static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -56,8 +54,8 @@ pub(super) trait Shape {
     /// [`tile`] instantiated for `mr` rows, compiled under the shape's
     /// target feature. It is the one out-of-line unit per tile: inlining
     /// every row instantiation into the blocking loops measured ~8% slower
-    /// on the eight-lane 300×12×256 `gemm_at_b`, where a tile is only
-    /// twelve k steps.
+    /// on an eight-lane 300×12×256 product, where a tile is only twelve k
+    /// steps.
     ///
     /// # Safety
     ///
@@ -377,36 +375,6 @@ pub(super) unsafe fn run_tile<S: Shape, BW: Walk, CW: Walk>(
     }
 }
 
-/// Rows above which [`accumulate`] copies every `B` block into contiguous
-/// panels before the row tiles stream it. With few row tiles the copy
-/// costs about as much as the products it would speed up, so `B` is read
-/// in place.
-const PACK_ABOVE_ROWS: usize = 24;
-
-/// `C[m,n] += A·B` at [`crate::simd::tier`]'s width, with `A` read through
-/// `a` (row-major for `gemm`, k-major for `gemm_at_b`): [`accumulate`] on
-/// this thread's panel.
-///
-/// # Safety
-///
-/// The contract of [`accumulate`], without the CPU feature.
-pub(super) unsafe fn accumulate_at(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Strided,
-    b: &[f32],
-    c: &mut [f32],
-) {
-    PANEL.with_borrow_mut(|panel| match crate::simd::tier() {
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::Tier::Avx512 => super::avx::accumulate16(m, k, n, a, b, c, panel),
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::Tier::Avx => super::avx::accumulate8(m, k, n, a, b, c, panel),
-        _ => accumulate::<Soft6x8>(m, k, n, a, b, c, panel),
-    });
-}
-
 /// [`dot_then_add`] at [`crate::simd::tier`]'s width, on this thread's
 /// panel: the 12×16 tile at sixteen lanes, which reads the same 16-wide
 /// transposed panels as the eight-lane 6×16 tile with twice the rows per
@@ -439,87 +407,12 @@ pub(super) unsafe fn dot_then_add_at(
     });
 }
 
-/// The loop nest of the accumulating products. Cache-blocked in `KC`×`NC`
-/// blocks of `B` — storing and reloading a `C` tile between k-blocks is
-/// exact, so the blocking cannot reorder any element's sum. Within a block,
-/// every row tile streams every `NV·LANES`-column panel of `B`: in place (k
-/// stride `n`) for small `m`, from packed copies once there are enough row
-/// tiles to repay the copy, and always from a zero-padded copy for the
-/// ragged last panel.
-///
-/// # Safety
-///
-/// Requires `S::V`'s CPU feature; `a` readable at `(r, p)` for `r < m`,
-/// `p < k`; `b`, `c` hold at least `k·n`, `m·n` floats.
-#[inline(always)]
-pub(super) unsafe fn accumulate<S: Shape>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Strided,
-    b: &[f32],
-    c: &mut [f32],
-    panel: &mut Vec<f32>,
-) {
-    let lanes = S::V::LANES;
-    let nrv = S::NV * lanes;
-    let pack_all = m > PACK_ABOVE_ROWS;
-    let cp = c.as_mut_ptr();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let panels = nc.div_ceil(nrv);
-        let first_packed = if pack_all { 0 } else { nc / nrv };
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // Every packed float is overwritten below, so the buffer is only
-            // grown, never cleared first.
-            panel.resize((panels - first_packed) * kc * nrv, 0.0);
-            for (t, dst) in (first_packed..panels).zip(panel.chunks_exact_mut(kc * nrv)) {
-                let j0 = jc + t * nrv;
-                let nr = nrv.min(jc + nc - j0);
-                for (p, drow) in (pc..pc + kc).zip(dst.chunks_exact_mut(nrv)) {
-                    drow[..nr].copy_from_slice(&b[p * n + j0..][..nr]);
-                    drow[nr..].fill(0.0);
-                }
-            }
-            for i0 in (0..m).step_by(S::MR) {
-                let mr = S::MR.min(m - i0);
-                let ai = a.at(i0, pc);
-                for t in 0..panels {
-                    let j0 = jc + t * nrv;
-                    let nr = nrv.min(jc + nc - j0);
-                    let bt = if t >= first_packed {
-                        Grid {
-                            ptr: panel.as_mut_ptr().add((t - first_packed) * kc * nrv),
-                            walk: Stride(nrv),
-                            vs: lanes,
-                        }
-                    } else {
-                        Grid {
-                            ptr: b.as_ptr().add(pc * n + j0).cast_mut(),
-                            walk: Stride(n),
-                            vs: lanes,
-                        }
-                    };
-                    let ct = Grid {
-                        ptr: cp.add(i0 * n + j0),
-                        walk: Stride(n),
-                        vs: lanes,
-                    };
-                    run_tile::<S, _, _>(mr, lens(nr, lanes), kc, ai, bt, ct, Init::Accumulate);
-                }
-            }
-        }
-    }
-}
-
 /// `C[m,n] += A·Bᵀ` over `B`'s `n` rows of `k = runs.total()` floats:
 /// for each `NV·LANES`-row slab of `B`, transpose it into a k×`NV·LANES`
 /// panel (pure data movement), then run every row tile over the full `k`
 /// extent in dot-then-add mode — never k-blocked, because each element's
-/// single add into `C` must not be split. Serves `gemm_a_bt` (`B`
-/// row-major) and the conv weight gradient (`B`'s rows are conv taps'
-/// shifted views of a padded plane).
+/// single add into `C` must not be split. Serves the conv weight gradient,
+/// where `B`'s rows are conv taps' shifted views of a padded plane.
 ///
 /// # Safety
 ///

@@ -2,16 +2,14 @@
 //!
 //! Each sample's input is copied once into a zero-padded plane, and the
 //! three passes are the [`crate::compute`] conv products that read it
-//! through a tap offset table — no im2col panel is ever written. Batches
-//! parallelize over samples (a lone sample's forward over output-channel
-//! row panels, the weight gradient over output-channel rows) on the global
-//! thread budget, with bit-identical results at every width.
-//! Training-mode forwards keep their padded planes for the weight
-//! gradient; evaluation-mode forwards and [`Layer::infer`] pad into a
-//! transient [`Scratch`] buffer and leave no resident cache behind.
+//! through a tap offset table — no im2col panel is ever written. Every
+//! pass loops over the batch's samples in ascending order. Training-mode
+//! forwards keep their padded planes for the weight gradient;
+//! evaluation-mode forwards and [`Layer::infer`] pad into a transient
+//! [`Scratch`] buffer and leave no resident cache behind.
 
 use super::{he_normal, Layer, Param};
-use crate::compute::{self, ConvShape, Scratch, ThreadPool};
+use crate::compute::{self, ConvShape, Scratch};
 use crate::tensor::Tensor;
 use rand::SeedableRng;
 
@@ -112,116 +110,54 @@ impl Conv2d {
         );
     }
 
-    /// Same work floor as forward: each backward phase is one product of
-    /// n·q·oc·hw multiply-adds, so small batches run serial.
-    fn backward_workers(&self, grad_out: &Tensor) -> usize {
-        let [n, oc, h, w] = grad_out.shape();
-        compute::plan_workers(
-            compute::threads(),
-            n * self.in_c * self.k * self.k * oc * h * w,
-        )
-    }
-
-    /// ∂L/∂input, per sample (disjoint): the input gradient accumulates
-    /// onto a zeroed padded gradient plane, whose interior is the sample's
+    /// ∂L/∂input, per sample: the input gradient accumulates onto a
+    /// zeroed padded gradient plane, whose interior is the sample's
     /// ∂L/∂input.
     fn input_grad(&self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor {
         let [n, oc, h, w] = grad_out.shape();
         let hw = h * w;
         let shape = self.shape(h, w);
-        let threads = self.backward_workers(grad_out);
-        let in_c = self.in_c;
-        let weight = &self.weight.data;
-        let go = grad_out.data();
+        let in_len = self.in_c * hw;
         let mut grad_in = scratch.tensor(self.cached_in_shape);
-        let ranges = compute::partition(n, threads);
-        let gin_sizes: Vec<usize> = ranges.iter().map(|r| r.len() * in_c * hw).collect();
-        let gin_panels = compute::split_by_sizes(grad_in.data_mut(), &gin_sizes);
-        let mut bufs: Vec<Vec<f32>> = ranges
-            .iter()
-            .map(|_| scratch.take(shape.plane_len()))
-            .collect();
-        let jobs: Vec<_> = ranges
-            .iter()
-            .zip(gin_panels)
-            .zip(bufs.iter_mut())
-            .map(|((r, panel), grad_plane)| {
-                let r = r.clone();
-                move || {
-                    for (i, s) in r.clone().enumerate() {
-                        if i > 0 {
-                            grad_plane.fill(0.0);
-                        }
-                        let go_s = &go[s * oc * hw..(s + 1) * oc * hw];
-                        compute::conv_input_grad(&shape, oc, weight, go_s, grad_plane);
-                        shape.unpad(grad_plane, &mut panel[i * in_c * hw..(i + 1) * in_c * hw]);
-                    }
-                }
-            })
-            .collect();
-        ThreadPool::new(threads).run(jobs);
-        for b in bufs {
-            scratch.give(b);
+        let mut grad_plane = scratch.take(shape.plane_len());
+        for s in 0..n {
+            if s > 0 {
+                grad_plane.fill(0.0);
+            }
+            let go = &grad_out.data()[s * oc * hw..(s + 1) * oc * hw];
+            compute::conv_input_grad(&shape, oc, &self.weight.data, go, &mut grad_plane);
+            shape.unpad(
+                &grad_plane,
+                &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len],
+            );
         }
+        scratch.give(grad_plane);
         grad_in
     }
 
-    /// dW += dY·colᵀ and dbias += Σ dY, per output-channel row panel
-    /// (disjoint). For each row, samples accumulate in ascending order, so
-    /// results are identical at every thread count. Each sample's product
-    /// reads its cached padded plane.
+    /// dW += dY·colᵀ and dbias += Σ dY, samples in ascending order. Each
+    /// sample's product reads its cached padded plane.
     fn param_grads(&mut self, grad_out: &Tensor) {
         let [n, oc, h, w] = grad_out.shape();
         let hw = h * w;
         let shape = self.shape(h, w);
-        let (q, plane_len) = (self.in_c * self.k * self.k, shape.plane_len());
-        let threads = self.backward_workers(grad_out);
-        let planes = &self.cached_planes;
-        let go = grad_out.data();
-        let ranges = compute::partition(oc, threads);
-        let wg_sizes: Vec<usize> = ranges.iter().map(|r| r.len() * q).collect();
-        let wg_panels = compute::split_by_sizes(&mut self.weight.grad, &wg_sizes);
-        let bias_sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        let mut bias_panels: Vec<Option<&mut [f32]>> = match &mut self.bias {
-            Some(bias) => compute::split_by_sizes(&mut bias.grad, &bias_sizes)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => ranges.iter().map(|_| None).collect(),
-        };
-        let jobs: Vec<_> = ranges
-            .iter()
-            .zip(wg_panels)
-            .zip(bias_panels.drain(..))
-            .map(|((r, wg), bias_grad)| {
-                let r = r.clone();
-                move || {
-                    let mut bias_grad = bias_grad;
-                    for s in 0..n {
-                        let go_s = &go[s * oc * hw..(s + 1) * oc * hw];
-                        let plane = &planes[s * plane_len..(s + 1) * plane_len];
-                        let go_rows = &go_s[r.start * hw..r.end * hw];
-                        compute::conv_weight_grad(&shape, r.len(), go_rows, plane, wg);
-                        if let Some(bg) = bias_grad.as_deref_mut() {
-                            for (i, o) in r.clone().enumerate() {
-                                bg[i] += go_s[o * hw..(o + 1) * hw].iter().sum::<f32>();
-                            }
-                        }
-                    }
+        let plane_len = shape.plane_len();
+        for s in 0..n {
+            let go = &grad_out.data()[s * oc * hw..(s + 1) * oc * hw];
+            let plane = &self.cached_planes[s * plane_len..(s + 1) * plane_len];
+            compute::conv_weight_grad(&shape, oc, go, plane, &mut self.weight.grad);
+            if let Some(bias) = &mut self.bias {
+                for (o, bg) in bias.grad.iter_mut().enumerate() {
+                    *bg += go[o * hw..(o + 1) * hw].iter().sum::<f32>();
                 }
-            })
-            .collect();
-        ThreadPool::new(threads).run(jobs);
+            }
+        }
     }
 }
 
 /// The one forward product behind every entry point (train-mode and
 /// eval-mode [`Layer::forward_with`], [`Layer::infer`]), over samples
 /// already padded into `planes` (one `plane_len` block each).
-///
-/// Sample batches partition across workers; a lone sample splits its
-/// output-channel rows across them instead, on multiples of the tile
-/// height.
 fn forward_planes(
     shape: &ConvShape,
     out_c: usize,
@@ -232,49 +168,18 @@ fn forward_planes(
     scratch: &mut Scratch,
 ) -> Tensor {
     let hw = h * w;
-    let q = weight.len() / out_c.max(1);
     let plane_len = shape.plane_len();
     let mut out = scratch.tensor([n, out_c, h, w]);
-    // Cap the worker count so each gets a worthwhile amount of work —
-    // small batches run serial instead of paying thread-spawn overhead
-    // (results are identical either way; partitioning is over disjoint
-    // outputs).
-    let threads = compute::plan_workers(compute::threads(), n * out_c * q * hw);
-    let jobs: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = if n == 1 {
-        let rows = if out_c < 2 * compute::MR { 1 } else { threads };
-        compute::partition_rows(out_c, rows)
-            .into_iter()
-            .map(|rows| (0..1, rows))
-            .collect()
-    } else {
-        compute::partition(n, threads)
-            .into_iter()
-            .map(|samples| (samples, 0..out_c))
-            .collect()
-    };
-    let sizes: Vec<usize> = jobs.iter().map(|(s, r)| s.len() * r.len() * hw).collect();
-    let panels = compute::split_by_sizes(out.data_mut(), &sizes);
-    let jobs: Vec<_> = jobs
-        .into_iter()
-        .zip(panels)
-        .map(|((samples, rows), panel)| {
-            move || {
-                let m = rows.len();
-                let w_rows = &weight[rows.start * q..rows.end * q];
-                for (i, s) in samples.enumerate() {
-                    let plane = &planes[s * plane_len..(s + 1) * plane_len];
-                    let dst = &mut panel[i * m * hw..(i + 1) * m * hw];
-                    compute::conv_forward(shape, m, w_rows, plane, dst);
-                    if let Some(bias) = bias {
-                        for (o, &bv) in bias[rows.clone()].iter().enumerate() {
-                            crate::simd::add_scalar(&mut dst[o * hw..(o + 1) * hw], bv);
-                        }
-                    }
-                }
+    for s in 0..n {
+        let plane = &planes[s * plane_len..(s + 1) * plane_len];
+        let dst = &mut out.data_mut()[s * out_c * hw..(s + 1) * out_c * hw];
+        compute::conv_forward(shape, out_c, weight, plane, dst);
+        if let Some(bias) = bias {
+            for (o, &bv) in bias.iter().enumerate() {
+                crate::simd::add_scalar(&mut dst[o * hw..(o + 1) * hw], bv);
             }
-        })
-        .collect();
-    ThreadPool::new(threads).run(jobs);
+        }
+    }
     out
 }
 

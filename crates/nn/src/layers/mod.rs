@@ -3,12 +3,10 @@
 mod activation;
 mod batchnorm;
 mod conv;
-mod linear;
 
 pub use activation::LeakyReLU;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use linear::Linear;
 
 use crate::compute::Scratch;
 use crate::tensor::Tensor;

@@ -3,24 +3,24 @@
 //! The paper's RL/DL stack ran on GPUs with a mainstream framework; the Rust
 //! ecosystem substitution (see DESIGN.md) is this crate: NCHW tensors, the
 //! layers the paper's network is built from — `Conv2d` (same padding),
-//! `BatchNorm2d` and `LeakyReLU` — and `Linear`, with full
-//! backpropagation, the Adam optimizer, parameter (de)serialization and
-//! finite-difference gradient checking. A network is a typed struct of
-//! layers that implements [`Layer`] itself (the Q-network and its residual
-//! blocks live in `prefixrl-core`'s `qnet` module).
+//! `BatchNorm2d` and `LeakyReLU` — with full backpropagation, the Adam
+//! optimizer, parameter (de)serialization and finite-difference gradient
+//! checking. A network is a typed struct of layers that implements
+//! [`Layer`] itself (the Q-network and its residual blocks live in
+//! `prefixrl-core`'s `qnet` module).
 //!
-//! The design favours determinism *and* throughput: every matrix product
-//! routes through the register-tiled, cache-blocked kernels in [`compute`]
-//! (explicit AVX/AVX-512 lanes via [`simd`] on x86-64,
-//! parallelized over disjoint row/sample panels on scoped threads, with a
-//! fixed per-element reduction order so results are bit-identical at every
-//! kernel tier and every thread count — see
-//! [`compute::set_threads`] and [`simd::set_max_tier`]); transient buffers come
-//! from a reusable [`Scratch`] arena threaded through
+//! The design favours determinism *and* throughput: every convolution
+//! runs as register-tiled implicit GEMM in [`compute`] (explicit
+//! AVX/AVX-512 lanes via [`simd`] on x86-64), with a fixed per-element
+//! reduction order so results are bit-identical at every kernel tier (see
+//! [`simd::set_max_tier`]); transient buffers come from a reusable
+//! [`Scratch`] arena threaded through
 //! [`Layer::forward_with`]/[`Layer::backward_with`] so steady-state
 //! training allocates nothing; and inference has a dedicated fast path —
-//! immutable [`Layer::infer`] — that skips backward caching entirely. Layers own their parameters and
-//! cached activations, a network is a [`Layer`] tree, and optimizers walk
+//! immutable [`Layer::infer`] — that skips backward caching entirely. The
+//! crate runs on the calling thread: parallelism lives in the actors and
+//! sweep agents above it. Layers own their parameters and cached
+//! activations, a network is a [`Layer`] tree, and optimizers walk
 //! parameters through a visitor, so target-network synchronization and
 //! checkpointing are just state copies. (DESIGN.md §11.)
 //!
@@ -50,7 +50,7 @@ pub mod serialize;
 pub mod simd;
 pub mod tensor;
 
-pub use compute::{Scratch, ThreadPool};
-pub use layers::{BatchNorm2d, Conv2d, Layer, LeakyReLU, Linear, Param};
+pub use compute::Scratch;
+pub use layers::{BatchNorm2d, Conv2d, Layer, LeakyReLU, Param};
 pub use optim::{Adam, AdamState};
 pub use tensor::Tensor;

@@ -151,7 +151,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Layer, Linear};
+    use crate::layers::{Conv2d, Layer};
     use crate::tensor::Tensor;
 
     /// Mean-squared error of `y` against `t`, and its gradient
@@ -166,18 +166,18 @@ mod tests {
         )
     }
 
-    fn train(optim: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
-        // Fit y = 2x with a 1-parameter linear layer.
-        let mut lin = Linear::new(1, 1, 0);
+    fn train(optim: &mut dyn FnMut(&mut Conv2d), steps: usize) -> f32 {
+        // Fit y = 2x with a 1×1 convolution (one weight and a bias).
+        let mut net = Conv2d::new(1, 1, 1, 0);
         let x = Tensor::from_vec([4, 1, 1, 1], vec![1.0, 2.0, 3.0, 4.0]);
         let t = Tensor::from_vec([4, 1, 1, 1], vec![2.0, 4.0, 6.0, 8.0]);
         let mut last = f32::MAX;
         for _ in 0..steps {
-            let y = lin.forward(&x, true);
+            let y = net.forward(&x, true);
             let (l, g) = mse_loss_grad(&y, &t);
-            lin.zero_grad();
-            lin.backward(&g);
-            optim(&mut lin);
+            net.zero_grad();
+            net.backward(&g);
+            optim(&mut net);
             last = l;
         }
         last
@@ -194,43 +194,43 @@ mod tests {
     fn adam_state_roundtrip_is_bit_identical() {
         // Two optimizers: train one, snapshot, restore into the other, and
         // both must produce identical parameters on every further step.
-        let mut lin_a = Linear::new(1, 1, 0);
-        let mut lin_b = Linear::new(1, 1, 0);
+        let mut net_a = Conv2d::new(1, 1, 1, 0);
+        let mut net_b = Conv2d::new(1, 1, 1, 0);
         let mut adam_a = Adam::new(0.05);
         let mut adam_b = Adam::new(0.05);
         let x = Tensor::from_vec([4, 1, 1, 1], vec![1.0, 2.0, 3.0, 4.0]);
         let t = Tensor::from_vec([4, 1, 1, 1], vec![2.0, 4.0, 6.0, 8.0]);
-        let step = |lin: &mut Linear, adam: &mut Adam| {
-            let y = lin.forward(&x, true);
+        let step = |net: &mut Conv2d, adam: &mut Adam| {
+            let y = net.forward(&x, true);
             let (_, g) = mse_loss_grad(&y, &t);
-            lin.zero_grad();
-            lin.backward(&g);
-            adam.step(lin);
+            net.zero_grad();
+            net.backward(&g);
+            adam.step(net);
         };
         for _ in 0..10 {
-            step(&mut lin_a, &mut adam_a);
+            step(&mut net_a, &mut adam_a);
         }
         let snap = adam_a.state();
-        crate::serialize::load_state(&mut lin_b, &crate::serialize::state(&mut lin_a)).unwrap();
+        crate::serialize::load_state(&mut net_b, &crate::serialize::state(&mut net_a)).unwrap();
         adam_b.load_state(&snap).unwrap();
         for _ in 0..10 {
-            step(&mut lin_a, &mut adam_a);
-            step(&mut lin_b, &mut adam_b);
+            step(&mut net_a, &mut adam_a);
+            step(&mut net_b, &mut adam_b);
             assert_eq!(
-                crate::serialize::state(&mut lin_a),
-                crate::serialize::state(&mut lin_b)
+                crate::serialize::state(&mut net_a),
+                crate::serialize::state(&mut net_b)
             );
         }
     }
 
     #[test]
     fn adam_state_rejects_mismatched_shape() {
-        let mut lin = Linear::new(2, 2, 0);
+        let mut net = Conv2d::new(2, 2, 1, 0);
         let mut adam = Adam::new(0.05);
-        let y = lin.forward(&Tensor::ones([1, 2, 1, 1]), true);
+        let y = net.forward(&Tensor::ones([1, 2, 1, 1]), true);
         let (_, g) = mse_loss_grad(&y, &Tensor::ones([1, 2, 1, 1]));
-        lin.backward(&g);
-        adam.step(&mut lin);
+        net.backward(&g);
+        adam.step(&mut net);
         let mut bad = adam.state();
         bad.m[0].push(0.0);
         assert!(adam.load_state(&bad).is_err());
@@ -240,12 +240,12 @@ mod tests {
 
     /// A stepped optimizer's state, for the validation tests.
     fn stepped_adam() -> (Adam, AdamState) {
-        let mut lin = Linear::new(2, 2, 0);
+        let mut net = Conv2d::new(2, 2, 1, 0);
         let mut adam = Adam::new(0.05);
-        let y = lin.forward(&Tensor::ones([1, 2, 1, 1]), true);
+        let y = net.forward(&Tensor::ones([1, 2, 1, 1]), true);
         let (_, g) = mse_loss_grad(&y, &Tensor::ones([1, 2, 1, 1]));
-        lin.backward(&g);
-        adam.step(&mut lin);
+        net.backward(&g);
+        adam.step(&mut net);
         let state = adam.state();
         (adam, state)
     }

@@ -42,10 +42,9 @@
 //! [`tier`] is the widest [`Tier`] the CPU supports (CPUID, cached on
 //! first query), capped process-wide by [`set_max_tier`]. The cap starts
 //! from `PREFIXRL_NN_SIMD`: `0` or `off` caps at [`Tier::Scalar`], `avx`
-//! at [`Tier::Avx`] (eight lanes even on an AVX-512 host) — the same shape
-//! as the `PREFIXRL_NN_THREADS` budget. Below AVX, and on every other
-//! target, everything runs at the scalar tier: the same loop nests and
-//! kernel bodies on portable lanes, just slower.
+//! at [`Tier::Avx`] (eight lanes even on an AVX-512 host). Below AVX, and
+//! on every other target, everything runs at the scalar tier: the same
+//! loop nests and kernel bodies on portable lanes, just slower.
 //!
 //! # Adding a lane width
 //!
@@ -71,7 +70,7 @@ pub enum Tier {
     Scalar,
     /// AVX, eight lanes ([`F32x8`]) everywhere.
     Avx,
-    /// AVX-512F: sixteen lanes ([`F32x16`]) for the GEMM products that
+    /// AVX-512F: sixteen lanes ([`F32x16`]) for the conv products that
     /// measure faster at that width, eight for everything else.
     Avx512,
 }

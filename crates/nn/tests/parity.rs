@@ -6,13 +6,11 @@
 //! - **Bit-exact forward/backward parity** with the preserved naive
 //!   implementation (the seed repo's original im2col/GEMM path, kept in
 //!   `nn::compute::reference`) across every layer shape used by
-//!   `QNetConfig::{tiny, small}`.
+//!   `QNetConfig::{tiny, small}`, for the training forward and backward
+//!   and for `Layer::infer` through an arena that earlier passes left
+//!   dirty.
 //!
-//! The thread-count determinism axis lives in `tests/determinism.rs` — a
-//! separate test binary (process) because it mutates the global
-//! `nn::compute` thread budget, which would race these assertions' thread
-//! setting inside one parallel test harness. CI runs both suites under
-//! `PREFIXRL_NN_THREADS=1` and `=4` (the `nn-parity` job).
+//! CI runs this suite at every SIMD tier (the `nn-parity` job).
 
 use nn::compute::{reference, Scratch};
 use nn::{BatchNorm2d, Conv2d, Layer, Tensor};
@@ -71,18 +69,30 @@ fn grads(layer: &mut dyn Layer) -> Vec<Vec<f32>> {
 #[test]
 fn forward_parity_is_bitwise_on_all_qnet_shapes() {
     let mut rng = StdRng::seed_from_u64(11);
+    // One arena serves every pass: `infer` pads into a buffer taken
+    // without zeroing, which earlier shapes' outputs and planes left
+    // dirty, so a plane element that padding failed to write would diverge.
+    let mut scratch = Scratch::new();
     for &(in_c, out_c, k, h) in QNET_SHAPES {
         for &batch in BATCHES {
             let mut conv = Conv2d::new(in_c, out_c, k, 42);
             let p = params(&mut conv);
             let x = random_tensor(&mut rng, [batch, in_c, h, h]);
             let naive = reference::conv2d_forward(in_c, out_c, k, &p[0], Some(&p[1]), &x);
-            let y = conv.forward(&x, true);
+            let y = conv.forward_with(&x, true, &mut scratch);
             assert_eq!(
                 naive.out.data(),
                 y.data(),
                 "forward diverged at {in_c}->{out_c} k{k} h{h} batch {batch}"
             );
+            scratch.recycle(y);
+            let y = conv.infer(&x, &mut scratch);
+            assert_eq!(
+                naive.out.data(),
+                y.data(),
+                "infer diverged at {in_c}->{out_c} k{k} h{h} batch {batch}"
+            );
+            scratch.recycle(y);
         }
     }
 }
@@ -149,60 +159,15 @@ fn gradcheck_through_a_shared_scratch_arena() {
         &mut scratch,
     );
     assert!(bn_err < 3e-2, "batchnorm via shared scratch: {bn_err}");
-    let lin_err = nn::gradcheck::check_layer_with(
-        Box::new(nn::Linear::new(6, 4, 2)),
+    let dense_err = nn::gradcheck::check_layer_with(
+        Box::new(Conv2d::new(6, 4, 1, 2)),
         [3, 6, 1, 1],
         29,
         &mut scratch,
     );
-    assert!(lin_err < 2e-2, "linear via shared scratch: {lin_err}");
+    assert!(dense_err < 2e-2, "1x1 conv via shared scratch: {dense_err}");
     assert!(
         scratch.free_buffers() > 0,
         "the shared arena never recycled a buffer"
     );
-}
-
-#[test]
-fn linear_kernel_parity_is_bitwise() {
-    // The dense layer's kernel path against the original per-element
-    // loops.
-    let mut rng = StdRng::seed_from_u64(15);
-    let (batch, in_f, out_f) = (5, 24, 10);
-    let mut lin = nn::Linear::new(in_f, out_f, 3);
-    let p = params(&mut lin);
-    let x = random_tensor(&mut rng, [batch, in_f, 1, 1]);
-    // Naive forward: out[s,o] = w_o · x_s + b_o.
-    let mut naive = vec![0.0f32; batch * out_f];
-    for s in 0..batch {
-        let xin = &x.data()[s * in_f..(s + 1) * in_f];
-        for o in 0..out_f {
-            let wrow = &p[0][o * in_f..(o + 1) * in_f];
-            let dot: f32 = wrow.iter().zip(xin).map(|(a, b)| a * b).sum();
-            naive[s * out_f + o] = dot + p[1][o];
-        }
-    }
-    let y = lin.forward(&x, true);
-    assert_eq!(naive, y.data(), "linear forward diverged");
-    // Naive backward.
-    let grad_out = random_tensor(&mut rng, [batch, out_f, 1, 1]);
-    let mut wgrad = vec![0.0f32; out_f * in_f];
-    let mut bgrad = vec![0.0f32; out_f];
-    let mut gin = vec![0.0f32; batch * in_f];
-    for s in 0..batch {
-        let xin = &x.data()[s * in_f..(s + 1) * in_f];
-        let go = &grad_out.data()[s * out_f..(s + 1) * out_f];
-        for (oi, &g) in go.iter().enumerate() {
-            bgrad[oi] += g;
-            for i in 0..in_f {
-                wgrad[oi * in_f + i] += g * xin[i];
-                gin[s * in_f + i] += g * p[0][oi * in_f + i];
-            }
-        }
-    }
-    lin.zero_grad();
-    let grad_in = lin.backward(&grad_out);
-    let g = grads(&mut lin);
-    assert_eq!(gin, grad_in.data(), "linear grad_in diverged");
-    assert_eq!(wgrad, g[0], "linear weight grad diverged");
-    assert_eq!(bgrad, g[1], "linear bias grad diverged");
 }

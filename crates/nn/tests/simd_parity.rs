@@ -1,21 +1,23 @@
 //! SIMD lane parity suite (DESIGN.md §14).
 //!
 //! The vector kernel tiers in `nn::simd`/`nn::compute` promise **bit-exact**
-//! agreement with the preserved naive kernels in `nn::compute::reference`
-//! at every lane width: lanes only span disjoint output elements, every
-//! element's `k`-reduction stays ascending and one-product-at-a-time, and
-//! no FMA contraction is emitted. These tests pin that contract across
-//! the places it could break:
+//! agreement with the preserved naive convolution in
+//! `nn::compute::reference` at every lane width: lanes only span disjoint
+//! output elements, every element's reduction keeps its order and adds
+//! one product at a time, and no FMA contraction is emitted. These tests
+//! pin that contract across the places it could break, through the conv
+//! layer's forward, input gradient and weight gradient:
 //!
-//! - lane-remainder shapes (`n % 8`, `n % 16`, `n % 32`, `m % 6`,
-//!   `m % 12`, tiny `k`) where the vector path runs partial tiles;
-//! - cache-blocking boundaries (`k > KC`, `n > NC`) where packed panels
-//!   are stitched back together;
-//! - unaligned operands (subslices offset by one element — the kernels
-//!   must not assume 32- or 64-byte alignment);
-//! - full conv forward/backward through the layer stack, on square and
-//!   non-square planes whose widths straddle the 8- and 16-lane segments,
-//!   including planes smaller than the kernel;
+//! - lane-remainder shapes: square and non-square planes whose widths
+//!   straddle the 8- and 16-lane segments, including planes smaller than
+//!   the kernel, and channel counts that leave partial 6- and 12-row
+//!   tiles;
+//! - the forward's `KC = 256` tap blocking (13 channels under a 5×5
+//!   kernel are 325 taps) and the weight gradient's ragged transposed
+//!   panels;
+//! - unaligned operands: a tap's view starts at every offset of the
+//!   padded plane, so the kernels must not assume 32- or 64-byte
+//!   alignment;
 //! - padding as a product: a convolution whose infinite weights meet the
 //!   zero padding must turn NaN exactly where the im2col panel's `+0.0`
 //!   would make it NaN, at every tier.
@@ -26,47 +28,12 @@
 //! would race. A tier the CPU (or target) lacks runs at the widest tier
 //! below it, so the suite is portable by construction.
 
-use nn::compute::{self, reference};
+use nn::compute::reference;
 use nn::{simd, Conv2d, Layer, Tensor};
 use rand::prelude::*;
 
 fn filled(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect()
-}
-
-/// All three GEMM orientations against their reference twins, bitwise,
-/// with operands deliberately offset one element from their allocation so
-/// nothing is 32-byte aligned.
-fn check_gemm_family(rng: &mut StdRng, m: usize, k: usize, n: usize) {
-    let ctx = format!("m={m} k={k} n={n} (tier {:?})", simd::tier());
-    let a_buf = filled(rng, m * k + 1);
-    let b_buf = filled(rng, k * n + 1);
-    let (a, b) = (&a_buf[1..], &b_buf[1..]);
-    // C = A·B, accumulating into a non-zero C (the engine adds into C).
-    let c_init = filled(rng, m * n + 1);
-    let mut c = c_init[1..].to_vec();
-    let mut c_ref = c.clone();
-    compute::gemm(m, k, n, a, b, &mut c);
-    reference::gemm(m, k, n, a, b, &mut c_ref);
-    assert_eq!(c, c_ref, "gemm diverged at {ctx}");
-
-    // C = A·Bᵀ with B stored row-major [n × k].
-    let bt_buf = filled(rng, n * k + 1);
-    let bt = &bt_buf[1..];
-    let mut c = c_init[1..].to_vec();
-    let mut c_ref = c.clone();
-    compute::gemm_a_bt(m, k, n, a, bt, &mut c);
-    reference::gemm_a_bt(m, k, n, a, bt, &mut c_ref);
-    assert_eq!(c, c_ref, "gemm_a_bt diverged at {ctx}");
-
-    // C = Aᵀ·B with A stored row-major [k × m].
-    let at_buf = filled(rng, k * m + 1);
-    let at = &at_buf[1..];
-    let mut c = c_init[1..].to_vec();
-    let mut c_ref = c.clone();
-    compute::gemm_at_b(m, k, n, at, b, &mut c);
-    reference::gemm_at_b(m, k, n, at, b, &mut c_ref);
-    assert_eq!(c, c_ref, "gemm_at_b diverged at {ctx}");
 }
 
 /// Conv forward and backward (input/weight/bias gradients) on an `h`×`w`
@@ -198,49 +165,7 @@ fn simd_and_scalar_kernels_are_bit_identical_to_reference() {
     for tier in [simd::Tier::Avx512, simd::Tier::Avx, simd::Tier::Scalar] {
         simd::set_max_tier(tier);
         let mut rng = StdRng::seed_from_u64(0x51_3D ^ tier as u64);
-        // The 16-lane tile's edges: one, partial and ragged multiples of
-        // its 12 rows and 32 columns (and of the 8-lane tile's 6 and 16),
-        // with k starting, filling and crossing a KC=256 panel.
-        for &m in &[1usize, 6, 7, 11, 12, 13, 25, 300] {
-            for &k in &[12usize, 256, 257, 300] {
-                for &n in &[12usize, 16, 31, 32, 33, 300] {
-                    check_gemm_family(&mut rng, m, k, n);
-                }
-            }
-        }
-        // Degenerate and lane-remainder shapes: every combination of a
-        // full/partial 6-row tile (one, two, and ragged multiples), full/
-        // partial 8- and 16-column tiles, and k values that start,
-        // straddle, or fill a KC panel.
-        for &m in &[1usize, 3, 4, 5, 6, 7, 9, 12, 13] {
-            for &k in &[1usize, 7, 16, 17] {
-                for &n in &[1usize, 7, 8, 15, 16, 17, 31, 33] {
-                    check_gemm_family(&mut rng, m, k, n);
-                }
-            }
-        }
-        // Cache-blocking boundaries: k crossing KC=256, n crossing
-        // NC=1024, both with ragged remainders.
-        check_gemm_family(&mut rng, 9, 300, 68);
-        check_gemm_family(&mut rng, 5, 37, 1050);
-        // A paper-tile shape: the im2col panel of one 5×5 residual-block
-        // convolution row-block at C=256 on the 32×32 grid has k=6400,
-        // n=1024; this keeps the same ragged geometry at test-budget size.
-        check_gemm_family(&mut rng, 12, 403, 260);
-        // The small(16) Q-network's exact backward products (batch 1):
-        // column gradients `gemm_at_b` of the 5×5 block and 3×3 stem
-        // convolutions, weight gradients `gemm_a_bt` of the 5×5 block and
-        // the 1×1 head and output convolutions.
-        for &(m, k, n) in &[
-            (300usize, 12usize, 256usize),
-            (36, 12, 256),
-            (12, 256, 300),
-            (12, 256, 12),
-            (4, 256, 12),
-        ] {
-            check_gemm_family(&mut rng, m, k, n);
-        }
-        // 1×1 convs reduce to plain GEMM with k = in_c.
+        // Q-network shapes, and 1×1 convs: a dense product with k = in_c.
         for &(in_c, out_c, kk, h, batch) in &[
             (4usize, 8usize, 3usize, 8usize, 2usize),
             (8, 8, 5, 8, 1),

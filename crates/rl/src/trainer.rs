@@ -266,11 +266,12 @@ mod tests {
     use super::*;
     use crate::qnetwork::QInfer;
     use crate::replay::Transition;
-    use nn::{Layer, Linear};
+    use nn::{Conv2d, Layer};
 
-    /// A linear Q-network over one-hot states, for algorithm tests.
+    /// A linear Q-network over one-hot states (a 1×1 convolution), for
+    /// algorithm tests.
     struct LinearQ {
-        net: Linear,
+        net: Conv2d,
         opt: nn::Adam,
         actions: usize,
     }
@@ -278,7 +279,7 @@ mod tests {
     impl LinearQ {
         fn new(state_dim: usize, actions: usize, seed: u64, lr: f32) -> Self {
             LinearQ {
-                net: Linear::new(state_dim, actions * 2, seed),
+                net: Conv2d::new(state_dim, actions * 2, 1, seed),
                 opt: nn::Adam::new(lr),
                 actions,
             }

@@ -34,8 +34,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// How many agents of one job run concurrently.
     pub eval_threads: usize,
-    /// Shard count of the server-wide shared [`EvalCache`] store.
-    pub cache_shards: usize,
     /// Events retained per job for `status` tails.
     pub event_tail: usize,
     /// Where `frontier.json` / `jobs.json` persist; `None` = ephemeral.
@@ -58,7 +56,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 256,
             eval_threads: 2,
-            cache_shards: 16,
             event_tail: 64,
             state_dir: None,
             compact_every: crate::store::COMPACT_EVERY_DEFAULT,
@@ -209,11 +206,9 @@ struct SharedBindings {
 }
 
 impl SharedBindings {
-    fn new(cache_shards: usize) -> SharedBindings {
+    fn new() -> SharedBindings {
         SharedBindings {
-            store: Arc::new(EvalCache::new(CacheConfig::with_shards(
-                cache_shards.max(1),
-            ))),
+            store: Arc::new(EvalCache::new(CacheConfig::default())),
             bindings: Mutex::new(HashMap::new()),
         }
     }
@@ -334,7 +329,7 @@ impl JobManager {
             load_jobs(&dir.join("jobs.json"), &mut state)?;
         }
         let manager = Arc::new(JobManager {
-            stack: SharedBindings::new(cfg.cache_shards),
+            stack: SharedBindings::new(),
             store,
             state: Mutex::new(state),
             work: Condvar::new(),

@@ -84,8 +84,8 @@ fn usage() {
 }
 
 /// Flags shared by `train` and `sweep` (see [`session_options_help`]).
-const SESSION_FLAGS: &str = "steps seed task backend lib actors eval-threads nn-threads \
-     cache-shards checkpoint checkpoint-every resume halt-at progress json out";
+const SESSION_FLAGS: &str = "steps seed task backend lib actors eval-threads checkpoint \
+     checkpoint-every resume halt-at progress json out";
 /// Flags of the sweep weight schedule (see [`parse_weights`]).
 const WEIGHT_FLAGS: &str = "weights w-min w-max w-list";
 /// Flags of client commands that may route through a cluster (see
@@ -103,8 +103,8 @@ fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
         "render" => &["structure n dot"],
         "verilog" => &["structure n target lib"],
         "serve" => &[
-            "addr workers queue-capacity eval-threads cache-shards event-tail state-dir \
-             compact-every shard-id peers replicas",
+            "addr workers queue-capacity eval-threads event-tail state-dir compact-every \
+             shard-id peers replicas",
         ],
         "submit" => &[CLIENT_FLAGS, WEIGHT_FLAGS, "steps seed"],
         "status" => &["addr id tail"],
@@ -285,10 +285,6 @@ fn session_options_help() -> &'static str {
      \x20 --actors <A>             actor threads per agent, each stepping one\n\
      \x20                          environment per round (default 1)\n\
      \x20 --eval-threads <T>       how many agents of a sweep train at once\n\
-     \x20 --nn-threads <T>         Q-network compute threads (GEMM panels;\n\
-     \x20                          default 1; results are bit-identical at\n\
-     \x20                          every setting)\n\
-     \x20 --cache-shards <S>       shared evaluation cache shards (default 16)\n\
      \x20 --checkpoint <path>      persist a sweep checkpoint to this file\n\
      \x20 --checkpoint-every <K>   capture a checkpoint every K steps per agent\n\
      \x20 --resume <path>          resume from a sweep checkpoint file\n\
@@ -458,10 +454,6 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
     let actors = get_workers(opts, "actors", 1);
     let default_threads = weights.len().max(actors);
     let eval_threads = get_workers(opts, "eval-threads", default_threads);
-    let nn_threads = opts
-        .contains_key("nn-threads")
-        .then(|| get_workers(opts, "nn-threads", 1));
-    let cache_shards: usize = get(opts, "cache-shards", 16).max(1);
     let json_mode = opts.contains_key("json");
     let task = circuit_task(opts);
     let median_w = weights.values()[weights.len() / 2];
@@ -481,11 +473,7 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
         .task(Arc::clone(&task))
         .backend(Arc::clone(&backend))
         .actors(actors)
-        .eval_threads(eval_threads)
-        .cache_shards(cache_shards);
-    if let Some(t) = nn_threads {
-        builder = builder.nn_threads(t);
-    }
+        .eval_threads(eval_threads);
     if let Some(every) = get_opt::<u64>(opts, "checkpoint-every") {
         builder = builder.checkpoint_every(every);
     }
@@ -509,8 +497,7 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
     if !json_mode {
         eprintln!(
             "{} {n}b agent(s): task={}, backend={}, weights {:?}, {steps} steps \
-             each, actors={actors}, eval-threads={eval_threads}, nn-threads={}, \
-             cache-shards={cache_shards}",
+             each, actors={actors}, eval-threads={eval_threads}",
             if weights.len() > 1 {
                 "sweeping"
             } else {
@@ -523,7 +510,6 @@ fn run_session(opts: &HashMap<String, String>, weights: Weights) {
                 .iter()
                 .map(|w| (w * 100.0).round() / 100.0)
                 .collect::<Vec<_>>(),
-            nn_threads.unwrap_or_else(prefixrl::nn::compute::threads),
         );
     }
 
@@ -775,7 +761,6 @@ fn cmd_serve(opts: &HashMap<String, String>) {
              \x20 --workers <W>          concurrent job workers (default 2)\n\
              \x20 --queue-capacity <Q>   max queued-or-running jobs (default 256)\n\
              \x20 --eval-threads <T>     agents of one job run at once (default 2)\n\
-             \x20 --cache-shards <S>     shared evaluation store shards (default 16)\n\
              \x20 --event-tail <K>       events retained per job for status (default 64)\n\
              \x20 --state-dir <dir>      persist frontier.json + frontier.wal +\n\
              \x20                        jobs.json here\n\
@@ -815,7 +800,6 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         workers: get_workers(opts, "workers", 2),
         queue_capacity: get::<usize>(opts, "queue-capacity", 256).max(1),
         eval_threads: get_workers(opts, "eval-threads", 2),
-        cache_shards: get::<usize>(opts, "cache-shards", 16).max(1),
         event_tail: get(opts, "event-tail", 64),
         state_dir: opts.get("state-dir").map(PathBuf::from),
         compact_every: get::<u64>(opts, "compact-every", 64).max(1),

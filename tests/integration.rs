@@ -237,6 +237,11 @@ fn cli_rejects_unknown_flags() {
             &["sweep", "--weights", "2", "--evaluator", "analytical"][..],
             "--evaluator",
         ),
+        (&["train", "--nn-threads", "2"][..], "--nn-threads"),
+        (
+            &["sweep", "--weights", "2", "--cache-shards", "4"][..],
+            "--cache-shards",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
             .args(args)
