@@ -41,7 +41,7 @@ use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use prefixrl_core::task::{
     Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, SynthesisBackend, TaskEvaluator,
 };
-use rl::{QInfer, QNetwork};
+use rl::QNetwork;
 use serde_json::{json, Value};
 use std::sync::Arc;
 use synth::optimizer::OptimizerConfig;
@@ -280,7 +280,7 @@ fn table1(report: &mut Report) {
         let grad = vec![vec![[1e-3f32; 2]; q.num_actions()]; batch];
         let train = time_per_call(
             || {
-                q.forward(&states, true);
+                q.forward(&states);
                 q.apply_gradient(&grad);
             },
             TABLE1_MIN_SECS,

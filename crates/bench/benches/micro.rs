@@ -12,7 +12,7 @@ use prefixrl_core::pareto::ParetoFront;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use prefixrl_core::task::{Adder, TaskEvaluator};
 use rand::{Rng, SeedableRng};
-use rl::{QInfer, QNetwork};
+use rl::QNetwork;
 use std::hint::black_box;
 use std::sync::Arc;
 use synth::sweep::{sweep_graph, SweepConfig};
@@ -128,13 +128,14 @@ fn bench_qnet(c: &mut Criterion) {
         g.bench_function(format!("train_iteration_{n}b_batch{batch}"), |b| {
             b.iter(|| {
                 let states: Vec<&[f32]> = (0..batch).map(|_| f.as_slice()).collect();
-                let _ = q.forward(&states, true);
+                let _ = q.forward(&states);
                 let grad = vec![vec![[1e-3f32; 2]; q.num_actions()]; batch];
                 q.apply_gradient(&grad);
             })
         });
+        let mut scratch = nn::Scratch::new();
         g.bench_function(format!("forward_single_{n}b"), |b| {
-            b.iter(|| black_box(q.forward(&[f.as_slice()], false)))
+            b.iter(|| black_box(q.infer(&[f.as_slice()], &mut scratch)))
         });
     }
     g.finish();

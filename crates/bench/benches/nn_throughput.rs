@@ -15,7 +15,7 @@ use nn::simd::{self, Tier};
 use prefixrl_bench::{time_per_call, Report};
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use rand::prelude::*;
-use rl::{QInfer, QNetwork};
+use rl::QNetwork;
 use serde_json::json;
 
 /// States per Q-network batch.
@@ -75,8 +75,8 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize) -> f64 {
             // Stem.
             let (in_c, out_c, k, w) = &weights[0];
             let mut cur = reference::conv2d_forward(*in_c, *out_c, *k, w, None, &x0).out;
-            cur = bns[0].forward(&cur, true);
-            cur = acts[0].forward(&cur, true);
+            cur = bns[0].forward(&cur);
+            cur = acts[0].forward(&cur);
             // Residual blocks (conv-BN-act-conv-BN, skip, act).
             for b in 0..cfg.blocks {
                 let skip = cur.clone();
@@ -84,20 +84,20 @@ fn baseline_fwd_samples_per_sec(cfg: &QNetConfig, batch: usize) -> f64 {
                     let idx = 1 + 2 * b + half;
                     let (in_c, out_c, k, w) = &weights[idx];
                     cur = reference::conv2d_forward(*in_c, *out_c, *k, w, None, &cur).out;
-                    cur = bns[idx].forward(&cur, true);
+                    cur = bns[idx].forward(&cur);
                     if half == 0 {
-                        cur = acts[idx].forward(&cur, true);
+                        cur = acts[idx].forward(&cur);
                     }
                 }
                 cur.add_assign(&skip);
-                cur = acts[2 * b + 2].forward(&cur, true);
+                cur = acts[2 * b + 2].forward(&cur);
             }
             // Head conv-BN-act, then the 4-channel output conv.
             let head = weights.len() - 2;
             let (in_c, out_c, k, w) = &weights[head];
             cur = reference::conv2d_forward(*in_c, *out_c, *k, w, None, &cur).out;
-            cur = bns[head].forward(&cur, true);
-            cur = acts[head].forward(&cur, true);
+            cur = bns[head].forward(&cur);
+            cur = acts[head].forward(&cur);
             let (in_c, out_c, k, w) = &weights[head + 1];
             cur = reference::conv2d_forward(*in_c, *out_c, *k, w, Some(&out_bias), &cur).out;
             std::hint::black_box(&cur);
@@ -165,7 +165,7 @@ fn grad_step_rows(report: &mut Report) {
         .map(|&(tier, _)| {
             simd::set_max_tier(tier);
             let mut q = PrefixQNet::new(&cfg);
-            q.forward(&refs, true);
+            q.forward(&refs);
             q.apply_gradient(&grad);
             q
         })
@@ -173,7 +173,7 @@ fn grad_step_rows(report: &mut Report) {
     simd::set_max_tier(saved_tier);
     let params: Vec<_> = nets.iter_mut().map(|q| q.state()).collect();
     let secs = time_tiers(&tiers, |i| {
-        std::hint::black_box(nets[i].forward(&refs, true));
+        std::hint::black_box(nets[i].forward(&refs));
         nets[i].apply_gradient(&grad);
     });
     for ((&(tier, lanes), secs), p) in tiers.iter().zip(secs).zip(&params) {
@@ -294,7 +294,7 @@ fn main() {
         // Training-mode forward.
         let fwd_secs = time_per_call(
             || {
-                std::hint::black_box(q.forward(&refs, true));
+                std::hint::black_box(q.forward(&refs));
             },
             MIN_SECS,
         );
@@ -306,7 +306,7 @@ fn main() {
         }
         let step_secs = time_per_call(
             || {
-                std::hint::black_box(q.forward(&refs, true));
+                std::hint::black_box(q.forward(&refs));
                 q.apply_gradient(&grad);
             },
             MIN_SECS,

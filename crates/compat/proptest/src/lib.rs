@@ -145,7 +145,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// The strategy [`vec()`] returns.
     pub struct VecStrategy<S> {
         element: S,
         len: core::ops::Range<usize>,

@@ -30,19 +30,14 @@
 use crate::agent::{AgentConfig, TrainLoop};
 use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
 use crate::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
-use crate::env::{EnvConfig, PrefixEnv};
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::pareto::ParetoFront;
-use crate::qnet::PrefixQNet;
 use crate::task::{Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, TaskEvaluator};
 use parking_lot::Mutex;
 use prefix_graph::PrefixGraph;
-use rand::prelude::*;
-use rl::DoubleDqn;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------- events
@@ -152,102 +147,33 @@ impl RunObserver for ChannelObserver {
 
 // ---------------------------------------------------------------- cancel
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TokenState {
-    Running,
-    Paused,
-    Cancelled,
-}
-
-struct TokenInner {
-    state: std::sync::Mutex<TokenState>,
-    wake: std::sync::Condvar,
-}
-
-/// A cooperative cancel/pause handle threaded through every run of an
+/// A cooperative cancel handle threaded through every run of an
 /// [`Experiment`].
 ///
-/// Cloning is cheap (clones share one state) and any clone may flip it.
+/// Cloning is cheap (clones share one flag) and any clone may cancel.
 /// Runs poll the token at every round boundary, so
 /// [`CancelToken::cancel`] stops a run within one round: it saves a
 /// checkpoint exactly as `halt_at` does, and the run stays resumable.
-/// [`CancelToken::pause`] blocks the run at the same poll point without
-/// losing any state until [`CancelToken::resume`]; cancelling also wakes
-/// paused runs so they can exit. Cancellation is permanent — a cancelled
-/// token never resumes.
-#[derive(Clone)]
+/// Cancellation is permanent.
+#[derive(Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        Self::new()
-    }
+    cancelled: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// A fresh token in the running state.
+    /// A fresh, uncancelled token.
     pub fn new() -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                state: std::sync::Mutex::new(TokenState::Running),
-                wake: std::sync::Condvar::new(),
-            }),
-        }
-    }
-
-    fn state(&self) -> TokenState {
-        *self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn set(&self, to: TokenState) {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        // Cancellation is sticky: pause/resume after cancel are no-ops.
-        if *state != TokenState::Cancelled || to == TokenState::Cancelled {
-            *state = to;
-        }
-        drop(state);
-        self.inner.wake.notify_all();
+        Self::default()
     }
 
     /// Requests cancellation; observed within one round.
     pub fn cancel(&self) {
-        self.set(TokenState::Cancelled);
-    }
-
-    /// Requests a pause; runs block at their next poll point.
-    pub fn pause(&self) {
-        self.set(TokenState::Paused);
-    }
-
-    /// Resumes a paused token (no-op if cancelled).
-    pub fn resume(&self) {
-        self.set(TokenState::Running);
+        self.cancelled.store(true, Ordering::Relaxed);
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.state() == TokenState::Cancelled
-    }
-
-    /// Whether the token is currently paused.
-    pub fn is_paused(&self) -> bool {
-        self.state() == TokenState::Paused
-    }
-
-    /// The run-side poll: blocks while paused, then reports whether the
-    /// run should stop (`true` = cancelled).
-    pub fn wait_while_paused(&self) -> bool {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        while *state == TokenState::Paused {
-            state = self
-                .inner
-                .wake
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        *state == TokenState::Cancelled
+        self.cancelled.load(Ordering::Relaxed)
     }
 }
 
@@ -413,41 +339,6 @@ impl RunRecord {
     }
 }
 
-/// Rolls out the greedy policy (ε = 0) from each starting state, returning
-/// the designs visited — how trained agents emit their final adders.
-pub fn greedy_designs(
-    dqn: &mut DoubleDqn<PrefixQNet>,
-    cfg: &EnvConfig,
-    evaluator: Arc<dyn Evaluator>,
-    episodes: usize,
-    seed: u64,
-) -> Vec<(PrefixGraph, ObjectivePoint)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut env = PrefixEnv::new(cfg.clone(), evaluator);
-    let mut out: BTreeMap<Vec<u64>, (PrefixGraph, ObjectivePoint)> = BTreeMap::new();
-    let record = |env: &PrefixEnv, out: &mut BTreeMap<_, (PrefixGraph, ObjectivePoint)>| {
-        out.entry(env.graph().canonical_key())
-            .or_insert_with(|| (env.graph().clone(), env.metrics()));
-    };
-    for _ in 0..episodes {
-        env.reset(&mut rng);
-        record(&env, &mut out);
-        loop {
-            let state = env.features();
-            let mask = env.action_mask();
-            let Some(a) = dqn.greedy_action(&state, &mask) else {
-                break;
-            };
-            let outcome = env.step_flat(a);
-            record(&env, &mut out);
-            if outcome.truncated {
-                break;
-            }
-        }
-    }
-    out.into_values().collect()
-}
-
 // ------------------------------------------------------------ experiment
 
 /// A handle to one configured agent of an experiment.
@@ -476,7 +367,8 @@ pub struct ExperimentBuilder {
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
     halt_at: Option<u64>,
-    cancel: CancelToken,
+    // `None` unless a caller attached a token: no one else could cancel it.
+    cancel: Option<CancelToken>,
 }
 
 impl ExperimentBuilder {
@@ -495,7 +387,7 @@ impl ExperimentBuilder {
             checkpoint_every: None,
             checkpoint_path: None,
             halt_at: None,
-            cancel: CancelToken::new(),
+            cancel: None,
         }
     }
 
@@ -600,11 +492,10 @@ impl ExperimentBuilder {
 
     /// Attach a [`CancelToken`] the caller keeps a clone of: cancelling it
     /// stops every run within one round (runs checkpoint first, so the
-    /// sweep stays resumable), pausing it blocks them between rounds.
-    /// This is how a resident server cancels a job without tearing the
-    /// process down.
+    /// sweep stays resumable). This is how a resident server cancels a job
+    /// without tearing the process down.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
+        self.cancel = Some(token);
         self
     }
 
@@ -690,7 +581,7 @@ pub struct Experiment {
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
     halt_at: Option<u64>,
-    cancel: CancelToken,
+    cancel: Option<CancelToken>,
 }
 
 impl Experiment {
@@ -835,7 +726,7 @@ impl Experiment {
                     if i >= self.runs.len() {
                         break;
                     }
-                    if self.cancel.is_cancelled() {
+                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                         // Don't start queued runs after a cancel; their
                         // slots stay Pending (resumable from scratch).
                         continue;
@@ -961,10 +852,10 @@ impl Experiment {
                 save(lp);
             }
             saved_at = lp.step();
-            // Pause blocks right here (no state is lost); cancel stops and
-            // checkpoints exactly like a halt, so the run resumes.
-            stopped =
-                self.cancel.wait_while_paused() || self.halt_at.is_some_and(|h| lp.step() >= h);
+            // Cancel stops and checkpoints exactly like a halt, so the run
+            // resumes.
+            stopped = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+                || self.halt_at.is_some_and(|h| lp.step() >= h);
             if stopped {
                 save(lp);
             }
@@ -1464,31 +1355,6 @@ mod tests {
             assert_eq!(pa, pb);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pause_blocks_and_resume_continues() {
-        let token = CancelToken::new();
-        token.pause();
-        let handle = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                Experiment::builder()
-                    .n(8)
-                    .weights(Weights::single(0.5))
-                    .base_config(AgentConfig::tiny(8, 0.5))
-                    .cancel_token(token)
-                    .build()
-                    .run_quiet()
-                    .unwrap()
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(150));
-        assert!(!handle.is_finished(), "paused run must not progress");
-        token.resume();
-        let result = handle.join().unwrap();
-        assert!(result.completed);
-        assert_eq!(result.records[0].steps, 300);
     }
 
     #[test]

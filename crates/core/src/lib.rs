@@ -69,8 +69,8 @@ pub mod prelude {
     pub use crate::env::{EnvConfig, PrefixEnv};
     pub use crate::evaluator::{Evaluator, ObjectivePoint};
     pub use crate::experiment::{
-        greedy_designs, CallbackObserver, CancelToken, ChannelObserver, Event, Experiment,
-        ExperimentResult, NullObserver, RunObserver, RunRecord, Weights,
+        CallbackObserver, CancelToken, ChannelObserver, Event, Experiment, ExperimentResult,
+        NullObserver, RunObserver, RunRecord, Weights,
     };
     pub use crate::frontier::sweep_task_front;
     pub use crate::parallel::evaluate_batch;

@@ -455,34 +455,6 @@ mod tests {
         assert!(!record.designs.is_empty(), "partial pool must survive");
     }
 
-    #[test]
-    fn pause_and_resume_round_trips_async_run() {
-        let mut cfg = AgentConfig::tiny(8, 0.5);
-        cfg.total_steps = 200;
-        let token = CancelToken::new();
-        token.pause();
-        let handle = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                Experiment::builder()
-                    .weights(Weights::single(0.5))
-                    .base_config(cfg)
-                    .actors(3)
-                    .cancel_token(token)
-                    .build()
-                    .run_quiet()
-                    .unwrap()
-            })
-        };
-        // Paused before the first round: nothing may finish.
-        std::thread::sleep(std::time::Duration::from_millis(150));
-        assert!(!handle.is_finished(), "paused actors must block");
-        token.resume();
-        let result = handle.join().expect("run completes after resume");
-        assert!(result.completed);
-        assert_eq!(result.records[0].steps, 200);
-    }
-
     fn mixed_graphs(n: u16) -> Vec<PrefixGraph> {
         vec![
             PrefixGraph::ripple(n),

@@ -7,9 +7,11 @@
 //! `[Q_area(add), Q_area(del), Q_delay(add), Q_delay(del)]`.
 //!
 //! The network is stored as a *typed* layer tree (concrete layer structs,
-//! not boxed trait objects). Its immutable [`rl::QInfer`] forward is what
-//! the training loop's coordinator picks greedy actions with, one batch per
-//! round (see `agent.rs`); it writes no backward caches.
+//! not boxed trait objects) with one pass per job: the immutable
+//! [`QNetwork::infer`] evaluation forward, which writes no backward caches
+//! and which the training loop's coordinator picks every round's greedy
+//! actions with (see `agent.rs`), and the training forward
+//! [`QNetwork::forward`] that [`QNetwork::apply_gradient`] backpropagates.
 //!
 //! The paper uses `B = 32, C = 256`; the defaults here are scaled for CPU
 //! training (see DESIGN.md §8) with the paper values available via
@@ -17,7 +19,7 @@
 //! parallelism comes from actors and sweep agents (DESIGN.md §10).
 
 use nn::{Adam, BatchNorm2d, Conv2d, Layer, LeakyReLU, Param, Scratch, Tensor};
-use rl::{QInfer, QNetwork};
+use rl::QNetwork;
 use serde::{Deserialize, Serialize};
 
 /// Q-network hyper-parameters.
@@ -95,18 +97,18 @@ impl PaperBlock {
 }
 
 impl Layer for PaperBlock {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let a = self.conv1.forward_with(x, train, scratch);
-        let b = self.bn1.forward_with(&a, train, scratch);
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let a = self.conv1.forward_with(x, scratch);
+        let b = self.bn1.forward_with(&a, scratch);
         scratch.recycle(a);
-        let c = self.act1.forward_with(&b, train, scratch);
+        let c = self.act1.forward_with(&b, scratch);
         scratch.recycle(b);
-        let d = self.conv2.forward_with(&c, train, scratch);
+        let d = self.conv2.forward_with(&c, scratch);
         scratch.recycle(c);
-        let mut e = self.bn2.forward_with(&d, train, scratch);
+        let mut e = self.bn2.forward_with(&d, scratch);
         scratch.recycle(d);
         e.add_assign(x);
-        let out = self.act_out.forward_with(&e, train, scratch);
+        let out = self.act_out.forward_with(&e, scratch);
         scratch.recycle(e);
         out
     }
@@ -220,24 +222,24 @@ impl QBody {
 }
 
 impl Layer for QBody {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let a = self.stem.forward_with(x, train, scratch);
-        let b = self.stem_bn.forward_with(&a, train, scratch);
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let a = self.stem.forward_with(x, scratch);
+        let b = self.stem_bn.forward_with(&a, scratch);
         scratch.recycle(a);
-        let mut cur = self.stem_act.forward_with(&b, train, scratch);
+        let mut cur = self.stem_act.forward_with(&b, scratch);
         scratch.recycle(b);
         for block in &mut self.blocks {
-            let next = block.forward_with(&cur, train, scratch);
+            let next = block.forward_with(&cur, scratch);
             scratch.recycle(cur);
             cur = next;
         }
-        let h = self.head.forward_with(&cur, train, scratch);
+        let h = self.head.forward_with(&cur, scratch);
         scratch.recycle(cur);
-        let hb = self.head_bn.forward_with(&h, train, scratch);
+        let hb = self.head_bn.forward_with(&h, scratch);
         scratch.recycle(h);
-        let ha = self.head_act.forward_with(&hb, train, scratch);
+        let ha = self.head_act.forward_with(&hb, scratch);
         scratch.recycle(hb);
-        let out = self.out.forward_with(&ha, train, scratch);
+        let out = self.out.forward_with(&ha, scratch);
         scratch.recycle(ha);
         out
     }
@@ -360,7 +362,7 @@ impl PrefixQNet {
     ///
     /// Validates the moment tensors against this network's parameter
     /// shapes before handing them to the optimizer — a freshly built
-    /// [`Adam`](nn::Adam) has no moments of its own to check against, so
+    /// [`Adam`] has no moments of its own to check against, so
     /// without this a truncated checkpoint would resume silently wrong (or
     /// panic mid-training) instead of failing here.
     ///
@@ -392,23 +394,9 @@ impl PrefixQNet {
         }
         self.opt.load_state(state)
     }
-
-    /// Serializes parameters to bytes (checkpointing).
-    pub fn to_bytes(&mut self) -> Vec<u8> {
-        nn::serialize::to_bytes(&mut self.net)
-    }
-
-    /// Restores parameters from bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on architecture mismatch or truncated data.
-    pub fn from_bytes(&mut self, bytes: &[u8]) -> Result<(), String> {
-        nn::serialize::from_bytes(&mut self.net, bytes)
-    }
 }
 
-impl QInfer for PrefixQNet {
+impl QNetwork for PrefixQNet {
     fn num_actions(&self) -> usize {
         2 * self.n * self.n
     }
@@ -421,19 +409,10 @@ impl QInfer for PrefixQNet {
         scratch.recycle(y);
         out
     }
-}
 
-impl QNetwork for PrefixQNet {
-    fn forward(&mut self, states: &[&[f32]], train: bool) -> Vec<Vec<[f32; 2]>> {
+    fn forward(&mut self, states: &[&[f32]]) -> Vec<Vec<[f32; 2]>> {
         let x = pack_states(self.n, states, &mut self.scratch);
-        // Evaluation-mode forwards take the immutable inference path —
-        // identical arithmetic, but no backward caches are written (or
-        // retained) anywhere in the tree.
-        let y = if train {
-            self.net.forward_with(&x, true, &mut self.scratch)
-        } else {
-            self.net.infer(&x, &mut self.scratch)
-        };
+        let y = self.net.forward_with(&x, &mut self.scratch);
         let out = extract_q(self.n, states.len(), &y);
         self.scratch.recycle(x);
         self.scratch.recycle(y);
@@ -476,14 +455,14 @@ mod tests {
 
     #[test]
     fn output_layout_matches_action_space() {
-        let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
+        let q = PrefixQNet::new(&QNetConfig::tiny(8));
         assert_eq!(q.num_actions(), 128);
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
             Arc::new(TaskEvaluator::analytical(Adder)),
         );
         let f = env.features();
-        let out = q.forward(&[&f], false);
+        let out = q.infer(&[&f], &mut Scratch::new());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 128);
         assert!(out[0].iter().all(|q| q[0].is_finite() && q[1].is_finite()));
@@ -491,39 +470,26 @@ mod tests {
 
     #[test]
     fn batch_forward_matches_single() {
-        let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
+        let q = PrefixQNet::new(&QNetConfig::tiny(8));
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
             Arc::new(TaskEvaluator::analytical(Adder)),
         );
         let f = env.features();
-        // Eval mode uses running statistics, so batching must not change
+        // Inference uses running statistics, so batching must not change
         // per-sample outputs.
-        let single = q.forward(&[&f], false);
-        let double = q.forward(&[&f, &f], false);
+        let mut scratch = Scratch::new();
+        let single = q.infer(&[&f], &mut scratch);
+        let double = q.infer(&[&f, &f], &mut scratch);
         for a in 0..q.num_actions() {
             assert!((single[0][a][0] - double[1][a][0]).abs() < 1e-5);
             assert!((single[0][a][1] - double[1][a][1]).abs() < 1e-5);
         }
     }
 
-    #[test]
-    fn infer_is_bit_identical_to_eval_forward() {
-        let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
-        let env = PrefixEnv::new(
-            EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
-        );
-        let f = env.features();
-        let fwd = q.forward(&[&f], false);
-        let mut scratch = Scratch::new();
-        let inf = q.infer(&[&f], &mut scratch);
-        assert_eq!(fwd, inf, "QInfer::infer diverged from forward(…, false)");
-    }
-
     /// Repeated inference through one [`Scratch`] arena — buffers recycled
     /// by one call and handed out again by the next — stays bit-identical
-    /// to the evaluation-mode forward.
+    /// to inference through a fresh arena.
     #[test]
     fn infer_matches_eval_forward_with_reused_scratch() {
         let mut block = PaperBlock::new(3, 7);
@@ -535,8 +501,8 @@ mod tests {
         );
         // One training forward gives the batch-norms nontrivial running
         // statistics.
-        let _ = block.forward(&x, true);
-        let y = block.forward(&x, false);
+        let _ = block.forward(&x);
+        let y = block.infer(&x, &mut Scratch::new());
         let mut scratch = Scratch::new();
         for _ in 0..3 {
             let z = block.infer(&x, &mut scratch);
@@ -549,7 +515,7 @@ mod tests {
     fn paper_block_preserves_shape() {
         let mut block = PaperBlock::new(4, 0);
         let x = Tensor::ones([2, 4, 6, 6]);
-        let y = block.forward(&x, true);
+        let y = block.forward(&x);
         assert_eq!(y.shape(), x.shape());
         let g = block.backward(&Tensor::ones([2, 4, 6, 6]));
         assert_eq!(g.shape(), x.shape());
@@ -564,7 +530,7 @@ mod tests {
             conv.visit_params(&mut |p| p.data.iter_mut().for_each(|v| *v = 0.0));
         }
         let x = Tensor::from_vec([1, 1, 1, 2], vec![-1.0, 2.0]);
-        let y = block.forward(&x, true);
+        let y = block.forward(&x);
         assert_eq!(y.data(), &[-0.01, 2.0]);
         let g = block.backward(&Tensor::ones([1, 1, 1, 2]));
         assert_eq!(g.data(), &[0.01, 1.0]);
@@ -599,7 +565,7 @@ mod tests {
         assert!(err < 3e-2, "paper residual gradient error {err}");
     }
 
-    /// Inference is per-sample — convolutions, evaluation-mode batch-norms
+    /// Inference is per-sample — convolutions, running-statistic batch-norms
     /// and LeakyReLU never mix rows — so a state's Q-values are
     /// *bit-identical* whatever batch they ride in: an actor's greedy
     /// action does not depend on which other actors were greedy in its
@@ -622,7 +588,7 @@ mod tests {
             let legal = env.action_mask();
             let a = (0..legal.len()).find(|&a| legal[a]).unwrap();
             let _ = env.step_flat(a);
-            let _ = q.forward(&[&states[0]], true);
+            let _ = q.forward(&[&states[0]]);
             let mut grad = vec![vec![[0.0f32; 2]; q.num_actions()]; 1];
             grad[0][11][0] = 0.25;
             q.apply_gradient(&grad);
@@ -657,15 +623,16 @@ mod tests {
         );
         let f = env.features();
         let action = 40usize;
-        let before = q.forward(&[&f], false)[0][action];
+        let mut scratch = Scratch::new();
+        let before = q.infer(&[&f], &mut scratch)[0][action];
         // Push Q_area(action) down for a few steps.
         for _ in 0..10 {
-            let _ = q.forward(&[&f], true);
+            let _ = q.forward(&[&f]);
             let mut grad = vec![vec![[0.0f32; 2]; q.num_actions()]; 1];
             grad[0][action][0] = 1.0; // dL/dQ > 0 → Q decreases
             q.apply_gradient(&grad);
         }
-        let after = q.forward(&[&f], false)[0][action];
+        let after = q.infer(&[&f], &mut scratch)[0][action];
         assert!(after[0] < before[0], "{} !< {}", after[0], before[0]);
     }
 
@@ -694,7 +661,7 @@ mod tests {
         );
         let mut scratch = Scratch::new();
         let mut param_grads = |q: &mut PrefixQNet, params_only: bool| {
-            let _ = q.forward(&[&a, &b], true);
+            let _ = q.forward(&[&a, &b]);
             q.net.zero_grad();
             if params_only {
                 q.net.backward_params(&g, &mut scratch);
@@ -723,8 +690,9 @@ mod tests {
         let f = env.features();
         let s = a.state();
         b.load_state(&s).unwrap();
-        let qa = a.forward(&[&f], false);
-        let qb = b.forward(&[&f], false);
+        let mut scratch = Scratch::new();
+        let qa = a.infer(&[&f], &mut scratch);
+        let qb = b.infer(&[&f], &mut scratch);
         assert_eq!(qa[0][5], qb[0][5]);
     }
 
@@ -738,7 +706,7 @@ mod tests {
             Arc::new(TaskEvaluator::analytical(Adder)),
         );
         let f = env.features();
-        let _ = q.forward(&[&f], true);
+        let _ = q.forward(&[&f]);
         let mut grad = vec![vec![[0.0f32; 2]; q.num_actions()]; 1];
         grad[0][3][0] = 1.0;
         q.apply_gradient(&grad);
@@ -758,18 +726,25 @@ mod tests {
         assert!(PrefixQNet::new(&cfg).load_opt_state(&short_tensor).is_err());
     }
 
+    /// Parameters survive a checkpoint's byte form: `state()` written as
+    /// JSON text, read back, checked by `digest` and loaded into a
+    /// differently seeded network gives bit-identical Q-values.
     #[test]
     fn checkpoint_bytes_roundtrip() {
         let cfg = QNetConfig::tiny(8);
         let mut a = PrefixQNet::new(&cfg);
-        let bytes = a.to_bytes();
+        let state = a.state();
+        let bytes = serde_json::to_string(&state).unwrap();
+        let read: Vec<Vec<f32>> = serde_json::from_str(&bytes).unwrap();
+        assert_eq!(nn::serialize::digest(&read), nn::serialize::digest(&state));
         let mut b = PrefixQNet::new(&QNetConfig { seed: 9, ..cfg });
-        b.from_bytes(&bytes).unwrap();
+        b.load_state(&read).unwrap();
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
             Arc::new(TaskEvaluator::analytical(Adder)),
         );
         let f = env.features();
-        assert_eq!(a.forward(&[&f], false)[0][0], b.forward(&[&f], false)[0][0]);
+        let mut scratch = Scratch::new();
+        assert_eq!(a.infer(&[&f], &mut scratch), b.infer(&[&f], &mut scratch));
     }
 }

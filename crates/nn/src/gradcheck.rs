@@ -15,8 +15,8 @@ use rand::prelude::*;
 /// scalar loss `L = Σ r ⊙ layer(x)`, and compares analytic `∂L/∂x` and
 /// `∂L/∂θ` with central differences. Returns the maximum relative error.
 ///
-/// Training mode is used for the forward pass, so stochastic-free layers
-/// (everything in this crate) are exactly checkable. All passes run with a
+/// The training forward is probed, so stochastic-free layers (everything
+/// in this crate) are exactly checkable. All passes run with a
 /// private [`Scratch`] arena; use [`check_layer_with`] to supply (and
 /// stress) an external one.
 pub fn check_layer(layer: Box<dyn Layer>, shape: [usize; 4], seed: u64) -> f32 {
@@ -41,7 +41,7 @@ pub fn check_layer_with(
             .map(|_| rng.random::<f32>() * 2.0 - 1.0)
             .collect(),
     );
-    let out = layer.forward_with(&x, true, scratch);
+    let out = layer.forward_with(&x, scratch);
     let r: Vec<f32> = (0..out.len())
         .map(|_| rng.random::<f32>() * 2.0 - 1.0)
         .collect();
@@ -55,7 +55,7 @@ pub fn check_layer_with(
     layer.visit_params(&mut |p| param_grads.push(p.grad.clone()));
 
     let loss = |layer: &mut dyn Layer, x: &Tensor, r: &[f32], scratch: &mut Scratch| -> f64 {
-        let y = layer.forward_with(x, true, scratch);
+        let y = layer.forward_with(x, scratch);
         let l = y
             .data()
             .iter()
@@ -146,10 +146,8 @@ mod tests {
     }
 
     impl Layer for BrokenScale {
-        fn forward_with(&mut self, x: &Tensor, _t: bool, _s: &mut Scratch) -> Tensor {
-            let mut y = x.clone();
-            y.scale(self.w.data[0]);
-            y
+        fn forward_with(&mut self, x: &Tensor, s: &mut Scratch) -> Tensor {
+            self.infer(x, s)
         }
         fn backward_with(&mut self, grad_out: &Tensor, _s: &mut Scratch) -> Tensor {
             // BUG: claims gradient 1 regardless of w.

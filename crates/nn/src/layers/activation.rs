@@ -11,9 +11,9 @@ use crate::tensor::Tensor;
 /// Forward and backward are pure elementwise multiplies by a per-element
 /// scale `s ∈ {1.0, α}` (exact: `x·1.0 == x` bitwise), which is what lets
 /// them run on the [`crate::simd`] lanes while staying bit-identical to
-/// the historical branchy form. Training-mode forwards cache the scale
-/// vector for backward; evaluation forwards and [`LeakyReLU::apply`] are
-/// cache-free (inference holders carry no per-activation state).
+/// the historical branchy form. The training forward caches the scale
+/// vector for backward; [`Layer::infer`] and [`LeakyReLU::apply`] are
+/// cache-free.
 pub struct LeakyReLU {
     alpha: f32,
     scale: Vec<f32>,
@@ -55,16 +55,10 @@ impl Default for LeakyReLU {
 }
 
 impl Layer for LeakyReLU {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
         let mut out = scratch.tensor(x.shape());
-        if train {
-            self.scale.resize(x.len(), 0.0);
-            simd::lrelu_forward_scale(x.data(), out.data_mut(), &mut self.scale, self.alpha);
-        } else {
-            self.scale = Vec::new();
-            out.data_mut().copy_from_slice(x.data());
-            self.apply(&mut out);
-        }
+        self.scale.resize(x.len(), 0.0);
+        simd::lrelu_forward_scale(x.data(), out.data_mut(), &mut self.scale, self.alpha);
         out
     }
 
@@ -96,7 +90,7 @@ mod tests {
     fn forward_behaviour() {
         let mut act = LeakyReLU::new(0.1);
         let x = Tensor::from_vec([1, 1, 1, 4], vec![-2.0, -0.5, 0.5, 2.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         assert_eq!(y.data(), &[-0.2, -0.05, 0.5, 2.0]);
     }
 
@@ -104,7 +98,7 @@ mod tests {
     fn backward_scales_negative_side() {
         let mut act = LeakyReLU::new(0.1);
         let x = Tensor::from_vec([1, 1, 1, 2], vec![-1.0, 1.0]);
-        act.forward(&x, true);
+        act.forward(&x);
         let g = act.backward(&Tensor::ones([1, 1, 1, 2]));
         assert_eq!(g.data(), &[0.1, 1.0]);
     }
@@ -120,15 +114,12 @@ mod tests {
     fn infer_and_apply_match_forward() {
         let mut act = LeakyReLU::new(0.2);
         let x = Tensor::from_vec([1, 1, 1, 4], vec![-2.0, 0.0, 0.5, 2.0]);
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         let mut scratch = Scratch::new();
         let z = act.infer(&x, &mut scratch);
         assert_eq!(y.data(), z.data());
         let mut w = x.clone();
         act.apply(&mut w);
         assert_eq!(y.data(), w.data());
-        // Eval-mode forwards leave no scale cache behind.
-        act.forward(&x, false);
-        assert!(act.scale.is_empty());
     }
 }

@@ -7,12 +7,11 @@ use crate::tensor::Tensor;
 
 /// Batch normalization over the channel dimension of NCHW tensors.
 ///
-/// In training mode, statistics come from the batch, running statistics
-/// are updated with momentum, and the normalized activations are cached
-/// for backward; in evaluation mode (and [`Layer::infer`]) the running
-/// statistics are used, nothing is cached, and nothing is mutated — so a
-/// trained Q-network evaluates deterministically and inference-only
-/// holders carry no cache memory.
+/// The training forward takes statistics from the batch, updates the
+/// running statistics with momentum and caches the normalized activations
+/// for backward; [`Layer::infer`] uses the running statistics, caches
+/// nothing and mutates nothing — so a trained Q-network evaluates
+/// deterministically.
 pub struct BatchNorm2d {
     channels: usize,
     gamma: Param,
@@ -21,7 +20,7 @@ pub struct BatchNorm2d {
     running_var: Vec<f32>,
     momentum: f32,
     eps: f32,
-    // Cached forward state (training-mode forwards only).
+    // Cached state of the last training forward.
     xhat: Vec<f32>,
     inv_std: Vec<f32>,
     cached_shape: [usize; 4],
@@ -66,43 +65,10 @@ impl BatchNorm2d {
         self.running_mean.clone_from(&other.running_mean);
         self.running_var.clone_from(&other.running_var);
     }
-
-    /// The shared evaluation-mode forward: running statistics, no caching,
-    /// no mutation.
-    fn eval_forward(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let [n, c, h, w] = x.shape();
-        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let plane = h * w;
-        let mut out = scratch.tensor(x.shape());
-        for ci in 0..c {
-            let (mean, var) = (self.running_mean[ci], self.running_var[ci]);
-            let inv = 1.0 / (var + self.eps).sqrt();
-            let (g, b) = (self.gamma.data[ci], self.beta.data[ci]);
-            for s in 0..n {
-                let base = (s * c + ci) * plane;
-                // Vectorized normalize over the contiguous channel plane.
-                simd::bn_apply(
-                    &x.data()[base..base + plane],
-                    &mut out.data_mut()[base..base + plane],
-                    mean,
-                    inv,
-                    g,
-                    b,
-                );
-            }
-        }
-        out
-    }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        if !train {
-            // Evaluation-mode forwards leave no cache behind.
-            self.xhat = Vec::new();
-            self.cached_shape = [0; 4];
-            return self.eval_forward(x, scratch);
-        }
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
         let [n, c, h, w] = x.shape();
         assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
         let m = (n * h * w) as f32;
@@ -200,7 +166,28 @@ impl Layer for BatchNorm2d {
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        self.eval_forward(x, scratch)
+        let [n, c, h, w] = x.shape();
+        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
+        let plane = h * w;
+        let mut out = scratch.tensor(x.shape());
+        for ci in 0..c {
+            let (mean, var) = (self.running_mean[ci], self.running_var[ci]);
+            let inv = 1.0 / (var + self.eps).sqrt();
+            let (g, b) = (self.gamma.data[ci], self.beta.data[ci]);
+            for s in 0..n {
+                let base = (s * c + ci) * plane;
+                // Vectorized normalize over the contiguous channel plane.
+                simd::bn_apply(
+                    &x.data()[base..base + plane],
+                    &mut out.data_mut()[base..base + plane],
+                    mean,
+                    inv,
+                    g,
+                    b,
+                );
+            }
+        }
+        out
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -225,7 +212,7 @@ mod tests {
             [2, 2, 1, 2],
             vec![1.0, 3.0, 10.0, 30.0, 5.0, 7.0, 20.0, 40.0],
         );
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Per channel, output mean ≈ 0 and variance ≈ 1.
         for ci in 0..2 {
             let vals: Vec<f32> = (0..2)
@@ -245,22 +232,37 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 1, 4], vec![4.0, 4.0, 4.0, 4.0]);
         // Train a few times to move running stats toward mean 4, var 0.
         for _ in 0..200 {
-            bn.forward(&x, true);
+            bn.forward(&x);
         }
-        let y = bn.forward(&Tensor::from_vec([1, 1, 1, 1], vec![4.0]), false);
+        let y = bn.infer(
+            &Tensor::from_vec([1, 1, 1, 1], vec![4.0]),
+            &mut Scratch::new(),
+        );
         assert!(y.data()[0].abs() < 0.1, "eval output {}", y.data()[0]);
     }
 
+    /// `infer` normalizes with the running statistics by the evaluation
+    /// formula `γ·(x − mean)·inv + β`, bit for bit, and writes no backward
+    /// cache.
     #[test]
     fn infer_matches_eval_and_leaves_no_cache() {
-        let mut bn = BatchNorm2d::new(2);
         let x = Tensor::from_vec([1, 2, 1, 3], vec![1.0, -2.0, 0.5, 3.0, 0.0, -1.0]);
-        bn.forward(&x, true);
-        let eval = bn.forward(&x, false);
-        assert!(bn.xhat.is_empty(), "eval-mode forward retained xhat");
-        let mut scratch = Scratch::new();
-        let infer = bn.infer(&x, &mut scratch);
-        assert_eq!(eval.data(), infer.data());
+        let mut trained = BatchNorm2d::new(2);
+        trained.forward(&x);
+        let mut bn = BatchNorm2d::new(2);
+        bn.copy_stats_from(&trained);
+        bn.gamma.data = vec![1.5, -0.25];
+        bn.beta.data = vec![0.1, 2.0];
+        let y = bn.infer(&x, &mut Scratch::new());
+        assert!(bn.xhat.is_empty(), "infer wrote the backward cache");
+        for ci in 0..2 {
+            let inv = 1.0 / (bn.running_var[ci] + bn.eps).sqrt();
+            for w in 0..3 {
+                let centred = x.at(0, ci, 0, w) - bn.running_mean[ci];
+                let expect = bn.gamma.data[ci] * centred * inv + bn.beta.data[ci];
+                assert_eq!(y.at(0, ci, 0, w).to_bits(), expect.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -268,7 +270,7 @@ mod tests {
     fn backward_after_eval_forward_panics() {
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::ones([1, 1, 1, 2]);
-        bn.forward(&x, false);
+        bn.infer(&x, &mut Scratch::new());
         bn.backward(&Tensor::ones([1, 1, 1, 2]));
     }
 
@@ -278,7 +280,7 @@ mod tests {
         bn.gamma.data[0] = 3.0;
         bn.beta.data[0] = 1.0;
         let x = Tensor::from_vec([1, 1, 1, 2], vec![-1.0, 1.0]);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // xhat = ±1 → y = ±3 + 1.
         assert!((y.data()[0] + 2.0).abs() < 1e-3);
         assert!((y.data()[1] - 4.0).abs() < 1e-3);
@@ -418,7 +420,7 @@ mod tests {
             let (out, xhat, mean, var, gg, bg, gin) =
                 reference_train_step(&x, &grad_out, &gamma, &beta);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let y = bn.forward(&x, true);
+            let y = bn.forward(&x);
             let g = bn.backward(&grad_out);
             assert_eq!(bits(y.data()), bits(&out), "out at {shape:?}");
             assert_eq!(bits(&bn.xhat), bits(&xhat), "xhat at {shape:?}");
@@ -434,7 +436,7 @@ mod tests {
     fn target_sync_copies_stats() {
         let mut a = BatchNorm2d::new(1);
         let x = Tensor::from_vec([1, 1, 1, 2], vec![10.0, 12.0]);
-        a.forward(&x, true);
+        a.forward(&x);
         let mut b = BatchNorm2d::new(1);
         b.copy_stats_from(&a);
         assert_eq!(b.running_mean(), a.running_mean());

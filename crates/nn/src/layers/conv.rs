@@ -3,10 +3,9 @@
 //! Each sample's input is copied once into a zero-padded plane, and the
 //! three passes are the [`crate::compute`] conv products that read it
 //! through a tap offset table — no im2col panel is ever written. Every
-//! pass loops over the batch's samples in ascending order. Training-mode
-//! forwards keep their padded planes for the weight gradient;
-//! evaluation-mode forwards and [`Layer::infer`] pad into a transient
-//! [`Scratch`] buffer and leave no resident cache behind.
+//! pass loops over the batch's samples in ascending order. The training
+//! forward keeps its padded planes for the weight gradient; [`Layer::infer`]
+//! pads into a transient [`Scratch`] buffer and leaves no cache behind.
 
 use super::{he_normal, Layer, Param};
 use crate::compute::{self, ConvShape, Scratch};
@@ -23,7 +22,7 @@ pub struct Conv2d {
     k: usize,
     weight: Param,
     bias: Option<Param>,
-    // The zero-padded input planes of the last training-mode forward, one
+    // The zero-padded input planes of the last training forward, one
     // `ConvShape::plane_len` block per sample, for the weight gradient.
     cached_planes: Vec<f32>,
     cached_in_shape: [usize; 4],
@@ -155,9 +154,9 @@ impl Conv2d {
     }
 }
 
-/// The one forward product behind every entry point (train-mode and
-/// eval-mode [`Layer::forward_with`], [`Layer::infer`]), over samples
-/// already padded into `planes` (one `plane_len` block each).
+/// The one forward product behind both entry points ([`Layer::forward_with`]
+/// and [`Layer::infer`]), over samples already padded into `planes` (one
+/// `plane_len` block each).
 fn forward_planes(
     shape: &ConvShape,
     out_c: usize,
@@ -198,17 +197,9 @@ fn pad_all(shape: &ConvShape, x: &Tensor, planes: &mut [f32]) {
 }
 
 impl Layer for Conv2d {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
         let [n, c, h, w] = x.shape();
         assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
-        if !train {
-            // Evaluation-mode forwards must not leave a resident backward
-            // cache behind (inference-only holders would pin a batch of
-            // planes per convolution).
-            self.cached_planes = Vec::new();
-            self.cached_in_shape = [0; 4];
-            return self.infer(x, scratch);
-        }
         let shape = self.shape(h, w);
         self.cached_in_shape = x.shape();
         self.cached_planes.resize(n * shape.plane_len(), 0.0);
@@ -271,7 +262,7 @@ mod tests {
             b.data[0] = 0.0;
         }
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -284,7 +275,7 @@ mod tests {
             b.data[0] = 0.0;
         }
         let x = Tensor::from_vec([1, 1, 3, 3], vec![1., 2., 3., 4., 5., 6., 7., 8., 9.]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         // Centre = sum of all = 45; corner (0,0) = 1+2+4+5 = 12.
         assert_eq!(y.at(0, 0, 1, 1), 45.0);
         assert_eq!(y.at(0, 0, 0, 0), 12.0);
@@ -295,7 +286,7 @@ mod tests {
     fn shapes_preserved_multichannel() {
         let mut conv = Conv2d::new(4, 7, 5, 1);
         let x = Tensor::zeros([3, 4, 8, 8]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape(), [3, 7, 8, 8]);
         let g = conv.backward(&Tensor::zeros([3, 7, 8, 8]));
         assert_eq!(g.shape(), [3, 4, 8, 8]);
@@ -306,7 +297,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 1, 0);
         conv.weight.data[0] = 0.0;
         conv.bias.as_mut().unwrap().data[0] = 2.5;
-        let y = conv.forward(&Tensor::zeros([1, 1, 2, 2]), true);
+        let y = conv.forward(&Tensor::zeros([1, 1, 2, 2]));
         assert!(y.data().iter().all(|&v| v == 2.5));
     }
 
@@ -331,17 +322,18 @@ mod tests {
             [2, 3, 4, 4],
             (0..96).map(|i| (i as f32) * 0.03 - 1.0).collect(),
         );
-        let y_train = conv.forward(&x, true);
-        assert!(!conv.cached_planes.is_empty());
-        let y_eval = conv.forward(&x, false);
-        assert_eq!(y_train.data(), y_eval.data(), "conv output depends on mode");
-        assert!(
-            conv.cached_planes.is_empty(),
-            "eval-mode forward retained the backward cache"
-        );
         let mut scratch = Scratch::new();
         let y_infer = conv.infer(&x, &mut scratch);
-        assert_eq!(y_train.data(), y_infer.data());
+        assert!(
+            conv.cached_planes.is_empty(),
+            "infer wrote the backward cache"
+        );
+        let y_train = conv.forward(&x);
+        assert_eq!(
+            y_train.data(),
+            y_infer.data(),
+            "conv output depends on the pass"
+        );
     }
 
     #[test]
@@ -365,9 +357,9 @@ mod tests {
         };
         let mut full = Conv2d::new(4, 5, 3, 17);
         let mut params_only = full.clone();
-        full.forward(&x, true);
+        full.forward(&x);
         full.backward(&g);
-        params_only.forward(&x, true);
+        params_only.forward(&x);
         params_only.backward_params(&g);
         assert_eq!(grads(&mut full), grads(&mut params_only));
     }
@@ -377,7 +369,7 @@ mod tests {
     fn backward_after_eval_forward_panics() {
         let mut conv = Conv2d::new(1, 1, 3, 0);
         let x = Tensor::ones([1, 1, 3, 3]);
-        conv.forward(&x, false);
+        conv.infer(&x, &mut Scratch::new());
         conv.backward(&Tensor::ones([1, 1, 3, 3]));
     }
 }

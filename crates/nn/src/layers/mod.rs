@@ -1,4 +1,6 @@
-//! Neural-network layers with explicit forward/backward passes.
+//! Neural-network layers with explicit passes, one per job: the training
+//! forward ([`Layer::forward_with`]), its gradient
+//! ([`Layer::backward_with`]) and the evaluation forward ([`Layer::infer`]).
 
 mod activation;
 mod batchnorm;
@@ -35,12 +37,12 @@ impl Param {
 
 /// A differentiable network layer.
 ///
-/// Layers cache whatever they need during a **training-mode** forward pass
-/// and consume it in [`Layer::backward`]; a backward call must follow the
-/// `train == true` forward call it differentiates. Evaluation-mode forwards
-/// (`train == false`) and [`Layer::infer`] skip all caching — they cannot
-/// be backpropagated through, and they keep inference-only callers (action
-/// selection) from accumulating resident cache memory.
+/// Each job has one pass. [`Layer::forward`] is the training pass: it
+/// uses training behaviour (batch statistics in [`BatchNorm2d`]) and
+/// caches whatever [`Layer::backward`] needs, so a backward call must
+/// follow the forward it differentiates. [`Layer::infer`] is the
+/// evaluation pass: it writes no cache and cannot be backpropagated
+/// through.
 ///
 /// The `*_with` entry points thread a [`Scratch`] arena through the pass so
 /// transient buffers (padded planes, gradient planes, outputs) are reused
@@ -50,14 +52,13 @@ impl Param {
 /// target-network sync can walk any composite network in a deterministic
 /// order.
 pub trait Layer {
-    /// Computes the layer output. `train` selects training behaviour
-    /// (e.g. batch statistics in [`BatchNorm2d`]) and backward caching.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_with(x, train, &mut Scratch::new())
+    /// Computes the layer output in training mode, caching for backward.
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_with(x, &mut Scratch::new())
     }
 
     /// [`Layer::forward`] drawing transient buffers from `scratch`.
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor;
+    fn forward_with(&mut self, x: &Tensor, scratch: &mut Scratch) -> Tensor;
 
     /// Backpropagates `grad_out` (∂L/∂output), accumulating parameter
     /// gradients and returning ∂L/∂input.
@@ -68,9 +69,9 @@ pub trait Layer {
     /// [`Layer::backward`] drawing transient buffers from `scratch`.
     fn backward_with(&mut self, grad_out: &Tensor, scratch: &mut Scratch) -> Tensor;
 
-    /// Evaluation-mode forward through `&self`: no cache writes, no
-    /// running-statistic updates, shareable across threads. This is the
-    /// path frozen policy snapshots serve actors through.
+    /// The evaluation forward through `&self`: running statistics, no
+    /// cache writes, no running-statistic updates. Action selection and
+    /// Double-DQN bootstrap targets run through it.
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor;
 
     /// Visits every parameter in a deterministic order.

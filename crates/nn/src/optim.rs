@@ -173,7 +173,7 @@ mod tests {
         let t = Tensor::from_vec([4, 1, 1, 1], vec![2.0, 4.0, 6.0, 8.0]);
         let mut last = f32::MAX;
         for _ in 0..steps {
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             let (l, g) = mse_loss_grad(&y, &t);
             net.zero_grad();
             net.backward(&g);
@@ -201,7 +201,7 @@ mod tests {
         let x = Tensor::from_vec([4, 1, 1, 1], vec![1.0, 2.0, 3.0, 4.0]);
         let t = Tensor::from_vec([4, 1, 1, 1], vec![2.0, 4.0, 6.0, 8.0]);
         let step = |net: &mut Conv2d, adam: &mut Adam| {
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             let (_, g) = mse_loss_grad(&y, &t);
             net.zero_grad();
             net.backward(&g);
@@ -227,7 +227,7 @@ mod tests {
     fn adam_state_rejects_mismatched_shape() {
         let mut net = Conv2d::new(2, 2, 1, 0);
         let mut adam = Adam::new(0.05);
-        let y = net.forward(&Tensor::ones([1, 2, 1, 1]), true);
+        let y = net.forward(&Tensor::ones([1, 2, 1, 1]));
         let (_, g) = mse_loss_grad(&y, &Tensor::ones([1, 2, 1, 1]));
         net.backward(&g);
         adam.step(&mut net);
@@ -242,7 +242,7 @@ mod tests {
     fn stepped_adam() -> (Adam, AdamState) {
         let mut net = Conv2d::new(2, 2, 1, 0);
         let mut adam = Adam::new(0.05);
-        let y = net.forward(&Tensor::ones([1, 2, 1, 1]), true);
+        let y = net.forward(&Tensor::ones([1, 2, 1, 1]));
         let (_, g) = mse_loss_grad(&y, &Tensor::ones([1, 2, 1, 1]));
         net.backward(&g);
         adam.step(&mut net);

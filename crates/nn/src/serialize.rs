@@ -59,49 +59,6 @@ pub fn load_state(net: &mut dyn Layer, state: &[Vec<f32>]) -> Result<(), String>
     Ok(())
 }
 
-/// Encodes a network's parameters as little-endian bytes.
-pub fn to_bytes(net: &mut dyn Layer) -> Vec<u8> {
-    let tensors = state(net);
-    let mut out = Vec::new();
-    out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
-    for t in &tensors {
-        out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-        for v in t {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Decodes parameters encoded by [`to_bytes`] into a network.
-///
-/// # Errors
-///
-/// Fails on truncated input or architecture mismatch.
-pub fn from_bytes(net: &mut dyn Layer, bytes: &[u8]) -> Result<(), String> {
-    let mut cur = 0usize;
-    let read_u32 = |cur: &mut usize| -> Result<u32, String> {
-        let end = *cur + 4;
-        let s = bytes.get(*cur..end).ok_or("truncated state")?;
-        *cur = end;
-        Ok(u32::from_le_bytes(s.try_into().unwrap()))
-    };
-    let count = read_u32(&mut cur)? as usize;
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = read_u32(&mut cur)? as usize;
-        let mut t = Vec::with_capacity(len);
-        for _ in 0..len {
-            let end = cur + 4;
-            let s = bytes.get(cur..end).ok_or("truncated tensor data")?;
-            cur = end;
-            t.push(f32::from_le_bytes(s.try_into().unwrap()));
-        }
-        tensors.push(t);
-    }
-    load_state(net, &tensors)
-}
-
 /// A 64-bit FNV-1a digest over parameter tensors, for cheap integrity
 /// checks of checkpointed network state (two identical states always agree;
 /// any flipped bit almost surely disagrees).
@@ -127,6 +84,7 @@ pub fn digest(tensors: &[Vec<f32>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::Scratch;
     use crate::layers::{BatchNorm2d, Conv2d};
     use crate::tensor::Tensor;
 
@@ -139,35 +97,31 @@ mod tests {
         let mut a = build();
         let mut b = Conv2d::new(2, 4, 3, 99);
         let x = Tensor::ones([1, 2, 4, 4]);
-        assert_ne!(a.forward(&x, false).data(), b.forward(&x, false).data());
+        let mut scratch = Scratch::new();
+        assert_ne!(
+            a.infer(&x, &mut scratch).data(),
+            b.infer(&x, &mut scratch).data()
+        );
         let s = state(&mut a);
         load_state(&mut b, &s).unwrap();
-        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
+        assert_eq!(
+            a.infer(&x, &mut scratch).data(),
+            b.infer(&x, &mut scratch).data()
+        );
 
         // Buffers ride along after the parameters: batch-norm running
         // statistics moved by a training forward.
         let mut bn = BatchNorm2d::new(2);
         let y = Tensor::from_vec([1, 2, 1, 2], vec![1.0, 3.0, -2.0, 5.0]);
-        bn.forward(&y, true);
+        bn.forward(&y);
         let s = state(&mut bn);
         assert_eq!(s.len(), 4, "gamma, beta, running mean, running var");
         let mut fresh = BatchNorm2d::new(2);
         load_state(&mut fresh, &s).unwrap();
         assert_eq!(
-            bn.forward(&y, false).data(),
-            fresh.forward(&y, false).data()
+            bn.infer(&y, &mut scratch).data(),
+            fresh.infer(&y, &mut scratch).data()
         );
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let mut a = build();
-        let bytes = to_bytes(&mut a);
-        let mut b = build();
-        b.visit_params(&mut |p| p.data.iter_mut().for_each(|v| *v = 0.0));
-        from_bytes(&mut b, &bytes).unwrap();
-        let x = Tensor::ones([1, 2, 3, 3]);
-        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
     }
 
     #[test]
@@ -193,14 +147,5 @@ mod tests {
         let split = vec![vec![1.0f32], vec![2.0]];
         let joined = vec![vec![1.0f32, 2.0]];
         assert_ne!(digest(&split), digest(&joined));
-    }
-
-    #[test]
-    fn truncated_bytes_error() {
-        let mut a = build();
-        let mut bytes = to_bytes(&mut a);
-        bytes.truncate(bytes.len() / 2);
-        let mut b = build();
-        assert!(from_bytes(&mut b, &bytes).is_err());
     }
 }

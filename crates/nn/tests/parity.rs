@@ -79,7 +79,7 @@ fn forward_parity_is_bitwise_on_all_qnet_shapes() {
             let p = params(&mut conv);
             let x = random_tensor(&mut rng, [batch, in_c, h, h]);
             let naive = reference::conv2d_forward(in_c, out_c, k, &p[0], Some(&p[1]), &x);
-            let y = conv.forward_with(&x, true, &mut scratch);
+            let y = conv.forward_with(&x, &mut scratch);
             assert_eq!(
                 naive.out.data(),
                 y.data(),
@@ -117,7 +117,7 @@ fn backward_parity_is_bitwise_on_all_qnet_shapes() {
                 x.shape(),
                 &grad_out,
             );
-            conv.forward(&x, true);
+            conv.forward(&x);
             conv.zero_grad();
             let grad_in = conv.backward(&grad_out);
             assert_eq!(

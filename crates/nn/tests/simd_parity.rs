@@ -55,7 +55,7 @@ fn check_conv(
     conv.visit_params(&mut |pr| p.push(pr.data.clone()));
     let x = Tensor::from_vec([batch, in_c, h, w], filled(rng, batch * in_c * h * w));
     let naive_fwd = reference::conv2d_forward(in_c, out_c, k, &p[0], Some(&p[1]), &x);
-    let y = conv.forward(&x, true);
+    let y = conv.forward(&x);
     assert_eq!(naive_fwd.out.data(), y.data(), "forward diverged at {ctx}");
 
     let grad_out = Tensor::from_vec([batch, out_c, h, w], filled(rng, batch * out_c * h * w));
@@ -90,7 +90,7 @@ fn check_conv(
 /// train-mode pass, at the current tier.
 fn conv_pass(conv: &Conv2d, x: &Tensor, grad_out: &Tensor) -> Vec<Vec<f32>> {
     let mut conv = conv.clone();
-    let y = conv.forward(x, true);
+    let y = conv.forward(x);
     conv.zero_grad();
     let grad_in = conv.backward(grad_out);
     let mut out = vec![y.data().to_vec(), grad_in.data().to_vec()];

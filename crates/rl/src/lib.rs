@@ -6,19 +6,17 @@
 //! - [`replay::ReplayBuffer`] — uniform experience replay over vector-reward
 //!   transitions with legality masks;
 //! - [`schedule::EpsilonSchedule`] — linearly annealed ε-greedy exploration;
-//! - [`qnetwork::QInfer`] / [`qnetwork::QNetwork`] — the two halves of a
-//!   Q-value approximator: an immutable inference interface (`&self`, so
-//!   acting never disturbs training state) and the mutable training
-//!   interface on top (the paper's
-//!   convolutional network lives in `prefixrl-core`; tests here use a
-//!   small linear network);
+//! - [`qnetwork::QNetwork`] — the Q-value approximator, one method per
+//!   job: `infer` (the evaluation forward, through `&self`), `forward`
+//!   (the training forward), `apply_gradient`, and `state`/`load_state`
+//!   (the paper's convolutional network lives in `prefixrl-core`; tests
+//!   here use a small linear network);
 //! - [`policy::ScalarizedPolicy`] — the one ε-greedy scalarized
 //!   action-selection implementation (`argmax w·Q` over legal actions,
-//!   Eq. 6), shared by the trainer and the training loop, with batched
-//!   variants for multi-environment acting;
+//!   Eq. 6), batched over a round's environments;
 //! - [`trainer::DoubleDqn`] — scalarized Double-DQN: per-objective Q-values
-//!   `Q = [Q_area, Q_delay]`, acting through the shared policy, and targets
-//!   `y = r + γ·Q_target(s', argmax_a w·Q_online(s', a))` (Eq. 4).
+//!   `Q = [Q_area, Q_delay]`, acting through [`DoubleDqn::act`], and
+//!   targets `y = r + γ·Q_target(s', argmax_a w·Q_online(s', a))` (Eq. 4).
 //!
 //! # Example
 //!
@@ -49,7 +47,7 @@ pub mod schedule;
 pub mod trainer;
 
 pub use policy::ScalarizedPolicy;
-pub use qnetwork::{QInfer, QNetwork};
+pub use qnetwork::QNetwork;
 pub use replay::{ReplayBuffer, Transition};
 pub use schedule::EpsilonSchedule;
 pub use trainer::{DoubleDqn, DqnConfig, TrainerState};

@@ -3,23 +3,19 @@
 //! PrefixRL selects actions by scalarizing the per-objective Q-values with
 //! the agent's weight vector and taking the masked argmax, with ε-greedy
 //! exploration during training. [`ScalarizedPolicy`] is the single
-//! implementation every acting path routes through. All selection goes
-//! through the **immutable** [`QInfer`] half of the network, so acting
-//! never disturbs training state, and its batched entry points
-//! ([`ScalarizedPolicy::greedy_actions`],
-//! [`ScalarizedPolicy::select_actions_with`]) evaluate one forward pass
-//! over many environments instead of a batch-of-1 per decision.
+//! implementation: [`ScalarizedPolicy::greedy_from_q`] is the masked argmax
+//! (also Double-DQN's next-action choice), and
+//! [`ScalarizedPolicy::select_actions_with`] draws a round's exploration
+//! coins and hands every greedy state to one evaluator call, so a round of
+//! actors costs one forward pass.
 
-use crate::qnetwork::QInfer;
-use nn::Scratch;
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// ε-greedy scalarized action selection over any [`QInfer`].
+/// ε-greedy scalarized action selection over precomputed Q-values.
 ///
 /// The policy is a pure decision rule (the scalarization weight is its only
-/// state), so it is `Copy` and can be shared freely between the trainer and
-/// detached actor threads.
+/// state), so it is `Copy`.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ScalarizedPolicy {
     weight: [f32; 2],
@@ -65,41 +61,6 @@ impl ScalarizedPolicy {
             .map(|(a, _)| (a, self.scalarize(q[a])))
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .map(|(a, _)| a)
-    }
-
-    /// The greedy action for one state (ε = 0).
-    pub fn greedy_action<Q: QInfer + ?Sized>(
-        &self,
-        net: &Q,
-        state: &[f32],
-        mask: &[bool],
-        scratch: &mut Scratch,
-    ) -> Option<usize> {
-        let q = net.infer(&[state], scratch).pop().expect("batch of 1");
-        self.greedy_from_q(&q, mask)
-    }
-
-    /// Greedy actions for a batch of states in one forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` and `masks` lengths differ.
-    pub fn greedy_actions<Q: QInfer + ?Sized>(
-        &self,
-        net: &Q,
-        states: &[&[f32]],
-        masks: &[&[bool]],
-        scratch: &mut Scratch,
-    ) -> Vec<Option<usize>> {
-        assert_eq!(states.len(), masks.len(), "states/masks length mismatch");
-        if states.is_empty() {
-            return Vec::new();
-        }
-        net.infer(states, scratch)
-            .iter()
-            .zip(masks)
-            .map(|(q, mask)| self.greedy_from_q(q, mask))
-            .collect()
     }
 
     /// ε-greedy selection for a batch of states — **the** ε-greedy
@@ -181,53 +142,21 @@ enum Explore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qnetwork::QNetwork;
 
-    /// A fixed-table Q-network: `q[s][a]`, one-hot states.
-    struct TableQ {
-        table: Vec<Vec<[f32; 2]>>,
-    }
+    /// A fixed Q-table over one-hot states. State 0: area prefers
+    /// action 0, delay prefers action 2.
+    const TABLE: [[[f32; 2]; 3]; 2] = [
+        [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+        [[0.0, 0.2], [0.9, 0.9], [0.1, 0.0]],
+    ];
 
-    impl QInfer for TableQ {
-        fn num_actions(&self) -> usize {
-            self.table[0].len()
-        }
-
-        fn infer(&self, states: &[&[f32]], _scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>> {
-            states
-                .iter()
-                .map(|s| {
-                    let idx = s.iter().position(|&x| x == 1.0).unwrap();
-                    self.table[idx].clone()
-                })
-                .collect()
-        }
-    }
-
-    impl QNetwork for TableQ {
-        fn forward(&mut self, states: &[&[f32]], _train: bool) -> Vec<Vec<[f32; 2]>> {
-            self.infer(states, &mut Scratch::new())
-        }
-
-        fn apply_gradient(&mut self, _grad: &[Vec<[f32; 2]>]) {}
-
-        fn state(&mut self) -> Vec<Vec<f32>> {
-            Vec::new()
-        }
-
-        fn load_state(&mut self, _state: &[Vec<f32>]) -> Result<(), String> {
-            Ok(())
-        }
-    }
-
-    fn table() -> TableQ {
-        TableQ {
-            // State 0: area prefers action 0, delay prefers action 2.
-            table: vec![
-                vec![[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
-                vec![[0.0, 0.2], [0.9, 0.9], [0.1, 0.0]],
-            ],
-        }
+    /// The evaluator `select_actions_with` calls: each one-hot state's
+    /// table row.
+    fn lookup(states: &[&[f32]]) -> Vec<Vec<[f32; 2]>> {
+        states
+            .iter()
+            .map(|s| TABLE[s.iter().position(|&x| x == 1.0).unwrap()].to_vec())
+            .collect()
     }
 
     fn one_hot(s: usize) -> Vec<f32> {
@@ -238,64 +167,29 @@ mod tests {
 
     #[test]
     fn greedy_tracks_weight() {
-        let net = table();
-        let mut s = Scratch::new();
         let area = ScalarizedPolicy::new([1.0, 0.0]);
         let delay = ScalarizedPolicy::new([0.0, 1.0]);
         let mask = [true, true, true];
-        assert_eq!(
-            area.greedy_action(&net, &one_hot(0), &mask, &mut s),
-            Some(0)
-        );
-        assert_eq!(
-            delay.greedy_action(&net, &one_hot(0), &mask, &mut s),
-            Some(2)
-        );
+        assert_eq!(area.greedy_from_q(&TABLE[0], &mask), Some(0));
+        assert_eq!(delay.greedy_from_q(&TABLE[0], &mask), Some(2));
     }
 
     #[test]
     fn masking_restricts_and_empties() {
-        let net = table();
-        let mut s = Scratch::new();
         let p = ScalarizedPolicy::new([1.0, 0.0]);
-        assert_eq!(
-            p.greedy_action(&net, &one_hot(0), &[false, true, true], &mut s),
-            Some(1)
-        );
-        assert_eq!(
-            p.greedy_action(&net, &one_hot(0), &[false, false, false], &mut s),
-            None
-        );
-    }
-
-    #[test]
-    fn batched_matches_single() {
-        let net = table();
-        let mut scratch = Scratch::new();
-        let p = ScalarizedPolicy::new([0.5, 0.5]);
-        let (s0, s1) = (one_hot(0), one_hot(1));
-        let masks: Vec<&[bool]> = vec![&[true; 3], &[true, true, false]];
-        let batched = p.greedy_actions(&net, &[&s0, &s1], &masks, &mut scratch);
-        let singles = vec![
-            p.greedy_action(&net, &s0, masks[0], &mut scratch),
-            p.greedy_action(&net, &s1, masks[1], &mut scratch),
-        ];
-        assert_eq!(batched, singles);
+        assert_eq!(p.greedy_from_q(&TABLE[0], &[false, true, true]), Some(1));
+        assert_eq!(p.greedy_from_q(&TABLE[0], &[false, false, false]), None);
     }
 
     #[test]
     fn epsilon_one_is_uniform_over_legal() {
-        let net = table();
-        let mut scratch = Scratch::new();
         let p = ScalarizedPolicy::new([0.5, 0.5]);
         let mut rng = StdRng::seed_from_u64(0);
         let mask = [true, false, true];
         let mut counts = [0usize; 3];
         for _ in 0..1000 {
-            let a = p.select_actions_with(&[&one_hot(0)], &[&mask], 1.0, &mut rng, |b| {
-                net.infer(b, &mut scratch)
-            })[0]
-                .unwrap();
+            let a =
+                p.select_actions_with(&[&one_hot(0)], &[&mask], 1.0, &mut rng, lookup)[0].unwrap();
             counts[a] += 1;
         }
         assert_eq!(counts[1], 0, "illegal action must never be chosen");
@@ -304,36 +198,12 @@ mod tests {
 
     #[test]
     fn epsilon_zero_batch_is_greedy() {
-        let net = table();
-        let mut scratch = Scratch::new();
         let p = ScalarizedPolicy::new([1.0, 0.0]);
         let mut rng = StdRng::seed_from_u64(1);
         let (s0, s1) = (one_hot(0), one_hot(1));
         let masks: Vec<&[bool]> = vec![&[true; 3], &[true; 3]];
-        let actions = p.select_actions_with(&[&s0, &s1], &masks, 0.0, &mut rng, |b| {
-            net.infer(b, &mut scratch)
-        });
+        let actions = p.select_actions_with(&[&s0, &s1], &masks, 0.0, &mut rng, lookup);
         assert_eq!(actions, vec![Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn shared_snapshot_selects_across_threads() {
-        // The point of the QInfer split: one network value, many selecting
-        // threads, no copies.
-        let net = std::sync::Arc::new(table());
-        let p = ScalarizedPolicy::new([1.0, 0.0]);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let net = std::sync::Arc::clone(&net);
-                scope.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    assert_eq!(
-                        p.greedy_action(&*net, &one_hot(0), &[true; 3], &mut scratch),
-                        Some(0)
-                    );
-                });
-            }
-        });
     }
 
     #[test]

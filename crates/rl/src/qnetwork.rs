@@ -1,51 +1,36 @@
-//! The Q-function interfaces consumed by the trainer and the actors.
+//! The Q-function interface consumed by the trainer.
 //!
-//! The approximator is split into two halves:
-//!
-//! - [`QInfer`] — the immutable inference half: evaluation-mode Q-values
-//!   through `&self`, drawing transient buffers from a caller-supplied
-//!   [`Scratch`]. Because it never mutates, one frozen network snapshot
-//!   (e.g. behind an `Arc`) can serve any number of actor threads with
-//!   zero per-decision weight copies — the paper's many-actors/one-learner
-//!   topology at thread scale.
-//! - [`QNetwork`] — the mutable training half layered on top: training
-//!   forwards, gradient application, and parameter snapshots for target
-//!   sync and checkpointing.
+//! [`QNetwork`] has one method per job: [`QNetwork::infer`] is the
+//! evaluation forward (running batch-norm statistics, no cache writes,
+//! through `&self`), which acting and the Double-DQN bootstrap targets use;
+//! [`QNetwork::forward`] is the training forward that
+//! [`QNetwork::apply_gradient`] backpropagates through; `state` and
+//! `load_state` copy parameters for target sync and checkpointing.
 
 use nn::Scratch;
-
-/// The immutable inference half of a multi-objective Q-approximator.
-///
-/// Implementations map flattened state features to per-action,
-/// per-objective Q-values `[Q_area, Q_delay]` in evaluation mode (running
-/// batch-norm statistics, no cache writes). `infer` must agree with
-/// [`QNetwork::forward`]`(…, false)` on any type implementing both.
-pub trait QInfer {
-    /// Number of flat actions (e.g. `2·N²` for the add/delete grid).
-    fn num_actions(&self) -> usize;
-
-    /// Evaluates Q-values for a batch of states:
-    /// `out[b][a] = [q_area, q_delay]`.
-    fn infer(&self, states: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>>;
-}
 
 /// A trainable multi-objective Q-value approximator over a fixed flat
 /// action space.
 ///
-/// The PrefixRL convolutional network (Fig. 2 of the paper) implements
-/// this in `prefixrl-core`; the trainer's unit tests use a linear network.
-/// Action selection goes through the [`QInfer`] supertrait.
-pub trait QNetwork: QInfer {
-    /// Evaluates Q-values for a batch of states:
-    /// `out[b][a] = [q_area, q_delay]`.
-    ///
-    /// `train` selects training-mode behaviour of stochastic layers (batch
-    /// statistics in batch-norm) and backward caching; `false` must match
-    /// [`QInfer::infer`] exactly.
-    fn forward(&mut self, states: &[&[f32]], train: bool) -> Vec<Vec<[f32; 2]>>;
+/// Implementations map flattened state features to per-action,
+/// per-objective Q-values `out[b][a] = [q_area, q_delay]`. The PrefixRL
+/// convolutional network (Fig. 2 of the paper) implements this in
+/// `prefixrl-core`; the trainer's unit tests use a linear network.
+pub trait QNetwork {
+    /// Number of flat actions (e.g. `2·N²` for the add/delete grid).
+    fn num_actions(&self) -> usize;
+
+    /// Evaluates Q-values for a batch of states, drawing transient buffers
+    /// from `scratch`.
+    fn infer(&self, states: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>>;
+
+    /// The training forward over a batch of states (batch statistics in
+    /// batch-norm, backward caches written).
+    fn forward(&mut self, states: &[&[f32]]) -> Vec<Vec<[f32; 2]>>;
 
     /// Backpropagates `grad[b][a] = [∂L/∂q_area, ∂L/∂q_delay]` through the
-    /// most recent `forward(…, true)` call and applies one optimizer step.
+    /// most recent [`QNetwork::forward`] call and applies one optimizer
+    /// step.
     fn apply_gradient(&mut self, grad: &[Vec<[f32; 2]>]);
 
     /// Snapshot of all parameters (for target-network sync and

@@ -57,16 +57,16 @@ pub struct TrainerState {
 
 /// Scalarized Double-DQN over a [`QNetwork`] pair (online + target).
 ///
-/// All action selection delegates to the shared [`ScalarizedPolicy`], so
-/// the trainer and the training loop's batched action selection make
-/// identical decisions for identical Q-values.
+/// Every action comes from [`DoubleDqn::act`], which delegates to the
+/// shared [`ScalarizedPolicy`]; the bootstrap targets pick their next
+/// action with the same [`ScalarizedPolicy::greedy_from_q`].
 pub struct DoubleDqn<Q: QNetwork> {
     online: Q,
     target: Q,
     policy: ScalarizedPolicy,
     cfg: DqnConfig,
     grad_steps: u64,
-    /// Arena for the trainer's own inference passes (action selection,
+    /// Arena for the trainer's inference passes (action selection,
     /// bootstrap targets) — reused every step, so the hot loop stops
     /// allocating.
     scratch: Scratch,
@@ -105,20 +105,9 @@ impl<Q: QNetwork> DoubleDqn<Q> {
         &self.cfg
     }
 
-    /// The shared action-selection policy (copyable into actor threads).
-    pub fn policy(&self) -> ScalarizedPolicy {
-        self.policy
-    }
-
     /// Gradient steps taken so far.
     pub fn grad_steps(&self) -> u64 {
         self.grad_steps
-    }
-
-    /// Immutable access to the online network — what frozen inference
-    /// snapshots are built from.
-    pub fn online(&self) -> &Q {
-        &self.online
     }
 
     /// Mutable access to the online network (checkpointing, inspection).
@@ -151,22 +140,6 @@ impl<Q: QNetwork> DoubleDqn<Q> {
         self.target.load_state(&state.target)?;
         self.grad_steps = state.grad_steps;
         Ok(())
-    }
-
-    /// Per-action Q-values for a single state (evaluation mode, via the
-    /// immutable [`crate::QInfer`] path).
-    pub fn q_values(&mut self, state: &[f32]) -> Vec<[f32; 2]> {
-        self.online
-            .infer(&[state], &mut self.scratch)
-            .pop()
-            .expect("batch of 1")
-    }
-
-    /// The greedy action under the scalarized objective, restricted to
-    /// `mask`; `None` when no action is legal.
-    pub fn greedy_action(&mut self, state: &[f32], mask: &[bool]) -> Option<usize> {
-        self.policy
-            .greedy_action(&self.online, state, mask, &mut self.scratch)
     }
 
     /// ε-greedy acting for a batch of states against the online network,
@@ -231,10 +204,10 @@ impl<Q: QNetwork> DoubleDqn<Q> {
                 y
             })
             .collect();
-        // Forward the current states in training mode and build the
-        // masked Huber gradient at the taken actions only.
+        // Forward the current states for training and build the masked
+        // Huber gradient at the taken actions only.
         let states: Vec<&[f32]> = batch.iter().map(|t| t.state.as_slice()).collect();
-        let q_pred = self.online.forward(&states, true);
+        let q_pred = self.online.forward(&states);
         let num_actions = self.online.num_actions();
         let mut grad: Vec<Vec<[f32; 2]>> = vec![vec![[0.0; 2]; num_actions]; batch.len()];
         let mut loss = 0.0f64;
@@ -264,7 +237,6 @@ impl<Q: QNetwork> DoubleDqn<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qnetwork::QInfer;
     use crate::replay::Transition;
     use nn::{Conv2d, Layer};
 
@@ -312,7 +284,7 @@ mod tests {
         }
     }
 
-    impl QInfer for LinearQ {
+    impl QNetwork for LinearQ {
         fn num_actions(&self) -> usize {
             self.actions
         }
@@ -323,11 +295,9 @@ mod tests {
             scratch.recycle(y);
             out
         }
-    }
 
-    impl QNetwork for LinearQ {
-        fn forward(&mut self, states: &[&[f32]], train: bool) -> Vec<Vec<[f32; 2]>> {
-            let y = self.net.forward(&Self::pack(states), train);
+        fn forward(&mut self, states: &[&[f32]]) -> Vec<Vec<[f32; 2]>> {
+            let y = self.net.forward(&Self::pack(states));
             self.unpack(states.len(), &y)
         }
 
@@ -391,6 +361,20 @@ mod tests {
         buf
     }
 
+    /// The greedy action at chain state `s` under `mask`, through the
+    /// trainer's one acting path at ε = 0.
+    fn greedy(dqn: &mut DoubleDqn<LinearQ>, s: usize, mask: &[bool]) -> Option<usize> {
+        let mut rng = StdRng::seed_from_u64(0);
+        dqn.act(&[&one_hot(s)], &[mask], 0.0, &mut rng)[0]
+    }
+
+    /// The online network's Q-values at chain state `s`.
+    fn q_values(dqn: &mut DoubleDqn<LinearQ>, s: usize) -> Vec<[f32; 2]> {
+        let mut scratch = Scratch::new();
+        let mut q = dqn.online_mut().infer(&[&one_hot(s)], &mut scratch);
+        q.pop().expect("batch of 1")
+    }
+
     fn train_chain(w_area: f32, seed: u64) -> DoubleDqn<LinearQ> {
         let cfg = DqnConfig {
             gamma: 0.9,
@@ -419,12 +403,12 @@ mod tests {
         let mut left = train_chain(0.0, 4);
         for s in 1..4 {
             assert_eq!(
-                right.greedy_action(&one_hot(s), &[true, true]),
+                greedy(&mut right, s, &[true, true]),
                 Some(1),
                 "w=[1,0] at state {s}"
             );
             assert_eq!(
-                left.greedy_action(&one_hot(s), &[true, true]),
+                greedy(&mut left, s, &[true, true]),
                 Some(0),
                 "w=[0,1] at state {s}"
             );
@@ -435,7 +419,7 @@ mod tests {
     fn q_values_approach_returns() {
         let mut dqn = train_chain(1.0, 5);
         // At state 3, going right pays [1, 0] immediately.
-        let q = dqn.q_values(&one_hot(3));
+        let q = q_values(&mut dqn, 3);
         assert!(
             (q[1][0] - 1.0).abs() < 0.2,
             "Q_area(3, right) = {}",
@@ -443,7 +427,7 @@ mod tests {
         );
         assert!(q[1][1].abs() < 0.2, "Q_delay(3, right) = {}", q[1][1]);
         // At state 1, going right then optimally: γ²·1 discounted area value.
-        let q1 = dqn.q_values(&one_hot(1));
+        let q1 = q_values(&mut dqn, 1);
         assert!(q1[1][0] > 0.4, "Q_area(1, right) = {}", q1[1][0]);
     }
 
@@ -451,8 +435,8 @@ mod tests {
     fn masking_restricts_selection() {
         let mut dqn = train_chain(1.0, 6);
         // Even though right is optimal, masking it forces left.
-        assert_eq!(dqn.greedy_action(&one_hot(2), &[true, false]), Some(0));
-        assert_eq!(dqn.greedy_action(&one_hot(2), &[false, false]), None);
+        assert_eq!(greedy(&mut dqn, 2, &[true, false]), Some(0));
+        assert_eq!(greedy(&mut dqn, 2, &[false, false]), None);
     }
 
     #[test]
@@ -509,8 +493,8 @@ mod tests {
         assert_eq!(b.target_mut().state(), a.target_mut().state());
         for s in 0..5 {
             assert_eq!(
-                a.greedy_action(&one_hot(s.clamp(1, 3)), &[true, true]),
-                b.greedy_action(&one_hot(s.clamp(1, 3)), &[true, true]),
+                greedy(&mut a, s.clamp(1, 3), &[true, true]),
+                greedy(&mut b, s.clamp(1, 3), &[true, true]),
             );
         }
     }

@@ -374,21 +374,6 @@ impl FrontierStore {
         self.cell.epoch()
     }
 
-    /// Runs `f` on the stored front for a key — `None` if nothing was
-    /// ever merged under it — without cloning it. The store mutex is held
-    /// for the duration of `f`; for read-mostly traffic prefer
-    /// [`FrontierStore::snapshot`].
-    pub fn with_front<R>(
-        &self,
-        task: &str,
-        backend: &str,
-        n: u16,
-        f: impl FnOnce(Option<&ParetoFront<PrefixGraph>>) -> R,
-    ) -> R {
-        let inner = lock(&self.inner);
-        f(inner.fronts.get(&key_of(task, backend, n)))
-    }
-
     /// Every key with a stored front, in sorted order (snapshot read).
     pub fn keys(&self) -> Vec<String> {
         self.snapshot().keys()

@@ -6,6 +6,7 @@
 
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
+use prefixrl_core::pareto::ParetoFront;
 use prefixrl_core::task::{Adder, CircuitTask, PrefixOr, TaskEvaluator};
 use prefixrl_serve::FrontierStore;
 use std::path::PathBuf;
@@ -46,6 +47,27 @@ fn pool(task: impl CircuitTask + 'static, n: u16) -> Vec<(PrefixGraph, Objective
     .collect()
 }
 
+/// The stored front of a key as the read snapshot serves it — `None` if
+/// nothing was ever merged under it.
+fn stored_front(
+    store: &FrontierStore,
+    task: &str,
+    backend: &str,
+    n: u16,
+) -> Option<ParetoFront<()>> {
+    let snapshot = store.snapshot();
+    let view = snapshot.front(task, backend, n)?;
+    let mut front = ParetoFront::new();
+    for p in view.points() {
+        let point = ObjectivePoint {
+            area: p.area,
+            delay: p.delay,
+        };
+        front.insert(point, ());
+    }
+    Some(front)
+}
+
 #[test]
 fn restart_returns_bit_identical_front() {
     let dir = temp_dir("restart");
@@ -83,7 +105,9 @@ fn cross_job_merges_never_regress_the_stored_front() {
     store
         .merge("adder", "analytical", 16, &pool(Adder, 16))
         .unwrap();
-    let stored = store.with_front("adder", "analytical", 16, |f| f.unwrap().points());
+    let stored = stored_front(&store, "adder", "analytical", 16)
+        .unwrap()
+        .points();
 
     // A second job's pool: one point dominating a stored one, one
     // dominated point, one duplicate.
@@ -112,21 +136,19 @@ fn cross_job_merges_never_regress_the_stored_front() {
 
     // Monotonicity: at every previously covered delay, the achievable
     // area must be no worse than before.
-    store.with_front("adder", "analytical", 16, |merged| {
-        let merged = merged.unwrap();
-        for p in &stored {
-            let now = merged.area_at_delay(p.delay).expect("coverage kept");
-            assert!(
-                now <= p.area + 1e-12,
-                "front regressed at delay {}: {} > {}",
-                p.delay,
-                now,
-                p.area
-            );
-        }
-        assert!(!merged.dominates_point(&better), "new optimum must be kept");
-        assert!(merged.dominates_point(&worse), "dominated point rejected");
-    });
+    let merged = stored_front(&store, "adder", "analytical", 16).unwrap();
+    for p in &stored {
+        let now = merged.area_at_delay(p.delay).expect("coverage kept");
+        assert!(
+            now <= p.area + 1e-12,
+            "front regressed at delay {}: {} > {}",
+            p.delay,
+            now,
+            p.area
+        );
+    }
+    assert!(!merged.dominates_point(&better), "new optimum must be kept");
+    assert!(merged.dominates_point(&worse), "dominated point rejected");
 }
 
 #[test]
@@ -140,7 +162,7 @@ fn keys_isolate_tasks_backends_and_widths() {
         .merge("prefix-or", "analytical", 8, &pool(PrefixOr, 8))
         .unwrap();
 
-    let known = |t: &str, b: &str, n: u16| store.with_front(t, b, n, |f| f.is_some());
+    let known = |t: &str, b: &str, n: u16| stored_front(&store, t, b, n).is_some();
     assert!(known("adder", "analytical", 8));
     assert!(known("prefix-or", "analytical", 8));
     // No leakage into other keys along any axis.
@@ -150,8 +172,12 @@ fn keys_isolate_tasks_backends_and_widths() {
     // And an adder query never reflects the prefix-or merge: both merged
     // the same graphs, so equality of fronts would be possible only via
     // sharing — check the counts are independent per key.
-    let adder_len = store.with_front("adder", "analytical", 8, |f| f.unwrap().len());
-    let or_len = store.with_front("prefix-or", "analytical", 8, |f| f.unwrap().len());
+    let adder_len = stored_front(&store, "adder", "analytical", 8)
+        .unwrap()
+        .len();
+    let or_len = stored_front(&store, "prefix-or", "analytical", 8)
+        .unwrap()
+        .len();
     assert!(adder_len > 0 && or_len > 0);
 }
 
@@ -175,8 +201,12 @@ fn concurrent_merges_on_one_key_are_safe() {
     reference
         .merge("adder", "analytical", 12, &designs)
         .unwrap();
-    let expected = reference.with_front("adder", "analytical", 12, |f| f.unwrap().points());
-    let actual = store.with_front("adder", "analytical", 12, |f| f.unwrap().points());
+    let expected = stored_front(&reference, "adder", "analytical", 12)
+        .unwrap()
+        .points();
+    let actual = stored_front(&store, "adder", "analytical", 12)
+        .unwrap()
+        .points();
     assert_eq!(actual, expected);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -163,7 +163,7 @@ fn async_training_integrates_with_synthesis_cache() {
 }
 
 /// Checkpoint round-trip: a trained agent's Q-network state survives
-/// serialization and produces identical greedy decisions.
+/// `state()`/`load_state()` and produces identical Q-values.
 #[test]
 fn agent_checkpoint_roundtrip() {
     let cfg = AgentConfig::tiny(8, 0.5);
@@ -171,14 +171,18 @@ fn agent_checkpoint_roundtrip() {
     let mut lp = TrainLoop::new(&cfg, Arc::clone(&eval));
     lp.run_to_completion(0, &mut NullObserver);
     let (mut dqn, _) = lp.into_parts(0);
-    let bytes = dqn.online_mut().to_bytes();
-    let mut restored = PrefixQNet::new(&cfg.qnet);
-    restored.from_bytes(&bytes).unwrap();
+    use rl::QNetwork;
+    let state = dqn.online_mut().state();
+    let mut restored = PrefixQNet::new(&QNetConfig {
+        seed: cfg.qnet.seed + 1,
+        ..cfg.qnet.clone()
+    });
+    restored.load_state(&state).unwrap();
     let env = PrefixEnv::new(cfg.env.clone(), eval);
     let f = env.features();
-    use rl::QNetwork;
-    let a = dqn.online_mut().forward(&[f.as_slice()], false);
-    let b = restored.forward(&[f.as_slice()], false);
+    let mut scratch = nn::Scratch::new();
+    let a = dqn.online_mut().infer(&[f.as_slice()], &mut scratch);
+    let b = restored.infer(&[f.as_slice()], &mut scratch);
     assert_eq!(a[0], b[0]);
 }
 
