@@ -146,12 +146,12 @@ fn bench_replay_and_curve(c: &mut Criterion) {
     g.bench_function("replay_sample_64", |b| {
         let mut buf = rl::ReplayBuffer::new(10_000);
         for i in 0..5_000 {
+            // Five key words: a 16b graph's canonical key.
             buf.push(rl::Transition {
-                state: vec![i as f32; 64],
+                state: vec![i as u64; 5].into(),
                 action: i % 10,
                 reward: [0.0, 0.0],
-                next_state: vec![0.0; 64],
-                next_mask: vec![true; 10],
+                next_state: vec![0; 5].into(),
                 done: false,
             });
         }

@@ -280,6 +280,12 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::from_value(v).map(Vec::into_boxed_slice)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

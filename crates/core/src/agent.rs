@@ -19,7 +19,9 @@
 //!    [`Event::Step`]s;
 //! 3. the coordinator records the designs and pushes the transitions in
 //!    actor order, training one gradient step whenever the global step
-//!    index is a multiple of `train_every`;
+//!    index is a multiple of `train_every`. A transition stores the two
+//!    graphs' canonical keys, not their features: the gradient step
+//!    decodes the sampled keys through [`crate::env::decode_state`];
 //! 4. the coordinator resets the truncated environments.
 //!
 //! With one actor this is the classic serial step (act, step, push,
@@ -32,7 +34,7 @@
 //! [`crate::experiment::Experiment`].
 
 use crate::checkpoint::{ActorState, Checkpoint};
-use crate::env::{EnvConfig, PrefixEnv, StepOutcome};
+use crate::env::{self, EnvConfig, PrefixEnv, StepOutcome};
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::experiment::{Event, NullObserver, RunObserver, RunRecord};
 use crate::parallel::{self, Lockstep};
@@ -135,6 +137,12 @@ impl AgentConfig {
             seed: 0,
         }
     }
+}
+
+/// The replay key of an environment's current state: its graph's canonical
+/// key, which [`env::decode_state`] turns back into features and a mask.
+fn state_key(env: &PrefixEnv) -> Box<[u64]> {
+    env.graph().canonical_key().into_boxed_slice()
 }
 
 /// One actor: its environment and the return of its running episode.
@@ -469,9 +477,11 @@ impl TrainLoop {
         }
 
         // Phase 1: every random draw and the greedy forward, in actor order
-        // (one ε per round, at its first step index).
+        // (one ε per round, at its first step index). The acting states'
+        // keys wait for phase 3's transitions.
         let epsilon = self.schedule.value(start);
         let active = &self.actors[..count];
+        let keys: Vec<Box<[u64]>> = active.iter().map(|a| state_key(&a.env)).collect();
         let states: Vec<Vec<f32>> = active.iter().map(|a| a.env.features()).collect();
         let masks: Vec<Vec<bool>> = active.iter().map(|a| a.env.action_mask()).collect();
         let state_refs: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
@@ -501,21 +511,23 @@ impl TrainLoop {
         // Phase 3: designs, transitions and gradient steps, in actor order.
         let mut observer = observer.lock();
         let mut truncated = Vec::with_capacity(count);
-        let results = states.into_iter().zip(actions).zip(stepped);
+        let results = keys.into_iter().zip(actions).zip(stepped);
         for (i, ((state, action), (actor, outcome))) in results.enumerate() {
             let step = start + i as u64;
             self.replay.push(Transition {
                 state,
                 action,
                 reward: outcome.reward,
-                next_state: actor.env.features(),
-                next_mask: actor.env.action_mask(),
+                next_state: state_key(&actor.env),
                 done: false, // no terminal states; truncation bootstraps
             });
             self.actors.push(actor);
             self.record_observed(i, step, run, &mut **observer);
             if self.cfg.train_every > 0 && step.is_multiple_of(self.cfg.train_every) {
-                if let Some(loss) = self.dqn.train_step(&self.replay, &mut self.rng) {
+                if let Some(loss) =
+                    self.dqn
+                        .train_step(&self.replay, &mut self.rng, env::decode_state)
+                {
                     self.losses.push(loss);
                     observer.on_event(
                         run,
@@ -601,6 +613,7 @@ mod tests {
     use super::*;
     use crate::cache::CachedEvaluator;
     use crate::task::{by_name, Adder, PrefixOr, TaskEvaluator};
+    use prefix_graph::features;
 
     fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> RunRecord {
         TrainLoop::run(cfg, evaluator)
@@ -682,6 +695,61 @@ mod tests {
         .expect("mismatch must fail");
         assert!(err.contains("task mismatch"), "{err}");
         assert!(err.contains("prefix-or") && err.contains("adder"), "{err}");
+    }
+
+    #[test]
+    fn replay_decodes_to_what_the_agent_saw() {
+        // Two 8b actors with 16-step episodes over 150 rounds: every actor
+        // resets several times.
+        let cfg = AgentConfig {
+            actors: 2,
+            ..AgentConfig::tiny(8, 0.5)
+        };
+        let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let mut seen: Vec<(PrefixGraph, PrefixGraph)> = Vec::new();
+        let mut resets = 0;
+        while !lp.is_done() {
+            let acting: Vec<PrefixGraph> =
+                lp.actors.iter().map(|a| a.env.graph().clone()).collect();
+            let pushed = lp.replay.total_pushed() as usize;
+            lp.step_round(0, &mut NullObserver);
+            let new: Vec<&Transition> = lp.replay.iter().skip(pushed).collect();
+            assert_eq!(new.len(), 2, "one transition per actor and round");
+            for (i, t) in new.into_iter().enumerate() {
+                let reached = acting[i]
+                    .with_action(env::flat_to_action(8, t.action))
+                    .expect("the pushed action was legal");
+                // An actor reset in phase 4 no longer shows the state it
+                // reached; every other actor must.
+                let actor = &lp.actors[i].env;
+                if actor.steps() == 0 {
+                    resets += 1;
+                } else {
+                    assert_eq!(actor.graph(), &reached);
+                }
+                seen.push((acting[i].clone(), reached));
+            }
+        }
+        assert!(resets >= 8, "only {resets} resets");
+        assert_eq!(lp.replay.len(), seen.len());
+        let bits = |f: &[f32]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, (t, (state, next))) in lp.replay.iter().zip(&seen).enumerate() {
+            let (mut features, mut next_features, mut mask) = (Vec::new(), Vec::new(), Vec::new());
+            env::decode_state(&t.state, &mut features, None);
+            env::decode_state(&t.next_state, &mut next_features, Some(&mut mask));
+            assert_eq!(
+                bits(&features),
+                bits(&features::extract(state)),
+                "state {k}"
+            );
+            assert_eq!(
+                bits(&next_features),
+                bits(&features::extract(next)),
+                "next state {k}"
+            );
+            let (add, del) = next.action_masks();
+            assert_eq!(mask, [add, del].concat(), "next mask {k}");
+        }
     }
 
     #[test]

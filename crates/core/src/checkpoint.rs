@@ -2,10 +2,10 @@
 //!
 //! A [`Checkpoint`] captures *everything* [`crate::agent::TrainLoop`] needs
 //! to continue bit-identically from a round boundary: both network
-//! parameter sets, the Adam moments, the replay buffer (storage, ring
-//! cursor, push counter), the raw RNG state, the ε-schedule position (the
-//! step counter), every actor's mid-episode environment state, and the
-//! harvested design pool. A
+//! parameter sets, the Adam moments, the replay buffer (its transitions'
+//! state keys, ring cursor and push counter), the raw RNG state, the
+//! ε-schedule position (the step counter), every actor's mid-episode
+//! environment state, and the harvested design pool. A
 //! [`SweepCheckpoint`] aggregates per-agent states for a multi-weight
 //! [`crate::experiment::Experiment`], so a killed sweep restarts exactly
 //! where it stopped: finished agents are restored from their records,
@@ -49,7 +49,8 @@ pub struct Checkpoint {
     pub trainer: TrainerState,
     /// Adam moments + step counter of the online network's optimizer.
     pub opt: AdamState,
-    /// The replay buffer, including ring cursor and push counter.
+    /// The replay buffer of state keys, including ring cursor and push
+    /// counter.
     pub replay: ReplayBuffer,
     /// Raw RNG state (xoshiro256** words).
     pub rng: [u64; 4],
@@ -67,26 +68,24 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The current checkpoint format version. v3 holds one environment
-    /// state per actor (`actors`, with `cfg.actors`); v2 added the
-    /// circuit-task fields (`cfg.env.task`, `SweepCheckpoint::task`). Older
-    /// files are refused by version.
-    pub const FORMAT_VERSION: u32 = 3;
+    /// The current checkpoint format version. v4 stores replay states as
+    /// the graphs' canonical keys instead of feature tensors and masks; v3
+    /// holds one environment state per actor (`actors`, with
+    /// `cfg.actors`); v2 added the circuit-task fields (`cfg.env.task`,
+    /// `SweepCheckpoint::task`). Older files are refused by version.
+    pub const FORMAT_VERSION: u32 = 4;
 
-    /// Validates version, online-parameter digest and the actor count.
+    /// Validates version, online-parameter digest, the actor count and
+    /// every replay transition, decoding each state key once.
     ///
     /// # Errors
     ///
-    /// Fails on a version mismatch, a digest mismatch, or a number of
-    /// actor states other than `cfg.actors` (corruption).
+    /// Fails on a version mismatch, a digest mismatch, a number of actor
+    /// states other than `cfg.actors`, or a replay key that is no legal
+    /// `cfg.env.n`-bit graph's or an action outside the action space
+    /// (corruption).
     pub fn validate(&self) -> Result<(), String> {
-        if self.version != Self::FORMAT_VERSION {
-            return Err(format!(
-                "checkpoint format v{} unsupported (expected v{})",
-                self.version,
-                Self::FORMAT_VERSION
-            ));
-        }
+        check_version("checkpoint", self.version)?;
         let digest = nn::serialize::digest(&self.trainer.online);
         if digest != self.net_digest {
             return Err(format!(
@@ -100,6 +99,27 @@ impl Checkpoint {
                 self.actors.len(),
                 self.cfg.actors
             ));
+        }
+        let n = self.cfg.env.n;
+        let actions = 2 * n as usize * n as usize;
+        for (i, t) in self.replay.iter().enumerate() {
+            for key in [&t.state, &t.next_state] {
+                let g = PrefixGraph::from_canonical_key(key)
+                    .map_err(|e| format!("replay transition {i}: {e} (corrupt file?)"))?;
+                if g.n() != n {
+                    return Err(format!(
+                        "replay transition {i}: a {}-bit state in a {n}-bit run (corrupt file?)",
+                        g.n()
+                    ));
+                }
+            }
+            if t.action >= actions {
+                return Err(format!(
+                    "replay transition {i}: action {} outside the {actions}-action space \
+                     (corrupt file?)",
+                    t.action
+                ));
+            }
         }
         Ok(())
     }
@@ -115,7 +135,7 @@ impl Checkpoint {
     ///
     /// Fails on malformed JSON, shape mismatch, or failed validation.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let ckpt: Checkpoint = from_json_str(s)?;
+        let ckpt: Checkpoint = from_json_str("checkpoint", s)?;
         ckpt.validate()?;
         Ok(ckpt)
     }
@@ -189,15 +209,9 @@ impl SweepCheckpoint {
     ///
     /// # Errors
     ///
-    /// Fails on version or digest mismatch.
+    /// Fails when the sweep or any embedded checkpoint fails validation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.version != Checkpoint::FORMAT_VERSION {
-            return Err(format!(
-                "sweep checkpoint format v{} unsupported (expected v{})",
-                self.version,
-                Checkpoint::FORMAT_VERSION
-            ));
-        }
+        check_version("sweep checkpoint", self.version)?;
         for (i, run) in self.runs.iter().enumerate() {
             if let RunState::InProgress(ckpt) = run {
                 ckpt.validate().map_err(|e| format!("run {i}: {e}"))?;
@@ -224,7 +238,7 @@ impl SweepCheckpoint {
     ///
     /// Fails on malformed JSON, shape mismatch, or failed validation.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let ckpt: SweepCheckpoint = from_json_str(s)?;
+        let ckpt: SweepCheckpoint = from_json_str("sweep checkpoint", s)?;
         ckpt.validate()?;
         Ok(ckpt)
     }
@@ -254,8 +268,28 @@ fn to_pretty_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("value-tree serialization is infallible")
 }
 
-fn from_json_str<T: Deserialize>(s: &str) -> Result<T, String> {
-    serde_json::from_str(s)
+/// Refuses a `what` of any format but [`Checkpoint::FORMAT_VERSION`],
+/// naming both versions.
+fn check_version(what: &str, version: u32) -> Result<(), String> {
+    if version != Checkpoint::FORMAT_VERSION {
+        return Err(format!(
+            "{what} format v{version} unsupported (expected v{})",
+            Checkpoint::FORMAT_VERSION
+        ));
+    }
+    Ok(())
+}
+
+/// Parses a `what` from JSON, checking its `version` before its shape, so
+/// a file of another format is refused by version rather than by the
+/// first field that changed.
+fn from_json_str<T: Deserialize>(what: &str, s: &str) -> Result<T, String> {
+    let value: serde::Value = serde_json::from_str(s)?;
+    let version = value
+        .get("version")
+        .ok_or_else(|| format!("{what} has no format version"))?;
+    check_version(what, u32::from_value(version)?)?;
+    T::from_value(&value)
 }
 
 /// Writes `contents` to `path` via a uniquely named sibling temp file +
@@ -329,6 +363,10 @@ mod tests {
         assert_eq!(back.opt.v, ckpt.opt.v);
         assert_eq!(back.replay.len(), ckpt.replay.len());
         assert_eq!(back.replay.total_pushed(), ckpt.replay.total_pushed());
+        assert!(
+            back.replay.iter().eq(ckpt.replay.iter()),
+            "replay keys, actions or rewards changed"
+        );
         assert_eq!(back.losses, ckpt.losses);
         assert_eq!(back.designs.len(), ckpt.designs.len());
         assert_eq!(back.actors.len(), ckpt.actors.len());
@@ -348,6 +386,64 @@ mod tests {
         wrong_version.version = 99;
         let err = Checkpoint::from_json(&wrong_version.to_json()).unwrap_err();
         assert!(err.contains("format"), "{err}");
+    }
+
+    /// The object field `key` of `v`, mutably.
+    fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+        match v {
+            serde::Value::Object(entries) => {
+                &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+            }
+            other => panic!("expected an object around `{key}`, got {other:?}"),
+        }
+    }
+
+    /// The replay's stored transitions in a checkpoint's value tree.
+    fn transitions(v: &mut serde::Value) -> &mut Vec<serde::Value> {
+        match field(field(v, "replay"), "storage") {
+            serde::Value::Array(items) => items,
+            other => panic!("expected the replay storage array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v3_file_is_refused_naming_both_versions() {
+        // A v3 replay held feature tensors and a next-state mask; the
+        // version, checked before the shape, names the mismatch.
+        let mut v = mid_run_checkpoint().to_value();
+        *field(&mut v, "version") = 3u32.to_value();
+        for t in transitions(&mut v) {
+            *field(t, "state") = vec![0.5f32; 4 * 64].to_value();
+            *field(t, "next_state") = vec![0.25f32; 4 * 64].to_value();
+            if let serde::Value::Object(entries) = t {
+                entries.push(("next_mask".to_string(), vec![true; 2 * 64].to_value()));
+            }
+        }
+        let json = serde_json::to_string_pretty(&v).unwrap();
+        let err = Checkpoint::from_json(&json).unwrap_err();
+        assert!(err.contains("v3") && err.contains("v4"), "{err}");
+        let mut sweep = SweepCheckpoint::fresh("adder", 1).to_value();
+        *field(&mut sweep, "version") = 3u32.to_value();
+        let err = SweepCheckpoint::from_json(&serde_json::to_string(&sweep).unwrap()).unwrap_err();
+        assert!(err.contains("v3") && err.contains("v4"), "{err}");
+    }
+
+    #[test]
+    fn flipped_replay_key_bit_fails_at_load() {
+        let ckpt = mid_run_checkpoint();
+        // Flip one key word bit of transition 5: the (0, 0) input's (no
+        // legal graph lacks it) or one above the diagonal, (2, 5).
+        for (which, bit) in [("state", 0), ("next_state", 2 * 8 + 5)] {
+            let mut v = ckpt.to_value();
+            let serde::Value::Array(key) = field(&mut transitions(&mut v)[5], which) else {
+                panic!("{which} is not a word array");
+            };
+            let word = &mut key[1];
+            let flipped = u64::from_value(word).unwrap() ^ (1 << bit);
+            *word = flipped.to_value();
+            let err = Checkpoint::from_json(&serde_json::to_string(&v).unwrap()).unwrap_err();
+            assert!(err.contains("replay transition 5"), "{which}: {err}");
+        }
     }
 
     #[test]

@@ -117,6 +117,36 @@ pub fn action_to_flat(n: u16, action: Action) -> usize {
     }
 }
 
+/// Appends `graph`'s legal-action mask over the flat `2·N²` action space
+/// (adds, then deletes) to `mask`.
+fn push_action_mask(graph: &PrefixGraph, mask: &mut Vec<bool>) {
+    let (add, del) = graph.action_masks();
+    mask.extend_from_slice(&add);
+    mask.extend_from_slice(&del);
+}
+
+/// The replay decoder `DoubleDqn::train_step` takes: rebuilds the graph
+/// whose canonical key is `key` (the state keys `rl::Transition` stores),
+/// appends its features to `features` and, when asked, its flat
+/// legal-action mask to `mask` — what [`PrefixEnv::features`] and
+/// [`PrefixEnv::action_mask`] gave in that state.
+///
+/// # Panics
+///
+/// Panics on words that are no legal graph's key; checkpoints decode every
+/// replay key when they load, so a corrupt file fails there instead.
+pub fn decode_state(key: &[u64], features: &mut Vec<f32>, mask: Option<&mut Vec<bool>>) {
+    let graph = PrefixGraph::from_canonical_key(key)
+        .unwrap_or_else(|e| panic!("replay key does not decode: {e}"));
+    let start = features.len();
+    let n = graph.n() as usize;
+    features.resize(start + features::CHANNELS * n * n, 0.0);
+    features::extract_into(&graph, &mut features[start..]);
+    if let Some(mask) = mask {
+        push_action_mask(&graph, mask);
+    }
+}
+
 /// The PrefixRL environment.
 pub struct PrefixEnv {
     cfg: EnvConfig,
@@ -221,9 +251,8 @@ impl PrefixEnv {
 
     /// Legal-action mask over the flat `2·N²` action space.
     pub fn action_mask(&self) -> Vec<bool> {
-        let (add, del) = self.graph.action_masks();
-        let mut mask = add;
-        mask.extend_from_slice(&del);
+        let mut mask = Vec::new();
+        push_action_mask(&self.graph, &mut mask);
         mask
     }
 

@@ -867,10 +867,10 @@ impl Experiment {
     /// Atomically rewrites the sweep checkpoint file, if one is configured.
     ///
     /// Each slot is serialized to a value tree under its own lock (no
-    /// intermediate `RunState` clone — in-progress slots embed full replay
-    /// buffers, so cloning them would double the dominant cost); the file
-    /// is still one atomic whole-sweep snapshot, with each slot internally
-    /// consistent.
+    /// intermediate `RunState` clone — in-progress slots embed both
+    /// networks, the Adam moments and the replay, so cloning them would
+    /// double a persist's memory); the file is still one atomic
+    /// whole-sweep snapshot, with each slot internally consistent.
     fn persist(&self, slots: &[Mutex<Option<RunState>>], persist_lock: &Mutex<()>) {
         let Some(path) = &self.checkpoint_path else {
             return;

@@ -46,6 +46,39 @@ impl fmt::Display for LegalityError {
 
 impl std::error::Error for LegalityError {}
 
+/// Error returned by [`PrefixGraph::from_canonical_key`] for words that are
+/// not the canonical key of any legal graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KeyError {
+    /// The width word is unsupported or disagrees with the key's length.
+    Width {
+        /// The width word (`0` for an empty key).
+        n: u64,
+        /// The key's length in words.
+        words: usize,
+    },
+    /// A set bit, by its row-major index, lies outside the grid: past
+    /// `N²`, or at an LSB above its MSB.
+    OutOfGrid(usize),
+    /// Legalization would change the node set (a terminal or a lower
+    /// parent is missing).
+    NotLegal,
+}
+
+impl fmt::Display for KeyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyError::Width { n, words } => {
+                write!(f, "key of {words} words cannot hold a width-{n} graph")
+            }
+            KeyError::OutOfGrid(i) => write!(f, "key bit {i} lies outside the grid"),
+            KeyError::NotLegal => write!(f, "key names a node set that is not legal"),
+        }
+    }
+}
+
+impl std::error::Error for KeyError {}
+
 /// Compact serialized form of a [`PrefixGraph`]: width plus minlist.
 #[derive(Serialize, Deserialize)]
 struct GraphSpec {
@@ -389,6 +422,43 @@ impl PrefixGraph {
         words
     }
 
+    /// Rebuilds the graph whose [`canonical_key`](PrefixGraph::canonical_key)
+    /// is `key`: the exact inverse of `canonical_key`, equal to the original
+    /// graph in every field.
+    ///
+    /// # Errors
+    ///
+    /// Refuses, without panicking, a key whose width word is unsupported or
+    /// disagrees with its length, a set bit outside the grid, and a node set
+    /// that legalization would change.
+    pub fn from_canonical_key(key: &[u64]) -> Result<PrefixGraph, KeyError> {
+        let width = key.first().copied().unwrap_or(0);
+        let nn = width as usize;
+        if !(2..=512).contains(&width) || key.len() != (nn * nn).div_ceil(64) + 1 {
+            return Err(KeyError::Width {
+                n: width,
+                words: key.len(),
+            });
+        }
+        let mut present = vec![false; nn * nn];
+        for (w, &word) in key[1..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                if i >= nn * nn || i % nn > i / nn {
+                    return Err(KeyError::OutOfGrid(i));
+                }
+                present[i] = true;
+                bits &= bits - 1;
+            }
+        }
+        let g = Self::rebuild(width as u16, present.clone());
+        if g.present != present {
+            return Err(KeyError::NotLegal);
+        }
+        Ok(g)
+    }
+
     /// Verifies the full legality constraints of the paper's Eq. (1).
     ///
     /// # Errors
@@ -566,6 +636,38 @@ mod tests {
         b.apply(Action::Add(Node::new(4, 2))).unwrap();
         assert_ne!(a.canonical_key(), b.canonical_key());
         assert_eq!(a.canonical_key(), PrefixGraph::ripple(8).canonical_key());
+    }
+
+    #[test]
+    fn from_canonical_key_refuses_foreign_words() {
+        let mut g = PrefixGraph::ripple(8);
+        g.apply(Action::Add(Node::new(6, 3))).unwrap();
+        let key = g.canonical_key();
+        assert_eq!(PrefixGraph::from_canonical_key(&key), Ok(g));
+        // Width word and length disagree.
+        let err = |k: &[u64]| PrefixGraph::from_canonical_key(k).unwrap_err();
+        assert_eq!(err(&[]), KeyError::Width { n: 0, words: 0 });
+        assert_eq!(err(&key[..1]), KeyError::Width { n: 8, words: 1 });
+        let mut wide = key.clone();
+        wide[0] = 16;
+        assert_eq!(err(&wide), KeyError::Width { n: 16, words: 2 });
+        let mut one = key.clone();
+        one[0] = 1;
+        assert!(matches!(err(&one), KeyError::Width { n: 1, .. }));
+        // A bit above the diagonal (msb 2, lsb 5), and one past N² at 6b.
+        let mut upper = key.clone();
+        upper[1] |= 1 << (2 * 8 + 5);
+        assert_eq!(err(&upper), KeyError::OutOfGrid(21));
+        let mut past = PrefixGraph::ripple(6).canonical_key();
+        past[1] |= 1 << 40;
+        assert_eq!(err(&past), KeyError::OutOfGrid(40));
+        // A missing input, and a node without its lower parent (5, 3).
+        let mut no_input = key.clone();
+        no_input[1] &= !(1 << (4 * 8 + 4));
+        assert_eq!(err(&no_input), KeyError::NotLegal);
+        let mut no_lp = key.clone();
+        no_lp[1] &= !(1 << (5 * 8 + 3));
+        assert_eq!(err(&no_lp), KeyError::NotLegal);
     }
 
     #[test]

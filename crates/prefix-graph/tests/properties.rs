@@ -12,6 +12,16 @@ fn walk_strategy() -> impl Strategy<Value = (u16, Vec<(u16, u16)>)> {
     })
 }
 
+/// Strategy: a toggle walk (as [`walk_strategy`]) at one of the widths the
+/// paper trains, 8/16/32/64 bits.
+fn paper_width_walk_strategy() -> impl Strategy<Value = (u16, Vec<(u16, u16)>)> {
+    (0usize..4).prop_flat_map(|w| {
+        let n = [8u16, 16, 32, 64][w];
+        let pos = (2u16..n).prop_flat_map(move |m| (Just(m), 1u16..m));
+        (Just(n), proptest::collection::vec(pos, 0..80))
+    })
+}
+
 /// Applies the toggle walk, returning every intermediate graph.
 fn apply_walk(n: u16, walk: &[(u16, u16)]) -> Vec<PrefixGraph> {
     let mut g = PrefixGraph::ripple(n);
@@ -151,6 +161,30 @@ proptest! {
             if let Some(prev) = seen.insert(g.canonical_key(), g.clone()) {
                 prop_assert_eq!(prev, g, "key collision on distinct graphs");
             }
+        }
+    }
+
+    #[test]
+    fn canonical_key_round_trips((n, walk) in paper_width_walk_strategy()) {
+        for g in apply_walk(n, &walk) {
+            let back = PrefixGraph::from_canonical_key(&g.canonical_key())
+                .expect("a graph's own key decodes");
+            // Every field: the node set, the minlist, and each node's
+            // parents, level and fanout.
+            prop_assert_eq!(&back, &g);
+            prop_assert!(back.min_nodes().eq(g.min_nodes()), "minlists differ");
+            for m in 0..n {
+                for l in 0..=m {
+                    let nd = Node::new(m, l);
+                    prop_assert_eq!(back.up(nd), g.up(nd));
+                    prop_assert_eq!(back.lp(nd), g.lp(nd));
+                    prop_assert_eq!(back.level(nd), g.level(nd));
+                    prop_assert_eq!(back.fanout(nd), g.fanout(nd));
+                }
+            }
+            let bits = |f: Vec<f32>| f.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(features::extract(&back)), bits(features::extract(&g)));
+            prop_assert_eq!(back.action_masks(), g.action_masks());
         }
     }
 }

@@ -1,25 +1,31 @@
-//! Experience replay.
+//! Experience replay over state keys.
+//!
+//! A transition stores its two states as opaque key words (for PrefixRL,
+//! the prefix graph's canonical present-node bitset, 5 words at 16b and 65
+//! at 64b), not as feature tensors. Features and legal-action masks are
+//! pure functions of the state, so [`crate::DoubleDqn::train_step`] asks
+//! its caller to decode the sampled keys into reused buffers. The replay
+//! then costs bytes per transition instead of `4·N²` floats per state.
 
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One environment transition with a two-objective reward vector.
 ///
-/// `next_mask` records which flat actions are legal in `next_state`; the
-/// Double-DQN target maximization is restricted to these (the paper masks
+/// The states are the caller's keys; the caller's decode function turns a
+/// key back into features, and `next_state`'s key into the legal-action
+/// mask that restricts the Double-DQN target maximization (the paper masks
 /// illegal Q-values to `-∞`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Transition {
-    /// Flattened state features.
-    pub state: Vec<f32>,
+    /// Key words of the state acted in.
+    pub state: Box<[u64]>,
     /// Flat action index taken.
     pub action: usize,
     /// Vector reward `[r_area, r_delay]`.
     pub reward: [f32; 2],
-    /// Flattened next-state features.
-    pub next_state: Vec<f32>,
-    /// Legal-action mask at the next state.
-    pub next_mask: Vec<bool>,
+    /// Key words of the state reached.
+    pub next_state: Box<[u64]>,
     /// Whether the episode terminated (no bootstrapping). Time-limit
     /// truncations should leave this `false`.
     pub done: bool,
@@ -82,6 +88,12 @@ impl ReplayBuffer {
         self.pushed
     }
 
+    /// The stored transitions in storage order (push order until the ring
+    /// wraps).
+    pub fn iter(&self) -> impl Iterator<Item = &Transition> {
+        self.storage.iter()
+    }
+
     /// Samples `batch` transitions uniformly with replacement.
     ///
     /// # Panics
@@ -99,13 +111,12 @@ impl ReplayBuffer {
 mod tests {
     use super::*;
 
-    fn t(tag: f32) -> Transition {
+    fn t(tag: u64) -> Transition {
         Transition {
-            state: vec![tag],
+            state: Box::new([tag]),
             action: 0,
-            reward: [tag, -tag],
-            next_state: vec![tag + 1.0],
-            next_mask: vec![true],
+            reward: [tag as f32, -(tag as f32)],
+            next_state: Box::new([tag + 1]),
             done: false,
         }
     }
@@ -114,20 +125,20 @@ mod tests {
     fn fills_then_evicts_oldest() {
         let mut buf = ReplayBuffer::new(3);
         for i in 0..5 {
-            buf.push(t(i as f32));
+            buf.push(t(i));
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.total_pushed(), 5);
-        let tags: Vec<f32> = buf.storage.iter().map(|x| x.state[0]).collect();
+        let tags: Vec<u64> = buf.iter().map(|x| x.state[0]).collect();
         // Ring overwrote 0 and 1.
-        assert!(tags.contains(&2.0) && tags.contains(&3.0) && tags.contains(&4.0));
+        assert!(tags.contains(&2) && tags.contains(&3) && tags.contains(&4));
     }
 
     #[test]
     fn sampling_is_uniform_ish() {
         let mut buf = ReplayBuffer::new(4);
         for i in 0..4 {
-            buf.push(t(i as f32));
+            buf.push(t(i));
         }
         let mut rng = StdRng::seed_from_u64(0);
         let mut counts = [0usize; 4];
@@ -143,14 +154,14 @@ mod tests {
     fn sampling_is_deterministic_under_seed() {
         let mut buf = ReplayBuffer::new(8);
         for i in 0..8 {
-            buf.push(t(i as f32));
+            buf.push(t(i));
         }
-        let a: Vec<f32> = buf
+        let a: Vec<u64> = buf
             .sample(&mut StdRng::seed_from_u64(7), 16)
             .iter()
             .map(|t| t.state[0])
             .collect();
-        let b: Vec<f32> = buf
+        let b: Vec<u64> = buf
             .sample(&mut StdRng::seed_from_u64(7), 16)
             .iter()
             .map(|t| t.state[0])
@@ -162,7 +173,7 @@ mod tests {
     fn serde_roundtrip_preserves_ring_state() {
         let mut buf = ReplayBuffer::new(3);
         for i in 0..5 {
-            buf.push(t(i as f32));
+            buf.push(t(i));
         }
         let v = serde::Serialize::to_value(&buf);
         let mut back: ReplayBuffer = serde::Deserialize::from_value(&v).unwrap();
@@ -170,13 +181,11 @@ mod tests {
         assert_eq!(back.total_pushed(), buf.total_pushed());
         // The ring cursor survived: the next push must evict the same slot
         // in both buffers.
-        buf.push(t(99.0));
-        back.push(t(99.0));
-        let tags =
-            |b: &ReplayBuffer| -> Vec<f32> { b.storage.iter().map(|x| x.state[0]).collect() };
-        assert_eq!(tags(&buf), tags(&back));
+        buf.push(t(99));
+        back.push(t(99));
+        assert!(buf.iter().eq(back.iter()), "stored transitions differ");
         // And sampling under the same seed stays identical.
-        let sample = |b: &ReplayBuffer| -> Vec<f32> {
+        let sample = |b: &ReplayBuffer| -> Vec<u64> {
             b.sample(&mut StdRng::seed_from_u64(3), 8)
                 .iter()
                 .map(|t| t.state[0])

@@ -70,6 +70,16 @@ pub struct DoubleDqn<Q: QNetwork> {
     /// bootstrap targets) — reused every step, so the hot loop stops
     /// allocating.
     scratch: Scratch,
+    /// A sampled batch's decoded states, reused every gradient step.
+    batch: DecodedBatch,
+}
+
+/// The features and masks a gradient step decodes from its sampled keys.
+#[derive(Default)]
+struct DecodedBatch {
+    states: Vec<f32>,
+    next_states: Vec<f32>,
+    next_masks: Vec<bool>,
 }
 
 impl<Q: QNetwork> DoubleDqn<Q> {
@@ -97,6 +107,7 @@ impl<Q: QNetwork> DoubleDqn<Q> {
             cfg,
             grad_steps: 0,
             scratch: Scratch::new(),
+            batch: DecodedBatch::default(),
         }
     }
 
@@ -170,23 +181,67 @@ impl<Q: QNetwork> DoubleDqn<Q> {
 
     /// Performs one Double-DQN gradient step from replay, returning the
     /// scalar Huber loss, or `None` while the buffer is below `min_replay`.
-    pub fn train_step(&mut self, replay: &ReplayBuffer, rng: &mut StdRng) -> Option<f32> {
+    ///
+    /// `decode(key, features, mask)` rebuilds a stored state from its key:
+    /// it appends the state's flattened features to `features` and, when
+    /// `mask` is given (for next states), its legal-action mask over all
+    /// [`QNetwork::num_actions`] actions. Every state of a batch must decode
+    /// to features of one length. The buffers are the trainer's own and are
+    /// reused across steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decode` appends a mask of the wrong length or features of
+    /// unequal lengths.
+    pub fn train_step(
+        &mut self,
+        replay: &ReplayBuffer,
+        rng: &mut StdRng,
+        mut decode: impl FnMut(&[u64], &mut Vec<f32>, Option<&mut Vec<bool>>),
+    ) -> Option<f32> {
         if replay.len() < self.cfg.min_replay.max(1) {
             return None;
         }
         let batch = replay.sample(rng, self.cfg.batch_size);
-        let next_states: Vec<&[f32]> = batch.iter().map(|t| t.next_state.as_slice()).collect();
+        let num_actions = self.online.num_actions();
+        let decoded = &mut self.batch;
+        decoded.states.clear();
+        decoded.next_states.clear();
+        decoded.next_masks.clear();
+        for t in &batch {
+            decode(&t.state, &mut decoded.states, None);
+            decode(
+                &t.next_state,
+                &mut decoded.next_states,
+                Some(&mut decoded.next_masks),
+            );
+        }
+        assert_eq!(
+            decoded.next_masks.len(),
+            batch.len() * num_actions,
+            "decoded masks must cover every action"
+        );
+        let width = decoded.states.len() / batch.len();
+        assert!(
+            width > 0
+                && decoded.states.len() == batch.len() * width
+                && decoded.next_states.len() == batch.len() * width,
+            "decoded states must share one feature length"
+        );
+        let next_states: Vec<&[f32]> = decoded.next_states.chunks_exact(width).collect();
+        let next_masks = decoded.next_masks.chunks_exact(num_actions);
         // Double-DQN action selection: argmax of the *online* scalarized
         // Q over legal next actions…
         let next_q_online = self.online.infer(&next_states, &mut self.scratch);
         let a_star: Vec<Option<usize>> = batch
             .iter()
+            .zip(next_masks)
             .zip(&next_q_online)
-            .map(|(t, q)| {
+            .map(|((t, mask), q)| {
                 if t.done {
                     return None;
                 }
-                self.policy.greedy_from_q(q, &t.next_mask)
+                self.policy.greedy_from_q(q, mask)
             })
             .collect();
         // …evaluated by the *target* network (Eq. 4).
@@ -206,9 +261,8 @@ impl<Q: QNetwork> DoubleDqn<Q> {
             .collect();
         // Forward the current states for training and build the masked
         // Huber gradient at the taken actions only.
-        let states: Vec<&[f32]> = batch.iter().map(|t| t.state.as_slice()).collect();
+        let states: Vec<&[f32]> = decoded.states.chunks_exact(width).collect();
         let q_pred = self.online.forward(&states);
-        let num_actions = self.online.num_actions();
         let mut grad: Vec<Vec<[f32; 2]>> = vec![vec![[0.0; 2]; num_actions]; batch.len()];
         let mut loss = 0.0f64;
         let norm = (batch.len() * 2) as f32;
@@ -342,6 +396,15 @@ mod tests {
         v
     }
 
+    /// The chain's decoder: a one-word key is the state index; every
+    /// action is legal.
+    fn decode(key: &[u64], features: &mut Vec<f32>, mask: Option<&mut Vec<bool>>) {
+        features.extend(one_hot(key[0] as usize));
+        if let Some(mask) = mask {
+            mask.extend([true, true]);
+        }
+    }
+
     fn fill_replay(rng: &mut StdRng, transitions: usize) -> ReplayBuffer {
         let mut buf = ReplayBuffer::new(10_000);
         let mut s = 2usize;
@@ -349,11 +412,10 @@ mod tests {
             let a = rng.random_range(0..2);
             let (s2, r, done) = chain_step(s, a);
             buf.push(Transition {
-                state: one_hot(s),
+                state: Box::new([s as u64]),
                 action: a,
                 reward: r,
-                next_state: one_hot(s2),
-                next_mask: vec![true, true],
+                next_state: Box::new([s2 as u64]),
                 done,
             });
             s = if done { 2 } else { s2 };
@@ -390,7 +452,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let replay = fill_replay(&mut rng, 2000);
         for _ in 0..800 {
-            dqn.train_step(&replay, &mut rng).unwrap();
+            dqn.train_step(&replay, &mut rng, decode).unwrap();
         }
         dqn
     }
@@ -462,7 +524,7 @@ mod tests {
         let replay = fill_replay(&mut rng, 600);
         assert_eq!(dqn.grad_steps(), 0);
         for _ in 0..10 {
-            dqn.train_step(&replay, &mut rng);
+            dqn.train_step(&replay, &mut rng, decode);
         }
         assert_eq!(dqn.grad_steps(), 10);
     }
@@ -474,7 +536,23 @@ mod tests {
         let mut dqn = DoubleDqn::new(online, target, DqnConfig::paper(0.5));
         let mut rng = StdRng::seed_from_u64(0);
         let replay = fill_replay(&mut rng, 10);
-        assert!(dqn.train_step(&replay, &mut rng).is_none());
+        assert!(dqn.train_step(&replay, &mut rng, decode).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "decoded masks must cover every action")]
+    fn short_decoded_mask_panics() {
+        let online = LinearQ::new(5, 2, 0, 0.01);
+        let target = LinearQ::new(5, 2, 1, 0.01);
+        let mut dqn = DoubleDqn::new(online, target, DqnConfig::paper(0.5));
+        let mut rng = StdRng::seed_from_u64(0);
+        let replay = fill_replay(&mut rng, 600);
+        dqn.train_step(&replay, &mut rng, |key, features, mask| {
+            decode(key, features, None);
+            if let Some(mask) = mask {
+                mask.push(true);
+            }
+        });
     }
 
     #[test]
