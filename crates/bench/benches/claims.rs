@@ -33,13 +33,13 @@ use prefix_graph::{structures, PrefixGraph};
 use prefixrl_bench::{front_json, spread_front, time_per_call, Report};
 use prefixrl_core::agent::AgentConfig;
 use prefixrl_core::env::{EnvConfig, PrefixEnv};
-use prefixrl_core::evaluator::ObjectivePoint;
+use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::experiment::{Experiment, ExperimentResult, Weights};
 use prefixrl_core::frontier::sweep_task_front;
 use prefixrl_core::pareto::ParetoFront;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use prefixrl_core::task::{
-    Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, SynthesisBackend, TaskEvaluator,
+    Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, SynthesisBackend,
 };
 use rl::QNetwork;
 use serde_json::{json, Value};
@@ -273,7 +273,7 @@ fn table1(report: &mut Report) {
         let mut q = PrefixQNet::new(&qcfg);
         let env = PrefixEnv::new(
             EnvConfig::analytical(n),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let features = env.features();
         let states = vec![features.as_slice(); batch];

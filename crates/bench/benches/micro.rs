@@ -7,10 +7,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use netlist::Library;
 use prefix_graph::{structures, Action, Node, PrefixGraph};
 use prefixrl_core::env::{EnvConfig, PrefixEnv};
-use prefixrl_core::evaluator::ObjectivePoint;
+use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::pareto::ParetoFront;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
-use prefixrl_core::task::{Adder, TaskEvaluator};
+use prefixrl_core::task::Adder;
 use rand::{Rng, SeedableRng};
 use rl::QNetwork;
 use std::hint::black_box;
@@ -92,13 +92,13 @@ fn bench_env_step(c: &mut Criterion) {
     g.bench_function("step_analytical_16b", |b| {
         let env = PrefixEnv::new(
             EnvConfig::analytical(16),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         b.iter_batched(
             || {
                 let mut e = PrefixEnv::new(
                     EnvConfig::analytical(16),
-                    Arc::new(TaskEvaluator::analytical(Adder)),
+                    Arc::new(Evaluator::analytical(Adder)),
                 );
                 let _ = &env;
                 e.reset(&mut rand::rngs::StdRng::seed_from_u64(0));
@@ -122,7 +122,7 @@ fn bench_qnet(c: &mut Criterion) {
         let mut q = PrefixQNet::new(&QNetConfig::small(n));
         let env = PrefixEnv::new(
             EnvConfig::analytical(n),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         g.bench_function(format!("train_iteration_{n}b_batch{batch}"), |b| {

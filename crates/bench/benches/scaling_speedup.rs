@@ -12,10 +12,9 @@ use netlist::Library;
 use prefix_graph::{Action, Node, PrefixGraph};
 use prefixrl_bench::Report;
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
-use prefixrl_core::cache::CachedEvaluator;
 use prefixrl_core::evaluator::Evaluator;
-use prefixrl_core::parallel::evaluate_batch;
-use prefixrl_core::task::{Adder, TaskEvaluator};
+use prefixrl_core::parallel::map_ordered;
+use prefixrl_core::task::{Adder, ObjectiveBackend, SynthesisBackend};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,7 +35,9 @@ fn main() {
     );
 
     // --- Parallel synthesis speedup --------------------------------------
-    // A batch of distinct graphs (ripple + random shortcut patterns).
+    // A batch of graphs (ripple + random shortcut patterns; some coincide),
+    // every one scored by the backend at every worker count: no cache, so
+    // coinciding graphs neither hit nor wait on each other.
     let graphs: Vec<PrefixGraph> = (0..JOBS)
         .map(|i| {
             let mut g = PrefixGraph::ripple(N);
@@ -47,12 +48,7 @@ fn main() {
             g
         })
         .collect();
-    let evaluator: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::synthesis(
-        Adder,
-        lib.clone(),
-        SweepConfig::fast(),
-        0.5,
-    ));
+    let backend = SynthesisBackend::new(lib.clone(), SweepConfig::fast(), 0.5);
     let mut base_ms = 0.0;
     let max_threads = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -62,7 +58,7 @@ fn main() {
             break;
         }
         let t = Instant::now();
-        let _ = evaluate_batch(&graphs, &*evaluator, threads);
+        let _ = map_ordered(&graphs, threads, |g| backend.score(&Adder, g));
         let ms = t.elapsed().as_secs_f64() * 1000.0;
         if threads == 1 {
             base_ms = ms;
@@ -76,12 +72,12 @@ fn main() {
 
     // --- Cache hit rate during training -----------------------------------
     for width in [8u16, 12, 16] {
-        let ev = Arc::new(CachedEvaluator::new(TaskEvaluator::synthesis(
+        let ev = Arc::new(Evaluator::synthesis(
             Adder,
             lib.clone(),
             SweepConfig::fast(),
             0.5,
-        )));
+        ));
         let mut cfg = AgentConfig::small(width, 0.5, STEPS);
         cfg.env = prefixrl_core::env::EnvConfig::synthesis(width);
         let _ = TrainLoop::run(&cfg, ev.clone());
@@ -110,11 +106,11 @@ fn main() {
     // actors waiting while the coordinator trains between rounds.
     for (backend, train_every) in [("analytical", 0u64), ("analytical", 16), ("synthesis", 16)] {
         for actors in [1usize, 2, 4, 8] {
-            let ev = Arc::new(CachedEvaluator::new(if backend == "synthesis" {
-                TaskEvaluator::synthesis(Adder, lib.clone(), SweepConfig::fast(), 0.5)
+            let ev = Arc::new(if backend == "synthesis" {
+                Evaluator::synthesis(Adder, lib.clone(), SweepConfig::fast(), 0.5)
             } else {
-                TaskEvaluator::analytical(Adder)
-            }));
+                Evaluator::analytical(Adder)
+            });
             let mut cfg = AgentConfig::small(N, 0.5, STEPS);
             if backend == "synthesis" {
                 cfg.env = prefixrl_core::env::EnvConfig::synthesis(N);

@@ -2,8 +2,8 @@
 //! the pluggable workload layer (DESIGN.md §12).
 //!
 //! For every registered [`CircuitTask`] × objective backend, a mixed pool
-//! of graphs is evaluated cold (straight through the `TaskEvaluator`) and
-//! warm (through the sharded cache, which the timer's warm-up round
+//! of graphs is evaluated cold (straight through the backend's `score`)
+//! and warm (through an `Evaluator`, whose cache the timer's warm-up round
 //! primes), yielding the `BENCH_tasks.json` artifact. Analytical backends run thousands of times
 //! faster than synthesis ones — the same gap that motivates the paper's
 //! Section IV-D caching — and the non-adder tasks synthesize faster than
@@ -16,11 +16,8 @@
 use netlist::Library;
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_bench::{time_per_call, Report};
-use prefixrl_core::cache::CachedEvaluator;
-use prefixrl_core::evaluator::Evaluator;
-use prefixrl_core::task::{
-    self, AnalyticalBackend, ObjectiveBackend, SynthesisBackend, TaskEvaluator,
-};
+use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
+use prefixrl_core::task::{self, AnalyticalBackend, ObjectiveBackend, SynthesisBackend};
 use serde_json::json;
 use std::sync::Arc;
 
@@ -57,12 +54,12 @@ fn pool(n: u16) -> Vec<PrefixGraph> {
     graphs
 }
 
-/// Evaluations per second over whole rounds of the pool.
-fn measure(evaluator: &dyn Evaluator, graphs: &[PrefixGraph]) -> f64 {
+/// Evaluations per second of `evaluate` over whole rounds of the pool.
+fn measure(evaluate: impl Fn(&PrefixGraph) -> ObjectivePoint, graphs: &[PrefixGraph]) -> f64 {
     let secs = time_per_call(
         || {
             for g in graphs {
-                std::hint::black_box(evaluator.evaluate(g));
+                std::hint::black_box(evaluate(g));
             }
         },
         MIN_SECS,
@@ -93,9 +90,9 @@ fn main() {
     for name in task::TASK_NAMES {
         let task = task::by_name(name).expect("registered");
         for backend in &backends {
-            let ev = TaskEvaluator::new(Arc::clone(&task), Arc::clone(backend));
-            let cold = measure(&ev, &graphs);
-            let warm = measure(&CachedEvaluator::new(ev), &graphs);
+            let cold = measure(|g| backend.score(task.as_ref(), g), &graphs);
+            let ev = Evaluator::new(Arc::clone(&task), Arc::clone(backend));
+            let warm = measure(|g| ev.evaluate(g), &graphs);
             report.row(
                 "eval_throughput",
                 json!({"task": name, "backend": backend.backend_id()}),

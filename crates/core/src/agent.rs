@@ -39,7 +39,6 @@ use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::experiment::{Event, NullObserver, RunObserver, RunRecord};
 use crate::parallel::{self, Lockstep};
 use crate::qnet::{PrefixQNet, QNetConfig};
-use crate::task::{self, CircuitTask};
 use parking_lot::Mutex;
 use prefix_graph::PrefixGraph;
 use rand::prelude::*;
@@ -217,35 +216,16 @@ pub struct TrainLoop {
 }
 
 impl TrainLoop {
-    /// Initializes a fresh run: seeds the RNG, builds online/target
-    /// networks, resets every actor's environment, and records the start
-    /// states. The circuit task is resolved from `cfg.env.task` through
-    /// the built-in registry (panics on an unknown id); custom tasks go
-    /// through [`TrainLoop::with_task`].
-    pub fn new(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> Self {
-        let task = task::by_name(&cfg.env.task).unwrap_or_else(|| {
-            panic!(
-                "unknown task `{}` (registered: {:?})",
-                cfg.env.task,
-                task::TASK_NAMES
-            )
-        });
-        Self::with_task(cfg, task, evaluator)
-    }
-
-    /// Initializes a fresh run over an explicit (possibly custom) circuit
-    /// task; `cfg.env.task` is overwritten with the task's id so
-    /// checkpoints record it.
+    /// Initializes a fresh run over the evaluator's circuit task: seeds
+    /// the RNG, builds online/target networks, resets every actor's
+    /// environment, and records the start states. `cfg.env.task` is
+    /// overwritten with the task's id so checkpoints record it.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.actors` is 0.
-    pub fn with_task(
-        cfg: &AgentConfig,
-        task: Arc<dyn CircuitTask>,
-        evaluator: Arc<dyn Evaluator>,
-    ) -> Self {
-        let mut lp = Self::build(cfg.clone(), task, evaluator);
+    pub fn new(cfg: &AgentConfig, evaluator: Arc<Evaluator>) -> Self {
+        let mut lp = Self::build(cfg.clone(), evaluator);
         for actor in &mut lp.actors {
             actor.env.reset(&mut lp.rng);
         }
@@ -255,24 +235,16 @@ impl TrainLoop {
     /// The loop of `cfg` before any reset: seeded RNG, fresh networks and
     /// replay, and one environment per actor at the task's first start
     /// state.
-    fn build(
-        mut cfg: AgentConfig,
-        task: Arc<dyn CircuitTask>,
-        evaluator: Arc<dyn Evaluator>,
-    ) -> Self {
+    fn build(mut cfg: AgentConfig, evaluator: Arc<Evaluator>) -> Self {
         assert!(cfg.actors > 0, "need at least one actor");
         let actors: Vec<Actor> = (0..cfg.actors)
             .map(|_| Actor {
-                env: PrefixEnv::with_task(
-                    cfg.env.clone(),
-                    Arc::clone(&task),
-                    Arc::clone(&evaluator),
-                ),
+                env: PrefixEnv::new(cfg.env.clone(), Arc::clone(&evaluator)),
                 episode_return: 0.0,
             })
             .collect();
-        // The environment resolved (and possibly rewrote) the task id;
-        // keep the checkpointed config in sync with it.
+        // The environment stamped the evaluator's task id; keep the
+        // checkpointed config in sync with it.
         cfg.env = actors[0].env.config().clone();
         let online = PrefixQNet::new(&cfg.qnet);
         let target = PrefixQNet::new(&QNetConfig {
@@ -295,51 +267,24 @@ impl TrainLoop {
     }
 
     /// Rebuilds a loop from a [`Checkpoint`] so that continuing produces
-    /// bit-identical losses and designs to the uninterrupted run. The
-    /// checkpoint's recorded task is resolved through the built-in
-    /// registry.
+    /// bit-identical losses and designs to the uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Fails if the checkpoint's task id is not registered, or on
-    /// architecture mismatch between the checkpoint and the network built
-    /// from its own config (corrupt checkpoint).
-    pub fn from_checkpoint(
-        ckpt: &Checkpoint,
-        evaluator: Arc<dyn Evaluator>,
-    ) -> Result<Self, String> {
-        let task = task::by_name(&ckpt.cfg.env.task).ok_or_else(|| {
-            format!(
-                "checkpoint records unknown task `{}` (registered: {:?})",
-                ckpt.cfg.env.task,
-                task::TASK_NAMES
-            )
-        })?;
-        Self::from_checkpoint_with_task(ckpt, task, evaluator)
-    }
-
-    /// Rebuilds a loop from a [`Checkpoint`] over an explicit task,
-    /// refusing a task mismatch — resuming an adder checkpoint as a
-    /// prefix-OR run would silently train on the wrong rewards.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `task` does not match the checkpoint's recorded task, or
-    /// on architecture mismatch (corrupt checkpoint).
-    pub fn from_checkpoint_with_task(
-        ckpt: &Checkpoint,
-        task: Arc<dyn CircuitTask>,
-        evaluator: Arc<dyn Evaluator>,
-    ) -> Result<Self, String> {
-        if task.task_id() != ckpt.cfg.env.task {
+    /// Fails if the evaluator's task is not the checkpoint's — resuming
+    /// an adder checkpoint as a prefix-OR run would silently train on the
+    /// wrong rewards — or on architecture mismatch between the checkpoint
+    /// and the network built from its own config (corrupt checkpoint).
+    pub fn from_checkpoint(ckpt: &Checkpoint, evaluator: Arc<Evaluator>) -> Result<Self, String> {
+        let task = evaluator.task().task_id();
+        if task != ckpt.cfg.env.task {
             return Err(format!(
                 "checkpoint task mismatch: checkpoint was trained on task `{}`, \
-                 resume requested task `{}`",
-                ckpt.cfg.env.task,
-                task.task_id()
+                 resume requested task `{task}`",
+                ckpt.cfg.env.task
             ));
         }
-        let mut lp = Self::build(ckpt.cfg.clone(), task, evaluator);
+        let mut lp = Self::build(ckpt.cfg.clone(), evaluator);
         for (actor, state) in lp.actors.iter_mut().zip(&ckpt.actors) {
             actor.env.restore(state.graph.clone(), state.steps as usize);
             actor.episode_return = state.episode_return;
@@ -397,7 +342,7 @@ impl TrainLoop {
     /// Convenience: trains a fresh agent to completion unobserved, as run
     /// 0. Sweeps and observed runs should go through
     /// [`crate::experiment::Experiment`].
-    pub fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> RunRecord {
+    pub fn run(cfg: &AgentConfig, evaluator: Arc<Evaluator>) -> RunRecord {
         let mut lp = TrainLoop::new(cfg, evaluator);
         lp.run_to_completion(0, &mut NullObserver);
         lp.into_parts(0).1
@@ -611,18 +556,17 @@ impl TrainLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachedEvaluator;
-    use crate::task::{by_name, Adder, PrefixOr, TaskEvaluator};
+    use crate::task::{Adder, PrefixOr};
     use prefix_graph::features;
 
-    fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>) -> RunRecord {
+    fn run(cfg: &AgentConfig, evaluator: Arc<Evaluator>) -> RunRecord {
         TrainLoop::run(cfg, evaluator)
     }
 
     #[test]
     fn tiny_training_run_completes_and_harvests_designs() {
         let cfg = AgentConfig::tiny(8, 0.5);
-        let eval = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
+        let eval = Arc::new(Evaluator::analytical(Adder));
         let result = run(&cfg, eval.clone());
         assert_eq!(result.steps, 300);
         assert!(
@@ -643,7 +587,7 @@ mod tests {
     #[test]
     fn front_is_nonempty_and_consistent() {
         let cfg = AgentConfig::tiny(8, 0.3);
-        let result = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let result = run(&cfg, Arc::new(Evaluator::analytical(Adder)));
         let front = result.front();
         assert!(!front.is_empty());
         // No design may dominate a front member.
@@ -657,8 +601,8 @@ mod tests {
     #[test]
     fn training_is_deterministic_under_seed() {
         let cfg = AgentConfig::tiny(8, 0.5);
-        let a = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
-        let b = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let a = run(&cfg, Arc::new(Evaluator::analytical(Adder)));
+        let b = run(&cfg, Arc::new(Evaluator::analytical(Adder)));
         assert_eq!(a.designs.len(), b.designs.len());
         assert_eq!(a.losses, b.losses);
         // BTreeMap-backed pools make the design ordering itself stable.
@@ -671,28 +615,19 @@ mod tests {
     #[test]
     fn checkpoint_records_task_and_refuses_mismatch() {
         let cfg = AgentConfig::tiny(8, 0.5);
-        let or_eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(PrefixOr));
-        let mut lp = TrainLoop::with_task(&cfg, by_name("prefix-or").unwrap(), or_eval.clone());
+        let or_eval = Arc::new(Evaluator::analytical(PrefixOr));
+        let mut lp = TrainLoop::new(&cfg, or_eval.clone());
         for _ in 0..20 {
             lp.step_round(0, &mut NullObserver);
         }
         let ckpt = lp.checkpoint();
         assert_eq!(ckpt.cfg.env.task, "prefix-or");
         // Matching task resumes fine…
-        assert!(TrainLoop::from_checkpoint_with_task(
-            &ckpt,
-            by_name("prefix-or").unwrap(),
-            or_eval
-        )
-        .is_ok());
+        assert!(TrainLoop::from_checkpoint(&ckpt, or_eval).is_ok());
         // …a different task is refused loudly.
-        let err = TrainLoop::from_checkpoint_with_task(
-            &ckpt,
-            Arc::new(Adder),
-            Arc::new(TaskEvaluator::analytical(Adder)),
-        )
-        .err()
-        .expect("mismatch must fail");
+        let err = TrainLoop::from_checkpoint(&ckpt, Arc::new(Evaluator::analytical(Adder)))
+            .err()
+            .expect("mismatch must fail");
         assert!(err.contains("task mismatch"), "{err}");
         assert!(err.contains("prefix-or") && err.contains("adder"), "{err}");
     }
@@ -705,7 +640,7 @@ mod tests {
             actors: 2,
             ..AgentConfig::tiny(8, 0.5)
         };
-        let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(Adder)));
         let mut seen: Vec<(PrefixGraph, PrefixGraph)> = Vec::new();
         let mut resets = 0;
         while !lp.is_done() {
@@ -755,7 +690,7 @@ mod tests {
     #[test]
     fn best_scalarized_tracks_weight() {
         let cfg = AgentConfig::tiny(8, 0.5);
-        let result = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let result = run(&cfg, Arc::new(Evaluator::analytical(Adder)));
         let small = result.best_scalarized(1.0, 1.0, 1.0).unwrap();
         let fast = result.best_scalarized(0.0, 1.0, 1.0).unwrap();
         assert!(small.1.area <= fast.1.area);

@@ -335,13 +335,14 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::agent::TrainLoop;
+    use crate::evaluator::Evaluator;
     use crate::experiment::NullObserver;
-    use crate::task::{Adder, TaskEvaluator};
+    use crate::task::Adder;
     use std::sync::Arc;
 
     fn mid_run_checkpoint() -> Checkpoint {
         let cfg = AgentConfig::tiny(8, 0.4);
-        let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(Adder)));
         for _ in 0..120 {
             lp.step_round(0, &mut NullObserver);
         }

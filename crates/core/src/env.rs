@@ -14,7 +14,7 @@
 //! bootstraps.
 
 use crate::evaluator::{Evaluator, ObjectivePoint};
-use crate::task::{self, CircuitTask};
+use crate::task::CircuitTask;
 use prefix_graph::{features, Action, ActionKind, Node, PrefixGraph};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -45,8 +45,9 @@ pub struct EnvConfig {
     pub c_delay: f64,
     /// Starting-state policy.
     pub start: StartState,
-    /// The circuit task's stable id ([`CircuitTask::task_id`]). Recorded
-    /// in checkpoints; resume refuses a mismatch.
+    /// The circuit task's stable id ([`CircuitTask::task_id`]), set from
+    /// the evaluator's task. Recorded in checkpoints; resume refuses a
+    /// mismatch.
     pub task: String,
 }
 
@@ -74,12 +75,6 @@ impl EnvConfig {
             start: StartState::RippleOrSklansky,
             task: "adder".to_string(),
         }
-    }
-
-    /// The same configuration retargeted at another circuit task.
-    pub fn with_task(mut self, task_id: &str) -> Self {
-        self.task = task_id.to_string();
-        self
     }
 }
 
@@ -150,61 +145,21 @@ pub fn decode_state(key: &[u64], features: &mut Vec<f32>, mask: Option<&mut Vec<
 /// The PrefixRL environment.
 pub struct PrefixEnv {
     cfg: EnvConfig,
-    task: Arc<dyn CircuitTask>,
-    evaluator: Arc<dyn Evaluator>,
+    evaluator: Arc<Evaluator>,
     graph: PrefixGraph,
     metrics: ObjectivePoint,
     steps: usize,
 }
 
 impl PrefixEnv {
-    /// Creates an environment, resolving the task from `cfg.task` through
-    /// the built-in registry; the first episode starts from the task's
-    /// first start state until [`PrefixEnv::reset`] is called.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.task` names no registered task (custom tasks go
-    /// through [`PrefixEnv::with_task`]).
-    pub fn new(cfg: EnvConfig, evaluator: Arc<dyn Evaluator>) -> Self {
-        let task = task::by_name(&cfg.task).unwrap_or_else(|| {
-            panic!(
-                "unknown task `{}` (registered: {:?}; custom tasks go through \
-                 PrefixEnv::with_task)",
-                cfg.task,
-                task::TASK_NAMES
-            )
-        });
-        Self::with_task(cfg, task, evaluator)
-    }
-
-    /// Creates an environment over an explicit (possibly custom) task.
+    /// Creates an environment over the evaluator's circuit task;
     /// `cfg.task` is overwritten with the task's id so checkpoints record
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `evaluator` is bound to a *different* task
-    /// ([`Evaluator::bound_task_id`]): training would then stamp
-    /// checkpoints with one task while scoring rewards on another,
-    /// defeating the resume mismatch guard. Task-agnostic evaluators
-    /// (bound id `None`) are accepted for any task.
-    pub fn with_task(
-        mut cfg: EnvConfig,
-        task: Arc<dyn CircuitTask>,
-        evaluator: Arc<dyn Evaluator>,
-    ) -> Self {
-        if let Some(bound) = evaluator.bound_task_id() {
-            assert_eq!(
-                bound,
-                task.task_id(),
-                "task/evaluator mismatch: environment task is `{}` but the \
-                 evaluator scores task `{bound}`",
-                task.task_id()
-            );
-        }
-        cfg.task = task.task_id().to_string();
-        let graph = task
+    /// it. The first episode starts from the task's first start state
+    /// until [`PrefixEnv::reset`] is called.
+    pub fn new(mut cfg: EnvConfig, evaluator: Arc<Evaluator>) -> Self {
+        cfg.task = evaluator.task().task_id().to_string();
+        let graph = evaluator
+            .task()
             .start_states(cfg.n)
             .into_iter()
             .next()
@@ -212,7 +167,6 @@ impl PrefixEnv {
         let metrics = evaluator.evaluate(&graph);
         PrefixEnv {
             cfg,
-            task,
             evaluator,
             graph,
             metrics,
@@ -223,7 +177,7 @@ impl PrefixEnv {
     /// Starts a new episode per the starting-state policy, drawing from
     /// the task's start-state set.
     pub fn reset(&mut self, rng: &mut StdRng) {
-        let pool = self.task.start_states(self.cfg.n);
+        let pool = self.task().start_states(self.cfg.n);
         assert!(!pool.is_empty(), "task must provide a start state");
         let second = 1.min(pool.len() - 1);
         let idx = match self.cfg.start {
@@ -304,7 +258,7 @@ impl PrefixEnv {
 
     /// The circuit task this environment optimizes.
     pub fn task(&self) -> &Arc<dyn CircuitTask> {
-        &self.task
+        self.evaluator.task()
     }
 
     /// The current state's evaluated objectives.
@@ -326,12 +280,12 @@ impl PrefixEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Adder, PrefixOr, TaskEvaluator};
+    use crate::task::{Adder, PrefixOr};
 
     fn env(n: u16) -> PrefixEnv {
         PrefixEnv::new(
             EnvConfig::analytical(n),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         )
     }
 
@@ -392,7 +346,7 @@ mod tests {
                 max_steps: 3,
                 ..EnvConfig::analytical(8)
             },
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let mut rng = StdRng::seed_from_u64(1);
         e.reset(&mut rng);
@@ -430,32 +384,9 @@ mod tests {
     #[test]
     fn config_task_follows_explicit_task() {
         let cfg = EnvConfig::analytical(8); // says "adder"
-        let e = PrefixEnv::with_task(
-            cfg,
-            Arc::new(PrefixOr),
-            Arc::new(TaskEvaluator::analytical(PrefixOr)),
-        );
+        let e = PrefixEnv::new(cfg, Arc::new(Evaluator::analytical(PrefixOr)));
         assert_eq!(e.config().task, "prefix-or");
         assert_eq!(e.task().task_id(), "prefix-or");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown task")]
-    fn unknown_task_id_panics_loudly() {
-        let cfg = EnvConfig::analytical(8).with_task("divider");
-        let _ = PrefixEnv::new(cfg, Arc::new(TaskEvaluator::analytical(Adder)));
-    }
-
-    #[test]
-    #[should_panic(expected = "task/evaluator mismatch")]
-    fn task_bound_evaluator_must_match_env_task() {
-        // An adder-bound oracle under a prefix-or environment would stamp
-        // checkpoints `prefix-or` while rewarding adder synthesis.
-        let _ = PrefixEnv::with_task(
-            EnvConfig::analytical(8),
-            Arc::new(PrefixOr),
-            Arc::new(TaskEvaluator::analytical(Adder)),
-        );
     }
 
     #[test]
@@ -463,8 +394,10 @@ mod tests {
         // The MDP is task-independent: same graph state space, same
         // rewards under the (graph-level) analytical backend.
         let mut rng = StdRng::seed_from_u64(4);
-        let cfg = EnvConfig::analytical(8).with_task("prefix-or");
-        let mut e = PrefixEnv::new(cfg, Arc::new(TaskEvaluator::analytical(PrefixOr)));
+        let mut e = PrefixEnv::new(
+            EnvConfig::analytical(8),
+            Arc::new(Evaluator::analytical(PrefixOr)),
+        );
         e.reset(&mut rng);
         let mut adder = env(8);
         let mut rng2 = StdRng::seed_from_u64(4);

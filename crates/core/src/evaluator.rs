@@ -1,20 +1,24 @@
-//! The evaluator interface and the objective-point currency.
+//! The scoring object and the objective-point currency.
 //!
 //! The environment asks an [`Evaluator`] for the `(area, delay)` of a
-//! prefix graph. Concrete oracles live in [`crate::task`]: a
-//! [`crate::task::CircuitTask`] bound to an
-//! [`crate::task::ObjectiveBackend`] through
-//! [`crate::task::TaskEvaluator`] (DESIGN.md §12). This module keeps:
+//! prefix graph. An evaluator is one [`CircuitTask`] scored by one
+//! [`ObjectiveBackend`] (DESIGN.md §12), memoized through an [`EvalCache`]
+//! store: its own, or one that several evaluators share (paper Section
+//! IV-D). This module keeps:
 //!
 //! - [`ObjectivePoint`] — the minimized `(area, delay)` pair with the one
 //!   tested strict/weak dominance definition every Pareto structure uses;
-//! - [`Evaluator`] — the engine-facing oracle trait consumed by the cache
-//!   and the environment (and implemented by test fakes), including the
-//!   [`Evaluator::cache_discriminant`] that keeps distinct `(task,
-//!   backend)` pairs from aliasing cached points.
+//! - [`Evaluator`] — the task, the backend and the store, keyed by the
+//!   [`crate::task::discriminant_of`] word of the pair so evaluators that
+//!   share a store never alias each other's points.
 
+use crate::cache::EvalCache;
+use crate::task::{self, AnalyticalBackend, CircuitTask, ObjectiveBackend, SynthesisBackend};
+use netlist::Library;
 use prefix_graph::PrefixGraph;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use synth::sweep::SweepConfig;
 
 /// A point in the (area, delay) objective space; both minimized.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -42,42 +46,104 @@ impl ObjectivePoint {
     }
 }
 
-/// An (area, delay) oracle over prefix graphs.
+/// A circuit task scored by an objective backend, memoized through an
+/// [`EvalCache`] store.
 ///
-/// Implementations must be deterministic: the synthesis cache assumes a
-/// graph always evaluates to the same point.
-pub trait Evaluator: Send + Sync {
-    /// Evaluates the graph's objectives.
-    fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint;
+/// Backends must be deterministic per `(task, graph)`: the store assumes a
+/// state always scores to the same point.
+pub struct Evaluator {
+    task: Arc<dyn CircuitTask>,
+    backend: Arc<dyn ObjectiveBackend>,
+    store: Arc<EvalCache>,
+    name: String,
+    discriminant: u64,
+}
 
-    /// A short name for reports.
-    fn name(&self) -> &str;
-
-    /// A stable word mixed into every cache key built over this
-    /// evaluator's results, so caches never serve one oracle's point for
-    /// another's request. [`crate::task::TaskEvaluator`] derives it from
-    /// `(task_id, backend_id)`; oracle wrappers must forward it.
-    fn cache_discriminant(&self) -> u64 {
-        0
+impl Evaluator {
+    /// `task` scored by `backend` through a store of its own.
+    pub fn new(task: Arc<dyn CircuitTask>, backend: Arc<dyn ObjectiveBackend>) -> Self {
+        Self::with_store(task, backend, Arc::default())
     }
 
-    /// The task id this oracle is bound to, when it is task-bound.
-    /// [`crate::env::PrefixEnv::with_task`] cross-checks it against the
-    /// environment's task, so a checkpoint can never be stamped with one
-    /// task while rewards silently score another. `None` (the default)
-    /// means task-agnostic — no check. Wrappers must forward it.
-    fn bound_task_id(&self) -> Option<&str> {
-        None
+    /// `task` scored by `backend` through `store`, which other evaluators
+    /// may share: the `(task, backend)` discriminant keeps their entries
+    /// apart.
+    pub fn with_store(
+        task: Arc<dyn CircuitTask>,
+        backend: Arc<dyn ObjectiveBackend>,
+        store: Arc<EvalCache>,
+    ) -> Self {
+        let name = format!("{}/{}", task.task_id(), backend.backend_id());
+        let discriminant = task::discriminant_of(task.task_id(), backend.backend_id());
+        Evaluator {
+            task,
+            backend,
+            store,
+            name,
+            discriminant,
+        }
+    }
+
+    /// Shorthand: `task` scored by the [`AnalyticalBackend`].
+    pub fn analytical(task: impl CircuitTask + 'static) -> Self {
+        Self::new(Arc::new(task), Arc::new(AnalyticalBackend))
+    }
+
+    /// Shorthand: `task` scored by a [`SynthesisBackend`] at weight
+    /// `w_area`.
+    pub fn synthesis(
+        task: impl CircuitTask + 'static,
+        lib: Library,
+        sweep: SweepConfig,
+        w_area: f64,
+    ) -> Self {
+        Self::new(
+            Arc::new(task),
+            Arc::new(SynthesisBackend::new(lib, sweep, w_area)),
+        )
+    }
+
+    /// The graph's objectives: the stored point, or the backend's score
+    /// on a miss. Concurrent misses on one state score it once.
+    pub fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
+        self.store.memoize(self.discriminant, graph, || {
+            self.backend.score(self.task.as_ref(), graph)
+        })
+    }
+
+    /// The circuit task.
+    pub fn task(&self) -> &Arc<dyn CircuitTask> {
+        &self.task
+    }
+
+    /// The objective backend.
+    pub fn backend(&self) -> &Arc<dyn ObjectiveBackend> {
+        &self.backend
+    }
+
+    /// The memo store: its statistics are the aggregate over every
+    /// evaluator sharing it.
+    pub fn store(&self) -> &Arc<EvalCache> {
+        &self.store
+    }
+
+    /// `"task/backend"`, for reports.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The backend's off-reward-path annotation for `graph`, if any
+    /// (never memoized).
+    pub fn annotate(&self, graph: &PrefixGraph) -> Option<f64> {
+        self.backend.annotate(self.task.as_ref(), graph)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Adder, TaskEvaluator};
-    use netlist::Library;
+    use crate::task::Adder;
     use prefix_graph::structures;
-    use synth::sweep::SweepConfig;
 
     #[test]
     fn dominance_relation() {
@@ -120,7 +186,7 @@ mod tests {
     #[test]
     fn analytical_matches_model() {
         let g = structures::sklansky(16);
-        let p = TaskEvaluator::analytical(Adder).evaluate(&g);
+        let p = Evaluator::analytical(Adder).evaluate(&g);
         assert_eq!(p.area, g.size() as f64);
         assert!(p.delay > 0.0);
     }
@@ -129,8 +195,8 @@ mod tests {
     fn synthesis_weight_moves_along_curve() {
         let lib = Library::nangate45();
         let g = structures::sklansky(16);
-        let fast = TaskEvaluator::synthesis(Adder, lib.clone(), SweepConfig::fast(), 0.05);
-        let small = TaskEvaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.95);
+        let fast = Evaluator::synthesis(Adder, lib.clone(), SweepConfig::fast(), 0.05);
+        let small = Evaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.95);
         let pf = fast.evaluate(&g);
         let ps = small.evaluate(&g);
         assert!(pf.delay <= ps.delay, "delay-heavy picks faster point");
@@ -139,9 +205,9 @@ mod tests {
 
     #[test]
     fn evaluation_is_deterministic() {
-        let lib = Library::nangate45();
-        let ev = TaskEvaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.5);
+        // Two evaluators, so both points are scored, not one replayed.
+        let ev = || Evaluator::synthesis(Adder, Library::nangate45(), SweepConfig::fast(), 0.5);
         let g = structures::brent_kung(8);
-        assert_eq!(ev.evaluate(&g), ev.evaluate(&g));
+        assert_eq!(ev().evaluate(&g), ev().evaluate(&g));
     }
 }

@@ -7,8 +7,8 @@
 //! the session layer that makes that shape first-class:
 //!
 //! - [`Experiment`] — built with [`Experiment::builder`], owns one
-//!   [`CachedEvaluator`] binding the [`TaskEvaluator`] of its own
-//!   `.task(..)`/`.backend(..)` to a sharded store (private, or shared via
+//!   [`Evaluator`] scoring its own `.task(..)` with its `.backend(..)`
+//!   through a sharded store (private, or shared via
 //!   [`ExperimentBuilder::eval_cache`]) and a [`Run`] handle per
 //!   scalarization weight; running it fans agents out over
 //!   `eval_threads` concurrent runs so the cross-agent cache sharing
@@ -28,11 +28,11 @@
 //! uninterrupted run.
 
 use crate::agent::{AgentConfig, TrainLoop};
-use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
+use crate::cache::EvalCache;
 use crate::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::pareto::ParetoFront;
-use crate::task::{Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend, TaskEvaluator};
+use crate::task::{Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend};
 use parking_lot::Mutex;
 use prefix_graph::PrefixGraph;
 use serde::{Deserialize, Serialize};
@@ -500,9 +500,9 @@ impl ExperimentBuilder {
     }
 
     /// Evaluate through an externally owned (typically shared) store
-    /// instead of a private one with the default [`CacheConfig`]. This is
-    /// the multi-job server path: every concurrent experiment binds its own
-    /// task/backend evaluator to one store, the discriminant prefix keeps
+    /// instead of a private one. This is the multi-job server path: every
+    /// concurrent experiment's task/backend evaluator memoizes through one
+    /// store, the discriminant prefix keeps
     /// their entries apart, and [`Experiment::cache_stats`] reports the
     /// *shared* store's aggregate counters.
     pub fn eval_cache(mut self, store: Arc<EvalCache>) -> Self {
@@ -510,14 +510,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Assembles the experiment: per-run agent configs plus one cache
-    /// binding of the configured task/backend pair to the store.
+    /// Assembles the experiment: per-run agent configs plus one evaluator
+    /// of the configured task/backend pair over the store.
     pub fn build(self) -> Experiment {
-        let store = self
-            .store
-            .unwrap_or_else(|| Arc::new(EvalCache::new(CacheConfig::default())));
-        let cache = Arc::new(CachedEvaluator::with_store(
-            TaskEvaluator::new(Arc::clone(&self.task), Arc::clone(&self.backend)),
+        let store = self.store.unwrap_or_default();
+        let evaluator = Arc::new(Evaluator::with_store(
+            Arc::clone(&self.task),
+            Arc::clone(&self.backend),
             store,
         ));
         let runs = self
@@ -542,7 +541,7 @@ impl ExperimentBuilder {
             .collect();
         Experiment {
             runs,
-            cache,
+            evaluator,
             parallelism: self.eval_threads,
             checkpoint_every: self.checkpoint_every,
             checkpoint_path: self.checkpoint_path,
@@ -573,10 +572,10 @@ pub struct CacheStats {
 /// cache.
 pub struct Experiment {
     runs: Vec<Run>,
-    /// The one evaluator of the session: the task/backend pair bound to
-    /// the (private or shared) store. It is also where the experiment's
-    /// task and backend live.
-    cache: Arc<CachedEvaluator<TaskEvaluator>>,
+    /// The one evaluator of the session: the task/backend pair over the
+    /// (private or shared) store. It is also where the experiment's task
+    /// and backend live.
+    evaluator: Arc<Evaluator>,
     parallelism: usize,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -597,17 +596,17 @@ impl Experiment {
 
     /// The circuit task this experiment optimizes.
     pub fn task(&self) -> &Arc<dyn CircuitTask> {
-        self.cache.inner().task()
+        self.evaluator.task()
     }
 
     /// The objective backend scoring the task.
     pub fn backend(&self) -> &Arc<dyn ObjectiveBackend> {
-        self.cache.inner().backend()
+        self.evaluator.backend()
     }
 
     /// Current statistics of the shared cache.
     pub fn cache_stats(&self) -> CacheStats {
-        let store = self.cache.store();
+        let store = self.evaluator.store();
         CacheStats {
             shards: store.shards(),
             hits: store.hits(),
@@ -671,15 +670,6 @@ impl Experiment {
         }
         for (run, state) in self.runs.iter().zip(&sweep.runs) {
             if let RunState::InProgress(c) = state {
-                if c.cfg.env.task != self.task().task_id() {
-                    return Err(format!(
-                        "run {}: checkpoint task mismatch: trained on `{}`, \
-                         experiment task is `{}`",
-                        run.id,
-                        c.cfg.env.task,
-                        self.task().task_id()
-                    ));
-                }
                 if c.cfg.actors != run.cfg.actors {
                     return Err(format!(
                         "run {}: checkpoint actor mismatch: trained with {} actors, \
@@ -801,13 +791,13 @@ impl Experiment {
             .collect();
         let frontier_power: Option<Vec<f64>> = merged
             .iter()
-            .map(|(_, g)| self.cache.inner().annotate(g))
+            .map(|(_, g)| self.evaluator.annotate(g))
             .collect();
         Ok(ExperimentResult {
             n: self.runs[0].cfg.env.n,
             task: self.task().task_id().to_string(),
             backend: self.backend().backend_id().to_string(),
-            evaluator: self.cache.name().to_string(),
+            evaluator: self.evaluator.name().to_string(),
             steps_per_agent: self.runs[0].cfg.total_steps,
             actors_per_agent: self.runs[0].cfg.actors,
             completed,
@@ -831,12 +821,10 @@ impl Experiment {
         observer: &mut dyn RunObserver,
         keep: &mut dyn FnMut(Checkpoint),
     ) -> Result<Option<RunRecord>, String> {
-        let evaluator = Arc::clone(&self.cache) as Arc<dyn Evaluator>;
+        let evaluator = Arc::clone(&self.evaluator);
         let mut lp = match resume {
-            Some(ckpt) => {
-                TrainLoop::from_checkpoint_with_task(&ckpt, Arc::clone(self.task()), evaluator)?
-            }
-            None => TrainLoop::with_task(&self.runs[id].cfg, Arc::clone(self.task()), evaluator),
+            Some(ckpt) => TrainLoop::from_checkpoint(&ckpt, evaluator)?,
+            None => TrainLoop::new(&self.runs[id].cfg, evaluator),
         };
         let mut saved_at = lp.step();
         let mut stopped = false;
@@ -1359,7 +1347,7 @@ mod tests {
 
     #[test]
     fn external_eval_cache_is_shared_across_experiments() {
-        let store = Arc::new(EvalCache::new(CacheConfig::with_shards(4)));
+        let store = Arc::new(EvalCache::default());
         let make = |task: Arc<dyn CircuitTask>| {
             Experiment::builder()
                 .n(8)

@@ -5,14 +5,15 @@
 //!
 //! - [`task`]: the pluggable workload layer — [`task::CircuitTask`]
 //!   (adder, prefix-OR, incrementer, or any custom prefix computation)
-//!   bound to an [`task::ObjectiveBackend`] (analytical, synthesis,
-//!   synthesis with power annotation) through [`task::TaskEvaluator`];
-//! - [`evaluator`]: the oracle interface and the `(area, delay)`
-//!   objective-point currency with its strict/weak dominance definitions;
-//! - [`cache`]: the sharded, bounded synthesis result cache
+//!   and [`task::ObjectiveBackend`] (analytical, synthesis, synthesis with
+//!   power annotation);
+//! - [`evaluator`]: [`evaluator::Evaluator`], one task scored by one
+//!   backend through a memo store, and the `(area, delay)` objective-point
+//!   currency with its strict/weak dominance definitions;
+//! - [`cache`]: the sharded, bounded synthesis result store
 //!   ([`cache::EvalCache`]) keyed by canonical graph state, with in-flight
 //!   dedup of concurrent misses (Section IV-D reports 50%/10% hit rates at
-//!   32b/64b), and [`cache::CachedEvaluator`], one evaluator bound to it;
+//!   32b/64b), private to one evaluator or shared by several;
 //! - [`mod@env`]: the PrefixRL MDP over legal prefix graphs (Section IV-A/B);
 //! - [`qnet`]: the convolutional residual Q-network (Fig. 2) implementing
 //!   [`rl::QNetwork`];
@@ -64,7 +65,7 @@ pub mod task;
 /// Convenient re-exports for downstream users.
 pub mod prelude {
     pub use crate::agent::{AgentConfig, TrainLoop};
-    pub use crate::cache::{CacheConfig, CachedEvaluator, EvalCache};
+    pub use crate::cache::EvalCache;
     pub use crate::checkpoint::{Checkpoint, SweepCheckpoint};
     pub use crate::env::{EnvConfig, PrefixEnv};
     pub use crate::evaluator::{Evaluator, ObjectivePoint};
@@ -78,6 +79,6 @@ pub mod prelude {
     pub use crate::qnet::{PrefixQNet, QNetConfig};
     pub use crate::task::{
         Adder, AnalyticalBackend, CircuitTask, Incrementer, ObjectiveBackend, PrefixOr,
-        SynthesisBackend, TaskEvaluator,
+        SynthesisBackend,
     };
 }

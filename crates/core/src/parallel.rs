@@ -7,12 +7,12 @@
 //! This module holds the two thread pools that reproduce it at thread
 //! scale:
 //!
-//! - `map_ordered` — an order-preserving map on a worker pool: scoped
+//! - [`map_ordered`] — an order-preserving map on a worker pool: scoped
 //!   threads pull indices from a shared counter (dynamic load balancing
 //!   for variable-cost synthesis jobs) into worker-local buffers, so there
-//!   is no per-slot locking. [`evaluate_batch`] (the `scaling_speedup`
-//!   bench and the `equivalence` tests) and
-//!   [`crate::frontier::sweep_task_front`] both run on it;
+//!   is no per-slot locking. [`evaluate_batch`] (batch scoring through an
+//!   evaluator's cache) and [`crate::frontier::sweep_task_front`] both run
+//!   on it, and the `scaling_speedup` bench times uncached scoring on it;
 //! - `lockstep` — the actor threads of one training run.
 //!   [`crate::agent::TrainLoop`] hands every actor one environment step
 //!   per round and waits for all of them; between rounds its coordinator
@@ -36,7 +36,7 @@ use std::sync::mpsc;
 /// Panics if `threads == 0`.
 pub fn evaluate_batch(
     graphs: &[PrefixGraph],
-    evaluator: &dyn Evaluator,
+    evaluator: &Evaluator,
     threads: usize,
 ) -> Vec<ObjectivePoint> {
     map_ordered(graphs, threads, |g| evaluator.evaluate(g))
@@ -55,7 +55,7 @@ pub fn evaluate_batch(
 /// # Panics
 ///
 /// Panics if `threads == 0` or a worker panics.
-pub(crate) fn map_ordered<T: Sync, R: Send>(
+pub fn map_ordered<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
@@ -191,13 +191,12 @@ pub(crate) fn lockstep<I: Send, O: Send, R>(
 mod tests {
     use super::*;
     use crate::agent::{AgentConfig, TrainLoop};
-    use crate::cache::CachedEvaluator;
     use crate::experiment::{CallbackObserver, CancelToken, Event, Experiment, RunRecord, Weights};
-    use crate::task::{Adder, TaskEvaluator};
+    use crate::task::{Adder, CircuitTask, ObjectiveBackend};
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn run(cfg: &AgentConfig, evaluator: Arc<dyn Evaluator>, actors: usize) -> RunRecord {
+    fn run(cfg: &AgentConfig, evaluator: Arc<Evaluator>, actors: usize) -> RunRecord {
         let mut cfg = cfg.clone();
         cfg.actors = actors;
         TrainLoop::run(&cfg, evaluator)
@@ -245,7 +244,7 @@ mod tests {
     fn async_training_completes_and_harvests() {
         let mut cfg = AgentConfig::tiny(8, 0.5);
         cfg.total_steps = 400;
-        let eval = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
+        let eval = Arc::new(Evaluator::analytical(Adder));
         let result = run(&cfg, eval.clone(), 3);
         assert_eq!(result.steps, 400);
         assert!(
@@ -267,8 +266,8 @@ mod tests {
     fn async_and_serial_explore_comparable_design_counts() {
         let mut cfg = AgentConfig::tiny(8, 0.5);
         cfg.total_steps = 300;
-        let serial = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), 1);
-        let parallel = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), 2);
+        let serial = run(&cfg, Arc::new(Evaluator::analytical(Adder)), 1);
+        let parallel = run(&cfg, Arc::new(Evaluator::analytical(Adder)), 2);
         // Same step budget → same order of magnitude of distinct designs.
         let (a, b) = (serial.designs.len() as f64, parallel.designs.len() as f64);
         assert!(a / b < 4.0 && b / a < 4.0, "serial {a} vs parallel {b}");
@@ -294,7 +293,7 @@ mod tests {
                     .count()
             };
             for actors in [1, 3] {
-                let record = run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), actors);
+                let record = run(&cfg, Arc::new(Evaluator::analytical(Adder)), actors);
                 assert_eq!(
                     record.losses.len(),
                     expected,
@@ -312,7 +311,7 @@ mod tests {
     fn three_actor_run_repeats_bitwise() {
         let mut cfg = AgentConfig::tiny(8, 0.5);
         cfg.total_steps = 240;
-        let [a, b] = [(); 2].map(|_| run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)), 3));
+        let [a, b] = [(); 2].map(|_| run(&cfg, Arc::new(Evaluator::analytical(Adder)), 3));
         assert_eq!(a.steps, 240);
         assert_eq!(a.steps, b.steps);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -351,8 +350,11 @@ mod tests {
         struct PanicAfter {
             calls: AtomicU64,
         }
-        impl Evaluator for PanicAfter {
-            fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
+        impl ObjectiveBackend for PanicAfter {
+            fn backend_id(&self) -> &'static str {
+                "panic-after"
+            }
+            fn score(&self, _: &dyn CircuitTask, graph: &PrefixGraph) -> ObjectivePoint {
                 if self.calls.fetch_add(1, Ordering::SeqCst) >= 20 {
                     panic!("synthetic oracle failure");
                 }
@@ -361,18 +363,18 @@ mod tests {
                     delay: graph.depth() as f64,
                 }
             }
-            fn name(&self) -> &str {
-                "panic-after"
-            }
         }
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut cfg = AgentConfig::tiny(8, 0.5);
                 cfg.total_steps = 100_000;
-                let evaluator = Arc::new(PanicAfter {
-                    calls: AtomicU64::new(0),
-                });
+                let evaluator = Arc::new(Evaluator::new(
+                    Arc::new(Adder),
+                    Arc::new(PanicAfter {
+                        calls: AtomicU64::new(0),
+                    }),
+                ));
                 run(&cfg, evaluator, 3)
             }));
             let _ = tx.send(outcome.is_err());
@@ -399,7 +401,7 @@ mod tests {
         let (mut observer, rx) = crate::experiment::ChannelObserver::bounded(1);
         let (tx, done) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+            let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(Adder)));
             lp.run_to_completion(0, &mut observer);
             let _ = tx.send(lp.into_parts(0).1);
         });
@@ -468,8 +470,8 @@ mod tests {
     #[test]
     fn evaluate_batch_matches_serial() {
         let graphs = mixed_graphs(8);
-        let ev = TaskEvaluator::analytical(Adder);
-        let parallel = evaluate_batch(&graphs, &ev, 4);
+        let parallel = evaluate_batch(&graphs, &Evaluator::analytical(Adder), 4);
+        let ev = Evaluator::analytical(Adder);
         let serial: Vec<ObjectivePoint> = graphs.iter().map(|g| ev.evaluate(g)).collect();
         assert_eq!(parallel, serial);
     }
@@ -477,20 +479,20 @@ mod tests {
     #[test]
     fn evaluate_batch_single_thread_ok() {
         let graphs = vec![PrefixGraph::ripple(8)];
-        let out = evaluate_batch(&graphs, &TaskEvaluator::analytical(Adder), 1);
+        let out = evaluate_batch(&graphs, &Evaluator::analytical(Adder), 1);
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn evaluate_batch_empty_spawns_nothing() {
-        let out = evaluate_batch(&[], &TaskEvaluator::analytical(Adder), 8);
+        let out = evaluate_batch(&[], &Evaluator::analytical(Adder), 8);
         assert!(out.is_empty());
     }
 
     #[test]
     fn evaluate_batch_more_threads_than_graphs() {
         let graphs = mixed_graphs(8);
-        let out = evaluate_batch(&graphs, &TaskEvaluator::analytical(Adder), 64);
+        let out = evaluate_batch(&graphs, &Evaluator::analytical(Adder), 64);
         assert_eq!(out.len(), graphs.len());
         assert!(out.iter().all(|p| p.area.is_finite()));
     }
@@ -503,26 +505,26 @@ mod tests {
     #[test]
     fn drop_with_inflight_batch_completes() {
         struct Slow;
-        impl Evaluator for Slow {
-            fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
+        impl ObjectiveBackend for Slow {
+            fn backend_id(&self) -> &'static str {
+                "slow"
+            }
+            fn score(&self, _: &dyn CircuitTask, graph: &PrefixGraph) -> ObjectivePoint {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 ObjectivePoint {
                     area: graph.size() as f64,
                     delay: graph.depth() as f64,
                 }
             }
-            fn name(&self) -> &str {
-                "slow"
-            }
         }
-        let evaluator = Arc::new(CachedEvaluator::new(Slow));
+        let evaluator = Arc::new(Evaluator::new(Arc::new(Adder), Arc::new(Slow)));
         let clone = Arc::clone(&evaluator);
         let graphs = mixed_graphs(8);
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn({
             let graphs = graphs.clone();
             move || {
-                let _ = tx.send(evaluate_batch(&graphs, &*clone, 4));
+                let _ = tx.send(evaluate_batch(&graphs, &clone, 4));
             }
         });
         drop(evaluator); // the original handle dies mid-batch
@@ -536,7 +538,7 @@ mod tests {
 
     #[test]
     fn evaluate_batch_shares_cache_across_calls() {
-        let cache = CachedEvaluator::new(TaskEvaluator::analytical(Adder));
+        let cache = Evaluator::analytical(Adder);
         let graphs = mixed_graphs(8);
         let first = evaluate_batch(&graphs, &cache, 4);
         let second = evaluate_batch(&graphs, &cache, 4);

@@ -450,7 +450,8 @@ impl QNetwork for PrefixQNet {
 mod tests {
     use super::*;
     use crate::env::{EnvConfig, PrefixEnv};
-    use crate::task::{Adder, TaskEvaluator};
+    use crate::evaluator::Evaluator;
+    use crate::task::Adder;
     use std::sync::Arc;
 
     #[test]
@@ -459,7 +460,7 @@ mod tests {
         assert_eq!(q.num_actions(), 128);
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         let out = q.infer(&[&f], &mut Scratch::new());
@@ -473,7 +474,7 @@ mod tests {
         let q = PrefixQNet::new(&QNetConfig::tiny(8));
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         // Inference uses running statistics, so batching must not change
@@ -575,7 +576,7 @@ mod tests {
         let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
         let mut env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         // Distinct states along a trajectory, with nontrivial BN
         // statistics.
@@ -619,7 +620,7 @@ mod tests {
         let mut q = PrefixQNet::new(&QNetConfig::tiny(8));
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         let action = 40usize;
@@ -644,7 +645,7 @@ mod tests {
         let (mut full, mut params_only) = (PrefixQNet::new(&cfg), PrefixQNet::new(&cfg));
         let mut env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -685,7 +686,7 @@ mod tests {
         let mut b = PrefixQNet::new(&QNetConfig { seed: 42, ..cfg });
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         let s = a.state();
@@ -703,7 +704,7 @@ mod tests {
         // Take one gradient step so the optimizer has real moments.
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         let _ = q.forward(&[&f]);
@@ -741,7 +742,7 @@ mod tests {
         b.load_state(&read).unwrap();
         let env = PrefixEnv::new(
             EnvConfig::analytical(8),
-            Arc::new(TaskEvaluator::analytical(Adder)),
+            Arc::new(Evaluator::analytical(Adder)),
         );
         let f = env.features();
         let mut scratch = Scratch::new();

@@ -20,17 +20,14 @@
 //!   timing-driven sweep, return the `w`-optimal point), optionally with a
 //!   static switching-power annotation off the reward path.
 //!
-//! [`TaskEvaluator`] binds a task to a backend as a concrete
-//! [`Evaluator`]. It is the only oracle an
-//! [`crate::experiment::Experiment`] binds: the builder constructs it from
-//! its own `.task(..)`/`.backend(..)` and wraps it in a
-//! [`crate::cache::CachedEvaluator`], so the pair that scores a run is
-//! always the pair its report names. Its
-//! [`Evaluator::cache_discriminant`] is derived from `(task_id,
-//! backend_id)`, so evaluation caches never alias points across tasks or
-//! backends even when shared.
+//! An [`crate::evaluator::Evaluator`] scores one task with one backend.
+//! It is the only oracle an [`crate::experiment::Experiment`] holds: the
+//! builder constructs it from its own `.task(..)`/`.backend(..)`, so the
+//! pair that scores a run is always the pair its report names. Its cache
+//! keys start with [`discriminant_of`] the pair, so evaluation caches
+//! never alias points across tasks or backends even when shared.
 
-use crate::evaluator::{Evaluator, ObjectivePoint};
+use crate::evaluator::ObjectivePoint;
 use netlist::{Library, Netlist};
 use prefix_graph::{analytical, structures, PrefixGraph};
 use std::sync::Arc;
@@ -326,10 +323,38 @@ impl ObjectiveBackend for SynthesisBackend {
     }
 }
 
-/// The backend names the CLI accepts, in listing order.
+/// The backend names the CLI and the serve daemon accept, in listing
+/// order.
 pub const BACKEND_NAMES: &[&str] = &["analytical", "synthesis", "synthesis-power"];
 
-// --------------------------------------------------------- task evaluator
+/// Resolves a built-in backend by name. Synthesis backends use `lib`, the
+/// fast sweep and the curve point at weight `w_area`. The flag says whether
+/// the backend scores in synthesis units, which take the
+/// [`crate::env::EnvConfig::synthesis`] reward scaling.
+///
+/// # Errors
+///
+/// Fails on a name outside [`BACKEND_NAMES`], listing them.
+pub fn backend_by_name(
+    name: &str,
+    lib: Library,
+    w_area: f64,
+) -> Result<(Arc<dyn ObjectiveBackend>, bool), String> {
+    let synthesis = || SynthesisBackend::new(lib, SweepConfig::fast(), w_area);
+    Ok(match name {
+        "analytical" => (Arc::new(AnalyticalBackend), false),
+        "synthesis" => (Arc::new(synthesis()), true),
+        "synthesis-power" => (Arc::new(synthesis().with_power_annotation()), true),
+        other => {
+            return Err(format!(
+                "unknown backend `{other}` (expected one of: {})",
+                BACKEND_NAMES.join("|")
+            ))
+        }
+    })
+}
+
+// ------------------------------------------------------------ cache keys
 
 /// FNV-1a over the `task_id/backend_id` pair: the cache-key discriminant
 /// that keeps two `(task, backend)` combinations from ever aliasing a
@@ -346,81 +371,6 @@ pub fn discriminant_of(task_id: &str, backend_id: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// A [`CircuitTask`] bound to an [`ObjectiveBackend`] as a concrete
-/// [`Evaluator`] — the unit the caching/evaluation stack consumes.
-pub struct TaskEvaluator {
-    task: Arc<dyn CircuitTask>,
-    backend: Arc<dyn ObjectiveBackend>,
-    name: String,
-    discriminant: u64,
-}
-
-impl TaskEvaluator {
-    /// Binds `task` to `backend`.
-    pub fn new(task: Arc<dyn CircuitTask>, backend: Arc<dyn ObjectiveBackend>) -> Self {
-        let name = format!("{}/{}", task.task_id(), backend.backend_id());
-        let discriminant = discriminant_of(task.task_id(), backend.backend_id());
-        TaskEvaluator {
-            task,
-            backend,
-            name,
-            discriminant,
-        }
-    }
-
-    /// Shorthand: `task` scored by the [`AnalyticalBackend`].
-    pub fn analytical(task: impl CircuitTask + 'static) -> Self {
-        Self::new(Arc::new(task), Arc::new(AnalyticalBackend))
-    }
-
-    /// Shorthand: `task` scored by a [`SynthesisBackend`] at weight
-    /// `w_area`.
-    pub fn synthesis(
-        task: impl CircuitTask + 'static,
-        lib: Library,
-        sweep: SweepConfig,
-        w_area: f64,
-    ) -> Self {
-        Self::new(
-            Arc::new(task),
-            Arc::new(SynthesisBackend::new(lib, sweep, w_area)),
-        )
-    }
-
-    /// The bound task.
-    pub fn task(&self) -> &Arc<dyn CircuitTask> {
-        &self.task
-    }
-
-    /// The bound backend.
-    pub fn backend(&self) -> &Arc<dyn ObjectiveBackend> {
-        &self.backend
-    }
-
-    /// The backend's off-reward-path annotation for `graph`, if any.
-    pub fn annotate(&self, graph: &PrefixGraph) -> Option<f64> {
-        self.backend.annotate(self.task.as_ref(), graph)
-    }
-}
-
-impl Evaluator for TaskEvaluator {
-    fn evaluate(&self, graph: &PrefixGraph) -> ObjectivePoint {
-        self.backend.score(self.task.as_ref(), graph)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn cache_discriminant(&self) -> u64 {
-        self.discriminant
-    }
-
-    fn bound_task_id(&self) -> Option<&str> {
-        Some(self.task.task_id())
-    }
 }
 
 #[cfg(test)]
@@ -555,15 +505,30 @@ mod tests {
 
     #[test]
     fn task_evaluator_names_and_discriminants() {
-        let ev = TaskEvaluator::analytical(PrefixOr);
+        let ev = crate::evaluator::Evaluator::analytical(PrefixOr);
         assert_eq!(ev.name(), "prefix-or/analytical");
-        assert_eq!(
-            ev.cache_discriminant(),
-            discriminant_of("prefix-or", "analytical")
-        );
+        assert_eq!(ev.task().task_id(), "prefix-or");
+        assert_eq!(ev.backend().backend_id(), "analytical");
         assert_ne!(
-            ev.cache_discriminant(),
-            TaskEvaluator::analytical(Adder).cache_discriminant()
+            discriminant_of("prefix-or", "analytical"),
+            discriminant_of("adder", "analytical")
+        );
+    }
+
+    #[test]
+    fn backend_registry_resolves_every_name() {
+        for name in BACKEND_NAMES {
+            let (backend, synthesis_units) =
+                backend_by_name(name, Library::nangate45(), 0.5).expect("registered");
+            assert_eq!(backend.backend_id(), *name);
+            assert_eq!(synthesis_units, *name != "analytical", "{name}");
+        }
+        let err = backend_by_name("spice", Library::nangate45(), 0.5)
+            .err()
+            .expect("unknown backend");
+        assert_eq!(
+            err,
+            "unknown backend `spice` (expected one of: analytical|synthesis|synthesis-power)"
         );
     }
 }

@@ -5,11 +5,10 @@
 
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
-use prefixrl_core::cache::{CacheConfig, CachedEvaluator};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::experiment::{Experiment, Weights};
 use prefixrl_core::parallel::evaluate_batch;
-use prefixrl_core::task::{Adder, TaskEvaluator};
+use prefixrl_core::task::Adder;
 use std::sync::Arc;
 
 /// One-actor and four-actor runs harvest legal designs with comparable
@@ -21,9 +20,9 @@ fn serial_and_async_frontiers_comparable() {
     for n in [8u16, 16] {
         let mut cfg = AgentConfig::tiny(n, 0.5);
         cfg.total_steps = if n == 8 { 400 } else { 300 };
-        let serial = TrainLoop::run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let serial = TrainLoop::run(&cfg, Arc::new(Evaluator::analytical(Adder)));
         cfg.actors = 4;
-        let parallel = TrainLoop::run(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+        let parallel = TrainLoop::run(&cfg, Arc::new(Evaluator::analytical(Adder)));
 
         for result in [&serial, &parallel] {
             assert!(result.designs.len() > 10, "n={n}: too few designs");
@@ -33,7 +32,7 @@ fn serial_and_async_frontiers_comparable() {
         }
         let serial_front = serial.front();
         let parallel_front = parallel.front();
-        let eval = TaskEvaluator::analytical(Adder);
+        let eval = Evaluator::analytical(Adder);
         for start in [
             eval.evaluate(&PrefixGraph::ripple(n)),
             eval.evaluate(&structures::sklansky(n)),
@@ -64,10 +63,7 @@ fn four_actor_training_hits_shared_cache() {
     let mut cfg = AgentConfig::tiny(8, 0.5);
     cfg.total_steps = 400;
     cfg.actors = 4;
-    let cache = Arc::new(CachedEvaluator::with_config(
-        TaskEvaluator::analytical(Adder),
-        CacheConfig::default(),
-    ));
+    let cache = Arc::new(Evaluator::analytical(Adder));
     let result = TrainLoop::run(&cfg, cache.clone());
     assert!(!result.designs.is_empty());
     let store = cache.store();
@@ -81,9 +77,8 @@ fn four_actor_training_hits_shared_cache() {
     );
 }
 
-/// `evaluate_batch` must equal per-graph `evaluate` through every stack
-/// depth — bare evaluator and sharded cache, cold and warm — at various
-/// thread budgets.
+/// `evaluate_batch` must equal per-graph `evaluate` through the sharded
+/// cache, cold and warm, at various thread budgets.
 #[test]
 fn evaluate_batch_equivalent_to_evaluate() {
     let graphs: Vec<PrefixGraph> = vec![
@@ -95,19 +90,18 @@ fn evaluate_batch_equivalent_to_evaluate() {
         structures::ladner_fischer(16),
         structures::sparse_kogge_stone(16, 4),
     ];
-    let eval = TaskEvaluator::analytical(Adder);
-    let reference: Vec<ObjectivePoint> = graphs.iter().map(|g| eval.evaluate(g)).collect();
-    let cache = CachedEvaluator::new(TaskEvaluator::analytical(Adder));
+    let warm = Evaluator::analytical(Adder);
+    let reference: Vec<ObjectivePoint> = graphs.iter().map(|g| warm.evaluate(g)).collect();
     for threads in [1usize, 2, 5, 16] {
         assert_eq!(
-            evaluate_batch(&graphs, &eval, threads),
+            evaluate_batch(&graphs, &Evaluator::analytical(Adder), threads),
             reference,
-            "bare, threads={threads}"
+            "cold, threads={threads}"
         );
         assert_eq!(
-            evaluate_batch(&graphs, &cache, threads),
+            evaluate_batch(&graphs, &warm, threads),
             reference,
-            "cached, threads={threads}"
+            "warm, threads={threads}"
         );
     }
 }
@@ -117,10 +111,7 @@ fn evaluate_batch_equivalent_to_evaluate() {
 /// once all threads have finished.
 #[test]
 fn sharded_cache_accounting_under_concurrency() {
-    let cache = Arc::new(CachedEvaluator::with_config(
-        TaskEvaluator::analytical(Adder),
-        CacheConfig::with_shards(8),
-    ));
+    let cache = Arc::new(Evaluator::analytical(Adder));
     let graphs: Vec<PrefixGraph> = (0..6u16)
         .map(|i| {
             let mut g = PrefixGraph::ripple(12);
@@ -153,9 +144,6 @@ fn sharded_cache_accounting_under_concurrency() {
     assert_eq!(cache.store().unique_states(), graphs.len());
     // With in-flight dedup, each distinct state is evaluated exactly once.
     assert_eq!(cache.store().misses(), graphs.len() as u64);
-    let stats = cache.store().shard_stats();
-    assert_eq!(stats.len(), 8);
-    assert_eq!(stats.iter().map(|s| s.hits + s.misses).sum::<u64>(), total);
 }
 
 /// The session layer adds orchestration, not semantics: a single-weight
@@ -172,7 +160,7 @@ fn experiment_single_run_matches_direct_loop() {
         .build();
     let via_experiment = exp.run_quiet().unwrap();
     // The builder applies the same weight/seed the base already has.
-    let direct = TrainLoop::run(&base, Arc::new(TaskEvaluator::analytical(Adder)));
+    let direct = TrainLoop::run(&base, Arc::new(Evaluator::analytical(Adder)));
     let record = &via_experiment.records[0];
     assert_eq!(record.steps, direct.steps);
     assert_eq!(record.losses, direct.losses);

@@ -3,8 +3,9 @@
 
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
 use prefixrl_core::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
+use prefixrl_core::evaluator::Evaluator;
 use prefixrl_core::experiment::{Event, Experiment, NullObserver, RunObserver, RunRecord, Weights};
-use prefixrl_core::task::{self, AnalyticalBackend, SynthesisBackend, TaskEvaluator};
+use prefixrl_core::task::{self, AnalyticalBackend, SynthesisBackend};
 use std::sync::Arc;
 
 fn losses_and_keys(result: &RunRecord) -> (Vec<f32>, Vec<Vec<u64>>) {
@@ -28,15 +29,14 @@ fn resume_is_bit_identical_to_uninterrupted_run() {
         cfg.actors = actors;
 
         // Uninterrupted reference run.
-        let mut reference = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+        let mut reference = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(task::Adder)));
         reference.run_to_completion(0, &mut NullObserver);
         let (_, reference) = reference.into_parts(0);
 
         // Interrupted run: stop at the first round boundary at or past step
         // 137, checkpoint through JSON (the full save format, not just the
         // in-memory struct), resume, finish.
-        let mut interrupted =
-            TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+        let mut interrupted = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(task::Adder)));
         while interrupted.step() < 137 {
             assert!(interrupted.step_round(0, &mut NullObserver));
         }
@@ -46,7 +46,7 @@ fn resume_is_bit_identical_to_uninterrupted_run() {
         assert_eq!(ckpt.step, 137u64.div_ceil(actors as u64) * actors as u64);
         assert_eq!(ckpt.actors.len(), actors);
         let mut resumed =
-            TrainLoop::from_checkpoint(&ckpt, Arc::new(TaskEvaluator::analytical(task::Adder)))
+            TrainLoop::from_checkpoint(&ckpt, Arc::new(Evaluator::analytical(task::Adder)))
                 .unwrap();
         resumed.run_to_completion(0, &mut NullObserver);
         let (_, resumed) = resumed.into_parts(0);
@@ -74,7 +74,7 @@ fn resume_is_bit_identical_to_uninterrupted_run() {
 #[test]
 fn resume_continues_event_stream() {
     let cfg = AgentConfig::tiny(8, 0.6);
-    let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+    let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(task::Adder)));
     let mut first_half = 0u64;
     let mut counter = prefixrl_core::experiment::CallbackObserver::new(|_, e: &Event| {
         if matches!(e, Event::Step { .. }) {
@@ -88,8 +88,7 @@ fn resume_continues_event_stream() {
     assert_eq!(first_half, 100);
     let ckpt = lp.checkpoint();
     let mut resumed =
-        TrainLoop::from_checkpoint(&ckpt, Arc::new(TaskEvaluator::analytical(task::Adder)))
-            .unwrap();
+        TrainLoop::from_checkpoint(&ckpt, Arc::new(Evaluator::analytical(task::Adder))).unwrap();
     let mut second_half = 0u64;
     let mut counter = prefixrl_core::experiment::CallbackObserver::new(|_, e: &Event| {
         if matches!(e, Event::Step { .. }) {
@@ -263,12 +262,13 @@ fn prefix_or_and_incrementer_sessions_run_end_to_end() {
 }
 
 /// A sweep checkpoint written for one task refuses to resume an experiment
-/// configured for another, at both the sweep and the per-run level.
+/// configured for another (a run's own checkpoint is refused the same way
+/// by `TrainLoop::from_checkpoint`).
 #[test]
 fn sweep_resume_refuses_task_mismatch() {
     // Record a genuine in-progress adder checkpoint.
     let cfg = AgentConfig::tiny(8, 0.5);
-    let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(task::Adder)));
+    let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(task::Adder)));
     for _ in 0..10 {
         lp.step_round(0, &mut NullObserver);
     }

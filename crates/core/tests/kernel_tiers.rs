@@ -10,8 +10,9 @@
 
 use nn::simd::{self, Tier};
 use prefixrl_core::agent::{AgentConfig, TrainLoop};
+use prefixrl_core::evaluator::Evaluator;
 use prefixrl_core::experiment::NullObserver;
-use prefixrl_core::task::{Adder, TaskEvaluator};
+use prefixrl_core::task::Adder;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ fn train(tier: Tier, steps: u64) -> Run {
         "the CPU must support the tier trained at"
     );
     let cfg = AgentConfig::small(16, 0.5, steps);
-    let mut lp = TrainLoop::new(&cfg, Arc::new(TaskEvaluator::analytical(Adder)));
+    let mut lp = TrainLoop::new(&cfg, Arc::new(Evaluator::analytical(Adder)));
     lp.run_to_completion(0, &mut NullObserver);
     let net_digest = lp.checkpoint().net_digest;
     let (_, result) = lp.into_parts(0);

@@ -8,14 +8,14 @@ use crate::cluster::{ReplPeerStatus, Topology};
 use crate::store::{key_of, FrontierStore};
 use prefix_graph::PrefixGraph;
 use prefixrl_core::agent::AgentConfig;
-use prefixrl_core::cache::{CacheConfig, EvalCache};
+use prefixrl_core::cache::EvalCache;
 use prefixrl_core::checkpoint::write_atomic;
 use prefixrl_core::env::EnvConfig;
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::experiment::{
     CallbackObserver, CancelToken, Event, Experiment, ExperimentResult, Weights,
 };
-use prefixrl_core::task::{self, CircuitTask, ObjectiveBackend, SynthesisBackend};
+use prefixrl_core::task::{self, CircuitTask, ObjectiveBackend};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
@@ -184,8 +184,8 @@ struct ManagerState {
 }
 
 /// One `(task, backend)` binding: the task/backend pair a job trains on.
-/// Each job's [`Experiment`] binds its own evaluator from this pair to the
-/// server-wide store.
+/// Each job's [`Experiment`] builds its own evaluator of this pair over
+/// the server-wide store.
 #[derive(Clone)]
 struct Binding {
     task: Arc<dyn CircuitTask>,
@@ -208,7 +208,7 @@ struct SharedBindings {
 impl SharedBindings {
     fn new() -> SharedBindings {
         SharedBindings {
-            store: Arc::new(EvalCache::new(CacheConfig::default())),
+            store: Arc::default(),
             bindings: Mutex::new(HashMap::new()),
         }
     }
@@ -229,34 +229,8 @@ impl SharedBindings {
                 task::TASK_NAMES.join("|")
             )
         })?;
-        let (backend, synthesis_env): (Arc<dyn ObjectiveBackend>, bool) = match backend_name {
-            "analytical" => (Arc::new(task::AnalyticalBackend), false),
-            "synthesis" => (
-                Arc::new(SynthesisBackend::new(
-                    netlist::Library::nangate45(),
-                    synth::sweep::SweepConfig::fast(),
-                    median_w,
-                )),
-                true,
-            ),
-            "synthesis-power" => (
-                Arc::new(
-                    SynthesisBackend::new(
-                        netlist::Library::nangate45(),
-                        synth::sweep::SweepConfig::fast(),
-                        median_w,
-                    )
-                    .with_power_annotation(),
-                ),
-                true,
-            ),
-            other => {
-                return Err(format!(
-                    "unknown backend `{other}` (expected one of: {})",
-                    task::BACKEND_NAMES.join("|")
-                ))
-            }
-        };
+        let (backend, synthesis_env) =
+            task::backend_by_name(backend_name, netlist::Library::nangate45(), median_w)?;
         let binding = Binding {
             task,
             backend,

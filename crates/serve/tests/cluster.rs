@@ -6,7 +6,7 @@
 
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
-use prefixrl_core::task::{Adder, TaskEvaluator};
+use prefixrl_core::task::Adder;
 use prefixrl_serve::cluster::shard_of;
 use prefixrl_serve::store::key_of;
 use prefixrl_serve::{Client, JobSpec, Router, ServeConfig, Server, ServerHandle, Topology};
@@ -56,7 +56,7 @@ fn shard_config(
 /// The widest pool of scored adder designs the tests merge in slices, so
 /// successive merges keep growing the stored front.
 fn designs(n: u16) -> Vec<(PrefixGraph, ObjectivePoint)> {
-    let evaluator = TaskEvaluator::analytical(Adder);
+    let evaluator = Evaluator::analytical(Adder);
     [
         PrefixGraph::ripple(n),
         structures::sklansky(n),

@@ -7,7 +7,7 @@
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::pareto::ParetoFront;
-use prefixrl_core::task::{Adder, CircuitTask, PrefixOr, TaskEvaluator};
+use prefixrl_core::task::{Adder, CircuitTask, PrefixOr};
 use prefixrl_serve::FrontierStore;
 use std::path::PathBuf;
 
@@ -31,7 +31,7 @@ fn wal_lines(wal: &std::path::Path) -> Vec<String> {
 
 /// A small design pool scored by the task's analytical oracle.
 fn pool(task: impl CircuitTask + 'static, n: u16) -> Vec<(PrefixGraph, ObjectivePoint)> {
-    let evaluator = TaskEvaluator::analytical(task);
+    let evaluator = Evaluator::analytical(task);
     [
         PrefixGraph::ripple(n),
         structures::sklansky(n),

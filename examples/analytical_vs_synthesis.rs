@@ -22,10 +22,7 @@ fn main() {
 
     // Analytical-PrefixRL: a small agent trained on the analytical reward.
     let cfg = AgentConfig::small(n, 0.4, 2_000);
-    let result = TrainLoop::run(
-        &cfg,
-        Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder))),
-    );
+    let result = TrainLoop::run(&cfg, Arc::new(Evaluator::analytical(Adder)));
     let rl_front = result.front();
     let rl_designs: Vec<PrefixGraph> = rl_front.iter().map(|(_, g)| g.clone()).take(6).collect();
     println!(

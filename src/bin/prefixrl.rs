@@ -406,7 +406,10 @@ fn circuit_task(opts: &HashMap<String, String>) -> Arc<dyn CircuitTask> {
 }
 
 /// Resolves `--backend`, erroring loudly with the valid names on an
-/// unknown value.
+/// unknown value. One backend instance is shared by every agent so the
+/// IV-D cache sharing happens; the synthesis curve point is picked at the
+/// sweep's median weight (see DESIGN.md §10). The flag selects the
+/// synthesis reward scaling.
 fn objective_backend(
     opts: &HashMap<String, String>,
     median_w: f64,
@@ -415,34 +418,10 @@ fn objective_backend(
         .get("backend")
         .map(String::as_str)
         .unwrap_or("synthesis");
-    // One backend instance is shared by every agent so the IV-D cache
-    // sharing happens; the synthesis curve point is picked at the sweep's
-    // median weight (see DESIGN.md §10).
-    match name {
-        "analytical" => (Arc::new(AnalyticalBackend), false),
-        "synthesis" => (
-            Arc::new(SynthesisBackend::new(
-                library(opts),
-                SweepConfig::fast(),
-                median_w,
-            )),
-            true,
-        ),
-        "synthesis-power" => (
-            Arc::new(
-                SynthesisBackend::new(library(opts), SweepConfig::fast(), median_w)
-                    .with_power_annotation(),
-            ),
-            true,
-        ),
-        other => {
-            eprintln!(
-                "error: unknown backend `{other}` (expected one of: {})",
-                prefixrl_core::task::BACKEND_NAMES.join("|")
-            );
-            std::process::exit(2);
-        }
-    }
+    prefixrl_core::task::backend_by_name(name, library(opts), median_w).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// The shared `train`/`sweep` session driver: builds the [`Experiment`],

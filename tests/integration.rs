@@ -9,12 +9,7 @@ use std::sync::Arc;
 #[test]
 fn full_environment_step_with_synthesis_reward() {
     let lib = Library::nangate45();
-    let evaluator = Arc::new(CachedEvaluator::new(TaskEvaluator::synthesis(
-        Adder,
-        lib,
-        SweepConfig::fast(),
-        0.5,
-    )));
+    let evaluator = Arc::new(Evaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.5));
     let mut env = PrefixEnv::new(prefixrl_core::env::EnvConfig::synthesis(8), evaluator);
     let before = env.metrics();
     assert!(before.area > 0.0 && before.delay > 0.0);
@@ -31,10 +26,7 @@ fn full_environment_step_with_synthesis_reward() {
 fn rl_designs_synthesize_to_correct_adders() {
     use rand::prelude::*;
     let cfg = AgentConfig::tiny(8, 0.5);
-    let result = TrainLoop::run(
-        &cfg,
-        Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder))),
-    );
+    let result = TrainLoop::run(&cfg, Arc::new(Evaluator::analytical(Adder)));
     let lib = Library::nangate45();
     let cons = synth::sta::TimingConstraints::uniform(&lib);
     let mut rng = StdRng::seed_from_u64(5);
@@ -57,7 +49,7 @@ fn rl_designs_synthesize_to_correct_adders() {
 /// area-weighted agent's, which must be at least as small.
 #[test]
 fn weight_controls_design_specialization() {
-    let eval = Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder)));
+    let eval = Arc::new(Evaluator::analytical(Adder));
     let mut small_cfg = AgentConfig::tiny(8, 0.95);
     small_cfg.total_steps = 600;
     let mut fast_cfg = AgentConfig::tiny(8, 0.05);
@@ -82,13 +74,10 @@ fn weight_controls_design_specialization() {
 #[test]
 fn rl_frontier_beats_starting_states() {
     let cfg = AgentConfig::tiny(8, 0.4);
-    let result = TrainLoop::run(
-        &cfg,
-        Arc::new(CachedEvaluator::new(TaskEvaluator::analytical(Adder))),
-    );
+    let result = TrainLoop::run(&cfg, Arc::new(Evaluator::analytical(Adder)));
     let front = result.front();
-    let ripple = TaskEvaluator::analytical(Adder).evaluate(&PrefixGraph::ripple(8));
-    let sklansky = TaskEvaluator::analytical(Adder).evaluate(&structures::sklansky(8));
+    let ripple = Evaluator::analytical(Adder).evaluate(&PrefixGraph::ripple(8));
+    let sklansky = Evaluator::analytical(Adder).evaluate(&structures::sklansky(8));
     // The starting states are in the visited set, so the front must weakly
     // improve on both.
     assert!(front.area_at_delay(ripple.delay).unwrap() <= ripple.area);
@@ -143,12 +132,7 @@ fn analytical_and_synthesis_rankings_diverge() {
 #[test]
 fn async_training_integrates_with_synthesis_cache() {
     let lib = Library::nangate45();
-    let eval = Arc::new(CachedEvaluator::new(TaskEvaluator::synthesis(
-        Adder,
-        lib,
-        SweepConfig::fast(),
-        0.5,
-    )));
+    let eval = Arc::new(Evaluator::synthesis(Adder, lib, SweepConfig::fast(), 0.5));
     let mut cfg = AgentConfig::tiny(8, 0.5);
     cfg.total_steps = 120;
     cfg.env = prefixrl_core::env::EnvConfig::synthesis(8);
@@ -167,7 +151,7 @@ fn async_training_integrates_with_synthesis_cache() {
 #[test]
 fn agent_checkpoint_roundtrip() {
     let cfg = AgentConfig::tiny(8, 0.5);
-    let eval: Arc<dyn Evaluator> = Arc::new(TaskEvaluator::analytical(Adder));
+    let eval = Arc::new(Evaluator::analytical(Adder));
     let mut lp = TrainLoop::new(&cfg, Arc::clone(&eval));
     lp.run_to_completion(0, &mut NullObserver);
     let (mut dqn, _) = lp.into_parts(0);
