@@ -1,4 +1,4 @@
-//! The sharded synthesis-result cache (paper Section IV-D).
+//! The synthesis-result cache (paper Section IV-D).
 //!
 //! Synthesis is the dominant training cost, and prefix-graph states recur
 //! as ε decays — the paper reports cache hit rates reaching 50% (32b) and
@@ -15,130 +15,93 @@
 //! [`crate::experiment::ExperimentBuilder::eval_cache`]) and draw from one
 //! memory budget and one statistics surface without ever aliasing an entry.
 //!
-//! The store is **N-way sharded** by key hash so concurrent actors contend
-//! only on the shard their state maps to, not on one global lock. Each
-//! shard has:
+//! The store is one mutex-guarded memo map. The lock is taken once per
+//! lookup and once per insert, never across a backend call. It holds:
 //!
-//! - a bounded map with FIFO eviction (`capacity_per_shard`), so a long
-//!   training run cannot grow the cache without bound;
-//! - its own hit/miss/eviction counters (aggregated by the store's
-//!   accessors);
+//! - a bounded map with one FIFO eviction order across every
+//!   discriminant, so a long training run cannot grow the cache without
+//!   bound;
+//! - the hit/miss/eviction counters;
 //! - an **in-flight set** deduplicating concurrent misses: when several
 //!   actors miss on the same state simultaneously, exactly one runs the
-//!   backend and the rest block on the shard's condvar and reuse the
+//!   backend and the rest block on the store's condvar and reuse the
 //!   result — with synthesis at about a millisecond per 16-bit state,
 //!   duplicate evaluation is the expensive failure mode, not the blocking.
 
 use crate::evaluator::ObjectivePoint;
 use prefix_graph::PrefixGraph;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Shards of every store.
-const SHARDS: usize = 16;
-/// Entries per shard before FIFO eviction.
-const CAPACITY_PER_SHARD: usize = 1 << 16;
+/// Entries of every store before FIFO eviction.
+const CAPACITY: usize = 1 << 20;
 
-struct ShardState {
+#[derive(Default)]
+struct State {
     map: HashMap<Vec<u64>, ObjectivePoint>,
     /// Insertion order of `map` keys, for FIFO eviction.
     order: VecDeque<Vec<u64>>,
     /// Keys currently being evaluated by some thread.
     inflight: HashSet<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    ready: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            state: Mutex::new(ShardState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                inflight: HashSet::new(),
-            }),
-            ready: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The sharded, bounded memo store: 16 shards of at most 65,536 entries.
+/// The bounded memo store: at most 1,048,576 entries, evicted oldest
+/// first.
 ///
 /// Several evaluators may share one `Arc<EvalCache>` when distinct
 /// `(task, backend)` pairs must share one memory budget and one statistics
 /// surface — the shape the `prefixrl serve` daemon runs, where every job's
 /// evaluator memoizes through the server's one store.
 pub struct EvalCache {
-    shards: Vec<Shard>,
-    capacity_per_shard: usize,
+    state: Mutex<State>,
+    ready: Condvar,
+    capacity: usize,
 }
 
 impl Default for EvalCache {
     fn default() -> Self {
-        Self::sized(SHARDS, CAPACITY_PER_SHARD)
+        Self::sized(CAPACITY)
     }
 }
 
 impl EvalCache {
-    /// An empty store of `shards` shards holding `capacity_per_shard`
-    /// entries each.
+    /// An empty store holding at most `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` or `capacity_per_shard` is zero.
-    fn sized(shards: usize, capacity_per_shard: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(capacity_per_shard > 0, "need nonzero shard capacity");
+    /// Panics if `capacity` is zero.
+    fn sized(capacity: usize) -> Self {
+        assert!(capacity > 0, "need nonzero cache capacity");
         EvalCache {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            capacity_per_shard,
+            state: Mutex::new(State::default()),
+            ready: Condvar::new(),
+            capacity,
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Cache hits so far (a wait on another thread's in-flight evaluation
     /// counts as a hit: the backend did not run again).
     pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
+        self.lock().hits
     }
 
     /// Cache misses (backend evaluations) so far.
     pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.lock().misses
     }
 
-    /// Entries evicted by the per-shard capacity bound so far.
+    /// Entries evicted by the capacity bound so far.
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
+        self.lock().evictions
     }
 
     /// Hit rate in `[0, 1]` (0 when never queried).
     pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
+        let state = self.lock();
+        let (h, m) = (state.hits as f64, state.misses as f64);
         if h + m == 0.0 {
             0.0
         } else {
@@ -148,12 +111,12 @@ impl EvalCache {
 
     /// Number of distinct states currently cached.
     pub fn unique_states(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.state).map.len()).sum()
+        self.lock().map.len()
     }
 
     /// The point of `graph` under `discriminant`, running `score` only on
     /// a miss. Concurrent misses on one key run `score` once; the rest
-    /// wait on the shard condvar.
+    /// wait on the store's condvar.
     pub(crate) fn memoize(
         &self,
         discriminant: u64,
@@ -161,18 +124,17 @@ impl EvalCache {
         score: impl FnOnce() -> ObjectivePoint,
     ) -> ObjectivePoint {
         let key = Self::key_of(discriminant, graph);
-        let shard = self.shard_for(&key);
-        let mut state = lock(&shard.state);
+        let mut state = self.lock();
         loop {
-            if let Some(p) = state.map.get(&key) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                return *p;
+            if let Some(&p) = state.map.get(&key) {
+                state.hits += 1;
+                return p;
             }
             if state.inflight.contains(&key) {
                 // Another thread is evaluating this exact state: wait and
                 // re-check (the result lands in `map`; if capacity pressure
                 // evicted it before we woke, fall through to a fresh miss).
-                state = shard.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+                state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
             break;
@@ -181,7 +143,7 @@ impl EvalCache {
         drop(state);
 
         let mut guard = InflightGuard {
-            shard,
+            cache: self,
             key: &key,
             armed: true,
         };
@@ -189,21 +151,21 @@ impl EvalCache {
         guard.armed = false;
         drop(guard); // releases the borrow of `key`; disarmed, so a no-op
 
-        let mut state = lock(&shard.state);
+        let mut state = self.lock();
         state.inflight.remove(&key);
-        while state.map.len() >= self.capacity_per_shard {
+        while state.map.len() >= self.capacity {
             let Some(oldest) = state.order.pop_front() else {
                 break;
             };
             state.map.remove(&oldest);
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            state.evictions += 1;
         }
         if state.map.insert(key.clone(), point).is_none() {
             state.order.push_back(key);
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
+        state.misses += 1;
         drop(state);
-        shard.ready.notify_all();
+        self.ready.notify_all();
         point
     }
 
@@ -217,20 +179,9 @@ impl EvalCache {
         key
     }
 
-    fn shard_for(&self, key: &[u64]) -> &Shard {
-        // FNV-1a over the key words; shards are typically a power of two
-        // but any count works with the modulo.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in key {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-fn lock(m: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Unwind guard for an in-flight key: if the backend panics, the key must
@@ -238,7 +189,7 @@ fn lock(m: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
 /// blocked on that state would hang forever. The success path disarms it
 /// and does its own (result-inserting) cleanup.
 struct InflightGuard<'a> {
-    shard: &'a Shard,
+    cache: &'a EvalCache,
     key: &'a [u64],
     armed: bool,
 }
@@ -246,8 +197,8 @@ struct InflightGuard<'a> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            lock(&self.shard.state).inflight.remove(self.key);
-            self.shard.ready.notify_all();
+            self.cache.lock().inflight.remove(self.key);
+            self.cache.ready.notify_all();
         }
     }
 }
@@ -258,6 +209,7 @@ mod tests {
     use crate::evaluator::Evaluator;
     use crate::task::{discriminant_of, Adder, CircuitTask, ObjectiveBackend, PrefixOr};
     use prefix_graph::{structures, Action, Node};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn adder_analytical() -> Evaluator {
@@ -423,46 +375,35 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_fifo() {
-        let ev = Evaluator::with_store(
-            Arc::new(Adder),
-            Arc::new(crate::task::AnalyticalBackend),
-            Arc::new(EvalCache::sized(1, 1)),
-        );
+        // Two tenants over one store of three entries: eviction is one
+        // oldest-first order across both discriminants.
+        let store = Arc::new(EvalCache::sized(3));
+        let analytical = |task: Arc<dyn CircuitTask>| {
+            Evaluator::with_store(
+                task,
+                Arc::new(crate::task::AnalyticalBackend),
+                Arc::clone(&store),
+            )
+        };
+        let (adder, or) = (analytical(Arc::new(Adder)), analytical(Arc::new(PrefixOr)));
         let g1 = prefix_graph::PrefixGraph::ripple(8);
         let g2 = structures::sklansky(8);
-        ev.evaluate(&g1);
-        ev.evaluate(&g2); // evicts g1
-        assert_eq!(ev.store().unique_states(), 1);
-        assert_eq!(ev.store().evictions(), 1);
-        ev.evaluate(&g1); // miss again
-        assert_eq!(ev.store().misses(), 3);
-        assert_eq!(ev.store().hits(), 0);
-    }
-
-    #[test]
-    fn shard_stats_cover_all_queries() {
-        let ev = adder_analytical();
-        let store = ev.store();
-        assert_eq!(store.shards(), 16);
-        let mut g = prefix_graph::PrefixGraph::ripple(12);
-        for m in 2..12u16 {
-            g.apply(Action::Add(Node::new(m, 1))).ok();
-            ev.evaluate(&g);
-            ev.evaluate(&g);
-        }
-        let per_shard = |f: fn(&Shard) -> u64| store.shards.iter().map(f).sum::<u64>();
-        assert_eq!(per_shard(|s| s.hits.load(Ordering::Relaxed)), store.hits());
-        assert_eq!(
-            per_shard(|s| s.misses.load(Ordering::Relaxed)),
-            store.misses()
-        );
-        let entries: Vec<usize> = store
-            .shards
-            .iter()
-            .map(|s| lock(&s.state).map.len())
-            .collect();
-        assert_eq!(entries.iter().sum::<usize>(), store.unique_states());
-        assert!(entries.iter().any(|&e| e > 0));
+        adder.evaluate(&g1);
+        or.evaluate(&g1);
+        adder.evaluate(&g2);
+        assert_eq!((store.unique_states(), store.evictions()), (3, 0));
+        or.evaluate(&g2); // evicts the adder's g1, the oldest entry
+        assert_eq!((store.unique_states(), store.evictions()), (3, 1));
+        or.evaluate(&g1); // still cached: only the oldest went
+        adder.evaluate(&g2);
+        assert_eq!((store.hits(), store.misses()), (2, 4));
+        adder.evaluate(&g1); // miss again; evicts the prefix-or g1
+        or.evaluate(&g1); // miss again; evicts the adder's g2
+        assert_eq!((store.hits(), store.misses()), (2, 6));
+        assert_eq!((store.unique_states(), store.evictions()), (3, 3));
+        adder.evaluate(&g1);
+        or.evaluate(&g2);
+        assert_eq!(store.hits(), 4, "the surviving entries still hit");
     }
 
     /// A backend scaling the analytical point, standing in for two
@@ -555,11 +496,5 @@ mod tests {
             Arc::ptr_eq(adder.store(), &store),
             "evaluators share one store"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = EvalCache::sized(0, 1);
     }
 }

@@ -139,27 +139,6 @@ impl Checkpoint {
         ckpt.validate()?;
         Ok(ckpt)
     }
-
-    /// Writes the checkpoint to `path` (atomically via a sibling temp file,
-    /// so a crash mid-write never corrupts the previous checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        write_atomic(path, &self.to_json())
-    }
-
-    /// Loads and validates a checkpoint from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, malformed JSON, or failed validation.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&text)
-    }
 }
 
 /// The state of one agent inside a sweep checkpoint.
@@ -176,7 +155,7 @@ pub enum RunState {
 /// A checkpoint of an entire multi-agent sweep: one [`RunState`] per
 /// configured weight, in run order, stamped with the circuit task it was
 /// recorded for (resume refuses a task mismatch).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Deserialize)]
 pub struct SweepCheckpoint {
     /// Format version (shared with [`Checkpoint::FORMAT_VERSION`]).
     pub version: u32,
@@ -229,7 +208,8 @@ impl SweepCheckpoint {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        to_pretty_json(self)
+        let runs = self.runs.iter().map(Serialize::to_value).collect();
+        sweep_json(self.version, &self.task, runs)
     }
 
     /// Parses and validates a sweep checkpoint from JSON.
@@ -243,7 +223,8 @@ impl SweepCheckpoint {
         Ok(ckpt)
     }
 
-    /// Writes the sweep checkpoint to `path` atomically.
+    /// Writes the sweep checkpoint to `path` (atomically via a sibling
+    /// temp file, so a crash mid-write never corrupts the previous one).
     ///
     /// # Errors
     ///
@@ -266,6 +247,18 @@ impl SweepCheckpoint {
 
 fn to_pretty_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("value-tree serialization is infallible")
+}
+
+/// The sweep file's text: `version`, `task`, then the encoded run states.
+/// [`SweepCheckpoint::to_json`] and the experiment's periodic persist,
+/// which encodes its live run slots without cloning them into a
+/// [`SweepCheckpoint`], both write through it.
+pub(crate) fn sweep_json(version: u32, task: &str, runs: Vec<serde::Value>) -> String {
+    to_pretty_json(&serde::Value::Object(vec![
+        ("version".to_string(), version.to_value()),
+        ("task".to_string(), task.to_value()),
+        ("runs".to_string(), serde::Value::Array(runs)),
+    ]))
 }
 
 /// Refuses a `what` of any format but [`Checkpoint::FORMAT_VERSION`],
@@ -423,9 +416,9 @@ mod tests {
         let json = serde_json::to_string_pretty(&v).unwrap();
         let err = Checkpoint::from_json(&json).unwrap_err();
         assert!(err.contains("v3") && err.contains("v4"), "{err}");
-        let mut sweep = SweepCheckpoint::fresh("adder", 1).to_value();
-        *field(&mut sweep, "version") = 3u32.to_value();
-        let err = SweepCheckpoint::from_json(&serde_json::to_string(&sweep).unwrap()).unwrap_err();
+        let mut sweep = SweepCheckpoint::fresh("adder", 1);
+        sweep.version = 3;
+        let err = SweepCheckpoint::from_json(&sweep.to_json()).unwrap_err();
         assert!(err.contains("v3") && err.contains("v4"), "{err}");
     }
 
@@ -450,11 +443,17 @@ mod tests {
     #[test]
     fn file_roundtrip_and_atomic_write() {
         let dir = std::env::temp_dir().join("prefixrl-ckpt-test");
-        let path = dir.join("agent.ckpt.json");
-        let ckpt = mid_run_checkpoint();
-        ckpt.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(back.step, ckpt.step);
+        let path = dir.join("sweep.ckpt.json");
+        let mut sweep = SweepCheckpoint::fresh("adder", 2);
+        sweep.runs[1] = RunState::InProgress(Box::new(mid_run_checkpoint()));
+        sweep.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sweep.to_json());
+        let back = SweepCheckpoint::load(&path).unwrap();
+        assert!(matches!(back.runs[0], RunState::Pending));
+        match &back.runs[1] {
+            RunState::InProgress(c) => assert_eq!(c.step, 120),
+            other => panic!("expected InProgress, got {}", variant_name(other)),
+        }
         assert_no_temp_files(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,7 +8,7 @@
 //!
 //! - [`Experiment`] — built with [`Experiment::builder`], owns one
 //!   [`Evaluator`] scoring its own `.task(..)` with its `.backend(..)`
-//!   through a sharded store (private, or shared via
+//!   through one memo store (private, or shared via
 //!   [`ExperimentBuilder::eval_cache`]) and a [`Run`] handle per
 //!   scalarization weight; running it fans agents out over
 //!   `eval_threads` concurrent runs so the cross-agent cache sharing
@@ -29,7 +29,7 @@
 
 use crate::agent::{AgentConfig, TrainLoop};
 use crate::cache::EvalCache;
-use crate::checkpoint::{Checkpoint, RunState, SweepCheckpoint};
+use crate::checkpoint::{sweep_json, Checkpoint, RunState, SweepCheckpoint};
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use crate::pareto::ParetoFront;
 use crate::task::{Adder, AnalyticalBackend, CircuitTask, ObjectiveBackend};
@@ -551,11 +551,11 @@ impl ExperimentBuilder {
     }
 }
 
-/// Aggregate statistics of the experiment's shared evaluation cache.
+/// Aggregate statistics of an evaluation store — the one encoding behind
+/// [`Experiment::cache_stats`], the report's `cache` block and the serve
+/// `ping` reply.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Shard count.
-    pub shards: usize,
     /// Total hits (including coalesced in-flight waits).
     pub hits: u64,
     /// Total misses (inner evaluations).
@@ -566,6 +566,19 @@ pub struct CacheStats {
     pub hit_rate: f64,
     /// Distinct states currently cached.
     pub unique_states: usize,
+}
+
+impl CacheStats {
+    /// The current statistics of `store`.
+    pub fn of(store: &EvalCache) -> CacheStats {
+        CacheStats {
+            hits: store.hits(),
+            misses: store.misses(),
+            evictions: store.evictions(),
+            hit_rate: store.hit_rate(),
+            unique_states: store.unique_states(),
+        }
+    }
 }
 
 /// A configured multi-agent training session over one shared evaluation
@@ -606,15 +619,7 @@ impl Experiment {
 
     /// Current statistics of the shared cache.
     pub fn cache_stats(&self) -> CacheStats {
-        let store = self.evaluator.store();
-        CacheStats {
-            shards: store.shards(),
-            hits: store.hits(),
-            misses: store.misses(),
-            evictions: store.evictions(),
-            hit_rate: store.hit_rate(),
-            unique_states: store.unique_states(),
-        }
+        CacheStats::of(self.evaluator.store())
     }
 
     /// Runs every agent, `eval_threads` at a time.
@@ -864,16 +869,11 @@ impl Experiment {
             return;
         };
         let _guard = persist_lock.lock();
-        let runs: Vec<serde::Value> = slots
+        let runs = slots
             .iter()
             .map(|s| s.lock().as_ref().expect("slot populated").to_value())
             .collect();
-        let sweep = serde::Value::Object(vec![
-            ("version".to_string(), Checkpoint::FORMAT_VERSION.to_value()),
-            ("task".to_string(), self.task().task_id().to_value()),
-            ("runs".to_string(), serde::Value::Array(runs)),
-        ]);
-        let json = serde_json::to_string_pretty(&sweep).expect("infallible");
+        let json = sweep_json(Checkpoint::FORMAT_VERSION, self.task().task_id(), runs);
         if let Err(e) = crate::checkpoint::write_atomic(path, &json) {
             // Checkpointing is best-effort durability; training goes on.
             eprintln!("warning: sweep checkpoint write failed: {e}");
@@ -963,7 +963,6 @@ impl ExperimentResult {
                     .collect(),
             )
         };
-        let total_requests: u64 = self.cache.hits + self.cache.misses;
         // The merged frontier, with per-point power annotations when the
         // backend produced them (index-aligned with merged_front order).
         let mut merged_json = frontier_json(&self.merged_front(), include_graphs);
@@ -980,6 +979,11 @@ impl ExperimentResult {
                     }
                 }
             }
+        }
+        let mut cache_json = self.cache.to_value();
+        if let serde_json::Value::Object(entries) = &mut cache_json {
+            let requests = self.cache.hits + self.cache.misses;
+            entries.push(("requests".to_string(), requests.to_value()));
         }
         let agents: Vec<serde_json::Value> = self
             .records
@@ -1019,15 +1023,7 @@ impl ExperimentResult {
             "steps_per_sec": self.total_steps() as f64 / self.elapsed_sec.max(1e-9),
             "agents": serde_json::Value::Array(agents),
             "merged_frontier": merged_json,
-            "cache": {
-                "shards": self.cache.shards,
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "evictions": self.cache.evictions,
-                "hit_rate": self.cache.hit_rate,
-                "unique_states": self.cache.unique_states,
-                "requests": total_requests,
-            },
+            "cache": cache_json,
         })
     }
 }

@@ -10,7 +10,7 @@
 //! - [`evaluator`]: [`evaluator::Evaluator`], one task scored by one
 //!   backend through a memo store, and the `(area, delay)` objective-point
 //!   currency with its strict/weak dominance definitions;
-//! - [`cache`]: the sharded, bounded synthesis result store
+//! - [`cache`]: the bounded synthesis result store
 //!   ([`cache::EvalCache`]) keyed by canonical graph state, with in-flight
 //!   dedup of concurrent misses (Section IV-D reports 50%/10% hit rates at
 //!   32b/64b), private to one evaluator or shared by several;

@@ -55,7 +55,7 @@ fn serial_and_async_frontiers_comparable() {
     }
 }
 
-/// The acceptance workload: training at 4 actors over the sharded
+/// The acceptance workload: training at 4 actors over the shared
 /// cache on the N=8 analytical setting shows a nonzero cache hit rate
 /// (start states recur on every episode reset).
 #[test]
@@ -67,7 +67,6 @@ fn four_actor_training_hits_shared_cache() {
     let result = TrainLoop::run(&cfg, cache.clone());
     assert!(!result.designs.is_empty());
     let store = cache.store();
-    assert!(store.shards() >= 8, "default shard count must be ≥ 8");
     assert!(
         store.hit_rate() > 0.0,
         "4-actor N=8 analytical training must reuse cached states \
@@ -77,7 +76,7 @@ fn four_actor_training_hits_shared_cache() {
     );
 }
 
-/// `evaluate_batch` must equal per-graph `evaluate` through the sharded
+/// `evaluate_batch` must equal per-graph `evaluate` through the shared
 /// cache, cold and warm, at various thread budgets.
 #[test]
 fn evaluate_batch_equivalent_to_evaluate() {
@@ -106,7 +105,7 @@ fn evaluate_batch_equivalent_to_evaluate() {
     }
 }
 
-/// Sharded-cache hit/miss accounting stays exact under concurrent access:
+/// Cache hit/miss accounting stays exact under concurrent access:
 /// every query is either a hit or a miss, and misses equal distinct states
 /// once all threads have finished.
 #[test]

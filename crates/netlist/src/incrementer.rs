@@ -8,19 +8,8 @@
 
 use crate::cell::CellType;
 use crate::ir::{NetId, Netlist};
-use prefix_graph::{Node, PrefixGraph};
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pol {
-    True,
-    Comp,
-}
-
-struct AndNet {
-    net: NetId,
-    pol: Pol,
-    inv: Option<NetId>,
-}
+use crate::polarity_tree::{Pol, PolarityTree};
+use prefix_graph::PrefixGraph;
 
 /// Generates the incrementer netlist of `graph`: inputs `a₀…a_{N-1}`,
 /// outputs `s₀…s_{N-1}, cout` with `s = a + 1`.
@@ -39,74 +28,22 @@ pub fn generate(graph: &PrefixGraph) -> Netlist {
     let n = graph.n() as usize;
     let mut nl = Netlist::new(format!("incrementer_{n}b"));
     let a: Vec<NetId> = (0..n).map(|_| nl.add_input()).collect();
-    let idx = |node: Node| node.msb() as usize * n + node.lsb() as usize;
-    let mut vals: Vec<Option<AndNet>> = (0..n * n).map(|_| None).collect();
-    for (i, &ai) in a.iter().enumerate() {
-        vals[i * n + i] = Some(AndNet {
-            net: ai,
-            pol: Pol::True,
-            inv: None,
-        });
-    }
-    fn get(nl: &mut Netlist, vals: &mut [Option<AndNet>], i: usize, want: Pol) -> NetId {
-        let e = vals[i].as_ref().expect("parent before child");
-        if e.pol == want {
-            return e.net;
-        }
-        if let Some(inv) = e.inv {
-            return inv;
-        }
-        let src = e.net;
-        let inv = nl.add_gate(CellType::Inv, &[src]);
-        vals[i].as_mut().unwrap().inv = Some(inv);
-        inv
-    }
-    for m in 0..graph.n() {
-        for l in (0..m).rev() {
-            let node = Node::new(m, l);
-            if !graph.contains(node) {
-                continue;
-            }
-            let level = graph.level(node).expect("present");
-            let up = idx(graph.up(node).expect("op"));
-            let lp = idx(graph.lp(node).expect("op"));
-            // Odd levels: NAND(a, b) = !(a & b) over true inputs.
-            // Even levels: NOR(!a, !b) = a & b over complemented inputs.
-            let (want, cell, out_pol) = if level % 2 == 1 {
-                (Pol::True, CellType::Nand2, Pol::Comp)
-            } else {
-                (Pol::Comp, CellType::Nor2, Pol::True)
-            };
-            let x = get(&mut nl, &mut vals, up, want);
-            let y = get(&mut nl, &mut vals, lp, want);
-            let net = nl.add_gate(cell, &[x, y]);
-            vals[idx(node)] = Some(AndNet {
-                net,
-                pol: out_pol,
-                inv: None,
-            });
-        }
-    }
+    // Odd levels: NAND(a, b) = !(a & b) over true inputs. Even levels:
+    // NOR(!a, !b) = a & b over complemented inputs.
+    let mut tree = PolarityTree::build(&mut nl, graph, &a, CellType::Nand2, CellType::Nor2);
     // s_0 = !a_0 ; s_i = a_i ⊕ c_{i-1} with c = AND-prefix; cout = c_{N-1}.
-    let s0 = get(&mut nl, &mut vals, 0, Pol::Comp);
+    let s0 = tree.output(&mut nl, 0, Pol::Comp);
     let mut outs = vec![s0];
     for (i, &a_i) in a.iter().enumerate().take(n).skip(1) {
-        let c_idx = (i - 1) * n;
-        let pol = vals[c_idx].as_ref().unwrap().pol;
-        let s = match pol {
-            // XOR(a, c) directly; with complemented carry use XNOR.
-            Pol::True => {
-                let c = get(&mut nl, &mut vals, c_idx, Pol::True);
-                nl.add_gate(CellType::Xor2, &[a_i, c])
-            }
-            Pol::Comp => {
-                let cb = get(&mut nl, &mut vals, c_idx, Pol::Comp);
-                nl.add_gate(CellType::Xnor2, &[a_i, cb])
-            }
+        // XOR(a, c) directly; with complemented carry use XNOR.
+        let (c, pol) = tree.built(i - 1);
+        let cell = match pol {
+            Pol::True => CellType::Xor2,
+            Pol::Comp => CellType::Xnor2,
         };
-        outs.push(s);
+        outs.push(nl.add_gate(cell, &[a_i, c]));
     }
-    let cout = get(&mut nl, &mut vals, (n - 1) * n, Pol::True);
+    let cout = tree.output(&mut nl, n - 1, Pol::True);
     for s in outs {
         nl.mark_output(s);
     }

@@ -36,6 +36,7 @@ pub mod cell;
 pub mod incrementer;
 pub mod ir;
 pub mod library;
+mod polarity_tree;
 pub mod prefix_or;
 pub mod sim;
 pub mod verilog;

@@ -10,19 +10,8 @@
 
 use crate::cell::CellType;
 use crate::ir::{NetId, Netlist};
-use prefix_graph::{Node, PrefixGraph};
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pol {
-    True,
-    Comp,
-}
-
-struct OrNet {
-    net: NetId,
-    pol: Pol,
-    inv: Option<NetId>,
-}
+use crate::polarity_tree::{Pol, PolarityTree};
+use prefix_graph::PrefixGraph;
 
 /// Generates the OR-prefix netlist of `graph`: inputs `x₀…x_{N-1}`,
 /// outputs `y_i = x_i | … | x₀` for every bit.
@@ -42,57 +31,12 @@ pub fn generate(graph: &PrefixGraph) -> Netlist {
     let n = graph.n() as usize;
     let mut nl = Netlist::new(format!("prefix_or_{n}b"));
     let x: Vec<NetId> = (0..n).map(|_| nl.add_input()).collect();
-    let idx = |node: Node| node.msb() as usize * n + node.lsb() as usize;
-    let mut vals: Vec<Option<OrNet>> = (0..n * n).map(|_| None).collect();
-    for (i, &xi) in x.iter().enumerate() {
-        vals[i * n + i] = Some(OrNet {
-            net: xi,
-            pol: Pol::True,
-            inv: None,
-        });
-    }
-    fn get(nl: &mut Netlist, vals: &mut [Option<OrNet>], i: usize, want: Pol) -> NetId {
-        let e = vals[i].as_ref().expect("parent before child");
-        if e.pol == want {
-            return e.net;
-        }
-        if let Some(inv) = e.inv {
-            return inv;
-        }
-        let src = e.net;
-        let inv = nl.add_gate(CellType::Inv, &[src]);
-        vals[i].as_mut().unwrap().inv = Some(inv);
-        inv
-    }
-    for m in 0..graph.n() {
-        for l in (0..m).rev() {
-            let node = Node::new(m, l);
-            if !graph.contains(node) {
-                continue;
-            }
-            let level = graph.level(node).expect("present");
-            let up = idx(graph.up(node).expect("op"));
-            let lp = idx(graph.lp(node).expect("op"));
-            // Odd levels: NOR over true inputs → complemented output.
-            // Even levels: NAND over complemented inputs → true output
-            // (NAND(!a, !b) = a | b).
-            let (want, cell, out_pol) = if level % 2 == 1 {
-                (Pol::True, CellType::Nor2, Pol::Comp)
-            } else {
-                (Pol::Comp, CellType::Nand2, Pol::True)
-            };
-            let a = get(&mut nl, &mut vals, up, want);
-            let b = get(&mut nl, &mut vals, lp, want);
-            let net = nl.add_gate(cell, &[a, b]);
-            vals[idx(node)] = Some(OrNet {
-                net,
-                pol: out_pol,
-                inv: None,
-            });
-        }
-    }
+    // Odd levels: NOR over true inputs → complemented output. Even
+    // levels: NAND over complemented inputs → true output
+    // (NAND(!a, !b) = a | b).
+    let mut tree = PolarityTree::build(&mut nl, graph, &x, CellType::Nor2, CellType::Nand2);
     for i in 0..n {
-        let out = get(&mut nl, &mut vals, i * n, Pol::True);
+        let out = tree.output(&mut nl, i, Pol::True);
         nl.mark_output(out);
     }
     nl.prune_dead();

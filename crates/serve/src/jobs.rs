@@ -13,7 +13,7 @@ use prefixrl_core::checkpoint::write_atomic;
 use prefixrl_core::env::EnvConfig;
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::experiment::{
-    CallbackObserver, CancelToken, Event, Experiment, ExperimentResult, Weights,
+    CacheStats, CallbackObserver, CancelToken, Event, Experiment, ExperimentResult, Weights,
 };
 use prefixrl_core::task::{self, CircuitTask, ObjectiveBackend};
 use serde::{Deserialize, Serialize};
@@ -345,15 +345,7 @@ impl JobManager {
 
     /// Aggregate statistics of the server-wide shared evaluation store.
     pub fn cache_json(&self) -> serde_json::Value {
-        let store = &self.stack.store;
-        serde_json::json!({
-            "shards": store.shards(),
-            "hits": store.hits(),
-            "misses": store.misses(),
-            "evictions": store.evictions(),
-            "hit_rate": store.hit_rate(),
-            "unique_states": store.unique_states(),
-        })
+        CacheStats::of(&self.stack.store).to_value()
     }
 
     /// Validates and enqueues a job, returning its id.

@@ -182,6 +182,18 @@ fn get_opt<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str) -> O
     })
 }
 
+/// Parses `--n`, the input width, exiting like [`get`] outside `2..=512`,
+/// the widths a prefix graph supports (a bad width would otherwise panic
+/// inside a worker thread).
+fn get_width(opts: &HashMap<String, String>, default: u16) -> u16 {
+    let n = get(opts, "n", default);
+    if !(2..=512).contains(&n) {
+        eprintln!("error: invalid value `{n}` for --n (expected a width in 2..=512)");
+        std::process::exit(2);
+    }
+    n
+}
+
 /// Parses a worker-count flag, clamping `0` to `1` with a loud warning —
 /// a zero here would silently spin zero workers and hang or no-op the
 /// session (mirrors the PR 2 malformed-value policy of never failing
@@ -245,7 +257,7 @@ fn cmd_structures(opts: &HashMap<String, String>) {
         );
         return;
     }
-    let n: u16 = get(opts, "n", 16);
+    let n = get_width(opts, 16);
     let lib = library(opts);
     println!(
         "{:<16} {:>6} {:>6} {:>7} {:>10} {:>10} {:>11} {:>11}",
@@ -427,7 +439,7 @@ fn objective_backend(
 /// The shared `train`/`sweep` session driver: builds the [`Experiment`],
 /// runs or resumes it, and emits the unified report.
 fn run_session(opts: &HashMap<String, String>, weights: Weights) {
-    let n: u16 = get(opts, "n", 8);
+    let n = get_width(opts, 8);
     let steps: u64 = get(opts, "steps", 2000);
     let seed: u64 = get(opts, "seed", 0);
     let actors = get_workers(opts, "actors", 1);
@@ -546,7 +558,7 @@ fn report_human(result: &ExperimentResult) {
     let merged = result.merged_front();
     println!(
         "{} in {:.1}s ({:.1} steps/s): {} agent(s) on task {} ({}), cache hit \
-         rate {:.0}% over {} shards",
+         rate {:.0}%",
         if result.completed { "done" } else { "halted" },
         result.elapsed_sec,
         result.total_steps() as f64 / result.elapsed_sec.max(1e-9),
@@ -554,7 +566,6 @@ fn report_human(result: &ExperimentResult) {
         result.task,
         result.backend,
         100.0 * result.cache.hit_rate,
-        result.cache.shards,
     );
     println!(
         "\n{:>5} {:>8} {:>8} {:>9} {:>10} {:>9}",
@@ -619,7 +630,7 @@ fn cmd_eval(opts: &HashMap<String, String>) {
         );
         return;
     }
-    let n: u16 = get(opts, "n", 16);
+    let n = get_width(opts, 16);
     let name = opts
         .get("structure")
         .cloned()
@@ -660,7 +671,7 @@ fn cmd_render(opts: &HashMap<String, String>) {
         );
         return;
     }
-    let n: u16 = get(opts, "n", 16);
+    let n = get_width(opts, 16);
     let name = opts
         .get("structure")
         .cloned()
@@ -729,7 +740,7 @@ fn cmd_serve(opts: &HashMap<String, String>) {
             "prefixrl serve — run the resident multi-job optimization service\n\
              \n\
              Speaks prefixrl.serve.v1 (newline-delimited JSON over local TCP;\n\
-             DESIGN.md §13). Jobs share one sharded evaluation store, finished\n\
+             DESIGN.md §13). Jobs share one evaluation store, finished\n\
              jobs merge into the persistent per-(task, backend, width) frontier\n\
              store, and with --state-dir both the frontier store and the job\n\
              queue survive restarts (even kill -9).\n\
@@ -843,7 +854,7 @@ fn cmd_submit(opts: &HashMap<String, String>) {
             .get("backend")
             .cloned()
             .unwrap_or_else(|| "analytical".into()),
-        n: get(opts, "n", 8),
+        n: get_width(opts, 8),
         weights: weights.values().to_vec(),
         steps: get(opts, "steps", 2000),
         seed: get(opts, "seed", 0),
@@ -931,7 +942,7 @@ fn cmd_frontier(opts: &HashMap<String, String>) {
         .get("backend")
         .cloned()
         .unwrap_or_else(|| "analytical".into());
-    let n: u16 = get(opts, "n", 8);
+    let n = get_width(opts, 8);
     let response = match cluster_router(opts) {
         Some(router) => router.frontier(&task, &backend, n),
         None => serve_client(opts).frontier(&task, &backend, n),
@@ -997,7 +1008,7 @@ fn cmd_query(opts: &HashMap<String, String>) {
         .get("backend")
         .cloned()
         .unwrap_or_else(|| "analytical".into());
-    let n: u16 = get(opts, "n", 8);
+    let n = get_width(opts, 8);
     let mut extra: Vec<(String, serde_json::Value)> = Vec::new();
     if opts.contains_key("include-graph") {
         extra.push(("include_graph".to_string(), serde_json::Value::Bool(true)));
@@ -1099,7 +1110,7 @@ fn cmd_verilog(opts: &HashMap<String, String>) {
         );
         return;
     }
-    let n: u16 = get(opts, "n", 16);
+    let n = get_width(opts, 16);
     let name = opts
         .get("structure")
         .cloned()

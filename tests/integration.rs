@@ -246,6 +246,28 @@ fn cli_rejects_unknown_flags() {
     }
 }
 
+/// A width outside `2..=512` exits 2 naming `--n`, on every command that
+/// parses it, instead of panicking in a worker thread.
+#[test]
+fn cli_rejects_unsupported_widths() {
+    for args in [
+        &["train", "--n", "0"][..],
+        &["train", "--n", "1", "--backend", "analytical"][..],
+        &["sweep", "--n", "1", "--backend", "synthesis"][..],
+        &["eval", "--n", "513"][..],
+        &["render", "--n", "1"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+            .args(args)
+            .output()
+            .expect("run the prefixrl binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        assert!(stderr.contains("for --n"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn cli_rejects_too_few_eval_targets() {
     for targets in ["0", "1"] {
