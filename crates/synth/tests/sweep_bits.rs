@@ -5,7 +5,9 @@
 //! Every expected value is an `f64::to_bits` literal recorded from the
 //! original (per-call library lookup, `Vec<Vec<Sink>>` fanout) code; the
 //! random-walk scores were recorded from the per-iteration-topology
-//! optimizer that preceded the kept-up-to-date one. A change that alters
+//! optimizer that preceded the kept-up-to-date one, and the random-walk
+//! sweeps under `paper()` and `commercial()` from the sweep that ran one
+//! optimizer per target. A change that alters
 //! one rounding anywhere in a sweep fails here with the case's label and
 //! the position of the first differing value.
 
@@ -74,8 +76,12 @@ fn backend_cases() -> Vec<(String, Vec<u64>)> {
 /// A walk of `steps` legal actions drawn uniformly from ripple by a seeded
 /// generator: the dense, high-fanout states an exploring agent visits.
 fn random_walk(n: u16, seed: u64, steps: usize) -> PrefixGraph {
+    walk_from(PrefixGraph::ripple(n), seed, steps)
+}
+
+/// A walk of `steps` legal actions from `g`, as [`random_walk`].
+fn walk_from(mut g: PrefixGraph, seed: u64, steps: usize) -> PrefixGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = PrefixGraph::ripple(n);
     for _ in 0..steps {
         let actions = g.legal_actions();
         g.apply(actions[rng.random_range(0..actions.len())])
@@ -99,6 +105,41 @@ fn random_walk_cases() -> Vec<(String, Vec<u64>)> {
                 vec![point.area.to_bits(), point.delay.to_bits()],
             ));
         }
+    }
+    cases
+}
+
+/// `sweep_graph` curves of three random-walk adder states at each of 16
+/// and 32 bits under `paper()` (4 targets, 80 iterations) and
+/// `commercial()` (5 targets, 160 iterations), then of three walks from
+/// Sklansky on which two unmet targets choose different moves in the same
+/// iteration (the rare case: 3 of 1,800 walks searched at 8–32 bits).
+fn random_walk_sweep_cases() -> Vec<(String, Vec<u64>)> {
+    let lib = Library::nangate45();
+    let configs = [
+        ("paper", SweepConfig::paper()),
+        ("commercial", SweepConfig::commercial()),
+    ];
+    let mut cases = Vec::new();
+    for (config, cfg) in &configs {
+        for (n, steps) in [(16u16, 60usize), (32, 120)] {
+            for seed in 0..3u64 {
+                let curve = sweep_graph(&random_walk(n, seed, steps), &lib, cfg);
+                cases.push((format!("{config}/walk{seed}/{n}"), curve_bits(&curve)));
+            }
+        }
+    }
+    let forking = [
+        ("fast", SweepConfig::fast(), 8u16, 47u64, 10usize),
+        ("fast", SweepConfig::fast(), 16, 77, 28),
+        ("paper", SweepConfig::paper(), 8, 47, 10),
+    ];
+    for (config, cfg, n, seed, steps) in forking {
+        let curve = sweep_graph(&walk_from(structures::sklansky(n), seed, steps), &lib, &cfg);
+        cases.push((
+            format!("{config}/sklansky-walk{seed}/{n}"),
+            curve_bits(&curve),
+        ));
     }
     cases
 }
@@ -132,6 +173,11 @@ fn backend_scores_match_pinned_bits() {
 #[test]
 fn random_walk_scores_match_pinned_bits() {
     assert_pinned(&random_walk_cases(), RANDOM_WALK);
+}
+
+#[test]
+fn random_walk_sweeps_match_pinned_bits() {
+    assert_pinned(&random_walk_sweep_cases(), RANDOM_WALK_SWEEPS);
 }
 
 // Expected: (case, [min_delay, max_delay, area_at × 5]).
@@ -246,4 +292,24 @@ const RANDOM_WALK: &[(&str, [u64; 2])] = &[
     ("adder/walk0/64", [0x40939a5b22d0e56a, 0x3fe15625c1a11060]),
     ("adder/walk1/64", [0x409513cf5c28f5e6, 0x3fe23c47b78ba5a9]),
     ("adder/walk2/64", [0x40941f5b22d0e576, 0x3fe13842f0fa84ce]),
+];
+
+// Expected: (case, [min_delay, max_delay, area_at × 5]).
+#[rustfmt::skip]
+const RANDOM_WALK_SWEEPS: &[(&str, [u64; 7])] = &[
+    ("paper/walk0/16", [0x3fd8c9b9caed9fea, 0x3fde602c9081c2e4, 0x406d958d4fdf3b5e, 0x406c28116872b01a, 0x406aba95810624d7, 0x40694d1999999992, 0x4067df9db22d0e50]),
+    ("paper/walk1/16", [0x3fd6f53b2e5fa03b, 0x3fdbd9d3458cd20b, 0x406ed07ef9db22cc, 0x406cd02e147ae142, 0x406acfdd2f1a9fb8, 0x4068cf8c49ba5e2e, 0x4066cf3b645a1ca4]),
+    ("paper/walk2/16", [0x3fd6c29c3d98e85e, 0x3fdba8d64d7f0ed4, 0x406aa43d70a3d70a, 0x406973676c8b4394, 0x406842916872b020, 0x406711bb645a1cab, 0x4065e0e560418935]),
+    ("paper/walk0/32", [0x3fe041060adb439d, 0x3fe3d78811b1d92b, 0x4080ef449ba5e367, 0x40806e64189374d0, 0x407fdb072b020c72, 0x407ed94624dd2f44, 0x407dd7851eb85216]),
+    ("paper/walk1/32", [0x3fdedc68cf829b11, 0x3fe37e28240b7803, 0x4081dc020c49ba6e, 0x40812ba666666678, 0x40807b4ac0831280, 0x407f95de353f7d15, 0x407e3526e978d527]),
+    ("paper/walk2/32", [0x3fdf0338205bfcf9, 0x3fe34c1a8ac5c140, 0x4081b0ea7ef9db33, 0x4080f6953f7ceda3, 0x40803c4000000013, 0x407f03d581062506, 0x407d8f2b020c49e6]),
+    ("commercial/walk0/16", [0x3fda023f00954cd4, 0x3fde602c9081c2e4, 0x406b70872b020c44, 0x406901d59ca42eab, 0x40684bdaa31cee91, 0x4067f57d1097c1f4, 0x4067df9db22d0e50]),
+    ("commercial/walk1/16", [0x3fd7d3eaa9080253, 0x3fdbd9d3458cd20b, 0x406d8ae978d4fded, 0x406a84df2de6fbdd, 0x4068981f4c4d3447, 0x40674a295e607336, 0x4066cf3b645a1ca4]),
+    ("commercial/walk2/16", [0x3fd690558a319d2c, 0x3fdba8d64d7f0ed4, 0x406ba39999999999, 0x406870a158574629, 0x40671cb2a94866ec, 0x406635f005a61bf5, 0x4065e0e560418935]),
+    ("commercial/walk0/32", [0x3fe03333193147b6, 0x3fe3d78811b1d92b, 0x408100d2f1a9fbf9, 0x407fc51f600b71c7, 0x407ec8439a4823a6, 0x407e19caf1b261af, 0x407dd7851eb85216]),
+    ("commercial/walk1/32", [0x3fe01b310dc9247e, 0x3fe37e28240b7803, 0x4080a1989374bc7e, 0x407f65a7cf7afbed, 0x407ec2238d4c1936, 0x407e59cfcc7eabc3, 0x407e3526e978d527]),
+    ("commercial/walk2/32", [0x3fdee7923d08052a, 0x3fe34c1a8ac5c140, 0x4081c8db22d0e570, 0x40802006ab287186, 0x407eb87171c709a3, 0x407de21403028e4e, 0x407d8f2b020c49e6]),
+    ("fast/sklansky-walk47/8", [0x3fccda57256a49d8, 0x3fd20b4e11dbca97, 0x405b7f6c8b43957f, 0x4058bacccccccccb, 0x4055f62d0e560417, 0x4053318d4fdf3b66, 0x40506ced916872b2]),
+    ("fast/sklansky-walk77/16", [0x3fd3eb11338a4175, 0x3fd9d8adab9f559b, 0x407472e147ae1483, 0x406e59718db53be2, 0x406a3e812583b430, 0x4067d4d00f2fa623, 0x40670ad0e5604182]),
+    ("paper/sklansky-walk47/8", [0x3fccda57256a49d8, 0x3fd20b4e11dbca97, 0x405a26b020c49ba5, 0x4057b83f7ced9169, 0x405549ced916872b, 0x4052db5e353f7cef, 0x40506ced916872b2]),
 ];
