@@ -10,7 +10,7 @@ use netlist::Library;
 use prefix_graph::{structures, PrefixGraph};
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_core::pareto::better_at_target;
-use synth::optimizer::{optimize, OptimizerConfig};
+use synth::optimizer::{optimize, optimize_targets, OptimizerConfig};
 use synth::sta::{self, TimingConstraints};
 
 /// The architecture library a commercial tool selects from.
@@ -61,30 +61,35 @@ pub fn choose_at_target_with(
     for (name, graph) in commercial_library(n) {
         let nl = emit(&graph);
         let out = optimize(&nl, lib, &cons, target, cfg);
-        let candidate = ObjectivePoint {
-            area: out.area,
-            delay: out.delay,
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => better_at_target(
-                &candidate,
-                &ObjectivePoint {
-                    area: b.area,
-                    delay: b.delay,
-                },
-                target,
-            ),
-        };
-        if better {
-            best = Some(CommercialChoice {
-                architecture: name,
-                delay: out.delay,
-                area: out.area,
-            });
-        }
+        keep_better(&mut best, name, out.delay, out.area, target);
     }
     best.expect("library is nonempty")
+}
+
+/// Makes architecture `name`'s `(delay, area)` the choice in `best` when
+/// there is none yet or it beats the current one at `target`.
+fn keep_better(
+    best: &mut Option<CommercialChoice>,
+    name: String,
+    delay: f64,
+    area: f64,
+    target: f64,
+) {
+    let candidate = ObjectivePoint { area, delay };
+    let wins = best.as_ref().is_none_or(|b| {
+        let current = ObjectivePoint {
+            area: b.area,
+            delay: b.delay,
+        };
+        better_at_target(&candidate, &current, target)
+    });
+    if wins {
+        *best = Some(CommercialChoice {
+            architecture: name,
+            delay,
+            area,
+        });
+    }
 }
 
 /// Synthesizes every library architecture's **adder** at `target` and
@@ -102,23 +107,42 @@ pub fn choose_at_target(
 /// Sweeps the commercial chooser across delay targets between the fastest
 /// and slowest achievable, returning one choice per target — the
 /// "Commercial" series of the paper's Fig. 5.
+///
+/// Each architecture is optimized at every target in one
+/// [`optimize_targets`] run, and each target keeps the winner
+/// [`choose_at_target`] picks: candidates are compared in library order.
 pub fn commercial_sweep(
     n: u16,
     lib: &Library,
     cfg: &OptimizerConfig,
     num_targets: usize,
 ) -> Vec<CommercialChoice> {
-    // Range: relaxed Brent-Kung (slow end) down to aggressive Kogge-Stone.
+    let targets = sweep_targets(n, lib, cfg, num_targets);
+    let cons = TimingConstraints::uniform(lib);
+    let mut best: Vec<Option<CommercialChoice>> = vec![None; targets.len()];
+    for (name, graph) in commercial_library(n) {
+        let nl = netlist::adder::generate(&graph);
+        let outcomes = optimize_targets(&nl, lib, &cons, &targets, cfg);
+        for ((slot, out), &target) in best.iter_mut().zip(outcomes).zip(&targets) {
+            keep_better(slot, name.clone(), out.delay, out.area, target);
+        }
+    }
+    best.into_iter()
+        .map(|choice| choice.expect("library is nonempty"))
+        .collect()
+}
+
+/// The delay targets of [`commercial_sweep`]: evenly spaced from an
+/// aggressively optimized Kogge-Stone (fast end) to a relaxed Brent-Kung
+/// (slow end).
+fn sweep_targets(n: u16, lib: &Library, cfg: &OptimizerConfig, num_targets: usize) -> Vec<f64> {
     let cons = TimingConstraints::uniform(lib);
     let bk = netlist::adder::generate(&structures::brent_kung(n));
     let slow = sta::analyze(&bk, lib, &cons, 1.0).critical_delay;
     let ks = netlist::adder::generate(&structures::kogge_stone(n));
     let fast = optimize(&ks, lib, &cons, 0.0, cfg).delay;
     (0..num_targets)
-        .map(|i| {
-            let t = fast + (slow - fast) * i as f64 / (num_targets.max(2) - 1) as f64;
-            choose_at_target(n, lib, cfg, t)
-        })
+        .map(|i| fast + (slow - fast) * i as f64 / (num_targets.max(2) - 1) as f64)
         .collect()
 }
 
@@ -180,5 +204,26 @@ mod tests {
         let last = &choices[choices.len() - 1];
         assert!(first.delay <= last.delay, "targets ascend");
         assert!(first.area >= last.area, "tight end costs more area");
+    }
+
+    #[test]
+    fn sweep_picks_what_the_per_target_chooser_picks() {
+        let lib = Library::nangate45();
+        let cfg = OptimizerConfig::commercial();
+        for n in [8u16, 16] {
+            let swept = commercial_sweep(n, &lib, &cfg, 5);
+            let targets = sweep_targets(n, &lib, &cfg, 5);
+            assert_eq!(swept.len(), targets.len());
+            for (got, &target) in swept.iter().zip(&targets) {
+                let want = choose_at_target(n, &lib, &cfg, target);
+                assert_eq!(got.architecture, want.architecture, "{n}b at {target}");
+                assert_eq!(
+                    got.delay.to_bits(),
+                    want.delay.to_bits(),
+                    "{n}b at {target}"
+                );
+                assert_eq!(got.area.to_bits(), want.area.to_bits(), "{n}b at {target}");
+            }
+        }
     }
 }

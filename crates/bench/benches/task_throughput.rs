@@ -9,22 +9,33 @@
 //! Section IV-D caching — and the non-adder tasks synthesize faster than
 //! the adder because their netlists are a fraction of the size.
 //!
+//! The `synthesis_latency` rows time each `SynthesisBackend::score` call
+//! on its own, on seeded random-walk adder states at 16, 32 and 64 bits
+//! (the dense, high-fanout states an exploring agent visits), and report
+//! the per-call `{p50, p99, max}` in microseconds.
+//!
 //! ```sh
 //! cargo bench -p prefixrl-bench --bench task_throughput
 //! ```
 
 use netlist::Library;
 use prefix_graph::{structures, PrefixGraph};
-use prefixrl_bench::{time_per_call, Report};
+use prefixrl_bench::{latency, time_per_call, Report};
 use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
-use prefixrl_core::task::{self, AnalyticalBackend, ObjectiveBackend, SynthesisBackend};
+use prefixrl_core::task::{self, Adder, AnalyticalBackend, ObjectiveBackend, SynthesisBackend};
+use rand::prelude::*;
 use serde_json::json;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Adder width of every pool graph.
 const N: u16 = 16;
 /// Wall clock each throughput figure accumulates, seconds.
 const MIN_SECS: f64 = 0.2;
+/// `(width, walk steps, states)` of the `synthesis_latency` rows.
+const LATENCY_WALKS: [(u16, usize, u64); 3] = [(16, 60, 48), (32, 120, 24), (64, 200, 12)];
+/// Timed `score` calls per state in the `synthesis_latency` rows.
+const LATENCY_REPEATS: usize = 4;
 
 fn pool(n: u16) -> Vec<PrefixGraph> {
     let mut graphs = vec![
@@ -52,6 +63,34 @@ fn pool(n: u16) -> Vec<PrefixGraph> {
         graphs.push(g);
     }
     graphs
+}
+
+/// A walk of `steps` legal actions drawn uniformly from ripple by a seeded
+/// generator.
+fn random_walk(n: u16, seed: u64, steps: usize) -> PrefixGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = PrefixGraph::ripple(n);
+    for _ in 0..steps {
+        let actions = g.legal_actions();
+        g.apply(actions[rng.random_range(0..actions.len())])
+            .expect("legal");
+    }
+    g
+}
+
+/// Microseconds of each `backend.score` call on `graphs`, every graph
+/// scored `LATENCY_REPEATS` times after one untimed warm-up call.
+fn score_latencies_us(backend: &SynthesisBackend, graphs: &[PrefixGraph]) -> Vec<f64> {
+    std::hint::black_box(backend.score(&Adder, &graphs[0]));
+    let mut samples = Vec::with_capacity(graphs.len() * LATENCY_REPEATS);
+    for _ in 0..LATENCY_REPEATS {
+        for g in graphs {
+            let t0 = Instant::now();
+            std::hint::black_box(backend.score(&Adder, g));
+            samples.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    samples
 }
 
 /// Evaluations per second of `evaluate` over whole rounds of the pool.
@@ -82,7 +121,7 @@ fn main() {
             0.5,
         )),
         Arc::new(
-            SynthesisBackend::new(lib, synth::sweep::SweepConfig::fast(), 0.5)
+            SynthesisBackend::new(lib.clone(), synth::sweep::SweepConfig::fast(), 0.5)
                 .with_power_annotation(),
         ),
     ];
@@ -99,6 +138,20 @@ fn main() {
                 json!({"evals_per_sec": cold, "cached_evals_per_sec": warm}),
             );
         }
+    }
+
+    let synthesis = SynthesisBackend::new(lib, synth::sweep::SweepConfig::fast(), 0.5);
+    for (n, steps, states) in LATENCY_WALKS {
+        let walks: Vec<PrefixGraph> = (0..states)
+            .map(|seed| random_walk(n, seed, steps))
+            .collect();
+        let samples = score_latencies_us(&synthesis, &walks);
+        report.row(
+            "synthesis_latency",
+            json!({"task": "adder", "backend": "synthesis", "n": n, "walk_steps": steps,
+                   "states": states, "calls": samples.len()}),
+            json!({"score_us": latency(&samples)}),
+        );
     }
     report.write();
 }

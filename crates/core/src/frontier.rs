@@ -40,7 +40,7 @@ pub fn sweep_task_front(
         ..base.clone()
     };
     let curves = crate::parallel::map_ordered(designs, threads.max(1), |(_, graph)| {
-        sweep_netlist(&task.emit_netlist(graph), lib, &cfg)
+        sweep_netlist(task.emit_netlist(graph), lib, &cfg)
     });
     let mut front = ParetoFront::new();
     for ((label, _), curve) in designs.iter().zip(curves) {

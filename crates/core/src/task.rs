@@ -311,7 +311,7 @@ impl ObjectiveBackend for SynthesisBackend {
     }
 
     fn score(&self, task: &dyn CircuitTask, graph: &PrefixGraph) -> ObjectivePoint {
-        let curve = sweep_netlist(&task.emit_netlist(graph), &self.lib, &self.sweep);
+        let curve = sweep_netlist(task.emit_netlist(graph), &self.lib, &self.sweep);
         let (area, delay) =
             curve.scalarized_optimum(self.w_area, self.w_delay, self.c_area, self.c_delay);
         ObjectivePoint { area, delay }

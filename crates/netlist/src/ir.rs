@@ -56,7 +56,7 @@ pub enum Driver {
 }
 
 /// A gate instance: a sized cell with input nets and one output net.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct Gate {
     /// The sized cell implementing this gate.
     pub kind: CellKind,
@@ -101,11 +101,26 @@ pub enum Sink {
 /// buffer insertion leaves the view stale until it is told of the edit
 /// through [`Fanout::pins_swapped`] or [`Fanout::buffer_inserted`]; after
 /// that it equals a freshly built view. Resizing never changes it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Fanout {
     /// `offsets[net]..offsets[net + 1]` indexes `net`'s sinks.
     offsets: Vec<u32>,
     sinks: Vec<Sink>,
+}
+
+impl Clone for Fanout {
+    fn clone(&self) -> Self {
+        Fanout {
+            offsets: self.offsets.clone(),
+            sinks: self.sinks.clone(),
+        }
+    }
+
+    /// Copies `source` into this view's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.offsets.clone_from(&source.offsets);
+        self.sinks.clone_from(&source.sinks);
+    }
 }
 
 impl Fanout {
@@ -213,13 +228,34 @@ impl Fanout {
 /// assert_eq!(nl.num_gates(), 1);
 /// nl.validate().unwrap();
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
     drivers: Vec<Driver>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
+}
+
+impl Clone for Netlist {
+    fn clone(&self) -> Self {
+        Netlist {
+            name: self.name.clone(),
+            gates: self.gates.clone(),
+            drivers: self.drivers.clone(),
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+        }
+    }
+
+    /// Copies `source` into this netlist's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.gates.clone_from(&source.gates);
+        self.drivers.clone_from(&source.drivers);
+        self.inputs.clone_from(&source.inputs);
+        self.outputs.clone_from(&source.outputs);
+    }
 }
 
 impl Netlist {

@@ -7,19 +7,31 @@
 //! delay-improving moves on the critical region; once met (or stuck) it
 //! recovers area by downsizing gates with slack.
 //!
-//! Move selection uses slack-based analytical estimates and a single full
-//! STA per iteration, over one [`Topology`] that the moves keep up to date
-//! for the whole run. A 4-target `SweepConfig::fast()` sweep of a random
-//! 16-bit adder state takes a few hundred microseconds, and of a 64-bit
-//! one a few milliseconds, on one core of a 2-vCPU Xeon VM (DESIGN.md §5
-//! has the measured table) — the property that makes synthesis-in-the-loop
-//! RL training tractable on a workstation (the paper needed 192 CPU
-//! workers against real OpenPhySyn).
+//! Move selection uses slack-based analytical estimates over a
+//! [`Topology`] that the moves keep up to date for the whole run: one
+//! arrival pass per iteration (two when the pin-swap pass moves a pin),
+//! and one required-time pass against the target.
+//!
+//! A sweep optimizes its delay targets in one [`optimize_targets`] run.
+//! Pin swaps, arrivals and move scores do not depend on the target, so
+//! targets share one topology, with its pin-swap pass, arrival pass and
+//! move application, for as long as they choose the same moves; a group
+//! whose targets choose different moves forks. Every target still sees
+//! the topologies and makes the computations of its own [`optimize`] run,
+//! so each outcome is bit for bit the one-target result (DESIGN.md §5).
+//!
+//! A 4-target `SweepConfig::fast()` sweep of a random 16-bit adder state
+//! takes a few hundred microseconds, and of a 64-bit one a few
+//! milliseconds, on one core of a 2-vCPU Xeon VM (DESIGN.md §5 has the
+//! measured table) — the property that makes synthesis-in-the-loop RL
+//! training tractable on a workstation (the paper needed 192 CPU workers
+//! against real OpenPhySyn).
 
 use crate::sta::{TimingConstraints, TimingReport, Topology};
 use netlist::ir::{Driver, Sink};
-use netlist::{CellType, Drive, GateId, Library, Netlist};
+use netlist::{CellType, Drive, GateId, Library, NetId, Netlist};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Configuration of the optimization loop.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -104,17 +116,34 @@ pub struct SynthesisOutcome {
     pub iterations: usize,
 }
 
-/// One candidate local move.
-#[derive(Clone, Debug)]
+/// One chosen local move.
+#[derive(Clone, Debug, PartialEq)]
 enum Move {
     Upsize(GateId, Drive),
-    Buffer {
-        net: netlist::NetId,
-        sinks: Vec<Sink>,
-    },
+    Buffer { net: NetId, sinks: Vec<Sink> },
 }
 
-/// Optimizes `nl` against `target`, returning the best netlist found.
+/// A scored move candidate. A buffer candidate names only its net: the
+/// sinks it moves are gathered once it is chosen.
+#[derive(Clone, Copy)]
+enum Candidate {
+    Upsize(GateId, Drive),
+    Buffer(NetId),
+}
+
+impl Candidate {
+    /// Where the move acts: at most one move per gate and one per net is
+    /// chosen in an iteration.
+    fn site(self) -> (bool, usize) {
+        match self {
+            Candidate::Upsize(gate, _) => (false, gate.index()),
+            Candidate::Buffer(net) => (true, net.index()),
+        }
+    }
+}
+
+/// Optimizes `nl` against `target`, returning the best netlist found: the
+/// one-target call of [`optimize_targets`].
 ///
 /// The input netlist is not modified. Logic function is preserved by
 /// construction (all moves are sizing/buffering/commutative swaps); tests
@@ -126,65 +155,231 @@ pub fn optimize(
     target: f64,
     cfg: &OptimizerConfig,
 ) -> SynthesisOutcome {
-    optimize_from(Topology::new(nl.clone(), lib), cons, target, cfg)
+    let mut outcomes = optimize_targets(nl, lib, cons, &[target], cfg);
+    outcomes.pop().expect("one outcome per target")
 }
 
-/// [`optimize`] of the netlist `work` holds, keeping `work` up to date
-/// through every move.
-pub(crate) fn optimize_from(
-    mut work: Topology<'_>,
+/// Optimizes `nl` against each of `targets` in one run, returning one
+/// outcome per target in order. Each outcome is bit for bit the one
+/// [`optimize`] returns for its target alone.
+///
+/// Targets whose runs have so far chosen the same moves share one working
+/// [`Topology`]: its pin-swap pass, arrival pass, area and move
+/// application are done once for all of them. Each target runs its own
+/// required-time pass, best-state tracking, met test, move selection and
+/// area recovery. When targets that share a topology choose different
+/// moves, the topology is cloned before the moves are applied, so every
+/// target sees the sequence of topologies its own run would.
+pub fn optimize_targets(
+    nl: &Netlist,
+    lib: &Library,
     cons: &TimingConstraints,
-    target: f64,
+    targets: &[f64],
     cfg: &OptimizerConfig,
-) -> SynthesisOutcome {
+) -> Vec<SynthesisOutcome> {
+    optimize_topology(Topology::new(nl.clone(), lib), cons, targets, cfg)
+}
+
+/// [`optimize_targets`] of the netlist `work` holds.
+pub(crate) fn optimize_topology<'l>(
+    work: Topology<'l>,
+    cons: &TimingConstraints,
+    targets: &[f64],
+    cfg: &OptimizerConfig,
+) -> Vec<SynthesisOutcome> {
     let lib = work.library();
-    let mut best: Option<(f64, f64, Topology)> = None; // (delay, area, topology)
-    let mut iterations = 0;
-    for _ in 0..cfg.max_iterations {
-        iterations += 1;
-        let report = if cfg.pin_swap {
-            swap_pins_pass(&mut work, cons, target)
+    let mut runs: Vec<TargetRun> = targets
+        .iter()
+        .map(|&target| TargetRun {
+            target,
+            best: None,
+            iterations: 0,
+        })
+        .collect();
+    let mut buffers = Buffers::default();
+    let mut groups = vec![Group {
+        work,
+        targets: (0..targets.len()).collect(),
+        iteration: 0,
+    }];
+    while let Some(group) = groups.pop() {
+        run_group(group, &mut runs, &mut groups, cons, cfg, &mut buffers);
+    }
+    runs.into_iter()
+        .map(|run| {
+            let (mut delay, mut area, best) = run.best.expect("at least one iteration ran");
+            let mut best =
+                Rc::try_unwrap(best).unwrap_or_else(|shared| copy_of(&shared, &mut buffers.spare));
+            if cfg.area_recovery {
+                let budget = run.target.max(delay);
+                let (recovered, recovered_delay) = recover_area(best, cons, budget, &mut buffers);
+                delay = recovered_delay;
+                area = recovered.netlist().area(lib);
+                best = recovered;
+            }
+            SynthesisOutcome {
+                met: delay <= run.target + 1e-9,
+                netlist: best.into_netlist(),
+                area,
+                delay,
+                target: run.target,
+                iterations: run.iterations,
+            }
+        })
+        .collect()
+}
+
+/// One delay target's delay-fixing run.
+struct TargetRun<'l> {
+    target: f64,
+    /// The best state so far: (delay, area, topology), the topology shared
+    /// with the targets it was also the best state of.
+    best: Option<(f64, f64, Rc<Topology<'l>>)>,
+    /// Iterations consumed, set when the run stops.
+    iterations: usize,
+}
+
+/// Targets (indices into the runs) that have seen the same topologies so
+/// far, sharing the one they are at.
+struct Group<'l> {
+    work: Topology<'l>,
+    targets: Vec<usize>,
+    /// Iterations run so far.
+    iteration: usize,
+}
+
+/// Scratch space one [`optimize_targets`] call reuses across its passes.
+#[derive(Default)]
+struct Buffers<'l> {
+    report: TimingReport,
+    trial: TimingReport,
+    swaps: Vec<GateId>,
+    candidates: Vec<(f64, Candidate)>,
+    batch: Vec<(GateId, Drive)>,
+    snapshot: Option<Topology<'l>>,
+    /// A best state no target holds any more, kept for its buffers.
+    spare: Option<Topology<'l>>,
+}
+
+/// Runs `group`'s targets until each has stopped or the group has forked;
+/// forks go on `forks`.
+fn run_group<'l>(
+    mut group: Group<'l>,
+    runs: &mut [TargetRun<'l>],
+    forks: &mut Vec<Group<'l>>,
+    cons: &TimingConstraints,
+    cfg: &OptimizerConfig,
+    buffers: &mut Buffers<'l>,
+) {
+    let lib = group.work.library();
+    loop {
+        if group.iteration == cfg.max_iterations {
+            for &t in &group.targets {
+                runs[t].iterations = group.iteration;
+            }
+            return;
+        }
+        group.iteration += 1;
+        let report = &mut buffers.report;
+        if cfg.pin_swap {
+            swap_pins_pass(&mut group.work, cons, report, &mut buffers.swaps);
         } else {
-            work.analyze(cons, target)
+            group.work.arrivals_into(cons, report);
+        }
+        let (delay, area) = (report.critical_delay, group.work.netlist().area(lib));
+        // The targets this state is the best one of so far, and the move
+        // lists of the targets that go on, each with its targets.
+        let mut improved = Vec::new();
+        let mut lists: Vec<(Vec<Move>, Vec<usize>)> = Vec::new();
+        for &t in &group.targets {
+            let run = &mut runs[t];
+            let improves = run
+                .best
+                .as_ref()
+                .map(|(d, a, _)| better(delay, area, *d, *a, run.target))
+                .unwrap_or(true);
+            if improves {
+                improved.push(t);
+            }
+            let moves = if delay <= run.target {
+                Vec::new()
+            } else {
+                group.work.required_into(run.target, report);
+                collect_moves(&group.work, report, cfg, &mut buffers.candidates)
+            };
+            if moves.is_empty() {
+                run.iterations = group.iteration;
+                continue;
+            }
+            match lists.iter_mut().find(|(list, _)| *list == moves) {
+                Some((_, targets)) => targets.push(t),
+                None => lists.push((moves, vec![t])),
+            }
+        }
+        let Some((moves, targets)) = lists.pop() else {
+            // No target goes on: the state itself moves into place.
+            keep(runs, &improved, delay, area, group.work, &mut buffers.spare);
+            return;
         };
-        let area = work.netlist().area(lib);
-        if best
-            .as_ref()
-            .map(|(d, a, _)| better(report.critical_delay, area, *d, *a, target))
-            .unwrap_or(true)
-        {
-            best = Some((report.critical_delay, area, work.clone()));
+        if !improved.is_empty() {
+            let state = copy_of(&group.work, &mut buffers.spare);
+            keep(runs, &improved, delay, area, state, &mut buffers.spare);
         }
-        if report.critical_delay <= target {
-            break;
+        for (moves, targets) in lists {
+            let mut work = group.work.clone();
+            apply(&mut work, moves);
+            forks.push(Group {
+                work,
+                targets,
+                iteration: group.iteration,
+            });
         }
-        let moves = collect_moves(&work, &report, cfg);
-        if moves.is_empty() {
-            break;
-        }
-        for mv in moves {
-            match mv {
-                Move::Upsize(gid, drive) => work.resize(gid, drive),
-                Move::Buffer { net, sinks } => {
-                    work.insert_buffer(net, Drive::new(2), &sinks);
-                }
+        apply(&mut group.work, moves);
+        group.targets = targets;
+    }
+}
+
+/// Makes `state`, of `(delay, area)`, the best state of each of
+/// `targets`, all sharing one copy. A replaced state no target holds any
+/// more becomes the spare.
+fn keep<'l>(
+    runs: &mut [TargetRun<'l>],
+    targets: &[usize],
+    delay: f64,
+    area: f64,
+    state: Topology<'l>,
+    spare: &mut Option<Topology<'l>>,
+) {
+    let state = Rc::new(state);
+    for &t in targets {
+        if let Some((_, _, old)) = runs[t].best.replace((delay, area, Rc::clone(&state))) {
+            if let Ok(old) = Rc::try_unwrap(old) {
+                *spare = Some(old);
             }
         }
     }
-    let (mut delay, mut area, mut best) = best.expect("at least one iteration ran");
-    if cfg.area_recovery {
-        let (recovered, recovered_delay) = recover_area(best, cons, target.max(delay));
-        delay = recovered_delay;
-        area = recovered.netlist().area(lib);
-        best = recovered;
+}
+
+/// A copy of `source`, made in the spare's buffers when there is one.
+fn copy_of<'l>(source: &Topology<'l>, spare: &mut Option<Topology<'l>>) -> Topology<'l> {
+    match spare.take() {
+        Some(mut copy) => {
+            copy.clone_from(source);
+            copy
+        }
+        None => source.clone(),
     }
-    SynthesisOutcome {
-        met: delay <= target + 1e-9,
-        netlist: best.into_netlist(),
-        area,
-        delay,
-        target,
-        iterations,
+}
+
+/// Applies `moves` to `work` in order.
+fn apply(work: &mut Topology, moves: Vec<Move>) {
+    for mv in moves {
+        match mv {
+            Move::Upsize(gid, drive) => work.resize(gid, drive),
+            Move::Buffer { net, sinks } => {
+                work.insert_buffer(net, Drive::new(2), &sinks);
+            }
+        }
     }
 }
 
@@ -208,32 +403,49 @@ fn commutative(ct: CellType) -> bool {
 }
 
 /// Greedy pin-swap pass: put later-arriving signals on faster pins.
-/// Returns the timing of the swapped netlist.
-fn swap_pins_pass(work: &mut Topology, cons: &TimingConstraints, target: f64) -> TimingReport {
-    let arrival = work.arrival_times(cons);
-    let swaps: Vec<GateId> = work
-        .netlist()
-        .gates()
-        .filter(|(_, g)| commutative(g.kind.cell_type))
-        .filter(|(_, g)| {
-            let ins = g.inputs();
-            // Pin 0 has the larger pin offset (slower); the later arrival
-            // should sit on pin 1.
-            arrival[ins[0].index()] > arrival[ins[1].index()] + 1e-12
-        })
-        .map(|(id, _)| id)
-        .collect();
-    for id in swaps {
+/// Leaves the arrivals of the swapped netlist in `report`.
+fn swap_pins_pass(
+    work: &mut Topology,
+    cons: &TimingConstraints,
+    report: &mut TimingReport,
+    swaps: &mut Vec<GateId>,
+) {
+    work.arrivals_into(cons, report);
+    let arrival = &report.arrival;
+    swaps.clear();
+    swaps.extend(
+        work.netlist()
+            .gates()
+            .filter(|(_, g)| commutative(g.kind.cell_type))
+            .filter(|(_, g)| {
+                let ins = g.inputs();
+                // Pin 0 has the larger pin offset (slower); the later
+                // arrival should sit on pin 1.
+                arrival[ins[0].index()] > arrival[ins[1].index()] + 1e-12
+            })
+            .map(|(id, _)| id),
+    );
+    if swaps.is_empty() {
+        return; // the arrivals are already the swapped netlist's
+    }
+    for &id in swaps.iter() {
         work.swap_pins(id, 0, 1);
     }
-    work.analyze(cons, target)
+    work.arrivals_into(cons, report);
 }
 
-/// Collects the best-estimated delay-improving moves on the critical region.
-fn collect_moves(work: &Topology, report: &TimingReport, cfg: &OptimizerConfig) -> Vec<Move> {
+/// Collects the best-estimated delay-improving moves on the critical
+/// region, scoring candidates in `candidates`.
+fn collect_moves(
+    work: &Topology,
+    report: &TimingReport,
+    cfg: &OptimizerConfig,
+    candidates: &mut Vec<(f64, Candidate)>,
+) -> Vec<Move> {
     let worst = report.worst_slack();
+    let critical = |slack: f64| slack <= worst + cfg.slack_epsilon;
     let (nl, lib) = (work.netlist(), work.library());
-    let mut candidates: Vec<(f64, Move)> = Vec::new();
+    candidates.clear();
     for (gid, gate) in nl.gates() {
         let out = gate.output();
         if report.slack(out) > worst + cfg.slack_epsilon {
@@ -257,7 +469,7 @@ fn collect_moves(work: &Topology, report: &TimingReport, cfg: &OptimizerConfig) 
                     .fold(0.0f64, f64::max);
                 let score = gain - penalty;
                 if score > 1e-6 {
-                    candidates.push((score, Move::Upsize(gid, up)));
+                    candidates.push((score, Candidate::Upsize(gid, up)));
                 }
             }
         }
@@ -266,48 +478,54 @@ fn collect_moves(work: &Topology, report: &TimingReport, cfg: &OptimizerConfig) 
             if net_sinks.len() >= cfg.buffer_fanout_threshold {
                 // Move non-critical sinks behind a buffer, keeping critical
                 // ones directly driven.
-                let (critical, movable): (Vec<&Sink>, Vec<&Sink>) = net_sinks
-                    .iter()
-                    .partition(|s| sink_slack(nl, report, s) <= worst + cfg.slack_epsilon);
-                if !movable.is_empty() && !critical.is_empty() {
-                    let removed: f64 = movable.iter().map(|s| sink_cap(nl, lib, s)).sum::<f64>()
-                        + lib.wire_cap(movable.len())
+                let (mut movable, mut movable_cap) = (0, 0.0);
+                for sink in net_sinks {
+                    if !critical(sink_slack(nl, report, sink)) {
+                        movable += 1;
+                        movable_cap += sink_cap(nl, lib, sink);
+                    }
+                }
+                if movable > 0 && movable < net_sinks.len() {
+                    let removed = movable_cap + lib.wire_cap(movable)
                         - lib.input_cap(CellType::Buf, Drive::new(2))
                         - lib.wire_cap(1);
                     let score = lib.resistance(k.cell_type, k.drive) * removed;
                     if score > 1e-6 {
-                        candidates.push((
-                            score,
-                            Move::Buffer {
-                                net: out,
-                                sinks: movable.into_iter().copied().collect(),
-                            },
-                        ));
+                        candidates.push((score, Candidate::Buffer(out)));
                     }
                 }
             }
         }
     }
     candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut chosen = Vec::new();
-    let mut touched = std::collections::HashSet::new();
-    for (_, mv) in candidates {
-        let key = match &mv {
-            Move::Upsize(g, _) => g.index(),
-            Move::Buffer { net, .. } => usize::MAX - net.index(),
-        };
-        if touched.insert(key) {
-            chosen.push(mv);
+    let mut chosen: Vec<Candidate> = Vec::with_capacity(cfg.moves_per_iteration);
+    for &(_, candidate) in candidates.iter() {
+        if chosen.iter().all(|c| c.site() != candidate.site()) {
+            chosen.push(candidate);
             if chosen.len() >= cfg.moves_per_iteration {
                 break;
             }
         }
     }
     chosen
+        .into_iter()
+        .map(|candidate| match candidate {
+            Candidate::Upsize(gid, drive) => Move::Upsize(gid, drive),
+            Candidate::Buffer(net) => Move::Buffer {
+                net,
+                sinks: work
+                    .sinks(net)
+                    .iter()
+                    .filter(|sink| !critical(sink_slack(nl, report, sink)))
+                    .copied()
+                    .collect(),
+            },
+        })
+        .collect()
 }
 
 /// Resistance of whatever drives `net` (input driver for PIs).
-fn driver_resistance(nl: &Netlist, lib: &Library, net: netlist::NetId) -> f64 {
+fn driver_resistance(nl: &Netlist, lib: &Library, net: NetId) -> f64 {
     match nl.driver(net) {
         Driver::Gate(g) => {
             let k = nl.gate(g).kind;
@@ -347,16 +565,27 @@ fn recover_area<'l>(
     mut work: Topology<'l>,
     cons: &TimingConstraints,
     budget: f64,
+    buffers: &mut Buffers<'l>,
 ) -> (Topology<'l>, f64) {
     const MAX_ROUNDS: usize = 24;
     let lib = work.library();
-    // The timing of `work` when a round leaves it exactly as analyzed.
-    let mut known = None;
+    let Buffers {
+        report,
+        trial,
+        batch,
+        snapshot,
+        ..
+    } = buffers;
+    // Whether `report` holds the timing of `work` as it stands.
+    let mut known = false;
     for _ in 0..MAX_ROUNDS {
-        let report = known.take().unwrap_or_else(|| work.analyze(cons, budget));
+        if !known {
+            work.analyze_into(cons, budget, report);
+        }
+        known = false;
         // Candidates: gates above X1 whose output slack comfortably exceeds
         // the estimated delay increase of one downsizing step.
-        let mut batch: Vec<(GateId, Drive)> = Vec::new();
+        batch.clear();
         for (gid, gate) in work.netlist().gates() {
             let k = gate.kind;
             let Some(down) = k.drive.downsized() else {
@@ -373,22 +602,26 @@ fn recover_area<'l>(
         if batch.is_empty() {
             return (work, report.critical_delay);
         }
-        let snapshot = work.clone();
-        for &(gid, down) in &batch {
+        match snapshot {
+            Some(snapshot) => snapshot.clone_from(&work),
+            None => *snapshot = Some(work.clone()),
+        }
+        for &(gid, down) in batch.iter() {
             work.resize(gid, down);
         }
-        let after = work.analyze(cons, budget);
-        if after.critical_delay <= budget + 1e-9 {
-            known = Some(after);
+        work.analyze_into(cons, budget, trial);
+        if trial.critical_delay <= budget + 1e-9 {
+            std::mem::swap(report, trial);
+            known = true;
         } else {
             // Batch overshot: revert and retry conservatively one by one.
-            work = snapshot;
+            std::mem::swap(&mut work, snapshot.as_mut().expect("stored above"));
             let mut applied = false;
             for &(gid, down) in batch.iter().take(8) {
                 let keep = work.netlist().gate(gid).kind.drive;
                 work.resize(gid, down);
-                let r = work.analyze(cons, budget);
-                if r.critical_delay > budget + 1e-9 {
+                work.arrivals_into(cons, trial);
+                if trial.critical_delay > budget + 1e-9 {
                     work.resize(gid, keep);
                 } else {
                     applied = true;
@@ -399,11 +632,10 @@ fn recover_area<'l>(
             }
         }
     }
-    let delay = match known {
-        Some(report) => report.critical_delay,
-        None => work.analyze(cons, budget).critical_delay,
-    };
-    (work, delay)
+    if !known {
+        work.arrivals_into(cons, report);
+    }
+    (work, report.critical_delay)
 }
 
 #[cfg(test)]

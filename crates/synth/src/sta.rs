@@ -14,9 +14,12 @@
 //! A pass builds the netlist's CSR fanout view once, derives loads and a
 //! topological order from it, and reads delays from the library's dense
 //! table (DESIGN.md §5 gives the bit-identity argument). The optimizer
-//! keeps one [`Topology`] — netlist, fanout view, loads and order — for a
+//! keeps a [`Topology`] — netlist, fanout view, loads and order — for a
 //! whole run and edits it only through its moves, which update it in
-//! place; a sweep builds it once and hands each target a clone.
+//! place; a sweep builds it once and its targets share it until their
+//! moves differ. [`Topology::analyze_into`] refills one report's buffers,
+//! and its two halves run apart: the forward pass once per optimizer
+//! iteration, the backward pass once per target.
 
 use netlist::ir::{Driver, Fanout, Sink};
 use netlist::{Drive, GateId, Library, NetId, Netlist};
@@ -62,8 +65,9 @@ impl TimingConstraints {
     }
 }
 
-/// The result of a timing analysis pass.
-#[derive(Clone, Debug)]
+/// The result of a timing analysis pass. [`TimingReport::default`] is an
+/// empty report for [`Topology::analyze_into`] to fill.
+#[derive(Clone, Debug, Default)]
 pub struct TimingReport {
     /// Arrival time per net, ns.
     pub arrival: Vec<f64>,
@@ -141,13 +145,34 @@ fn row_load(nl: &Netlist, lib: &Library, row: &[Sink]) -> f64 {
 /// netlist (DESIGN.md §5): every load is summed as a fresh build sums it,
 /// and arrivals (maxes) and required times (mins) do not depend on which
 /// topological order visits the gates.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Topology<'l> {
     lib: &'l Library,
     nl: Netlist,
     fanout: Fanout,
     load: Vec<f64>,
     order: Vec<GateId>,
+}
+
+impl Clone for Topology<'_> {
+    fn clone(&self) -> Self {
+        Topology {
+            lib: self.lib,
+            nl: self.nl.clone(),
+            fanout: self.fanout.clone(),
+            load: self.load.clone(),
+            order: self.order.clone(),
+        }
+    }
+
+    /// Copies `source` into this topology's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.lib = source.lib;
+        self.nl.clone_from(&source.nl);
+        self.fanout.clone_from(&source.fanout);
+        self.load.clone_from(&source.load);
+        self.order.clone_from(&source.order);
+    }
 }
 
 impl<'l> Topology<'l> {
@@ -243,23 +268,53 @@ impl<'l> Topology<'l> {
     ///
     /// As [`analyze`].
     pub fn analyze(&self, cons: &TimingConstraints, target: f64) -> TimingReport {
-        timing(
-            &self.nl,
-            self.lib,
-            cons,
-            target,
-            self.load.clone(),
-            &self.order,
-        )
+        let mut report = TimingReport::default();
+        self.analyze_into(cons, target, &mut report);
+        report
     }
 
-    /// The forward half of [`Topology::analyze`]: every net's arrival time.
+    /// [`Topology::analyze`] into `report`, refilling its buffers.
     ///
     /// # Panics
     ///
     /// As [`analyze`].
-    pub(crate) fn arrival_times(&self, cons: &TimingConstraints) -> Vec<f64> {
-        arrival_times(&self.nl, self.lib, cons, &self.load, &self.order)
+    pub fn analyze_into(&self, cons: &TimingConstraints, target: f64, report: &mut TimingReport) {
+        self.arrivals_into(cons, report);
+        self.required_into(target, report);
+    }
+
+    /// The forward half of [`Topology::analyze_into`]: fills `report`'s
+    /// arrival times, loads and critical delay, none of which depend on
+    /// the target.
+    ///
+    /// # Panics
+    ///
+    /// As [`analyze`].
+    pub(crate) fn arrivals_into(&self, cons: &TimingConstraints, report: &mut TimingReport) {
+        arrival_times(
+            &self.nl,
+            self.lib,
+            cons,
+            &self.load,
+            &self.order,
+            &mut report.arrival,
+        );
+        report.load.clone_from(&self.load);
+        report.critical_delay = critical_delay(&self.nl, &report.arrival);
+    }
+
+    /// The backward half of [`Topology::analyze_into`]: fills `report`'s
+    /// required times against `target`.
+    pub(crate) fn required_into(&self, target: f64, report: &mut TimingReport) {
+        required_times(
+            &self.nl,
+            self.lib,
+            target,
+            &self.load,
+            &self.order,
+            &mut report.required,
+        );
+        report.target = target;
     }
 }
 
@@ -273,28 +328,29 @@ impl<'l> Topology<'l> {
 /// Panics unless `cons.input_arrivals` holds one value or one per primary
 /// input.
 pub fn analyze(nl: &Netlist, lib: &Library, cons: &TimingConstraints, target: f64) -> TimingReport {
-    let fanout = nl.fanout();
-    let load = loads(nl, lib, &fanout);
-    timing(nl, lib, cons, target, load, &nl.topo_order_with(&fanout))
+    Topology::new(nl.clone(), lib).analyze(cons, target)
 }
 
-/// [`analyze`] over `nl`'s loads and a topological gate order.
-fn timing(
-    nl: &Netlist,
-    lib: &Library,
-    cons: &TimingConstraints,
-    target: f64,
-    load: Vec<f64>,
-    order: &[GateId],
-) -> TimingReport {
-    let arrival = arrival_times(nl, lib, cons, &load, order);
-    let critical_delay = nl
-        .outputs()
+/// Critical (maximum) arrival over `nl`'s primary outputs.
+fn critical_delay(nl: &Netlist, arrival: &[f64]) -> f64 {
+    nl.outputs()
         .iter()
         .map(|&po| arrival[po.index()])
-        .fold(0.0f64, f64::max);
-    // Backward pass: required times.
-    let mut required = vec![f64::INFINITY; nl.num_nets()];
+        .fold(0.0f64, f64::max)
+}
+
+/// The backward pass: every net's required time against `target`, into
+/// `required`.
+fn required_times(
+    nl: &Netlist,
+    lib: &Library,
+    target: f64,
+    load: &[f64],
+    order: &[GateId],
+    required: &mut Vec<f64>,
+) {
+    required.clear();
+    required.resize(nl.num_nets(), f64::INFINITY);
     for &po in nl.outputs() {
         required[po.index()] = required[po.index()].min(target);
     }
@@ -311,21 +367,14 @@ fn timing(
         }
     }
     // Nets with no sinks keep infinite required time; clamp for tidiness.
-    for r in &mut required {
+    for r in required.iter_mut() {
         if !r.is_finite() {
             *r = target;
         }
     }
-    TimingReport {
-        arrival,
-        required,
-        load,
-        critical_delay,
-        target,
-    }
 }
 
-/// The forward half of [`timing`]: every net's arrival time.
+/// The forward pass: every net's arrival time, into `arrival`.
 ///
 /// # Panics
 ///
@@ -336,7 +385,8 @@ fn arrival_times(
     cons: &TimingConstraints,
     load: &[f64],
     order: &[GateId],
-) -> Vec<f64> {
+    arrival: &mut Vec<f64>,
+) {
     let arrivals = cons.input_arrivals.len();
     assert!(
         arrivals == 1 || arrivals == nl.inputs().len(),
@@ -344,7 +394,8 @@ fn arrival_times(
          (give 1 or one per input)",
         nl.inputs().len()
     );
-    let mut arrival = vec![0.0f64; nl.num_nets()];
+    arrival.clear();
+    arrival.resize(nl.num_nets(), 0.0);
     // Primary inputs: constraint arrival plus the input driver charging the
     // net's load.
     for (idx, &net) in nl.inputs().iter().enumerate() {
@@ -361,7 +412,6 @@ fn arrival_times(
         }
         arrival[out.index()] = worst;
     }
-    arrival
 }
 
 /// Traces one critical path from the worst primary output back to an input,

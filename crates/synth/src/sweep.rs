@@ -5,9 +5,12 @@
 //! `(delay, area)` points are PCHIP-interpolated into an
 //! [`AreaDelayCurve`]. Targets are set as fractions of the state's
 //! unoptimized (all-X1) critical delay, so the sweep adapts to each graph.
+//! One [`optimize_targets`](crate::optimizer::optimize_targets) run
+//! serves every target of a sweep, with each target's result bit for bit
+//! that of an optimizer run against it alone.
 
 use crate::curve::AreaDelayCurve;
-use crate::optimizer::{optimize_from, OptimizerConfig};
+use crate::optimizer::{optimize_topology, OptimizerConfig};
 use crate::sta::{TimingConstraints, Topology};
 use netlist::{adder, Library, Netlist};
 use prefix_graph::PrefixGraph;
@@ -54,23 +57,29 @@ impl SweepConfig {
     }
 }
 
-/// Sweeps an existing netlist across the configured delay targets.
+/// Sweeps a netlist across the configured delay targets.
 ///
 /// The netlist's [`Topology`] is built once: the relaxed analysis that
-/// sets the targets runs over it, and each target's optimizer run starts
-/// from a clone of it.
-pub fn sweep_netlist(nl: &Netlist, lib: &Library, cfg: &SweepConfig) -> AreaDelayCurve {
+/// sets the targets runs over it, and one [`optimize_targets`] run over
+/// it serves every target.
+///
+/// [`optimize_targets`]: crate::optimizer::optimize_targets
+pub fn sweep_netlist(nl: Netlist, lib: &Library, cfg: &SweepConfig) -> AreaDelayCurve {
     let cons = cfg
         .constraints
         .clone()
         .unwrap_or_else(|| TimingConstraints::uniform(lib));
-    let topology = Topology::new(nl.clone(), lib);
+    let topology = Topology::new(nl, lib);
     let relaxed = topology.analyze(&cons, f64::MAX / 4.0).critical_delay;
-    let mut samples = Vec::with_capacity(cfg.target_fractions.len());
-    for &frac in &cfg.target_fractions {
-        let out = optimize_from(topology.clone(), &cons, relaxed * frac, &cfg.optimizer);
-        samples.push((out.delay, out.area));
-    }
+    let targets: Vec<f64> = cfg
+        .target_fractions
+        .iter()
+        .map(|&frac| relaxed * frac)
+        .collect();
+    let samples: Vec<(f64, f64)> = optimize_topology(topology, &cons, &targets, &cfg.optimizer)
+        .iter()
+        .map(|out| (out.delay, out.area))
+        .collect();
     AreaDelayCurve::from_samples(&samples)
 }
 
@@ -83,7 +92,7 @@ pub fn sweep_with(
     lib: &Library,
     cfg: &SweepConfig,
 ) -> AreaDelayCurve {
-    sweep_netlist(&emit(graph), lib, cfg)
+    sweep_netlist(emit(graph), lib, cfg)
 }
 
 /// Generates the adder netlist for `graph` and sweeps it — the full state

@@ -1,19 +1,97 @@
 //! Property tests across netlist generation and synthesis: random legal
 //! prefix graphs must produce functionally correct adders, and every
 //! optimizer transform must preserve logic while respecting the area-delay
-//! trade-off.
+//! trade-off. One multi-target optimizer run must return, for each
+//! target, exactly what an optimizer run against that target alone does.
 
 mod common;
 
 use netlist::{adder, sim, Library};
-use prefix_graph::PrefixGraph;
+use prefix_graph::{structures, PrefixGraph};
 use proptest::prelude::*;
-use synth::optimizer::{optimize, OptimizerConfig};
+use synth::optimizer::{optimize, optimize_targets, OptimizerConfig, SynthesisOutcome};
 use synth::sta::{self, TimingConstraints};
 use synth::sweep::{sweep_graph, SweepConfig};
 
 fn graph_strategy() -> impl Strategy<Value = PrefixGraph> {
     common::graph_strategy(6..=14)
+}
+
+/// A walk of `steps` legal actions from `g`, drawn uniformly by a seeded
+/// generator: the dense, high-fanout states an exploring agent visits.
+fn walk_from(mut g: PrefixGraph, seed: u64, steps: usize) -> PrefixGraph {
+    use rand::prelude::*;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..steps {
+        let actions = g.legal_actions();
+        g.apply(actions[rng.random_range(0..actions.len())])
+            .expect("legal");
+    }
+    g
+}
+
+/// Everything an outcome reports, floats as bits, and the gates of its
+/// netlist (cell, drive and input nets) with its outputs.
+type OutcomeBits = (u64, u64, u64, bool, usize, Vec<String>);
+
+fn outcome_bits(out: &SynthesisOutcome) -> OutcomeBits {
+    let nl = &out.netlist;
+    let mut gates: Vec<String> = nl
+        .gates()
+        .map(|(_, g)| format!("{:?} {:?}", g.kind, g.inputs()))
+        .collect();
+    gates.push(format!("outputs {:?}", nl.outputs()));
+    (
+        out.delay.to_bits(),
+        out.area.to_bits(),
+        out.target.to_bits(),
+        out.met,
+        out.iterations,
+        gates,
+    )
+}
+
+/// `optimize_targets` at the targets `cfg` sets for `g`'s adder against
+/// `optimize` at each target alone, under `fast()`, `paper()`,
+/// `commercial()` and 40 frontier targets.
+fn targets_match_alone(g: &PrefixGraph) -> Result<(), String> {
+    let lib = Library::nangate45();
+    let cons = TimingConstraints::uniform(&lib);
+    let nl = adder::generate(g);
+    let relaxed = sta::analyze(&nl, &lib, &cons, f64::MAX / 4.0).critical_delay;
+    let dense = SweepConfig {
+        target_fractions: prefixrl_core::frontier::target_fractions(40),
+        ..SweepConfig::fast()
+    };
+    for cfg in [
+        SweepConfig::fast(),
+        SweepConfig::paper(),
+        SweepConfig::commercial(),
+        dense,
+    ] {
+        let targets: Vec<f64> = cfg.target_fractions.iter().map(|f| relaxed * f).collect();
+        let together = optimize_targets(&nl, &lib, &cons, &targets, &cfg.optimizer);
+        prop_assert_eq!(together.len(), targets.len());
+        for (out, &target) in together.iter().zip(&targets) {
+            let alone = optimize(&nl, &lib, &cons, target, &cfg.optimizer);
+            prop_assert_eq!(
+                outcome_bits(out),
+                outcome_bits(&alone),
+                "target {target} of {:?}",
+                cfg.target_fractions
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The walks from Sklansky on which two unmet targets of one sweep choose
+/// different moves in the same iteration, so the multi-target run forks.
+#[test]
+fn multi_target_run_matches_one_run_per_target_where_targets_fork() {
+    for (n, seed, steps) in [(8u16, 47u64, 10usize), (16, 77, 28)] {
+        targets_match_alone(&walk_from(structures::sklansky(n), seed, steps)).unwrap();
+    }
 }
 
 proptest! {
@@ -100,5 +178,24 @@ proptest! {
         let out = sim::eval(&or, &inputs);
         let got = out.iter().enumerate().fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
         prop_assert_eq!(got, netlist::prefix_or::reference(x, n as usize));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn multi_target_run_matches_one_run_per_target(
+        n in 8u16..=32,
+        steps in 1usize..=32,
+        seed: u64,
+        from_sklansky: bool,
+    ) {
+        let start = if from_sklansky {
+            structures::sklansky(n)
+        } else {
+            PrefixGraph::ripple(n)
+        };
+        targets_match_alone(&walk_from(start, seed, steps))?;
     }
 }

@@ -11,7 +11,10 @@
 //! first analysis. After every edit both timings must equal the
 //! reference's arrivals, required times, loads and critical delay bit for
 //! bit, and the topology's netlist and every one of its fanout rows must
-//! equal the plain netlist and its reference sinks.
+//! equal the plain netlist and its reference sinks. The topology's timing
+//! is also taken into a report last filled before the edit
+//! (`Topology::analyze_into`), and from a topology copy of the previous
+//! netlist refilled by `clone_from`.
 
 mod common;
 
@@ -267,10 +270,14 @@ fn assert_report_matches(
 
 /// `sta::analyze` of `nl` and the timing of `topology` (its loads
 /// included) against the reference analysis of `nl`, and `topology`'s
-/// netlist and fanout rows against `nl`.
-fn assert_matches_reference(
+/// netlist and fanout rows against `nl`. The timing is also taken into
+/// `reused`, a report last filled before the latest edit, and from
+/// `stale`, a topology of an earlier netlist that `clone_from` refills.
+fn assert_matches_reference<'l>(
     nl: &Netlist,
-    topology: &Topology,
+    topology: &Topology<'l>,
+    reused: &mut TimingReport,
+    stale: &mut Topology<'l>,
     lib: &Library,
     cons: &TimingConstraints,
     target: f64,
@@ -283,6 +290,11 @@ fn assert_matches_reference(
         "topology netlist"
     );
     assert_report_matches(&topology.analyze(cons, target), &want, "topology")?;
+    topology.analyze_into(cons, target, reused);
+    assert_report_matches(reused, &want, "reused report")?;
+    stale.clone_from(topology);
+    assert_report_matches(&stale.analyze(cons, target), &want, "refilled topology")?;
+
     let sinks = reference_sinks(nl);
     let nets = nl
         .inputs()
@@ -294,6 +306,12 @@ fn assert_matches_reference(
             topology.sinks(net),
             &sinks[net.index()][..],
             "row of {:?}",
+            net
+        );
+        prop_assert_eq!(
+            stale.sinks(net),
+            &sinks[net.index()][..],
+            "refilled row of {:?}",
             net
         );
     }
@@ -321,13 +339,15 @@ proptest! {
             TimingConstraints::uniform(&lib)
         };
         let target = analyze(&nl, &lib, &cons, 1.0).critical_delay * (0.3 + 0.9 * rng.random::<f64>());
-        assert_matches_reference(&nl, &topology, &lib, &cons, target)?;
+        let mut reused = TimingReport::default();
+        let mut stale = topology.clone();
+        assert_matches_reference(&nl, &topology, &mut reused, &mut stale, &lib, &cons, target)?;
         for _ in 0..24 {
             if let Some(edit) = random_edit(&nl, &lib, &mut rng) {
                 edit.apply(&mut nl);
                 edit.apply_to(&mut topology);
             }
-            assert_matches_reference(&nl, &topology, &lib, &cons, target)?;
+            assert_matches_reference(&nl, &topology, &mut reused, &mut stale, &lib, &cons, target)?;
         }
     }
 }

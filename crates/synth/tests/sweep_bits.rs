@@ -7,9 +7,9 @@
 //! random-walk scores were recorded from the per-iteration-topology
 //! optimizer that preceded the kept-up-to-date one, and the random-walk
 //! sweeps under `paper()` and `commercial()` from the sweep that ran one
-//! optimizer per target. A change that alters
-//! one rounding anywhere in a sweep fails here with the case's label and
-//! the position of the first differing value.
+//! optimizer per target. A change that alters one rounding anywhere in a
+//! sweep fails here with the case's label and the position of the first
+//! differing value.
 
 use netlist::Library;
 use prefix_graph::{structures, PrefixGraph};

@@ -238,7 +238,18 @@ fn structure(name: &str, n: u16) -> PrefixGraph {
         "ladner_fischer" => structures::ladner_fischer(n),
         other => {
             if let Some(s) = other.strip_prefix("sparse_ks_") {
-                return structures::sparse_kogge_stone(n, s.parse().expect("sparsity"));
+                match s.parse::<u16>() {
+                    Ok(sparsity) if sparsity.is_power_of_two() => {
+                        return structures::sparse_kogge_stone(n, sparsity);
+                    }
+                    _ => {
+                        eprintln!(
+                            "error: invalid value `{other}` for --structure \
+                             (sparse_ks_<k> takes a sparsity k that is a power of two)"
+                        );
+                        std::process::exit(2);
+                    }
+                }
             }
             eprintln!("unknown structure `{other}`");
             std::process::exit(2);

@@ -268,6 +268,36 @@ fn cli_rejects_unsupported_widths() {
     }
 }
 
+/// A `sparse_ks_<S>` structure whose sparsity is not a power of two exits
+/// 2 naming `--structure`, on every command that takes one, instead of
+/// panicking.
+#[test]
+fn cli_rejects_sparsities_that_are_not_powers_of_two() {
+    for command in ["render", "eval", "verilog"] {
+        for structure in ["sparse_ks_x", "sparse_ks_0", "sparse_ks_3"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+                .args([command, "--n", "8", "--structure", structure])
+                .output()
+                .expect("run the prefixrl binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{command} --structure {structure}");
+            assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+            assert!(out.stdout.is_empty(), "{case} must not run");
+            assert!(stderr.contains("for --structure"), "{case}: {stderr}");
+            assert!(stderr.contains("a power of two"), "{case}: {stderr}");
+        }
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+        .args(["render", "--n", "8", "--structure", "sparse_ks_4"])
+        .output()
+        .expect("run the prefixrl binary");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn cli_rejects_too_few_eval_targets() {
     for targets in ["0", "1"] {
