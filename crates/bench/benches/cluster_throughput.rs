@@ -26,7 +26,7 @@ use prefixrl_bench::{latency, Report};
 use prefixrl_core::evaluator::ObjectivePoint;
 use prefixrl_serve::cluster::shard_of;
 use prefixrl_serve::store::key_of;
-use prefixrl_serve::{Client, Router, ServeConfig, Server, ServerHandle, Topology};
+use prefixrl_serve::{Client, Query, Router, ServeConfig, Server, ServerHandle, Topology};
 use serde_json::{json, Value};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -320,7 +320,7 @@ fn main() {
             let pick = (i as usize * 31) % 1024;
             let delay = (POINTS + 2) as f64 * (pick as f64 / 1023.0);
             let response = client
-                .query_best_at_delay(TASK, BACKEND, n, delay)
+                .query(TASK, BACKEND, n, Query::BestAtDelay { delay }, false)
                 .expect("wire query");
             assert_eq!(
                 response.get("result").and_then(|r| r.get("found")),
@@ -371,16 +371,7 @@ fn main() {
     let t0 = Instant::now();
     for i in 0..FAILOVER_READS {
         let t1 = Instant::now();
-        let response = router.query(
-            TASK,
-            BACKEND,
-            n,
-            "best_at_delay",
-            vec![(
-                "delay".to_string(),
-                Value::Number(serde_json::Number::Float(1e9)),
-            )],
-        );
+        let response = router.query(TASK, BACKEND, n, Query::BestAtDelay { delay: 1e9 }, false);
         samples_us.push(t1.elapsed().as_secs_f64() * 1e6);
         match response {
             Ok(v) if v.get("result").and_then(|r| r.get("found")) == Some(&Value::Bool(true)) => {}

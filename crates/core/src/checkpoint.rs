@@ -299,15 +299,24 @@ fn from_json_str<T: Deserialize>(what: &str, s: &str) -> Result<T, String> {
 /// *different* destinations fully independent; concurrent writers to the
 /// *same* destination each rename a complete file (last rename wins).
 ///
+/// Durability order: the temp file's bytes are fsynced before the rename,
+/// and the parent directory after it, so when this returns the new
+/// contents survive a crash under the destination name. Without the first
+/// sync a crash could leave the rename durable but the data not — an empty
+/// file where the old one was.
+///
 /// # Errors
 ///
 /// Fails on I/O errors or a path with no file name.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
+    use std::io::Write;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => {
             std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+            dir
         }
-    }
+        _ => Path::new("."),
+    };
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp_name = path
@@ -316,12 +325,23 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
         .to_os_string();
     tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        // Leave no orphaned temp behind a failed rename.
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(contents.as_bytes())?;
+            file.sync_all()
+        })
+        .map_err(|e| format!("write {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
+        });
+    if let Err(e) = written {
+        // Leave no orphaned temp behind a failed write or rename.
         let _ = std::fs::remove_file(&tmp);
-        format!("rename to {}: {e}", path.display())
-    })
+        return Err(e);
+    }
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("sync {}: {e}", dir.display()))
 }
 
 #[cfg(test)]

@@ -281,13 +281,6 @@ impl SynthesisBackend {
         }
     }
 
-    /// Overrides the paper's unit-scaling constants.
-    pub fn with_scaling(mut self, c_area: f64, c_delay: f64) -> Self {
-        self.c_area = c_area;
-        self.c_delay = c_delay;
-        self
-    }
-
     /// Enables the switching-power annotation (backend id becomes
     /// `"synthesis-power"`). The estimate stays off the reward path.
     pub fn with_power_annotation(mut self) -> Self {

@@ -76,11 +76,6 @@ impl Conv2d {
         }
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_c
-    }
-
     /// The geometry of one sample of an `h`×`w` input.
     fn shape(&self, h: usize, w: usize) -> ConvShape {
         ConvShape::new(self.in_c, self.k, h, w)

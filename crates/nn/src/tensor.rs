@@ -82,14 +82,6 @@ impl Tensor {
         self.data
     }
 
-    /// Copies `other` into `self`, reusing the existing allocation when
-    /// the volumes match (the zero-allocation path for cached activations).
-    pub fn copy_from(&mut self, other: &Tensor) {
-        self.shape = other.shape;
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Flat index of `[n, c, h, w]`.
     #[inline]
     pub fn index(&self, n: usize, c: usize, h: usize, w: usize) -> usize {

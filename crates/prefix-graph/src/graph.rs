@@ -349,11 +349,6 @@ impl PrefixGraph {
         self.present.iter().filter(|&&p| p).count() - self.n as usize
     }
 
-    /// The number of present nodes including inputs.
-    pub fn node_count(&self) -> usize {
-        self.present.iter().filter(|&&p| p).count()
-    }
-
     /// Iterates over all present nodes in `(msb, lsb)` row-major order.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
         let n = self.n as usize;

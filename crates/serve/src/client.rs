@@ -13,8 +13,9 @@
 //! idempotent: every verb except `submit` is.
 
 use crate::jobs::JobSpec;
-use crate::protocol::PROTOCOL;
-use serde::Serialize;
+use crate::lock;
+use crate::protocol;
+use crate::query::{query_fields, Query};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -117,25 +118,6 @@ impl Client {
         })
     }
 
-    /// One request/response exchange on an open connection. The error
-    /// carries whether the request bytes were fully sent — the decider
-    /// for whether a non-idempotent request may be retried.
-    fn roundtrip(conn: &mut Conn, addr: &str, text: &str) -> Result<Value, (bool, String)> {
-        conn.writer
-            .write_all(text.as_bytes())
-            .and_then(|()| conn.writer.flush())
-            .map_err(|e| (false, format!("send to {addr}: {e}")))?;
-        let mut line = String::new();
-        conn.reader
-            .read_line(&mut line)
-            .map_err(|e| (true, format!("receive from {addr}: {e}")))?;
-        if line.trim().is_empty() {
-            return Err((true, format!("server {addr} closed without responding")));
-        }
-        serde_json::from_str(line.trim())
-            .map_err(|e| (true, format!("malformed response from {addr}: {e}")))
-    }
-
     fn classify(addr: &str, response: Value) -> Result<Value, ClientError> {
         match response.get("ok") {
             Some(Value::Bool(true)) => Ok(response),
@@ -152,52 +134,38 @@ impl Client {
     /// Sends one request line and reads one response line over the
     /// persistent connection, classifying the failure mode.
     ///
-    /// A failure on a *cached* connection is retried once on a fresh one
-    /// (the server may have restarted since the last request) — except a
-    /// `submit` whose bytes were already sent, which is not idempotent
-    /// and must stay at-most-once.
+    /// Only a *reused* connection earns a retry (the server may have
+    /// restarted or closed it since the last request). A send that fails
+    /// on one is re-sent on a fresh connection whatever the verb, since
+    /// nothing reached the server. A receive that fails on one is re-sent
+    /// once on a fresh connection unless the request is a `submit`, which
+    /// is not idempotent and must stay at-most-once.
     ///
     /// # Errors
     ///
     /// [`ClientError::Transport`] on connection/I-O/timeout errors or a
     /// malformed response; [`ClientError::Rejected`] on `"ok": false`.
     pub fn try_request(&self, request: &Value) -> Result<Value, ClientError> {
-        let mut text = serde_json::to_string(request).expect("infallible");
-        text.push('\n');
         let idempotent = request.get("cmd") != Some(&Value::String("submit".to_string()));
-        let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let cached = guard.is_some();
-        if guard.is_none() {
-            *guard = Some(self.connect().map_err(ClientError::Transport)?);
+        let mut pending = self.send_request(request)?;
+        let mut response = pending.response();
+        if response.is_err() && pending.reused && idempotent {
+            drop(pending);
+            pending = self.send_request(request)?;
+            response = pending.response();
         }
-        match Self::roundtrip(guard.as_mut().expect("just set"), &self.addr, &text) {
-            Ok(response) => Self::classify(&self.addr, response),
-            Err((sent, error)) => {
-                *guard = None;
-                if cached && (idempotent || !sent) {
-                    let mut conn = self.connect().map_err(ClientError::Transport)?;
-                    match Self::roundtrip(&mut conn, &self.addr, &text) {
-                        Ok(response) => {
-                            *guard = Some(conn);
-                            Self::classify(&self.addr, response)
-                        }
-                        Err((_, retry_error)) => Err(ClientError::Transport(retry_error)),
-                    }
-                } else {
-                    Err(ClientError::Transport(error))
-                }
-            }
-        }
+        Self::classify(&self.addr, response.map_err(ClientError::Transport)?)
     }
 
     /// Sends one request line on the persistent connection **without
-    /// reading the response** — the scatter half of the router's
-    /// cross-shard pipelining ([`crate::cluster::Router::query_batch`]
-    /// puts every shard's sub-batch on the wire before gathering any
-    /// answer, so the shards work concurrently with no per-call thread
-    /// spawns). A send failure on a *cached* connection is retried once
-    /// on a fresh one: nothing has been answered yet, so the request is
-    /// still at-most-once on the wire.
+    /// reading the response** — the send half of every exchange, and the
+    /// scatter half of the router's cross-shard pipelining
+    /// ([`crate::cluster::Router::query_batch`] puts every shard's
+    /// sub-batch on the wire before gathering any answer, so the shards
+    /// work concurrently with no per-call thread spawns). A send failure
+    /// on a *reused* connection is retried once on a fresh one: nothing
+    /// has been answered yet, so the request is still at-most-once on the
+    /// wire.
     ///
     /// The returned [`Pending`] holds the connection lock until its
     /// response is read — interleaving another request on the same
@@ -210,9 +178,9 @@ impl Client {
     pub(crate) fn send_request(&self, request: &Value) -> Result<Pending<'_>, ClientError> {
         let mut text = serde_json::to_string(request).expect("infallible");
         text.push('\n');
-        let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let cached = guard.is_some();
-        if guard.is_none() {
+        let mut guard = lock(&self.conn);
+        let mut reused = guard.is_some();
+        if !reused {
             *guard = Some(self.connect().map_err(ClientError::Transport)?);
         }
         let send = |conn: &mut Conn| {
@@ -222,7 +190,7 @@ impl Client {
         };
         if let Err(e) = send(guard.as_mut().expect("just set")) {
             *guard = None;
-            if !cached {
+            if !reused {
                 return Err(ClientError::Transport(format!(
                     "send to {}: {e}",
                     self.addr
@@ -232,11 +200,13 @@ impl Client {
             send(&mut conn)
                 .map_err(|e| ClientError::Transport(format!("send to {}: {e}", self.addr)))?;
             *guard = Some(conn);
+            reused = false;
         }
         Ok(Pending {
             guard,
             addr: &self.addr,
             answered: false,
+            reused,
         })
     }
 
@@ -250,13 +220,8 @@ impl Client {
         self.try_request(request).map_err(ClientError::into_message)
     }
 
-    fn cmd(&self, cmd: &str, mut fields: Vec<(String, Value)>) -> Result<Value, String> {
-        let mut entries = vec![
-            ("proto".to_string(), Value::String(PROTOCOL.to_string())),
-            ("cmd".to_string(), Value::String(cmd.to_string())),
-        ];
-        entries.append(&mut fields);
-        self.request(&Value::Object(entries))
+    fn cmd(&self, cmd: &str, fields: Vec<(String, Value)>) -> Result<Value, String> {
+        self.request(&protocol::request(cmd, fields))
     }
 
     /// Liveness check.
@@ -294,11 +259,7 @@ impl Client {
     /// Propagates server-side validation failures (unknown task/backend,
     /// duplicate weights, full queue).
     pub fn submit(&self, spec: &JobSpec) -> Result<u64, String> {
-        let response = self.cmd("submit", vec![("job".to_string(), spec.to_value())])?;
-        match response.get("id") {
-            Some(Value::Number(n)) => n.as_u64().ok_or_else(|| "non-integer id".to_string()),
-            _ => Err("submit response lacks `id`".to_string()),
-        }
+        protocol::submitted_id(&self.request(&protocol::submit_request(spec))?)
     }
 
     /// One job's status snapshot with up to `tail` recent events.
@@ -385,121 +346,27 @@ impl Client {
     ///
     /// Fails on I/O errors.
     pub fn frontier(&self, task: &str, backend: &str, n: u16) -> Result<Value, String> {
-        self.cmd(
-            "frontier",
-            vec![
-                ("task".to_string(), Value::String(task.to_string())),
-                ("backend".to_string(), Value::String(backend.to_string())),
-                (
-                    "n".to_string(),
-                    Value::Number(serde::Number::UInt(n as u64)),
-                ),
-            ],
-        )
+        self.cmd("frontier", protocol::key_fields(task, backend, n))
     }
 
-    /// One read-tier query (see [`crate::query`]): `extra` carries the
-    /// mode parameters, e.g. `[("delay", 2.5)]` for `best_at_delay`.
+    /// One read-tier lookup (see [`crate::query`]), with the stored
+    /// graphs attached when `include_graph` is set.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or a query the server rejects (unknown mode,
-    /// weight outside `[0, 1]`, aliasing names).
+    /// Fails on I/O errors or a query the server rejects (weight outside
+    /// `[0, 1]`, non-finite parameter, aliasing names).
     pub fn query(
         &self,
         task: &str,
         backend: &str,
         n: u16,
-        mode: &str,
-        extra: Vec<(String, Value)>,
+        query: Query,
+        include_graph: bool,
     ) -> Result<Value, String> {
-        let mut fields = vec![
-            ("task".to_string(), Value::String(task.to_string())),
-            ("backend".to_string(), Value::String(backend.to_string())),
-            (
-                "n".to_string(),
-                Value::Number(serde::Number::UInt(n as u64)),
-            ),
-            ("mode".to_string(), Value::String(mode.to_string())),
-        ];
-        fields.extend(extra);
-        self.cmd("query", fields)
-    }
-
-    /// The minimum-area stored design with delay ≤ `delay` (the fastest
-    /// design, flagged `met: false`, when nothing is that fast).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::query`].
-    pub fn query_best_at_delay(
-        &self,
-        task: &str,
-        backend: &str,
-        n: u16,
-        delay: f64,
-    ) -> Result<Value, String> {
-        self.query(
-            task,
-            backend,
-            n,
-            "best_at_delay",
-            vec![(
-                "delay".to_string(),
-                Value::Number(serde::Number::Float(delay)),
-            )],
-        )
-    }
-
-    /// The scalarized-argmin stored design at area-weight `w ∈ [0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::query`].
-    pub fn query_best_at_weight(
-        &self,
-        task: &str,
-        backend: &str,
-        n: u16,
-        w: f64,
-    ) -> Result<Value, String> {
-        self.query(
-            task,
-            backend,
-            n,
-            "best_at_weight",
-            vec![("w".to_string(), Value::Number(serde::Number::Float(w)))],
-        )
-    }
-
-    /// Every stored design with delay in `[delay_lo, delay_hi]`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::query`].
-    pub fn query_range(
-        &self,
-        task: &str,
-        backend: &str,
-        n: u16,
-        delay_lo: f64,
-        delay_hi: f64,
-    ) -> Result<Value, String> {
-        self.query(
-            task,
-            backend,
-            n,
-            "range",
-            vec![
-                (
-                    "delay_lo".to_string(),
-                    Value::Number(serde::Number::Float(delay_lo)),
-                ),
-                (
-                    "delay_hi".to_string(),
-                    Value::Number(serde::Number::Float(delay_hi)),
-                ),
-            ],
+        self.cmd(
+            "query",
+            query_fields(task, backend, n, query, include_graph),
         )
     }
 
@@ -530,57 +397,51 @@ impl Client {
 
 /// A request that has been put on the wire but not yet answered (see
 /// [`Client::send_request`]). Holds the client's connection lock so no
-/// other request can interleave; dropping it without [`Pending::recv`]
+/// other request can interleave; dropping it before its response is read
 /// leaves the unread response in the socket, so the connection is
 /// discarded instead of returned to the cache.
 pub(crate) struct Pending<'a> {
     guard: std::sync::MutexGuard<'a, Option<Conn>>,
     addr: &'a str,
     answered: bool,
+    /// Whether the request went out on a connection cached from an
+    /// earlier exchange (the one case [`Client::try_request`] re-sends).
+    reused: bool,
 }
 
 impl Pending<'_> {
     /// Reads the one outstanding response line. A failure discards the
     /// cached connection (the next request reconnects) and is **not**
-    /// resent here — the request already reached the server, so the
-    /// caller decides whether a retry elsewhere is safe.
+    /// resent here — the request may already have reached the server,
+    /// so the caller decides whether a retry is safe.
+    fn response(&mut self) -> Result<Value, String> {
+        let conn = self.guard.as_mut().expect("pending holds a connection");
+        let mut line = String::new();
+        let outcome = match conn.reader.read_line(&mut line) {
+            Err(e) => Err(format!("receive from {}: {e}", self.addr)),
+            Ok(_) if line.trim().is_empty() => {
+                Err(format!("server {} closed without responding", self.addr))
+            }
+            Ok(_) => serde_json::from_str(line.trim())
+                .map_err(|e| format!("malformed response from {}: {e}", self.addr)),
+        };
+        match outcome {
+            Ok(_) => self.answered = true,
+            Err(_) => *self.guard = None,
+        }
+        outcome
+    }
+
+    /// Reads and classifies the one outstanding response (see
+    /// [`Pending::response`]).
     ///
     /// # Errors
     ///
     /// [`ClientError::Transport`] on I/O/timeout errors or a malformed
     /// response; [`ClientError::Rejected`] on `"ok": false`.
     pub(crate) fn recv(mut self) -> Result<Value, ClientError> {
-        let conn = self.guard.as_mut().expect("pending holds a connection");
-        let mut line = String::new();
-        match conn.reader.read_line(&mut line) {
-            Ok(_) if !line.trim().is_empty() => match serde_json::from_str(line.trim()) {
-                Ok(response) => {
-                    self.answered = true;
-                    Client::classify(self.addr, response)
-                }
-                Err(e) => {
-                    *self.guard = None;
-                    Err(ClientError::Transport(format!(
-                        "malformed response from {}: {e}",
-                        self.addr
-                    )))
-                }
-            },
-            Ok(_) => {
-                *self.guard = None;
-                Err(ClientError::Transport(format!(
-                    "server {} closed without responding",
-                    self.addr
-                )))
-            }
-            Err(e) => {
-                *self.guard = None;
-                Err(ClientError::Transport(format!(
-                    "receive from {}: {e}",
-                    self.addr
-                )))
-            }
-        }
+        let response = self.response().map_err(ClientError::Transport)?;
+        Client::classify(self.addr, response)
     }
 }
 

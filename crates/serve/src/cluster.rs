@@ -33,9 +33,12 @@
 
 use crate::client::{Client, ClientError};
 use crate::jobs::JobManager;
-use crate::protocol::PROTOCOL;
+use crate::lock;
+use crate::protocol;
+use crate::query::{query_fields, Query};
 use crate::store::key_of;
 use prefixrl_core::checkpoint::write_atomic;
+use serde::Serialize as _;
 use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -460,13 +463,14 @@ fn replicate_from(source: usize, topology: &Topology, jobs: &Arc<JobManager>, st
         let Ok(mut writer) = stream.try_clone() else {
             continue;
         };
-        let subscribe = serde_json::json!({
-            "proto": PROTOCOL,
-            "cmd": "repl_subscribe",
-            "epoch": epoch,
-            "from_seq": seq,
-            "follower": topology.shard_id as u64,
-        });
+        let subscribe = protocol::request(
+            "repl_subscribe",
+            vec![
+                ("epoch".to_string(), epoch.to_value()),
+                ("from_seq".to_string(), seq.to_value()),
+                ("follower".to_string(), topology.shard_id.to_value()),
+            ],
+        );
         let mut line = serde_json::to_string(&subscribe).expect("infallible");
         line.push('\n');
         if writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err() {
@@ -682,15 +686,6 @@ impl Router {
         ))
     }
 
-    fn request_value(cmd: &str, mut fields: Vec<(String, Value)>) -> Value {
-        let mut entries = vec![
-            ("proto".to_string(), Value::String(PROTOCOL.to_string())),
-            ("cmd".to_string(), Value::String(cmd.to_string())),
-        ];
-        entries.append(&mut fields);
-        Value::Object(entries)
-    }
-
     /// One read-tier query, routed to the owning shard with follower
     /// failover. Mirrors [`Client::query`].
     ///
@@ -703,23 +698,15 @@ impl Router {
         task: &str,
         backend: &str,
         n: u16,
-        mode: &str,
-        extra: Vec<(String, Value)>,
+        query: Query,
+        include_graph: bool,
     ) -> Result<Value, String> {
-        let key = key_of(task, backend, n);
-        let mut fields = vec![
-            ("task".to_string(), Value::String(task.to_string())),
-            ("backend".to_string(), Value::String(backend.to_string())),
-            (
-                "n".to_string(),
-                Value::Number(serde::Number::UInt(u64::from(n))),
-            ),
-            ("mode".to_string(), Value::String(mode.to_string())),
-        ];
-        fields.extend(extra);
         self.routed(
-            &self.topology.read_candidates(&key),
-            &Self::request_value("query", fields),
+            &self.topology.read_candidates(&key_of(task, backend, n)),
+            &protocol::request(
+                "query",
+                query_fields(task, backend, n, query, include_graph),
+            ),
         )
     }
 
@@ -729,18 +716,9 @@ impl Router {
     ///
     /// See [`Router::query`].
     pub fn frontier(&self, task: &str, backend: &str, n: u16) -> Result<Value, String> {
-        let key = key_of(task, backend, n);
-        let fields = vec![
-            ("task".to_string(), Value::String(task.to_string())),
-            ("backend".to_string(), Value::String(backend.to_string())),
-            (
-                "n".to_string(),
-                Value::Number(serde::Number::UInt(u64::from(n))),
-            ),
-        ];
         self.routed(
-            &self.topology.read_candidates(&key),
-            &Self::request_value("frontier", fields),
+            &self.topology.read_candidates(&key_of(task, backend, n)),
+            &protocol::request("frontier", protocol::key_fields(task, backend, n)),
         )
     }
 
@@ -753,18 +731,10 @@ impl Router {
     ///
     /// Fails when the primary stays unreachable or rejects the spec.
     pub fn submit(&self, spec: &crate::jobs::JobSpec) -> Result<(u64, usize), String> {
-        use serde::Serialize as _;
         let key = key_of(&spec.task, &spec.backend, spec.n);
         let primary = self.topology.primary_of(&key);
-        let request = Self::request_value("submit", vec![("job".to_string(), spec.to_value())]);
-        let response = self.routed(&[primary], &request)?;
-        match response.get("id") {
-            Some(Value::Number(n)) => n
-                .as_u64()
-                .map(|id| (id, primary))
-                .ok_or_else(|| "non-integer id".to_string()),
-            _ => Err("submit response lacks `id`".to_string()),
-        }
+        let response = self.routed(&[primary], &protocol::submit_request(spec))?;
+        protocol::submitted_id(&response).map(|id| (id, primary))
     }
 
     /// Scatters a batch of query payloads by owning shard, gathers the
@@ -790,17 +760,12 @@ impl Router {
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let mut results: Vec<Value> = vec![Value::Null; queries.len()];
         for (i, q) in queries.iter().enumerate() {
-            match batch_key_of(q) {
-                Ok(key) => groups
-                    .entry(self.topology.primary_of(&key))
+            match protocol::req_key(q) {
+                Ok((task, backend, n)) => groups
+                    .entry(self.topology.primary_of(&key_of(task, backend, n)))
                     .or_default()
                     .push(i),
-                Err(e) => {
-                    results[i] = Value::Object(vec![
-                        ("ok".to_string(), Value::Bool(false)),
-                        ("error".to_string(), Value::String(e)),
-                    ]);
-                }
+                Err(e) => results[i] = protocol::batch_error(e),
             }
         }
         let mut epochs: Vec<(String, Value)> = Vec::new();
@@ -813,7 +778,7 @@ impl Router {
             .iter()
             .map(|(&primary, indices)| {
                 let sub: Vec<Value> = indices.iter().map(|&i| queries[i].clone()).collect();
-                let request = Self::request_value(
+                let request = protocol::request(
                     "query_batch",
                     vec![("queries".to_string(), Value::Array(sub))],
                 );
@@ -875,24 +840,6 @@ impl Router {
             ("epochs".to_string(), Value::Object(epochs)),
         ]))
     }
-}
-
-/// The routing key of one batch-query payload.
-///
-/// # Errors
-///
-/// Fails when `task`/`backend`/`n` are missing or malformed — mirroring
-/// the server-side rejection the payload would get.
-fn batch_key_of(q: &Value) -> Result<String, String> {
-    let task = crate::protocol::req_str(q, "task")?;
-    let backend = crate::protocol::req_str(q, "backend")?;
-    let n_raw = crate::protocol::req_u64(q, "n")?;
-    let n = u16::try_from(n_raw).map_err(|_| format!("field `n`: width {n_raw} exceeds u16"))?;
-    Ok(key_of(task, backend, n))
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

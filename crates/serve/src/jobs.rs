@@ -5,6 +5,7 @@
 //! resumes where it stopped.
 
 use crate::cluster::{ReplPeerStatus, Topology};
+use crate::lock;
 use crate::store::{key_of, FrontierStore};
 use prefix_graph::PrefixGraph;
 use prefixrl_core::agent::AgentConfig;
@@ -20,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configuration of a serve session (server socket + job manager).
@@ -787,8 +788,4 @@ fn value_str(v: &serde_json::Value) -> Option<&str> {
         serde_json::Value::String(s) => Some(s),
         _ => None,
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }

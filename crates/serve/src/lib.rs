@@ -43,7 +43,7 @@
 //! # Quickstart (in-process)
 //!
 //! ```
-//! use prefixrl_serve::{Client, JobSpec, ServeConfig, Server};
+//! use prefixrl_serve::{Client, JobSpec, Query, ServeConfig, Server};
 //!
 //! let handle = Server::spawn(ServeConfig {
 //!     addr: "127.0.0.1:0".to_string(), // ephemeral port
@@ -67,7 +67,9 @@
 //! assert_eq!(done.get("phase").unwrap(), &serde_json::Value::String("done".into()));
 //! let front = client.frontier("adder", "analytical", 8).unwrap();
 //! assert!(!front.get("points").unwrap().as_array().unwrap().is_empty());
-//! let best = client.query_best_at_delay("adder", "analytical", 8, 1e9).unwrap();
+//! let best = client
+//!     .query("adder", "analytical", 8, Query::BestAtDelay { delay: 1e9 }, false)
+//!     .unwrap();
 //! let result = best.get("result").unwrap();
 //! assert_eq!(result.get("found").unwrap(), &serde_json::Value::Bool(true));
 //! handle.shutdown().unwrap();
@@ -86,6 +88,13 @@ pub mod store;
 pub use client::{Client, ClientError};
 pub use cluster::{Router, Topology};
 pub use jobs::{JobManager, JobPhase, JobSpec, ServeConfig};
-pub use query::{FrontView, FrontierSnapshot, QueryPoint, SnapshotCell};
+pub use query::{FrontView, FrontierSnapshot, Query, QueryPoint, SnapshotCell};
 pub use server::{Server, ServerHandle};
 pub use store::FrontierStore;
+
+/// Locks `m`, recovering the guard if another thread panicked while
+/// holding it, so one panicking request or job worker does not wedge
+/// every later caller of the same lock.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -32,6 +32,7 @@
 //! it from a merged key whose front is empty (`[]`). A batch is answered
 //! against one snapshot: every result reflects the same `epoch`.
 
+use serde::Serialize as _;
 use serde_json::Value;
 
 /// The protocol identifier every request/response line is stamped with.
@@ -42,6 +43,61 @@ pub const PROTOCOL: &str = "prefixrl.serve.v1";
 /// with an error and drops the connection rather than buffering without
 /// bound. Generous enough for a `query_batch` at [`crate::query::MAX_BATCH`].
 pub const MAX_REQUEST_LINE: u64 = 8 * 1024 * 1024;
+
+/// A `{"proto": PROTOCOL, "cmd": cmd, ...fields}` request — the one
+/// envelope every request is built in.
+pub fn request(cmd: &str, mut fields: Vec<(String, Value)>) -> Value {
+    let mut entries = vec![
+        ("proto".to_string(), Value::String(PROTOCOL.to_string())),
+        ("cmd".to_string(), Value::String(cmd.to_string())),
+    ];
+    entries.append(&mut fields);
+    Value::Object(entries)
+}
+
+/// The `submit` request for `spec`.
+pub(crate) fn submit_request(spec: &crate::JobSpec) -> Value {
+    request("submit", vec![("job".to_string(), spec.to_value())])
+}
+
+/// The job id a `submit` response carries.
+///
+/// # Errors
+///
+/// Fails when the response has no non-negative integer `id`.
+pub(crate) fn submitted_id(response: &Value) -> Result<u64, String> {
+    match response.get("id") {
+        Some(Value::Number(n)) => n.as_u64().ok_or_else(|| "non-integer id".to_string()),
+        _ => Err("submit response lacks `id`".to_string()),
+    }
+}
+
+/// The `task`/`backend`/`n` fields naming one frontier key, as
+/// `frontier`, `query` and every `query_batch` entry carry them. The
+/// inverse is [`req_key`].
+pub fn key_fields(task: &str, backend: &str, n: u16) -> Vec<(String, Value)> {
+    vec![
+        ("task".to_string(), task.to_value()),
+        ("backend".to_string(), backend.to_value()),
+        ("n".to_string(), n.to_value()),
+    ]
+}
+
+/// The required `task`/`backend`/`n` key fields of a request. Names are
+/// not checked for `/` here: the read verbs that must refuse aliasing
+/// names call [`crate::store::validate_names`] themselves.
+///
+/// # Errors
+///
+/// Fails when a field is absent or malformed, or when `n` does not fit a
+/// `u16` (a lossy cast would alias 65544 onto width 8's key).
+pub fn req_key(request: &Value) -> Result<(&str, &str, u16), String> {
+    let task = req_str(request, "task")?;
+    let backend = req_str(request, "backend")?;
+    let n_raw = req_u64(request, "n")?;
+    let n = u16::try_from(n_raw).map_err(|_| format!("field `n`: width {n_raw} exceeds u16"))?;
+    Ok((task, backend, n))
+}
 
 /// A `{"ok": true, ...fields}` response line.
 pub fn ok_response(mut fields: Vec<(String, Value)>) -> Value {
@@ -59,6 +115,15 @@ pub fn error_response(message: &str) -> Value {
         ("ok".to_string(), Value::Bool(false)),
         ("proto".to_string(), Value::String(PROTOCOL.to_string())),
         ("error".to_string(), Value::String(message.to_string())),
+    ])
+}
+
+/// A `{"ok": false, "error": ...}` entry answering one query of a
+/// `query_batch` inline, without failing the batch.
+pub(crate) fn batch_error(message: String) -> Value {
+    Value::Object(vec![
+        ("ok".to_string(), Value::Bool(false)),
+        ("error".to_string(), Value::String(message)),
     ])
 }
 

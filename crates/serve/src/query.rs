@@ -333,22 +333,139 @@ impl Default for SnapshotCell {
     }
 }
 
-/// Serializes one point for the wire.
-fn point_json(view: &FrontView, index: usize, include_graph: bool) -> Value {
-    let p = &view.points()[index];
-    let mut entry = serde_json::json!({
-        "index": index,
-        "area": p.area,
-        "delay": p.delay,
-        "size": p.size,
-        "depth": p.depth,
-    });
-    if include_graph {
-        if let Value::Object(entries) = &mut entry {
-            entries.push(("graph".to_string(), Serialize::to_value(view.graph(index))));
+/// One read-tier lookup: the `mode` of a `query` request and its
+/// parameters. [`query_fields`] puts it on the wire and [`answer_query`]
+/// reads it back.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Query {
+    /// `best_at_delay`: the minimum-area design with delay ≤ `delay`, or
+    /// the fastest design, flagged `met: false`, when nothing is that
+    /// fast.
+    BestAtDelay {
+        /// The delay target.
+        delay: f64,
+    },
+    /// `best_at_weight`: the scalarized argmin at area-weight `w ∈ [0, 1]`
+    /// (`w = 0` fastest, `w = 1` smallest).
+    BestAtWeight {
+        /// The area weight.
+        w: f64,
+    },
+    /// `range`: every design with `delay_lo ≤ delay ≤ delay_hi`.
+    Range {
+        /// Inclusive lower delay bound.
+        delay_lo: f64,
+        /// Inclusive upper delay bound.
+        delay_hi: f64,
+    },
+}
+
+impl Query {
+    /// The wire name of this mode.
+    pub fn mode(&self) -> &'static str {
+        match self {
+            Query::BestAtDelay { .. } => "best_at_delay",
+            Query::BestAtWeight { .. } => "best_at_weight",
+            Query::Range { .. } => "range",
         }
     }
-    entry
+
+    /// The `mode` field followed by this mode's parameters.
+    fn fields(&self) -> Vec<(String, Value)> {
+        let mode = ("mode".to_string(), self.mode().to_value());
+        match *self {
+            Query::BestAtDelay { delay } => vec![mode, ("delay".to_string(), delay.to_value())],
+            Query::BestAtWeight { w } => vec![mode, ("w".to_string(), w.to_value())],
+            Query::Range { delay_lo, delay_hi } => vec![
+                mode,
+                ("delay_lo".to_string(), delay_lo.to_value()),
+                ("delay_hi".to_string(), delay_hi.to_value()),
+            ],
+        }
+    }
+
+    /// Reads the `mode` field and its parameters from a request.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing or unknown `mode`, a missing or non-finite
+    /// parameter, or a weight outside `[0, 1]`.
+    pub(crate) fn parse(request: &Value) -> Result<Query, String> {
+        use crate::protocol::{req_f64, req_str};
+        match req_str(request, "mode")? {
+            "best_at_delay" => {
+                let delay = req_f64(request, "delay")?;
+                if !delay.is_finite() {
+                    return Err("field `delay`: expected a finite number".to_string());
+                }
+                Ok(Query::BestAtDelay { delay })
+            }
+            "best_at_weight" => {
+                let w = req_f64(request, "w")?;
+                if !(0.0..=1.0).contains(&w) {
+                    return Err(format!("field `w`: weight must lie in [0, 1], got {w}"));
+                }
+                Ok(Query::BestAtWeight { w })
+            }
+            "range" => {
+                let delay_lo = req_f64(request, "delay_lo")?;
+                let delay_hi = req_f64(request, "delay_hi")?;
+                if !delay_lo.is_finite() || !delay_hi.is_finite() {
+                    return Err("fields `delay_lo`/`delay_hi`: expected finite numbers".to_string());
+                }
+                Ok(Query::Range { delay_lo, delay_hi })
+            }
+            other => Err(format!(
+                "unknown query mode `{other}` (expected best_at_delay|best_at_weight|range)"
+            )),
+        }
+    }
+}
+
+/// The fields of one `query` payload — key, mode and parameters, and
+/// `include_graph: true` when asked for: what `query` sends after its
+/// envelope and what each `query_batch` entry holds.
+pub fn query_fields(
+    task: &str,
+    backend: &str,
+    n: u16,
+    query: Query,
+    include_graph: bool,
+) -> Vec<(String, Value)> {
+    let mut fields = crate::protocol::key_fields(task, backend, n);
+    fields.extend(query.fields());
+    if include_graph {
+        fields.push(("include_graph".to_string(), Value::Bool(true)));
+    }
+    fields
+}
+
+/// One stored point's wire fields: `area`, `delay`, `size`, `depth`, and
+/// the stored `graph` with `include_graph`.
+pub(crate) fn point_fields(
+    view: &FrontView,
+    index: usize,
+    include_graph: bool,
+) -> Vec<(String, Value)> {
+    let p = &view.points()[index];
+    let mut fields = vec![
+        ("area".to_string(), p.area.to_value()),
+        ("delay".to_string(), p.delay.to_value()),
+        ("size".to_string(), p.size.to_value()),
+        ("depth".to_string(), p.depth.to_value()),
+    ];
+    if include_graph {
+        fields.push(("graph".to_string(), view.graph(index).to_value()));
+    }
+    fields
+}
+
+/// One point as a query answer carries it: `index` into the delay-sorted
+/// front, then [`point_fields`].
+fn indexed_point(view: &FrontView, index: usize, include_graph: bool) -> Value {
+    let mut fields = vec![("index".to_string(), index.to_value())];
+    fields.extend(point_fields(view, index, include_graph));
+    Value::Object(fields)
 }
 
 /// Answers one `query` request payload against one snapshot — the pure
@@ -359,89 +476,57 @@ fn point_json(view: &FrontView, index: usize, include_graph: bool) -> Value {
 ///
 /// # Errors
 ///
-/// Fails on a missing/malformed field, an unknown `mode`, a non-finite
-/// parameter, a weight outside `[0, 1]`, an out-of-range width, or a
-/// task/backend name containing `/` (which would alias composite keys).
+/// Fails on a missing/malformed field, an out-of-range width, a
+/// task/backend name containing `/` (which would alias composite keys),
+/// an unknown `mode`, a non-finite parameter, or a weight outside
+/// `[0, 1]`.
 pub fn answer_query(snapshot: &FrontierSnapshot, request: &Value) -> Result<Value, String> {
-    use crate::protocol::{opt_bool, req_f64, req_str, req_u64};
-
-    let task = req_str(request, "task")?;
-    let backend = req_str(request, "backend")?;
+    let (task, backend, n) = crate::protocol::req_key(request)?;
     crate::store::validate_names(task, backend)?;
-    let n_raw = req_u64(request, "n")?;
-    let n = u16::try_from(n_raw).map_err(|_| format!("field `n`: width {n_raw} exceeds u16"))?;
-    let mode = req_str(request, "mode")?;
-    let include_graph = opt_bool(request, "include_graph", false)?;
+    let query = Query::parse(request)?;
+    let include_graph = crate::protocol::opt_bool(request, "include_graph", false)?;
 
     let key = crate::store::key_of(task, backend, n);
     let view = snapshot.front_by_key(&key);
-    let known = view.is_some();
     let mut fields = vec![
         ("key".to_string(), Value::String(key)),
-        ("mode".to_string(), Value::String(mode.to_string())),
-        ("known".to_string(), Value::Bool(known)),
+        ("mode".to_string(), Value::String(query.mode().to_string())),
+        ("known".to_string(), Value::Bool(view.is_some())),
     ];
-    match mode {
-        "best_at_delay" => {
-            let delay = req_f64(request, "delay")?;
-            if !delay.is_finite() {
-                return Err("field `delay`: expected a finite number".to_string());
-            }
-            let choice = view.and_then(|v| v.best_at_delay(delay));
+    match query {
+        Query::BestAtDelay { delay } => {
+            let choice = view.and_then(|v| Some((v, v.best_at_delay(delay)?)));
             fields.push(("found".to_string(), Value::Bool(choice.is_some())));
-            match choice {
-                Some(c) => {
-                    fields.push(("met".to_string(), Value::Bool(c.met)));
-                    fields.push((
-                        "point".to_string(),
-                        point_json(view.expect("found implies view"), c.index, include_graph),
-                    ));
-                }
-                None => {
-                    fields.push(("met".to_string(), Value::Bool(false)));
-                    fields.push(("point".to_string(), Value::Null));
-                }
-            }
+            fields.push((
+                "met".to_string(),
+                Value::Bool(choice.is_some_and(|(_, c)| c.met)),
+            ));
+            fields.push((
+                "point".to_string(),
+                choice.map_or(Value::Null, |(v, c)| {
+                    indexed_point(v, c.index, include_graph)
+                }),
+            ));
         }
-        "best_at_weight" => {
-            let w = req_f64(request, "w")?;
-            if !(0.0..=1.0).contains(&w) {
-                return Err(format!("field `w`: weight must lie in [0, 1], got {w}"));
-            }
-            let choice = view.and_then(|v| v.best_at_weight(w));
+        Query::BestAtWeight { w } => {
+            let choice = view.and_then(|v| Some((v, v.best_at_weight(w)?)));
             fields.push(("found".to_string(), Value::Bool(choice.is_some())));
             fields.push((
                 "point".to_string(),
-                match choice {
-                    Some(i) => point_json(view.expect("found implies view"), i, include_graph),
-                    None => Value::Null,
-                },
+                choice.map_or(Value::Null, |(v, i)| indexed_point(v, i, include_graph)),
             ));
         }
-        "range" => {
-            let lo = req_f64(request, "delay_lo")?;
-            let hi = req_f64(request, "delay_hi")?;
-            if !lo.is_finite() || !hi.is_finite() {
-                return Err("fields `delay_lo`/`delay_hi`: expected finite numbers".to_string());
-            }
+        Query::Range { delay_lo, delay_hi } => {
             let points: Vec<Value> = view
                 .map(|v| {
-                    v.range(lo, hi)
-                        .map(|i| point_json(v, i, include_graph))
+                    v.range(delay_lo, delay_hi)
+                        .map(|i| indexed_point(v, i, include_graph))
                         .collect()
                 })
                 .unwrap_or_default();
             fields.push(("found".to_string(), Value::Bool(!points.is_empty())));
-            fields.push((
-                "count".to_string(),
-                Value::Number(serde::Number::UInt(points.len() as u64)),
-            ));
+            fields.push(("count".to_string(), points.len().to_value()));
             fields.push(("points".to_string(), Value::Array(points)));
-        }
-        other => {
-            return Err(format!(
-                "unknown query mode `{other}` (expected best_at_delay|best_at_weight|range)"
-            ))
         }
     }
     Ok(Value::Object(fields))

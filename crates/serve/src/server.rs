@@ -8,7 +8,8 @@
 use crate::cluster::{self, ReplHandshake};
 use crate::jobs::{JobManager, JobSpec, ServeConfig};
 use crate::protocol::{
-    check_proto, error_response, ok_response, opt_u64, req_str, req_u64, MAX_REQUEST_LINE, PROTOCOL,
+    batch_error, check_proto, error_response, ok_response, opt_u64, req_key, req_str, req_u64,
+    MAX_REQUEST_LINE, PROTOCOL,
 };
 use serde::Deserialize;
 use serde_json::Value;
@@ -445,13 +446,7 @@ fn dispatch(request: &Value, jobs: &Arc<JobManager>) -> Outcome {
                 )]))
             }
             "frontier" => {
-                let task = req_str(request, "task")?;
-                let backend = req_str(request, "backend")?;
-                let n_raw = req_u64(request, "n")?;
-                // A lossy `as u16` would silently alias out-of-range
-                // widths onto someone else's key (65544 → 8).
-                let n = u16::try_from(n_raw)
-                    .map_err(|_| format!("field `n`: width {n_raw} exceeds u16"))?;
+                let (task, backend, n) = req_key(request)?;
                 let points = jobs.store().front_json(task, backend, n, false);
                 // `null` points = key never merged; `[]` = merged but
                 // empty. Clients can tell the two apart via `known`.
@@ -508,13 +503,7 @@ fn dispatch(request: &Value, jobs: &Arc<JobManager>) -> Outcome {
                 let snapshot = jobs.store().snapshot();
                 let results: Vec<Value> = queries
                     .iter()
-                    .map(|q| match crate::query::answer_query(&snapshot, q) {
-                        Ok(answer) => answer,
-                        Err(e) => Value::Object(vec![
-                            ("ok".to_string(), Value::Bool(false)),
-                            ("error".to_string(), Value::String(e)),
-                        ]),
-                    })
+                    .map(|q| crate::query::answer_query(&snapshot, q).unwrap_or_else(batch_error))
                     .collect();
                 Outcome::Reply(ok_response(vec![
                     ("results".to_string(), Value::Array(results)),

@@ -37,7 +37,8 @@
 //! against the snapshot without taking the store mutex.
 
 use crate::cluster::{ReplHandshake, ReplicationHub, Topology};
-use crate::query::{FrontView, FrontierSnapshot, SnapshotCell};
+use crate::lock;
+use crate::query::{point_fields, FrontView, FrontierSnapshot, SnapshotCell};
 use prefix_graph::PrefixGraph;
 use prefixrl_core::checkpoint::write_atomic;
 use prefixrl_core::evaluator::ObjectivePoint;
@@ -391,21 +392,7 @@ impl FrontierStore {
         };
         Value::Array(
             (0..view.len())
-                .map(|i| {
-                    let p = &view.points()[i];
-                    let mut entry = serde_json::json!({
-                        "area": p.area,
-                        "delay": p.delay,
-                        "size": p.size,
-                        "depth": p.depth,
-                    });
-                    if include_graphs {
-                        if let Value::Object(entries) = &mut entry {
-                            entries.push(("graph".to_string(), Serialize::to_value(view.graph(i))));
-                        }
-                    }
-                    entry
-                })
+                .map(|i| Value::Object(point_fields(view, i, include_graphs)))
                 .collect(),
         )
     }
@@ -475,13 +462,10 @@ impl FrontierStore {
         let Some(path) = &self.path else {
             return Ok(());
         };
+        // `write_atomic` returns once the snapshot and its rename are
+        // durable, so the records truncated below can never be lost
+        // while the snapshot that absorbed them is.
         write_atomic(path, &compacted_text(&inner.fronts))?;
-        // `write_atomic` renames but does not fsync; sync before
-        // truncating the log so the snapshot can never be lost while the
-        // records it absorbed are.
-        std::fs::File::open(path)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| format!("sync {}: {e}", path.display()))?;
         if let Some(wal) = inner.wal.as_mut() {
             truncate_to_header(wal)?;
             wal.records = 0;
@@ -738,8 +722,4 @@ fn as_str(v: &Value) -> Option<&str> {
         Value::String(s) => Some(s),
         _ => None,
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -9,7 +9,7 @@ use prefixrl_core::evaluator::{Evaluator, ObjectivePoint};
 use prefixrl_core::task::Adder;
 use prefixrl_serve::cluster::shard_of;
 use prefixrl_serve::store::key_of;
-use prefixrl_serve::{Client, JobSpec, Router, ServeConfig, Server, ServerHandle, Topology};
+use prefixrl_serve::{Client, JobSpec, Query, Router, ServeConfig, Server, ServerHandle, Topology};
 use serde_json::Value;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -204,15 +204,10 @@ fn router_fails_reads_over_to_followers_within_a_second() {
     let found = |response: &Value| {
         response.get("result").and_then(|r| r.get("found")) == Some(&Value::Bool(true))
     };
-    let at_delay = || {
-        vec![(
-            "delay".to_string(),
-            Value::Number(serde_json::Number::Float(1e9)),
-        )]
-    };
+    let at_delay = Query::BestAtDelay { delay: 1e9 };
     for &n in &widths {
         let response = router
-            .query("adder", "analytical", n, "best_at_delay", at_delay())
+            .query("adder", "analytical", n, at_delay, false)
             .unwrap();
         assert!(
             found(&response),
@@ -234,7 +229,7 @@ fn router_fails_reads_over_to_followers_within_a_second() {
     // the follower — and the first failover must land in under a second.
     let t0 = Instant::now();
     let first = router
-        .query("adder", "analytical", n, "best_at_delay", at_delay())
+        .query("adder", "analytical", n, at_delay, false)
         .unwrap();
     let elapsed = t0.elapsed();
     assert!(found(&first), "failover query missed: {first:?}");
@@ -244,7 +239,7 @@ fn router_fails_reads_over_to_followers_within_a_second() {
     );
     for _ in 0..20 {
         let response = router
-            .query("adder", "analytical", n, "best_at_delay", at_delay())
+            .query("adder", "analytical", n, at_delay, false)
             .unwrap();
         assert!(
             found(&response),

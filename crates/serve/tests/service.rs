@@ -3,7 +3,7 @@
 //! cancellation within one event tick, protocol validation, and
 //! queue/frontier survival across a server restart.
 
-use prefixrl_serve::{Client, JobSpec, ServeConfig, Server};
+use prefixrl_serve::{Client, JobSpec, Query, ServeConfig, Server};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -300,7 +300,13 @@ fn query_verbs_answer_over_the_wire() {
     // Nothing merged yet: every query answers known = false, not an
     // error, and the snapshot epoch is 0.
     let miss = client
-        .query_best_at_delay("adder", "analytical", 8, 10.0)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::BestAtDelay { delay: 10.0 },
+            false,
+        )
         .unwrap();
     assert_eq!(num(miss.get("epoch").unwrap()), 0.0);
     let result = miss.get("result").unwrap();
@@ -315,7 +321,13 @@ fn query_verbs_answer_over_the_wire() {
     // The merge bumped the published epoch without any explicit publish
     // call — the store publishes on merge.
     let best = client
-        .query_best_at_delay("adder", "analytical", 8, 1e9)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::BestAtDelay { delay: 1e9 },
+            false,
+        )
         .unwrap();
     assert!(num(best.get("epoch").unwrap()) >= 1.0);
     let result = best.get("result").unwrap();
@@ -329,7 +341,13 @@ fn query_verbs_answer_over_the_wire() {
     // A delay target below the whole front degrades to the fastest
     // design, flagged met = false.
     let unmet = client
-        .query_best_at_delay("adder", "analytical", 8, 1e-6)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::BestAtDelay { delay: 1e-6 },
+            false,
+        )
         .unwrap();
     let result = unmet.get("result").unwrap();
     assert_eq!(result.get("found"), Some(&Value::Bool(true)));
@@ -337,7 +355,13 @@ fn query_verbs_answer_over_the_wire() {
 
     // Weight extremes agree with the front's ends.
     let smallest = client
-        .query_best_at_weight("adder", "analytical", 8, 1.0)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::BestAtWeight { w: 1.0 },
+            false,
+        )
         .unwrap();
     let small_area = num(smallest
         .get("result")
@@ -354,7 +378,16 @@ fn query_verbs_answer_over_the_wire() {
     // A full-width range returns the whole front; a graph rides along
     // when asked for.
     let all = client
-        .query_range("adder", "analytical", 8, 0.0, 1e9)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::Range {
+                delay_lo: 0.0,
+                delay_hi: 1e9,
+            },
+            false,
+        )
         .unwrap();
     let count = num(all.get("result").unwrap().get("count").unwrap());
     assert!(count >= 1.0);
@@ -364,14 +397,8 @@ fn query_verbs_answer_over_the_wire() {
             "adder",
             "analytical",
             8,
-            "best_at_delay",
-            vec![
-                (
-                    "delay".to_string(),
-                    Value::Number(serde_json::Number::Float(1e9)),
-                ),
-                ("include_graph".to_string(), Value::Bool(true)),
-            ],
+            Query::BestAtDelay { delay: 1e9 },
+            true,
         )
         .unwrap();
     assert!(

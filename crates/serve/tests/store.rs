@@ -381,3 +381,197 @@ fn interrupted_compaction_replays_idempotently() {
     assert_eq!(before, after, "idempotent replay must not duplicate points");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Model-based persistence check: random sequences of merges (compacting
+/// every [`MODEL_COMPACT_EVERY`] records), crashes that cut the WAL at a
+/// random byte, and clean reopens, against an in-memory model of the
+/// compacted snapshot plus the log records since.
+mod model_based {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const MODEL_COMPACT_EVERY: u64 = 3;
+
+    type Designs = Vec<(PrefixGraph, ObjectivePoint)>;
+    type Fronts = BTreeMap<String, ParetoFront<PrefixGraph>>;
+
+    /// What the store's files hold: the fronts of the last compaction and
+    /// the records logged since, as `(key, accepted designs)`.
+    #[derive(Default)]
+    struct Model {
+        compacted: Fronts,
+        log: Vec<(String, Designs)>,
+    }
+
+    impl Model {
+        /// The fronts a reopen must rebuild: the compacted snapshot with
+        /// every surviving record replayed over it.
+        fn fronts(&self) -> Fronts {
+            let mut fronts = self.compacted.clone();
+            for (key, designs) in &self.log {
+                let front = fronts.entry(key.clone()).or_default();
+                for (graph, point) in designs {
+                    front.insert(*point, graph.clone());
+                }
+            }
+            fronts
+        }
+
+        /// Mirrors one merge: logs the accepted designs (or the bare
+        /// creation of a key) and compacts at the threshold. Returns how
+        /// many designs joined the front.
+        fn merge(&mut self, key: &str, designs: &Designs) -> usize {
+            let mut fronts = self.fronts();
+            let created = !fronts.contains_key(key);
+            let front = fronts.entry(key.to_string()).or_default();
+            let accepted: Designs = designs
+                .iter()
+                .filter(|(graph, point)| front.insert(*point, graph.clone()))
+                .cloned()
+                .collect();
+            if !accepted.is_empty() || created {
+                self.log.push((key.to_string(), accepted.clone()));
+            }
+            self.compact_if_due();
+            accepted.len()
+        }
+
+        fn compact_if_due(&mut self) {
+            if self.log.len() as u64 >= MODEL_COMPACT_EVERY {
+                self.compacted = self.fronts();
+                self.log.clear();
+            }
+        }
+    }
+
+    /// `(area bits, delay bits, graph)` of every point, in delay order.
+    fn points_of(front: &ParetoFront<PrefixGraph>) -> Vec<(u64, u64, PrefixGraph)> {
+        front
+            .iter()
+            .map(|(p, g)| (p.area.to_bits(), p.delay.to_bits(), g.clone()))
+            .collect()
+    }
+
+    /// Checks the store's published fronts against the model's, and that
+    /// no stored point is dominated.
+    fn check(store: &FrontierStore, model: &Model) -> Result<(), String> {
+        let want = model.fronts();
+        let snapshot = store.snapshot();
+        let keys: Vec<String> = want.keys().cloned().collect();
+        prop_assert_eq!(snapshot.keys(), keys);
+        for (key, front) in &want {
+            let view = snapshot.front_by_key(key).expect("key listed");
+            let got: Vec<(u64, u64, PrefixGraph)> = (0..view.len())
+                .map(|i| {
+                    let p = view.points()[i];
+                    (p.area.to_bits(), p.delay.to_bits(), view.graph(i).clone())
+                })
+                .collect();
+            prop_assert_eq!(
+                got,
+                points_of(front),
+                "front `{key}` differs from the model"
+            );
+            for a in view.points() {
+                for b in view.points() {
+                    let dominates = a.area <= b.area
+                        && a.delay <= b.delay
+                        && (a.area < b.area || a.delay < b.delay);
+                    prop_assert!(!dominates, "`{key}` stores a dominated point");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Cuts the WAL at byte `cut` modulo its logical length (every byte
+    /// up to and including the last newline, so the preallocated zero
+    /// tail does not swallow the cut), returning how many records it held
+    /// and how many survive whole.
+    fn cut_wal(wal: &std::path::Path, cut: u64) -> (usize, usize) {
+        let bytes = std::fs::read(wal).unwrap();
+        let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let records = bytes[..end].iter().filter(|&&b| b == b'\n').count() - 1;
+        let cut = (cut % (end as u64 + 1)) as usize;
+        let lines = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(wal)
+            .unwrap()
+            .set_len(cut as u64)
+            .unwrap();
+        // The first line is the schema header.
+        (records, lines.saturating_sub(1))
+    }
+
+    fn designs(raw: &[(usize, u64, u64)]) -> Designs {
+        let graphs = [
+            PrefixGraph::ripple(4),
+            structures::sklansky(4),
+            structures::brent_kung(4),
+            structures::kogge_stone(4),
+        ];
+        raw.iter()
+            .map(|&(g, area, delay)| {
+                let point = ObjectivePoint {
+                    area: area as f64 / 10.0,
+                    delay: delay as f64 / 10.0,
+                };
+                (graphs[g].clone(), point)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Ops: 0/1 merge into one of two keys, 2 crash with the WAL cut
+        /// at a random byte, 3 reopen cleanly.
+        #[test]
+        fn reopened_store_matches_model(
+            ops in proptest::collection::vec(
+                (
+                    0u8..4,
+                    0u64..1 << 20,
+                    proptest::collection::vec((0usize..4, 1u64..40, 1u64..40), 0..4),
+                ),
+                1..40,
+            ),
+            case: u64,
+        ) {
+            let dir = temp_dir(&format!("model-{case}"));
+            let path = dir.join("frontier.json");
+            let wal = dir.join("frontier.wal");
+            let keys = [("adder", 4u16), ("prefix-or", 4)];
+            let mut model = Model::default();
+            let mut store = FrontierStore::open_with(&path, MODEL_COMPACT_EVERY).unwrap();
+            for (kind, arg, raw) in &ops {
+                match kind {
+                    0 | 1 => {
+                        let (task, n) = keys[(arg % 2) as usize];
+                        let key = prefixrl_serve::store::key_of(task, "analytical", n);
+                        let batch = designs(raw);
+                        let inserted = store.merge(task, "analytical", n, &batch).unwrap();
+                        prop_assert_eq!(inserted, model.merge(&key, &batch));
+                    }
+                    2 => {
+                        drop(store);
+                        let (records, surviving) = cut_wal(&wal, *arg);
+                        prop_assert_eq!(records, model.log.len());
+                        model.log.truncate(surviving);
+                        model.compact_if_due();
+                        store = FrontierStore::open_with(&path, MODEL_COMPACT_EVERY).unwrap();
+                    }
+                    _ => {
+                        drop(store);
+                        store = FrontierStore::open_with(&path, MODEL_COMPACT_EVERY).unwrap();
+                    }
+                }
+                check(&store, &model)?;
+            }
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}

@@ -12,7 +12,7 @@
 //! cargo run --release --example query_client
 //! ```
 
-use prefixrl_serve::{Client, JobSpec, ServeConfig, Server};
+use prefixrl_serve::{Client, JobSpec, Query, ServeConfig, Server};
 use serde_json::Value;
 use std::time::Duration;
 
@@ -53,7 +53,13 @@ fn main() {
     // delay meets the target (`prefixrl query --at-delay 1e9`). A target
     // nothing meets degrades to the fastest design with `met: false`.
     let at_delay = client
-        .query_best_at_delay("adder", "analytical", 8, 1e9)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::BestAtDelay { delay: 1e9 },
+            false,
+        )
         .expect("query answered");
     let result = at_delay.get("result").unwrap();
     println!(
@@ -67,7 +73,7 @@ fn main() {
     // smallest (`prefixrl query --at-weight 0.5`).
     for w in [0.0, 0.5, 1.0] {
         let response = client
-            .query_best_at_weight("adder", "analytical", 8, w)
+            .query("adder", "analytical", 8, Query::BestAtWeight { w }, false)
             .expect("query answered");
         println!(
             "best at weight {w}: point = {}",
@@ -78,7 +84,16 @@ fn main() {
     // Query mode 3 — range: every stored design inside a delay window, in
     // delay order (`prefixrl query --range 0:1e9`).
     let range = client
-        .query_range("adder", "analytical", 8, 0.0, 1e9)
+        .query(
+            "adder",
+            "analytical",
+            8,
+            Query::Range {
+                delay_lo: 0.0,
+                delay_hi: 1e9,
+            },
+            false,
+        )
         .expect("query answered");
     let result = range.get("result").unwrap();
     let points = result.get("points").and_then(Value::as_array).unwrap();

@@ -17,7 +17,7 @@
 //! JSON report schema (DESIGN.md §10).
 
 use prefixrl::prelude::*;
-use prefixrl_serve::{Client, JobSpec, Router, ServeConfig, Server, Topology};
+use prefixrl_serve::{Client, JobSpec, Query, Router, ServeConfig, Server, Topology};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -1020,10 +1020,6 @@ fn cmd_query(opts: &HashMap<String, String>) {
         .cloned()
         .unwrap_or_else(|| "analytical".into());
     let n = get_width(opts, 8);
-    let mut extra: Vec<(String, serde_json::Value)> = Vec::new();
-    if opts.contains_key("include-graph") {
-        extra.push(("include_graph".to_string(), serde_json::Value::Bool(true)));
-    }
     let modes_given = ["at-delay", "at-weight", "range"]
         .iter()
         .filter(|m| opts.contains_key(**m))
@@ -1032,18 +1028,10 @@ fn cmd_query(opts: &HashMap<String, String>) {
         eprintln!("error: exactly one of --at-delay, --at-weight, --range is required");
         std::process::exit(2);
     }
-    let mode = if let Some(delay) = get_opt::<f64>(opts, "at-delay") {
-        extra.push((
-            "delay".to_string(),
-            serde_json::Value::Number(serde_json::Number::Float(delay)),
-        ));
-        "best_at_delay"
-    } else if let Some(w) = get_opt::<f64>(opts, "at-weight") {
-        extra.push((
-            "w".to_string(),
-            serde_json::Value::Number(serde_json::Number::Float(w)),
-        ));
-        "best_at_weight"
+    let query = if let Some(delay) = get_opt(opts, "at-delay") {
+        Query::BestAtDelay { delay }
+    } else if let Some(w) = get_opt(opts, "at-weight") {
+        Query::BestAtWeight { w }
     } else {
         let raw = opts.get("range").expect("checked above");
         let Some((lo, hi)) = raw.split_once(':') else {
@@ -1056,19 +1044,15 @@ fn cmd_query(opts: &HashMap<String, String>) {
                 std::process::exit(2);
             })
         };
-        extra.push((
-            "delay_lo".to_string(),
-            serde_json::Value::Number(serde_json::Number::Float(parse(lo))),
-        ));
-        extra.push((
-            "delay_hi".to_string(),
-            serde_json::Value::Number(serde_json::Number::Float(parse(hi))),
-        ));
-        "range"
+        Query::Range {
+            delay_lo: parse(lo),
+            delay_hi: parse(hi),
+        }
     };
+    let include_graph = opts.contains_key("include-graph");
     let response = match cluster_router(opts) {
-        Some(router) => router.query(&task, &backend, n, mode, extra),
-        None => serve_client(opts).query(&task, &backend, n, mode, extra),
+        Some(router) => router.query(&task, &backend, n, query, include_graph),
+        None => serve_client(opts).query(&task, &backend, n, query, include_graph),
     };
     if let Ok(value) = &response {
         let known = value.get("result").and_then(|r| r.get("known")).cloned();

@@ -320,3 +320,81 @@ fn cli_rejects_too_few_eval_targets() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Every subcommand's `--help` names every flag the command accepts: the
+/// accepted set is read back from the unknown-flag error's `valid:` list,
+/// so a flag added to a command without a help line fails here.
+#[test]
+fn cli_help_names_every_accepted_flag() {
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+            .args(args)
+            .output()
+            .expect("run the prefixrl binary")
+    };
+    for cmd in [
+        "structures",
+        "train",
+        "sweep",
+        "eval",
+        "render",
+        "verilog",
+        "serve",
+        "submit",
+        "status",
+        "cancel",
+        "frontier",
+        "query",
+        "shutdown",
+    ] {
+        let rejected = run(&[cmd, "--no-such-flag"]);
+        assert_eq!(rejected.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&rejected.stderr);
+        let valid = stderr
+            .split("(valid: ")
+            .nth(1)
+            .and_then(|rest| rest.split(')').next())
+            .unwrap_or_else(|| panic!("{cmd}: no valid-flag list in {stderr}"));
+        let help = run(&[cmd, "--help"]);
+        assert!(help.status.success(), "{cmd} --help");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&help.stdout),
+            String::from_utf8_lossy(&help.stderr)
+        );
+        for flag in valid.split(", ") {
+            let documented = text.match_indices(flag).any(|(i, _)| {
+                !text[i + flag.len()..].starts_with(|c: char| c == '-' || c.is_alphanumeric())
+            });
+            assert!(documented, "`prefixrl {cmd} --help` does not name {flag}");
+        }
+    }
+}
+
+/// `prefixrl query` needs exactly one well-formed mode; anything else
+/// exits 2 before it connects to the server.
+#[test]
+fn cli_query_rejects_bad_modes_without_connecting() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    for mode in [
+        &[][..],
+        &["--at-delay", "2", "--at-weight", "0.5"][..],
+        &["--range", "5"][..],
+        &["--range", "a:b"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_prefixrl"))
+            .args(["query", "--addr", &addr])
+            .args(mode)
+            .output()
+            .expect("run the prefixrl binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode:?} must not answer");
+        assert!(
+            listener.accept().is_err(),
+            "{mode:?} connected to the server"
+        );
+    }
+}
