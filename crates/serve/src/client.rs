@@ -146,7 +146,7 @@ impl Client {
     /// [`ClientError::Transport`] on connection/I-O/timeout errors or a
     /// malformed response; [`ClientError::Rejected`] on `"ok": false`.
     pub fn try_request(&self, request: &Value) -> Result<Value, ClientError> {
-        let idempotent = request.get("cmd") != Some(&Value::String("submit".to_string()));
+        let idempotent = !matches!(request.get("cmd"), Some(Value::String(cmd)) if cmd == "submit");
         let mut pending = self.send_request(request)?;
         let mut response = pending.response();
         if response.is_err() && pending.reused && idempotent {
