@@ -43,7 +43,7 @@ use std::sync::Arc;
 // ---------------------------------------------------------------- events
 
 /// One observation from a training run, streamed as it happens.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// An environment step was taken.
     Step {

@@ -255,10 +255,12 @@ pub struct SynthesisBackend {
     sweep: SweepConfig,
     w_area: f64,
     w_delay: f64,
-    c_area: f64,
-    c_delay: f64,
     power_annotation: bool,
 }
+
+/// The paper's unit-scaling constants of the synthesis scalarization.
+const C_AREA: f64 = 0.001;
+const C_DELAY: f64 = 10.0;
 
 impl SynthesisBackend {
     /// Creates a backend for scalarization weight `w_area`
@@ -275,8 +277,6 @@ impl SynthesisBackend {
             sweep,
             w_area,
             w_delay: 1.0 - w_area,
-            c_area: 0.001,
-            c_delay: 10.0,
             power_annotation: false,
         }
     }
@@ -305,8 +305,7 @@ impl ObjectiveBackend for SynthesisBackend {
 
     fn score(&self, task: &dyn CircuitTask, graph: &PrefixGraph) -> ObjectivePoint {
         let curve = sweep_netlist(task.emit_netlist(graph), &self.lib, &self.sweep);
-        let (area, delay) =
-            curve.scalarized_optimum(self.w_area, self.w_delay, self.c_area, self.c_delay);
+        let (area, delay) = curve.scalarized_optimum(self.w_area, self.w_delay, C_AREA, C_DELAY);
         ObjectivePoint { area, delay }
     }
 

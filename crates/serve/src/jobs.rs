@@ -86,7 +86,8 @@ pub struct JobSpec {
 
 /// Lifecycle of a job. `Queued → Running → Done` is the happy path;
 /// `Cancelled` and `Failed` are terminal, and a graceful shutdown moves
-/// `Running` jobs back to `Queued` for the next server instance.
+/// `Running` jobs back to `Queued` for the next server instance. On disk
+/// a running job reads `queued`: a restart requeues both alike.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobPhase {
     /// Waiting in the FIFO queue.
@@ -132,7 +133,9 @@ impl JobPhase {
 struct JobTelemetry {
     events_seen: u64,
     designs_found: u64,
-    tail: VecDeque<serde_json::Value>,
+    /// The last `event_tail` events as they came, `(run, event)`; only a
+    /// `status` that asks for them renders them.
+    tail: VecDeque<(usize, Event)>,
     first_event_at: Option<Instant>,
 }
 
@@ -150,11 +153,15 @@ struct Job {
     finished_at: Option<Instant>,
     /// Points the finished job added to its stored front.
     merged_new_points: Option<usize>,
+    /// This job's `jobs.json` entry, rendered at submit and again when
+    /// it reaches a terminal phase; a persist joins the kept entries.
+    entry: String,
 }
 
 impl Job {
-    fn new(spec: JobSpec) -> Job {
+    fn new(id: u64, spec: JobSpec) -> Job {
         Job {
+            entry: entry_json(id, &spec, &JobPhase::Queued),
             spec,
             phase: JobPhase::Queued,
             history: vec!["queued"],
@@ -175,6 +182,12 @@ impl Job {
     fn set_phase(&mut self, phase: JobPhase) {
         self.history.push(phase.name());
         self.phase = phase;
+    }
+
+    /// Moves the job to a terminal phase and renders its entry anew.
+    fn finish(&mut self, id: u64, phase: JobPhase) {
+        self.entry = entry_json(id, &self.spec, &phase);
+        self.set_phase(phase);
     }
 }
 
@@ -255,6 +268,9 @@ pub struct JobManager {
     stack: SharedBindings,
     store: Arc<FrontierStore>,
     state: Mutex<ManagerState>,
+    /// Held from rendering `jobs.json` to its rename, so the file only
+    /// moves forward; taken before `state`, never while holding it.
+    persist: Mutex<()>,
     work: Condvar,
     stop: AtomicBool,
     /// Per-source follower subscription state, reported by the `cluster`
@@ -265,7 +281,8 @@ pub struct JobManager {
 impl JobManager {
     /// Builds the manager: opens (or creates) the frontier store and
     /// reloads a persisted job queue, re-queuing jobs that were running
-    /// when the previous server died.
+    /// when the previous server died. The file is left as it is until the
+    /// next submit or finished job rewrites it.
     ///
     /// # Errors
     ///
@@ -303,17 +320,16 @@ impl JobManager {
         if let Some(dir) = &cfg.state_dir {
             load_jobs(&dir.join("jobs.json"), &mut state)?;
         }
-        let manager = Arc::new(JobManager {
+        Ok(Arc::new(JobManager {
             stack: SharedBindings::new(),
             store,
             state: Mutex::new(state),
+            persist: Mutex::new(()),
             work: Condvar::new(),
             stop: AtomicBool::new(false),
             repl_status: Mutex::new(repl_status),
             cfg,
-        });
-        manager.persist_jobs();
-        Ok(manager)
+        }))
     }
 
     /// The frontier store this manager merges into.
@@ -395,7 +411,7 @@ impl JobManager {
         }
         let id = state.next_id;
         state.next_id += 1;
-        state.jobs.insert(id, Job::new(spec));
+        state.jobs.insert(id, Job::new(id, spec));
         state.queue.push_back(id);
         drop(state);
         self.persist_jobs();
@@ -419,7 +435,7 @@ impl JobManager {
         match job.phase {
             JobPhase::Queued => {
                 job.user_cancelled = true;
-                job.set_phase(JobPhase::Cancelled);
+                job.finish(id, JobPhase::Cancelled);
                 job.finished_at = Some(Instant::now());
                 state.queue.retain(|&q| q != id);
                 drop(state);
@@ -471,10 +487,11 @@ impl JobManager {
             .collect()
     }
 
-    /// Graceful shutdown: stops the workers, cancels running jobs via
-    /// their tokens, and re-queues them in the persisted state so the next
-    /// server instance resumes them. (A `kill -9` skips all of this; the
-    /// queue persisted at the last transition is what the restart loads.)
+    /// Graceful shutdown: stops the workers and cancels running jobs via
+    /// their tokens; each goes back to `queued`, which is what `jobs.json`
+    /// has read for it since its submit, so the next server instance
+    /// resumes it. (A `kill -9` skips all of this and the restart loads
+    /// the same file.)
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         {
@@ -513,28 +530,28 @@ impl JobManager {
                         .0;
                 }
             };
-            self.persist_jobs();
             let outcome = self.execute(spec.clone(), token, telemetry);
             let mut state = lock(&self.state);
             let job = state.jobs.get_mut(&id).expect("running job exists");
-            match outcome {
+            let phase = match outcome {
                 Ok((result, merged)) => {
                     job.merged_new_points = merged;
                     if result.completed {
-                        job.set_phase(JobPhase::Done);
+                        JobPhase::Done
                     } else if job.user_cancelled {
-                        job.set_phase(JobPhase::Cancelled);
+                        JobPhase::Cancelled
                     } else {
                         // Stopped by the shutdown cancel: hand the job
                         // back to the queue for the next server instance.
+                        // Its entry on disk already reads `queued`.
                         job.set_phase(JobPhase::Queued);
+                        continue;
                     }
                 }
-                Err(e) => job.set_phase(JobPhase::Failed(e)),
-            }
-            if job.phase != JobPhase::Queued {
-                job.finished_at = Some(Instant::now());
-            }
+                Err(e) => JobPhase::Failed(e),
+            };
+            job.finish(id, phase);
+            job.finished_at = Some(Instant::now());
             drop(state);
             self.persist_jobs();
         }
@@ -583,7 +600,7 @@ impl JobManager {
                 if t.tail.len() >= tail_cap {
                     t.tail.pop_front();
                 }
-                t.tail.push_back(event_json(run, event));
+                t.tail.push_back((run, *event));
             }
         });
         let result = experiment.run(&mut observer)?;
@@ -600,44 +617,33 @@ impl JobManager {
         Ok((result, merged))
     }
 
+    /// Rewrites `jobs.json` from the kept entries. Called after a submit
+    /// and after a job reaches `done`, `cancelled` or `failed` — the only
+    /// transitions a restart would act on differently.
     fn persist_jobs(&self) {
         let Some(dir) = &self.cfg.state_dir else {
             return;
         };
-        let state = lock(&self.state);
-        let jobs: Vec<serde_json::Value> = state
-            .jobs
-            .iter()
-            .map(|(&id, job)| {
-                let error = match &job.phase {
-                    JobPhase::Failed(e) => serde_json::Value::String(e.clone()),
-                    _ => serde_json::Value::Null,
-                };
-                serde_json::json!({
-                    "id": id,
-                    "spec": Serialize::to_value(&job.spec),
-                    "phase": job.phase.name(),
-                    "error": error,
-                })
-            })
-            .collect();
-        let value = serde_json::json!({
-            "schema": JOBS_SCHEMA,
-            "next_id": state.next_id,
-            "jobs": serde_json::Value::Array(jobs),
-        });
-        // Written while still holding the state lock: two concurrent
-        // persists whose renames landed in reverse order could otherwise
-        // leave a stale snapshot on disk (e.g. resurrecting a cancelled
-        // job after a crash-restart).
-        if let Err(e) = write_atomic(
-            &dir.join("jobs.json"),
-            &serde_json::to_string_pretty(&value).expect("infallible"),
-        ) {
+        // Lock order: `persist`, then `state`. The file is rendered under
+        // the state lock, which is dropped before the write's fsyncs so
+        // status, list, submit and dequeue never wait on the disk;
+        // `persist` is held to the rename, so two persists cannot land in
+        // reverse order and leave a stale snapshot on disk (e.g.
+        // resurrecting a cancelled job after a crash-restart).
+        let _persist = lock(&self.persist);
+        let text = {
+            let state = lock(&self.state);
+            let entries: Vec<&str> = state.jobs.values().map(|j| j.entry.as_str()).collect();
+            format!(
+                "{{\"schema\":\"{JOBS_SCHEMA}\",\"next_id\":{},\"jobs\":[{}]}}",
+                state.next_id,
+                entries.join(",")
+            )
+        };
+        if let Err(e) = write_atomic(&dir.join("jobs.json"), &text) {
             // Queue persistence is best-effort durability; serving goes on.
             eprintln!("warning: job-queue persist failed: {e}");
         }
-        drop(state);
     }
 }
 
@@ -689,7 +695,7 @@ fn load_jobs(path: &std::path::Path, state: &mut ManagerState) -> Result<(), Str
         let error = entry.get("error").and_then(value_str);
         let phase = JobPhase::from_name(phase_name, error)
             .ok_or_else(|| format!("{}: job {id}: unknown phase `{phase_name}`", path.display()))?;
-        let mut job = Job::new(spec);
+        let mut job = Job::new(id, spec);
         match phase {
             // A job the dead server never finished goes back to the
             // queue — including ones that were mid-run when it died.
@@ -697,9 +703,7 @@ fn load_jobs(path: &std::path::Path, state: &mut ManagerState) -> Result<(), Str
                 job.history.push("requeued");
                 state.queue.push_back(id);
             }
-            terminal => {
-                job.set_phase(terminal);
-            }
+            terminal => job.finish(id, terminal),
         }
         state.jobs.insert(id, job);
         state.next_id = state.next_id.max(id + 1);
@@ -722,10 +726,8 @@ fn job_json(id: u64, job: &Job, tail: usize) -> serde_json::Value {
     let tail_events: Vec<serde_json::Value> = telemetry
         .tail
         .iter()
-        .rev()
-        .take(tail)
-        .rev()
-        .cloned()
+        .skip(telemetry.tail.len().saturating_sub(tail))
+        .map(|(run, event)| event_json(*run, event))
         .collect();
     serde_json::json!({
         "id": id,
@@ -746,6 +748,21 @@ fn job_json(id: u64, job: &Job, tail: usize) -> serde_json::Value {
         "frontier_key": key_of(&job.spec.task, &job.spec.backend, job.spec.n),
         "tail": serde_json::Value::Array(tail_events),
     })
+}
+
+/// One job's `jobs.json` entry as compact JSON.
+fn entry_json(id: u64, spec: &JobSpec, phase: &JobPhase) -> String {
+    let error = match phase {
+        JobPhase::Failed(e) => serde_json::Value::String(e.clone()),
+        _ => serde_json::Value::Null,
+    };
+    let entry = serde_json::json!({
+        "id": id,
+        "spec": Serialize::to_value(spec),
+        "phase": phase.name(),
+        "error": error,
+    });
+    serde_json::to_string(&entry).expect("infallible")
 }
 
 fn event_json(run: usize, event: &Event) -> serde_json::Value {
