@@ -141,7 +141,7 @@ impl RunObserver for ChannelObserver {
     fn on_event(&mut self, run: usize, event: &Event) {
         // A disconnected receiver means nobody is listening; training
         // continues unobserved rather than failing.
-        let _ = self.tx.send((run, event.clone()));
+        let _ = self.tx.send((run, *event));
     }
 }
 
