@@ -533,13 +533,12 @@ impl JobManager {
             let outcome = self.execute(spec.clone(), token, telemetry);
             let mut state = lock(&self.state);
             let job = state.jobs.get_mut(&id).expect("running job exists");
-            let phase = match outcome {
+            let (phase, merged) = match outcome {
                 Ok((result, merged)) => {
-                    job.merged_new_points = merged;
                     if result.completed {
-                        JobPhase::Done
+                        (JobPhase::Done, merged)
                     } else if job.user_cancelled {
-                        JobPhase::Cancelled
+                        (JobPhase::Cancelled, merged)
                     } else {
                         // Stopped by the shutdown cancel: hand the job
                         // back to the queue for the next server instance.
@@ -548,12 +547,20 @@ impl JobManager {
                         continue;
                     }
                 }
-                Err(e) => JobPhase::Failed(e),
+                Err(e) => (JobPhase::Failed(e), None),
             };
-            job.finish(id, phase);
-            job.finished_at = Some(Instant::now());
+            // The terminal entry reaches `jobs.json` before the phase is
+            // published, so a client that reads `done`, `cancelled` or
+            // `failed` can rely on a restart not running the job again,
+            // and a `status` poll never overtakes the write.
+            job.entry = entry_json(id, &job.spec, &phase);
             drop(state);
             self.persist_jobs();
+            let mut state = lock(&self.state);
+            let job = state.jobs.get_mut(&id).expect("running job exists");
+            job.merged_new_points = merged;
+            job.set_phase(phase);
+            job.finished_at = Some(Instant::now());
         }
     }
 
@@ -617,9 +624,10 @@ impl JobManager {
         Ok((result, merged))
     }
 
-    /// Rewrites `jobs.json` from the kept entries. Called after a submit
-    /// and after a job reaches `done`, `cancelled` or `failed` — the only
-    /// transitions a restart would act on differently.
+    /// Rewrites `jobs.json` from the kept entries. Called after a submit,
+    /// after a queued job is cancelled and before a finished job's
+    /// `done`, `cancelled` or `failed` is published — the only transitions
+    /// a restart would act on differently.
     fn persist_jobs(&self) {
         let Some(dir) = &self.cfg.state_dir else {
             return;
