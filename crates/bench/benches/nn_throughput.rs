@@ -1,7 +1,9 @@
 //! Tensor-compute-engine throughput: the small(16) gradient step and the
 //! small(16) 5×5 convolution's three implicit-GEMM passes at every kernel
 //! tier the CPU has, each row with a bitwise identity check against the
-//! scalar tier, and Q-network forward/backward/inference samples/sec
+//! scalar tier; the whole Double-DQN step at 16/32/64 bits with the target
+//! network on the rows its bootstrap values read against the full target
+//! pass, bitwise; and Q-network forward/backward/inference samples/sec
 //! against the naive im2col conv path (preserved in
 //! `nn::compute::reference`). Dumps `BENCH_nn.json` at the workspace
 //! root.
@@ -12,11 +14,16 @@
 
 use nn::compute::{self, reference, ConvShape};
 use nn::simd::{self, Tier};
-use prefixrl_bench::{time_per_call, Report};
+use nn::Scratch;
+use prefix_graph::PrefixGraph;
+use prefixrl_bench::{nearest_rank, time_per_call, Report};
+use prefixrl_core::agent::AgentConfig;
+use prefixrl_core::env;
 use prefixrl_core::qnet::{PrefixQNet, QNetConfig};
 use rand::prelude::*;
-use rl::QNetwork;
+use rl::{DoubleDqn, QNetwork, ReplayBuffer, Transition};
 use serde_json::json;
+use std::time::Instant;
 
 /// States per Q-network batch.
 const BATCH: usize = 32;
@@ -234,7 +241,7 @@ fn conv_rows(report: &mut Report) {
                     out.fill(0.0);
                     for (dst, xs) in out.chunks_exact_mut(c * hw).zip(x.chunks_exact(c * hw)) {
                         shape.pad(xs, &mut scratch_plane);
-                        compute::conv_forward(&shape, c, &weight, &scratch_plane, dst);
+                        compute::conv_forward(&shape, c, &weight, &scratch_plane, dst, 0..n);
                     }
                     outputs[i].clone_from(&out);
                 }
@@ -272,10 +279,139 @@ fn conv_rows(report: &mut Report) {
     }
 }
 
+/// Timed steps per `dqn_step` row and target mode.
+const DQN_STEPS: usize = 40;
+
+/// [`PrefixQNet`] with the trait's default `infer_at`: the full target
+/// pass, then a pick.
+struct FullTarget(PrefixQNet);
+
+impl QNetwork for FullTarget {
+    fn num_actions(&self) -> usize {
+        self.0.num_actions()
+    }
+
+    fn infer(&self, states: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>> {
+        self.0.infer(states, scratch)
+    }
+
+    fn forward(&mut self, states: &[&[f32]]) -> Vec<Vec<[f32; 2]>> {
+        self.0.forward(states)
+    }
+
+    fn apply_gradient(&mut self, grad: &[Vec<[f32; 2]>]) {
+        self.0.apply_gradient(grad);
+    }
+
+    fn state(&mut self) -> Vec<Vec<f32>> {
+        self.0.state()
+    }
+
+    fn load_state(&mut self, state: &[Vec<f32>]) -> Result<(), String> {
+        self.0.load_state(state)
+    }
+}
+
+/// `len` transitions of a seeded random walk from ripple at width `n`:
+/// uniformly drawn legal actions, random rewards, every tenth transition
+/// terminal (no bootstrap) and restarting from ripple.
+fn random_walk_replay(n: u16, len: usize, rng: &mut StdRng) -> ReplayBuffer {
+    let mut replay = ReplayBuffer::new(len);
+    let mut g = PrefixGraph::ripple(n);
+    for i in 0..len {
+        let legal = g.legal_actions();
+        let action = legal[rng.random_range(0..legal.len())];
+        let next = g.with_action(action).expect("a legal action applies");
+        let done = i % 10 == 9;
+        replay.push(Transition {
+            state: g.canonical_key().into(),
+            action: env::action_to_flat(n, action),
+            reward: [rng.random::<f32>() - 0.5, rng.random::<f32>() - 0.5],
+            next_state: next.canonical_key().into(),
+            done,
+        });
+        g = if done { PrefixGraph::ripple(n) } else { next };
+    }
+    replay
+}
+
+/// The whole Double-DQN gradient step (`DoubleDqn::train_step`: replay
+/// decode, online next-state pass, target pass, training forward, backward
+/// and Adam) under `AgentConfig::small` at 16/32/64 bits, at the CPU's
+/// widest tier. Two trainers start from one network and one replay: one
+/// runs the target on the rows its bootstrap values read (`PrefixQNet`'s
+/// `infer_at`), the other the full target pass (`FullTarget`). Their steps
+/// alternate, each timed alone, for `DQN_STEPS` samples; the row is
+/// `bit_identical` when every loss and both final networks match bitwise.
+fn dqn_step_rows(report: &mut Report) {
+    for n in [16u16, 32, 64] {
+        let cfg = AgentConfig::small(n, 0.5, 0);
+        let mut rng = StdRng::seed_from_u64(41 + n as u64);
+        let replay = random_walk_replay(n, cfg.dqn.min_replay * 2, &mut rng);
+        let online = PrefixQNet::new(&cfg.qnet);
+        let mut rows = DoubleDqn::new(online.clone(), online.clone(), cfg.dqn.clone());
+        let mut full = DoubleDqn::new(
+            FullTarget(online.clone()),
+            FullTarget(online),
+            cfg.dqn.clone(),
+        );
+        let (mut rows_rng, mut full_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let (mut rows_us, mut full_us) = (Vec::new(), Vec::new());
+        let mut bit_identical = true;
+        // One untimed warm-up step each, then alternate which goes first.
+        for i in 0..=DQN_STEPS {
+            let mut step_rows = || {
+                let t0 = Instant::now();
+                let loss = rows.train_step(&replay, &mut rows_rng, env::decode_state);
+                (loss, t0.elapsed().as_secs_f64() * 1e6)
+            };
+            let mut step_full = || {
+                let t0 = Instant::now();
+                let loss = full.train_step(&replay, &mut full_rng, env::decode_state);
+                (loss, t0.elapsed().as_secs_f64() * 1e6)
+            };
+            let ((a, ta), (b, tb)) = if i % 2 == 0 {
+                let r = step_rows();
+                (r, step_full())
+            } else {
+                let f = step_full();
+                (step_rows(), f)
+            };
+            let (a, b) = (a.expect("replay past min_replay"), b.expect("same"));
+            bit_identical &= a.to_bits() == b.to_bits();
+            if i > 0 {
+                rows_us.push(ta);
+                full_us.push(tb);
+            }
+        }
+        bit_identical &= rows.online_mut().state() == full.online_mut().state()
+            && rows.target_mut().state() == full.target_mut().state();
+        let (rows_p50, full_p50) = (nearest_rank(&rows_us, 50), nearest_rank(&full_us, 50));
+        report.row(
+            "dqn_step",
+            json!({"n": n, "batch": cfg.dqn.batch_size, "tier": format!("{:?}", simd::tier())}),
+            json!({
+                "samples": DQN_STEPS,
+                "step_p50_us": rows_p50,
+                "step_p90_us": nearest_rank(&rows_us, 90),
+                "full_target_step_p50_us": full_p50,
+                "full_target_step_p90_us": nearest_rank(&full_us, 90),
+                "p50_saving": 1.0 - rows_p50 / full_p50,
+                "bit_identical": bit_identical,
+            }),
+        );
+        assert!(
+            bit_identical,
+            "windowed target diverged from the full pass at {n}b"
+        );
+    }
+}
+
 fn main() {
     let mut report = Report::new("nn", json!({"batch": BATCH, "min_secs": MIN_SECS}));
     grad_step_rows(&mut report);
     conv_rows(&mut report);
+    dqn_step_rows(&mut report);
 
     for (label, cfg) in [
         ("tiny(8)", QNetConfig::tiny(8)),

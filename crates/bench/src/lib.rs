@@ -113,11 +113,21 @@ pub fn time_per_call(mut f: impl FnMut(), min_secs: f64) -> f64 {
 ///
 /// On no samples: an empty summary would read as zero latency.
 pub fn latency(samples: &[f64]) -> Value {
+    let rank = |pct| nearest_rank(samples, pct);
+    json!({"p50": rank(50), "p99": rank(99), "max": rank(100)})
+}
+
+/// The `pct`th percentile of `samples` by nearest rank: the smallest
+/// sample with at least `pct`% of the samples at or below it.
+///
+/// # Panics
+///
+/// On no samples.
+pub fn nearest_rank(samples: &[f64], pct: usize) -> f64 {
     assert!(!samples.is_empty(), "latency summary of no samples");
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = |pct: usize| sorted[(sorted.len() * pct).div_ceil(100) - 1];
-    json!({"p50": rank(50), "p99": rank(99), "max": sorted[sorted.len() - 1]})
+    sorted[(sorted.len() * pct).div_ceil(100).max(1) - 1]
 }
 
 /// Serializes a front for artifacts.

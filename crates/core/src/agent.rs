@@ -247,10 +247,9 @@ impl TrainLoop {
         // checkpointed config in sync with it.
         cfg.env = actors[0].env.config().clone();
         let online = PrefixQNet::new(&cfg.qnet);
-        let target = PrefixQNet::new(&QNetConfig {
-            seed: cfg.qnet.seed ^ 0x5eed,
-            ..cfg.qnet.clone()
-        });
+        // `DoubleDqn::new` syncs the target to the online network: start
+        // it as a copy rather than initializing weights it discards.
+        let target = online.clone();
         TrainLoop {
             dqn: DoubleDqn::new(online, target, cfg.dqn.clone()),
             replay: ReplayBuffer::new(cfg.replay_capacity),

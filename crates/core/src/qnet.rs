@@ -10,8 +10,12 @@
 //! not boxed trait objects) with one pass per job: the immutable
 //! [`QNetwork::infer`] evaluation forward, which writes no backward caches
 //! and which the training loop's coordinator picks every round's greedy
-//! actions with (see `agent.rs`), and the training forward
-//! [`QNetwork::forward`] that [`QNetwork::apply_gradient`] backpropagates.
+//! actions with (see `agent.rs`); [`QNetwork::infer_at`], the same forward
+//! on only the rows one action's cell reads, for the target network's
+//! bootstrap values (the window rule: a `k`×`k` convolution widens the
+//! rows it needs by `k/2` on each side; DESIGN.md §11); and the training
+//! forward [`QNetwork::forward`] that [`QNetwork::apply_gradient`]
+//! backpropagates.
 //!
 //! The paper uses `B = 32, C = 256`; the defaults here are scaled for CPU
 //! training (see DESIGN.md §8) with the paper values available via
@@ -21,6 +25,7 @@
 use nn::{Adam, BatchNorm2d, Conv2d, Layer, LeakyReLU, Param, Scratch, Tensor};
 use rl::QNetwork;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Q-network hyper-parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -73,7 +78,23 @@ impl QNetConfig {
     }
 }
 
+/// Widens each sample's row window by `k/2` rows on each side, clamped to
+/// `0..h`: the input rows a `k`×`k` same-padded convolution reads to
+/// compute the window.
+fn widen(rows: &[Range<usize>], k: usize, h: usize) -> Vec<Range<usize>> {
+    rows.iter()
+        .map(|r| r.start.saturating_sub(k / 2)..(r.end + k / 2).min(h))
+        .collect()
+}
+
+/// Every sample's whole plane as its row window.
+fn full_rows(x: &Tensor) -> Vec<Range<usize>> {
+    let [n, _, h, _] = x.shape();
+    vec![0..h; n]
+}
+
 /// One paper residual block: `LReLU(BN(conv5(LReLU(BN(conv5(x))))) + x)`.
+#[derive(Clone)]
 struct PaperBlock {
     conv1: Conv2d,
     bn1: BatchNorm2d,
@@ -93,6 +114,29 @@ impl PaperBlock {
             bn2: BatchNorm2d::new(channels),
             act_out: LeakyReLU::default(),
         }
+    }
+
+    /// The window of its input the block reads to output rows `rows`.
+    fn input_rows(&self, rows: &[Range<usize>], h: usize) -> Vec<Range<usize>> {
+        let mid = widen(rows, self.conv2.kernel(), h);
+        widen(&mid, self.conv1.kernel(), h)
+    }
+
+    /// The evaluation forward on output rows `rows[s]` of each sample `s`;
+    /// `x` must hold its full-pass values on [`PaperBlock::input_rows`].
+    fn infer_rows(&self, x: &Tensor, rows: &[Range<usize>], scratch: &mut Scratch) -> Tensor {
+        let mid = widen(rows, self.conv2.kernel(), x.shape()[2]);
+        let a = self.conv1.infer_rows(x, &mid, scratch);
+        let mut c = self.bn1.infer_rows(&a, &mid, scratch);
+        scratch.recycle(a);
+        self.act1.apply_rows(&mut c, &mid);
+        let d = self.conv2.infer_rows(&c, rows, scratch);
+        scratch.recycle(c);
+        let mut e = self.bn2.infer_rows(&d, rows, scratch);
+        scratch.recycle(d);
+        e.add_assign_rows(x, rows);
+        self.act_out.apply_rows(&mut e, rows);
+        e
     }
 }
 
@@ -130,18 +174,7 @@ impl Layer for PaperBlock {
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let a = self.conv1.infer(x, scratch);
-        let b = self.bn1.infer(&a, scratch);
-        scratch.recycle(a);
-        let mut c = b;
-        self.act1.apply(&mut c);
-        let d = self.conv2.infer(&c, scratch);
-        scratch.recycle(c);
-        let mut e = self.bn2.infer(&d, scratch);
-        scratch.recycle(d);
-        e.add_assign(x);
-        self.act_out.apply(&mut e);
-        e
+        self.infer_rows(x, &full_rows(x), scratch)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -159,6 +192,7 @@ impl Layer for PaperBlock {
 
 /// The full Fig. 2 body as a typed layer tree (stem → blocks → head →
 /// output conv).
+#[derive(Clone)]
 struct QBody {
     stem: Conv2d,
     stem_bn: BatchNorm2d,
@@ -186,6 +220,45 @@ impl QBody {
             head_act: LeakyReLU::default(),
             out: Conv2d::new(c, 4, 1, s + 7001),
         }
+    }
+
+    /// The evaluation forward on output rows `rows[s]` of each sample `s`;
+    /// every other output element is unspecified.
+    ///
+    /// Walking the stack down from the output, each `k`×`k` convolution
+    /// widens the window its input must hold by `k/2` rows on each side,
+    /// clamped to the plane ([`widen`]). Every layer then computes just its
+    /// window, on the same padded planes and in the same order as the full
+    /// pass, so each computed element is bitwise its full-pass value. With
+    /// whole-plane windows this is the full pass ([`Layer::infer`]); a deep
+    /// stack widens any window to the whole plane.
+    fn infer_rows(&self, x: &Tensor, rows: &[Range<usize>], scratch: &mut Scratch) -> Tensor {
+        let h = x.shape()[2];
+        let head_rows = widen(rows, self.out.kernel(), h);
+        // Each block's output window, last block first, then the stem's.
+        let mut windows = vec![widen(&head_rows, self.head.kernel(), h)];
+        for block in self.blocks.iter().rev() {
+            let below = block.input_rows(windows.last().expect("nonempty"), h);
+            windows.push(below);
+        }
+        let stem_rows = windows.pop().expect("the stem's window");
+        let a = self.stem.infer_rows(x, &stem_rows, scratch);
+        let mut cur = self.stem_bn.infer_rows(&a, &stem_rows, scratch);
+        scratch.recycle(a);
+        self.stem_act.apply_rows(&mut cur, &stem_rows);
+        for (block, rows) in self.blocks.iter().zip(windows.iter().rev()) {
+            let next = block.infer_rows(&cur, rows, scratch);
+            scratch.recycle(cur);
+            cur = next;
+        }
+        let h = self.head.infer_rows(&cur, &head_rows, scratch);
+        scratch.recycle(cur);
+        let mut hb = self.head_bn.infer_rows(&h, &head_rows, scratch);
+        scratch.recycle(h);
+        self.head_act.apply_rows(&mut hb, &head_rows);
+        let out = self.out.infer_rows(&hb, rows, scratch);
+        scratch.recycle(hb);
+        out
     }
 
     /// Backpropagates `grad_out` through every layer above the stem
@@ -252,23 +325,7 @@ impl Layer for QBody {
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let a = self.stem.infer(x, scratch);
-        let mut cur = self.stem_bn.infer(&a, scratch);
-        scratch.recycle(a);
-        self.stem_act.apply(&mut cur);
-        for block in &self.blocks {
-            let next = block.infer(&cur, scratch);
-            scratch.recycle(cur);
-            cur = next;
-        }
-        let h = self.head.infer(&cur, scratch);
-        scratch.recycle(cur);
-        let mut hb = self.head_bn.infer(&h, scratch);
-        scratch.recycle(h);
-        self.head_act.apply(&mut hb);
-        let out = self.out.infer(&hb, scratch);
-        scratch.recycle(hb);
-        out
+        self.infer_rows(x, &full_rows(x), scratch)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -303,26 +360,24 @@ fn pack_states(n: usize, states: &[&[f32]], scratch: &mut Scratch) -> Tensor {
     Tensor::from_vec([states.len(), 4, n, n], flat)
 }
 
-/// Decodes the 4-channel network output into per-action Q-value rows.
-///
-/// Output channels: 0=Q_area(add), 1=Q_area(del), 2=Q_delay(add),
-/// 3=Q_delay(del); flat action `kind·N² + pos`.
-fn extract_q(n: usize, batch: usize, y: &Tensor) -> Vec<Vec<[f32; 2]>> {
+/// Sample `b`'s `[Q_area, Q_delay]` of flat action `a = kind·N² + pos` in
+/// the 4-channel network output: channels 0=Q_area(add), 1=Q_area(del),
+/// 2=Q_delay(add), 3=Q_delay(del).
+fn q_at(n: usize, y: &Tensor, b: usize, a: usize) -> [f32; 2] {
     let nn_plane = n * n;
+    let (kind, pos) = (a / nn_plane, a % nn_plane);
+    let base = b * 4 * nn_plane + pos;
+    let data = y.data();
+    [
+        data[base + kind * nn_plane],
+        data[base + (2 + kind) * nn_plane],
+    ]
+}
+
+/// Decodes the 4-channel network output into per-action Q-value rows.
+fn extract_q(n: usize, batch: usize, y: &Tensor) -> Vec<Vec<[f32; 2]>> {
     (0..batch)
-        .map(|b| {
-            let base = b * 4 * nn_plane;
-            let data = y.data();
-            (0..2 * nn_plane)
-                .map(|a| {
-                    let (kind, pos) = (a / nn_plane, a % nn_plane);
-                    [
-                        data[base + kind * nn_plane + pos],
-                        data[base + (2 + kind) * nn_plane + pos],
-                    ]
-                })
-                .collect()
-        })
+        .map(|b| (0..2 * n * n).map(|a| q_at(n, y, b, a)).collect())
         .collect()
 }
 
@@ -333,6 +388,19 @@ pub struct PrefixQNet {
     opt: Adam,
     n: usize,
     scratch: Scratch,
+}
+
+impl Clone for PrefixQNet {
+    /// Copies the parameters, batch-norm statistics and optimizer state;
+    /// backward caches and the scratch arena start empty.
+    fn clone(&self) -> Self {
+        PrefixQNet {
+            net: self.net.clone(),
+            opt: self.opt.clone(),
+            n: self.n,
+            scratch: Scratch::new(),
+        }
+    }
 }
 
 impl PrefixQNet {
@@ -405,6 +473,37 @@ impl QNetwork for PrefixQNet {
         let x = pack_states(self.n, states, scratch);
         let y = self.net.infer(&x, scratch);
         let out = extract_q(self.n, states.len(), &y);
+        scratch.recycle(x);
+        scratch.recycle(y);
+        out
+    }
+
+    /// The output row of each action's cell, the one row of the output
+    /// conv it needs, through [`QBody::infer_rows`]: bitwise the
+    /// [`QNetwork::infer`] values.
+    fn infer_at(
+        &self,
+        states: &[&[f32]],
+        actions: &[usize],
+        scratch: &mut Scratch,
+    ) -> Vec<[f32; 2]> {
+        assert_eq!(states.len(), actions.len(), "one action per state");
+        let nn_plane = self.n * self.n;
+        let rows: Vec<Range<usize>> = actions
+            .iter()
+            .map(|&a| {
+                assert!(a < 2 * nn_plane, "action {a} out of range");
+                let row = a % nn_plane / self.n;
+                row..row + 1
+            })
+            .collect();
+        let x = pack_states(self.n, states, scratch);
+        let y = self.net.infer_rows(&x, &rows, scratch);
+        let out = actions
+            .iter()
+            .enumerate()
+            .map(|(b, &a)| q_at(self.n, &y, b, a))
+            .collect();
         scratch.recycle(x);
         scratch.recycle(y);
         out

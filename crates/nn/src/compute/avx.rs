@@ -13,6 +13,7 @@
 use super::implicit::{self, ConvShape};
 use super::tile::{dot_then_add, shape, Runs, Strided, Walk};
 use crate::simd::{F32x16, F32x8, Lanes};
+use std::ops::Range;
 
 shape!(
     /// 6×16 at eight lanes: twelve of the sixteen ymm registers hold
@@ -56,10 +57,10 @@ macro_rules! at_width {
 at_width! {
     /// The implicit-GEMM conv forward at eight lanes.
     "avx" fn conv_forward8 = implicit::forward [Ymm6x16]
-        (shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32], taps: &[usize]);
+        (shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32], taps: &[usize], rows: Range<usize>);
     /// The implicit-GEMM conv forward at sixteen lanes.
     "avx512f" fn conv_forward16 = implicit::forward [Zmm12x32]
-        (shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32], taps: &[usize]);
+        (shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32], taps: &[usize], rows: Range<usize>);
     /// The implicit-GEMM conv input gradient at eight lanes.
     "avx" fn conv_input_grad8 = implicit::input_grad [Ymm6x16]
         (shape: &ConvShape, oc: usize, weight: &[f32], go: &[f32], grad_plane: &mut [f32]);

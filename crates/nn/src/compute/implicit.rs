@@ -24,6 +24,7 @@ use super::tile::{
 use super::KC;
 use crate::simd::Lanes;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Floats past a plane's last row that a vector may read: a partial
 /// segment's lanes beyond its output row, at most one vector of the widest
@@ -127,21 +128,44 @@ impl ConvShape {
     ///
     /// Panics if a slice is shorter than its extent.
     pub fn pad(&self, x: &[f32], plane: &mut [f32]) {
+        self.pad_rows(x, plane, 0..self.h);
+    }
+
+    /// [`ConvShape::pad`] on the plane rows a forward on output rows
+    /// `rows` reads: padded rows `rows.start..rows.end + k − 1`, which
+    /// hold input rows `rows` widened by `k/2` and the zero rows past the
+    /// input's edges, and the slack. Every other plane row keeps what it
+    /// held; only lanes the kernels discard read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice is shorter than its extent or `rows` is not inside
+    /// `0..h`.
+    pub fn pad_rows(&self, x: &[f32], plane: &mut [f32], rows: Range<usize>) {
+        assert!(rows.start <= rows.end && rows.end <= self.h);
         let (pad, wp, hw) = (self.k / 2, self.wp(), self.h * self.w);
         let (planes, slack) = plane[..self.plane_len()].split_at_mut(self.planes_len());
         for (dst, src) in planes
             .chunks_exact_mut(self.channel_len().max(1))
             .zip(x[..self.in_c * hw].chunks_exact(hw.max(1)))
         {
+            // Padded rows `lo..hi`: zero rows above the input, input rows
+            // `ilo..ihi` (padded row `pad + i` holds input row `i`), zero
+            // rows below.
+            let (lo, hi) = (rows.start, rows.end + self.k - 1);
+            let (ilo, ihi) = (lo.saturating_sub(pad), (hi - pad).min(self.h));
             let (top, rest) = dst.split_at_mut(pad * wp);
-            let (rows, bottom) = rest.split_at_mut(self.h * wp);
-            top.fill(0.0);
-            for (row, src) in rows.chunks_exact_mut(wp).zip(src.chunks_exact(self.w)) {
+            let (interior, bottom) = rest.split_at_mut(self.h * wp);
+            top[lo.min(pad) * wp..].fill(0.0);
+            for (row, src) in interior[ilo * wp..ihi * wp]
+                .chunks_exact_mut(wp)
+                .zip(src[ilo * self.w..ihi * self.w].chunks_exact(self.w))
+            {
                 row[..pad].fill(0.0);
                 row[pad..pad + self.w].copy_from_slice(src);
                 row[pad + self.w..].fill(0.0);
             }
-            bottom.fill(0.0);
+            bottom[..(hi - pad - ihi) * wp].fill(0.0);
         }
         slack.fill(0.0);
     }
@@ -194,9 +218,11 @@ impl ConvShape {
         }
     }
 
-    /// Segments covering the output at `lanes` lanes per vector.
-    fn segments(&self, lanes: usize) -> usize {
-        self.h * self.w.div_ceil(lanes)
+    /// Segments covering output rows `rows` at `lanes` lanes per vector:
+    /// a range of segment indices, since segments run row-major.
+    fn segments(&self, rows: Range<usize>, lanes: usize) -> Range<usize> {
+        let per_row = self.w.div_ceil(lanes);
+        rows.start * per_row..rows.end * per_row
     }
 
     /// Segment `s`: its offsets in a padded and a dense plane, and its
@@ -211,10 +237,11 @@ impl ConvShape {
         )
     }
 
-    /// Tile column group `g` of `nv ≤ 2` segments.
-    fn group(&self, g: usize, lanes: usize, nv: usize) -> Group {
+    /// The tile column group of `nv ≤ 2` segments that starts at segment
+    /// `first`, taking none at or past `end`.
+    fn group(&self, first: usize, end: usize, lanes: usize, nv: usize) -> Group {
         debug_assert!(nv <= MAX_NV);
-        let (plane, out, len) = self.segment(g * nv, lanes);
+        let (plane, out, len) = self.segment(first, lanes);
         let mut group = Group {
             plane,
             plane_vs: 0,
@@ -222,8 +249,8 @@ impl ConvShape {
             out_vs: 0,
             lens: [len, 0],
         };
-        if nv == 2 && g * nv + 1 < self.segments(lanes) {
-            let (plane2, out2, len2) = self.segment(g * nv + 1, lanes);
+        if nv == 2 && first + 1 < end {
+            let (plane2, out2, len2) = self.segment(first + 1, lanes);
             group.plane_vs = plane2 - plane;
             group.out_vs = out2 - out;
             group.lens[1] = len2;
@@ -232,33 +259,51 @@ impl ConvShape {
     }
 }
 
-/// One sample's conv forward over `m` output channels:
-/// `out[m, h·w] += weight[m, in_c·k·k] · B`, where `B`'s row for tap `q`
-/// is tap `q`'s shifted view of the padded `plane` ([`ConvShape::pad`]).
-/// Each element sums its products in the order of
-/// [`super::reference::gemm`] of `weight` with the sample's im2col panel.
+/// One sample's conv forward over `m` output channels, on output rows
+/// `rows` (`0..h` for the whole plane):
+/// `out[m, h·w] += weight[m, in_c·k·k] · B` at those rows' positions, where
+/// `B`'s row for tap `q` is tap `q`'s shifted view of the padded `plane`
+/// ([`ConvShape::pad`]). Each element sums its products in the order of
+/// [`super::reference::gemm`] of `weight` with the sample's im2col panel,
+/// whatever the row range: segments never span two rows, so a range only
+/// drops whole segments. Elements outside `rows` are left untouched.
 ///
 /// # Panics
 ///
-/// Panics if a slice is shorter than its extent.
-pub fn conv_forward(shape: &ConvShape, m: usize, weight: &[f32], plane: &[f32], out: &mut [f32]) {
+/// Panics if a slice is shorter than its extent or `rows` is not inside
+/// `0..h`.
+pub fn conv_forward(
+    shape: &ConvShape,
+    m: usize,
+    weight: &[f32],
+    plane: &[f32],
+    out: &mut [f32],
+    rows: Range<usize>,
+) {
     let hw = shape.h * shape.w;
     assert!(
         weight.len() >= m * shape.taps_len()
             && plane.len() >= shape.plane_len()
             && out.len() >= m * hw
     );
+    assert!(
+        rows.start <= rows.end && rows.end <= shape.h,
+        "output rows {rows:?} outside 0..{}",
+        shape.h
+    );
     TAPS.with_borrow_mut(|taps| {
         shape.taps(taps);
         // SAFETY: `shape.width()` picks only tiers CPUID supports; the
-        // lengths were asserted above and `taps` matches `shape`.
+        // lengths and rows were asserted above and `taps` matches `shape`.
         unsafe {
             match shape.width() {
                 #[cfg(target_arch = "x86_64")]
-                Width::Sixteen => super::avx::conv_forward16(shape, m, weight, plane, out, taps),
+                Width::Sixteen => {
+                    super::avx::conv_forward16(shape, m, weight, plane, out, taps, rows)
+                }
                 #[cfg(target_arch = "x86_64")]
-                Width::Eight => super::avx::conv_forward8(shape, m, weight, plane, out, taps),
-                Width::Portable => forward::<Soft6x8>(shape, m, weight, plane, out, taps),
+                Width::Eight => super::avx::conv_forward8(shape, m, weight, plane, out, taps, rows),
+                Width::Portable => forward::<Soft6x8>(shape, m, weight, plane, out, taps, rows),
             }
         }
     });
@@ -346,13 +391,14 @@ pub fn conv_weight_grad(shape: &ConvShape, m: usize, go: &[f32], plane: &[f32], 
     });
 }
 
-/// The loop nest of [`conv_forward`]: k-blocked in `KC` taps (storing and reloading a `C` tile between blocks is exact), then every
-/// column group of segments, then every row tile of output channels.
+/// The loop nest of [`conv_forward`]: k-blocked in `KC` taps (storing and
+/// reloading a `C` tile between blocks is exact), then every column group
+/// of the segments of `rows`, then every row tile of output channels.
 ///
 /// # Safety
 ///
-/// Requires `S::V`'s CPU feature; the lengths [`conv_forward`] asserts,
-/// and `taps` filled for `shape`.
+/// Requires `S::V`'s CPU feature; the lengths and rows [`conv_forward`]
+/// asserts, and `taps` filled for `shape`.
 #[inline(always)]
 pub(super) unsafe fn forward<S: Shape>(
     shape: &ConvShape,
@@ -361,10 +407,11 @@ pub(super) unsafe fn forward<S: Shape>(
     plane: &[f32],
     out: &mut [f32],
     taps: &[usize],
+    rows: Range<usize>,
 ) {
     let lanes = S::V::LANES;
     let (q, hw) = (taps.len(), shape.h * shape.w);
-    let groups = shape.segments(lanes).div_ceil(S::NV);
+    let segments = shape.segments(rows, lanes);
     let a = Strided {
         ptr: weight.as_ptr(),
         rs: q,
@@ -372,8 +419,8 @@ pub(super) unsafe fn forward<S: Shape>(
     };
     for pc in (0..q).step_by(KC) {
         let kc = KC.min(q - pc);
-        for g in 0..groups {
-            let group = shape.group(g, lanes, S::NV);
+        for first in segments.clone().step_by(S::NV) {
+            let group = shape.group(first, segments.end, lanes, S::NV);
             let b = Grid {
                 ptr: plane.as_ptr().add(group.plane).cast_mut(),
                 walk: Table(taps.as_ptr().add(pc)),
@@ -422,9 +469,9 @@ pub(super) unsafe fn input_grad<S: Shape>(
     let lanes = S::V::LANES;
     let (k, hw, chan) = (shape.k, shape.h * shape.w, shape.channel_len());
     let q = shape.taps_len();
-    let groups = shape.segments(lanes).div_ceil(S::NV);
-    for g in (0..groups).rev() {
-        let group = shape.group(g, lanes, S::NV);
+    let segments = shape.segments(0..shape.h, lanes);
+    for first in segments.clone().step_by(S::NV).rev() {
+        let group = shape.group(first, segments.end, lanes, S::NV);
         let b = Grid {
             ptr: go.as_ptr().add(group.out).cast_mut(),
             walk: Stride(hw),

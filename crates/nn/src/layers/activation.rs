@@ -4,6 +4,7 @@ use super::Layer;
 use crate::compute::Scratch;
 use crate::simd;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Leaky rectified linear unit, `f(x) = x` for `x > 0` else `αx`.
 ///
@@ -37,6 +38,15 @@ impl LeakyReLU {
     /// fast path, allocating nothing.
     pub fn apply(&self, t: &mut Tensor) {
         simd::lrelu_apply(t.data_mut(), self.alpha);
+    }
+
+    /// [`LeakyReLU::apply`] on rows `rows[s]` of each sample `s` only
+    /// (see [`Tensor::row_runs`]): elementwise, so each element gets the
+    /// bits a whole-tensor pass gives it.
+    pub fn apply_rows(&self, t: &mut Tensor, rows: &[Range<usize>]) {
+        for run in t.row_runs(rows) {
+            simd::lrelu_apply(&mut t.data_mut()[run], self.alpha);
+        }
     }
 }
 

@@ -4,6 +4,7 @@ use super::{Layer, Param};
 use crate::compute::Scratch;
 use crate::simd;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Batch normalization over the channel dimension of NCHW tensors.
 ///
@@ -28,6 +29,22 @@ pub struct BatchNorm2d {
     // nothing): Σx and Σx² forward, Σdy and Σdy·x̂ backward.
     sum_a: Vec<f64>,
     sum_ab: Vec<f64>,
+}
+
+impl Clone for BatchNorm2d {
+    /// Clones parameters and running statistics; the backward cache starts
+    /// empty.
+    fn clone(&self) -> Self {
+        BatchNorm2d {
+            gamma: self.gamma.clone(),
+            beta: self.beta.clone(),
+            running_mean: self.running_mean.clone(),
+            running_var: self.running_var.clone(),
+            momentum: self.momentum,
+            eps: self.eps,
+            ..BatchNorm2d::new(self.channels)
+        }
+    }
 }
 
 impl BatchNorm2d {
@@ -57,6 +74,34 @@ impl BatchNorm2d {
     /// The running variance per channel.
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
+    }
+
+    /// [`Layer::infer`] on rows `rows[s]` of each sample `s` only (see
+    /// [`Tensor::row_spans`]); every other output element holds whatever
+    /// its scratch buffer held. The normalize is elementwise, so each
+    /// computed element is bitwise its whole-plane value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch or as [`Tensor::row_spans`] does.
+    pub fn infer_rows(&self, x: &Tensor, rows: &[Range<usize>], scratch: &mut Scratch) -> Tensor {
+        assert_eq!(x.shape()[1], self.channels, "BatchNorm2d channel mismatch");
+        let mut out = Tensor::from_vec(x.shape(), scratch.take_for_overwrite(x.len()));
+        for (ci, span) in x.row_spans(rows) {
+            let (mean, var) = (self.running_mean[ci], self.running_var[ci]);
+            let inv = 1.0 / (var + self.eps).sqrt();
+            let (g, b) = (self.gamma.data[ci], self.beta.data[ci]);
+            // Vectorized normalize over the contiguous rows.
+            simd::bn_apply(
+                &x.data()[span.clone()],
+                &mut out.data_mut()[span],
+                mean,
+                inv,
+                g,
+                b,
+            );
+        }
+        out
     }
 
     /// Copies the non-parameter state (running statistics) from another
@@ -166,28 +211,8 @@ impl Layer for BatchNorm2d {
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let [n, c, h, w] = x.shape();
-        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let plane = h * w;
-        let mut out = scratch.tensor(x.shape());
-        for ci in 0..c {
-            let (mean, var) = (self.running_mean[ci], self.running_var[ci]);
-            let inv = 1.0 / (var + self.eps).sqrt();
-            let (g, b) = (self.gamma.data[ci], self.beta.data[ci]);
-            for s in 0..n {
-                let base = (s * c + ci) * plane;
-                // Vectorized normalize over the contiguous channel plane.
-                simd::bn_apply(
-                    &x.data()[base..base + plane],
-                    &mut out.data_mut()[base..base + plane],
-                    mean,
-                    inv,
-                    g,
-                    b,
-                );
-            }
-        }
-        out
+        let [n, _, h, _] = x.shape();
+        self.infer_rows(x, &vec![0..h; n], scratch)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

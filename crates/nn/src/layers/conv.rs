@@ -5,12 +5,15 @@
 //! through a tap offset table — no im2col panel is ever written. Every
 //! pass loops over the batch's samples in ascending order. The training
 //! forward keeps its padded planes for the weight gradient; [`Layer::infer`]
-//! pads into a transient [`Scratch`] buffer and leaves no cache behind.
+//! pads into a transient [`Scratch`] buffer and leaves no cache behind, and
+//! [`Conv2d::infer_rows`] is the same pass on a per-sample window of output
+//! rows.
 
 use super::{he_normal, Layer, Param};
 use crate::compute::{self, ConvShape, Scratch};
 use crate::tensor::Tensor;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// A stride-1, same-padding 2-D convolution.
 ///
@@ -81,6 +84,56 @@ impl Conv2d {
         ConvShape::new(self.in_c, self.k, h, w)
     }
 
+    /// The kernel size `k`: an output row reads input rows `k/2` above and
+    /// below it.
+    pub fn kernel(&self) -> usize {
+        self.k
+    }
+
+    /// [`Layer::infer`] on output rows `rows[s]` of each sample `s` only;
+    /// every other output element is `+0.0`.
+    /// Each sample is padded into a full plane's geometry, on the rows the
+    /// window reads ([`ConvShape::pad_rows`]), so each computed element
+    /// sees the operands, products and order of [`Layer::infer`] and is
+    /// bitwise its value, provided the input holds its full-pass values
+    /// on rows `rows[s]` widened by `k/2` (clamped to the plane): the
+    /// other rows reach only lanes the kernels discard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not hold one range inside `0..h` per sample.
+    pub fn infer_rows(&self, x: &Tensor, rows: &[Range<usize>], scratch: &mut Scratch) -> Tensor {
+        assert_eq!(rows.len(), x.shape()[0], "one row window per sample");
+        self.infer_window(x, |s| rows[s].clone(), scratch)
+    }
+
+    /// The evaluation forward on output rows `window(s)` of sample `s`.
+    fn infer_window(
+        &self,
+        x: &Tensor,
+        window: impl Fn(usize) -> Range<usize>,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        let [n, c, h, w] = x.shape();
+        assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
+        let shape = self.shape(h, w);
+        // `pad_all` writes every plane row the window reads.
+        let mut planes = scratch.take_for_overwrite(n * shape.plane_len());
+        pad_all(&shape, x, &mut planes, &window);
+        let out = forward_planes(
+            &shape,
+            self.out_c,
+            &self.weight.data,
+            self.bias.as_ref().map(|b| b.data.as_slice()),
+            &planes,
+            [n, h, w],
+            window,
+            scratch,
+        );
+        scratch.give(planes);
+        out
+    }
+
     /// Accumulates the weight (and bias) gradients for `grad_out` without
     /// forming ∂L/∂input — for a first layer, whose input gradient nobody
     /// reads. The gradients are bitwise those of [`Layer::backward_with`].
@@ -149,9 +202,11 @@ impl Conv2d {
     }
 }
 
-/// The one forward product behind both entry points ([`Layer::forward_with`]
-/// and [`Layer::infer`]), over samples already padded into `planes` (one
-/// `plane_len` block each).
+/// The one forward product behind every entry point
+/// ([`Layer::forward_with`], [`Layer::infer`], [`Conv2d::infer_rows`]),
+/// over samples already padded into `planes` (one `plane_len` block each),
+/// on output rows `window(s)` of sample `s`.
+#[allow(clippy::too_many_arguments)]
 fn forward_planes(
     shape: &ConvShape,
     out_c: usize,
@@ -159,34 +214,44 @@ fn forward_planes(
     bias: Option<&[f32]>,
     planes: &[f32],
     [n, h, w]: [usize; 3],
+    window: impl Fn(usize) -> Range<usize>,
     scratch: &mut Scratch,
 ) -> Tensor {
     let hw = h * w;
     let plane_len = shape.plane_len();
+    // The product accumulates onto `+0.0`.
     let mut out = scratch.tensor([n, out_c, h, w]);
     for s in 0..n {
+        let rows = window(s);
         let plane = &planes[s * plane_len..(s + 1) * plane_len];
         let dst = &mut out.data_mut()[s * out_c * hw..(s + 1) * out_c * hw];
-        compute::conv_forward(shape, out_c, weight, plane, dst);
+        compute::conv_forward(shape, out_c, weight, plane, dst, rows.clone());
         if let Some(bias) = bias {
             for (o, &bv) in bias.iter().enumerate() {
-                crate::simd::add_scalar(&mut dst[o * hw..(o + 1) * hw], bv);
+                let span = o * hw + rows.start * w..o * hw + rows.end * w;
+                crate::simd::add_scalar(&mut dst[span], bv);
             }
         }
     }
     out
 }
 
-/// Pads every sample of `x` into consecutive `plane_len` blocks of
-/// `planes`.
-fn pad_all(shape: &ConvShape, x: &Tensor, planes: &mut [f32]) {
+/// Pads every sample `s` of `x` into consecutive `plane_len` blocks of
+/// `planes`, the plane rows that output rows `window(s)` read.
+fn pad_all(
+    shape: &ConvShape,
+    x: &Tensor,
+    planes: &mut [f32],
+    window: impl Fn(usize) -> Range<usize>,
+) {
     let [n, c, h, w] = x.shape();
     let sample = c * h * w;
     let plane_len = shape.plane_len();
     for s in 0..n {
-        shape.pad(
+        shape.pad_rows(
             &x.data()[s * sample..(s + 1) * sample],
             &mut planes[s * plane_len..(s + 1) * plane_len],
+            window(s),
         );
     }
 }
@@ -198,7 +263,7 @@ impl Layer for Conv2d {
         let shape = self.shape(h, w);
         self.cached_in_shape = x.shape();
         self.cached_planes.resize(n * shape.plane_len(), 0.0);
-        pad_all(&shape, x, &mut self.cached_planes);
+        pad_all(&shape, x, &mut self.cached_planes, |_| 0..h);
         forward_planes(
             &shape,
             self.out_c,
@@ -206,6 +271,7 @@ impl Layer for Conv2d {
             self.bias.as_ref().map(|b| b.data.as_slice()),
             &self.cached_planes,
             [n, h, w],
+            |_| 0..h,
             scratch,
         )
     }
@@ -218,23 +284,8 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let [n, c, h, w] = x.shape();
-        assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
-        let shape = self.shape(h, w);
-        // `pad_all` writes every element of every sample's plane.
-        let mut planes = scratch.take_for_overwrite(n * shape.plane_len());
-        pad_all(&shape, x, &mut planes);
-        let out = forward_planes(
-            &shape,
-            self.out_c,
-            &self.weight.data,
-            self.bias.as_ref().map(|b| b.data.as_slice()),
-            &planes,
-            [n, h, w],
-            scratch,
-        );
-        scratch.give(planes);
-        out
+        let h = x.shape()[2];
+        self.infer_window(x, |_| 0..h, scratch)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -24,6 +24,7 @@ pub struct AdamState {
 
 /// The Adam optimizer (Kingma & Ba). The paper trains with Adam at
 /// learning rate `4e-5`; small-scale experiments here default higher.
+#[derive(Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,

@@ -1,6 +1,7 @@
 //! A 4-dimensional NCHW tensor.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A dense `f32` tensor with NCHW layout `[batch, channels, height, width]`.
 ///
@@ -111,6 +112,63 @@ impl Tensor {
         crate::simd::add_assign(&mut self.data, &other.data);
     }
 
+    /// [`Tensor::add_assign`] on rows `rows[s]` of every channel of each
+    /// sample `s` only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch or as [`Tensor::row_spans`] does.
+    pub fn add_assign_rows(&mut self, other: &Tensor, rows: &[Range<usize>]) {
+        assert_eq!(self.shape, other.shape, "tensor shape mismatch");
+        for run in self.row_runs(rows) {
+            crate::simd::add_assign(&mut self.data[run.clone()], &other.data[run]);
+        }
+    }
+
+    /// [`Tensor::row_spans`] without channels, adjacent spans merged: a
+    /// whole-plane window is one run over the whole tensor.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::row_spans`] does.
+    pub fn row_runs<'a>(
+        &self,
+        rows: &'a [Range<usize>],
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
+        let mut spans = self.row_spans(rows).map(|(_, span)| span).peekable();
+        std::iter::from_fn(move || {
+            let mut run = spans.next()?;
+            while let Some(next) = spans.next_if(|span| span.start == run.end) {
+                run.end = next.end;
+            }
+            Some(run)
+        })
+    }
+
+    /// The flat index range of rows `rows[s]` in each channel plane of each
+    /// sample `s`, with its channel: samples ascending, then channels.
+    /// Elementwise passes run on these spans to touch a row window only.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` holds one range inside `0..h` per sample.
+    pub fn row_spans<'a>(
+        &self,
+        rows: &'a [Range<usize>],
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+        let [n, c, h, w] = self.shape;
+        assert!(
+            rows.len() == n && rows.iter().all(|r| r.start <= r.end && r.end <= h),
+            "need one row window inside 0..{h} per sample, got {rows:?}"
+        );
+        rows.iter().enumerate().flat_map(move |(s, r)| {
+            (0..c).map(move |ci| {
+                let base = (s * c + ci) * h * w;
+                (ci, base + r.start * w..base + r.end * w)
+            })
+        })
+    }
+
     /// Multiplies every element by a scalar.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
@@ -145,6 +203,23 @@ mod tests {
         a.scale(0.5);
         assert_eq!(a.data(), &[1.0; 4]);
         assert_eq!(a.max_abs(), 1.0);
+    }
+
+    #[test]
+    fn row_spans_and_runs() {
+        let t = Tensor::zeros([2, 2, 3, 4]);
+        let spans: Vec<_> = t.row_spans(&[1..2, 0..3]).collect();
+        assert_eq!(spans, [(0, 4..8), (1, 16..20), (0, 24..36), (1, 36..48)]);
+        let runs: Vec<_> = t.row_runs(&[1..2, 0..3]).collect();
+        assert_eq!(runs, [4..8, 16..20, 24..48]);
+        let mut whole = t.row_runs(&[0..3, 0..3]);
+        assert_eq!((whole.next(), whole.next()), (Some(0..48), None));
+    }
+
+    #[test]
+    #[should_panic(expected = "one row window inside")]
+    fn row_spans_check_windows() {
+        let _ = Tensor::zeros([2, 1, 3, 4]).row_spans(&[0..1, 2..4]).count();
     }
 
     #[test]

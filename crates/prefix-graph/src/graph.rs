@@ -195,11 +195,15 @@ impl PrefixGraph {
             present[m * nn] = true;
         }
         let mut up_lsb = vec![NO_UP; nn * nn];
+        // `min` first holds whether a node is an interior lower parent;
+        // the level pass turns that into the minlist.
+        let mut min = vec![false; nn * nn];
         // Top-down closure: scan rows from high MSB to low. Within a row the
         // upper parent of (m, l) is the present node with the next-highest
         // LSB; its lower parent (up.lsb - 1, l) is added if missing. Lower
         // parents always land in strictly lower rows, so a single pass
-        // suffices.
+        // suffices, and a row's nodes and parents are final when it is
+        // scanned.
         for m in (1..nn).rev() {
             let mut last = m as u16;
             for l in (0..m).rev() {
@@ -207,37 +211,19 @@ impl PrefixGraph {
                     up_lsb[m * nn + l] = last;
                     let lp_msb = (last - 1) as usize;
                     present[lp_msb * nn + l] = true;
+                    if lp_msb > l {
+                        min[lp_msb * nn + l] = true;
+                    }
                     last = l as u16;
                 }
             }
         }
-        // Derive the minlist: interior present nodes that are not the lower
-        // parent of any node. (A present interior node that is nobody's
-        // lower parent must have been requested, so the minlist regenerates
-        // exactly this graph.)
-        let mut is_lp = vec![false; nn * nn];
-        for m in 1..nn {
-            for l in 0..m {
-                let i = m * nn + l;
-                if present[i] {
-                    let k = up_lsb[i] as usize;
-                    let lp = (k - 1) * nn + l;
-                    if k - 1 > l {
-                        is_lp[lp] = true;
-                    }
-                }
-            }
-        }
-        let mut min = vec![false; nn * nn];
-        for m in 1..nn {
-            for l in 1..m {
-                let i = m * nn + l;
-                min[i] = present[i] && !is_lp[i];
-            }
-        }
         // Levels: inputs are 0; level(v) = 1 + max(level(up), level(lp)).
         // Scanning rows ascending and LSBs descending makes both parents
-        // available when needed.
+        // available when needed. The minlist is every interior present
+        // node that is not the lower parent of any node. (A present
+        // interior node that is nobody's lower parent must have been
+        // requested, so the minlist regenerates exactly this graph.)
         let mut level = vec![0u16; nn * nn];
         let mut fanout = vec![0u16; nn * nn];
         for m in 0..nn {
@@ -250,6 +236,7 @@ impl PrefixGraph {
                     level[i] = 1 + level[up].max(level[lp]);
                     fanout[up] += 1;
                     fanout[lp] += 1;
+                    min[i] = l > 0 && !min[i];
                 }
             }
         }

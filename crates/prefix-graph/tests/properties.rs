@@ -245,3 +245,122 @@ fn eval_carries(graph: &PrefixGraph, a: u64, b: u64) -> Vec<u8> {
     }
     (0..n).map(|i| gp[idx(Node::new(i, 0))].0).collect()
 }
+
+/// The per-position fields of a graph as the pre-fusion `rebuild` derived
+/// them (four passes over the grid): present, minlist, upper-parent LSB
+/// (`u16::MAX` where none), level and fanout. Kept verbatim as the oracle
+/// of `rebuild_matches_the_four_pass_derivation`.
+type Fields = (Vec<bool>, Vec<bool>, Vec<u16>, Vec<u16>, Vec<u16>);
+
+fn four_pass_rebuild(n: u16, requested: Vec<bool>) -> Fields {
+    let nn = n as usize;
+    let mut present = requested;
+    for m in 0..nn {
+        present[m * nn + m] = true;
+        present[m * nn] = true;
+    }
+    let mut up_lsb = vec![u16::MAX; nn * nn];
+    for m in (1..nn).rev() {
+        let mut last = m as u16;
+        for l in (0..m).rev() {
+            if present[m * nn + l] {
+                up_lsb[m * nn + l] = last;
+                let lp_msb = (last - 1) as usize;
+                present[lp_msb * nn + l] = true;
+                last = l as u16;
+            }
+        }
+    }
+    let mut is_lp = vec![false; nn * nn];
+    for m in 1..nn {
+        for l in 0..m {
+            let i = m * nn + l;
+            if present[i] {
+                let k = up_lsb[i] as usize;
+                let lp = (k - 1) * nn + l;
+                if k - 1 > l {
+                    is_lp[lp] = true;
+                }
+            }
+        }
+    }
+    let mut min = vec![false; nn * nn];
+    for m in 1..nn {
+        for l in 1..m {
+            let i = m * nn + l;
+            min[i] = present[i] && !is_lp[i];
+        }
+    }
+    let mut level = vec![0u16; nn * nn];
+    let mut fanout = vec![0u16; nn * nn];
+    for m in 0..nn {
+        for l in (0..m).rev() {
+            let i = m * nn + l;
+            if present[i] {
+                let k = up_lsb[i] as usize;
+                let up = m * nn + k;
+                let lp = (k - 1) * nn + l;
+                level[i] = 1 + level[up].max(level[lp]);
+                fanout[up] += 1;
+                fanout[lp] += 1;
+            }
+        }
+    }
+    (present, min, up_lsb, level, fanout)
+}
+
+/// The same fields read back through the public accessors.
+fn fields(g: &PrefixGraph) -> Fields {
+    let n = g.n();
+    let grid = || (0..n).flat_map(move |m| (0..n).map(move |l| (m, l)));
+    let at = |m: u16, l: u16| (l <= m).then(|| Node::new(m, l));
+    (
+        grid()
+            .map(|(m, l)| at(m, l).is_some_and(|nd| g.contains(nd)))
+            .collect(),
+        grid()
+            .map(|(m, l)| at(m, l).is_some_and(|nd| g.is_deletable(nd)))
+            .collect(),
+        grid()
+            .map(|(m, l)| {
+                at(m, l)
+                    .and_then(|nd| g.up(nd))
+                    .map_or(u16::MAX, |up| up.lsb())
+            })
+            .collect(),
+        grid()
+            .map(|(m, l)| at(m, l).and_then(|nd| g.level(nd)).unwrap_or(0))
+            .collect(),
+        grid()
+            .map(|(m, l)| at(m, l).and_then(|nd| g.fanout(nd)).unwrap_or(0))
+            .collect(),
+    )
+}
+
+/// Strategy: a paper width and a set of interior positions, sparse to
+/// dense.
+fn min_nodes_strategy() -> impl Strategy<Value = (u16, Vec<(u16, u16)>)> {
+    (0usize..4).prop_flat_map(|w| {
+        let n = [8u16, 16, 32, 64][w];
+        let pos = (2u16..n).prop_flat_map(move |m| (Just(m), 1u16..m));
+        (Just(n), proptest::collection::vec(pos, 0..3 * n as usize))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `rebuild` (marking lower parents in its closure pass and deriving
+    /// the minlist in its level pass) gives every field of the four-pass
+    /// derivation, on random `from_min_nodes` graphs at 8–64 bits.
+    #[test]
+    fn rebuild_matches_the_four_pass_derivation((n, nodes) in min_nodes_strategy()) {
+        let nn = n as usize;
+        let mut requested = vec![false; nn * nn];
+        for &(m, l) in &nodes {
+            requested[m as usize * nn + l as usize] = true;
+        }
+        let g = PrefixGraph::from_min_nodes(n, nodes.iter().map(|&(m, l)| Node::new(m, l)));
+        prop_assert_eq!(fields(&g), four_pass_rebuild(n, requested));
+    }
+}

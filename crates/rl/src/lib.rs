@@ -8,8 +8,10 @@
 //!   features and legality masks when a batch is sampled);
 //! - [`schedule::EpsilonSchedule`] — linearly annealed ε-greedy exploration;
 //! - [`qnetwork::QNetwork`] — the Q-value approximator, one method per
-//!   job: `infer` (the evaluation forward, through `&self`), `forward`
-//!   (the training forward), `apply_gradient`, and `state`/`load_state`
+//!   job: `infer` (the evaluation forward, through `&self`), `infer_at`
+//!   (the same forward read at one action per state, for bootstrap
+//!   values), `forward` (the training forward), `apply_gradient`, and
+//!   `state`/`load_state`
 //!   (the paper's convolutional network lives in `prefixrl-core`; tests
 //!   here use a small linear network);
 //! - [`policy::ScalarizedPolicy`] — the one ε-greedy scalarized

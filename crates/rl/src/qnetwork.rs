@@ -2,7 +2,10 @@
 //!
 //! [`QNetwork`] has one method per job: [`QNetwork::infer`] is the
 //! evaluation forward (running batch-norm statistics, no cache writes,
-//! through `&self`), which acting and the Double-DQN bootstrap targets use;
+//! through `&self`), which acting and the Double-DQN next-action choice
+//! use; [`QNetwork::infer_at`] is the same forward read at one action per
+//! state, which the bootstrap values use (the convolutional network
+//! computes only the output rows those actions read);
 //! [`QNetwork::forward`] is the training forward that
 //! [`QNetwork::apply_gradient`] backpropagates through; `state` and
 //! `load_state` copy parameters for target sync and checkpointing.
@@ -23,6 +26,24 @@ pub trait QNetwork {
     /// Evaluates Q-values for a batch of states, drawing transient buffers
     /// from `scratch`.
     fn infer(&self, states: &[&[f32]], scratch: &mut Scratch) -> Vec<Vec<[f32; 2]>>;
+
+    /// The Q-values of one action per state, `out[b] = infer(states)[b][actions[b]]`
+    /// bit for bit: the Double-DQN bootstrap reads the target network at
+    /// one action per next state. The default runs [`QNetwork::infer`] and
+    /// picks; a network whose outputs are local may compute less.
+    fn infer_at(
+        &self,
+        states: &[&[f32]],
+        actions: &[usize],
+        scratch: &mut Scratch,
+    ) -> Vec<[f32; 2]> {
+        assert_eq!(states.len(), actions.len(), "one action per state");
+        self.infer(states, scratch)
+            .iter()
+            .zip(actions)
+            .map(|(q, &a)| q[a])
+            .collect()
+    }
 
     /// The training forward over a batch of states (batch statistics in
     /// batch-norm, backward caches written).

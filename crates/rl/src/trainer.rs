@@ -244,17 +244,29 @@ impl<Q: QNetwork> DoubleDqn<Q> {
                 self.policy.greedy_from_q(q, mask)
             })
             .collect();
-        // …evaluated by the *target* network (Eq. 4).
-        let next_q_target = self.target.infer(&next_states, &mut self.scratch);
+        // …evaluated by the *target* network (Eq. 4), at that one action
+        // of each sample that bootstraps.
+        let (bootstrap_states, bootstrap_actions): (Vec<&[f32]>, Vec<usize>) = next_states
+            .iter()
+            .zip(&a_star)
+            .filter_map(|(&s, a)| Some((s, (*a)?)))
+            .unzip();
+        let mut next_q_target = if bootstrap_actions.is_empty() {
+            Vec::new()
+        } else {
+            self.target
+                .infer_at(&bootstrap_states, &bootstrap_actions, &mut self.scratch)
+        }
+        .into_iter();
         let targets: Vec<[f32; 2]> = batch
             .iter()
             .zip(&a_star)
-            .zip(&next_q_target)
-            .map(|((t, a), qt)| {
+            .map(|(t, a)| {
                 let mut y = t.reward;
-                if let Some(a) = a {
-                    y[0] += self.cfg.gamma * qt[*a][0];
-                    y[1] += self.cfg.gamma * qt[*a][1];
+                if a.is_some() {
+                    let qt = next_q_target.next().expect("one value per bootstrap");
+                    y[0] += self.cfg.gamma * qt[0];
+                    y[1] += self.cfg.gamma * qt[1];
                 }
                 y
             })

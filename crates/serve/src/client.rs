@@ -297,6 +297,9 @@ impl Client {
         timeout: Duration,
     ) -> Result<Value, String> {
         let deadline = Instant::now() + timeout;
+        // Poll at 1 ms, doubling to 25 ms: a short job is seen finished
+        // promptly, a long one costs few polls.
+        let mut pause = Duration::from_millis(1);
         loop {
             let snapshot = self.status(id, 0)?;
             let phase = match snapshot.get("phase") {
@@ -311,7 +314,8 @@ impl Client {
                     "job {id} still `{phase}` after {timeout:?} (wanted one of {phases:?})"
                 ));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(25));
         }
     }
 
