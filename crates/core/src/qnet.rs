@@ -223,7 +223,7 @@ impl QBody {
     }
 
     /// The evaluation forward on output rows `rows[s]` of each sample `s`;
-    /// every other output element is unspecified.
+    /// every other output element is `+0.0`.
     ///
     /// Walking the stack down from the output, each `k`×`k` convolution
     /// widens the window its input must hold by `k/2` rows on each side,
@@ -251,10 +251,10 @@ impl QBody {
             scratch.recycle(cur);
             cur = next;
         }
-        let h = self.head.infer_rows(&cur, &head_rows, scratch);
+        let hc = self.head.infer_rows(&cur, &head_rows, scratch);
         scratch.recycle(cur);
-        let mut hb = self.head_bn.infer_rows(&h, &head_rows, scratch);
-        scratch.recycle(h);
+        let mut hb = self.head_bn.infer_rows(&hc, &head_rows, scratch);
+        scratch.recycle(hc);
         self.head_act.apply_rows(&mut hb, &head_rows);
         let out = self.out.infer_rows(&hb, rows, scratch);
         scratch.recycle(hb);

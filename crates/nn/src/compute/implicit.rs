@@ -144,16 +144,16 @@ impl ConvShape {
     pub fn pad_rows(&self, x: &[f32], plane: &mut [f32], rows: Range<usize>) {
         assert!(rows.start <= rows.end && rows.end <= self.h);
         let (pad, wp, hw) = (self.k / 2, self.wp(), self.h * self.w);
+        // Padded rows `lo..hi`: zero rows above the input, input rows
+        // `ilo..ihi` (padded row `pad + i` holds input row `i`), zero rows
+        // below.
+        let (lo, hi) = (rows.start, rows.end + self.k - 1);
+        let (ilo, ihi) = (lo.saturating_sub(pad), (hi - pad).min(self.h));
         let (planes, slack) = plane[..self.plane_len()].split_at_mut(self.planes_len());
         for (dst, src) in planes
             .chunks_exact_mut(self.channel_len().max(1))
             .zip(x[..self.in_c * hw].chunks_exact(hw.max(1)))
         {
-            // Padded rows `lo..hi`: zero rows above the input, input rows
-            // `ilo..ihi` (padded row `pad + i` holds input row `i`), zero
-            // rows below.
-            let (lo, hi) = (rows.start, rows.end + self.k - 1);
-            let (ilo, ihi) = (lo.saturating_sub(pad), (hi - pad).min(self.h));
             let (top, rest) = dst.split_at_mut(pad * wp);
             let (interior, bottom) = rest.split_at_mut(self.h * wp);
             top[lo.min(pad) * wp..].fill(0.0);
