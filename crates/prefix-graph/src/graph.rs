@@ -672,6 +672,7 @@ mod tests {
         g.apply(Action::Add(Node::new(6, 3))).unwrap();
         g.apply(Action::Add(Node::new(5, 2))).unwrap();
         let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(json, r#"{"n":8,"min_nodes":[[5,2],[6,3]]}"#);
         let back: PrefixGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
         back.verify_legal().unwrap();
