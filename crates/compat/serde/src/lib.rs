@@ -2,9 +2,8 @@
 //!
 //! The build environment has no crates.io access, so this crate provides
 //! the serialization surface the workspace uses: `Serialize` /
-//! `Deserialize` traits with `#[derive(...)]` support (including the
-//! `#[serde(into = "...", from = "...")]` container attribute) over a JSON
-//! value tree. Unlike real serde there is no `Serializer`/`Visitor`
+//! `Deserialize` traits with `#[derive(...)]` support over a JSON value
+//! tree. Unlike real serde there is no `Serializer`/`Visitor`
 //! indirection — types convert to and from [`Value`] directly, and
 //! `serde_json` in this workspace renders/parses that tree.
 
@@ -277,6 +276,18 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(std::sync::Arc::new)
     }
 }
 

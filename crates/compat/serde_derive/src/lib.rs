@@ -13,8 +13,10 @@
 //! - enums with unit, tuple, and struct variants (externally tagged:
 //!   `"Variant"` / `{"Variant": ...}`);
 //! - at most simple type generics (each parameter is bound by the derived
-//!   trait);
-//! - the container attribute `#[serde(into = "T", from = "T")]`.
+//!   trait).
+//!
+//! `#[serde(...)]` attributes are refused: a type that needs a custom
+//! form implements the traits by hand.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -41,10 +43,6 @@ struct Input {
     /// Type-parameter identifiers (lifetimes/const params unsupported).
     generics: Vec<String>,
     kind: Kind,
-    /// `#[serde(into = "T")]`: serialize by converting into `T`.
-    into: Option<String>,
-    /// `#[serde(from = "T")]`: deserialize by converting from `T`.
-    from: Option<String>,
 }
 
 enum Kind {
@@ -70,13 +68,14 @@ enum VariantKind {
 fn parse(input: TokenStream) -> Input {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    let mut into = None;
-    let mut from = None;
 
-    // Outer attributes, harvesting #[serde(...)].
+    // Outer attributes, refusing #[serde(...)].
     while matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-            parse_serde_attr(g.stream(), &mut into, &mut from);
+            if matches!(g.stream().into_iter().next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+            {
+                panic!("#[serde(...)] attributes are unsupported by the shim derive");
+            }
         }
         i += 2;
     }
@@ -154,40 +153,6 @@ fn parse(input: TokenStream) -> Input {
         name,
         generics,
         kind,
-        into,
-        from,
-    }
-}
-
-fn parse_serde_attr(attr: TokenStream, into: &mut Option<String>, from: &mut Option<String>) {
-    let tokens: Vec<TokenTree> = attr.into_iter().collect();
-    let [TokenTree::Ident(id), TokenTree::Group(args)] = &tokens[..] else {
-        return;
-    };
-    if id.to_string() != "serde" {
-        return;
-    }
-    let args: Vec<TokenTree> = args.stream().into_iter().collect();
-    let mut j = 0;
-    while j < args.len() {
-        if let (
-            Some(TokenTree::Ident(key)),
-            Some(TokenTree::Punct(eq)),
-            Some(TokenTree::Literal(lit)),
-        ) = (args.get(j), args.get(j + 1), args.get(j + 2))
-        {
-            if eq.as_char() == '=' {
-                let value = lit.to_string().trim_matches('"').to_string();
-                match key.to_string().as_str() {
-                    "into" => *into = Some(value),
-                    "from" => *from = Some(value),
-                    other => panic!("unsupported #[serde({other} = ...)] in shim derive"),
-                }
-                j += 3;
-                continue;
-            }
-        }
-        j += 1;
     }
 }
 
@@ -321,88 +286,80 @@ impl Input {
 fn gen_serialize(input: &Input) -> String {
     let (impl_generics, ty_generics) = input.generics_for("::serde::Serialize");
     let name = &input.name;
-    let body = if let Some(into) = &input.into {
-        format!(
-            "let converted: {into} = \
-             ::std::convert::Into::into(<Self as ::std::clone::Clone>::clone(self));\n\
-             ::serde::Serialize::to_value(&converted)"
-        )
-    } else {
-        match &input.kind {
-            Kind::Named(fields) => {
-                let entries: Vec<String> = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "(::std::string::String::from(\"{f}\"), \
+    let body = match &input.kind {
+        Kind::Named(fields) => {
+            let entries: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    format!(
+                        "(::std::string::String::from(\"{f}\"), \
                              ::serde::Serialize::to_value(&self.{f}))"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "::serde::Value::Object(::std::vec![{}])",
-                    entries.join(", ")
-                )
-            }
-            Kind::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-            Kind::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
-            }
-            Kind::Unit => "::serde::Value::Null".to_string(),
-            Kind::Enum(variants) => {
-                let arms: Vec<String> = variants
-                    .iter()
-                    .map(|v| {
-                        let vn = &v.name;
-                        match &v.kind {
-                            VariantKind::Unit => format!(
-                                "{name}::{vn} => \
+                    )
+                })
+                .collect();
+            format!(
+                "::serde::Value::Object(::std::vec![{}])",
+                entries.join(", ")
+            )
+        }
+        Kind::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Kind::Tuple(n) => {
+            let items: Vec<String> = (0..*n)
+                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
+                .collect();
+            format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
+        }
+        Kind::Unit => "::serde::Value::Null".to_string(),
+        Kind::Enum(variants) => {
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|v| {
+                    let vn = &v.name;
+                    match &v.kind {
+                        VariantKind::Unit => format!(
+                            "{name}::{vn} => \
                                  ::serde::Value::String(::std::string::String::from(\"{vn}\"))"
-                            ),
-                            VariantKind::Tuple(1) => format!(
-                                "{name}::{vn}(f0) => ::serde::Value::Object(::std::vec![(\
+                        ),
+                        VariantKind::Tuple(1) => format!(
+                            "{name}::{vn}(f0) => ::serde::Value::Object(::std::vec![(\
                                  ::std::string::String::from(\"{vn}\"), \
                                  ::serde::Serialize::to_value(f0))])"
-                            ),
-                            VariantKind::Tuple(n) => {
-                                let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                                let items: Vec<String> = (0..*n)
-                                    .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                                    .collect();
-                                format!(
-                                    "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![(\
+                        ),
+                        VariantKind::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                            let items: Vec<String> = (0..*n)
+                                .map(|i| format!("::serde::Serialize::to_value(f{i})"))
+                                .collect();
+                            format!(
+                                "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![(\
                                      ::std::string::String::from(\"{vn}\"), \
                                      ::serde::Value::Array(::std::vec![{}]))])",
-                                    binds.join(", "),
-                                    items.join(", ")
-                                )
-                            }
-                            VariantKind::Struct(fields) => {
-                                let entries: Vec<String> = fields
-                                    .iter()
-                                    .map(|f| {
-                                        format!(
-                                            "(::std::string::String::from(\"{f}\"), \
+                                binds.join(", "),
+                                items.join(", ")
+                            )
+                        }
+                        VariantKind::Struct(fields) => {
+                            let entries: Vec<String> = fields
+                                .iter()
+                                .map(|f| {
+                                    format!(
+                                        "(::std::string::String::from(\"{f}\"), \
                                              ::serde::Serialize::to_value({f}))"
-                                        )
-                                    })
-                                    .collect();
-                                format!(
-                                    "{name}::{vn} {{ {} }} => ::serde::Value::Object(::std::vec![(\
+                                    )
+                                })
+                                .collect();
+                            format!(
+                                "{name}::{vn} {{ {} }} => ::serde::Value::Object(::std::vec![(\
                                      ::std::string::String::from(\"{vn}\"), \
                                      ::serde::Value::Object(::std::vec![{}]))])",
-                                    fields.join(", "),
-                                    entries.join(", ")
-                                )
-                            }
+                                fields.join(", "),
+                                entries.join(", ")
+                            )
                         }
-                    })
-                    .collect();
-                format!("match self {{ {} }}", arms.join(", "))
-            }
+                    }
+                })
+                .collect();
+            format!("match self {{ {} }}", arms.join(", "))
         }
     };
     format!(
@@ -416,54 +373,48 @@ fn gen_serialize(input: &Input) -> String {
 fn gen_deserialize(input: &Input) -> String {
     let (impl_generics, ty_generics) = input.generics_for("::serde::Deserialize");
     let name = &input.name;
-    let body = if let Some(from) = &input.from {
-        format!(
-            "let converted: {from} = ::serde::Deserialize::from_value(v)?;\n\
-             ::std::result::Result::Ok(::std::convert::Into::into(converted))"
-        )
-    } else {
-        match &input.kind {
-            Kind::Named(fields) => gen_de_named(name, fields, "v"),
-            Kind::Tuple(1) => {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-            }
-            Kind::Tuple(n) => gen_de_tuple(name, *n, "v"),
-            Kind::Unit => format!("::std::result::Result::Ok({name})"),
-            Kind::Enum(variants) => {
-                let unit_arms: Vec<String> = variants
-                    .iter()
-                    .filter(|v| matches!(v.kind, VariantKind::Unit))
-                    .map(|v| {
-                        format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),",
-                            vn = v.name
-                        )
-                    })
-                    .collect();
-                let data_arms: Vec<String> = variants
-                    .iter()
-                    .filter_map(|v| {
-                        let vn = &v.name;
-                        let path = format!("{name}::{vn}");
-                        match &v.kind {
-                            VariantKind::Unit => None,
-                            VariantKind::Tuple(1) => Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok(\
+    let body = match &input.kind {
+        Kind::Named(fields) => gen_de_named(name, fields, "v"),
+        Kind::Tuple(1) => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+        }
+        Kind::Tuple(n) => gen_de_tuple(name, *n, "v"),
+        Kind::Unit => format!("::std::result::Result::Ok({name})"),
+        Kind::Enum(variants) => {
+            let unit_arms: Vec<String> = variants
+                .iter()
+                .filter(|v| matches!(v.kind, VariantKind::Unit))
+                .map(|v| {
+                    format!(
+                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),",
+                        vn = v.name
+                    )
+                })
+                .collect();
+            let data_arms: Vec<String> = variants
+                .iter()
+                .filter_map(|v| {
+                    let vn = &v.name;
+                    let path = format!("{name}::{vn}");
+                    match &v.kind {
+                        VariantKind::Unit => None,
+                        VariantKind::Tuple(1) => Some(format!(
+                            "\"{vn}\" => ::std::result::Result::Ok(\
                                  {path}(::serde::Deserialize::from_value(val)?)),"
-                            )),
-                            VariantKind::Tuple(n) => Some(format!(
-                                "\"{vn}\" => {{ {} }}",
-                                gen_de_tuple(&path, *n, "val")
-                            )),
-                            VariantKind::Struct(fields) => Some(format!(
-                                "\"{vn}\" => {{ {} }}",
-                                gen_de_named(&path, fields, "val")
-                            )),
-                        }
-                    })
-                    .collect();
-                format!(
-                    "match v {{\n\
+                        )),
+                        VariantKind::Tuple(n) => Some(format!(
+                            "\"{vn}\" => {{ {} }}",
+                            gen_de_tuple(&path, *n, "val")
+                        )),
+                        VariantKind::Struct(fields) => Some(format!(
+                            "\"{vn}\" => {{ {} }}",
+                            gen_de_named(&path, fields, "val")
+                        )),
+                    }
+                })
+                .collect();
+            format!(
+                "match v {{\n\
                        ::serde::Value::String(s) => match s.as_str() {{\n\
                          {unit}\n\
                          other => ::std::result::Result::Err(\
@@ -480,10 +431,9 @@ fn gen_deserialize(input: &Input) -> String {
                        other => ::std::result::Result::Err(\
                          ::std::format!(\"expected {name}, got {{other:?}}\")),\n\
                      }}",
-                    unit = unit_arms.join("\n"),
-                    data = data_arms.join("\n"),
-                )
-            }
+                unit = unit_arms.join("\n"),
+                data = data_arms.join("\n"),
+            )
         }
     };
     format!(

@@ -479,7 +479,7 @@ impl QNetwork for PrefixQNet {
     }
 
     /// The output row of each action's cell, the one row of the output
-    /// conv it needs, through [`QBody::infer_rows`]: bitwise the
+    /// conv it needs, through `QBody::infer_rows`: bitwise the
     /// [`QNetwork::infer`] values.
     fn infer_at(
         &self,

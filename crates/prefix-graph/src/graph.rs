@@ -79,25 +79,48 @@ impl fmt::Display for KeyError {
 
 impl std::error::Error for KeyError {}
 
-/// Compact serialized form of a [`PrefixGraph`]: width plus minlist.
-#[derive(Serialize, Deserialize)]
-struct GraphSpec {
-    n: u16,
-    min_nodes: Vec<(u16, u16)>,
+/// The compact record of a [`PrefixGraph`]: its width and minlist, the
+/// `{"n": …, "min_nodes": [[msb, lsb], …]}` form every serialized graph
+/// takes. [`PrefixGraph::spec`] builds it; a graph is rebuilt from it by
+/// legalization, so a spec whose minlist is not canonical (repeated
+/// nodes, lower parents, any order) still names one legal graph.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GraphSpec {
+    /// The number of inputs `N`.
+    pub n: u16,
+    /// The minlist as `(msb, lsb)` pairs, in row-major order when built by
+    /// [`PrefixGraph::spec`].
+    pub min_nodes: Vec<(u16, u16)>,
 }
 
-impl From<PrefixGraph> for GraphSpec {
-    fn from(g: PrefixGraph) -> Self {
-        GraphSpec {
-            n: g.n,
-            min_nodes: g.min_nodes().map(|nd| (nd.msb(), nd.lsb())).collect(),
+impl TryFrom<&GraphSpec> for PrefixGraph {
+    type Error = String;
+
+    /// Legalizes the spec's minlist, refusing (instead of panicking on) a
+    /// width outside `2..=512` or a node outside the grid.
+    fn try_from(s: &GraphSpec) -> Result<Self, String> {
+        if !(2..=512).contains(&s.n) {
+            return Err(format!("graph width {} outside 2..=512", s.n));
         }
+        if let Some(&(m, l)) = s.min_nodes.iter().find(|&&(m, l)| m >= s.n || l > m) {
+            return Err(format!("node ({m},{l}) outside the {}-input grid", s.n));
+        }
+        Ok(PrefixGraph::from_min_nodes(
+            s.n,
+            s.min_nodes.iter().map(|&(m, l)| Node::new(m, l)),
+        ))
     }
 }
 
-impl From<GraphSpec> for PrefixGraph {
-    fn from(s: GraphSpec) -> Self {
-        PrefixGraph::from_min_nodes(s.n, s.min_nodes.iter().map(|&(m, l)| Node::new(m, l)))
+impl Serialize for PrefixGraph {
+    fn to_value(&self) -> serde::Value {
+        self.spec().to_value()
+    }
+}
+
+impl Deserialize for PrefixGraph {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        PrefixGraph::try_from(&GraphSpec::from_value(v)?)
     }
 }
 
@@ -124,8 +147,7 @@ impl From<GraphSpec> for PrefixGraph {
 /// // The lower parent (3, 2) was added by legalization:
 /// assert!(g.contains(Node::new(3, 2)));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(into = "GraphSpec", from = "GraphSpec")]
+#[derive(Clone)]
 pub struct PrefixGraph {
     n: u16,
     /// Present grid positions (nodelist), row-major `msb * n + lsb`.
@@ -359,6 +381,14 @@ impl PrefixGraph {
             .enumerate()
             .filter(|&(_, &p)| p)
             .map(move |(i, _)| Node::new((i / n) as u16, (i % n) as u16))
+    }
+
+    /// The graph's compact record: width and minlist (see [`GraphSpec`]).
+    pub fn spec(&self) -> GraphSpec {
+        GraphSpec {
+            n: self.n,
+            min_nodes: self.min_nodes().map(|nd| (nd.msb(), nd.lsb())).collect(),
+        }
     }
 
     /// Raw present-grid access for feature extraction, row-major.
@@ -676,6 +706,18 @@ mod tests {
         let back: PrefixGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
         back.verify_legal().unwrap();
+    }
+
+    #[test]
+    fn malformed_spec_is_an_error_not_a_panic() {
+        for json in [
+            r#"{"n":1,"min_nodes":[]}"#,
+            r#"{"n":600,"min_nodes":[]}"#,
+            r#"{"n":6,"min_nodes":[[2,4]]}"#,
+            r#"{"n":6,"min_nodes":[[6,2]]}"#,
+        ] {
+            assert!(serde_json::from_str::<PrefixGraph>(json).is_err(), "{json}");
+        }
     }
 
     #[test]

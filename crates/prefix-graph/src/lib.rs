@@ -49,5 +49,5 @@ pub mod structures;
 
 pub use action::{Action, ActionError, ActionKind};
 pub use analytical::AnalyticalMetrics;
-pub use graph::{KeyError, LegalityError, PrefixGraph};
+pub use graph::{GraphSpec, KeyError, LegalityError, PrefixGraph};
 pub use node::Node;

@@ -88,7 +88,9 @@ pub mod store;
 pub use client::{Client, ClientError};
 pub use cluster::{Router, Topology};
 pub use jobs::{JobManager, JobPhase, JobSpec, ServeConfig};
-pub use query::{FrontView, FrontierSnapshot, Query, QueryPoint, SnapshotCell};
+pub use query::{
+    FrontView, FrontierSnapshot, Query, QueryPoint, SnapshotCell, StoredDesign, StoredFront,
+};
 pub use server::{Server, ServerHandle};
 pub use store::FrontierStore;
 

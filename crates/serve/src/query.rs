@@ -17,7 +17,9 @@
 //! - per-key [`FrontView`]s are pre-sorted by delay with precomputed
 //!   size/depth and normalized scalarization coordinates, so
 //!   [`FrontView::best_at_delay`] is a clone-free binary search and
-//!   [`FrontView::best_at_weight`] a scan over two precomputed arrays.
+//!   [`FrontView::best_at_weight`] a scan over two precomputed arrays;
+//! - a view holds its designs as the store does, as shared
+//!   [`StoredDesign`] records, so a publish clones `Arc`s, never graphs.
 //!
 //! Query semantics generalize `baselines::choose_at_target_with` (the
 //! commercial-tool rule extracted to
@@ -34,9 +36,9 @@
 //! the server's read handlers never touch the write path, and a batch is
 //! resolved against a single epoch.
 
-use prefix_graph::PrefixGraph;
+use prefix_graph::{GraphSpec, PrefixGraph};
 use prefixrl_core::pareto::ParetoFront;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +52,53 @@ pub const DELAY_EPS: f64 = 1e-12;
 /// Most queries one `query_batch` request may carry (a loud refusal, not
 /// a silent truncation).
 pub const MAX_BATCH: usize = 4096;
+
+/// One accepted design as the store and every snapshot hold it: the
+/// graph's [`GraphSpec`] (`{n, min_nodes}`, the form the WAL, the
+/// compacted file, replication and `include_graph` replies write) plus
+/// the size and depth [`QueryPoint`] reports. It is a few hundred bytes
+/// where the [`PrefixGraph`] it came from is five `N×N` arrays, and every
+/// record comes from a legal graph: [`StoredDesign::of`] takes one, and
+/// deserializing legalizes the spec first, so a stored minlist is always
+/// canonical. Serializes as its spec alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoredDesign {
+    spec: GraphSpec,
+    size: u64,
+    depth: u64,
+}
+
+impl StoredDesign {
+    /// The record of a legal graph.
+    pub fn of(graph: &PrefixGraph) -> StoredDesign {
+        StoredDesign {
+            spec: graph.spec(),
+            size: graph.size() as u64,
+            depth: u64::from(graph.depth()),
+        }
+    }
+
+    /// Rebuilds the legal graph this record was taken from.
+    pub fn to_graph(&self) -> PrefixGraph {
+        PrefixGraph::try_from(&self.spec).expect("a stored spec comes from a legal graph")
+    }
+}
+
+impl Serialize for StoredDesign {
+    fn to_value(&self) -> Value {
+        self.spec.to_value()
+    }
+}
+
+impl Deserialize for StoredDesign {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        PrefixGraph::from_value(v).map(|graph| StoredDesign::of(&graph))
+    }
+}
+
+/// A stored front: each design held once, shared by the store and every
+/// snapshot that publishes it.
+pub type StoredFront = ParetoFront<Arc<StoredDesign>>;
 
 /// One front member as the query tier serves it: the objective point plus
 /// the graph statistics precomputed at publish time (a point lookup never
@@ -83,31 +132,32 @@ pub struct DelayChoice {
 
 /// One key's immutable, read-optimized front: points pre-sorted by
 /// strictly increasing delay (strictly decreasing area — a Pareto front
-/// admits no ties on either axis), with graphs kept alongside for
-/// `include_graph` responses.
+/// admits no ties on either axis), with the stored designs kept alongside
+/// for `include_graph` responses.
 #[derive(Debug)]
 pub struct FrontView {
     key: String,
     points: Vec<QueryPoint>,
-    graphs: Vec<PrefixGraph>,
+    designs: Vec<Arc<StoredDesign>>,
 }
 
 impl FrontView {
-    /// Builds the view of one stored front (publish-time cost: one clone
-    /// of the front's points and graphs plus the normalization pass).
-    pub fn build(key: &str, front: &ParetoFront<PrefixGraph>) -> FrontView {
+    /// Builds the view of one stored front (publish-time cost: a copy of
+    /// the front's points, an `Arc` clone per design, and the
+    /// normalization pass).
+    pub fn build(key: &str, front: &StoredFront) -> FrontView {
         let mut points = Vec::with_capacity(front.len());
-        let mut graphs = Vec::with_capacity(front.len());
-        for (p, g) in front.iter() {
+        let mut designs = Vec::with_capacity(front.len());
+        for (p, d) in front.iter() {
             points.push(QueryPoint {
                 area: p.area,
                 delay: p.delay,
-                size: g.size() as u64,
-                depth: u64::from(g.depth()),
+                size: d.size,
+                depth: d.depth,
                 scal_area: 0.0,
                 scal_delay: 0.0,
             });
-            graphs.push(g.clone());
+            designs.push(Arc::clone(d));
         }
         // Normalize both objectives over the front's own span so one
         // scalarization weight means the same thing on analytical node
@@ -132,7 +182,7 @@ impl FrontView {
         FrontView {
             key: key.to_string(),
             points,
-            graphs,
+            designs,
         }
     }
 
@@ -158,13 +208,14 @@ impl FrontView {
         &self.points
     }
 
-    /// The stored graph of point `index`.
+    /// The stored design of point `index` (the record the store holds,
+    /// shared, not a copy).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn graph(&self, index: usize) -> &PrefixGraph {
-        &self.graphs[index]
+    pub fn graph(&self, index: usize) -> &Arc<StoredDesign> {
+        &self.designs[index]
     }
 
     /// The best design at delay ≤ `max_delay`: the minimum-area point
@@ -537,11 +588,12 @@ mod tests {
     use super::*;
     use prefixrl_core::evaluator::ObjectivePoint;
 
-    fn front_of(points: &[(f64, f64)]) -> ParetoFront<PrefixGraph> {
+    fn front_of(points: &[(f64, f64)]) -> StoredFront {
         let mut front = ParetoFront::new();
         for &(area, delay) in points {
+            let design = Arc::new(StoredDesign::of(&PrefixGraph::ripple(4)));
             assert!(
-                front.insert(ObjectivePoint { area, delay }, PrefixGraph::ripple(4)),
+                front.insert(ObjectivePoint { area, delay }, design),
                 "test points must be mutually non-dominated"
             );
         }

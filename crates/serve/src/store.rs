@@ -23,8 +23,9 @@
 //! unique-temp-name [`prefixrl_core::checkpoint::write_atomic`] in the
 //! same `prefixrl.frontier-store.v1` format as before, fsynced, and the
 //! log truncated back to its header. Opening replays the log over the
-//! compacted snapshot; because [`ParetoFront::insert`] is deterministic
-//! and idempotent (re-offering a present point is a no-op), replay after
+//! compacted snapshot; because
+//! [`prefixrl_core::pareto::ParetoFront::insert`] is deterministic and
+//! idempotent (re-offering a present point is a no-op), replay after
 //! any crash point — torn final record, compaction interrupted between
 //! snapshot write and log truncation — reproduces a front bit-identical
 //! to the pre-crash one (floats round-trip via shortest-representation
@@ -38,15 +39,16 @@
 
 use crate::cluster::{ReplHandshake, ReplicationHub, Topology};
 use crate::lock;
-use crate::query::{point_fields, FrontView, FrontierSnapshot, SnapshotCell};
+use crate::query::{
+    point_fields, FrontView, FrontierSnapshot, SnapshotCell, StoredDesign, StoredFront,
+};
 use prefix_graph::PrefixGraph;
 use prefixrl_core::checkpoint::write_atomic;
 use prefixrl_core::evaluator::ObjectivePoint;
-use prefixrl_core::pareto::ParetoFront;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{Seek, Write};
+use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -130,11 +132,15 @@ struct Wal {
     allocated: u64,
 }
 
+/// Accepted designs as one merge record carries them.
+type Designs = Vec<(Arc<StoredDesign>, ObjectivePoint)>;
+
 /// The mutable half of the store, under one mutex: the authoritative
 /// fronts plus the persistence state. Readers never take this mutex —
-/// they go through [`FrontierStore::snapshot`].
+/// they go through [`FrontierStore::snapshot`]. Each design is held once,
+/// as a [`StoredDesign`] shared with every snapshot that publishes it.
 struct Inner {
-    fronts: BTreeMap<String, ParetoFront<PrefixGraph>>,
+    fronts: BTreeMap<String, StoredFront>,
     wal: Option<Wal>,
     compactions: u64,
     repl: Option<ReplState>,
@@ -189,8 +195,9 @@ impl FrontierStore {
     /// every `compact_every` WAL records. An existing store is loaded
     /// from the compacted snapshot and the log replayed over it: the
     /// fronts it serves afterwards are bit-identical to the ones last
-    /// merged. A torn final log line (crash mid-append) is discarded;
-    /// a log already over the threshold is compacted on open.
+    /// merged. A torn final log line (crash mid-append) is discarded; a
+    /// log that ends cleanly is neither written nor synced; a log already
+    /// over the threshold is compacted on open.
     ///
     /// # Errors
     ///
@@ -200,8 +207,8 @@ impl FrontierStore {
         let compact_every = compact_every.max(1);
         let mut fronts = load_compacted(path)?;
         let wal_path = wal_path_of(path);
-        let records = replay_wal(&wal_path, &mut fronts)?;
-        let wal = open_wal(&wal_path, records)?;
+        let wal = open_wal(&wal_path, &mut fronts)?;
+        let records = wal.records;
         let store = FrontierStore {
             path: Some(path.to_path_buf()),
             compact_every,
@@ -245,15 +252,30 @@ impl FrontierStore {
         n: u16,
         designs: &[(PrefixGraph, ObjectivePoint)],
     ) -> Result<usize, String> {
+        let designs = designs
+            .iter()
+            .map(|(graph, point)| (Arc::new(StoredDesign::of(graph)), *point))
+            .collect();
+        self.merge_designs(task, backend, n, designs)
+    }
+
+    /// [`FrontierStore::merge`] over designs already held as records.
+    fn merge_designs(
+        &self,
+        task: &str,
+        backend: &str,
+        n: u16,
+        designs: Designs,
+    ) -> Result<usize, String> {
         validate_names(task, backend)?;
         let key = key_of(task, backend, n);
         let mut inner = lock(&self.inner);
         let newly_created = !inner.fronts.contains_key(&key);
         let front = inner.fronts.entry(key.clone()).or_default();
-        let mut accepted: Vec<(PrefixGraph, ObjectivePoint)> = Vec::new();
-        for (graph, point) in designs {
-            if front.insert(*point, graph.clone()) {
-                accepted.push((graph.clone(), *point));
+        let mut accepted: Designs = Vec::new();
+        for (design, point) in designs {
+            if front.insert(point, Arc::clone(&design)) {
+                accepted.push((design, point));
             }
         }
         let inserted = accepted.len();
@@ -266,7 +288,7 @@ impl FrontierStore {
         // Log only when replay needs the record: an accepted delta, or
         // the bare creation of a new (possibly empty-front) key.
         if inserted > 0 || newly_created {
-            let designs = Serialize::to_value(&accepted.to_vec());
+            let designs = Serialize::to_value(&accepted);
             self.append_record_locked(&mut inner, &key, designs.clone())?;
             // Ship only after the fsync above returned, and only keys this
             // node owns: a primary's durable state is always a superset of
@@ -305,10 +327,11 @@ impl FrontierStore {
     }
 
     /// Applies one replicated record (or one snapshot entry) from a
-    /// primary: deserializes the shipped designs and merges them under
-    /// `key` through the same idempotent path local merges take. The
-    /// record lands in this node's own WAL for durability, but is never
-    /// re-published (this node does not own the key).
+    /// primary: deserializes the shipped designs (legalizing each graph)
+    /// and merges them under `key` through the same idempotent path local
+    /// merges take. The record lands in this node's own WAL for
+    /// durability, but is never re-published (this node does not own the
+    /// key).
     ///
     /// # Errors
     ///
@@ -316,9 +339,9 @@ impl FrontierStore {
     /// persistence errors.
     pub fn apply_replica(&self, key: &str, designs: &Value) -> Result<usize, String> {
         let (task, backend, n) = parse_key(key)?;
-        let designs = <Vec<(PrefixGraph, ObjectivePoint)> as Deserialize>::from_value(designs)
+        let designs = Designs::from_value(designs)
             .map_err(|e| format!("replicated designs for `{key}`: {e}"))?;
-        self.merge(&task, &backend, n, &designs)
+        self.merge_designs(&task, &backend, n, designs)
     }
 
     /// Resolves a `repl_subscribe` handshake atomically against the merge
@@ -457,7 +480,8 @@ impl FrontierStore {
     /// Writes the full compacted snapshot (fsynced), then truncates the
     /// WAL back to its header. A crash between the two leaves both the
     /// snapshot *and* the log containing the same merges — harmless,
-    /// because replay through [`ParetoFront::insert`] is idempotent.
+    /// because replay through [`prefixrl_core::pareto::ParetoFront::insert`]
+    /// is idempotent.
     fn compact_locked(&self, inner: &mut Inner) -> Result<(), String> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -478,12 +502,15 @@ impl FrontierStore {
 /// One front as the `[(graph, point), …]` designs array replication
 /// ships — the same shape merge records carry, so followers apply
 /// snapshot entries and records through one code path.
-fn designs_json(front: &ParetoFront<PrefixGraph>) -> Value {
+fn designs_json(front: &StoredFront) -> Value {
     Value::Array(
         front
             .iter()
-            .map(|(point, graph)| {
-                Value::Array(vec![Serialize::to_value(graph), Serialize::to_value(point)])
+            .map(|(point, design)| {
+                Value::Array(vec![
+                    Serialize::to_value(design),
+                    Serialize::to_value(point),
+                ])
             })
             .collect(),
     )
@@ -491,7 +518,7 @@ fn designs_json(front: &ParetoFront<PrefixGraph>) -> Value {
 
 /// The compacted full-store file contents — the pre-WAL
 /// `prefixrl.frontier-store.v1` format, unchanged.
-fn compacted_text(fronts: &BTreeMap<String, ParetoFront<PrefixGraph>>) -> String {
+fn compacted_text(fronts: &BTreeMap<String, StoredFront>) -> String {
     let entries: Vec<(String, Value)> = fronts
         .iter()
         .map(|(k, front)| (k.clone(), Serialize::to_value(front)))
@@ -506,8 +533,9 @@ fn compacted_text(fronts: &BTreeMap<String, ParetoFront<PrefixGraph>>) -> String
     serde_json::to_string_pretty(&value).expect("infallible")
 }
 
-/// Loads the compacted snapshot file, or an empty map when absent.
-fn load_compacted(path: &Path) -> Result<BTreeMap<String, ParetoFront<PrefixGraph>>, String> {
+/// Loads the compacted snapshot file, or an empty map when absent. Each
+/// design is legalized into a [`PrefixGraph`] before its record is kept.
+fn load_compacted(path: &Path) -> Result<BTreeMap<String, StoredFront>, String> {
     let mut fronts = BTreeMap::new();
     match std::fs::read_to_string(path) {
         Ok(text) => {
@@ -527,7 +555,7 @@ fn load_compacted(path: &Path) -> Result<BTreeMap<String, ParetoFront<PrefixGrap
                 .and_then(Value::as_object)
                 .ok_or_else(|| format!("{}: missing `fronts` object", path.display()))?;
             for (key, front) in entries {
-                let front = <ParetoFront<PrefixGraph> as Deserialize>::from_value(front)
+                let front = StoredFront::from_value(front)
                     .map_err(|e| format!("{}: front `{key}`: {e}", path.display()))?;
                 fronts.insert(key.clone(), front);
             }
@@ -551,30 +579,75 @@ fn wal_header() -> String {
     line
 }
 
-/// Replays an existing log over `fronts`, returning how many records it
-/// holds. A torn **final** line — the crash-mid-append case, and the
-/// preallocated zero tail every closed log carries (see
-/// [`WAL_PREALLOC_CHUNK`]) — is truncated away; a torn line anywhere
-/// else is corruption and fails loudly. A missing or empty log is zero
-/// records.
-fn replay_wal(
-    wal_path: &Path,
-    fronts: &mut BTreeMap<String, ParetoFront<PrefixGraph>>,
-) -> Result<u64, String> {
-    let text = match std::fs::read_to_string(wal_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("read {}: {e}", wal_path.display())),
+/// Opens the log at `wal_path` (creating it if absent), replays its
+/// records over `fronts`, and leaves the write cursor at its logical end.
+///
+/// A complete line — header or record — always ends in `\n` before its
+/// fsync returns, so the bytes after the last `\n` are either the
+/// preallocated zero headroom every closed log carries (see
+/// [`WAL_PREALLOC_CHUNK`]) or a torn append. A zero tail is kept as
+/// headroom: a clean reopen writes and syncs nothing. Only a tail holding
+/// a non-NUL byte (NUL never occurs inside a record) takes the repair
+/// path: truncate, sync, re-preallocate. A torn line anywhere else is
+/// corruption and fails loudly. A new, empty or headerless log gets its
+/// schema header.
+fn open_wal(wal_path: &Path, fronts: &mut BTreeMap<String, StoredFront>) -> Result<Wal, String> {
+    // Not `append` mode: appends always land at the physical end of the
+    // file, which preallocation pushes past the logical end. The cursor
+    // is positioned explicitly instead, and the existing contents (the
+    // surviving log) must not be truncated.
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .read(true)
+        .write(true)
+        .truncate(false)
+        .open(wal_path)
+        .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
+    let len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let complete =
+        std::str::from_utf8(&bytes[..len]).map_err(|e| format!("{}: {e}", wal_path.display()))?;
+    let records = replay_records(wal_path, complete, fronts)?;
+    let mut wal = Wal {
+        file,
+        path: wal_path.to_path_buf(),
+        records,
+        len: len as u64,
+        allocated: bytes.len() as u64,
     };
-    // A complete line — header or record — always ends in '\n' before its
-    // fsync returns, so anything after the last '\n' is a torn tail:
-    // preallocated zeros (NUL never occurs inside a record), a half-
-    // written record, or both.
-    let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
-    let torn = text.len() - complete.len();
-    if torn > 0 {
-        truncate_file(wal_path, complete.len() as u64)?;
+    if len > 0 && bytes[len..].iter().all(|&b| b == 0) {
+        seek_to_end(&mut wal)?;
+        return Ok(wal);
     }
+    if wal.allocated > wal.len {
+        cut(&mut wal, len as u64)?;
+    }
+    if wal.len == 0 {
+        let header = wal_header();
+        seek_to_end(&mut wal)?;
+        wal.file
+            .write_all(header.as_bytes())
+            .map_err(|e| format!("write {}: {e}", wal.path.display()))?;
+        wal.file
+            .sync_data()
+            .map_err(|e| format!("sync {}: {e}", wal.path.display()))?;
+        wal.len = header.len() as u64;
+        wal.allocated = wal.len;
+    }
+    preallocate(&mut wal, 0)?;
+    Ok(wal)
+}
+
+/// Replays the complete lines of a log over `fronts`, returning how many
+/// records they hold. Each design is legalized into a [`PrefixGraph`]
+/// before its record is kept.
+fn replay_records(
+    wal_path: &Path,
+    complete: &str,
+    fronts: &mut BTreeMap<String, StoredFront>,
+) -> Result<u64, String> {
     let mut records = 0u64;
     for (i, line) in complete.lines().enumerate() {
         if line.trim().is_empty() {
@@ -600,56 +673,18 @@ fn replay_wal(
         let designs = value
             .get("designs")
             .ok_or_else(|| format!("{} line {}: missing `designs`", wal_path.display(), i + 1))?;
-        let designs = <Vec<(PrefixGraph, ObjectivePoint)> as Deserialize>::from_value(designs)
+        let designs = Designs::from_value(designs)
             .map_err(|e| format!("{} line {}: {e}", wal_path.display(), i + 1))?;
         let front = fronts.entry(key.to_string()).or_default();
-        for (graph, point) in designs {
+        for (design, point) in designs {
             // Idempotent: a record already absorbed by the compacted
             // snapshot (crash between snapshot write and log truncation)
             // re-offers points the front holds, which `insert` rejects.
-            front.insert(point, graph);
+            front.insert(point, design);
         }
         records += 1;
     }
     Ok(records)
-}
-
-/// Opens the log for writing, appending the schema header if the file is
-/// new or empty, and preallocating the zeroed headroom record appends
-/// write into. [`replay_wal`] ran first, so the file's physical size *is*
-/// the logical end (any zero tail from a previous run was truncated away
-/// with the torn-tail repair).
-fn open_wal(wal_path: &Path, records: u64) -> Result<Wal, String> {
-    // Not `append` mode: appends always land at the physical end of the
-    // file, which preallocation pushes past the logical end. The cursor
-    // is positioned explicitly instead, and the existing contents (the
-    // surviving log) must not be truncated.
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(false)
-        .open(wal_path)
-        .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
-    let mut len = file
-        .metadata()
-        .map_err(|e| format!("stat {}: {e}", wal_path.display()))?
-        .len();
-    if len == 0 {
-        file.write_all(wal_header().as_bytes())
-            .map_err(|e| format!("write {}: {e}", wal_path.display()))?;
-        file.sync_data()
-            .map_err(|e| format!("sync {}: {e}", wal_path.display()))?;
-        len = wal_header().len() as u64;
-    }
-    let mut wal = Wal {
-        file,
-        path: wal_path.to_path_buf(),
-        records,
-        len,
-        allocated: len,
-    };
-    preallocate(&mut wal, 0)?;
-    Ok(wal)
 }
 
 /// Extends the log's zero-filled headroom to at least `needed` bytes past
@@ -657,8 +692,8 @@ fn open_wal(wal_path: &Path, records: u64) -> Result<Wal, String> {
 /// the cursor at the logical end. The zeros are written and `sync_all`ed
 /// once here, so the extent allocation's metadata journaling is paid up
 /// front instead of on every record's fsync. A crash leaves a zero tail
-/// after the last record's newline, which the next open discards exactly
-/// like a torn append.
+/// after the last record's newline, which the next open keeps as
+/// headroom.
 fn preallocate(wal: &mut Wal, needed: u64) -> Result<(), String> {
     let target = wal.len + needed.max(WAL_PREALLOC_CHUNK);
     if wal.allocated < target {
@@ -674,42 +709,39 @@ fn preallocate(wal: &mut Wal, needed: u64) -> Result<(), String> {
             .map_err(|e| format!("sync {}: {e}", wal.path.display()))?;
         wal.allocated = target;
     }
+    seek_to_end(wal)
+}
+
+/// Puts the write cursor at the log's logical end.
+fn seek_to_end(wal: &mut Wal) -> Result<(), String> {
     wal.file
         .seek(std::io::SeekFrom::Start(wal.len))
-        .map_err(|e| format!("seek {}: {e}", wal.path.display()))?;
+        .map(|_| ())
+        .map_err(|e| format!("seek {}: {e}", wal.path.display()))
+}
+
+/// Truncates the log's file to `len` bytes, headroom included, and syncs.
+fn cut(wal: &mut Wal, len: u64) -> Result<(), String> {
+    wal.file
+        .set_len(len)
+        .map_err(|e| format!("truncate {}: {e}", wal.path.display()))?;
+    wal.file
+        .sync_data()
+        .map_err(|e| format!("sync {}: {e}", wal.path.display()))?;
+    wal.len = len;
+    wal.allocated = len;
     Ok(())
 }
 
 /// Truncates an open log back to its header line and re-preallocates its
 /// headroom.
 fn truncate_to_header(wal: &mut Wal) -> Result<(), String> {
-    let header_len = wal_header().len() as u64;
-    wal.file
-        .set_len(header_len)
-        .map_err(|e| format!("truncate {}: {e}", wal.path.display()))?;
-    wal.file
-        .sync_data()
-        .map_err(|e| format!("sync {}: {e}", wal.path.display()))?;
-    wal.len = header_len;
-    wal.allocated = header_len;
+    cut(wal, wal_header().len() as u64)?;
     preallocate(wal, 0)
 }
 
-/// Truncates a closed file to `len` bytes (torn-tail repair on open).
-fn truncate_file(path: &Path, len: u64) -> Result<(), String> {
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| format!("open {}: {e}", path.display()))?;
-    file.set_len(len)
-        .map_err(|e| format!("truncate {}: {e}", path.display()))?;
-    file.sync_data()
-        .map_err(|e| format!("sync {}: {e}", path.display()))?;
-    Ok(())
-}
-
 /// Builds the epoch-0 snapshot of a freshly opened store.
-fn initial_snapshot(fronts: &BTreeMap<String, ParetoFront<PrefixGraph>>) -> FrontierSnapshot {
+fn initial_snapshot(fronts: &BTreeMap<String, StoredFront>) -> FrontierSnapshot {
     let views = fronts
         .iter()
         .map(|(k, f)| (k.clone(), Arc::new(FrontView::build(k, f))))

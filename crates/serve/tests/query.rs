@@ -246,3 +246,55 @@ fn readers_always_see_a_complete_epoch() {
     }
     assert_eq!(store.epoch(), MERGES);
 }
+
+#[test]
+fn publishing_a_merge_copies_no_design() {
+    let store = FrontierStore::in_memory();
+    let design =
+        |graph: PrefixGraph, area: f64, delay: f64| (graph, ObjectivePoint { area, delay });
+    let designs = vec![
+        design(prefix_graph::structures::kogge_stone(8), 3.0, 1.0),
+        design(prefix_graph::structures::sklansky(8), 2.0, 2.0),
+        design(PrefixGraph::ripple(8), 1.0, 3.0),
+    ];
+    store.merge("adder", "analytical", 8, &designs).unwrap();
+    store.merge("prefix-or", "analytical", 8, &designs).unwrap();
+    let before = store.snapshot();
+    // (1.5, 1.9) evicts (2, 2) and joins; (3, 1) and (1, 3) survive.
+    let evicting = design(prefix_graph::structures::brent_kung(8), 1.5, 1.9);
+    assert_eq!(
+        store.merge("adder", "analytical", 8, &[evicting]).unwrap(),
+        1
+    );
+    let after = store.snapshot();
+
+    assert!(
+        std::sync::Arc::ptr_eq(
+            before.front_by_key("prefix-or/analytical/8").unwrap(),
+            after.front_by_key("prefix-or/analytical/8").unwrap(),
+        ),
+        "an untouched key keeps its view"
+    );
+    let (old, new) = (
+        before.front("adder", "analytical", 8).unwrap(),
+        after.front("adder", "analytical", 8).unwrap(),
+    );
+    let delays = |view: &prefixrl_serve::FrontView| -> Vec<f64> {
+        view.points().iter().map(|p| p.delay).collect()
+    };
+    assert_eq!(delays(old), vec![1.0, 2.0, 3.0]);
+    assert_eq!(delays(new), vec![1.0, 1.9, 3.0]);
+    // Each surviving record is the one the old view held, not a copy.
+    for (i, j) in [(0, 0), (2, 2)] {
+        assert!(
+            std::sync::Arc::ptr_eq(old.graph(i), new.graph(j)),
+            "point at delay {} was copied on publish",
+            old.points()[i].delay
+        );
+    }
+    assert_eq!(
+        new.graph(1).to_graph(),
+        prefix_graph::structures::brent_kung(8),
+        "the joining design is the merged graph"
+    );
+}

@@ -285,6 +285,12 @@ fn torn_wal_tail_is_discarded_on_open() {
     let store = FrontierStore::open(&path).unwrap();
     let after = serde_json::to_string(&store.front_json("adder", "analytical", 8, true)).unwrap();
     assert_eq!(expected, after, "torn tail must not corrupt the store");
+    let bytes = std::fs::read(&wal).unwrap();
+    let end = bytes.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    assert!(
+        bytes[end..].iter().all(|&b| b == 0),
+        "the torn tail must be cut, leaving only zero headroom"
+    );
     // The repaired log stays appendable: further merges and reloads work.
     store
         .merge("adder", "analytical", 4, &pool(Adder, 4))
@@ -294,6 +300,72 @@ fn torn_wal_tail_is_discarded_on_open() {
         reloaded.keys(),
         vec!["adder/analytical/4", "adder/analytical/8"]
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store's two files, `None` where absent.
+fn store_files(path: &std::path::Path) -> [Option<Vec<u8>>; 2] {
+    [path.to_path_buf(), path.with_extension("wal")].map(|p| std::fs::read(p).ok())
+}
+
+#[test]
+fn clean_reopen_writes_nothing() {
+    let dir = temp_dir("clean-reopen");
+    let path = dir.join("frontier.json");
+    // Two records in the log, then a compaction on open and one more
+    // record: each reopen must leave both files byte-identical, length
+    // (zero headroom) included.
+    {
+        let store = FrontierStore::open_with(&path, 4).unwrap();
+        for n in [4u16, 6] {
+            store
+                .merge("adder", "analytical", n, &pool(Adder, n))
+                .unwrap();
+        }
+    }
+    let reopen_is_clean = |compact_every| {
+        let files = store_files(&path);
+        drop(FrontierStore::open_with(&path, compact_every).unwrap());
+        assert_eq!(
+            store_files(&path),
+            files,
+            "a clean reopen rewrote the store"
+        );
+    };
+    reopen_is_clean(4);
+    drop(FrontierStore::open_with(&path, 1).unwrap());
+    reopen_is_clean(4);
+    assert!(path.exists(), "the threshold-1 open compacted");
+    {
+        let store = FrontierStore::open_with(&path, 4).unwrap();
+        store
+            .merge("adder", "analytical", 8, &pool(Adder, 8))
+            .unwrap();
+    }
+    reopen_is_clean(4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_logged_graph_is_an_error_not_a_panic() {
+    let dir = temp_dir("malformed-graph");
+    let path = dir.join("frontier.json");
+    for graph in [
+        r#"{"n":1,"min_nodes":[]}"#,
+        r#"{"n":6,"min_nodes":[[2,4]]}"#,
+        r#"{"n":6,"min_nodes":[[6,2]]}"#,
+    ] {
+        let record = format!(
+            r#"{{"key":"adder/analytical/6","designs":[[{graph},{{"area":1,"delay":1}}]]}}"#
+        );
+        std::fs::write(
+            path.with_extension("wal"),
+            format!("{{\"schema\":\"prefixrl.frontier-wal.v1\"}}\n{record}\n"),
+        )
+        .unwrap();
+        let err = FrontierStore::open(&path).err().expect("open must fail");
+        assert!(err.contains("line 2"), "{graph}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -465,7 +537,11 @@ mod model_based {
             let got: Vec<(u64, u64, PrefixGraph)> = (0..view.len())
                 .map(|i| {
                     let p = view.points()[i];
-                    (p.area.to_bits(), p.delay.to_bits(), view.graph(i).clone())
+                    (
+                        p.area.to_bits(),
+                        p.delay.to_bits(),
+                        view.graph(i).to_graph(),
+                    )
                 })
                 .collect();
             prop_assert_eq!(
